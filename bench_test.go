@@ -248,7 +248,8 @@ func BenchmarkAblationRouterDepth16(b *testing.B) { benchRouterDepth(b, 16) }
 
 // --- Ablation 4 (DESIGN.md §4.4): sliding-window store traffic ---
 //
-// Measures the full Algorithm 1 path per tuple and reports the store
+// Measures the scalar sliding-window path per tuple (Algorithm 1 over chunked
+// per-partition state: state row, tail chunk, head chunk) and reports the store
 // operations it performs, confirming the paper's KV-bound finding.
 
 func BenchmarkAblationWindowStore(b *testing.B) {

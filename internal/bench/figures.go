@@ -54,7 +54,7 @@ var Figures = []FigureSpec{
 	{
 		ID: "6", Title: "Sliding window operator throughput (Figure 6)",
 		Query: "window", Containers: []int{1, 2, 4, 8},
-		Expected: "near parity, both KV-bound; here per-block state clustering amortizes the KV traffic, putting SamzaSQL at or above the per-tuple native baseline",
+		Expected: "near parity, both KV-bound; here the native baseline keeps the paper's per-message state layout while SamzaSQL keeps chunked per-partition state written as one batch per block, putting it well above the baseline",
 	},
 }
 
@@ -177,9 +177,12 @@ func CheckShape(spec FigureSpec, rows []FigureRow) []string {
 				bad = append(bad, fmt.Sprintf("x%d: join ratio %.2f outside vectorized band [0.7, 1.8)", r.Containers, r.Ratio))
 			}
 		case "window":
-			// Both sides are KV-bound, but the vectorized window pays state
-			// load/decode/write-back once per key per block while the native
-			// baseline pays them per tuple, so SQL lands at or above parity.
+			// The native baseline keeps the paper's per-message layout (a
+			// key per message, range-scan purge, per-tuple state round trip);
+			// the SQL operator keeps a chunked deque per partition and writes
+			// one batch per block, so SQL lands well above parity (3.5–5.0x
+			// measured, EXPERIMENTS.md). The ceiling still catches an
+			// implausible reading.
 			if r.Ratio < 0.7 || r.Ratio >= 6 {
 				bad = append(bad, fmt.Sprintf("x%d: window ratio %.2f outside vectorized band [0.7, 6)", r.Containers, r.Ratio))
 			}

@@ -16,9 +16,10 @@ import (
 )
 
 // WindowStoreConfig sizes one sliding-window store micro-run: the SQL
-// sliding-window operator (Algorithm 1) driven directly over a
-// changelog-backed store stack, isolating store and serde cost from the rest
-// of the job (consumers, routers, output produce).
+// sliding-window operator (Algorithm 1 over chunked per-partition state),
+// scalar path, driven directly over a changelog-backed store stack, isolating
+// store and serde cost from the rest of the job (consumers, routers, output
+// produce).
 type WindowStoreConfig struct {
 	// Tuples processed by the run.
 	Tuples int

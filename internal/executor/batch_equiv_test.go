@@ -67,6 +67,47 @@ var equivCases = []equivCase{
 		FROM Orders`,
 		wantRows: func(orders [][]any) int { return len(orders) },
 	},
+	// Window plans whose deque crosses chunk boundaries (the sliding-window
+	// operator packs 64 contributions per stored chunk): an unpartitioned
+	// ROWS frame holding 63, 64, 65 and 192 rows, MIN/MAX rebuilt by scanning
+	// three chunks, and two analytic calls with different partitioning.
+	{
+		name:     "window-rows-63",
+		query:    `SELECT STREAM orderId, SUM(units) OVER (ORDER BY rowtime ROWS 62 PRECEDING) s FROM Orders`,
+		wantRows: func(orders [][]any) int { return len(orders) },
+	},
+	{
+		name:     "window-rows-64",
+		query:    `SELECT STREAM orderId, SUM(units) OVER (ORDER BY rowtime ROWS 63 PRECEDING) s FROM Orders`,
+		wantRows: func(orders [][]any) int { return len(orders) },
+	},
+	{
+		name:     "window-rows-65",
+		query:    `SELECT STREAM orderId, SUM(units) OVER (ORDER BY rowtime ROWS 64 PRECEDING) s FROM Orders`,
+		wantRows: func(orders [][]any) int { return len(orders) },
+	},
+	{
+		name:     "window-rows-192",
+		query:    `SELECT STREAM orderId, SUM(units) OVER (ORDER BY rowtime ROWS 191 PRECEDING) s FROM Orders`,
+		wantRows: func(orders [][]any) int { return len(orders) },
+	},
+	{
+		name: "window-minmax-rebuild",
+		query: `SELECT STREAM orderId,
+		  MIN(units) OVER (ORDER BY rowtime ROWS 191 PRECEDING) lo,
+		  MAX(units) OVER (ORDER BY rowtime RANGE INTERVAL '1' SECOND PRECEDING) hi
+		FROM Orders`,
+		wantRows: func(orders [][]any) int { return len(orders) },
+	},
+	{
+		name: "window-two-calls",
+		query: `SELECT STREAM orderId,
+		  SUM(units) OVER (PARTITION BY productId ORDER BY rowtime
+		    RANGE INTERVAL '2' SECOND PRECEDING) perProduct,
+		  COUNT(*) OVER (ORDER BY rowtime ROWS 64 PRECEDING) recent
+		FROM Orders`,
+		wantRows: func(orders [][]any) int { return len(orders) },
+	},
 	{
 		name: "join",
 		query: `SELECT STREAM Orders.rowtime, Orders.orderId, Orders.productId,

@@ -1,11 +1,11 @@
 package kv
 
-// Batched point reads. The vectorized operator paths cluster a block's
-// tuples by state key and then fetch every distinct key's state in one
-// call, so the store stack pays its per-operation overhead — the skiplist
-// lock, the latency observation, the trace leaf — once per block instead
-// of once per tuple. Writes stay per-key: the dirty batch in CachedStore
-// and the changelog buffer already amortize those.
+// Batched point reads and writes. The vectorized operator paths cluster a
+// block's tuples by state key, fetch every distinct key's state in one call
+// and hand every write the block caused back in one call, so the store stack
+// pays its per-operation overhead — the skiplist lock, the latency
+// observation, the trace leaf, the changelog produce — once per block instead
+// of once per tuple.
 
 // BatchReader is implemented by stores that can serve multi-key point
 // reads with amortized per-call overhead. vals and oks are caller-owned
@@ -31,6 +31,45 @@ func GetMany(s Store, keys [][]byte, vals [][]byte, oks []bool) {
 	}
 }
 
+// WriteOp is one write of a write batch: a Put of Value under Key, or a
+// Delete of Key when Delete is set. Stores copy the key and value bytes they
+// retain, so the caller may reuse both once WriteMany returns.
+type WriteOp struct {
+	Key    []byte
+	Value  []byte
+	Delete bool
+}
+
+// BatchWriter is implemented by stores that apply a sequence of writes as
+// one unit, in order. A write batch is the atomicity grain of the changelog:
+// a ChangelogStore never flushes early between two writes of one batch, so
+// writes that only make sense together (a window partition's chunk writes
+// and the state row whose cursors point into them) reach the changelog
+// together or not at all. A single Put or Delete is a batch of one.
+type BatchWriter interface {
+	WriteMany(ops []WriteOp)
+}
+
+// WriteMany applies ops to s in order, through the store's batched path when
+// it has one and as per-key Put/Delete calls otherwise.
+//
+//samzasql:hotpath
+func WriteMany(s Store, ops []WriteOp) {
+	if bw, ok := s.(BatchWriter); ok {
+		bw.WriteMany(ops)
+		return
+	}
+	for i := range ops {
+		if ops[i].Delete {
+			//samzasql:ignore hotpath-blocking -- the task store mutex is per-task single-writer and uncontended by design; skiplist access under it is the state-access contract
+			s.Delete(ops[i].Key)
+		} else {
+			//samzasql:ignore hotpath-blocking -- the task store mutex is per-task single-writer and uncontended by design; skiplist access under it is the state-access contract
+			s.Put(ops[i].Key, ops[i].Value)
+		}
+	}
+}
+
 // GetMany serves the whole batch under one lock acquisition: the skiplist
 // descent per key is unavoidable, but the mutex and the read-counter
 // update are paid once per block rather than once per key.
@@ -46,6 +85,23 @@ func (s *store) GetMany(keys [][]byte, vals [][]byte, oks []bool) {
 	}
 }
 
+// WriteMany applies the whole batch under one lock acquisition.
+//
+//samzasql:hotpath
+func (s *store) WriteMany(ops []WriteOp) {
+	//samzasql:ignore hotpath-blocking -- the task store mutex is per-task single-writer and uncontended by design; skiplist access under it is the state-access contract
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.writes += int64(len(ops))
+	for i := range ops {
+		if ops[i].Delete {
+			s.list.delete(ops[i].Key)
+		} else {
+			s.list.upsert(ops[i].Key, ops[i].Value)
+		}
+	}
+}
+
 // GetMany forwards the batched read to the store underneath; reads need no
 // changelog mirroring. (The embedded Store interface does not promote the
 // method — it is not part of Store — so the forwarder is explicit.)
@@ -53,6 +109,24 @@ func (s *store) GetMany(keys [][]byte, vals [][]byte, oks []bool) {
 //samzasql:hotpath
 func (c *ChangelogStore) GetMany(keys [][]byte, vals [][]byte, oks []bool) {
 	GetMany(c.Store, keys, vals, oks)
+}
+
+// WriteMany writes the batch through to the inner store and mirrors it as
+// one contiguous run of the pending buffer; the write-batch cap is checked
+// only after the whole run, so an early flush never splits a batch.
+//
+//samzasql:hotpath
+func (c *ChangelogStore) WriteMany(ops []WriteOp) {
+	WriteMany(c.Store, ops)
+	for i := range ops {
+		if ops[i].Delete {
+			c.buffer(ops[i].Key, nil)
+		} else {
+			c.buffer(ops[i].Key, ops[i].Value)
+		}
+	}
+	//samzasql:ignore hotpath-blocking -- write-through to the changelog is the durability contract; the flush path's broker append lock is per-partition and the io.Write is an in-memory FNV hash
+	c.flushIfFull()
 }
 
 // GetMany serves cache-resident keys (including buffered uncommitted
@@ -132,4 +206,23 @@ func (c *CachedStore) GetObjectMany(keys [][]byte, objs []any, oks []bool) {
 		}
 		objs[i], oks[i] = e.obj, true
 	}
+}
+
+// WriteMany buffers the whole batch in the cache — each write supersedes the
+// key's entry exactly as Put or Delete would — and checks the write-batch
+// cap once, after the last write, so a cap-triggered write-through never
+// lands between two writes of one batch.
+//
+//samzasql:hotpath
+func (c *CachedStore) WriteMany(ops []WriteOp) {
+	for i := range ops {
+		var v []byte
+		if !ops[i].Delete {
+			v = append([]byte(nil), ops[i].Value...)
+		}
+		//samzasql:ignore hotpath-blocking -- write-through to the changelog is the durability contract; the flush path's broker append lock is per-partition and the io.Write is an in-memory FNV hash
+		c.setEntry(ops[i].Key, v, !ops[i].Delete)
+	}
+	//samzasql:ignore hotpath-blocking -- write-through to the changelog is the durability contract; the flush path's broker append lock is per-partition and the io.Write is an in-memory FNV hash
+	c.flushIfFull()
 }

@@ -3,6 +3,9 @@ package kv
 import (
 	"fmt"
 	"testing"
+
+	"samzasql/internal/kafka"
+	"samzasql/internal/metrics"
 )
 
 // plainStore hides the batched fast path: the embedded interface only
@@ -194,5 +197,198 @@ func TestCachedStoreGetObjectManyResidentOnly(t *testing.T) {
 	// GetObjectMany never touches the inner store: misses are the caller's.
 	if reads, _ := inner.Stats(); reads != 1 {
 		t.Fatalf("inner reads = %d, want 1 (the warming Get only)", reads)
+	}
+}
+
+// writeOps is a batch mixing inserts, an overwrite, a delete of a live key,
+// a delete of an absent key and a put-then-delete of one key, so order
+// matters.
+func writeOps() []WriteOp {
+	return []WriteOp{
+		{Key: []byte("a"), Value: []byte("1")},
+		{Key: []byte("b"), Value: []byte("2")},
+		{Key: []byte("a"), Value: []byte("1'")},
+		{Key: []byte("old"), Delete: true},
+		{Key: []byte("ghost"), Delete: true},
+		{Key: []byte("tmp"), Value: []byte("t")},
+		{Key: []byte("tmp"), Delete: true},
+		{Key: []byte("c"), Value: []byte("3")},
+	}
+}
+
+// applyPerKey is what a write batch must be indistinguishable from.
+func applyPerKey(s Store, ops []WriteOp) {
+	for _, op := range ops {
+		if op.Delete {
+			s.Delete(op.Key)
+		} else {
+			s.Put(op.Key, op.Value)
+		}
+	}
+}
+
+func dumpStore(s Store) string {
+	return fmt.Sprintf("%q", s.Range(nil, nil, 0))
+}
+
+func TestWriteManyFallsBackToPerKeyWrites(t *testing.T) {
+	inner := NewStore()
+	inner.Put([]byte("old"), []byte("x"))
+	s := plainStore{inner}
+	if _, ok := any(s).(BatchWriter); ok {
+		t.Fatal("wrapper unexpectedly exposes WriteMany; fallback path untested")
+	}
+	WriteMany(s, writeOps())
+	want := NewStore()
+	want.Put([]byte("old"), []byte("x"))
+	applyPerKey(want, writeOps())
+	if got := dumpStore(inner); got != dumpStore(want) {
+		t.Fatalf("fallback left %s, per-key writes leave %s", got, dumpStore(want))
+	}
+}
+
+func TestStoreWriteManyMatchesPerKeyWrites(t *testing.T) {
+	batched, perKey := NewStore(), NewStore()
+	for _, s := range []Store{batched, perKey} {
+		s.Put([]byte("old"), []byte("x"))
+	}
+	ops := writeOps()
+	batched.(BatchWriter).WriteMany(ops)
+	applyPerKey(perKey, ops)
+	if got, want := dumpStore(batched), dumpStore(perKey); got != want {
+		t.Fatalf("batched %s, per-key %s", got, want)
+	}
+	// The store copied what it kept: clobbering the batch changes nothing.
+	for i := range ops {
+		for j := range ops[i].Key {
+			ops[i].Key[j] = 'X'
+		}
+		for j := range ops[i].Value {
+			ops[i].Value[j] = 'X'
+		}
+	}
+	if got, want := dumpStore(batched), dumpStore(perKey); got != want {
+		t.Fatalf("store aliases batch memory: %s vs %s", got, want)
+	}
+	if _, writes := batched.Stats(); writes != int64(1+len(ops)) {
+		t.Fatalf("writes=%d, want one per contained write (%d)", writes, 1+len(ops))
+	}
+}
+
+// TestChangelogWriteManyIsOneRun pins the atomicity grain: a write batch
+// lands on the changelog as one contiguous run in batch order, and the
+// write-batch cap is checked only after it — never inside.
+func TestChangelogWriteManyIsOneRun(t *testing.T) {
+	broker := kafka.NewBroker()
+	cs, err := NewChangelogStore(NewStore(), broker, "wm-cl", 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs.SetWriteBatchSize(4)
+	tp := kafka.TopicPartition{Topic: "wm-cl", Partition: 0}
+	cs.Put([]byte("p0"), []byte("v"))
+	cs.Put([]byte("p1"), []byte("v"))
+	cs.Put([]byte("p2"), []byte("v"))
+	ops := writeOps() // crosses the cap of 4 on its first write
+	cs.WriteMany(ops)
+	if cs.Pending() != 0 {
+		t.Fatalf("%d records still pending after a batch that crossed the cap", cs.Pending())
+	}
+	hwm, _ := broker.HighWatermark(tp)
+	if hwm != int64(3+len(ops)) {
+		t.Fatalf("changelog holds %d records, want %d: the early flush split the batch", hwm, 3+len(ops))
+	}
+	msgs, _, err := broker.Fetch(tp, 3, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, op := range ops {
+		m := msgs[i]
+		if string(m.Key) != string(op.Key) || (m.Value == nil) != op.Delete || string(m.Value) != string(op.Value) {
+			t.Fatalf("changelog record %d is %q=%q, want op %q=%q delete=%v", i, m.Key, m.Value, op.Key, op.Value, op.Delete)
+		}
+	}
+	// Below the cap a batch stays buffered whole.
+	cs.WriteMany(ops[:3])
+	if cs.Pending() != 3 {
+		t.Fatalf("pending=%d after a 3-write batch under a cap of 4", cs.Pending())
+	}
+	// A restore replays the batch to the same store contents.
+	if err := cs.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := NewChangelogStore(NewStore(), broker, "wm-cl", 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := restored.Restore(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := dumpStore(restored), dumpStore(cs); got != want {
+		t.Fatalf("restored %s, live %s", got, want)
+	}
+}
+
+// TestCachedStoreWriteManyCoherence checks a write batch against the cache's
+// dirty batch: buffered writes are superseded in place, reads see the batch
+// before it is flushed, the cap is checked once after the batch, and the
+// flush hands the inner store the final values in first-dirtied order.
+func TestCachedStoreWriteManyCoherence(t *testing.T) {
+	inner := NewStore()
+	inner.Put([]byte("old"), []byte("x"))
+	c := NewCachedStore(inner, 64, 6)
+	c.Put([]byte("a"), []byte("stale")) // dirty entry the batch supersedes
+	c.PutObject([]byte("b"), "obj", func(any) ([]byte, error) { return []byte("deferred"), nil })
+	if v, _ := c.Get([]byte("old")); string(v) != "x" { // clean resident entry the batch deletes
+		t.Fatalf("warm read: %q", v)
+	}
+	ops := writeOps()
+	c.WriteMany(ops[:5]) // a, b, a again, old and ghost deleted: dirty count 4 of 6
+	if _, writes := inner.Stats(); writes != 1 {
+		t.Fatalf("inner saw %d writes before any flush", writes)
+	}
+	for key, want := range map[string]string{"a": "1'", "b": "2"} {
+		if v, ok := c.Get([]byte(key)); !ok || string(v) != want {
+			t.Fatalf("uncommitted read %s = %q %v, want %q", key, v, ok, want)
+		}
+	}
+	if _, ok := c.GetObject([]byte("b")); ok {
+		t.Fatal("byte write left the superseded decoded object behind")
+	}
+	if _, ok := c.Get([]byte("old")); ok {
+		t.Fatal("buffered delete not visible")
+	}
+	// The rest of the batch crosses the cap of 6 dirty keys mid-batch; the
+	// write-through happens after its last write.
+	c.WriteMany(ops[5:])
+	if _, writes := inner.Stats(); writes != 1+6 {
+		t.Fatalf("inner saw %d writes, want the 6 dirty keys written through once", writes-1)
+	}
+	want := NewStore()
+	want.Put([]byte("old"), []byte("x"))
+	applyPerKey(want, ops)
+	if got := dumpStore(inner); got != dumpStore(want) {
+		t.Fatalf("flushed %s, per-key writes leave %s", got, dumpStore(want))
+	}
+}
+
+// TestInstrumentedWriteManyCountsWrites pins the meaning of the write
+// histograms' counts: writes, not calls — a batch books one put-ns
+// observation per Put and one delete-ns per Delete.
+func TestInstrumentedWriteManyCountsWrites(t *testing.T) {
+	reg := metrics.NewRegistry()
+	s := Instrument(NewStore(), reg, "w")
+	ops := writeOps()
+	WriteMany(s, ops)
+	WriteMany(s, nil)
+	snap := reg.Snapshot()
+	if got := snap.Histograms["store.w.put-ns"].Count; got != 5 {
+		t.Errorf("put-ns count = %d, want 5", got)
+	}
+	if got := snap.Histograms["store.w.delete-ns"].Count; got != 3 {
+		t.Errorf("delete-ns count = %d, want 3", got)
+	}
+	if s.Len() != 3 {
+		t.Errorf("len = %d after the batch, want a, b, c", s.Len())
 	}
 }

@@ -196,14 +196,39 @@ func (c *CachedStore) encodeEntry(e *cacheEntry) {
 // markDirty queues e for the next batch write, flushing the batch early when
 // it reaches the write-batch cap.
 func (c *CachedStore) markDirty(e *cacheEntry) {
+	c.noteDirty(e)
+	c.flushIfFull()
+}
+
+// noteDirty queues e without checking the cap; WriteMany checks it once per
+// batch.
+func (c *CachedStore) noteDirty(e *cacheEntry) {
 	if !e.dirty {
 		e.dirty = true
 		c.dirtyList = append(c.dirtyList, e)
 		c.dirtyCount++
 	}
+}
+
+func (c *CachedStore) flushIfFull() {
 	if c.dirtyCount >= c.batchCap {
 		c.flushBatch()
 	}
+}
+
+// setEntry makes v (owned by the cache from here on) the buffered value of
+// key, or a buffered tombstone when present is false, superseding whatever
+// the entry held. The cap check is the caller's.
+func (c *CachedStore) setEntry(key, v []byte, present bool) {
+	e, ok := c.entries[string(key)]
+	if !ok {
+		e = &cacheEntry{key: string(key)}
+		c.insert(e)
+	} else {
+		c.touch(e)
+	}
+	e.value, e.obj, e.enc, e.present = v, nil, nil, present
+	c.noteDirty(e)
 }
 
 // flushBatch writes every dirty entry through to the inner store, in
@@ -270,22 +295,10 @@ func (c *CachedStore) Get(key []byte) ([]byte, bool) {
 //
 //samzasql:hotpath
 func (c *CachedStore) Put(key, value []byte) {
-	v := append([]byte(nil), value...)
-	if e, ok := c.entries[string(key)]; ok {
-		e.value = v
-		e.obj = nil
-		e.enc = nil
-		e.present = true
-		c.touch(e)
-		//samzasql:ignore hotpath-blocking -- write-through to the changelog is the durability contract; the flush path's broker append lock is per-partition and the io.Write is an in-memory FNV hash
-		c.markDirty(e)
-		return
-	}
-	e := &cacheEntry{key: string(key), value: v, present: true}
 	//samzasql:ignore hotpath-blocking -- write-through to the changelog is the durability contract; the flush path's broker append lock is per-partition and the io.Write is an in-memory FNV hash
-	c.insert(e)
+	c.setEntry(key, append([]byte(nil), value...), true)
 	//samzasql:ignore hotpath-blocking -- write-through to the changelog is the durability contract; the flush path's broker append lock is per-partition and the io.Write is an in-memory FNV hash
-	c.markDirty(e)
+	c.flushIfFull()
 }
 
 // PutObject buffers a decoded object as the key's value, deferring encoding

@@ -75,16 +75,20 @@ func (c *ChangelogStore) SetWriteBatchSize(n int) {
 	}
 }
 
-// Put writes through to the inner store and buffers the changelog record.
+// Put writes through to the inner store and buffers the changelog record: a
+// write batch of one.
 func (c *ChangelogStore) Put(key, value []byte) {
 	c.Store.Put(key, value)
 	c.buffer(key, value)
+	c.flushIfFull()
 }
 
-// Delete removes the key and buffers a tombstone for the changelog.
+// Delete removes the key and buffers a tombstone for the changelog: a write
+// batch of one.
 func (c *ChangelogStore) Delete(key []byte) bool {
 	ok := c.Store.Delete(key)
 	c.buffer(key, nil)
+	c.flushIfFull()
 	return ok
 }
 
@@ -108,10 +112,9 @@ func (c *ChangelogStore) copyToArena(b []byte) []byte {
 }
 
 // buffer queues one mirrored write, copying key and value once into the
-// batch arena. A nil value is a tombstone. When the buffer reaches the
-// write-batch cap it flushes early; like the old per-write produce path,
-// a broker failure there is a programming error (the topic exists and the
-// partition was validated at construction) and panics.
+// batch arena. A nil value is a tombstone. It never flushes: the cap is
+// checked between write batches only (flushIfFull), because a flush that
+// lands inside a batch would make half of it durable.
 func (c *ChangelogStore) buffer(key, value []byte) {
 	m := kafka.Message{
 		Partition: c.partition,
@@ -121,10 +124,18 @@ func (c *ChangelogStore) buffer(key, value []byte) {
 		m.Value = c.copyToArena(value)
 	}
 	c.pending = append(c.pending, m)
-	if len(c.pending) >= c.batchCap {
-		if err := c.Flush(); err != nil {
-			panic(fmt.Sprintf("kv: changelog append: %v", err))
-		}
+}
+
+// flushIfFull flushes early once the buffer has reached the write-batch cap.
+// Callers invoke it after a complete write batch. A broker failure here is a
+// programming error (the topic exists and the partition was validated at
+// construction) and panics, as the byte Store interface has no error channel.
+func (c *ChangelogStore) flushIfFull() {
+	if len(c.pending) < c.batchCap {
+		return
+	}
+	if err := c.Flush(); err != nil {
+		panic(fmt.Sprintf("kv: changelog append: %v", err))
 	}
 }
 

@@ -67,16 +67,26 @@ func (s *skiplist) get(key []byte) ([]byte, bool) {
 	return nil, false
 }
 
-func (s *skiplist) put(key, value []byte) {
+// upsert inserts or replaces key. It copies value always and key only when
+// the key is new: an overwrite (the common case for state rows and chunk
+// rewrites) keeps the node's existing key.
+func (s *skiplist) upsert(key, value []byte) {
 	var prev [maxHeight]*skipNode
 	for level := s.height; level < maxHeight; level++ {
 		prev[level] = s.head
 	}
+	v := append([]byte(nil), value...)
 	n := s.findGreaterOrEqual(key, &prev)
 	if n != nil && bytes.Equal(n.key, key) {
-		n.value = value
+		n.value = v
 		return
 	}
+	s.insertAfter(&prev, append([]byte(nil), key...), v)
+}
+
+// insertAfter links a new node for key behind the per-level predecessors
+// findGreaterOrEqual recorded.
+func (s *skiplist) insertAfter(prev *[maxHeight]*skipNode, key, value []byte) {
 	h := s.randomHeight()
 	if h > s.height {
 		s.height = h
@@ -176,12 +186,10 @@ func (s *store) Get(key []byte) ([]byte, bool) {
 }
 
 func (s *store) Put(key, value []byte) {
-	k := append([]byte(nil), key...)
-	v := append([]byte(nil), value...)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.writes++
-	s.list.put(k, v)
+	s.list.upsert(key, value)
 }
 
 func (s *store) Delete(key []byte) bool {

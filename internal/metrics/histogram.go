@@ -76,6 +76,26 @@ func (h *Histogram) Observe(v int64) {
 	}
 }
 
+// ObserveN records n observations of the same value — a batched operation
+// booking its per-item share once instead of looping Observe.
+func (h *Histogram) ObserveN(v, n int64) {
+	if n <= 0 {
+		return
+	}
+	if v < 0 {
+		v = 0
+	}
+	h.buckets[bucketIndex(v)].Add(n)
+	h.count.Add(n)
+	h.sum.Add(v * n)
+	for {
+		cur := h.max.Load()
+		if v <= cur || h.max.CompareAndSwap(cur, v) {
+			return
+		}
+	}
+}
+
 // Count returns the number of recorded observations.
 func (h *Histogram) Count() int64 { return h.count.Load() }
 

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"sync"
 	"testing"
@@ -267,5 +268,21 @@ func BenchmarkHistogramObserve(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		h.Observe(int64(i))
+	}
+}
+
+// TestObserveNMatchesRepeatedObserve pins the batched form: n observations
+// of one value are indistinguishable from n Observe calls, and a
+// non-positive n records nothing.
+func TestObserveNMatchesRepeatedObserve(t *testing.T) {
+	var batched, looped Histogram
+	for _, c := range []struct{ v, n int64 }{{120, 5}, {-3, 2}, {1 << 20, 1}, {77, 0}, {77, -4}} {
+		batched.ObserveN(c.v, c.n)
+		for i := int64(0); i < c.n; i++ {
+			looped.Observe(c.v)
+		}
+	}
+	if got, want := batched.Snapshot(), looped.Snapshot(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("ObserveN snapshot %+v, repeated Observe %+v", got, want)
 	}
 }

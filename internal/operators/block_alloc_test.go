@@ -28,13 +28,14 @@ func fillWindowBlock(b *TupleBlock, n, parts, runLen int, baseTs, baseOff int64,
 }
 
 // TestSlidingWindowBlockAllocBudget pins the vectorized sliding window's
-// per-row allocation cost. Unlike the stateless filter kernel this path can
-// never hit zero — every fresh tuple persists a message contribution (the
-// skiplist copies key and value) and boxes its aggregate output — but the
-// clustering design bounds the per-row count by a small constant independent
-// of block size: state loads, decodes and write-backs are paid per distinct
-// key per block, not per row. The budget has headroom over the measured
-// value (~5.4) while staying far below the scalar path's per-tuple cost.
+// per-row allocation cost. A fresh tuple's contribution is appended to its
+// partition's resident tail-chunk image and the block's writes leave through
+// one arena-backed write batch, so the operator itself allocates per distinct
+// key per block (the store's copies of the tail chunk, the block-state map
+// key), not per row: of the ~1.06 allocs/row measured, 1.0 is this test
+// boxing each row's timestamp into the input block, as the scan stage does.
+// The budget leaves headroom for aggregate values too large for the
+// runtime's small-integer boxes.
 func TestSlidingWindowBlockAllocBudget(t *testing.T) {
 	op, err := NewSlidingWindowOp([]*validate.BoundAnalytic{slidingSpec("SUM", 1000, 0, false)})
 	if err != nil {
@@ -72,7 +73,7 @@ func TestSlidingWindowBlockAllocBudget(t *testing.T) {
 	allocs := testing.AllocsPerRun(50, runBlock)
 	perRow := allocs / block
 	t.Logf("vectorized sliding window: %.2f allocs/row (%.0f per %d-row block)", perRow, allocs, block)
-	const budget = 10.0
+	const budget = 2.0
 	if perRow > budget {
 		t.Errorf("vectorized sliding window: %.2f allocs/row (%.0f per %d-row block), budget %.0f",
 			perRow, allocs, block, budget)

@@ -40,12 +40,14 @@ func runEqual(a, b any) (eq, ok bool) {
 
 // ProcessBlock implements BlockOperator: Algorithm 1 over a whole block.
 // Per analytic call it clusters the block's rows by partition key, loads
-// each distinct key's window state once (batched), folds the key's rows in
-// offset order through the same per-tuple steps as the scalar path, and
-// persists each modified state once. The output block carries one row per
-// selected input row — input columns plus one value column per call — with
-// replayed rows (already-applied offsets) deselected, matching the scalar
-// path's suppressed emits.
+// each distinct key's window state and tail chunk once (batched), folds the
+// key's rows in offset order through the same per-tuple steps as the scalar
+// path, and stages each modified state once; everything the block wrote —
+// chunk puts, chunk deletes, state rows, across all calls — then goes to the
+// store as one kv write batch. The output block carries one row per selected
+// input row — input columns plus one value column per call — with replayed
+// rows (already-applied offsets) deselected, matching the scalar path's
+// suppressed emits.
 //
 //samzasql:hotpath
 func (o *SlidingWindowOp) ProcessBlock(_ int, b *TupleBlock, emit BlockEmit) error {
@@ -79,9 +81,11 @@ func (o *SlidingWindowOp) ProcessBlock(_ int, b *TupleBlock, emit BlockEmit) err
 	src := o.sources.keyFor(b.Stream, b.Partition)
 	for ci, call := range o.calls {
 		if err := o.processCallBlock(call, b, out.Cols[inArity+ci], replay, ci == 0, src, row); err != nil {
+			o.discardWrites()
 			return err
 		}
 	}
+	o.flushWrites()
 	o.blkReplay = replay
 	// Replayed rows (detected on call 0, like the scalar path) are
 	// deselected rather than compacted; downstream stages honor Sel.
@@ -96,8 +100,9 @@ func (o *SlidingWindowOp) ProcessBlock(_ int, b *TupleBlock, emit BlockEmit) err
 }
 
 // processCallBlock runs one analytic call over the block: columnar key
-// evaluation with run detection, one batched state load per distinct key,
-// in-order folding, one write-back per modified key.
+// evaluation with run detection, one batched state load and one batched
+// tail-chunk load per distinct key, in-order folding, one staged write-back
+// per modified key.
 //
 //samzasql:hotpath
 func (o *SlidingWindowOp) processCallBlock(c *analyticState, b *TupleBlock, outCol []any, replay []bool, first bool, src string, row []any) error {
@@ -158,6 +163,11 @@ func (o *SlidingWindowOp) processCallBlock(c *analyticState, b *TupleBlock, outC
 	if err := o.loadStatesBatch(c, keys, states); err != nil {
 		return err
 	}
+	if !c.spec.Unbounded {
+		if err := o.loadTailsBatch(c, keys, states); err != nil {
+			return err
+		}
+	}
 
 	// Pass 3: fold the rows in offset order against the block-resident
 	// states — the same steps as the scalar processCall, minus the per-tuple
@@ -197,18 +207,54 @@ func (o *SlidingWindowOp) processCallBlock(c *analyticState, b *TupleBlock, outC
 		outCol[k] = ws.acc.Value()
 	}
 
-	// Write back once per modified key, in first-touch order (deterministic
+	// Stage once per modified key, in first-touch order (deterministic
 	// changelog content for a given input).
 	for _, sk := range keys {
-		ws := states[string(sk)]
-		if !ws.dirty {
-			continue
+		if ws := states[string(sk)]; ws.dirty {
+			o.stageState(c, sk, sk[stateKeyPrefix:], ws)
 		}
-		ws.dirty = false
-		//samzasql:ignore hotpath-blocking -- the task store mutex is per-task single-writer and uncontended by design; skiplist access under it is the state-access contract
-		if err := o.saveCallState(sk, ws); err != nil {
+	}
+	return nil
+}
+
+// loadTailsBatch makes the tail chunk image of every block state resident
+// with one batched chunk read; states whose image is already resident (the
+// object cache kept them) and empty deques cost nothing.
+func (o *SlidingWindowOp) loadTailsBatch(c *analyticState, keys [][]byte, states map[string]*windowState) error {
+	want := o.blkTails[:0]
+	ckeys := o.blkMiss[:0]
+	for _, sk := range keys {
+		ws := states[string(sk)]
+		switch {
+		case ws.tailLoaded:
+		case ws.tailLen == 0:
+			ws.setTail(nil)
+		default:
+			want = append(want, ws)
+			ckeys = append(ckeys, o.arenaCopy(appendChunkKey(o.kbuf[:0], c.idx, sk[stateKeyPrefix:], ws.tailSeq)))
+		}
+	}
+	o.blkTails, o.blkMiss = want[:0], ckeys[:0]
+	if len(want) == 0 {
+		return nil
+	}
+	vals := o.blkVals[:0]
+	oks := o.blkOks[:0]
+	for range want {
+		vals = append(vals, nil)
+		oks = append(oks, false)
+	}
+	kv.GetMany(o.chunkStore, ckeys, vals, oks)
+	o.blkVals, o.blkOks = vals[:0], oks[:0]
+	for i, ws := range want {
+		if !oks[i] {
+			return errMissingChunk(ws.tailSeq)
+		}
+		img, err := trimChunk(vals[i], ws.tailLen, ws.tailSeq)
+		if err != nil {
 			return err
 		}
+		ws.setTail(img)
 	}
 	return nil
 }

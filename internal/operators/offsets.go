@@ -40,6 +40,37 @@ func (v offsetVector) update(key string, offset int64) offsetVector {
 	return append(v, key, offset)
 }
 
+// appliedOffsets is the typed form of offsetVector for state rows with a
+// binary layout of their own (the sliding window's): the same (source, last
+// applied offset) pairs without boxing an offset per update.
+type appliedOffsets []sourceOffset
+
+type sourceOffset struct {
+	src  string
+	last int64
+}
+
+// seen reports whether the offset was already applied from source src.
+func (v appliedOffsets) seen(src string, offset int64) bool {
+	for i := range v {
+		if v[i].src == src {
+			return offset <= v[i].last
+		}
+	}
+	return false
+}
+
+// update records offset for source src, returning the updated vector.
+func (v appliedOffsets) update(src string, offset int64) appliedOffsets {
+	for i := range v {
+		if v[i].src == src {
+			v[i].last = offset
+			return v
+		}
+	}
+	return append(v, sourceOffset{src, offset})
+}
+
 // sourceKeys caches the "stream:partition" strings so the per-message path
 // does not allocate.
 type sourceKeys struct {

@@ -1,8 +1,13 @@
 package operators
 
 import (
+	"fmt"
+	"hash/fnv"
+	"math/rand"
+	"strings"
 	"testing"
 
+	"samzasql/internal/kafka"
 	"samzasql/internal/kv"
 	"samzasql/internal/metrics"
 	"samzasql/internal/sql/expr"
@@ -409,5 +414,173 @@ func TestSlidingWindowStateSurvivesRestore(t *testing.T) {
 	}
 	if got := out[2].Row[3].(int64); got != 35 {
 		t.Fatalf("post-restore sum %d, want 35", got)
+	}
+}
+
+// TestSlidingWindowUnboundedKeepsNoContributions pins the state-leak fix: an
+// UNBOUNDED PRECEDING frame never purges, so nothing may be stored per row —
+// the store holds one state row per partition however long the stream runs.
+func TestSlidingWindowUnboundedKeepsNoContributions(t *testing.T) {
+	for _, batch := range []int{-1, 256} {
+		op, err := NewSlidingWindowOp([]*validate.BoundAnalytic{slidingSpec("SUM", 0, 0, true)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		store := kv.NewStore()
+		ctx := &OpContext{Store: func(string) kv.Store { return store }, Metrics: metrics.NewRegistry()}
+		if err := op.Open(ctx); err != nil {
+			t.Fatal(err)
+		}
+		const n, keys = 10_000, 10
+		rows := inOrderRows(n, keys)
+		out := map[int64]string{}
+		feedWindow(t, op, rows, 0, n, batch, out)
+		if got := store.Len(); got != keys {
+			t.Fatalf("batch=%d: %d store keys after %d rows over %d partitions, want one state row each", batch, got, n, keys)
+		}
+		var sum int64
+		for i := n - keys; i >= 0; i -= keys {
+			sum += rows[i].units
+		}
+		if got, want := out[n-keys], fmt.Sprint([]any{sum}); got != want {
+			t.Fatalf("batch=%d: unbounded sum %s, want %s", batch, got, want)
+		}
+	}
+}
+
+// TestSlidingWindowOutOfOrderGolden feeds tuples whose ts is below their
+// partition's newest retained ts. A late tuple takes its (ts, offset) place
+// in the deque and purges by its own ts, exactly as when every message had
+// its own ordered key: the expected outputs and digests were recorded from
+// that per-message layout (the commit before the chunked one).
+func TestSlidingWindowOutOfOrderGolden(t *testing.T) {
+	vectors := []struct {
+		name string
+		spec *validate.BoundAnalytic
+		rows []windowRow
+		want []int64
+	}{
+		// The third row is late; the fourth purges it by its ts.
+		{"range-sum", slidingSpec("SUM", 1000, 0, false),
+			[]windowRow{{1000, 10, 7}, {3000, 20, 7}, {1500, 5, 7}, {3400, 1, 7}}, []int64{10, 20, 25, 21}},
+		{"rows-sum", slidingSpec("SUM", 0, 1, false),
+			[]windowRow{{100, 1, 7}, {300, 2, 7}, {200, 4, 7}, {400, 8, 7}}, []int64{1, 3, 6, 10}},
+		{"range-max", slidingSpec("MAX", 1000, 0, false),
+			[]windowRow{{1000, 50, 7}, {3000, 20, 7}, {1500, 70, 7}, {3400, 1, 7}}, []int64{50, 20, 70, 20}},
+	}
+	sizes := []int{-1, 1, 7, 256}
+	for _, v := range vectors {
+		for _, bs := range sizes {
+			op, err := NewSlidingWindowOp([]*validate.BoundAnalytic{v.spec})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := op.Open(testCtx()); err != nil {
+				t.Fatal(err)
+			}
+			out := map[int64]string{}
+			feedWindow(t, op, v.rows, 0, len(v.rows), bs, out)
+			for i, want := range v.want {
+				if got := out[int64(i)]; got != fmt.Sprint([]any{want}) {
+					t.Fatalf("%s batch=%d: row %d emitted %s, want %d", v.name, bs, i, got, want)
+				}
+			}
+		}
+	}
+
+	// 1500 rows over two partitions spanning three chunks each, one row in
+	// six mildly late (an in-place insert into the tail chunk, spilling it
+	// when full) and one in forty older than the whole tail chunk (a rebuild
+	// of the deque).
+	digests := map[string]string{
+		"SUM range": "8eaf8471a830b70b", "SUM rows": "eb4bd406457f1117",
+		"MIN range": "37c2c08a30715d59", "MIN rows": "2c4600993aedeee9",
+	}
+	for _, fn := range []string{"SUM", "MIN"} {
+		for _, mode := range []string{"range", "rows"} {
+			rng := rand.New(rand.NewSource(7))
+			var rows []windowRow
+			for i := 0; i < 1500; i++ {
+				ts := int64(100_000 + i*10)
+				switch {
+				case rng.Intn(6) == 0:
+					ts -= int64(rng.Intn(400))
+				case rng.Intn(40) == 0:
+					ts -= int64(1000 + rng.Intn(1500))
+				}
+				rows = append(rows, windowRow{ts, int64(rng.Intn(1000)), int64(rng.Intn(2))})
+			}
+			spec := slidingSpec(fn, 3000, 0, false)
+			if mode == "rows" {
+				spec = slidingSpec(fn, 0, 150, false)
+			}
+			var scalarState []string
+			for _, bs := range sizes {
+				broker := kafka.NewBroker()
+				op, cl := changelogWindowOp(t, broker, 1, spec)
+				out := map[int64]string{}
+				feedWindow(t, op, rows, 0, len(rows), bs, out)
+				if err := cl.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				h := fnv.New64a()
+				for i := range rows {
+					fmt.Fprintf(h, "%s,", strings.Trim(out[int64(i)], "[]"))
+				}
+				if got, want := fmt.Sprintf("%016x", h.Sum64()), digests[fn+" "+mode]; got != want {
+					t.Fatalf("%s %s batch=%d: output digest %s, want the per-message layout's %s", fn, mode, bs, got, want)
+				}
+				state := foldedChangelog(t, broker)
+				if bs == -1 {
+					scalarState = state
+				} else if fmt.Sprint(state) != fmt.Sprint(scalarState) {
+					t.Fatalf("%s %s batch=%d: folded changelog state differs from the scalar path's", fn, mode, bs)
+				}
+			}
+		}
+	}
+}
+
+// TestSlidingWindowRestoreMidTailChunk restarts a changelog-backed window
+// task while its partitions' tail chunks are partly filled — with a deque of
+// one chunk and of several — and requires the restored task to continue
+// exactly where the first left off, in the same chunks.
+func TestSlidingWindowRestoreMidTailChunk(t *testing.T) {
+	for _, frameRows := range []int64{chunkCap / 2, 2*chunkCap + 9} {
+		spec := slidingSpec("SUM", 0, frameRows, false)
+		rows := inOrderRows(4*chunkCap, 1)
+		ref := windowReference("SUM", 0, frameRows, rows)
+		for _, bs := range []int{-1, 7, 256} {
+			// The first task stops a few entries into a tail chunk.
+			stopAt := 2*chunkCap + chunkCap/3
+			broker := kafka.NewBroker()
+			op, cl := changelogWindowOp(t, broker, 1, spec)
+			out := map[int64]string{}
+			feedWindow(t, op, rows, 0, stopAt, bs, out)
+			if err := cl.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			op, cl = changelogWindowOp(t, broker, 1, spec)
+			// The last committed rows replay, then new ones arrive.
+			feedWindow(t, op, rows, stopAt-5, len(rows), bs, out)
+			if err := cl.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			for i := range rows {
+				if got, want := out[int64(i)], fmt.Sprint([]any{ref[i]}); got != want {
+					t.Fatalf("rows=%d batch=%d: offset %d emitted %s, want %s", frameRows, bs, i, got, want)
+				}
+			}
+			// An uninterrupted task leaves the same state behind.
+			whole := kafka.NewBroker()
+			op, cl = changelogWindowOp(t, whole, 1, spec)
+			feedWindow(t, op, rows, 0, len(rows), bs, map[int64]string{})
+			if err := cl.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := fmt.Sprint(foldedChangelog(t, broker)), fmt.Sprint(foldedChangelog(t, whole)); got != want {
+				t.Fatalf("rows=%d batch=%d: restored task left different state than an uninterrupted one", frameRows, bs)
+			}
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package operators
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 
@@ -13,42 +14,72 @@ import (
 // SlidingStoreName is the task store backing the sliding window operator.
 const SlidingStoreName = "samzasql-window"
 
+// chunkCap is how many contributions one stored chunk of a window
+// partition's deque holds. Every chunk but the tail holds exactly chunkCap.
+const chunkCap = 64
+
 // SlidingWindowOp implements Algorithm 1 (§4.3): on each tuple it saves the
-// message into local storage, initializes/advances the window bounds, purges
-// expired messages while adjusting aggregate values, folds in the current
-// tuple, persists the window state, and emits the input row extended with
-// the latest aggregate values downstream.
+// message's contribution into local storage, purges expired contributions
+// while adjusting aggregate values, folds in the current tuple, persists the
+// window state, and emits the input row extended with the latest aggregate
+// values downstream.
+//
+// Where Algorithm 1 stores every message under its own key, this operator
+// keeps each window partition's retained contributions as a deque ordered by
+// (ts, offset) and packed into chunks of chunkCap entries, one store key per
+// chunk ('m' keys). The window state row ('s' keys) carries the deque's
+// head and tail cursors, and the cursors are authoritative: expiry is a
+// cursor advance in the state row that is written anyway, a chunk is deleted
+// only once every entry in it has expired, and whatever a stored chunk holds
+// past the tail cursor is garbage (DESIGN.md, "Deviation from Algorithm 1").
 //
 // All state lives in the task's key-value store so Samza's changelog
 // snapshot/restore makes the operator fault-tolerant, and per-stream offset
 // markers make re-delivered messages no-ops (exactly-once output, §4.3).
-// The heavy store read/write traffic per tuple is intrinsic — the paper
-// measures sliding-window throughput as dominated by key-value access.
+// Every store write one tuple (scalar path) or one block (block path) causes
+// goes down as a single kv write batch, which the changelog never splits, so
+// a restored state row always finds the chunks its cursors point into.
 //
-// When the job enables the store cache (JobSpec.StoreCacheSize), the
-// per-partition window state rows ('s' keys) stay resident as decoded
-// windowState objects: a cache-hit tuple pays no ObjectSerde decode on load
-// and no encode on save (encoding defers to commit flush or eviction).
-// Message contributions ('m' keys) are write-once and range-purged, which a
-// point-read LRU cannot help, so they route to the uncached layer — that
-// also keeps the hot path free of Range calls on the cache, which would
-// force the write batch through early and destroy deduplication.
+// When the job enables the store cache (JobSpec.StoreCacheSize), the state
+// rows stay resident as decoded windowState objects together with their
+// head and tail chunk images: a cache-hit tuple pays no state decode, no
+// chunk read and no state encode (encoding defers to commit flush or
+// eviction). Chunks are rewritten, never re-read point-wise while their
+// state is resident, so they route to the uncached layer.
 type SlidingWindowOp struct {
 	calls []*analyticState
 	store kv.Store
-	// cache is non-nil when the task store supports object caching; msgStore
-	// is then the layer underneath it for the write-once 'm' key space.
-	cache    kv.ObjectCache
-	msgStore kv.Store
-	encState kv.ObjectEncoder
-	obj      serde.ObjectSerde
-	sources  sourceKeys
+	// cache is non-nil when the task store supports object caching;
+	// chunkStore is then the layer underneath it, and the store itself
+	// otherwise.
+	cache      kv.ObjectCache
+	chunkStore kv.Store
+	encState   kv.ObjectEncoder
+	obj        serde.ObjectSerde
+	sources    sourceKeys
+	// srcNames interns the source names of decoded offset vectors.
+	srcNames map[string]string
 
-	// Per-tuple scratch buffers (tasks are single-goroutine; every store
-	// layer copies keys and values it retains, so reuse is safe). sbuf holds
-	// the state key, kbuf the message key, pbuf/ebuf the purge-scan bounds,
-	// vbuf the encoded contribution.
-	sbuf, kbuf, pbuf, ebuf, vbuf []byte
+	// Scratch (tasks are single-goroutine; every store layer copies keys and
+	// values it retains, so reuse is safe): sbuf holds the state key, kbuf a
+	// chunk key, ebuf one encoded entry, allbuf a whole deque being rebuilt.
+	sbuf, kbuf, ebuf, allbuf []byte
+
+	// The pending write batch: chunk puts, chunk deletes and state rows in
+	// the order they were caused. Keys and values alias arena, which is
+	// reset with the batch. rolled indexes the puts of chunks that filled up
+	// since the last flush — the only chunks a read can want before the
+	// store has them. With the object cache on, state rows wait in
+	// cachePuts instead and reach the cache right after the batch.
+	ops       []kv.WriteOp
+	arena     []byte
+	rolled    []int
+	cachePuts []cachePut
+
+	// pool recycles windowState objects (and the chunk images they own)
+	// between batches when no cache retains them.
+	pool     []*windowState
+	poolUsed int
 
 	// Block-path scratch (block_stateful.go): the output block, the gather
 	// row, per-row group keys, per-row replay flags, the per-block state map
@@ -63,20 +94,42 @@ type SlidingWindowOp struct {
 	blkVals    [][]byte
 	blkObjs    []any
 	blkOks     []bool
+	blkTails   []*windowState
 }
 
 // windowState is one window partition's decoded state: the live accumulator,
-// the retained-contribution count, and the per-source applied-offset vector
-// that makes re-delivered messages no-ops. Its encoded form is the
-// [accSnapshot, count, offsetVector] row loadCallState reads.
+// the retained-contribution count, the per-source applied-offset vector that
+// makes re-delivered messages no-ops, and the cursors of the partition's
+// contribution deque. The deque spans chunks headSeq..tailSeq; headPos
+// entries of chunk headSeq have expired, chunk tailSeq holds tailLen
+// entries. When the head reaches the tail chunk the expired prefix is cut
+// off at once, so headSeq == tailSeq implies headPos == 0.
 type windowState struct {
 	acc     Accumulator
 	count   int64
-	offsets offsetVector
-	// dirty marks block-path modification; set while a block is in flight so
-	// the state is written back once per key per block, cleared on save. Not
-	// part of the encoded form.
-	dirty bool
+	offsets appliedOffsets
+
+	headSeq, tailSeq uint64
+	headPos, tailLen int
+
+	// Chunk images, not part of the encoded state row. tail is chunk
+	// tailSeq's first tailLen entries (lastOff locating the last one), head
+	// is chunk headSeq while it is not the tail (headOff locating entry
+	// headPos). An image is loaded on first use.
+	tail, head             []byte
+	lastOff, headOff       int
+	tailLoaded, headLoaded bool
+
+	// tailDirty marks a tail image the store has not seen; dirty marks a
+	// state modified since its last save.
+	tailDirty, dirty bool
+}
+
+// cachePut is a state the object cache takes over once the write batch that
+// carries its chunks is down.
+type cachePut struct {
+	key []byte
+	ws  *windowState
 }
 
 type analyticState struct {
@@ -167,10 +220,11 @@ func NewSlidingWindowOp(calls []*validate.BoundAnalytic) (*SlidingWindowOp, erro
 // Open implements Operator.
 func (o *SlidingWindowOp) Open(ctx *OpContext) error {
 	o.store = ctx.Store(SlidingStoreName)
-	o.msgStore = o.store
+	o.chunkStore = o.store
+	o.srcNames = map[string]string{}
 	if c, ok := o.store.(kv.ObjectCache); ok {
 		o.cache = c
-		o.msgStore = c.Uncached()
+		o.chunkStore = c.Uncached()
 		// Bound once: a method value allocates, and the encoder is handed to
 		// the cache on every state save.
 		o.encState = o.encodeState
@@ -178,17 +232,10 @@ func (o *SlidingWindowOp) Open(ctx *OpContext) error {
 	return nil
 }
 
-// encodeState is the deferred ObjectEncoder for cached window state; the
-// cache invokes it at commit flush or eviction, so a partition rewritten N
-// times per interval is encoded once.
-func (o *SlidingWindowOp) encodeState(obj any) ([]byte, error) {
-	ws := obj.(*windowState)
-	return o.obj.Encode([]any{ws.acc.Snapshot(), ws.count, []any(ws.offsets)})
-}
-
 // Process implements Operator (Algorithm 1). Re-delivered messages are
 // detected via the last-applied offset carried in each window state row and
-// produce no state change and no output (exactly-once, §4.3).
+// produce no state change and no output (exactly-once, §4.3). Everything the
+// tuple writes, across all analytic calls, goes down as one write batch.
 //
 //samzasql:hotpath
 func (o *SlidingWindowOp) Process(_ int, t *Tuple, emit Emit) error {
@@ -197,6 +244,7 @@ func (o *SlidingWindowOp) Process(_ int, t *Tuple, emit Emit) error {
 	for i, call := range o.calls {
 		v, seen, err := o.processCall(call, t)
 		if err != nil {
+			o.discardWrites()
 			return err
 		}
 		if i == 0 && seen {
@@ -204,6 +252,7 @@ func (o *SlidingWindowOp) Process(_ int, t *Tuple, emit Emit) error {
 		}
 		out = append(out, v)
 	}
+	o.flushWrites()
 	if replay {
 		return nil
 	}
@@ -249,7 +298,7 @@ func (o *SlidingWindowOp) processCall(c *analyticState, t *Tuple) (any, bool, er
 		}
 	}
 
-	// 1. Load window state (aggregate values, bounds, applied offsets) —
+	// 1. Load window state (aggregate values, cursors, applied offsets) —
 	// from the object cache when resident, decoding from bytes otherwise.
 	o.sbuf = appendStateKey(o.sbuf[:0], c.idx, pk)
 	sk := o.sbuf
@@ -268,67 +317,52 @@ func (o *SlidingWindowOp) processCall(c *analyticState, t *Tuple) (any, bool, er
 	}
 	// 6. Persist state.
 	ws.offsets = ws.offsets.update(src, t.Offset)
-	//samzasql:ignore hotpath-blocking -- the task store mutex is per-task single-writer and uncontended by design; skiplist access under it is the state-access contract
-	if err := o.saveCallState(sk, ws); err != nil {
-		return nil, false, err
-	}
+	o.stageState(c, sk, pk, ws)
 	return ws.acc.Value(), false, nil
 }
 
 // foldTuple applies one tuple's contribution to a loaded window state:
 // Algorithm 1 steps 2–5 (save contribution, purge expired, fold, rebuild
 // non-invertible aggregates). Replay detection and state persistence stay
-// with the caller — the scalar path saves per tuple, the block path once
-// per key per block.
+// with the caller — the scalar path stages the state per tuple, the block
+// path once per key per block. An UNBOUNDED frame never purges, so it keeps
+// no contributions at all.
 //
 //samzasql:hotpath
 func (o *SlidingWindowOp) foldTuple(c *analyticState, ws *windowState, pk []byte, ts int64, arg any, offset int64) error {
 	ws.count++
-
-	// 2. Save the message's window contribution in the message store.
+	if c.spec.Unbounded {
+		return ws.acc.Add(arg)
+	}
+	// 2. Save the message's window contribution at its (ts, offset) place in
+	// the partition's deque — the tail, unless the tuple is late.
+	//samzasql:ignore hotpath-blocking -- the task store mutex is per-task single-writer and uncontended by design; skiplist access under it is the state-access contract
+	if err := o.loadTail(c, ws, pk); err != nil {
+		return err
+	}
 	var err error
-	o.kbuf = appendMsgKey(o.kbuf[:0], c.idx, pk, ts, offset)
-	o.vbuf, err = o.encodeContribution(o.vbuf[:0], ts, arg)
+	o.ebuf, err = o.appendEntry(o.ebuf[:0], ts, offset, arg)
 	if err != nil {
 		return err
 	}
-	//samzasql:ignore hotpath-blocking -- the task store mutex is per-task single-writer and uncontended by design; skiplist access under it is the state-access contract
-	o.msgStore.Put(o.kbuf, o.vbuf)
-
-	// 3. Purge expired messages, adjusting aggregate values.
-	rebuild := false
-	o.pbuf = appendMsgPrefix(o.pbuf[:0], c.idx, pk)
-	prefix := o.pbuf
-	if !c.spec.Unbounded {
-		if c.spec.IsRows {
-			// Keep the last FrameRows+1 contributions.
-			keep := c.spec.FrameRows + 1
-			if ws.count > keep {
-				//samzasql:ignore hotpath-blocking -- the task store mutex is per-task single-writer and uncontended by design; skiplist access under it is the state-access contract
-				entries := o.msgStore.Range(prefix, prefixEnd(prefix), int(ws.count-keep))
-				for _, e := range entries {
-					//samzasql:ignore hotpath-blocking -- the task store mutex is per-task single-writer and uncontended by design; skiplist access under it is the state-access contract
-					if err := o.dropEntry(ws.acc, e, &rebuild); err != nil {
-						return err
-					}
-					ws.count--
-				}
-			}
-		} else if cutoff := ts - c.spec.FrameMillis; cutoff > 0 {
-			// RANGE frame: drop contributions older than ts - frame.
-			// (cutoff <= 0 cannot match any Unix-milli timestamp, and a
-			// negative value would wrap in the unsigned key encoding.)
-			o.ebuf = appendMsgKey(o.ebuf[:0], c.idx, pk, cutoff, 0)
-			//samzasql:ignore hotpath-blocking -- the task store mutex is per-task single-writer and uncontended by design; skiplist access under it is the state-access contract
-			entries := o.msgStore.Range(prefix, o.ebuf, 0)
-			for _, e := range entries {
-				//samzasql:ignore hotpath-blocking -- the task store mutex is per-task single-writer and uncontended by design; skiplist access under it is the state-access contract
-				if err := o.dropEntry(ws.acc, e, &rebuild); err != nil {
-					return err
-				}
-				ws.count--
-			}
+	if ws.tailLen > 0 && entryBefore(o.ebuf, ws.tail[ws.lastOff:]) {
+		//samzasql:ignore hotpath-blocking -- the task store mutex is per-task single-writer and uncontended by design; skiplist access under it is the state-access contract
+		if err := o.insertLate(c, ws, pk); err != nil {
+			return err
 		}
+	} else {
+		if ws.tailLen == chunkCap {
+			o.rollTail(c, ws, pk)
+		}
+		ws.lastOff = len(ws.tail)
+		ws.tail = append(ws.tail, o.ebuf...)
+		ws.tailLen++
+		ws.tailDirty = true
+	}
+	// 3. Purge expired contributions, adjusting aggregate values.
+	rebuild, err := o.purge(c, ws, pk, ts)
+	if err != nil {
+		return err
 	}
 	// 4. Fold in the current tuple.
 	if err := ws.acc.Add(arg); err != nil {
@@ -336,107 +370,478 @@ func (o *SlidingWindowOp) foldTuple(c *analyticState, ws *windowState, pk []byte
 	}
 	// 5. Non-invertible aggregates (MIN/MAX, non-invertible UDAFs) rebuild
 	// from the retained window after a purge.
-	if rebuild && !ws.acc.Invertible() {
-		fresh := c.newAcc()
+	if rebuild {
 		//samzasql:ignore hotpath-blocking -- the task store mutex is per-task single-writer and uncontended by design; skiplist access under it is the state-access contract
-		for _, e := range o.msgStore.Range(prefix, prefixEnd(prefix), 0) {
-			val, err := o.decodeContribution(e.Value)
+		return o.rebuildAcc(c, ws, pk)
+	}
+	return nil
+}
+
+// purge is the one expiry routine of both execution paths: it pops expired
+// contributions off the deque's head — all but the newest FrameRows+1 for a
+// ROWS frame, those older than ts - FrameMillis for a RANGE frame, ts being
+// the current tuple's own — removing each from an invertible accumulator. It
+// reports whether a non-invertible accumulator lost a contribution. Popping
+// only advances cursors; a chunk is deleted once its last entry is popped.
+//
+//samzasql:hotpath
+func (o *SlidingWindowOp) purge(c *analyticState, ws *windowState, pk []byte, ts int64) (rebuild bool, err error) {
+	var drop, cutoff int64
+	if c.spec.IsRows {
+		// Keep the last FrameRows+1 contributions.
+		if drop = ws.count - (c.spec.FrameRows + 1); drop <= 0 {
+			return false, nil
+		}
+	} else if cutoff = ts - c.spec.FrameMillis; cutoff <= 0 {
+		// cutoff <= 0 cannot match any Unix-milli timestamp.
+		return false, nil
+	}
+	invertible := ws.acc.Invertible()
+	// front/frontN: bytes and entries popped off the tail chunk's front once
+	// the head has reached it.
+	front, frontN := 0, 0
+	for ws.count > 0 {
+		img, off := ws.tail, front
+		if ws.headSeq != ws.tailSeq {
+			//samzasql:ignore hotpath-blocking -- the task store mutex is per-task single-writer and uncontended by design; skiplist access under it is the state-access contract
+			if err := o.loadHead(c, ws, pk); err != nil {
+				return false, err
+			}
+			img, off = ws.head, ws.headOff
+		}
+		e := img[off:]
+		if c.spec.IsRows {
+			if drop == 0 {
+				break
+			}
+			drop--
+		} else if entryTs(e) >= cutoff {
+			break
+		}
+		if invertible {
+			val, err := o.entryValue(e)
+			if err != nil {
+				return false, err
+			}
+			if err := ws.acc.Remove(val); err != nil {
+				return false, err
+			}
+		} else {
+			rebuild = true
+		}
+		ws.count--
+		next := off + entrySize(e)
+		if ws.headSeq == ws.tailSeq {
+			front, frontN = next, frontN+1
+			continue
+		}
+		ws.headPos++
+		ws.headOff = next
+		if ws.headPos == chunkCap {
+			o.kbuf = appendChunkKey(o.kbuf[:0], c.idx, pk, ws.headSeq)
+			o.stageWrite(o.kbuf, nil, true)
+			ws.headSeq++
+			ws.headPos, ws.headLoaded = 0, false
+		}
+	}
+	if frontN > 0 {
+		n := copy(ws.tail, ws.tail[front:])
+		ws.tail = ws.tail[:n]
+		ws.tailLen -= frontN
+		ws.lastOff -= front
+		ws.tailDirty = true
+	}
+	return rebuild, nil
+}
+
+// rebuildAcc recomputes a non-invertible accumulator from the retained
+// deque, oldest contribution first.
+func (o *SlidingWindowOp) rebuildAcc(c *analyticState, ws *windowState, pk []byte) error {
+	fresh := c.newAcc()
+	if ws.headSeq != ws.tailSeq {
+		if err := o.loadHead(c, ws, pk); err != nil {
+			return err
+		}
+		if err := o.addEntries(fresh, ws.head[ws.headOff:], chunkCap-ws.headPos); err != nil {
+			return err
+		}
+		for seq := ws.headSeq + 1; seq < ws.tailSeq; seq++ {
+			img, err := o.readChunk(c, pk, seq, chunkCap)
 			if err != nil {
 				return err
 			}
-			if err := fresh.Add(val); err != nil {
+			if err := o.addEntries(fresh, img, chunkCap); err != nil {
 				return err
 			}
 		}
-		ws.acc = fresh
+	}
+	if err := o.addEntries(fresh, ws.tail, ws.tailLen); err != nil {
+		return err
+	}
+	ws.acc = fresh
+	return nil
+}
+
+// addEntries folds the first n entries of img into acc.
+//
+//samzasql:hotpath
+func (o *SlidingWindowOp) addEntries(acc Accumulator, img []byte, n int) error {
+	for ; n > 0; n-- {
+		val, err := o.entryValue(img)
+		if err != nil {
+			return err
+		}
+		if err := acc.Add(val); err != nil {
+			return err
+		}
+		img = img[entrySize(img):]
 	}
 	return nil
 }
 
-// dropEntry removes one expired message contribution.
-func (o *SlidingWindowOp) dropEntry(acc Accumulator, e kv.Entry, rebuild *bool) error {
-	val, err := o.decodeContribution(e.Value)
+// rollTail closes the full tail chunk — staging its put and keeping its
+// image as the head when the head was in it — and opens an empty one.
+func (o *SlidingWindowOp) rollTail(c *analyticState, ws *windowState, pk []byte) {
+	o.kbuf = appendChunkKey(o.kbuf[:0], c.idx, pk, ws.tailSeq)
+	o.rolled = append(o.rolled, len(o.ops))
+	o.stageWrite(o.kbuf, ws.tail, false)
+	if ws.headSeq == ws.tailSeq {
+		ws.head = append(ws.head[:0], ws.tail...)
+		ws.headOff, ws.headLoaded = 0, true
+	}
+	ws.tailSeq++
+	ws.tail = ws.tail[:0]
+	ws.tailLen, ws.lastOff = 0, 0
+	ws.tailDirty = false
+}
+
+// insertLate places the entry in o.ebuf, which sorts before the deque's
+// newest entry, at its (ts, offset) position. Inside the tail chunk that is
+// an in-place insert (spilling the chunk's last entry into a fresh tail when
+// it was full); a tuple older than everything in the tail chunk of a deque
+// spanning several chunks rebuilds the whole deque.
+func (o *SlidingWindowOp) insertLate(c *analyticState, ws *windowState, pk []byte) error {
+	at := sortedPos(ws.tail, o.ebuf)
+	if at == 0 && ws.headSeq != ws.tailSeq {
+		return o.rebuildDeque(c, ws, pk)
+	}
+	ws.tail = spliceEntry(ws.tail, at, o.ebuf)
+	ws.lastOff += len(o.ebuf)
+	ws.tailLen++
+	ws.tailDirty = true
+	if ws.tailLen > chunkCap {
+		spill := append([]byte(nil), ws.tail[ws.lastOff:]...)
+		ws.tail = ws.tail[:ws.lastOff]
+		ws.tailLen--
+		o.rollTail(c, ws, pk)
+		ws.tail = append(ws.tail, spill...)
+		ws.tailLen, ws.tailDirty = 1, true
+	}
+	return nil
+}
+
+// rebuildDeque is the slow path of a late tuple: it reads every retained
+// entry, merges the entry in o.ebuf in at its (ts, offset) position, and
+// rewrites the deque from chunk headSeq on with the expired head prefix
+// gone. The result depends only on the deque's contents, so the scalar and
+// block paths lay out identical chunks.
+func (o *SlidingWindowOp) rebuildDeque(c *analyticState, ws *windowState, pk []byte) error {
+	if err := o.loadHead(c, ws, pk); err != nil {
+		return err
+	}
+	all := append(o.allbuf[:0], ws.head[ws.headOff:]...)
+	for seq := ws.headSeq + 1; seq < ws.tailSeq; seq++ {
+		img, err := o.readChunk(c, pk, seq, chunkCap)
+		if err != nil {
+			return err
+		}
+		all = append(all, img...)
+	}
+	all = append(all, ws.tail...)
+	all = spliceEntry(all, sortedPos(all, o.ebuf), o.ebuf)
+	o.allbuf = all
+
+	oldTail := ws.tailSeq
+	ws.tailSeq, ws.headPos = ws.headSeq, 0
+	ws.tail = ws.tail[:0]
+	ws.tailLen, ws.lastOff, ws.headLoaded = 0, 0, false
+	for len(all) > 0 {
+		if ws.tailLen == chunkCap {
+			o.rollTail(c, ws, pk)
+		}
+		n := entrySize(all)
+		ws.lastOff = len(ws.tail)
+		ws.tail = append(ws.tail, all[:n]...)
+		ws.tailLen++
+		all = all[n:]
+	}
+	ws.tailDirty = true
+	// Dropping the expired prefix can leave the deque a chunk shorter.
+	for seq := ws.tailSeq + 1; seq <= oldTail; seq++ {
+		o.kbuf = appendChunkKey(o.kbuf[:0], c.idx, pk, seq)
+		o.stageWrite(o.kbuf, nil, true)
+	}
+	return nil
+}
+
+// sortedPos returns the byte offset in buf, a run of whole entries in
+// (ts, offset) order, at which inserting e keeps the order: behind every
+// entry that does not sort after e.
+func sortedPos(buf, e []byte) int {
+	at := 0
+	for at < len(buf) && !entryBefore(e, buf[at:]) {
+		at += entrySize(buf[at:])
+	}
+	return at
+}
+
+// spliceEntry inserts e into buf at byte offset at.
+func spliceEntry(buf []byte, at int, e []byte) []byte {
+	buf = append(buf, e...)
+	copy(buf[at+len(e):], buf[at:])
+	copy(buf[at:], e)
+	return buf
+}
+
+// loadTail makes the tail chunk's image resident: the first tailLen entries
+// of the stored chunk (anything past them is garbage by definition).
+func (o *SlidingWindowOp) loadTail(c *analyticState, ws *windowState, pk []byte) error {
+	if ws.tailLoaded {
+		return nil
+	}
+	var img []byte
+	if ws.tailLen > 0 {
+		var err error
+		if img, err = o.readChunk(c, pk, ws.tailSeq, ws.tailLen); err != nil {
+			return err
+		}
+	}
+	ws.setTail(img)
+	return nil
+}
+
+// setTail installs img, exactly tailLen entries, as the tail image.
+func (ws *windowState) setTail(img []byte) {
+	ws.tail = append(ws.tail[:0], img...)
+	ws.lastOff = 0
+	for at, i := 0, 0; i < ws.tailLen; i++ {
+		ws.lastOff = at
+		at += entrySize(img[at:])
+	}
+	ws.tailLoaded = true
+}
+
+// loadHead makes the image of head chunk headSeq (not the tail) resident
+// and locates entry headPos in it.
+func (o *SlidingWindowOp) loadHead(c *analyticState, ws *windowState, pk []byte) error {
+	if ws.headLoaded {
+		return nil
+	}
+	img, err := o.readChunk(c, pk, ws.headSeq, chunkCap)
 	if err != nil {
 		return err
 	}
-	if acc.Invertible() {
-		if err := acc.Remove(val); err != nil {
-			return err
-		}
-	} else {
-		*rebuild = true
+	ws.head = append(ws.head[:0], img...)
+	ws.headOff = 0
+	for i := 0; i < ws.headPos; i++ {
+		ws.headOff += entrySize(img[ws.headOff:])
 	}
-	o.msgStore.Delete(e.Key)
+	ws.headLoaded = true
 	return nil
 }
 
-// Contribution value codec: the overwhelmingly common int64 argument encodes
-// as a fixed 17-byte record {1, ts, value}, skipping the ObjectSerde round
-// trip each tuple pays on save and each purge pays on drop; other argument
-// types wrap the ObjectSerde row [ts, value] behind a 0 marker.
-func (o *SlidingWindowOp) encodeContribution(buf []byte, ts int64, arg any) ([]byte, error) {
-	if v, ok := arg.(int64); ok {
-		var b [8]byte
-		buf = append(buf, 1)
-		binary.BigEndian.PutUint64(b[:], uint64(ts))
-		buf = append(buf, b[:]...)
-		binary.BigEndian.PutUint64(b[:], uint64(v))
-		return append(buf, b[:]...), nil
-	}
-	row, err := o.obj.Encode([]any{ts, arg})
-	if err != nil {
-		return nil, err
-	}
-	return append(append(buf, 0), row...), nil
-}
-
-// decodeContribution returns the aggregate input value of one stored
-// contribution.
-func (o *SlidingWindowOp) decodeContribution(v []byte) (any, error) {
-	if len(v) == 17 && v[0] == 1 {
-		return int64(binary.BigEndian.Uint64(v[9:])), nil
-	}
-	if len(v) == 0 || v[0] != 0 {
-		return nil, fmt.Errorf("operators: bad window contribution encoding (%d bytes)", len(v))
-	}
-	contrib, err := o.obj.Decode(v[1:])
-	if err != nil {
-		return nil, err
-	}
-	return contrib.([]any)[1], nil
-}
-
-// appendMsgPrefix appends "m" + callIdx + len(pk) + pk to buf; fixed-width so
-// ts ordering inside the prefix is the byte ordering. The append-style
-// helpers let the hot path reuse per-operator scratch buffers.
-func appendMsgPrefix(buf []byte, idx byte, pk []byte) []byte {
-	buf = append(buf, 'm', idx)
-	var l [2]byte
-	binary.BigEndian.PutUint16(l[:], uint16(len(pk)))
-	buf = append(buf, l[:]...)
-	return append(buf, pk...)
-}
-
-func appendMsgKey(buf []byte, idx byte, pk []byte, ts, offset int64) []byte {
-	buf = appendMsgPrefix(buf, idx, pk)
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], uint64(ts))
-	buf = append(buf, b[:]...)
-	binary.BigEndian.PutUint64(b[:], uint64(offset))
-	return append(buf, b[:]...)
-}
-
-// prefixEnd returns the smallest key greater than every key with prefix p.
-func prefixEnd(p []byte) []byte {
-	out := append([]byte(nil), p...)
-	for i := len(out) - 1; i >= 0; i-- {
-		if out[i] != 0xff {
-			out[i]++
-			return out[:i+1]
+// readChunk returns the first n entries of a partition's chunk seq: from
+// the pending write batch when the chunk filled up since the last flush,
+// from the store otherwise. The result aliases store or batch memory and is
+// only valid until the next write.
+func (o *SlidingWindowOp) readChunk(c *analyticState, pk []byte, seq uint64, n int) ([]byte, error) {
+	o.kbuf = appendChunkKey(o.kbuf[:0], c.idx, pk, seq)
+	var v []byte
+	found := false
+	for i := len(o.rolled) - 1; i >= 0 && !found; i-- {
+		if op := &o.ops[o.rolled[i]]; bytes.Equal(op.Key, o.kbuf) {
+			v, found = op.Value, true
 		}
 	}
-	return nil // prefix is all 0xff: scan to the end
+	if !found {
+		v, found = o.chunkStore.Get(o.kbuf)
+	}
+	if !found {
+		return nil, errMissingChunk(seq)
+	}
+	return trimChunk(v, n, seq)
 }
+
+func errMissingChunk(seq uint64) error {
+	return fmt.Errorf("operators: window state points at chunk %d, which the store does not hold", seq)
+}
+
+// trimChunk cuts a stored chunk down to its first n entries, failing when it
+// holds fewer.
+func trimChunk(v []byte, n int, seq uint64) ([]byte, error) {
+	end := 0
+	for i := 0; i < n; i++ {
+		size := entrySize(v[end:])
+		if size < 0 {
+			return nil, fmt.Errorf("operators: window chunk %d holds %d of the %d entries its state row counts", seq, i, n)
+		}
+		end += size
+	}
+	return v[:end], nil
+}
+
+// stageWrite appends one write to the pending batch, copying key and value
+// into the batch arena.
+func (o *SlidingWindowOp) stageWrite(key, value []byte, del bool) {
+	key = o.arenaCopy(key)
+	o.ops = append(o.ops, kv.WriteOp{Key: key, Value: o.arenaCopy(value), Delete: del})
+}
+
+// arenaCopy copies b into the batch arena. Earlier arena slices stay valid
+// when the arena grows: they keep the array they were cut from.
+func (o *SlidingWindowOp) arenaCopy(b []byte) []byte {
+	start := len(o.arena)
+	o.arena = append(o.arena, b...)
+	return o.arena[start:len(o.arena):len(o.arena)]
+}
+
+// stageState queues a modified state for the next flush: its tail chunk when
+// the image changed, then the state row — encoded into the batch, or set
+// aside for the object cache, which defers the encode to its own flush.
+func (o *SlidingWindowOp) stageState(c *analyticState, sk, pk []byte, ws *windowState) {
+	if ws.tailDirty {
+		o.kbuf = appendChunkKey(o.kbuf[:0], c.idx, pk, ws.tailSeq)
+		o.stageWrite(o.kbuf, ws.tail, false)
+		ws.tailDirty = false
+	}
+	ws.dirty = false
+	sk = o.arenaCopy(sk)
+	if o.cache != nil {
+		o.cachePuts = append(o.cachePuts, cachePut{key: sk, ws: ws})
+		return
+	}
+	start := len(o.arena)
+	o.arena = o.appendState(o.arena, ws)
+	o.ops = append(o.ops, kv.WriteOp{Key: sk, Value: o.arena[start:len(o.arena):len(o.arena)]})
+}
+
+// flushWrites hands the pending batch to the store as one kv write batch
+// and recycles the states the batch covered. Cached states follow their
+// chunks, never precede them: a state row that reached the changelog ahead
+// of the entries its tail cursor counts could not be restored.
+func (o *SlidingWindowOp) flushWrites() {
+	if len(o.ops) > 0 {
+		kv.WriteMany(o.chunkStore, o.ops)
+	}
+	for i := range o.cachePuts {
+		o.cache.PutObject(o.cachePuts[i].key, o.cachePuts[i].ws, o.encState)
+	}
+	o.discardWrites()
+}
+
+// discardWrites drops the pending batch unwritten — the error path: a tuple
+// or block that failed leaves the store as it found it.
+func (o *SlidingWindowOp) discardWrites() {
+	o.ops, o.arena, o.rolled, o.cachePuts = o.ops[:0], o.arena[:0], o.rolled[:0], o.cachePuts[:0]
+	o.poolUsed = 0
+}
+
+// newState returns an empty windowState for call c: a recycled one, or —
+// when the object cache will retain it — a fresh one.
+func (o *SlidingWindowOp) newState(c *analyticState) *windowState {
+	if o.cache != nil {
+		return &windowState{acc: c.newAcc()}
+	}
+	if o.poolUsed == len(o.pool) {
+		o.pool = append(o.pool, &windowState{})
+	}
+	ws := o.pool[o.poolUsed]
+	o.poolUsed++
+	*ws = windowState{acc: c.newAcc(), offsets: ws.offsets[:0], tail: ws.tail[:0], head: ws.head[:0]}
+	return ws
+}
+
+// Chunk entry codec. An entry is ts (8 bytes), offset (8 bytes), a kind
+// byte and the aggregate input value: kind 1 is the overwhelmingly common
+// int64 argument as 8 fixed bytes, kind 0 wraps the ObjectSerde row [value]
+// behind a uvarint length. Entries are self-delimiting, so a chunk is just
+// its entries back to back.
+const entryHeader = 17
+
+func (o *SlidingWindowOp) appendEntry(buf []byte, ts, offset int64, arg any) ([]byte, error) {
+	buf = binary.BigEndian.AppendUint64(buf, uint64(ts))
+	buf = binary.BigEndian.AppendUint64(buf, uint64(offset))
+	if v, ok := arg.(int64); ok {
+		buf = append(buf, 1)
+		return binary.BigEndian.AppendUint64(buf, uint64(v)), nil
+	}
+	row, err := o.obj.Encode([]any{arg})
+	if err != nil {
+		return nil, err
+	}
+	buf = append(buf, 0)
+	buf = binary.AppendUvarint(buf, uint64(len(row)))
+	return append(buf, row...), nil
+}
+
+// entrySize returns the encoded length of the entry at the start of b, or -1
+// when b does not start with a whole entry.
+func entrySize(b []byte) int {
+	if len(b) < entryHeader {
+		return -1
+	}
+	n := entryHeader + 8
+	if b[entryHeader-1] != 1 {
+		l, w := binary.Uvarint(b[entryHeader:])
+		if b[entryHeader-1] != 0 || w <= 0 || l > uint64(len(b)) {
+			return -1
+		}
+		n = entryHeader + w + int(l)
+	}
+	if n > len(b) {
+		return -1
+	}
+	return n
+}
+
+func entryTs(b []byte) int64 { return int64(binary.BigEndian.Uint64(b)) }
+
+// entryBefore reports whether entry a sorts strictly before entry b in
+// (ts, offset) order.
+func entryBefore(a, b []byte) bool {
+	if ta, tb := entryTs(a), entryTs(b); ta != tb {
+		return ta < tb
+	}
+	return int64(binary.BigEndian.Uint64(a[8:])) < int64(binary.BigEndian.Uint64(b[8:]))
+}
+
+// entryValue returns the aggregate input value of the entry at the start of
+// b (which entrySize has vetted).
+func (o *SlidingWindowOp) entryValue(b []byte) (any, error) {
+	if b[entryHeader-1] == 1 {
+		return int64(binary.BigEndian.Uint64(b[entryHeader:])), nil
+	}
+	l, w := binary.Uvarint(b[entryHeader:])
+	row, err := o.obj.Decode(b[entryHeader+w : entryHeader+w+int(l)])
+	if err != nil {
+		return nil, err
+	}
+	return row.([]any)[0], nil
+}
+
+// appendChunkKey appends "m" + callIdx + len(pk) + pk + chunkSeq to buf. The
+// length prefix keeps one partition's chunks from sharing a prefix with
+// another's; the append-style helpers let the hot path reuse per-operator
+// scratch buffers.
+func appendChunkKey(buf []byte, idx byte, pk []byte, seq uint64) []byte {
+	buf = append(buf, 'm', idx)
+	buf = binary.BigEndian.AppendUint16(buf, uint16(len(pk)))
+	buf = append(buf, pk...)
+	return binary.BigEndian.AppendUint64(buf, seq)
+}
+
+// stateKeyPrefix is how many bytes of a state key precede the partition key.
+const stateKeyPrefix = 2
 
 func appendStateKey(buf []byte, idx byte, pk []byte) []byte {
 	buf = append(buf, 's', idx)
@@ -444,9 +849,9 @@ func appendStateKey(buf []byte, idx byte, pk []byte) []byte {
 }
 
 // loadCallState returns the window state stored under state key sk. On a
-// cache hit the decoded windowState comes back as-is — no Get, no Decode.
-// Otherwise the state row [accumulatorSnapshot, count, offsetVector] is read
-// and decoded, and the decoded form is memoized for subsequent tuples.
+// cache hit the decoded windowState comes back as-is — no Get, no decode.
+// Otherwise the state row is read and decoded, and the decoded form is
+// memoized for subsequent tuples.
 func (o *SlidingWindowOp) loadCallState(c *analyticState, sk []byte) (*windowState, error) {
 	if o.cache != nil {
 		if obj, ok := o.cache.GetObject(sk); ok {
@@ -464,46 +869,94 @@ func (o *SlidingWindowOp) loadCallState(c *analyticState, sk []byte) (*windowSta
 	return ws, nil
 }
 
+// The state row has a fixed binary layout — uvarints for the retained
+// count, the four deque cursors and the offset vector (pair count, then
+// source name and last applied offset per pair) — followed by the
+// accumulator snapshot, the only part that still goes through ObjectSerde.
+
+// appendState appends ws's encoded state row to buf.
+func (o *SlidingWindowOp) appendState(buf []byte, ws *windowState) []byte {
+	buf = binary.AppendUvarint(buf, uint64(ws.count))
+	buf = binary.AppendUvarint(buf, ws.headSeq)
+	buf = binary.AppendUvarint(buf, uint64(ws.headPos))
+	buf = binary.AppendUvarint(buf, ws.tailSeq)
+	buf = binary.AppendUvarint(buf, uint64(ws.tailLen))
+	buf = binary.AppendUvarint(buf, uint64(len(ws.offsets)))
+	for _, so := range ws.offsets {
+		buf = binary.AppendUvarint(buf, uint64(len(so.src)))
+		buf = append(buf, so.src...)
+		buf = binary.AppendUvarint(buf, uint64(so.last))
+	}
+	snap, err := o.obj.Encode(ws.acc.Snapshot())
+	if err != nil {
+		// The same snapshot shape encoded fine when the state was built; a
+		// failure here is a programming error on the state path.
+		panic(fmt.Sprintf("operators: window accumulator snapshot: %v", err))
+	}
+	return append(buf, snap...)
+}
+
+// encodeState is the deferred ObjectEncoder for cached window state; the
+// cache invokes it at commit flush or eviction, so a partition rewritten N
+// times per interval is encoded once.
+func (o *SlidingWindowOp) encodeState(obj any) ([]byte, error) {
+	return o.appendState(nil, obj.(*windowState)), nil
+}
+
 // decodeCallState builds a windowState from stored bytes; ok=false yields a
 // fresh empty state. Shared by the scalar load path and the block path's
 // batched miss fill.
 func (o *SlidingWindowOp) decodeCallState(c *analyticState, v []byte, ok bool) (*windowState, error) {
-	ws := &windowState{acc: c.newAcc()}
-	if ok {
-		snap, err := o.obj.Decode(v)
-		if err != nil {
-			return nil, err
+	ws := o.newState(c)
+	if !ok {
+		ws.tailLoaded = true // nothing stored yet: the empty image is current
+		return ws, nil
+	}
+	var fields [6]uint64
+	for i := range fields {
+		u, w := binary.Uvarint(v)
+		if w <= 0 {
+			return nil, fmt.Errorf("operators: window state row truncated at field %d", i)
 		}
-		row := snap.([]any)
-		if len(row) != 3 {
-			return nil, fmt.Errorf("operators: window state has %d fields", len(row))
+		fields[i], v = u, v[w:]
+	}
+	ws.count = int64(fields[0])
+	ws.headSeq, ws.headPos = fields[1], int(fields[2])
+	ws.tailSeq, ws.tailLen = fields[3], int(fields[4])
+	if ws.headSeq > ws.tailSeq || ws.headPos >= chunkCap || ws.tailLen > chunkCap {
+		return nil, fmt.Errorf("operators: window state cursors out of range (head %d+%d, tail %d+%d)",
+			ws.headSeq, ws.headPos, ws.tailSeq, ws.tailLen)
+	}
+	for n := fields[5]; n > 0; n-- {
+		l, w := binary.Uvarint(v)
+		if w <= 0 || uint64(len(v)-w) < l {
+			return nil, fmt.Errorf("operators: window state offset vector truncated")
 		}
-		accSnap, ok := row[0].([]any)
-		if !ok {
-			return nil, fmt.Errorf("operators: window state snapshot is %T", row[0])
+		name := v[w : w+int(l)]
+		last, w2 := binary.Uvarint(v[w+int(l):])
+		if w2 <= 0 {
+			return nil, fmt.Errorf("operators: window state offset vector truncated")
 		}
-		if err := ws.acc.Restore(accSnap); err != nil {
-			return nil, err
-		}
-		ws.count, _ = row[1].(int64)
-		vec, _ := row[2].([]any)
-		ws.offsets = offsetVector(vec)
+		ws.offsets = append(ws.offsets, sourceOffset{o.internSource(name), int64(last)})
+		v = v[w+int(l)+w2:]
+	}
+	snap, err := o.obj.Decode(v)
+	if err != nil {
+		return nil, err
+	}
+	if err := ws.acc.Restore(snap.([]any)); err != nil {
+		return nil, err
 	}
 	return ws, nil
 }
 
-// saveCallState persists the window state under sk. With the cache the
-// object is stored as-is and encoding defers to flush/eviction; without it
-// the row is encoded and written per tuple, the paper-faithful baseline.
-func (o *SlidingWindowOp) saveCallState(sk []byte, ws *windowState) error {
-	if o.cache != nil {
-		o.cache.PutObject(sk, ws, o.encState)
-		return nil
+// internSource returns the one shared string for a source name, so decoding
+// an offset vector allocates no string per state row.
+func (o *SlidingWindowOp) internSource(name []byte) string {
+	if s, ok := o.srcNames[string(name)]; ok {
+		return s
 	}
-	v, err := o.encodeState(ws)
-	if err != nil {
-		return err
-	}
-	o.store.Put(sk, v)
-	return nil
+	s := string(name)
+	o.srcNames[s] = s
+	return s
 }
