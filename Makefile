@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet vet-custom race verify ci bench-module bench bench-figures bench-compare profile trace-overhead monitor-smoke profile-smoke profile-overhead
+.PHONY: build test vet vet-custom race verify ci bench-module bench-pair bench bench-figures bench-compare profile trace-overhead monitor-smoke profile-smoke profile-overhead
 
 build:
 	$(GO) build ./...
@@ -39,6 +39,16 @@ verify: vet vet-custom race
 # it from its own directory.
 bench-module:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
+# Paired runs of the repository benchmark, REF against the working tree, in
+# the driver's own form and in alternating order; prints per gated metric
+# both medians and quartiles, the win count, and whether the gain rule holds
+# (scripts/bench-pair.sh). ~90 s per pair.
+PAIRS ?= 10
+SEED ?= 1
+bench-pair:
+	@test -n "$(REF)" -a -n "$(WORKLOAD)" || { echo "usage: make bench-pair REF=<commit> WORKLOAD=<name> [PAIRS=10] [SEED=1]" >&2; exit 2; }
+	bash scripts/bench-pair.sh $(REF) $(WORKLOAD) $(PAIRS) $(SEED)
 
 # What the GitHub Actions workflow runs: formatting, build, static checks,
 # the full test tree under the race detector, then the nested benchmark

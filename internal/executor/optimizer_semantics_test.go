@@ -25,6 +25,13 @@ func TestOptimizerPreservesSemantics(t *testing.T) {
 		 FROM Orders WHERE units > 1`,
 		"SELECT CASE WHEN units > 50 THEN 'big' ELSE 'small' END, units FROM Orders WHERE units IN (1, 2, 3, 90, 91)",
 	}
+	// Every batch-equivalence plan too: with the optimizer off no scan is
+	// pruned, so this is the sparse decode against the full-decode reference
+	// for each operator kind that stores or forwards rows.
+	for _, c := range equivCases {
+		queries = append(queries, c.query)
+	}
+	queries = append(queries, relationJoin)
 	for _, q := range queries {
 		optEngine, _ := testEngine(t, 4, 800)
 		optEngine.Optimize = true

@@ -47,34 +47,38 @@ func (s *segment) contains(offset int64) bool {
 	return offset >= s.baseOffset && offset < s.upperOffset
 }
 
-// fetch returns up to max records with offset >= from.
+// fetch returns up to max records with offset >= from, as a view of the
+// segment's own record slice. Records are offset-ordered in dense and
+// compacted segments alike; a compacted segment has gaps, so the first
+// record at or past from is found by binary search rather than by index.
 func (s *segment) fetch(from int64, max int) []Message {
 	if max <= 0 {
 		return nil
 	}
+	var i int
 	if s.dense {
-		if from < s.baseOffset {
-			from = s.baseOffset
+		if from > s.baseOffset {
+			i = int(from - s.baseOffset)
 		}
-		i := int(from - s.baseOffset)
-		if i >= len(s.records) {
-			return nil
+	} else {
+		// First record with Offset >= from: sort.Search without its
+		// closure, which escapes on the consumers' poll path.
+		lo, hi := 0, len(s.records)
+		for lo < hi {
+			if mid := int(uint(lo+hi) >> 1); s.records[mid].Offset < from {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
 		}
-		j := i + max
-		if j > len(s.records) {
-			j = len(s.records)
-		}
-		return s.records[i:j]
+		i = lo
 	}
-	var out []Message
-	for _, m := range s.records {
-		if m.Offset < from {
-			continue
-		}
-		out = append(out, m)
-		if len(out) >= max {
-			break
-		}
+	if i >= len(s.records) {
+		return nil
 	}
-	return out
+	j := i + max
+	if j > len(s.records) {
+		j = len(s.records)
+	}
+	return s.records[i:j]
 }

@@ -70,9 +70,9 @@ func WriteMany(s Store, ops []WriteOp) {
 	}
 }
 
-// GetMany serves the whole batch under one lock acquisition: the skiplist
-// descent per key is unavoidable, but the mutex and the read-counter
-// update are paid once per block rather than once per key.
+// GetMany serves the whole batch under one lock acquisition: each key costs
+// one probe of the point index, and the mutex and the read-counter update are
+// paid once per block rather than once per key.
 //
 //samzasql:hotpath
 func (s *store) GetMany(keys [][]byte, vals [][]byte, oks []bool) {
@@ -81,7 +81,7 @@ func (s *store) GetMany(keys [][]byte, vals [][]byte, oks []bool) {
 	defer s.mu.Unlock()
 	s.reads += int64(len(keys))
 	for i, k := range keys {
-		vals[i], oks[i] = s.list.get(k)
+		vals[i], oks[i] = s.get(k)
 	}
 }
 
@@ -95,9 +95,9 @@ func (s *store) WriteMany(ops []WriteOp) {
 	s.writes += int64(len(ops))
 	for i := range ops {
 		if ops[i].Delete {
-			s.list.delete(ops[i].Key)
+			s.remove(ops[i].Key)
 		} else {
-			s.list.upsert(ops[i].Key, ops[i].Value)
+			s.put(ops[i].Key, ops[i].Value)
 		}
 	}
 }

@@ -122,6 +122,9 @@ func (c *ChangelogStore) buffer(key, value []byte) {
 	}
 	if value != nil {
 		m.Value = c.copyToArena(value)
+		if m.Value == nil {
+			m.Value = []byte{} // an empty value is a value; nil would replay as a delete
+		}
 	}
 	c.pending = append(c.pending, m)
 }

@@ -18,8 +18,9 @@ type skipNode struct {
 	next  [maxHeight]*skipNode
 }
 
-// skiplist is an ordered map from []byte to []byte, the in-memory engine
-// behind Store. Reads and writes are O(log n); iteration is ordered.
+// skiplist is the ordered half of the in-memory engine behind Store: it
+// places new keys in O(log n) and iterates in key order. Exact-key access
+// goes through the store's point index instead of descending it.
 type skiplist struct {
 	head   *skipNode
 	height int
@@ -59,34 +60,14 @@ func (s *skiplist) findGreaterOrEqual(key []byte, prev *[maxHeight]*skipNode) *s
 	return x.next[0]
 }
 
-func (s *skiplist) get(key []byte) ([]byte, bool) {
-	n := s.findGreaterOrEqual(key, nil)
-	if n != nil && bytes.Equal(n.key, key) {
-		return n.value, true
-	}
-	return nil, false
-}
-
-// upsert inserts or replaces key. It copies value always and key only when
-// the key is new: an overwrite (the common case for state rows and chunk
-// rewrites) keeps the node's existing key.
-func (s *skiplist) upsert(key, value []byte) {
+// insert links a new node owning key and value, which must not be in the
+// list yet (the store's point index has already said so), and returns it.
+func (s *skiplist) insert(key, value []byte) *skipNode {
 	var prev [maxHeight]*skipNode
 	for level := s.height; level < maxHeight; level++ {
 		prev[level] = s.head
 	}
-	v := append([]byte(nil), value...)
-	n := s.findGreaterOrEqual(key, &prev)
-	if n != nil && bytes.Equal(n.key, key) {
-		n.value = v
-		return
-	}
-	s.insertAfter(&prev, append([]byte(nil), key...), v)
-}
-
-// insertAfter links a new node for key behind the per-level predecessors
-// findGreaterOrEqual recorded.
-func (s *skiplist) insertAfter(prev *[maxHeight]*skipNode, key, value []byte) {
+	s.findGreaterOrEqual(key, &prev)
 	h := s.randomHeight()
 	if h > s.height {
 		s.height = h
@@ -97,14 +78,13 @@ func (s *skiplist) insertAfter(prev *[maxHeight]*skipNode, key, value []byte) {
 		prev[level].next[level] = node
 	}
 	s.length++
+	return node
 }
 
-func (s *skiplist) delete(key []byte) bool {
+// unlink removes n, a node of this list.
+func (s *skiplist) unlink(n *skipNode) {
 	var prev [maxHeight]*skipNode
-	n := s.findGreaterOrEqual(key, &prev)
-	if n == nil || !bytes.Equal(n.key, key) {
-		return false
-	}
+	s.findGreaterOrEqual(n.key, &prev)
 	for level := 0; level < s.height; level++ {
 		if prev[level].next[level] == n {
 			prev[level].next[level] = n.next[level]
@@ -114,7 +94,6 @@ func (s *skiplist) delete(key []byte) bool {
 		s.height--
 	}
 	s.length--
-	return true
 }
 
 // Entry is one key-value pair returned by iteration.
@@ -146,10 +125,14 @@ func (s *skiplist) rangeScan(start, end []byte, limit int) []Entry {
 	return out
 }
 
-// store is the mutex-guarded skiplist implementing Store.
+// store is the mutex-guarded ordered map implementing Store: a skiplist for
+// order and a point index over its nodes for everything addressed by exact
+// key. Both always hold the same key set; put and remove are the only places
+// that change it.
 type store struct {
 	mu   sync.RWMutex
 	list *skiplist
+	idx  pointIndex
 	// writes and reads count store operations, exposed for the paper's
 	// observation that sliding-window throughput is KV-access bound (§5.1).
 	writes int64
@@ -158,7 +141,44 @@ type store struct {
 
 // NewStore returns an empty ordered in-memory store.
 func NewStore() Store {
-	return &store{list: newSkiplist()}
+	return &store{list: newSkiplist(), idx: newPointIndex()}
+}
+
+// get is the point read: one hash probe, no list descent.
+//
+//samzasql:hotpath
+func (s *store) get(key []byte) ([]byte, bool) {
+	if n := s.idx.find(s.idx.hash(key), key); n != nil {
+		return n.value, true
+	}
+	return nil, false
+}
+
+// put inserts or replaces key. It copies value always and key only when the
+// key is new; an overwrite (the common case for state rows and chunk
+// rewrites) swaps the value of the node the index names and never descends
+// the list.
+func (s *store) put(key, value []byte) {
+	v := append([]byte(nil), value...)
+	h := s.idx.hash(key)
+	if n := s.idx.find(h, key); n != nil {
+		n.value = v
+		return
+	}
+	s.idx.add(h, s.list.insert(append([]byte(nil), key...), v))
+}
+
+// remove deletes key, reporting whether it was present. An absent key costs
+// one hash probe.
+func (s *store) remove(key []byte) bool {
+	h := s.idx.hash(key)
+	n := s.idx.find(h, key)
+	if n == nil {
+		return false
+	}
+	s.list.unlink(n)
+	s.idx.remove(h, n)
+	return true
 }
 
 // Store is the task-local state interface handed to operators.
@@ -182,21 +202,21 @@ func (s *store) Get(key []byte) ([]byte, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.reads++
-	return s.list.get(key)
+	return s.get(key)
 }
 
 func (s *store) Put(key, value []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.writes++
-	s.list.upsert(key, value)
+	s.put(key, value)
 }
 
 func (s *store) Delete(key []byte) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.writes++
-	return s.list.delete(key)
+	return s.remove(key)
 }
 
 func (s *store) Range(start, end []byte, limit int) []Entry {

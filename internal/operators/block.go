@@ -202,7 +202,7 @@ func (s *ScanOp) DecodeBlock(b *TupleBlock) error {
 	var bytes int64
 	for r := 0; r < b.N; r++ {
 		bytes += int64(len(b.Raw[r]))
-		row, err := s.Codec.DecodeRow(b.Raw[r], row)
+		row, err := s.decodeRow(b.Raw[r], row)
 		if err != nil {
 			return fmt.Errorf("operators: scan decode (%s): %w", s.Stream, err)
 		}

@@ -637,33 +637,12 @@ func (o *StreamAggregateOp) processWindowedBlock(b *TupleBlock, out *TupleBlock)
 
 // ----- StreamRelationJoinOp -----
 
-// combineInto lays out the combined row in operator scratch with the stream
-// side in its SQL position; appendRow and the compiled evaluators copy or
-// read values, so the scratch is safe to reuse per row.
-func (o *StreamRelationJoinOp) combineInto(streamRow, relRow []any) []any {
-	arity := o.leftArity + o.rightArity
-	if cap(o.cmbScratch) < arity {
-		o.cmbScratch = make([]any, arity)
-	}
-	out := o.cmbScratch[:arity]
-	for i := range out {
-		out[i] = nil
-	}
-	if o.StreamIsLeft {
-		copy(out, streamRow)
-		copy(out[o.leftArity:], relRow)
-	} else {
-		copy(out, relRow)
-		copy(out[o.leftArity:], streamRow)
-	}
-	return out
-}
-
-// ProcessBlock implements BlockOperator. Relation-side blocks update the
-// cached relation row per tuple and emit nothing, like the scalar path.
-// Stream-side blocks evaluate the join key columnarly, resolve every
-// distinct key with one batched read (decoded-object cache first, then
-// bytes), and emit the matching combined rows in input order.
+// ProcessBlock implements BlockOperator. A relation-side block becomes one
+// write batch and emits nothing. A stream-side block evaluates the join key
+// columnarly, encodes every row's state key into one arena, resolves each
+// distinct key once through one batched read (decoded-object cache first,
+// then bytes decoded into a per-block row arena), and emits the matching
+// combined rows in input order.
 //
 //samzasql:hotpath
 func (o *StreamRelationJoinOp) ProcessBlock(side int, b *TupleBlock, emit BlockEmit) error {
@@ -672,19 +651,8 @@ func (o *StreamRelationJoinOp) ProcessBlock(side int, b *TupleBlock, emit BlockE
 	}
 	row := o.rowScratch[:len(b.Cols)]
 	if side == RightSide {
-		for _, r := range b.Sel {
-			row = b.gather(r, row)
-			relRow := row
-			if o.cache != nil {
-				// The cache retains the row; hand over an owned copy.
-				relRow = append([]any(nil), row...)
-			}
-			//samzasql:ignore hotpath-blocking -- the task store mutex is per-task single-writer and uncontended by design; skiplist access under it is the state-access contract
-			if err := o.processRelationRow(relRow); err != nil {
-				return err
-			}
-		}
-		return nil
+		//samzasql:ignore hotpath-blocking -- the task store mutex is per-task single-writer and uncontended by design; skiplist access under it is the state-access contract
+		return o.processRelationBlock(b, row)
 	}
 	out := &o.outBlock
 	out.resetOut(b, o.leftArity+o.rightArity)
@@ -693,54 +661,53 @@ func (o *StreamRelationJoinOp) ProcessBlock(side int, b *TupleBlock, emit BlockE
 		return emit(out)
 	}
 
-	// Pass 1: per-row relation keys with run detection, distinct keys in
-	// first-touch order.
-	rel := o.resetRelMap()
-	rks := o.blkRks[:0]
+	// Pass 1: every row's state key, built back to back in the key arena
+	// (adjacent equal join keys reuse the previous row's), and its slot among
+	// the block's distinct keys.
+	o.blkDistinct.reset(len(b.Sel))
+	arena := o.keyArena[:0]
+	slots := o.blkSlot[:0]
 	keys := o.blkKeys[:0]
-	var prevRk []byte
 	var prevVal any
 	havePrev := false
 	for _, r := range b.Sel {
 		row = b.gather(r, row)
-		probe := o.combineInto(row, nil)
-		kval, err := o.keyEval(probe)
+		kval, err := o.keyEval(o.combineInto(row, nil))
 		if err != nil {
 			return fmt.Errorf("operators: stream join key: %w", err)
 		}
 		if havePrev {
 			if eq, ok := runEqual(kval, prevVal); ok && eq {
-				rks = append(rks, prevRk)
+				slots = append(slots, slots[len(slots)-1])
 				continue
 			}
 		}
-		key, err := encodeGroupKey(o.store.obj, []any{kval})
-		if err != nil {
+		start := len(arena)
+		if arena, err = o.appendRelKey(arena, kval); err != nil {
 			return err
 		}
-		rk := append([]byte("r:"), key...)
-		rks = append(rks, rk)
-		if _, ok := runEqual(kval, kval); ok {
-			prevRk, prevVal, havePrev = rk, kval, true
-		} else {
-			havePrev = false
+		distinct := len(keys)
+		var slot int32
+		slot, keys = o.blkDistinct.slotOf(keys, arena[start:len(arena):len(arena)])
+		if len(keys) == distinct {
+			arena = arena[:start] // seen before: the key list holds the first copy
 		}
-		if _, ok := rel[string(rk)]; !ok {
-			rel[string(rk)] = nil
-			keys = append(keys, rk)
-		}
+		slots = append(slots, slot)
+		_, havePrev = runEqual(kval, kval)
+		prevVal = kval
 	}
-	o.blkRks, o.blkKeys = rks, keys
+	o.keyArena, o.blkSlot, o.blkKeys = arena, slots, keys
 
-	// Pass 2: resolve every distinct key with one batched read. A key that
-	// stays nil has no relation row — the inner join drops its rows.
-	if err := o.resolveRelBatch(keys, rel); err != nil {
+	// Pass 2: resolve every distinct key with one batched read. A key whose
+	// row stays nil has no relation row — the inner join drops its rows.
+	rel, err := o.resolveRelBatch(keys)
+	if err != nil {
 		return err
 	}
 
 	// Pass 3: combine, apply the residual, emit matches in input order.
 	for k, r := range b.Sel {
-		relRow := rel[string(rks[k])]
+		relRow := rel[slots[k]]
 		if relRow == nil {
 			continue
 		}
@@ -759,23 +726,65 @@ func (o *StreamRelationJoinOp) ProcessBlock(side int, b *TupleBlock, emit BlockE
 	return emit(out)
 }
 
-// resetRelMap returns the cleared per-block resolved-relation map; the map
-// itself allocates once per operator, outside the hot path.
-func (o *StreamRelationJoinOp) resetRelMap() map[string][]any {
-	if o.blkRel == nil {
-		o.blkRel = make(map[string][]any)
+// processRelationBlock applies a block of relation changelog rows. Without
+// an object cache the rows are encoded back to back into one value arena
+// and handed to the store as a single write batch — one lock acquisition,
+// one latency observation and one changelog produce for the block instead of
+// one per row. With the cache each row is kept decoded (PutObject), encoding
+// deferred to the cache's own write-behind batch.
+//
+//samzasql:hotpath
+func (o *StreamRelationJoinOp) processRelationBlock(b *TupleBlock, row []any) error {
+	if o.cache != nil {
+		for _, r := range b.Sel {
+			row = b.gather(r, row)
+			rk, err := o.relationKey(o.kbuf[:0], row)
+			if err != nil {
+				return err
+			}
+			o.kbuf = rk
+			// The cache retains the row; hand over an owned copy.
+			//samzasql:ignore hotpath-blocking -- write-through to the changelog is the durability contract; the flush path's broker append lock is per-partition and the io.Write is an in-memory FNV hash
+			o.cache.PutObject(rk, append([]any(nil), row...), o.encRow)
+		}
+		return nil
 	}
-	for k := range o.blkRel {
-		delete(o.blkRel, k)
+	keys := o.keyArena[:0]
+	vals := o.valArena[:0]
+	ops := o.blkOps[:0]
+	var err error
+	for _, r := range b.Sel {
+		row = b.gather(r, row)
+		ks, vs := len(keys), len(vals)
+		if keys, err = o.relationKey(keys, row); err != nil {
+			return err
+		}
+		if vals, err = o.relCodec.AppendEncode(vals, row); err != nil {
+			return err
+		}
+		ops = append(ops, kv.WriteOp{Key: keys[ks:len(keys):len(keys)], Value: vals[vs:len(vals):len(vals)]})
 	}
-	return o.blkRel
+	o.keyArena, o.valArena, o.blkOps = keys, vals, ops
+	kv.WriteMany(o.store, ops)
+	return nil
 }
 
-// resolveRelBatch fills rel for the distinct relation keys: decoded rows
-// from one GetObjectMany when the cache is on, everything else through one
-// batched byte read plus decode (cache-memoized like the scalar probe).
-func (o *StreamRelationJoinOp) resolveRelBatch(keys [][]byte, rel map[string][]any) error {
-	miss := keys
+// resolveRelBatch returns the relation row of each distinct key (nil where
+// the relation has none), index-aligned with keys: decoded rows from one
+// GetObjectMany when the cache is on, everything else through one batched
+// byte read decoded into the block's row arena — or, when the cache will
+// memoize the row like the scalar probe does, into a row of its own.
+//
+//samzasql:hotpath
+func (o *StreamRelationJoinOp) resolveRelBatch(keys [][]byte) ([][]any, error) {
+	rel := o.blkRel[:0]
+	for range keys {
+		rel = append(rel, nil)
+	}
+	o.blkRel = rel
+	// miss lists the keys the byte read has to resolve and missAt their
+	// positions in keys; without the cache that is every key, in place.
+	miss, missAt := keys, o.blkMissAt[:0]
 	if o.cache != nil {
 		objs := o.blkObjs[:0]
 		oks := o.blkOks[:0]
@@ -784,18 +793,19 @@ func (o *StreamRelationJoinOp) resolveRelBatch(keys [][]byte, rel map[string][]a
 			oks = append(oks, false)
 		}
 		o.cache.GetObjectMany(keys, objs, oks)
-		miss = miss[:0:0]
+		miss = o.blkMiss[:0]
 		for i, k := range keys {
 			if oks[i] {
-				rel[string(k)] = objs[i].([]any)
+				rel[i] = objs[i].([]any)
 			} else {
 				miss = append(miss, k)
+				missAt = append(missAt, int32(i))
 			}
 		}
-		o.blkObjs = objs[:0]
+		o.blkObjs, o.blkOks, o.blkMiss, o.blkMissAt = objs[:0], oks[:0], miss[:0], missAt[:0]
 	}
 	if len(miss) == 0 {
-		return nil
+		return rel, nil
 	}
 	vals := o.blkVals[:0]
 	oks := o.blkOks[:0]
@@ -803,23 +813,33 @@ func (o *StreamRelationJoinOp) resolveRelBatch(keys [][]byte, rel map[string][]a
 		vals = append(vals, nil)
 		oks = append(oks, false)
 	}
-	kv.GetMany(o.store.raw, miss, vals, oks)
+	o.blkVals, o.blkOks = vals[:0], oks[:0]
+	arity := o.relCodec.Arity()
+	if need := len(miss) * arity; cap(o.rowArena) < need {
+		o.rowArena = make([]any, need)
+	}
+	kv.GetMany(o.store, miss, vals, oks)
 	for j, k := range miss {
 		if !oks[j] {
-			continue // no relation row: rel entry stays nil
+			continue
 		}
-		relRowAny, err := o.store.obj.Decode(vals[j])
-		if err != nil {
-			return fmt.Errorf("operators: relation row decode: %w", err)
+		i := j
+		relRow := o.rowArena[j*arity : (j+1)*arity : (j+1)*arity]
+		if o.cache != nil {
+			// The cache memoizes the row like the scalar probe does, so it
+			// needs one of its own.
+			i = int(missAt[j])
+			relRow = make([]any, arity)
 		}
-		relRow := relRowAny.([]any)
+		if err := o.relCodec.Decode(vals[j], relRow); err != nil {
+			return nil, fmt.Errorf("operators: relation row decode: %w", err)
+		}
 		if o.cache != nil {
 			o.cache.CacheObject(k, relRow)
 		}
-		rel[string(k)] = relRow
+		rel[i] = relRow
 	}
-	o.blkVals, o.blkOks = vals[:0], oks[:0]
-	return nil
+	return rel, nil
 }
 
 // ----- StreamStreamJoinOp -----

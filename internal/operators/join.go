@@ -3,10 +3,13 @@ package operators
 import (
 	"encoding/binary"
 	"fmt"
+	"strconv"
 
 	"samzasql/internal/kv"
+	"samzasql/internal/metrics"
 	"samzasql/internal/serde"
 	"samzasql/internal/sql/expr"
+	"samzasql/internal/sql/types"
 	"samzasql/internal/sql/validate"
 )
 
@@ -19,13 +22,47 @@ const (
 	RightSide = 1
 )
 
+// TombstonesSkippedMetric counts relation tombstones (nil-value changelog
+// messages) a stream-relation join could not apply because the relation's
+// message key does not identify its join state row.
+const TombstonesSkippedMetric = "operator.stream-relation-join.tombstones-skipped"
+
+// columnKind maps a planned SQL column type to the layout its values get in
+// a join state row.
+func columnKind(t types.Type) serde.Kind {
+	switch t {
+	case types.Bigint, types.Timestamp, types.Interval:
+		return serde.KindInt64
+	case types.Double:
+		return serde.KindFloat64
+	case types.Varchar:
+		return serde.KindString
+	case types.Boolean:
+		return serde.KindBool
+	}
+	return serde.KindObject
+}
+
+// rowCodecFor compiles the state-row codec of one join input from the row
+// type the physical planner hands the operator. Both join operators, on
+// their scalar and block paths alike, store rows through these codecs only:
+// join state has one row format.
+func rowCodecFor(row *types.RowType) *serde.RowCodec {
+	kinds := make([]serde.Kind, row.Arity())
+	for i, c := range row.Columns {
+		kinds[i] = columnKind(c.Type)
+	}
+	return serde.NewRowCodec(kinds)
+}
+
 // StreamRelationJoinOp implements stream-to-relation joins (§4.4): the
 // relation arrives as a bootstrapped changelog whose latest row per key is
-// cached in the task's local store; stream tuples then look the key up and
-// emit joined rows. Rows are (de)serialized with the generic object serde — the Go
-// analog of the Kryo object serde the paper's prototype used, whose
-// deserialization cost is the main reason SamzaSQL joins ran ~2x slower
-// than native jobs (§5.1).
+// kept in the task's local store; stream tuples then look the key up and
+// emit joined rows. Relation rows are stored through a codec compiled from
+// the relation's planned row type. The paper's prototype used a generic
+// object serde (Kryo) here and names its deserialization cost as the main
+// reason SamzaSQL joins ran ~2x slower than native jobs (§5.1); that serde's
+// analog, ObjectSerde, now encodes only the join keys.
 type StreamRelationJoinOp struct {
 	// StreamIsLeft records which side of the combined row the stream
 	// occupies.
@@ -37,41 +74,66 @@ type StreamRelationJoinOp struct {
 	relKey   expr.Evaluator // relation-side key over combined row
 	residual expr.Evaluator // full ON condition over combined row
 
-	store *storeView
+	store    kv.Store
+	relCodec *serde.RowCodec
 	// cache, when the task store supports it, memoizes decoded relation rows
-	// so repeated probes of a hot key skip the object-serde decode the paper
-	// blames for the ~2x SQL join slowdown (§5.1). encRow re-encodes a
+	// so repeated probes of a hot key skip the decode. encRow re-encodes a
 	// cached row when a relation update defers its serialization.
 	cache  kv.ObjectCache
 	encRow kv.ObjectEncoder
 
-	// Block-path scratch (block_stateful.go): the output block, the gather
-	// and combined-row scratch, per-row relation keys, the per-block
-	// resolved-relation map, and the batched-read slices.
-	outBlock   TupleBlock
-	rowScratch []any
+	// msgKeyKind is the layout of the relation's join column when the
+	// relation's changelog is keyed by that column (SetRelationKeyedBy), so
+	// a tombstone's message key names the state row to delete; KindObject
+	// when the message key says nothing about the join key.
+	msgKeyKind        serde.Kind
+	tombstonesSkipped *metrics.Counter
+
+	// Scratch shared by both paths: the one-value key row, the state key and
+	// encoded row buffers (stores copy what they keep), the combined row for
+	// key evaluation, and the decode row of the scalar probe.
+	keyVal     [1]any
+	kbuf       []byte
+	vbuf       []byte
 	cmbScratch []any
-	blkRks     [][]byte
-	blkRel     map[string][]any
-	blkKeys    [][]byte
-	blkVals    [][]byte
-	blkObjs    []any
-	blkOks     []bool
+	relScratch []any
+
+	// Block-path scratch (block_stateful.go): the output block and gather
+	// row; the per-block arenas holding every row's state key, the decoded
+	// relation rows and the relation side's encoded rows; the distinct-key
+	// table with each row's slot in it; and the batched read/write slices.
+	outBlock    TupleBlock
+	rowScratch  []any
+	keyArena    []byte
+	rowArena    []any
+	valArena    []byte
+	blkDistinct keyTable
+	blkSlot     []int32
+	blkRel      [][]any
+	blkKeys     [][]byte
+	blkMiss     [][]byte
+	blkMissAt   []int32
+	blkVals     [][]byte
+	blkObjs     []any
+	blkOks      []bool
+	blkOps      []kv.WriteOp
 }
 
-// NewStreamRelationJoinOp builds the operator. info's LeftKey/RightKey are
-// bound over the combined row.
-func NewStreamRelationJoinOp(info *validate.JoinInfo, leftArity, rightArity int, streamIsLeft bool) (*StreamRelationJoinOp, error) {
+// NewStreamRelationJoinOp builds the operator for inputs of the given row
+// types. info's LeftKey/RightKey are bound over the combined row.
+func NewStreamRelationJoinOp(info *validate.JoinInfo, left, right *types.RowType, streamIsLeft bool) (*StreamRelationJoinOp, error) {
 	op := &StreamRelationJoinOp{
 		StreamIsLeft: streamIsLeft,
-		leftArity:    leftArity,
-		rightArity:   rightArity,
+		leftArity:    left.Arity(),
+		rightArity:   right.Arity(),
 	}
 	var streamKey, relKey expr.Expr
 	if streamIsLeft {
 		streamKey, relKey = info.LeftKey, info.RightKey
+		op.relCodec = rowCodecFor(right)
 	} else {
 		streamKey, relKey = info.RightKey, info.LeftKey
+		op.relCodec = rowCodecFor(left)
 	}
 	var err error
 	if op.keyEval, err = expr.Compile(streamKey); err != nil {
@@ -83,15 +145,29 @@ func NewStreamRelationJoinOp(info *validate.JoinInfo, leftArity, rightArity int,
 	if op.residual, err = expr.Compile(info.On); err != nil {
 		return nil, err
 	}
+	op.cmbScratch = make([]any, op.leftArity+op.rightArity)
+	op.relScratch = make([]any, op.relCodec.Arity())
 	return op, nil
+}
+
+// SetRelationKeyedBy declares that the relation's changelog messages are
+// keyed by the join column, a column of type t: the decimal / plain-text
+// rendering of the column value, as publishers and the repartition stage
+// write it. DeleteRelation can then apply tombstones.
+func (o *StreamRelationJoinOp) SetRelationKeyedBy(t types.Type) {
+	o.msgKeyKind = columnKind(t)
 }
 
 // Open implements Operator.
 func (o *StreamRelationJoinOp) Open(ctx *OpContext) error {
-	o.store = &storeView{raw: ctx.Store(JoinStoreName)}
-	if c, ok := o.store.raw.(kv.ObjectCache); ok {
+	o.store = ctx.Store(JoinStoreName)
+	if c, ok := o.store.(kv.ObjectCache); ok {
 		o.cache = c
-		o.encRow = o.store.obj.Encode // bound once; handed to the cache per update
+		// Bound once; handed to the cache per update.
+		o.encRow = func(obj any) ([]byte, error) { return o.relCodec.AppendEncode(nil, obj.([]any)) }
+	}
+	if ctx.Metrics != nil {
+		o.tombstonesSkipped = ctx.Metrics.Counter(TombstonesSkippedMetric)
 	}
 	return nil
 }
@@ -101,61 +177,112 @@ func (o *StreamRelationJoinOp) Open(ctx *OpContext) error {
 // planner routes accordingly).
 func (o *StreamRelationJoinOp) Process(side int, t *Tuple, emit Emit) error {
 	if side == RightSide {
-		return o.processRelation(t)
+		return o.processRelation(t.Row)
 	}
 	return o.processStream(t, emit)
 }
 
-// processRelation caches the latest relation row under its join key.
-func (o *StreamRelationJoinOp) processRelation(t *Tuple) error {
-	return o.processRelationRow(t.Row)
+// appendRelKey appends the state key of join-key value kval to dst: "r:"
+// plus the ObjectSerde encoding of the one-value key row.
+//
+//samzasql:hotpath
+func (o *StreamRelationJoinOp) appendRelKey(dst []byte, kval any) ([]byte, error) {
+	dst = append(dst, 'r', ':')
+	o.keyVal[0] = kval
+	return serde.ObjectSerde{}.AppendEncode(dst, o.keyVal[:])
 }
 
-// processRelationRow is the row-level relation update, shared by the scalar
-// and block paths.
-func (o *StreamRelationJoinOp) processRelationRow(row []any) error {
-	combined := o.combine(nil, row)
-	kval, err := o.relKey(combined)
+// relationKey evaluates the relation-side join key of row and appends its
+// state key to dst.
+//
+//samzasql:hotpath
+func (o *StreamRelationJoinOp) relationKey(dst []byte, row []any) ([]byte, error) {
+	kval, err := o.relKey(o.combineInto(nil, row))
 	if err != nil {
-		return fmt.Errorf("operators: relation join key: %w", err)
+		return nil, fmt.Errorf("operators: relation join key: %w", err)
 	}
-	key, err := encodeGroupKey(o.store.obj, []any{kval})
+	return o.appendRelKey(dst, kval)
+}
+
+// processRelation stores the latest relation row under its join key: the
+// scalar relation update, a write batch of one.
+func (o *StreamRelationJoinOp) processRelation(row []any) error {
+	rk, err := o.relationKey(o.kbuf[:0], row)
 	if err != nil {
 		return err
 	}
-	rk := append([]byte("r:"), key...)
+	o.kbuf = rk
 	if o.cache != nil {
 		// Keep the decoded row resident; serialization defers to commit
 		// flush, so a relation key updated many times per interval encodes
-		// (and reaches the changelog) once. The cache retains row, so the
-		// caller must hand over an owned slice, never reused scratch.
+		// (and reaches the changelog) once. The cache retains row: scalar
+		// tuples own theirs.
 		o.cache.PutObject(rk, row, o.encRow)
 		return nil
 	}
-	// The paper's prototype stores the row via a generic object serde
-	// (Kryo there, the tagged object serde here).
-	val, err := o.store.obj.Encode(row)
-	if err != nil {
+	if o.vbuf, err = o.relCodec.AppendEncode(o.vbuf[:0], row); err != nil {
 		return err
 	}
-	o.store.raw.Put(rk, val)
+	o.store.Put(rk, o.vbuf)
 	return nil
 }
 
-// processStream joins one stream tuple against the cached relation.
-//
-//samzasql:hotpath
-func (o *StreamRelationJoinOp) processStream(t *Tuple, emit Emit) error {
-	probe := o.combine(t.Row, nil)
-	kval, err := o.keyEval(probe)
-	if err != nil {
-		return fmt.Errorf("operators: stream join key: %w", err)
+// DeleteRelation applies a relation tombstone — a nil-value message on the
+// relation's changelog, how a compacted topic deletes a row. When the
+// changelog is keyed by the join column the message key names the state row,
+// which is deleted from the store (and with it from the object cache, whose
+// entry becomes a buffered tombstone); otherwise nothing identifies the row
+// and the tombstone is skipped and counted.
+func (o *StreamRelationJoinOp) DeleteRelation(msgKey []byte) error {
+	kval, ok := parseMessageKey(o.msgKeyKind, msgKey)
+	if !ok {
+		if o.tombstonesSkipped != nil {
+			o.tombstonesSkipped.Inc()
+		}
+		return nil
 	}
-	key, err := encodeGroupKey(o.store.obj, []any{kval})
+	rk, err := o.appendRelKey(o.kbuf[:0], kval)
 	if err != nil {
 		return err
 	}
-	rk := append([]byte("r:"), key...)
+	o.kbuf = rk
+	o.store.Delete(rk)
+	return nil
+}
+
+// parseMessageKey reads a message key written in the publisher convention
+// (integers in decimal, strings as their bytes) back into a column value of
+// the given kind.
+func parseMessageKey(kind serde.Kind, key []byte) (any, bool) {
+	switch kind {
+	case serde.KindInt64:
+		v, err := strconv.ParseInt(string(key), 10, 64)
+		return v, err == nil
+	case serde.KindString:
+		return string(key), true
+	case serde.KindFloat64:
+		v, err := strconv.ParseFloat(string(key), 64)
+		return v, err == nil
+	case serde.KindBool:
+		v, err := strconv.ParseBool(string(key))
+		return v, err == nil
+	}
+	return nil, false
+}
+
+// processStream joins one stream tuple against the stored relation.
+//
+//samzasql:hotpath
+func (o *StreamRelationJoinOp) processStream(t *Tuple, emit Emit) error {
+	kval, err := o.keyEval(o.combineInto(t.Row, nil))
+	if err != nil {
+		return fmt.Errorf("operators: stream join key: %w", err)
+	}
+	rk, err := o.appendRelKey(o.kbuf[:0], kval)
+	if err != nil {
+		return err
+	}
+	o.kbuf = rk
 	var relRow []any
 	if o.cache != nil {
 		if obj, ok := o.cache.GetObject(rk); ok {
@@ -164,15 +291,17 @@ func (o *StreamRelationJoinOp) processStream(t *Tuple, emit Emit) error {
 	}
 	if relRow == nil {
 		//samzasql:ignore hotpath-blocking -- the task store mutex is per-task single-writer and uncontended by design; skiplist access under it is the state-access contract
-		raw, ok := o.store.raw.Get(rk)
+		raw, ok := o.store.Get(rk)
 		if !ok {
 			return nil // inner join: no match, no output
 		}
-		relRowAny, err := o.store.obj.Decode(raw)
-		if err != nil {
+		relRow = o.relScratch
+		if o.cache != nil {
+			relRow = make([]any, len(o.relScratch)) // the cache retains it
+		}
+		if err := o.relCodec.Decode(raw, relRow); err != nil {
 			return fmt.Errorf("operators: relation row decode: %w", err)
 		}
-		relRow = relRowAny.([]any)
 		if o.cache != nil {
 			o.cache.CacheObject(rk, relRow)
 		}
@@ -191,10 +320,29 @@ func (o *StreamRelationJoinOp) processStream(t *Tuple, emit Emit) error {
 	})
 }
 
-// combine lays out the combined row with the stream side in its SQL
+// combine lays out a fresh combined row with the stream side in its SQL
 // position. Missing sides are nil-filled.
 func (o *StreamRelationJoinOp) combine(streamRow, relRow []any) []any {
 	out := make([]any, o.leftArity+o.rightArity)
+	o.layout(out, streamRow, relRow)
+	return out
+}
+
+// combineInto lays out the combined row in operator scratch; appendRow and
+// the compiled evaluators copy or read values, so the scratch is safe to
+// reuse per row.
+//
+//samzasql:hotpath
+func (o *StreamRelationJoinOp) combineInto(streamRow, relRow []any) []any {
+	out := o.cmbScratch
+	for i := range out {
+		out[i] = nil
+	}
+	o.layout(out, streamRow, relRow)
+	return out
+}
+
+func (o *StreamRelationJoinOp) layout(out, streamRow, relRow []any) {
 	if o.StreamIsLeft {
 		copy(out, streamRow)
 		copy(out[o.leftArity:], relRow)
@@ -202,14 +350,6 @@ func (o *StreamRelationJoinOp) combine(streamRow, relRow []any) []any {
 		copy(out, relRow)
 		copy(out[o.leftArity:], streamRow)
 	}
-	return out
-}
-
-// storeView pairs a raw store with the generic object serde (the paper's
-// Kryo analog) used for join state values.
-type storeView struct {
-	raw kv.Store
-	obj serde.ObjectSerde
 }
 
 // StreamStreamJoinOp implements windowed stream-to-stream joins (§3.8.1):
@@ -226,8 +366,16 @@ type StreamStreamJoinOp struct {
 	leftKey, rightKey expr.Evaluator // over combined row
 	residual          expr.Evaluator
 
-	store     *storeView
+	store kv.Store
+	// codecs are the two inputs' state-row codecs, indexed by side.
+	codecs    [2]*serde.RowCodec
 	watermark [2]int64
+
+	// processOne scratch: the one-value key row, the encoded row buffer (the
+	// store copies it) and a decode row per side.
+	keyVal     [1]any
+	vbuf       []byte
+	rowDecoded [2][]any
 
 	// Block-path scratch (block_stateful.go). blkSink is the output-block
 	// append bound once in Open (a per-block closure would escape in the hot
@@ -248,9 +396,12 @@ type StreamStreamJoinOp struct {
 	curT     *Tuple
 }
 
-// NewStreamStreamJoinOp builds the operator.
-func NewStreamStreamJoinOp(info *validate.JoinInfo, leftArity, rightArity int) (*StreamStreamJoinOp, error) {
-	op := &StreamStreamJoinOp{info: info, leftArity: leftArity, rightArity: rightArity}
+// NewStreamStreamJoinOp builds the operator for inputs of the given row
+// types.
+func NewStreamStreamJoinOp(info *validate.JoinInfo, left, right *types.RowType) (*StreamStreamJoinOp, error) {
+	op := &StreamStreamJoinOp{info: info, leftArity: left.Arity(), rightArity: right.Arity()}
+	op.codecs = [2]*serde.RowCodec{rowCodecFor(left), rowCodecFor(right)}
+	op.rowDecoded = [2][]any{make([]any, left.Arity()), make([]any, right.Arity())}
 	var err error
 	if op.leftKey, err = expr.Compile(info.LeftKey); err != nil {
 		return nil, err
@@ -266,12 +417,12 @@ func NewStreamStreamJoinOp(info *validate.JoinInfo, leftArity, rightArity int) (
 
 // Open implements Operator.
 func (o *StreamStreamJoinOp) Open(ctx *OpContext) error {
-	o.store = &storeView{raw: ctx.Store(JoinStoreName)}
+	o.store = ctx.Store(JoinStoreName)
 	// Windowed side state is write-once and probed/purged with per-tuple
 	// range scans; an LRU point cache cannot help it, and ranging through
 	// the cache would flush the write batch on every probe. Bypass it.
-	if c, ok := o.store.raw.(kv.ObjectCache); ok {
-		o.store.raw = c.Uncached()
+	if c, ok := o.store.(kv.ObjectCache); ok {
+		o.store = c.Uncached()
 	}
 	o.blkSink = func(full []any) error {
 		o.outBlock.appendRow(full, o.blkTs, o.blkKey, o.blkOff)
@@ -319,18 +470,18 @@ func (o *StreamStreamJoinOp) processOne(side int, row []any, ts, offset int64, s
 	if err != nil {
 		return fmt.Errorf("operators: join key: %w", err)
 	}
-	pk, err := encodeGroupKey(o.store.obj, []any{kvVal})
+	o.keyVal[0] = kvVal
+	pk, err := encodeGroupKey(serde.ObjectSerde{}, o.keyVal[:])
 	if err != nil {
 		return err
 	}
 
 	// Store this tuple on its own side.
 	myKey := o.sideKey(byte(side), pk, ts, offset)
-	val, err := o.store.obj.Encode(row)
-	if err != nil {
+	if o.vbuf, err = o.codecs[side].AppendEncode(o.vbuf[:0], row); err != nil {
 		return err
 	}
-	o.store.raw.Put(myKey, val)
+	o.store.Put(myKey, o.vbuf)
 
 	// Probe the other side within the time window.
 	other := 1 - side
@@ -341,12 +492,11 @@ func (o *StreamStreamJoinOp) processOne(side int, row []any, ts, offset int64, s
 	}
 	lo := o.sideKey(byte(other), pk, loTs, 0)
 	hi := o.sideKey(byte(other), pk, ts+w+1, 0)
-	for _, e := range o.store.raw.Range(lo, hi, 0) {
-		otherRowAny, err := o.store.obj.Decode(e.Value)
-		if err != nil {
-			return err
+	otherRow := o.rowDecoded[other]
+	for _, e := range o.store.Range(lo, hi, 0) {
+		if err := o.codecs[other].Decode(e.Value, otherRow); err != nil {
+			return fmt.Errorf("operators: join row decode: %w", err)
 		}
-		otherRow := otherRowAny.([]any)
 		var full []any
 		if side == LeftSide {
 			full = o.combineRows(row, otherRow)
@@ -371,8 +521,8 @@ func (o *StreamStreamJoinOp) processOne(side int, row []any, ts, offset int64, s
 	if cutoff > 0 {
 		start := o.sidePrefix(byte(side), pk)
 		end := o.sideKey(byte(side), pk, cutoff, 0)
-		for _, e := range o.store.raw.Range(start, end, 0) {
-			o.store.raw.Delete(e.Key)
+		for _, e := range o.store.Range(start, end, 0) {
+			o.store.Delete(e.Key)
 		}
 	}
 	return nil

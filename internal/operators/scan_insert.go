@@ -27,6 +27,10 @@ type ScanOp struct {
 	TsIdx int
 	// Stream is the source topic name (used for routing labels).
 	Stream string
+	// Wanted, when non-nil, marks the columns some operator of the plan
+	// reads (plan.Scan.Required): the scan decodes those and skips the rest
+	// on the wire, leaving their slots nil. Nil decodes whole rows.
+	Wanted []bool
 
 	// Observability handles, bound at Open (nil when the op runs outside a
 	// metrics-carrying context, e.g. direct Decode calls in tests).
@@ -52,7 +56,7 @@ func (s *ScanOp) Process(_ int, t *Tuple, emit Emit) error { return emit(t) }
 // Decode converts one raw message into a tuple.
 func (s *ScanOp) Decode(value []byte, key []byte, msgTs int64, partition int32, offset int64) (*Tuple, error) {
 	start := time.Now()
-	row, err := s.Codec.DecodeRow(value, nil)
+	row, err := s.decodeRow(value, nil)
 	if err != nil {
 		return nil, fmt.Errorf("operators: scan decode (%s): %w", s.Stream, err)
 	}
@@ -70,6 +74,17 @@ func (s *ScanOp) Decode(value []byte, key []byte, msgTs int64, partition int32, 
 		}
 	}
 	return t, nil
+}
+
+// decodeRow decodes one message into row (reused when it has the schema's
+// arity), sparsely when the plan reads only some columns.
+//
+//samzasql:hotpath
+func (s *ScanOp) decodeRow(value []byte, row []any) ([]any, error) {
+	if s.Wanted != nil {
+		return s.Codec.ReadFields(value, s.Wanted, row)
+	}
+	return s.Codec.DecodeRow(value, row)
 }
 
 // Sender abstracts the Samza message collector for the insert operator.

@@ -548,9 +548,18 @@ func (c *Container) runTask(ctx context.Context, ti *taskInstance) error {
 	}
 }
 
+// bootstrapFetch caps one bootstrap fetch on the per-message path; batched
+// tasks fetch a block (pollMax) at a time instead.
+const bootstrapFetch = 512
+
 // bootstrap consumes each bootstrap stream partition from the consumer's
-// current position to the high watermark observed at start.
+// current position to the high watermark observed at start. Records appended
+// while the bootstrap runs belong to the poll loop that follows.
 func (c *Container) bootstrap(ctx context.Context, ti *taskInstance) error {
+	fetchMax := bootstrapFetch
+	if ti.batched != nil {
+		fetchMax = ti.pollMax
+	}
 	for _, in := range c.job.Inputs {
 		if !in.Bootstrap {
 			continue
@@ -562,28 +571,28 @@ func (c *Container) bootstrap(ctx context.Context, ti *taskInstance) error {
 		}
 		pos, _ := ti.consumer.Position(tp)
 		for pos < hwm {
-			msgs, wait, err := c.broker.Fetch(tp, pos, 512)
+			msgs, wait, err := c.broker.Fetch(tp, pos, fetchMax)
 			if err != nil {
 				return fmt.Errorf("samza: %s bootstrap %s: %w", ti.name, tp, err)
 			}
 			if wait != nil {
 				break
 			}
-			env := IncomingMessageEnvelope{}
-			for _, m := range msgs {
-				if m.Offset >= hwm {
-					break
-				}
-				env = IncomingMessageEnvelope{
-					Stream: m.Topic, Partition: m.Partition, Offset: m.Offset,
-					Key: m.Key, Value: m.Value, Timestamp: m.Timestamp,
-				}
-				ti.coord.reset()
-				if err := ti.task.Process(env, c.coll, &ti.coord); err != nil {
-					return fmt.Errorf("samza: %s bootstrap process: %w", ti.name, err)
-				}
-				pos = m.Offset + 1
+			// Cut the batch off at the watermark; a batch wholly past it
+			// (everything below was compacted away meanwhile) ends the
+			// bootstrap.
+			n := 0
+			for n < len(msgs) && msgs[n].Offset < hwm {
+				n++
 			}
+			if n == 0 {
+				pos = hwm
+				break
+			}
+			if err := c.deliverBootstrap(ti, msgs[:n]); err != nil {
+				return err
+			}
+			pos = msgs[n-1].Offset + 1
 			if ctx.Err() != nil {
 				return nil
 			}
@@ -592,6 +601,44 @@ func (c *Container) bootstrap(ctx context.Context, ti *taskInstance) error {
 		ti.delivered[in.Topic] = pos
 	}
 	return nil
+}
+
+// deliverBootstrap hands one fetched run of bootstrap messages to the task:
+// as a single ProcessBatch call when the task is batched — a vectorized job
+// loads its relations block-wise, like it processes its streams — and one
+// Process call per message otherwise (BatchSize = ScalarBatch included).
+//
+//samzasql:hotpath
+func (c *Container) deliverBootstrap(ti *taskInstance, msgs []kafka.Message) error {
+	if ti.batched != nil {
+		envs := ti.envs[:0]
+		for i := range msgs {
+			envs = append(envs, bootstrapEnvelope(&msgs[i]))
+		}
+		ti.envs = envs
+		ti.coord.reset()
+		if err := ti.batched.ProcessBatch(envs, c.coll, &ti.coord, time.Now().UnixNano()); err != nil {
+			return fmt.Errorf("samza: %s bootstrap process batch: %w", ti.name, err)
+		}
+		return nil
+	}
+	for i := range msgs {
+		ti.coord.reset()
+		//samzasql:ignore hotpath-blocking -- devirtualization resolves StreamTask to every impl including the bench throttle task, whose Sleep is intended backpressure in benchmarks only
+		if err := ti.task.Process(bootstrapEnvelope(&msgs[i]), c.coll, &ti.coord); err != nil {
+			return fmt.Errorf("samza: %s bootstrap process: %w", ti.name, err)
+		}
+	}
+	return nil
+}
+
+// bootstrapEnvelope wraps a bootstrap message for delivery. Trace contexts
+// are not carried over: bootstrap deliveries are not traced.
+func bootstrapEnvelope(m *kafka.Message) IncomingMessageEnvelope {
+	return IncomingMessageEnvelope{
+		Stream: m.Topic, Partition: m.Partition, Offset: m.Offset,
+		Key: m.Key, Value: m.Value, Timestamp: m.Timestamp,
+	}
 }
 
 // idleWait bounds how long a task with no assignment sleeps between polls;

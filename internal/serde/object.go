@@ -48,6 +48,12 @@ func (o ObjectSerde) Encode(v any) ([]byte, error) {
 	return o.appendRow(nil, row)
 }
 
+// AppendEncode appends the encoding of row to dst, for callers that build
+// many keys into one buffer.
+func (o ObjectSerde) AppendEncode(dst []byte, row []any) ([]byte, error) {
+	return o.appendRow(dst, row)
+}
+
 func appendName(dst []byte, name string) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(name)))
 	return append(dst, name...)
@@ -111,7 +117,9 @@ func (o ObjectSerde) Decode(data []byte) (any, error) {
 
 func (o ObjectSerde) decodeRow(data []byte) ([]any, int, error) {
 	count, n := binary.Uvarint(data)
-	if n <= 0 {
+	// Every element takes at least one byte, which bounds the row a corrupt
+	// count can make decode allocate.
+	if n <= 0 || count > uint64(len(data)-n) {
 		return nil, 0, ErrCorruptObject
 	}
 	pos := n
@@ -129,7 +137,7 @@ func (o ObjectSerde) decodeRow(data []byte) ([]any, int, error) {
 
 func readName(data []byte) (string, int, error) {
 	ln, n := binary.Uvarint(data)
-	if n <= 0 || n+int(ln) > len(data) {
+	if n <= 0 || ln > uint64(len(data)-n) {
 		return "", 0, ErrCorruptObject
 	}
 	return string(data[n : n+int(ln)]), n + int(ln), nil
@@ -156,7 +164,7 @@ func (o ObjectSerde) decodeValue(data []byte) (any, int, error) {
 		return math.Float64frombits(binary.LittleEndian.Uint64(data[pos:])), pos + 8, nil
 	case clsString:
 		ln, n := binary.Uvarint(data[pos:])
-		if n <= 0 || pos+n+int(ln) > len(data) {
+		if n <= 0 || ln > uint64(len(data)-pos-n) {
 			return nil, 0, ErrCorruptObject
 		}
 		start := pos + n
@@ -168,7 +176,7 @@ func (o ObjectSerde) decodeValue(data []byte) (any, int, error) {
 		return data[pos] != 0, pos + 1, nil
 	case clsBytes:
 		ln, n := binary.Uvarint(data[pos:])
-		if n <= 0 || pos+n+int(ln) > len(data) {
+		if n <= 0 || ln > uint64(len(data)-pos-n) {
 			return nil, 0, ErrCorruptObject
 		}
 		start := pos + n

@@ -1,8 +1,9 @@
 // Package opt implements SamzaSQL's rule-based logical optimizer (§4.2):
 // constant folding, filter merging, predicate pushdown through projections
-// and into join sides, and projection fusion. Rules fire to fixpoint; every
-// rule preserves query semantics, a property the test suite checks by
-// executing plans before and after optimization.
+// and into join sides, and projection fusion, followed by a required-columns
+// pass that lets scans skip the columns no operator reads. Rules fire to
+// fixpoint; every rule preserves query semantics, a property the test suite
+// checks by executing plans before and after optimization.
 package opt
 
 import (
@@ -11,7 +12,8 @@ import (
 	"samzasql/internal/sql/types"
 )
 
-// Optimize rewrites the plan to fixpoint with all rules.
+// Optimize rewrites the plan to fixpoint with all rules, then marks on every
+// scan the columns the rewritten plan reads (prune.go).
 func Optimize(root plan.Node) plan.Node {
 	for i := 0; i < maxPasses; i++ {
 		next, changed := rewrite(root)
@@ -20,7 +22,7 @@ func Optimize(root plan.Node) plan.Node {
 			break
 		}
 	}
-	return root
+	return pruneColumns(root, allColumns(root))
 }
 
 const maxPasses = 10

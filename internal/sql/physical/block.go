@@ -19,10 +19,10 @@ import (
 // covers topics without a compiled entry (the fused fast path handles its
 // own batches).
 
-// blockInput is one source topic's vectorized pipeline: the scan that
+// blockInput is one source topic's vectorized pipeline: the input whose scan
 // decodes its blocks and the compiled per-block chain above it.
 type blockInput struct {
-	scan  *operators.ScanOp
+	in    *Input
 	entry operators.BlockEmit
 }
 
@@ -67,8 +67,41 @@ func (p *Program) RouteBatch(envs []samza.IncomingMessageEnvelope, act *trace.Ac
 		}
 		return nil
 	}
+	if bi.in.tombstone != nil {
+		// A relation changelog: tombstones have no value to decode. Each
+		// goes to the join on its own, between the blocks of the rows
+		// around it, so a key's puts and deletes apply in offset order.
+		for len(envs) > 0 {
+			n := 0
+			for n < len(envs) && envs[n].Value != nil {
+				n++
+			}
+			if err := p.routeBlock(bi, envs[:n], act, pollNs); err != nil {
+				return err
+			}
+			if n == len(envs) {
+				break
+			}
+			if err := bi.in.tombstone(envs[n].Key); err != nil {
+				return err
+			}
+			envs = envs[n+1:]
+		}
+		return nil
+	}
+	return p.routeBlock(bi, envs, act, pollNs)
+}
+
+// routeBlock decodes envs into the program's block arena and runs the
+// topic's compiled chain over it.
+//
+//samzasql:hotpath
+func (p *Program) routeBlock(bi *blockInput, envs []samza.IncomingMessageEnvelope, act *trace.Active, pollNs int64) error {
+	if len(envs) == 0 {
+		return nil
+	}
 	b := &p.blockArena
-	b.Reset(topic, envs[0].Partition, len(envs))
+	b.Reset(envs[0].Stream, envs[0].Partition, len(envs))
 	sampled := 0
 	for i := range envs {
 		env := &envs[i]
@@ -86,7 +119,7 @@ func (p *Program) RouteBatch(envs []samza.IncomingMessageEnvelope, act *trace.Ac
 		b.Trace = &p.btrace
 		startNs = time.Now().UnixNano()
 	}
-	if err := bi.scan.DecodeBlock(b); err != nil {
+	if err := bi.in.Scan.DecodeBlock(b); err != nil {
 		return err
 	}
 	if err := bi.entry(b); err != nil {

@@ -25,6 +25,10 @@ type Input struct {
 	Bootstrap bool
 	// Scan decodes messages from this topic.
 	Scan *operators.ScanOp
+	// tombstone receives the message key of every nil-value message on a
+	// bootstrap input — a row deleted from the relation's compacted
+	// changelog — in place of the scan, which has nothing to decode.
+	tombstone func(key []byte) error
 }
 
 // Program is a compiled query ready to run inside a task (or the bounded
@@ -315,18 +319,15 @@ func (p *Program) buildScan(s *plan.Scan, downstream operators.Emit, blockDown o
 			return err
 		}
 	}
-	scan := &operators.ScanOp{Codec: c, TsIdx: tsIdx, Stream: topic}
+	scan := &operators.ScanOp{Codec: c, TsIdx: tsIdx, Stream: topic, Wanted: s.Required}
 	p.Router.Register(scan)
 	for _, in := range p.Inputs {
 		if in.Topic == topic {
 			return fmt.Errorf("physical: topic %q appears twice in one query (self-joins need an intermediate stream)", in.Topic)
 		}
 	}
-	p.Inputs = append(p.Inputs, &Input{
-		Topic:     topic,
-		Bootstrap: s.Bootstrap,
-		Scan:      scan,
-	})
+	in := &Input{Topic: topic, Bootstrap: s.Bootstrap, Scan: scan}
+	p.Inputs = append(p.Inputs, in)
 	if s.Streaming {
 		p.Streaming = true
 	}
@@ -337,15 +338,12 @@ func (p *Program) buildScan(s *plan.Scan, downstream operators.Emit, blockDown o
 		if p.blockInputs == nil {
 			p.blockInputs = map[string]*blockInput{}
 		}
-		p.blockInputs[topic] = &blockInput{scan: scan, entry: blockDown}
+		p.blockInputs[topic] = &blockInput{in: in, entry: blockDown}
 	}
 	return nil
 }
 
 func (p *Program) buildJoin(j *plan.Join, downstream operators.Emit, blockDown operators.BlockEmit) error {
-	leftArity := j.Left.Row().Arity()
-	rightArity := j.Right.Row().Arity()
-
 	// Classify: a bootstrap scan below either side marks a
 	// stream-to-relation join.
 	leftBoot := hasBootstrapScan(j.Left)
@@ -355,9 +353,16 @@ func (p *Program) buildJoin(j *plan.Join, downstream operators.Emit, blockDown o
 	switch {
 	case leftBoot || rightBoot:
 		streamIsLeft := rightBoot
-		op, err := operators.NewStreamRelationJoinOp(j.Info, leftArity, rightArity, streamIsLeft)
+		op, err := operators.NewStreamRelationJoinOp(j.Info, j.Left.Row(), j.Right.Row(), streamIsLeft)
 		if err != nil {
 			return err
+		}
+		rel, relKey, relOffset := j.Left, j.Info.LeftKey, 0
+		if streamIsLeft {
+			rel, relKey, relOffset = j.Right, j.Info.RightKey, j.Left.Row().Arity()
+		}
+		if t, ok := messageKeyColumn(rel, relKey, relOffset); ok {
+			op.SetRelationKeyedBy(t)
 		}
 		inst := p.instrument("stream-relation-join", op)
 		emitTo := inst.WrapEmit(downstream)
@@ -370,18 +375,32 @@ func (p *Program) buildJoin(j *plan.Join, downstream operators.Emit, blockDown o
 		}
 		streamBlock := p.blockStage(inst, operators.LeftSide, blockDown)
 		relBlock := p.blockStage(inst, operators.RightSide, blockDown)
+		leftEmit, leftBlock, rightEmit, rightBlock := relEmit, relBlock, streamEmit, streamBlock
 		if streamIsLeft {
-			if err := p.build(j.Left, streamEmit, streamBlock); err != nil {
-				return err
-			}
-			return p.build(j.Right, relEmit, relBlock)
+			leftEmit, leftBlock, rightEmit, rightBlock = streamEmit, streamBlock, relEmit, relBlock
 		}
-		if err := p.build(j.Left, relEmit, relBlock); err != nil {
+		first := len(p.Inputs)
+		if err := p.build(j.Left, leftEmit, leftBlock); err != nil {
 			return err
 		}
-		return p.build(j.Right, streamEmit, streamBlock)
+		mid := len(p.Inputs)
+		if err := p.build(j.Right, rightEmit, rightBlock); err != nil {
+			return err
+		}
+		// The relation side's changelog inputs hand their tombstones to the
+		// join.
+		relInputs := p.Inputs[first:mid]
+		if streamIsLeft {
+			relInputs = p.Inputs[mid:]
+		}
+		for _, in := range relInputs {
+			if in.Bootstrap {
+				in.tombstone = op.DeleteRelation
+			}
+		}
+		return nil
 	default:
-		op, err := operators.NewStreamStreamJoinOp(j.Info, leftArity, rightArity)
+		op, err := operators.NewStreamStreamJoinOp(j.Info, j.Left.Row(), j.Right.Row())
 		if err != nil {
 			return err
 		}
@@ -396,6 +415,35 @@ func (p *Program) buildJoin(j *plan.Join, downstream operators.Emit, blockDown o
 			return inst.Process(operators.RightSide, t, emitTo)
 		}, p.blockStage(inst, operators.RightSide, blockDown))
 	}
+}
+
+// messageKeyColumn reports whether the relation's changelog messages are
+// keyed by its join column, and that column's type: the join key must be a
+// bare column of a relation scan (reached through filters only, which keep
+// column positions) that the catalog names as the table's partition key.
+// offset is where the relation's columns start in the combined row key is
+// bound over.
+func messageKeyColumn(rel plan.Node, key expr.Expr, offset int) (types.Type, bool) {
+	col, ok := key.(*expr.ColRef)
+	if !ok {
+		return types.Unknown, false
+	}
+	for {
+		f, ok := rel.(*plan.Filter)
+		if !ok {
+			break
+		}
+		rel = f.Input
+	}
+	scan, ok := rel.(*plan.Scan)
+	if !ok || scan.Object.PartitionKeyCol == "" {
+		return types.Unknown, false
+	}
+	idx := col.Idx - offset
+	if idx < 0 || idx != scan.Object.Row.Index(scan.Object.PartitionKeyCol) {
+		return types.Unknown, false
+	}
+	return scan.Object.Row.Columns[idx].Type, true
 }
 
 func hasBootstrapScan(n plan.Node) bool {
@@ -459,6 +507,9 @@ func (p *Program) RouteMessage(topic string, value, key []byte, msgTs int64, par
 	for _, in := range p.Inputs {
 		if in.Topic != topic {
 			continue
+		}
+		if value == nil && in.tombstone != nil {
+			return in.tombstone(key)
 		}
 		t, err := in.Scan.Decode(value, key, msgTs, partition, offset)
 		if err != nil {

@@ -37,6 +37,12 @@ type Scan struct {
 	// column through an intermediate topic before this scan consumes it
 	// (§7 future work 1).
 	RepartitionCol string
+	// Required marks, index-aligned with the row type, the columns some
+	// operator above reads; the scan decodes only those and leaves the rest
+	// NULL, arity unchanged. Nil — what the plan builder produces and what
+	// the optimizer's required-columns pass leaves when every column is read
+	// — means all of them.
+	Required []bool
 }
 
 // Row implements Node.
@@ -53,10 +59,20 @@ func (s *Scan) String() string {
 	if s.Bootstrap {
 		mode = "bootstrap"
 	}
+	out := fmt.Sprintf("Scan(%s, %s)", s.Object.Name, mode)
 	if s.RepartitionCol != "" {
-		return fmt.Sprintf("Scan(%s, %s, repartition by %s)", s.Object.Name, mode, s.RepartitionCol)
+		out = fmt.Sprintf("Scan(%s, %s, repartition by %s)", s.Object.Name, mode, s.RepartitionCol)
 	}
-	return fmt.Sprintf("Scan(%s, %s)", s.Object.Name, mode)
+	if s.Required != nil {
+		var cols []string
+		for i, r := range s.Required {
+			if r {
+				cols = append(cols, s.Object.Row.Columns[i].Name)
+			}
+		}
+		out += " cols=[" + strings.Join(cols, ", ") + "]"
+	}
+	return out
 }
 
 // Filter keeps rows satisfying Cond.
