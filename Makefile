@@ -17,8 +17,9 @@ vet:
 # guards) plus four
 # whole-program interprocedural rules (lock-order, chan-leak,
 # hotpath-blocking, hotpath-escape) over the CFG/call-graph layer. Exits
-# non-zero on any unsuppressed finding; timed so a regression past the ~30s
-# budget is visible in CI logs.
+# non-zero on any unsuppressed finding; prints how many //samzasql:ignore
+# directives suppress how many findings, and is timed so a regression past
+# the ~30s budget is visible in CI logs.
 vet-custom:
 	@start=$$(date +%s); \
 	$(GO) run ./cmd/samzasql-vet ./... || exit $$?; \
@@ -72,7 +73,7 @@ BENCH_MESSAGES ?= 100000
 # cached-vs-baseline speedup).
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkContainerParallelism|BenchmarkTaskLoopMachineryAllocs' -benchmem ./internal/samza/
-	$(GO) test -run '^$$' -bench 'BenchmarkFilterMessageProcess' -benchmem ./internal/executor/
+	$(GO) test -run '^$$' -bench 'BenchmarkFilterBatchProcess' -benchmem ./internal/executor/
 	$(GO) test -run '^$$' -bench '^BenchmarkSlidingWindow$$' -benchmem .
 	$(GO) run ./cmd/samzasql-bench -figure all -messages $(BENCH_MESSAGES) -json BENCH_results.json
 
@@ -93,12 +94,12 @@ COMPARE_MESSAGES ?= $(BENCH_MESSAGES)
 bench-compare:
 	$(GO) run ./cmd/samzasql-bench -figure figures -messages $(COMPARE_MESSAGES) -compare BENCH_results.json
 
-# Tracing-overhead report: first re-pin the unsampled hot paths at 0
-# allocs/op with the tracing cursor bound, then the best-of-5
+# Tracing-overhead report: first re-pin the unsampled message path at 0
+# allocs/row with the tracing cursor bound, then the best-of-5
 # sampled-vs-unsampled throughput comparison (rates 0, 0.01, 1.0) on the
 # filter and sliding-window queries. CI runs this as a non-blocking report.
 trace-overhead:
-	$(GO) test -run 'TestFilterProcessZeroAllocsTracerBound|TestFilterProcessZeroAllocs' -count=1 -v ./internal/executor/
+	$(GO) test -run 'TestFilterBatchZeroAllocs/(plain|tracer-bound)' -count=1 -v ./internal/executor/
 	$(GO) run ./cmd/samzasql-bench -figure trace -messages $(BENCH_MESSAGES) -trace-rounds 5
 
 # End-to-end smoke of the cluster monitor: start a monitored job with an
@@ -150,10 +151,10 @@ PROFILE_ARTIFACTS ?= profile-artifacts
 profile-smoke:
 	$(GO) run ./cmd/samzasql-bench -figure profile-smoke -messages 20000 -artifacts $(PROFILE_ARTIFACTS)
 
-# Continuous-profiling overhead report: first re-pin the profiler-off hot
-# path at 0 allocs/op, then the best-of-5 throughput comparison across
+# Continuous-profiling overhead report: first re-pin the profiler-off
+# message path at 0 allocs/row, then the best-of-5 throughput comparison across
 # profiler modes (off, default 1s/200ms, aggressive always-on) on the filter
 # query. The default mode must stay within ~5% of off (EXPERIMENTS.md).
 profile-overhead:
-	$(GO) test -run 'TestFilterProcessZeroAllocsWithProfiler' -count=1 -v ./internal/executor/
+	$(GO) test -run 'TestFilterBatchZeroAllocs/with-profiler' -count=1 -v ./internal/executor/
 	$(GO) run ./cmd/samzasql-bench -figure profile-overhead -messages $(BENCH_MESSAGES) -profile-rounds 5

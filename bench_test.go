@@ -216,27 +216,44 @@ func BenchmarkAblationJoinSerdeGob(b *testing.B) {
 // The paper notes the router adds little overhead next to message
 // transformation; verify by chaining no-op filters.
 
-func routerWithDepth(b *testing.B, depth int) func(*operators.Tuple) error {
+func routerWithDepth(b *testing.B, depth int) operators.BlockEmit {
 	b.Helper()
-	sink := func(*operators.Tuple) error { return nil }
-	chain := sink
+	chain := func(*operators.TupleBlock) error { return nil }
 	for i := 0; i < depth; i++ {
 		op, err := operators.NewFilterOp(&expr.Const{V: true, T: types.Boolean})
 		if err != nil {
 			b.Fatal(err)
 		}
 		next := chain
-		chain = func(t *operators.Tuple) error { return op.Process(0, t, next) }
+		chain = func(blk *operators.TupleBlock) error { return op.ProcessBlock(0, blk, next) }
 	}
 	return chain
 }
 
+// oneRowBlock refills blk, reusing its arenas, with a single row — the
+// per-tuple case.
+func oneRowBlock(blk *operators.TupleBlock, ts, offset int64, row ...any) {
+	blk.Reset("orders", 0, 1)
+	for len(blk.Cols) < len(row) {
+		blk.Cols = append(blk.Cols, nil)
+	}
+	blk.Cols = blk.Cols[:len(row)]
+	for c, v := range row {
+		blk.Cols[c] = append(blk.Cols[c][:0], v)
+	}
+	blk.Ts = append(blk.Ts, ts)
+	blk.Keys = append(blk.Keys, nil)
+	blk.Offsets = append(blk.Offsets, offset)
+	blk.SelAll()
+}
+
 func benchRouterDepth(b *testing.B, depth int) {
 	chain := routerWithDepth(b, depth)
-	t := &operators.Tuple{Row: []any{int64(1), int64(2)}, Ts: 1}
+	blk := &operators.TupleBlock{}
+	oneRowBlock(blk, 1, 0, int64(1), int64(2))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := chain(t); err != nil {
+		if err := chain(blk); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -248,9 +265,10 @@ func BenchmarkAblationRouterDepth16(b *testing.B) { benchRouterDepth(b, 16) }
 
 // --- Ablation 4 (DESIGN.md §4.4): sliding-window store traffic ---
 //
-// Measures the scalar sliding-window path per tuple (Algorithm 1 over chunked
-// per-partition state: state row, tail chunk, head chunk) and reports the store
-// operations it performs, confirming the paper's KV-bound finding.
+// Measures the sliding-window operator tuple by tuple, in blocks of one
+// (Algorithm 1 over chunked per-partition state: state row, tail chunk, head
+// chunk), and reports the store operations it performs, confirming the
+// paper's KV-bound finding.
 
 func BenchmarkAblationWindowStore(b *testing.B) {
 	spec := &validate.BoundAnalytic{
@@ -273,15 +291,13 @@ func BenchmarkAblationWindowStore(b *testing.B) {
 	if err := op.Open(ctx); err != nil {
 		b.Fatal(err)
 	}
-	emit := func(*operators.Tuple) error { return nil }
+	emit := func(*operators.TupleBlock) error { return nil }
+	blk := &operators.TupleBlock{}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ts := int64(1_600_000_000_000 + i*10)
-		t := &operators.Tuple{
-			Row: []any{ts, int64(i % 100), int64(i % 100)}, Ts: ts,
-			Stream: "orders", Offset: int64(i),
-		}
-		if err := op.Process(0, t, emit); err != nil {
+		oneRowBlock(blk, ts, int64(i), ts, int64(i%100), int64(i%100))
+		if err := op.ProcessBlock(0, blk, emit); err != nil {
 			b.Fatal(err)
 		}
 	}

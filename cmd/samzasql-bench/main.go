@@ -40,7 +40,7 @@ func main() {
 		profRnds   = flag.Int("profile-rounds", 5, "rounds per point for -figure profile-overhead (best-of comparison)")
 		artifacts  = flag.String("artifacts", "", "directory for raw /profile JSON artifacts from -figure profile-smoke (empty = don't save)")
 		monitorOn  = flag.Bool("monitor", false, "attach the cluster monitor to every run (tails __metrics/__traces, evaluates SLO rules onto __alerts) and print each SamzaSQL run's lag-recovery series")
-		batchSize  = flag.Int("batch-size", 0, "vectorized delivery granularity for SamzaSQL jobs: messages per columnar block (0 = framework default, -1 = per-message scalar path)")
+		batchSize  = flag.Int("batch-size", 0, "block size of SamzaSQL jobs: messages one poll delivers as a columnar block (0 = framework default 256, 1 = tuple at a time)")
 		jsonPath   = flag.String("json", "", "also write the measured series as machine-readable JSON to this path (e.g. BENCH_results.json)")
 		compare    = flag.String("compare", "", "diff measured sql_native_ratio per figure against this baseline JSON report (e.g. the committed BENCH_results.json); exits 3 on a >10% regression")
 	)
@@ -71,8 +71,8 @@ func main() {
 	cfg.ProfileInterval = *profIntv
 	cfg.ProfileWindow = *profWindow
 	cfg.Monitor = *monitorOn
-	if *batchSize < -1 {
-		fatalf("bad -batch-size value %d (want >= -1)", *batchSize)
+	if *batchSize < 0 {
+		fatalf("bad -batch-size value %d (want >= 0)", *batchSize)
 	}
 	cfg.BatchSize = *batchSize
 
@@ -209,22 +209,12 @@ func main() {
 		runOne(spec)
 	}
 	if *jsonPath != "" {
-		// Merge-on-write: a run that didn't collect hot functions (or store
-		// tuning) keeps the baseline file's sections instead of erasing them,
-		// so `-figure figures -json` doesn't strip the attribution baseline
-		// `-figure hot -json` wrote earlier.
+		// Merge-on-write: whatever this run did not measure — other figures,
+		// hot functions, store tuning — keeps the baseline file's section
+		// instead of being erased, so `-figure 6 -json` re-measures one
+		// figure in place.
 		if prev, err := bench.ReadReport(*jsonPath); err == nil {
-			if report.Figures == nil {
-				report.Figures = prev.Figures
-				report.Messages = prev.Messages
-				report.Partitions = prev.Partitions
-			}
-			if report.HotFunctions == nil {
-				report.HotFunctions = prev.HotFunctions
-			}
-			if report.StoreTuning == nil {
-				report.StoreTuning = prev.StoreTuning
-			}
+			report.MergeFrom(prev)
 		}
 		if err := report.WriteJSON(*jsonPath); err != nil {
 			fatalf("%v", err)

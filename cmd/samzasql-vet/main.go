@@ -16,6 +16,10 @@
 //
 //	{"rule":"lock-order","pos":"internal/kv/cached.go:12:3","message":"…","suppressed":false}
 //
+// Every run ends with the suppression count on standard error: how many
+// //samzasql:ignore directives the loaded packages carry and how many
+// findings they suppress.
+//
 // Exit status: 0 clean, 1 findings, 2 usage or load/type-check failure. In
 // both modes only unsuppressed findings fail the run.
 package main
@@ -84,8 +88,11 @@ func run() int {
 	diags := analysis.Run(pkgs, analyzers)
 	cwd, _ := os.Getwd()
 	enc := json.NewEncoder(os.Stdout)
-	failures := 0
+	failures, suppressed := 0, 0
 	for _, d := range diags {
+		if d.Suppressed {
+			suppressed++
+		}
 		if d.Suppressed && !*showIgnored && !*jsonOut {
 			continue
 		}
@@ -116,6 +123,13 @@ func run() int {
 		}
 		fmt.Printf("%s:%d:%d: %s: %s%s\n", file, d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message, note)
 	}
+	// The suppression set is a standing cost the ROADMAP tracks; print it
+	// so the figure is read from CI logs, not counted by hand.
+	directives := 0
+	for _, pkg := range pkgs {
+		directives += pkg.IgnoreDirectives()
+	}
+	fmt.Fprintf(os.Stderr, "samzasql-vet: %d //samzasql:ignore directive(s) suppress %d finding(s)\n", directives, suppressed)
 	if failures > 0 {
 		fmt.Fprintf(os.Stderr, "samzasql-vet: %d finding(s) in %d package(s)\n", failures, len(pkgs))
 		return 1

@@ -115,6 +115,17 @@ func (idx *directiveIndex) suppresses(pos token.Position, analyzer string) bool 
 	return false
 }
 
+// IgnoreDirectives counts the package's //samzasql:ignore occurrences.
+func (p *Package) IgnoreDirectives() int {
+	n := 0
+	for _, byLine := range p.directives.ignores {
+		for _, entries := range byLine {
+			n += len(entries)
+		}
+	}
+	return n
+}
+
 // Enforces reports whether the package opted into the named scoped analyzer
 // via //samzasql:enforce.
 func (p *Package) Enforces(analyzer string) bool {

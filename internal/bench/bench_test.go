@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"fmt"
+	"path/filepath"
 	"testing"
 )
 
@@ -188,4 +190,48 @@ func indexOf(s, sub string) int {
 		}
 	}
 	return -1
+}
+
+// TestReportMergeKeepsOtherFigures pins merge-on-write per figure ID:
+// re-measuring one figure replaces that figure in place and keeps every
+// other figure, the store tuning and the hot functions of the report on
+// disk; `-figure 6 -json F` used to drop 5a-5c from F.
+func TestReportMergeKeepsOtherFigures(t *testing.T) {
+	fig := func(id string, ratio float64) FigureReport {
+		return FigureReport{ID: id, Rows: []FigureReportRow{{Containers: 1, SQLNativeRatio: ratio}}}
+	}
+	prev := &Report{
+		Messages: 100000, Partitions: 32,
+		Figures:      []FigureReport{fig("5a", 0.8), fig("5b", 0.9), fig("6", 3.5)},
+		StoreTuning:  &StoreTuningComparison{Speedup: 2},
+		HotFunctions: []HotFunctionReport{{Name: "f", FlatPct: 10}},
+	}
+	path := filepath.Join(t.TempDir(), "report.json")
+	if err := prev.WriteJSON(path); err != nil {
+		t.Fatal(err)
+	}
+	onDisk, err := ReadReport(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	run := &Report{Messages: 20000, Partitions: 8, Figures: []FigureReport{fig("5b", 1.1), fig("5c", 1.3)}}
+	run.MergeFrom(onDisk)
+	var got []string
+	for _, f := range run.Figures {
+		got = append(got, fmt.Sprintf("%s=%.1f", f.ID, f.Rows[0].SQLNativeRatio))
+	}
+	if want := "[5a=0.8 5b=1.1 6=3.5 5c=1.3]"; fmt.Sprint(got) != want {
+		t.Fatalf("merged figures %v, want %s", got, want)
+	}
+	if run.Messages != 20000 || run.StoreTuning == nil || run.StoreTuning.Speedup != 2 || len(run.HotFunctions) != 1 {
+		t.Fatalf("merged report lost a section: %+v", run)
+	}
+
+	// A run without figures keeps the file's figures and header.
+	state := &Report{Messages: 5, StoreTuning: &StoreTuningComparison{Speedup: 3}}
+	state.MergeFrom(onDisk)
+	if len(state.Figures) != 3 || state.Messages != 100000 || state.Partitions != 32 || state.StoreTuning.Speedup != 3 {
+		t.Fatalf("store-tuning-only merge: %+v", state)
+	}
 }

@@ -164,7 +164,7 @@ func CheckShape(spec FigureSpec, rows []FigureRow) []string {
 		case "project":
 			// Vectorized projection amortizes decode and flush per block, so
 			// it brushes native parity; guard against regressing back toward
-			// the scalar-path gap (and against implausible >native readings).
+			// the per-tuple gap (and against implausible >native readings).
 			if r.Ratio < 0.5 || r.Ratio >= 1.5 {
 				bad = append(bad, fmt.Sprintf("x%d: project ratio %.2f outside vectorized band [0.5, 1.5)", r.Containers, r.Ratio))
 			}

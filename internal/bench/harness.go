@@ -77,11 +77,10 @@ type Config struct {
 	// Result.Monitor. Forces a 10ms MetricsInterval when none is set —
 	// the monitor sees nothing without snapshots.
 	Monitor bool
-	// BatchSize sets the SamzaSQL side's vectorized delivery granularity
-	// (samza.JobSpec.BatchSize): 0 uses samza.DefaultBatchSize,
-	// samza.ScalarBatch (-1) forces the per-message reference path. Native
-	// jobs are plain StreamTasks and see per-message delivery regardless,
-	// so the baseline is unaffected.
+	// BatchSize sets the SamzaSQL side's block size
+	// (samza.JobSpec.BatchSize): 0 uses samza.DefaultBatchSize, 1 runs
+	// tuple at a time. Native jobs are plain StreamTasks and see
+	// per-message delivery regardless, so the baseline is unaffected.
 	BatchSize int
 }
 

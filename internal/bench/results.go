@@ -102,6 +102,42 @@ func operatorLatencies(r FigureRow) []OperatorLatency {
 	return out
 }
 
+// MergeFrom fills what this run did not measure from prev, the report
+// already on disk, so that writing a partial run — one figure, only the
+// store tuning, only the hot functions — replaces its own sections and keeps
+// every other one. Figures merge per ID: prev's order is kept, a re-measured
+// figure takes its old place, new IDs follow. Messages and Partitions echo
+// this run's configuration only when it measured a figure.
+func (r *Report) MergeFrom(prev *Report) {
+	if len(r.Figures) == 0 {
+		r.Messages, r.Partitions = prev.Messages, prev.Partitions
+	}
+	fresh := map[string]FigureReport{}
+	for _, f := range r.Figures {
+		fresh[f.ID] = f
+	}
+	merged := make([]FigureReport, 0, len(prev.Figures)+len(r.Figures))
+	for _, f := range prev.Figures {
+		if nf, ok := fresh[f.ID]; ok {
+			f = nf
+			delete(fresh, f.ID)
+		}
+		merged = append(merged, f)
+	}
+	for _, f := range r.Figures {
+		if _, ok := fresh[f.ID]; ok {
+			merged = append(merged, f)
+		}
+	}
+	r.Figures = merged
+	if r.HotFunctions == nil {
+		r.HotFunctions = prev.HotFunctions
+	}
+	if r.StoreTuning == nil {
+		r.StoreTuning = prev.StoreTuning
+	}
+}
+
 // WriteJSON writes the report, indented, to path.
 func (r *Report) WriteJSON(path string) error {
 	data, err := json.MarshalIndent(r, "", "  ")

@@ -10,6 +10,7 @@ import (
 	"samzasql/internal/kv"
 	"samzasql/internal/metrics"
 	"samzasql/internal/operators"
+	"samzasql/internal/samza"
 	"samzasql/internal/sql/expr"
 	"samzasql/internal/sql/types"
 	"samzasql/internal/sql/validate"
@@ -17,7 +18,8 @@ import (
 
 // WindowStoreConfig sizes one sliding-window store micro-run: the SQL
 // sliding-window operator (Algorithm 1 over chunked per-partition state),
-// scalar path, driven directly over a changelog-backed store stack, isolating
+// driven the way a job drives it — samza.DefaultBatchSize-row blocks through
+// ProcessBlock — directly over a changelog-backed store stack, isolating
 // store and serde cost from the rest of the job (consumers, routers, output
 // produce).
 type WindowStoreConfig struct {
@@ -25,8 +27,8 @@ type WindowStoreConfig struct {
 	Tuples int
 	// Keys is the partition-key cardinality (distinct products).
 	Keys int
-	// CommitEvery flushes the store stack after this many tuples, modelling
-	// the container's commit interval.
+	// CommitEvery flushes the store stack at the first block boundary after
+	// this many tuples, the container's commit rule.
 	CommitEvery int
 	// StoreCacheSize > 0 puts a CachedStore on top of the stack; 0 is the
 	// paper-faithful per-tuple path.
@@ -136,28 +138,39 @@ func RunWindowStore(cfg WindowStoreConfig) (WindowStoreResult, error) {
 	if err := op.Open(ctx); err != nil {
 		return WindowStoreResult{}, err
 	}
-	emit := func(*operators.Tuple) error { return nil }
+	emit := func(*operators.TupleBlock) error { return nil }
+	block := &operators.TupleBlock{Cols: make([][]any, 3)}
 
 	// Start the timed section from a collected heap so leftover garbage from
 	// setup (or a previous run in the same process) doesn't bill a GC cycle
 	// to this run — the same hygiene testing.B applies between benchmarks.
 	runtime.GC()
 	start := time.Now()
-	for i := 0; i < cfg.Tuples; i++ {
-		ts := int64(1_600_000_000_000 + i*10)
-		t := &operators.Tuple{
-			Row:    []any{ts, int64(i % 97), int64(i % cfg.Keys)},
-			Ts:     ts,
-			Stream: "orders",
-			Offset: int64(i),
+	uncommitted := 0
+	for i := 0; i < cfg.Tuples; {
+		n := min(samza.DefaultBatchSize, cfg.Tuples-i)
+		block.Reset("orders", 0, n)
+		for c := range block.Cols {
+			block.Cols[c] = block.Cols[c][:0]
 		}
-		if err := op.Process(0, t, emit); err != nil {
+		for ; len(block.Ts) < n; i++ {
+			ts := int64(1_600_000_000_000 + i*10)
+			block.Cols[0] = append(block.Cols[0], ts)
+			block.Cols[1] = append(block.Cols[1], int64(i%97))
+			block.Cols[2] = append(block.Cols[2], int64(i%cfg.Keys))
+			block.Ts = append(block.Ts, ts)
+			block.Keys = append(block.Keys, nil)
+			block.Offsets = append(block.Offsets, int64(i))
+		}
+		block.SelAll()
+		if err := op.ProcessBlock(0, block, emit); err != nil {
 			return WindowStoreResult{}, err
 		}
-		if flush != nil && (i+1)%cfg.CommitEvery == 0 {
+		if uncommitted += n; flush != nil && uncommitted >= cfg.CommitEvery {
 			if err := flush.Flush(); err != nil {
 				return WindowStoreResult{}, err
 			}
+			uncommitted = 0
 		}
 	}
 	if flush != nil {

@@ -11,7 +11,7 @@ func TestWindowStoreModesRecoverIdenticalState(t *testing.T) {
 	cfg := DefaultWindowStoreConfig()
 	cfg.Tuples = 5000
 	cfg.Keys = 20
-	cfg.CommitEvery = 250
+	cfg.CommitEvery = 1000    // four 256-row blocks per commit
 	cfg.WindowMillis = 10_000 // 1000-tuple window at the 10ms tuple spacing
 
 	baseline, err := RunWindowStore(cfg)
@@ -41,7 +41,7 @@ func TestWindowStoreModesRecoverIdenticalState(t *testing.T) {
 		t.Fatal("cached run recorded no cache hits")
 	}
 	// Dedup must show on the changelog: the cached run writes each window
-	// state row once per commit interval instead of once per tuple.
+	// state row once per commit interval instead of once per block.
 	if cached.ChangelogRecords >= baseline.ChangelogRecords {
 		t.Fatalf("cached run wrote %d changelog records, baseline %d; batching should dedup",
 			cached.ChangelogRecords, baseline.ChangelogRecords)

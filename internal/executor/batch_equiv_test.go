@@ -3,6 +3,7 @@ package executor
 import (
 	"context"
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"sort"
 	"strings"
@@ -10,17 +11,12 @@ import (
 	"time"
 
 	"samzasql/internal/kafka"
-	"samzasql/internal/metrics"
-	"samzasql/internal/samza"
-	"samzasql/internal/sql/catalog"
-	"samzasql/internal/workload"
-	"samzasql/internal/zk"
 )
 
-// equivCase is one query shape the vectorized batch path must execute with
-// results identical to the per-message scalar path. wantRows computes the
-// expected output count from the deterministic Orders replay so every run
-// can wait for completion instead of guessing at idle timeouts.
+// equivCase is one query shape every block size must execute with results
+// identical to the recorded per-tuple reference (equivGoldens). wantRows
+// computes the expected output count from the deterministic Orders replay so
+// every run can wait for completion instead of guessing at idle timeouts.
 type equivCase struct {
 	name     string
 	query    string
@@ -156,6 +152,73 @@ var equivCases = []equivCase{
 	},
 }
 
+// golden is what the per-tuple reference path — `-batch-size -1` at commit
+// fc0bc3c, the last one to have that path — produced for one
+// scenario: the output row count, the FNV-64a of the sorted output digest
+// lines and of the folded changelog digest lines. Inputs and seeds are fixed,
+// so every block size has to reproduce them byte for byte.
+type golden struct {
+	rows       int
+	out, state string
+}
+
+// equivGoldens holds the reference results of equivCases (457 orders, one
+// partition) and of the repartitioned Clicks join (300 clicks).
+var equivGoldens = map[string]golden{
+	"filter":                {238, "0f30403ab5597739", "cbf29ce484222325"},
+	"project":               {457, "06547dbf09a49b0a", "cbf29ce484222325"},
+	"computed-scalar":       {416, "22a198a31c59d7e4", "cbf29ce484222325"},
+	"window":                {457, "b97d95ffe4721a1b", "98727d48195ad0b5"},
+	"window-rows-63":        {457, "6f15d745b4dc179f", "d79d043f9f94a890"},
+	"window-rows-64":        {457, "d2c7c81707271c6f", "018d247fce14d261"},
+	"window-rows-65":        {457, "3537ea36c5e845dc", "c3ada0c08e80e57f"},
+	"window-rows-192":       {457, "bee3b2b3f4e18500", "c1792fc9ee165b29"},
+	"window-minmax-rebuild": {457, "0b0c9e913d55dfa0", "f544615d2e304d41"},
+	"window-two-calls":      {457, "833bd80768ff8165", "7d8897c96909dc13"},
+	"join":                  {457, "fb39b8601f4e201a", "10169a52a451150d"},
+	"aggregate-grouped":     {457, "4b91e26bf106cede", "0d70641488ab93e4"},
+	"aggregate-tumble":      {4, "2db1d297666e2245", "c51666c75235797f"},
+	"repartition":           {300, "65aacda6e575d822", "10169a52a451150d"},
+}
+
+// multiPartitionGoldens holds the (key, value) multisets the first three
+// equivCases produce over 311 orders in three partitions.
+var multiPartitionGoldens = map[string]golden{
+	"filter":          {161, "6143360565f594c0", "cbf29ce484222325"},
+	"project":         {311, "3d05c9c9c4286222", "cbf29ce484222325"},
+	"computed-scalar": {282, "4467180baa0be8ac", "cbf29ce484222325"},
+}
+
+// hashLines folds digest lines into one FNV-64a.
+func hashLines(lines []string) string {
+	h := fnv.New64a()
+	for _, l := range lines {
+		h.Write([]byte(l))
+		h.Write([]byte{'\n'})
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// blockSizes is the spread every equivalence test runs: one-row blocks (the
+// per-tuple case), a prime that leaves a partial final block, the default
+// 256, and a seeded random size.
+func blockSizes(seed int64) []int {
+	return []int{1, 7, 256, 2 + rand.New(rand.NewSource(seed)).Intn(96)}
+}
+
+// checkGolden requires a run's output and folded changelog state to be the
+// recorded reference's; first, when non-nil, is an earlier run of the same
+// scenario, compared line by line so a divergence names its row.
+func checkGolden(t *testing.T, label string, want golden, first, out, state []string) {
+	t.Helper()
+	if first != nil {
+		diffDigests(t, label, first, out)
+	}
+	if got := (golden{len(out), hashLines(out), hashLines(state)}); got != want {
+		t.Fatalf("%s: got %+v, want the per-tuple reference's %+v", label, got, want)
+	}
+}
+
 // runWithBatchSize executes the query as a streaming job with the given
 // delivery granularity and returns the complete output topic contents once
 // the expected row count has landed (plus a short grace window so trailing
@@ -195,10 +258,10 @@ func runOnEngine(t *testing.T, e *Engine, query string, batchSize, want int) ([]
 // changelogDigest folds every changelog topic last-write-wins per (topic,
 // partition, key) — an empty value is a tombstone — so two runs that leave
 // identical durable state produce identical digests no matter how many
-// intermediate versions each wrote. The scalar path writes state once per
-// tuple and the block path once per key per block; equality here proves the
-// batched write-back converges to the same store contents a replay would
-// restore.
+// intermediate versions each wrote. A block writes a key's state once however
+// many of its rows touched the key; equality here proves the batched
+// write-back converges to the store contents per-tuple writes leave, which is
+// what a replay would restore.
 func changelogDigest(t *testing.T, b *kafka.Broker) []string {
 	t.Helper()
 	state := map[string]string{}
@@ -263,72 +326,62 @@ func digest(msgs []kafka.Message) []string {
 func diffDigests(t *testing.T, label string, ref, got []string) {
 	t.Helper()
 	if len(ref) != len(got) {
-		t.Fatalf("%s: %d rows vs scalar's %d", label, len(got), len(ref))
+		t.Fatalf("%s: %d rows vs the first run's %d", label, len(got), len(ref))
 	}
 	for i := range ref {
 		if ref[i] != got[i] {
-			t.Fatalf("%s: output diverges from scalar path at sorted row %d:\n  scalar: %s\n  batch:  %s", label, i, ref[i], got[i])
+			t.Fatalf("%s: output diverges from the first run at sorted row %d:\n  first: %s\n  this:  %s", label, i, ref[i], got[i])
 		}
 	}
 }
 
-// TestBatchScalarEquivalence replays every query shape through the scalar
-// reference path (BatchSize = -1) and a spread of block sizes — 1, a prime
-// that leaves a partial final batch, the default 256, and two seeded random
-// sizes — asserting byte-identical outputs, offsets and timestamps. With a
-// single input partition the task processes a deterministic sequence, so
-// the comparison is exact, not just multiset equality.
-func TestBatchScalarEquivalence(t *testing.T) {
-	const orders = 457 // not divisible by any tested batch size > 1
-	rng := rand.New(rand.NewSource(0x5eed))
-	sizes := []int{1, 7, 256, 2 + rng.Intn(96), 2 + rng.Intn(96)}
+// TestBlockSizeEquivalence replays every query shape at a spread of block
+// sizes, asserting outputs, offsets, timestamps and folded changelog state
+// byte-identical to the recorded per-tuple reference. With a single input
+// partition the task processes a deterministic sequence, so the comparison is
+// exact, not just multiset equality.
+func TestBlockSizeEquivalence(t *testing.T) {
+	const orders = 457 // not divisible by any tested block size > 1
 	replayed := replayOrders(t, orders)
 	for _, c := range equivCases {
 		t.Run(c.name, func(t *testing.T) {
-			want := c.wantRows(replayed)
-			refOut, refState := runWithBatchSize(t, c.query, 1, orders, samza.ScalarBatch, want)
-			ref := digest(refOut)
-			for _, bs := range sizes {
-				gotOut, gotState := runWithBatchSize(t, c.query, 1, orders, bs, want)
-				diffDigests(t, fmt.Sprintf("%s batch=%d", c.name, bs), ref, digest(gotOut))
-				diffDigests(t, fmt.Sprintf("%s batch=%d state", c.name, bs), refState, gotState)
+			var first []string
+			for _, bs := range blockSizes(0x5eed) {
+				out, state := runWithBatchSize(t, c.query, 1, orders, bs, c.wantRows(replayed))
+				checkGolden(t, fmt.Sprintf("%s batch=%d", c.name, bs), equivGoldens[c.name], first, digest(out), state)
+				first = digest(out)
 			}
 		})
 	}
 }
 
-// TestBatchScalarEquivalenceRepartition covers the re-keying stage's batched
-// path plus the stream-relation join fed by the intermediate topic: the
-// Clicks scenario is published keyed by userId but joins on productId, so
-// every run routes through RepartitionTask. With a single partition the
-// whole dataflow is a deterministic sequence, so outputs, offsets and
-// changelog state must match the scalar reference byte for byte.
-func TestBatchScalarEquivalenceRepartition(t *testing.T) {
+// TestBlockSizeEquivalenceRepartition covers the re-keying stage plus the
+// stream-relation join fed by the intermediate topic: the Clicks scenario is
+// published keyed by userId but joins on productId, so every run routes
+// through RepartitionTask. With a single partition the whole dataflow is a
+// deterministic sequence, so outputs, offsets and changelog state must match
+// the recorded reference byte for byte.
+func TestBlockSizeEquivalenceRepartition(t *testing.T) {
 	const clicks = 300
-	run := func(batchSize int) ([]kafka.Message, []string) {
+	var first []string
+	for _, bs := range blockSizes(0xc11c) {
 		e := clicksEngine(t, 1)
 		produceClicks(t, e, clicks)
-		return runOnEngine(t, e, clicksJoin, batchSize, clicks)
-	}
-	refOut, refState := run(samza.ScalarBatch)
-	ref := digest(refOut)
-	for _, bs := range []int{1, 7, 256} {
-		gotOut, gotState := run(bs)
-		diffDigests(t, fmt.Sprintf("repartition batch=%d", bs), ref, digest(gotOut))
-		diffDigests(t, fmt.Sprintf("repartition batch=%d state", bs), refState, gotState)
+		out, state := runOnEngine(t, e, clicksJoin, bs, clicks)
+		checkGolden(t, fmt.Sprintf("repartition batch=%d", bs), equivGoldens["repartition"], first, digest(out), state)
+		first = digest(out)
 	}
 }
 
-// TestBatchScalarEquivalenceMultiPartition re-checks the filter and
+// TestBlockSizeEquivalenceMultiPartition re-checks the filter and
 // computed-projection kernels with several input partitions. Task
 // interleaving makes cross-partition output order nondeterministic, so the
 // comparison drops offsets and matches the (key, value) multiset instead.
-func TestBatchScalarEquivalenceMultiPartition(t *testing.T) {
+func TestBlockSizeEquivalenceMultiPartition(t *testing.T) {
 	const orders = 311
 	replayed := replayOrders(t, orders)
 	for _, c := range equivCases[:3] {
 		t.Run(c.name, func(t *testing.T) {
-			want := c.wantRows(replayed)
 			values := func(msgs []kafka.Message) []string {
 				out := make([]string, 0, len(msgs))
 				for _, m := range msgs {
@@ -337,106 +390,12 @@ func TestBatchScalarEquivalenceMultiPartition(t *testing.T) {
 				sort.Strings(out)
 				return out
 			}
-			refOut, _ := runWithBatchSize(t, c.query, 3, orders, samza.ScalarBatch, want)
-			ref := values(refOut)
+			var first []string
 			for _, bs := range []int{1, 13, 256} {
-				gotOut, _ := runWithBatchSize(t, c.query, 3, orders, bs, want)
-				diffDigests(t, fmt.Sprintf("%s batch=%d", c.name, bs), ref, values(gotOut))
+				out, state := runWithBatchSize(t, c.query, 3, orders, bs, c.wantRows(replayed))
+				checkGolden(t, fmt.Sprintf("%s batch=%d", c.name, bs), multiPartitionGoldens[c.name], first, values(out), state)
+				first = values(out)
 			}
 		})
-	}
-}
-
-// nullBatchCollector extends the alloc-benchmark collector with the batched
-// sink so the block path binds SendBatch instead of per-row Send.
-type nullBatchCollector struct {
-	nullCollector
-	batches int
-	rows    int
-}
-
-func (c *nullBatchCollector) SendBatch(stream string, msgs []kafka.Message) error {
-	c.batches++
-	c.rows += len(msgs)
-	return nil
-}
-
-// setupBatchFilterTask mirrors setupFilterTask but binds a BatchCollector
-// and pre-encodes a whole block of Orders envelopes.
-func setupBatchFilterTask(tb testing.TB, n int) (*Task, *nullBatchCollector, []samza.IncomingMessageEnvelope) {
-	tb.Helper()
-	cat := catalog.New()
-	if err := workload.DefineCatalog(cat); err != nil {
-		tb.Fatal(err)
-	}
-	zkStore := zk.NewStore()
-	const queryPath = "/samzasql/queries/bench-filter-block"
-	if err := zkStore.CreateRecursive(queryPath, []byte("SELECT STREAM * FROM Orders WHERE units > 50")); err != nil {
-		tb.Fatal(err)
-	}
-	coll := &nullBatchCollector{}
-	ctx := &samza.TaskContext{
-		Task:      samza.TaskNameFor(0),
-		Partition: 0,
-		Metrics:   metrics.NewRegistry(),
-		Config: map[string]string{
-			"samzasql.zk.query.path": queryPath,
-			"samzasql.output.topic":  "bench-out",
-			"samzasql.fastpath":      "true",
-		},
-		Collector: coll,
-	}
-	task := NewTask(cat, zkStore, true)
-	if err := task.Init(ctx); err != nil {
-		tb.Fatal(err)
-	}
-	gen := workload.NewOrdersGen(workload.DefaultOrdersConfig())
-	envs := make([]samza.IncomingMessageEnvelope, n)
-	for i := range envs {
-		row, key, value, err := gen.Next()
-		if err != nil {
-			tb.Fatal(err)
-		}
-		envs[i] = samza.IncomingMessageEnvelope{
-			Stream: "orders", Partition: 0, Offset: int64(i),
-			Key: key, Value: value, Timestamp: row[0].(int64),
-		}
-	}
-	return task, coll, envs
-}
-
-// TestFilterBlockZeroAllocs pins the vectorized promise: once the scratch
-// buffers are warm (AllocsPerRun runs the body once before measuring), the
-// identity-filter kernel processes a whole block — decode-sparse, evaluate,
-// forward — without a single heap allocation, i.e. 0 allocs per message.
-func TestFilterBlockZeroAllocs(t *testing.T) {
-	const block = 64
-	task, coll, envs := setupBatchFilterTask(t, block)
-	allocs := testing.AllocsPerRun(500, func() {
-		if err := task.ProcessBatch(envs, coll, nil, 0); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("block path: %.1f allocs per %d-message block, want 0", allocs, block)
-	}
-	if coll.batches == 0 || coll.rows == 0 {
-		t.Fatalf("block path never reached the batch collector (batches=%d rows=%d)", coll.batches, coll.rows)
-	}
-}
-
-// BenchmarkFilterBlockProcess measures the per-block cost of the fastpath
-// filter kernel through Task.ProcessBatch, excluding broker I/O; divide by
-// the block size for the per-message cost comparable to
-// BenchmarkFilterMessageProcess.
-func BenchmarkFilterBlockProcess(b *testing.B) {
-	const block = 256
-	task, coll, envs := setupBatchFilterTask(b, block)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := task.ProcessBatch(envs, coll, nil, 0); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

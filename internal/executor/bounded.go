@@ -8,6 +8,8 @@ import (
 	"samzasql/internal/kv"
 	"samzasql/internal/metrics"
 	"samzasql/internal/operators"
+	"samzasql/internal/samza"
+	"samzasql/internal/sql/physical"
 )
 
 // ExecuteBounded runs a non-streaming query over the retained history of
@@ -51,19 +53,21 @@ func (e *Engine) RunBounded(p *Prepared) ([][]any, error) {
 	var rows [][]any
 	grouped := prog.Aggregate() != nil
 	lastPerKey := map[string]int{}
-	prog.SetSender(func(stream string, partition int32, key, value []byte, ts int64) error {
-		row, err := prog.OutputCodec.DecodeRow(value, nil)
-		if err != nil {
-			return err
-		}
-		if grouped && len(key) > 0 {
-			if idx, ok := lastPerKey[string(key)]; ok {
-				rows[idx] = row
-				return nil
+	prog.SetBatchSender(func(_ string, msgs []kafka.Message) error {
+		for _, m := range msgs {
+			row, err := prog.OutputCodec.DecodeRow(m.Value, nil)
+			if err != nil {
+				return err
 			}
-			lastPerKey[string(key)] = len(rows)
+			if grouped && len(m.Key) > 0 {
+				if idx, ok := lastPerKey[string(m.Key)]; ok {
+					rows[idx] = row
+					continue
+				}
+				lastPerKey[string(m.Key)] = len(rows)
+			}
+			rows = append(rows, row)
 		}
-		rows = append(rows, row)
 		return nil
 	})
 
@@ -120,10 +124,8 @@ func (e *Engine) RunBounded(p *Prepared) ([][]any, error) {
 			return nil, err
 		}
 		if in.Bootstrap {
-			for _, m := range msgs {
-				if err := prog.RouteMessage(m.Topic, m.Value, m.Key, m.Timestamp, m.Partition, m.Offset); err != nil {
-					return nil, err
-				}
+			if err := routeRuns(prog, msgs); err != nil {
+				return nil, err
 			}
 			continue
 		}
@@ -132,10 +134,8 @@ func (e *Engine) RunBounded(p *Prepared) ([][]any, error) {
 	sort.SliceStable(streamMsgs, func(i, j int) bool {
 		return streamMsgs[i].Timestamp < streamMsgs[j].Timestamp
 	})
-	for _, m := range streamMsgs {
-		if err := prog.RouteMessage(m.Topic, m.Value, m.Key, m.Timestamp, m.Partition, m.Offset); err != nil {
-			return nil, err
-		}
+	if err := routeRuns(prog, streamMsgs); err != nil {
+		return nil, err
 	}
 	// Close the windows still open at end of history.
 	if err := prog.FlushAggregate(); err != nil {
@@ -145,6 +145,28 @@ func (e *Engine) RunBounded(p *Prepared) ([][]any, error) {
 		rows = dedupeRows(rows)
 	}
 	return rows, nil
+}
+
+// routeRuns feeds msgs through the program the way a task's polls would
+// deliver them: in runs of consecutive messages from one topic-partition, at
+// most samza.DefaultBatchSize each.
+func routeRuns(prog *physical.Program, msgs []kafka.Message) error {
+	envs := make([]samza.IncomingMessageEnvelope, 0, samza.DefaultBatchSize)
+	for i := 0; i < len(msgs); {
+		envs = envs[:0]
+		first := &msgs[i]
+		for ; i < len(msgs) && len(envs) < cap(envs) && msgs[i].Topic == first.Topic && msgs[i].Partition == first.Partition; i++ {
+			m := &msgs[i]
+			envs = append(envs, samza.IncomingMessageEnvelope{
+				Stream: m.Topic, Partition: m.Partition, Offset: m.Offset,
+				Key: m.Key, Value: m.Value, Timestamp: m.Timestamp,
+			})
+		}
+		if err := prog.RouteBatch(envs, nil, 0); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func dedupeRows(rows [][]any) [][]any {

@@ -76,10 +76,10 @@ type Engine struct {
 	// ProfileWindow is the CPU sampling length within each profile interval
 	// (samza.JobSpec.ProfileWindow); 0 uses profile.DefaultWindow.
 	ProfileWindow time.Duration
-	// BatchSize sets the vectorized delivery granularity of submitted jobs
+	// BatchSize sets the block size of submitted jobs
 	// (samza.JobSpec.BatchSize): how many messages one poll drains into a
-	// columnar block. 0 uses samza.DefaultBatchSize; samza.ScalarBatch (-1)
-	// forces the per-message reference path.
+	// columnar block. 0 uses samza.DefaultBatchSize; 1 runs the operators
+	// tuple at a time; negative values fail job validation.
 	BatchSize int
 
 	queryID atomic.Int64

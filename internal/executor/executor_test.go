@@ -511,6 +511,17 @@ func TestSubmitNonStreamingRejected(t *testing.T) {
 	}
 }
 
+// TestNegativeBatchSizeRejected: the block size sets granularity only; the
+// value that used to select the per-tuple path is an error now.
+func TestNegativeBatchSizeRejected(t *testing.T) {
+	e, _ := testEngine(t, 1, 1)
+	e.BatchSize = -1
+	_, _, err := e.ExecuteStream(context.Background(), "SELECT STREAM * FROM Orders")
+	if err == nil || !strings.Contains(err.Error(), "negative batch size") {
+		t.Fatalf("BatchSize = -1 submitted: %v", err)
+	}
+}
+
 func TestInsertIntoStreamJob(t *testing.T) {
 	e, _ := testEngine(t, 4, 300)
 	if err := e.Broker.EnsureTopic("big-orders", kafka.TopicConfig{Partitions: 4}); err != nil {

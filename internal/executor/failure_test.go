@@ -23,21 +23,10 @@ type crashingTask struct {
 	crashed    *atomic.Bool
 }
 
-func (t *crashingTask) Process(env samza.IncomingMessageEnvelope, c samza.MessageCollector, coord samza.Coordinator) error {
-	if err := t.Task.Process(env, c, coord); err != nil {
-		return err
-	}
-	if t.processed.Add(1) >= t.crashAfter && t.crashed.CompareAndSwap(false, true) {
-		return errors.New("injected failure after window state update")
-	}
-	return nil
-}
-
-// ProcessBatch shadows the embedded Task's batched entry point: the
-// container hands whole blocks to BatchedStreamTasks, so the crash must be
-// injected at batch granularity too (the error positions the entire batch
-// as failed, replaying every message in it — a strictly harsher replay
-// than the scalar crash).
+// ProcessBatch shadows the embedded Task's entry point: the container hands
+// whole blocks to BatchedStreamTasks, so the crash is injected at batch
+// granularity (the error positions the entire batch as failed, replaying
+// every message in it).
 func (t *crashingTask) ProcessBatch(envs []samza.IncomingMessageEnvelope, c samza.MessageCollector, coord samza.Coordinator, pollNs int64) error {
 	if err := t.Task.ProcessBatch(envs, c, coord, pollNs); err != nil {
 		return err

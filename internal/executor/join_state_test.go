@@ -3,7 +3,7 @@ package executor
 import (
 	"context"
 	"fmt"
-	"math/rand"
+	"sort"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -165,7 +165,11 @@ func TestRelationTombstoneSkippedWhenMessageKeyIsUnknown(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, m := range msgs {
-		if err := p.Program.RouteMessage(m.Topic, m.Value, m.Key, m.Timestamp, m.Partition, m.Offset); err != nil {
+		env := samza.IncomingMessageEnvelope{
+			Stream: m.Topic, Partition: m.Partition, Offset: m.Offset,
+			Key: m.Key, Value: m.Value, Timestamp: m.Timestamp,
+		}
+		if err := p.Program.RouteBatch([]samza.IncomingMessageEnvelope{env}, nil, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -174,59 +178,61 @@ func TestRelationTombstoneSkippedWhenMessageKeyIsUnknown(t *testing.T) {
 	}
 }
 
-// TestBatchScalarEquivalenceRelationUpdates replays the stream-relation join
-// over a relation changelog that overwrites a row, deletes one, and deletes
-// and re-inserts another, at every delivery granularity and with and without
-// the object cache: outputs must be byte-identical to the scalar, uncached
-// reference — which itself must match the plain-Go expectation — and the
-// folded changelog state must be identical too.
-func TestBatchScalarEquivalenceRelationUpdates(t *testing.T) {
-	const orders = 457
-	rng := rand.New(rand.NewSource(0x7ab1e))
-	sizes := []int{samza.ScalarBatch, 1, 7, 256, 2 + rng.Intn(96)}
-	want := wantRelationJoin(replayOrders(t, orders))
-	run := func(batchSize, cache int) ([]kafka.Message, []string) {
-		e, _ := testEngine(t, 1, orders)
-		updateProducts(t, e.Broker)
-		e.StoreCacheSize = cache
-		return runOnEngine(t, e, relationJoin, batchSize, len(want))
-	}
-	refOut, refState := run(samza.ScalarBatch, 0)
-	ref := digest(refOut)
+// joinGoldens holds the per-tuple reference results (see golden) of the join
+// scenarios below: the relation-update join over 457 orders, the staged
+// stream-stream join over 150 quotes a side, and the crash-and-restore join
+// over 1200 orders, whose out digest is over the decoded rows by orderId.
+var joinGoldens = map[string]golden{
+	"relation-updates":  {453, "bd3a76d24f63d80d", "5e3715abd4564663"},
+	"tombstone-restore": {1189, "f89be954cd359831", "5e3715abd4564663"},
+	"stream-stream":     {1500, "c66a878db8729fdd", "39e2214452f87a3d"},
+}
 
+// TestBlockSizeEquivalenceRelationUpdates replays the stream-relation join
+// over a relation changelog that overwrites a row, deletes one, and deletes
+// and re-inserts another, at every block size and with and without the
+// object cache: outputs must be byte-identical to the recorded per-tuple,
+// uncached reference — and match the plain-Go expectation — and the folded
+// changelog state must be identical too.
+func TestBlockSizeEquivalenceRelationUpdates(t *testing.T) {
+	const orders = 457
+	want := wantRelationJoin(replayOrders(t, orders))
 	codec := avro.MustCodec(avro.Record("Output",
 		avro.F("rowtime", avro.Long().AsNullable()), avro.F("orderId", avro.Long().AsNullable()),
 		avro.F("productId", avro.Long().AsNullable()), avro.F("units", avro.Long().AsNullable()),
 		avro.F("name", avro.String().AsNullable()), avro.F("supplierId", avro.Long().AsNullable())))
-	rows := make([][]any, len(refOut))
-	for i, m := range refOut {
-		row, err := codec.DecodeRow(m.Value, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rows[i] = row
-	}
-	checkRelationJoinRows(t, "scalar reference", rows, want)
-
+	var first []string
 	for _, cache := range []int{0, 64} {
-		for _, bs := range sizes {
-			if bs == samza.ScalarBatch && cache == 0 {
-				continue
-			}
+		for _, bs := range blockSizes(0x7ab1e) {
 			label := fmt.Sprintf("batch=%d cache=%d", bs, cache)
-			gotOut, gotState := run(bs, cache)
-			diffDigests(t, label, ref, digest(gotOut))
-			diffDigests(t, label+" state", refState, gotState)
+			e, _ := testEngine(t, 1, orders)
+			updateProducts(t, e.Broker)
+			e.StoreCacheSize = cache
+			out, state := runOnEngine(t, e, relationJoin, bs, len(want))
+			if first == nil {
+				rows := make([][]any, len(out))
+				for i, m := range out {
+					row, err := codec.DecodeRow(m.Value, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					rows[i] = row
+				}
+				checkRelationJoinRows(t, label, rows, want)
+			}
+			checkGolden(t, label, joinGoldens["relation-updates"], first, digest(out), state)
+			first = digest(out)
 		}
 	}
 }
 
 // TestRelationTombstoneSurvivesRestore crashes the join task mid-stream, so
 // the restarted attempt rebuilds its relation state from the join changelog
-// instead of from the relation topic, on the scalar and the block path, with
-// and without the object cache: the deleted product still joins to nothing,
+// instead of from the relation topic, in one-row and 64-row blocks, with and
+// without the object cache: the deleted product still joins to nothing,
 // every other order is joined exactly once, and a store restored from the
 // changelog afterwards holds the overwritten row and not the deleted one.
+// Joined rows and folded changelog are the recorded per-tuple reference's.
 func TestRelationTombstoneSurvivesRestore(t *testing.T) {
 	const orders = 1200
 	want := wantRelationJoin(replayOrders(t, orders))
@@ -234,10 +240,10 @@ func TestRelationTombstoneSurvivesRestore(t *testing.T) {
 		name             string
 		batchSize, cache int
 	}{
-		{"scalar", samza.ScalarBatch, 0},
-		{"block", 64, 0},
-		{"scalar-cached", samza.ScalarBatch, 32},
-		{"block-cached", 64, 32},
+		{"block-1", 1, 0},
+		{"block-64", 64, 0},
+		{"block-1-cached", 1, 32},
+		{"block-64-cached", 64, 32},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e, _ := testEngine(t, 1, orders)
@@ -305,6 +311,12 @@ func TestRelationTombstoneSurvivesRestore(t *testing.T) {
 			}
 			checkRelationJoinRows(t, "after restart", rows, want)
 			rj.Stop()
+			sort.Slice(rows, func(i, j int) bool { return rows[i][1].(int64) < rows[j][1].(int64) })
+			lines := make([]string, len(rows))
+			for i, r := range rows {
+				lines[i] = fmt.Sprint(r)
+			}
+			checkGolden(t, "after restart", joinGoldens["tombstone-restore"], nil, lines, changelogDigest(t, e.Broker))
 
 			// What a further restart would restore.
 			restored, err := kv.NewChangelogStore(kv.NewStore(), e.Broker, job.ChangelogTopic(operators.JoinStoreName), 1, 0)
@@ -405,19 +417,19 @@ FROM Bids JOIN Asks ON
   Bids.rowtime BETWEEN Asks.rowtime - INTERVAL '1' SECOND AND Asks.rowtime + INTERVAL '1' SECOND
   AND Bids.item = Asks.item`
 
-// TestBatchScalarEquivalenceStreamStreamJoin runs a windowed stream-stream
+// TestBlockSizeEquivalenceStreamStreamJoin runs a windowed stream-stream
 // join whose stored rows carry VARCHAR and DOUBLE columns (and NULLs in the
 // columns the query never reads, such as Bids.note), with the
-// object cache configured, at every delivery granularity. The sides are
+// object cache configured, at every block size. The sides are
 // fed in two stages — all bids, then, once the job has consumed them, all
 // asks — so every run sees one arrival order and the comparison is exact:
-// byte-identical outputs and identical folded changelog state.
-func TestBatchScalarEquivalenceStreamStreamJoin(t *testing.T) {
+// outputs and folded changelog state byte-identical to the recorded
+// per-tuple reference.
+func TestBlockSizeEquivalenceStreamStreamJoin(t *testing.T) {
 	const (
 		quotes = 150
 		baseTs = int64(1_600_000_000_000)
 	)
-	rng := rand.New(rand.NewSource(0xa5c5))
 	run := func(batchSize int) ([]kafka.Message, []string) {
 		e := quotesEngine(t)
 		e.StoreCacheSize = 64
@@ -437,16 +449,15 @@ func TestBatchScalarEquivalenceStreamStreamJoin(t *testing.T) {
 		rj.Stop()
 		return drainNew(t, e.Broker, p.OutputTopic), changelogDigest(t, e.Broker)
 	}
-	refOut, refState := run(samza.ScalarBatch)
 	// Each ask matches the bids of its item within a second either way: the
 	// same quote index ±25 steps of 40 ms, every fifth of them.
-	if len(refOut) < quotes || len(refState) == 0 {
-		t.Fatalf("scalar reference joined %d rows over %d state rows; the scenario matches nothing", len(refOut), len(refState))
-	}
-	ref := digest(refOut)
-	for _, bs := range []int{1, 7, 256, 2 + rng.Intn(96)} {
-		gotOut, gotState := run(bs)
-		diffDigests(t, fmt.Sprintf("stream-stream batch=%d", bs), ref, digest(gotOut))
-		diffDigests(t, fmt.Sprintf("stream-stream batch=%d state", bs), refState, gotState)
+	var first []string
+	for _, bs := range blockSizes(0xa5c5) {
+		out, state := run(bs)
+		if len(out) < quotes || len(state) == 0 {
+			t.Fatalf("batch=%d joined %d rows over %d state rows; the scenario matches nothing", bs, len(out), len(state))
+		}
+		checkGolden(t, fmt.Sprintf("stream-stream batch=%d", bs), joinGoldens["stream-stream"], first, digest(out), state)
+		first = digest(out)
 	}
 }

@@ -70,7 +70,7 @@ func repartitionKey(v any) []byte {
 // re-keyed in one pass and routed by destination partition — the messages
 // bound for each target partition flush through one SendBatch call (the
 // same FNV key hash the broker applies, so content and per-partition order
-// are identical to the scalar path). Collectors without a batched side, or
+// are identical to per-message sends). Collectors without a batched side, or
 // an unknown partition count, fall back to broker-side partitioning.
 //
 //samzasql:hotpath

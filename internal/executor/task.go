@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"samzasql/internal/kafka"
 	"samzasql/internal/operators"
 	"samzasql/internal/samza"
 	"samzasql/internal/sql/catalog"
@@ -16,10 +17,10 @@ import (
 	"samzasql/internal/zk"
 )
 
-// Task is the SamzaSQL stream task (§2, §4.2): a Samza StreamTask whose
-// Init performs the second planning step — it loads the query text from
-// Zookeeper, re-plans it, generates the operator router — and whose Process
-// routes each message through the generated operators.
+// Task is the SamzaSQL stream task (§2, §4.2): a Samza BatchedStreamTask
+// whose Init performs the second planning step — it loads the query text from
+// Zookeeper, re-plans it, generates the operator router — and whose
+// ProcessBatch routes each polled batch through the generated operators.
 type Task struct {
 	catalog  *catalog.Catalog
 	zk       *zk.Store
@@ -28,11 +29,13 @@ type Task struct {
 	program *physical.Program
 	ctx     *samza.TaskContext
 	// bound is the collector the program's sender currently targets. The
-	// framework passes the same collector to every Process call (it is
-	// bound in TaskContext before Init), so after Init the per-message path
-	// never rebuilds the sender closure — and since each task owns its own
-	// Program, routing stays goroutine-confined under task parallelism.
+	// framework passes the same collector to every ProcessBatch call (it is
+	// bound in TaskContext before Init), so after Init the per-batch path
+	// never rebuilds the sender — and since each task owns its own Program,
+	// routing stays goroutine-confined under task parallelism.
 	bound samza.MessageCollector
+	// one is Process's batch of one.
+	one [1]samza.IncomingMessageEnvelope
 }
 
 // NewTask builds an uninitialized SamzaSQL task.
@@ -84,52 +87,41 @@ func (t *Task) Init(ctx *samza.TaskContext) error {
 }
 
 // bindSender points the program's output sink at collector. Called once per
-// task in the common case; Process rebinds only if a caller hands it a
-// different collector (direct drivers in tests do).
+// task in the common case; ProcessBatch rebinds only if a caller hands it a
+// different collector (direct drivers in tests do). The framework's
+// collector flushes a block's output in one call; a plain MessageCollector
+// gets it message by message.
 func (t *Task) bindSender(collector samza.MessageCollector) {
 	t.bound = collector
-	var act *trace.Active
-	if t.ctx != nil {
-		act = t.ctx.Trace
-	}
-	//samzasql:ignore hotpath-escape -- the sender closure is bound once per task (rebound only when a test driver swaps collectors), not per message
-	t.program.SetSender(func(stream string, partition int32, key, value []byte, ts int64) error {
-		env := samza.OutgoingMessageEnvelope{
-			Stream:    stream,
-			Partition: partition,
-			Key:       key,
-			Value:     value,
-			Timestamp: ts,
-		}
-		// A message emitted mid-trace carries a child context, so the
-		// downstream consumer (a repartition hop) extends the same tree.
-		if act.Sampled() {
-			env.Trace = act.Outgoing(time.Now().UnixNano())
-		}
-		return collector.Send(env)
-	})
-	// Collectors with a batched side unlock the block path's one-call
-	// flush; plain collectors leave it unbound and blocks send per row.
 	if bc, ok := collector.(samza.BatchCollector); ok {
 		t.program.SetBatchSender(bc.SendBatch)
-	} else {
-		t.program.SetBatchSender(nil)
+		return
 	}
+	//samzasql:ignore hotpath-escape -- the sender closure is bound once per task (rebound only when a test driver swaps collectors), not per message
+	t.program.SetBatchSender(func(stream string, msgs []kafka.Message) error {
+		for i := range msgs {
+			m := &msgs[i]
+			err := collector.Send(samza.OutgoingMessageEnvelope{
+				Stream: stream, Partition: m.Partition, Key: m.Key, Value: m.Value, Timestamp: m.Timestamp,
+			})
+			if err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 }
 
-// Process implements samza.StreamTask: decode, route, emit.
-//
-//samzasql:hotpath
-func (t *Task) Process(env samza.IncomingMessageEnvelope, collector samza.MessageCollector, _ samza.Coordinator) error {
-	if collector != t.bound {
-		t.bindSender(collector)
-	}
-	return t.program.RouteMessage(env.Stream, env.Value, env.Key, env.Timestamp, env.Partition, env.Offset)
+// Process implements samza.StreamTask, which the framework requires of every
+// task: one message is a batch of one. The container never calls it — it
+// delivers to a BatchedStreamTask through ProcessBatch at every batch size.
+func (t *Task) Process(env samza.IncomingMessageEnvelope, collector samza.MessageCollector, coord samza.Coordinator) error {
+	t.one[0] = env
+	return t.ProcessBatch(t.one[:], collector, coord, time.Now().UnixNano())
 }
 
 // ProcessBatch implements samza.BatchedStreamTask: the whole polled batch
-// flows through the program's vectorized pipeline (or, for plans without
-// one, through the per-tuple router message by message).
+// flows through its topic's block pipeline.
 //
 //samzasql:hotpath
 func (t *Task) ProcessBatch(envs []samza.IncomingMessageEnvelope, collector samza.MessageCollector, _ samza.Coordinator, pollNs int64) error {

@@ -7,64 +7,12 @@ import (
 	"time"
 
 	"samzasql/internal/kafka"
-	"samzasql/internal/metrics"
 	"samzasql/internal/samza"
 	"samzasql/internal/sql/catalog"
-	"samzasql/internal/trace"
 	"samzasql/internal/workload"
 	"samzasql/internal/yarn"
 	"samzasql/internal/zk"
 )
-
-// TestFilterProcessZeroAllocsTracerBound re-pins the zero-alloc hot path
-// with the tracing cursor wired the way a container wires it: Active bound
-// in the task context, sampling off. The unsampled path must stay at one
-// branch per call site — no allocations.
-func TestFilterProcessZeroAllocsTracerBound(t *testing.T) {
-	cat := catalog.New()
-	if err := workload.DefineCatalog(cat); err != nil {
-		t.Fatal(err)
-	}
-	zkStore := zk.NewStore()
-	const queryPath = "/samzasql/queries/traced-filter"
-	if err := zkStore.CreateRecursive(queryPath, []byte("SELECT STREAM * FROM Orders WHERE units > 50")); err != nil {
-		t.Fatal(err)
-	}
-	coll := &nullCollector{}
-	act := trace.NewActive(trace.NewRecorder(64))
-	ctx := &samza.TaskContext{
-		Task:      samza.TaskNameFor(0),
-		Partition: 0,
-		Metrics:   metrics.NewRegistry(),
-		Trace:     act,
-		Config: map[string]string{
-			"samzasql.zk.query.path": queryPath,
-			"samzasql.output.topic":  "traced-out",
-			"samzasql.fastpath":      "true",
-		},
-		Collector: coll,
-	}
-	task := NewTask(cat, zkStore, true)
-	if err := task.Init(ctx); err != nil {
-		t.Fatal(err)
-	}
-	gen := workload.NewOrdersGen(workload.DefaultOrdersConfig())
-	_, key, value, err := gen.Next()
-	if err != nil {
-		t.Fatal(err)
-	}
-	env := samza.IncomingMessageEnvelope{
-		Stream: "orders", Partition: 0, Key: key, Value: value,
-	}
-	allocs := testing.AllocsPerRun(1000, func() {
-		if err := task.Process(env, task.bound, nil); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("unsampled message with tracer bound: %.1f allocs, want 0", allocs)
-	}
-}
 
 // tracedEngine is testEngine with broker sampling installed before the
 // workload lands, so the pre-produced messages carry trace contexts.

@@ -100,3 +100,34 @@ func TestConsumerLagCaughtUp(t *testing.T) {
 		t.Fatalf("lag gauge after new appends = %d, want 3", got)
 	}
 }
+
+// TestHighWatermarkDoesNotWaitForAppender: watermark readers (lag gauges,
+// output watchers) must not queue behind the partition lock — an appender
+// descheduled while holding it would stall them for its whole time off the
+// processor. The test stands in for that appender by holding the lock itself.
+func TestHighWatermarkDoesNotWaitForAppender(t *testing.T) {
+	b := NewBroker()
+	mustCreate(t, b, "in", TopicConfig{Partitions: 1})
+	produceN(t, b, "in", 0, 5)
+	tp := TopicPartition{Topic: "in", Partition: 0}
+	p, err := b.partition(tp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.mu.Lock()
+	got := make(chan int64, 1)
+	go func() {
+		hwm, _ := b.HighWatermark(tp)
+		got <- hwm
+	}()
+	select {
+	case hwm := <-got:
+		p.mu.Unlock()
+		if hwm != 5 {
+			t.Fatalf("high watermark = %d, want 5", hwm)
+		}
+	case <-time.After(2 * time.Second):
+		p.mu.Unlock()
+		t.Fatal("HighWatermark blocked behind the partition lock")
+	}
+}

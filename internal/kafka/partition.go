@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
 // ErrOffsetOutOfRange is returned by fetches below the log start offset
@@ -18,6 +19,13 @@ type partition struct {
 	topic    string
 	id       int32
 	segments []*segment // non-empty; last is the active segment
+
+	// hwm mirrors the active segment's next offset, stored under mu by every
+	// append. highWatermark reads it without the lock: lag gauges and
+	// output watchers poll it, and a reader queued behind mu would wait out
+	// an appender that was descheduled while holding it — tens of
+	// milliseconds whenever busy tasks outnumber the processors.
+	hwm atomic.Int64
 
 	// logStartOffset is the oldest retained offset; it advances when
 	// retention drops head segments.
@@ -69,6 +77,7 @@ func (p *partition) append(m Message) int64 {
 	m.Offset = active.nextOffset()
 	active.append(m)
 	offset := m.Offset
+	p.hwm.Store(offset + 1)
 
 	waiters := p.waiters
 	p.waiters = nil
@@ -111,6 +120,7 @@ func (p *partition) appendBatch(msgs []Message) {
 		msgs[i].Offset = active.nextOffset()
 		active.append(msgs[i])
 	}
+	p.hwm.Store(msgs[len(msgs)-1].Offset + 1)
 	waiters := p.waiters
 	p.waiters = nil
 	subs := p.subs
@@ -179,11 +189,7 @@ func (p *partition) applyRetentionLocked() {
 }
 
 // highWatermark is the offset that will be assigned to the next record.
-func (p *partition) highWatermark() int64 {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return p.segments[len(p.segments)-1].nextOffset()
-}
+func (p *partition) highWatermark() int64 { return p.hwm.Load() }
 
 // startOffset returns the oldest retained offset.
 func (p *partition) startOffset() int64 {

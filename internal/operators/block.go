@@ -2,23 +2,24 @@ package operators
 
 import (
 	"fmt"
-	"time"
 
 	"samzasql/internal/kafka"
+	"samzasql/internal/sql/expr"
 )
 
-// This file implements the vectorized execution path: instead of routing
-// one tuple per virtual dispatch (the tuple-at-a-time model of Figure 4),
+// The execution model: Figure 4 routes one tuple per virtual dispatch; here
 // the container drains up to BatchSize messages from one topic-partition
 // into a reusable columnar TupleBlock, the scan decodes the whole block in
 // one call, and each operator's ProcessBlock runs the full block per
 // dispatch, refining a selection vector instead of materializing
 // intermediate tuples. Selected rows flush to the producer through one
-// batched send. Allocation discipline is per-block, not per-tuple: column
+// batched send. A block of one row is the tuple-at-a-time case; there is no
+// other path. Allocation discipline is per-block, not per-tuple: column
 // vectors and the output byte slab amortize across the rows of a block.
 
-// TupleBlock is a batch of rows in columnar layout: the unit of work of the
-// vectorized path. Column vectors and per-row attribute slices are arenas
+// TupleBlock is a batch of rows in columnar layout — the tuple-as-array
+// representation of Figure 4, one array per column: the unit of work of
+// every operator. Column vectors and per-row attribute slices are arenas
 // owned by whoever built the block and reused across batches; only the
 // output byte slab is freshly allocated per block (the broker retains sent
 // value slices).
@@ -149,17 +150,6 @@ func (b *TupleBlock) finishOut() {
 	b.SelAll()
 }
 
-// BlockEmit passes a block to the next operator stage.
-type BlockEmit func(b *TupleBlock) error
-
-// BlockOperator is an operator with a vectorized path: ProcessBlock handles
-// a whole block per call, emitting blocks downstream. Operators without it
-// force the program back to the per-tuple router.
-type BlockOperator interface {
-	Operator
-	ProcessBlock(side int, b *TupleBlock, emit BlockEmit) error
-}
-
 // BlockSpan is one completed batch-level stage span: the stage ran once for
 // the whole block, covering Rows selected rows.
 type BlockSpan struct {
@@ -178,52 +168,33 @@ type BlockTrace struct {
 // Reset clears the span log for a new block.
 func (t *BlockTrace) Reset() { t.Spans = t.Spans[:0] }
 
-// BatchSender abstracts the batched side of the Samza message collector:
+// BatchSender abstracts the Samza message collector for the insert operator:
 // one call appends a whole block's output messages. Message structs are
 // copied by the broker, but key/value slices are retained — senders must
 // hand over freshly allocated (per-block) payload slabs.
 type BatchSender func(stream string, msgs []kafka.Message) error
 
-// DecodeBlock decodes the block's raw messages into its column vectors —
-// the AvroToArray step of Figure 4 amortized to one virtual dispatch and
-// one metrics/latency observation per block. Event timestamps refresh from
-// the declared timestamp column as in Decode. The block arrives with Raw,
-// Keys, Ts and Offsets filled for N rows; all rows become selected.
-//
-//samzasql:hotpath
-func (s *ScanOp) DecodeBlock(b *TupleBlock) error {
-	start := time.Now()
-	arity := len(s.Codec.Schema().Fields)
-	b.sizeCols(arity, b.N)
-	if cap(s.rowScratch) < arity {
-		s.rowScratch = make([]any, arity)
-	}
-	row := s.rowScratch[:arity]
-	var bytes int64
-	for r := 0; r < b.N; r++ {
-		bytes += int64(len(b.Raw[r]))
-		row, err := s.decodeRow(b.Raw[r], row)
-		if err != nil {
-			return fmt.Errorf("operators: scan decode (%s): %w", s.Stream, err)
-		}
-		for c := 0; c < arity; c++ {
-			b.Cols[c][r] = row[c]
-		}
-		if s.TsIdx >= 0 && s.TsIdx < arity {
-			if ts, ok := row[s.TsIdx].(int64); ok {
-				b.Ts[r] = ts
-			}
-		}
-	}
-	if s.bytesIn != nil {
-		s.bytesIn.Add(bytes)
-		s.decodeLat.Observe(time.Since(start).Nanoseconds())
-	}
-	b.SelAll()
-	return nil
+// FilterOp drops tuples whose condition is not TRUE (NULL filters out, per
+// SQL semantics).
+type FilterOp struct {
+	cond expr.Evaluator
+	// rowScratch is ProcessBlock's reusable gather row.
+	rowScratch []any
 }
 
-// ProcessBlock implements BlockOperator for FilterOp: it evaluates the
+// NewFilterOp compiles the condition.
+func NewFilterOp(cond expr.Expr) (*FilterOp, error) {
+	ev, err := expr.Compile(cond)
+	if err != nil {
+		return nil, err
+	}
+	return &FilterOp{cond: ev}, nil
+}
+
+// Open implements Operator.
+func (*FilterOp) Open(*OpContext) error { return nil }
+
+// ProcessBlock implements Operator for FilterOp: it evaluates the
 // condition over each selected row and refines the selection vector in
 // place — rows are never copied or compacted.
 //
@@ -248,7 +219,42 @@ func (f *FilterOp) ProcessBlock(_ int, b *TupleBlock, emit BlockEmit) error {
 	return emit(b)
 }
 
-// ProcessBlock implements BlockOperator for ProjectOp: it evaluates the
+// ProjectOp computes the output expressions of a projection. When the
+// output row type carries a timestamp column (TsIdx >= 0), the produced
+// tuple's event time is refreshed from it so downstream windows keep
+// working (§3.4's recommendation to preserve timestamps).
+type ProjectOp struct {
+	evals []expr.Evaluator
+	// TsIdx is the output timestamp column, or -1.
+	TsIdx int
+	// Identity marks a projection whose expressions are the input columns in
+	// order (SELECT *): blocks then pass through unchanged instead of
+	// re-evaluating column references and compacting.
+	Identity bool
+
+	// Arenas: the gather row and the operator-owned output block
+	// ProcessBlock compacts selected rows into.
+	rowScratch []any
+	outBlock   TupleBlock
+}
+
+// NewProjectOp compiles the projections.
+func NewProjectOp(exprs []expr.Expr, tsIdx int) (*ProjectOp, error) {
+	evals := make([]expr.Evaluator, len(exprs))
+	for i, e := range exprs {
+		ev, err := expr.Compile(e)
+		if err != nil {
+			return nil, err
+		}
+		evals[i] = ev
+	}
+	return &ProjectOp{evals: evals, TsIdx: tsIdx}, nil
+}
+
+// Open implements Operator.
+func (*ProjectOp) Open(*OpContext) error { return nil }
+
+// ProcessBlock implements Operator for ProjectOp: it evaluates the
 // output expressions over the selected rows into an operator-owned output
 // block (compacting the selection), refreshing event timestamps from the
 // output timestamp column when one is declared.
@@ -259,8 +265,8 @@ func (p *ProjectOp) ProcessBlock(_ int, b *TupleBlock, emit BlockEmit) error {
 		// SELECT *: every expression is its own input column, so the block
 		// passes through untouched — selection, columns and raw encodings
 		// intact. The out counter still sees len(Sel) via WrapBlockEmit.
-		// Only the timestamp refresh is applied, matching the scalar path
-		// when the projection's timestamp column differs from the scan's.
+		// Only the timestamp refresh is applied, for a projection whose
+		// timestamp column differs from the scan's.
 		if p.TsIdx >= 0 && p.TsIdx < len(b.Cols) {
 			for _, r := range b.Sel {
 				if t, ok := b.Cols[p.TsIdx][r].(int64); ok {
@@ -306,127 +312,4 @@ func (p *ProjectOp) ProcessBlock(_ int, b *TupleBlock, emit BlockEmit) error {
 	}
 	out.SelAll()
 	return emit(out)
-}
-
-// ProcessBlock implements BlockOperator for InsertOp: it encodes every
-// selected row into one per-block byte slab (the ArrayToAvro step amortized
-// across the block) and flushes the block's messages through one batched
-// send when a BatchSender is bound, falling back to per-row sends
-// otherwise. The slab is freshly allocated per block because the broker
-// retains sent value slices; the message and offset scratches are reused.
-//
-//samzasql:hotpath
-func (i *InsertOp) ProcessBlock(_ int, b *TupleBlock, emit BlockEmit) error {
-	if cap(i.rowScratch) < len(b.Cols) {
-		i.rowScratch = make([]any, len(b.Cols))
-	}
-	row := i.rowScratch[:len(b.Cols)]
-	slab := make([]byte, 0, i.slabHint)
-	offs := i.offScratch[:0]
-	var err error
-	for _, r := range b.Sel {
-		row = b.gather(r, row)
-		start := len(slab)
-		slab, err = i.Codec.AppendEncodeRow(slab, row)
-		if err != nil {
-			return fmt.Errorf("operators: insert encode (%s): %w", i.Target, err)
-		}
-		offs = append(offs, start, len(slab))
-	}
-	i.offScratch = offs
-	if len(slab) > i.slabHint {
-		i.slabHint = len(slab)
-	}
-	if i.bytesOut != nil {
-		i.bytesOut.Add(int64(len(slab)))
-	}
-	if i.SendBatch != nil {
-		msgs := i.msgScratch[:0]
-		for k, r := range b.Sel {
-			partition := b.Partition
-			var key []byte
-			if i.KeyByTupleKey && len(b.Keys[r]) > 0 {
-				key = b.Keys[r]
-				partition = -1
-			}
-			msgs = append(msgs, kafka.Message{
-				Partition: partition,
-				Key:       key,
-				Value:     slab[offs[2*k]:offs[2*k+1]:offs[2*k+1]],
-				Timestamp: b.Ts[r],
-			})
-		}
-		i.msgScratch = msgs
-		if len(msgs) > 0 {
-			if err := i.SendBatch(i.Target, msgs); err != nil {
-				return err
-			}
-		}
-	} else {
-		for k, r := range b.Sel {
-			partition := b.Partition
-			var key []byte
-			if i.KeyByTupleKey && len(b.Keys[r]) > 0 {
-				key = b.Keys[r]
-				partition = -1
-			}
-			value := slab[offs[2*k]:offs[2*k+1]:offs[2*k+1]]
-			if err := i.Send(i.Target, partition, key, value, b.Ts[r]); err != nil {
-				return err
-			}
-		}
-	}
-	if emit != nil {
-		return emit(b)
-	}
-	return nil
-}
-
-// BlockOp returns the wrapped operator's vectorized path, or nil when it
-// has none (which forces the program back to per-tuple routing).
-func (i *Instrumented) BlockOp() (BlockOperator, bool) {
-	bop, ok := i.Op.(BlockOperator)
-	return bop, ok
-}
-
-// ProcessBlock implements BlockOperator, timing the wrapped block call —
-// one latency observation per block instead of per tuple. When the block
-// carries a trace log, the stage's span (with its input row count) is
-// appended for replay onto the block's sampled messages.
-//
-//samzasql:hotpath
-func (i *Instrumented) ProcessBlock(side int, b *TupleBlock, emit BlockEmit) error {
-	bop, ok := i.Op.(BlockOperator)
-	if !ok {
-		return fmt.Errorf("operators: %s has no block path", i.name)
-	}
-	if i.lat == nil && b.Trace == nil {
-		return bop.ProcessBlock(side, b, emit)
-	}
-	rows := int64(len(b.Sel))
-	tr := b.Trace
-	start := time.Now()
-	err := bop.ProcessBlock(side, b, emit)
-	d := time.Since(start).Nanoseconds()
-	if i.lat != nil {
-		i.lat.Observe(d)
-	}
-	if tr != nil {
-		startNs := start.UnixNano()
-		tr.Spans = append(tr.Spans, BlockSpan{Stage: i.stage, StartNs: startNs, EndNs: startNs + d, Rows: rows})
-	}
-	return err
-}
-
-// WrapBlockEmit returns a block emit that counts this operator's output
-// rows (the emitted block's selected rows) before passing it downstream,
-// keeping the "operator.<name>.out" counters identical to the scalar
-// path's.
-func (i *Instrumented) WrapBlockEmit(downstream BlockEmit) BlockEmit {
-	return func(b *TupleBlock) error {
-		if i.out != nil {
-			i.out.Add(int64(len(b.Sel)))
-		}
-		return downstream(b)
-	}
 }

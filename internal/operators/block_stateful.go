@@ -7,7 +7,7 @@ import (
 	"samzasql/internal/kv"
 )
 
-// Vectorized paths for the stateful operators: sliding window, streaming
+// ProcessBlock of the stateful operators: sliding window, streaming
 // aggregate, stream-relation join, stream-stream join. The shared scheme is
 // per-block group clustering — evaluate key expressions columnarly over the
 // block, encode each group/join key once per distinct key (adjacent equal
@@ -17,9 +17,9 @@ import (
 // write the state back once per key per block instead of once per tuple.
 //
 // Output rows are emitted in input-row order (window emissions in window-end
-// order), so a block-path program produces byte-identical output in the
-// identical sequence to the scalar per-tuple path — the property the
-// batch-vs-scalar equivalence tests pin.
+// order), so a program produces byte-identical output in the identical
+// sequence at every block size — the property the block-size equivalence
+// tests pin against goldens recorded from the retired per-tuple path.
 
 // runEqual reports whether two consecutive key values are equal, for the
 // scalar types worth run-detecting. Other types report comparable=false and
@@ -38,16 +38,16 @@ func runEqual(a, b any) (eq, ok bool) {
 
 // ----- SlidingWindowOp -----
 
-// ProcessBlock implements BlockOperator: Algorithm 1 over a whole block.
+// ProcessBlock implements Operator: Algorithm 1 over a whole block.
 // Per analytic call it clusters the block's rows by partition key, loads
 // each distinct key's window state and tail chunk once (batched), folds the
-// key's rows in offset order through the same per-tuple steps as the scalar
-// path, and stages each modified state once; everything the block wrote —
+// key's rows in offset order through foldTuple, and stages each modified
+// state once; everything the block wrote —
 // chunk puts, chunk deletes, state rows, across all calls — then goes to the
 // store as one kv write batch. The output block carries one row per selected
 // input row — input columns plus one value column per call — with replayed
-// rows (already-applied offsets) deselected, matching the scalar path's
-// suppressed emits.
+// rows (already-applied offsets) deselected: re-delivered messages change no
+// state and produce no output (exactly-once, §4.3).
 //
 //samzasql:hotpath
 func (o *SlidingWindowOp) ProcessBlock(_ int, b *TupleBlock, emit BlockEmit) error {
@@ -87,8 +87,8 @@ func (o *SlidingWindowOp) ProcessBlock(_ int, b *TupleBlock, emit BlockEmit) err
 	}
 	o.flushWrites()
 	o.blkReplay = replay
-	// Replayed rows (detected on call 0, like the scalar path) are
-	// deselected rather than compacted; downstream stages honor Sel.
+	// Replayed rows (detected on call 0) are deselected rather than
+	// compacted; downstream stages honor Sel.
 	sel := out.Sel[:0]
 	for k := 0; k < nSel; k++ {
 		if !replay[k] {
@@ -170,8 +170,7 @@ func (o *SlidingWindowOp) processCallBlock(c *analyticState, b *TupleBlock, outC
 	}
 
 	// Pass 3: fold the rows in offset order against the block-resident
-	// states — the same steps as the scalar processCall, minus the per-tuple
-	// load and save.
+	// states.
 	for k, r := range b.Sel {
 		o.sbuf = appendStateKey(o.sbuf[:0], c.idx, pks[k])
 		ws := states[string(o.sbuf)]
@@ -274,7 +273,7 @@ func (o *SlidingWindowOp) resetBlockStates() map[string]*windowState {
 // loadStatesBatch fills the block state map for the distinct state keys:
 // cache-resident decoded states come from one GetObjectMany, everything
 // else from one batched byte read (which, over a CachedStore, also caches
-// the entries exactly as the scalar per-tuple Get would).
+// the entries exactly as a point Get would).
 func (o *SlidingWindowOp) loadStatesBatch(c *analyticState, keys [][]byte, states map[string]*windowState) error {
 	miss := keys
 	if o.cache != nil {
@@ -327,8 +326,8 @@ func (o *SlidingWindowOp) loadStatesBatch(c *analyticState, keys [][]byte, state
 // ----- StreamAggregateOp -----
 
 // appendWindowKey assembles the store key "w:" + bigendian(end) + kb from
-// pre-encoded group-key bytes, letting the block path encode the group part
-// once per distinct key instead of once per (row, boundary).
+// pre-encoded group-key bytes, so the group part is encoded once per distinct
+// key instead of once per (row, boundary).
 func appendWindowKey(buf []byte, end int64, kb []byte) []byte {
 	var e [8]byte
 	binary.BigEndian.PutUint64(e[:], uint64(end))
@@ -337,13 +336,13 @@ func appendWindowKey(buf []byte, end int64, kb []byte) []byte {
 	return append(buf, kb...)
 }
 
-// ProcessBlock implements BlockOperator for the streaming aggregate. Both
+// ProcessBlock implements Operator for the streaming aggregate. Both
 // modes cluster the block by group key and load each distinct key's
 // accumulator set through one batched read. Unwindowed groups emit their
 // updated row per input tuple (early results), in input order; windowed
 // groups buffer contributions against a locally advancing watermark and
 // emit every closed window once, in window-end order — the same sequence
-// the scalar path's per-tuple watermark advances produce.
+// per-tuple watermark advances produce.
 //
 //samzasql:hotpath
 func (o *StreamAggregateOp) ProcessBlock(_ int, b *TupleBlock, emit BlockEmit) error {
@@ -580,7 +579,7 @@ func (o *StreamAggregateOp) processWindowedBlock(b *TupleBlock, out *TupleBlock)
 	}
 
 	// Pass 3: fold contributions against a locally advancing watermark —
-	// the same drop decisions the scalar path makes tuple by tuple.
+	// the drop decisions tuple-by-tuple processing makes.
 	src := o.sources.keyFor(b.Stream, b.Partition)
 	wmLocal := o.watermark
 	for k, r := range b.Sel {
@@ -612,8 +611,8 @@ func (o *StreamAggregateOp) processWindowedBlock(b *TupleBlock, out *TupleBlock)
 	// block's watermark passed with one advance. Deferring the advance to
 	// the block boundary emits the identical window set in the identical
 	// (end-order) sequence: contributions to a window past the local
-	// watermark were dropped above, exactly as the scalar path drops them
-	// after its own mid-stream advances.
+	// watermark were dropped above, exactly as mid-stream advances would
+	// drop them.
 	for _, sk := range keys {
 		st := states[string(sk)]
 		if !st.dirty {
@@ -625,19 +624,16 @@ func (o *StreamAggregateOp) processWindowedBlock(b *TupleBlock, out *TupleBlock)
 		}
 	}
 	if wmLocal > o.watermark {
-		last := b.Sel[len(b.Sel)-1]
-		srcT := Tuple{Stream: b.Stream, Partition: b.Partition, Offset: b.Offsets[last]}
-		o.wmOut = out
-		err := o.advanceWatermark(wmLocal, o.wmSink, &srcT)
-		o.wmOut = nil
-		return err
+		return o.advanceWatermark(wmLocal, out, b.Offsets[b.Sel[len(b.Sel)-1]])
 	}
 	return nil
 }
 
 // ----- StreamRelationJoinOp -----
 
-// ProcessBlock implements BlockOperator. A relation-side block becomes one
+// ProcessBlock implements Operator. Side 0 carries stream tuples, side 1
+// relation changelog tuples (regardless of SQL-side order; the physical
+// planner routes accordingly). A relation-side block becomes one
 // write batch and emits nothing. A stream-side block evaluates the join key
 // columnarly, encodes every row's state key into one arena, resolves each
 // distinct key once through one batched read (decoded-object cache first,
@@ -651,7 +647,6 @@ func (o *StreamRelationJoinOp) ProcessBlock(side int, b *TupleBlock, emit BlockE
 	}
 	row := o.rowScratch[:len(b.Cols)]
 	if side == RightSide {
-		//samzasql:ignore hotpath-blocking -- the task store mutex is per-task single-writer and uncontended by design; skiplist access under it is the state-access contract
 		return o.processRelationBlock(b, row)
 	}
 	out := &o.outBlock
@@ -744,7 +739,6 @@ func (o *StreamRelationJoinOp) processRelationBlock(b *TupleBlock, row []any) er
 			}
 			o.kbuf = rk
 			// The cache retains the row; hand over an owned copy.
-			//samzasql:ignore hotpath-blocking -- write-through to the changelog is the durability contract; the flush path's broker append lock is per-partition and the io.Write is an in-memory FNV hash
 			o.cache.PutObject(rk, append([]any(nil), row...), o.encRow)
 		}
 		return nil
@@ -773,7 +767,7 @@ func (o *StreamRelationJoinOp) processRelationBlock(b *TupleBlock, row []any) er
 // the relation has none), index-aligned with keys: decoded rows from one
 // GetObjectMany when the cache is on, everything else through one batched
 // byte read decoded into the block's row arena — or, when the cache will
-// memoize the row like the scalar probe does, into a row of its own.
+// memoize the row, into a row of its own.
 //
 //samzasql:hotpath
 func (o *StreamRelationJoinOp) resolveRelBatch(keys [][]byte) ([][]any, error) {
@@ -826,8 +820,7 @@ func (o *StreamRelationJoinOp) resolveRelBatch(keys [][]byte) ([][]any, error) {
 		i := j
 		relRow := o.rowArena[j*arity : (j+1)*arity : (j+1)*arity]
 		if o.cache != nil {
-			// The cache memoizes the row like the scalar probe does, so it
-			// needs one of its own.
+			// The cache memoizes the row, so it needs one of its own.
 			i = int(missAt[j])
 			relRow = make([]any, arity)
 		}
@@ -844,11 +837,11 @@ func (o *StreamRelationJoinOp) resolveRelBatch(keys [][]byte) ([][]any, error) {
 
 // ----- StreamStreamJoinOp -----
 
-// ProcessBlock implements BlockOperator: the windowed side state stays
+// ProcessBlock implements Operator: the windowed side state stays
 // range-probed per tuple (write-once keys a point cache or batched point
-// read cannot serve), but the block path amortizes dispatch and
-// instrumentation and assembles all matches into one output block, emitted
-// in probe order — identical to the scalar emission sequence.
+// read cannot serve), but dispatch and instrumentation amortize over the
+// block and all matches are assembled into one output block, emitted in
+// probe order.
 //
 //samzasql:hotpath
 func (o *StreamStreamJoinOp) ProcessBlock(side int, b *TupleBlock, emit BlockEmit) error {
@@ -860,9 +853,8 @@ func (o *StreamStreamJoinOp) ProcessBlock(side int, b *TupleBlock, emit BlockEmi
 	row := o.rowScratch[:len(b.Cols)]
 	for _, r := range b.Sel {
 		row = b.gather(r, row)
-		o.blkTs, o.blkKey, o.blkOff = b.Ts[r], b.Keys[r], b.Offsets[r]
 		//samzasql:ignore hotpath-blocking -- the task store mutex is per-task single-writer and uncontended by design; skiplist access under it is the state-access contract
-		if err := o.processOne(side, row, o.blkTs, o.blkOff, o.blkSink); err != nil {
+		if err := o.processOne(side, row, b.Ts[r], b.Offsets[r], b.Keys[r]); err != nil {
 			return err
 		}
 	}

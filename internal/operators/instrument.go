@@ -4,26 +4,22 @@ import (
 	"time"
 
 	"samzasql/internal/metrics"
-	"samzasql/internal/trace"
 )
 
 // Instrumented wraps an operator with per-operator observability: a
 // process-latency histogram ("operator.<name>.process-ns") and an output
 // tuple counter ("operator.<name>.out"). Handles bind once at Open from the
 // task's registry; until then (or when the context carries no registry) the
-// wrapper is a transparent pass-through. The per-tuple cost is two
-// monotonic clock reads plus lock-free atomics — no allocations, so the
-// wrapper is safe on the 0 allocs/op message path.
+// wrapper is a transparent pass-through. The per-block cost is two
+// monotonic clock reads plus lock-free atomics — no allocations.
 type Instrumented struct {
 	// Op is the wrapped operator.
 	Op   Operator
 	name string
 	lat  *metrics.Histogram
 	out  *metrics.Counter
-	// act and stage support per-stage trace spans for sampled messages:
-	// the cursor binds at Open, the stage string is precomputed at
+	// stage names the per-stage trace span of sampled blocks, precomputed at
 	// construction so the sampled path allocates nothing.
-	act   *trace.Active
 	stage string
 }
 
@@ -43,47 +39,41 @@ func (i *Instrumented) Open(ctx *OpContext) error {
 		i.lat = ctx.Metrics.Histogram("operator." + i.name + ".process-ns")
 		i.out = ctx.Metrics.Counter("operator." + i.name + ".out")
 	}
-	i.act = ctx.Trace
 	return i.Op.Open(ctx)
 }
 
-// Process implements Operator, timing the wrapped call. The emit chain is
-// expected to be pre-wrapped with WrapEmit so output counting costs no
-// per-tuple closure. For sampled messages the same call is bracketed in a
-// per-stage trace span; nested operators nest via the call stack.
+// ProcessBlock implements Operator, timing the wrapped block call — one
+// latency observation per block. When the block carries a trace log, the
+// stage's span (with its input row count) is appended for replay onto the
+// block's sampled messages.
 //
 //samzasql:hotpath
-func (i *Instrumented) Process(side int, t *Tuple, emit Emit) error {
-	if i.lat == nil {
-		//samzasql:ignore hotpath-blocking -- the task store mutex is per-task single-writer and uncontended by design; skiplist access under it is the state-access contract
-		return i.Op.Process(side, t, emit)
+func (i *Instrumented) ProcessBlock(side int, b *TupleBlock, emit BlockEmit) error {
+	if i.lat == nil && b.Trace == nil {
+		return i.Op.ProcessBlock(side, b, emit)
 	}
-	if i.act.Sampled() {
-		start := time.Now()
-		startNs := start.UnixNano()
-		i.act.Begin(i.stage, startNs)
-		//samzasql:ignore hotpath-blocking -- the task store mutex is per-task single-writer and uncontended by design; skiplist access under it is the state-access contract
-		err := i.Op.Process(side, t, emit)
-		d := time.Since(start).Nanoseconds()
-		i.act.End(startNs + d)
-		i.lat.Observe(d)
-		return err
-	}
+	rows := int64(len(b.Sel))
+	tr := b.Trace
 	start := time.Now()
-	//samzasql:ignore hotpath-blocking -- the task store mutex is per-task single-writer and uncontended by design; skiplist access under it is the state-access contract
-	err := i.Op.Process(side, t, emit)
-	i.lat.Observe(time.Since(start).Nanoseconds())
+	err := i.Op.ProcessBlock(side, b, emit)
+	d := time.Since(start).Nanoseconds()
+	if i.lat != nil {
+		i.lat.Observe(d)
+	}
+	if tr != nil {
+		startNs := start.UnixNano()
+		tr.Spans = append(tr.Spans, BlockSpan{Stage: i.stage, StartNs: startNs, EndNs: startNs + d, Rows: rows})
+	}
 	return err
 }
 
-// WrapEmit returns an emit that counts this operator's outputs before
-// passing them downstream. Built once at compile time, so the per-tuple
-// path allocates nothing.
-func (i *Instrumented) WrapEmit(downstream Emit) Emit {
-	return func(t *Tuple) error {
+// WrapBlockEmit returns a block emit that counts this operator's output
+// rows (the emitted block's selected rows) before passing it downstream.
+func (i *Instrumented) WrapBlockEmit(downstream BlockEmit) BlockEmit {
+	return func(b *TupleBlock) error {
 		if i.out != nil {
-			i.out.Inc()
+			i.out.Add(int64(len(b.Sel)))
 		}
-		return downstream(t)
+		return downstream(b)
 	}
 }

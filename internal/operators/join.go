@@ -44,9 +44,8 @@ func columnKind(t types.Type) serde.Kind {
 }
 
 // rowCodecFor compiles the state-row codec of one join input from the row
-// type the physical planner hands the operator. Both join operators, on
-// their scalar and block paths alike, store rows through these codecs only:
-// join state has one row format.
+// type the physical planner hands the operator. Both join operators store
+// rows through these codecs only: join state has one row format.
 func rowCodecFor(row *types.RowType) *serde.RowCodec {
 	kinds := make([]serde.Kind, row.Arity())
 	for i, c := range row.Columns {
@@ -89,16 +88,13 @@ type StreamRelationJoinOp struct {
 	msgKeyKind        serde.Kind
 	tombstonesSkipped *metrics.Counter
 
-	// Scratch shared by both paths: the one-value key row, the state key and
-	// encoded row buffers (stores copy what they keep), the combined row for
-	// key evaluation, and the decode row of the scalar probe.
+	// Scratch: the one-value key row, the state key buffer (stores copy what
+	// they keep) and the combined row for key evaluation.
 	keyVal     [1]any
 	kbuf       []byte
-	vbuf       []byte
 	cmbScratch []any
-	relScratch []any
 
-	// Block-path scratch (block_stateful.go): the output block and gather
+	// Per-block scratch (block_stateful.go): the output block and gather
 	// row; the per-block arenas holding every row's state key, the decoded
 	// relation rows and the relation side's encoded rows; the distinct-key
 	// table with each row's slot in it; and the batched read/write slices.
@@ -146,7 +142,6 @@ func NewStreamRelationJoinOp(info *validate.JoinInfo, left, right *types.RowType
 		return nil, err
 	}
 	op.cmbScratch = make([]any, op.leftArity+op.rightArity)
-	op.relScratch = make([]any, op.relCodec.Arity())
 	return op, nil
 }
 
@@ -172,16 +167,6 @@ func (o *StreamRelationJoinOp) Open(ctx *OpContext) error {
 	return nil
 }
 
-// Process implements Operator. Side 0 carries stream tuples, side 1 carries
-// relation changelog tuples (regardless of SQL-side order; the physical
-// planner routes accordingly).
-func (o *StreamRelationJoinOp) Process(side int, t *Tuple, emit Emit) error {
-	if side == RightSide {
-		return o.processRelation(t.Row)
-	}
-	return o.processStream(t, emit)
-}
-
 // appendRelKey appends the state key of join-key value kval to dst: "r:"
 // plus the ObjectSerde encoding of the one-value key row.
 //
@@ -202,29 +187,6 @@ func (o *StreamRelationJoinOp) relationKey(dst []byte, row []any) ([]byte, error
 		return nil, fmt.Errorf("operators: relation join key: %w", err)
 	}
 	return o.appendRelKey(dst, kval)
-}
-
-// processRelation stores the latest relation row under its join key: the
-// scalar relation update, a write batch of one.
-func (o *StreamRelationJoinOp) processRelation(row []any) error {
-	rk, err := o.relationKey(o.kbuf[:0], row)
-	if err != nil {
-		return err
-	}
-	o.kbuf = rk
-	if o.cache != nil {
-		// Keep the decoded row resident; serialization defers to commit
-		// flush, so a relation key updated many times per interval encodes
-		// (and reaches the changelog) once. The cache retains row: scalar
-		// tuples own theirs.
-		o.cache.PutObject(rk, row, o.encRow)
-		return nil
-	}
-	if o.vbuf, err = o.relCodec.AppendEncode(o.vbuf[:0], row); err != nil {
-		return err
-	}
-	o.store.Put(rk, o.vbuf)
-	return nil
 }
 
 // DeleteRelation applies a relation tombstone — a nil-value message on the
@@ -270,67 +232,10 @@ func parseMessageKey(kind serde.Kind, key []byte) (any, bool) {
 	return nil, false
 }
 
-// processStream joins one stream tuple against the stored relation.
-//
-//samzasql:hotpath
-func (o *StreamRelationJoinOp) processStream(t *Tuple, emit Emit) error {
-	kval, err := o.keyEval(o.combineInto(t.Row, nil))
-	if err != nil {
-		return fmt.Errorf("operators: stream join key: %w", err)
-	}
-	rk, err := o.appendRelKey(o.kbuf[:0], kval)
-	if err != nil {
-		return err
-	}
-	o.kbuf = rk
-	var relRow []any
-	if o.cache != nil {
-		if obj, ok := o.cache.GetObject(rk); ok {
-			relRow = obj.([]any)
-		}
-	}
-	if relRow == nil {
-		//samzasql:ignore hotpath-blocking -- the task store mutex is per-task single-writer and uncontended by design; skiplist access under it is the state-access contract
-		raw, ok := o.store.Get(rk)
-		if !ok {
-			return nil // inner join: no match, no output
-		}
-		relRow = o.relScratch
-		if o.cache != nil {
-			relRow = make([]any, len(o.relScratch)) // the cache retains it
-		}
-		if err := o.relCodec.Decode(raw, relRow); err != nil {
-			return fmt.Errorf("operators: relation row decode: %w", err)
-		}
-		if o.cache != nil {
-			o.cache.CacheObject(rk, relRow)
-		}
-	}
-	combined := o.combine(t.Row, relRow)
-	v, err := o.residual(combined)
-	if err != nil {
-		return fmt.Errorf("operators: join condition: %w", err)
-	}
-	if b, ok := v.(bool); !ok || !b {
-		return nil
-	}
-	return emit(&Tuple{
-		Row: combined, Ts: t.Ts, Key: t.Key,
-		Stream: t.Stream, Partition: t.Partition, Offset: t.Offset,
-	})
-}
-
-// combine lays out a fresh combined row with the stream side in its SQL
-// position. Missing sides are nil-filled.
-func (o *StreamRelationJoinOp) combine(streamRow, relRow []any) []any {
-	out := make([]any, o.leftArity+o.rightArity)
-	o.layout(out, streamRow, relRow)
-	return out
-}
-
-// combineInto lays out the combined row in operator scratch; appendRow and
-// the compiled evaluators copy or read values, so the scratch is safe to
-// reuse per row.
+// combineInto lays out the combined row, the stream side in its SQL position
+// and missing sides nil-filled, in operator scratch; appendRow and the
+// compiled evaluators copy or read values, so the scratch is safe to reuse
+// per row.
 //
 //samzasql:hotpath
 func (o *StreamRelationJoinOp) combineInto(streamRow, relRow []any) []any {
@@ -338,11 +243,6 @@ func (o *StreamRelationJoinOp) combineInto(streamRow, relRow []any) []any {
 	for i := range out {
 		out[i] = nil
 	}
-	o.layout(out, streamRow, relRow)
-	return out
-}
-
-func (o *StreamRelationJoinOp) layout(out, streamRow, relRow []any) {
 	if o.StreamIsLeft {
 		copy(out, streamRow)
 		copy(out[o.leftArity:], relRow)
@@ -350,6 +250,7 @@ func (o *StreamRelationJoinOp) layout(out, streamRow, relRow []any) {
 		copy(out, relRow)
 		copy(out[o.leftArity:], streamRow)
 	}
+	return out
 }
 
 // StreamStreamJoinOp implements windowed stream-to-stream joins (§3.8.1):
@@ -377,23 +278,9 @@ type StreamStreamJoinOp struct {
 	vbuf       []byte
 	rowDecoded [2][]any
 
-	// Block-path scratch (block_stateful.go). blkSink is the output-block
-	// append bound once in Open (a per-block closure would escape in the hot
-	// path); blkTs/blkKey/blkOff carry the current row's attributes into it.
+	// ProcessBlock's output block and gather row (block_stateful.go).
 	outBlock   TupleBlock
 	rowScratch []any
-	blkSink    func(full []any) error
-	blkTs      int64
-	blkOff     int64
-	blkKey     []byte
-
-	// Scalar-path scratch: emitSink wraps the caller's emit the same way
-	// blkSink wraps the output block — bound once in Open so Process does
-	// not allocate a closure per tuple; curEmit/curT carry the live call's
-	// emit and tuple into it.
-	emitSink func(full []any) error
-	curEmit  Emit
-	curT     *Tuple
 }
 
 // NewStreamStreamJoinOp builds the operator for inputs of the given row
@@ -424,34 +311,16 @@ func (o *StreamStreamJoinOp) Open(ctx *OpContext) error {
 	if c, ok := o.store.(kv.ObjectCache); ok {
 		o.store = c.Uncached()
 	}
-	o.blkSink = func(full []any) error {
-		o.outBlock.appendRow(full, o.blkTs, o.blkKey, o.blkOff)
-		return nil
-	}
-	o.emitSink = func(full []any) error {
-		t := o.curT
-		return o.curEmit(&Tuple{
-			Row: full, Ts: t.Ts, Key: t.Key,
-			Stream: t.Stream, Partition: t.Partition, Offset: t.Offset,
-		})
-	}
 	return nil
 }
 
-// Process implements Operator: side 0 = left stream, side 1 = right stream.
-func (o *StreamStreamJoinOp) Process(side int, t *Tuple, emit Emit) error {
-	o.curEmit, o.curT = emit, t
-	err := o.processOne(side, t.Row, t.Ts, t.Offset, o.emitSink)
-	o.curEmit, o.curT = nil, nil
-	return err
-}
-
-// processOne is the row-level join step shared by the scalar and block
-// paths: store the tuple on its own side, probe the opposite side's window,
-// hand every match (a freshly combined row the sink may retain) to sink,
-// then purge. State access stays range-based per tuple — write-once windowed
-// side state cannot use the point cache or the batched point reads.
-func (o *StreamStreamJoinOp) processOne(side int, row []any, ts, offset int64, sink func(full []any) error) error {
+// processOne is the row-level join step (side 0 = left stream, side 1 =
+// right stream): store the tuple on its own side, probe the opposite side's
+// window, append every match to the output block under the row's timestamp,
+// message key and offset, then purge. State access stays range-based per
+// tuple — write-once windowed side state cannot use the point cache or the
+// batched point reads.
+func (o *StreamStreamJoinOp) processOne(side int, row []any, ts, offset int64, key []byte) error {
 	if side != LeftSide && side != RightSide {
 		return fmt.Errorf("operators: bad join side %d", side)
 	}
@@ -508,9 +377,7 @@ func (o *StreamStreamJoinOp) processOne(side int, row []any, ts, offset int64, s
 			return fmt.Errorf("operators: join condition: %w", err)
 		}
 		if b, ok := v.(bool); ok && b {
-			if err := sink(full); err != nil {
-				return err
-			}
+			o.outBlock.appendRow(full, ts, key, offset)
 		}
 	}
 

@@ -71,19 +71,14 @@ func (v appliedOffsets) update(src string, offset int64) appliedOffsets {
 	return append(v, sourceOffset{src, offset})
 }
 
-// sourceKeys caches the "stream:partition" strings so the per-message path
+// sourceKeys caches the "stream:partition" strings so the per-block path
 // does not allocate.
 type sourceKeys struct {
 	cache map[kafka.TopicPartition]string
 }
 
-func (s *sourceKeys) key(t *Tuple) string {
-	return s.keyFor(t.Stream, t.Partition)
-}
-
-// keyFor is the block-path variant: a polled block carries one
-// (stream, partition) for all its rows, so the key is computed once per
-// block instead of per tuple.
+// keyFor returns the source key of a block: a polled block carries one
+// (stream, partition) for all its rows.
 func (s *sourceKeys) keyFor(stream string, partition int32) string {
 	if s.cache == nil {
 		s.cache = map[kafka.TopicPartition]string{}

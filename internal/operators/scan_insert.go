@@ -33,7 +33,7 @@ type ScanOp struct {
 	Wanted []bool
 
 	// Observability handles, bound at Open (nil when the op runs outside a
-	// metrics-carrying context, e.g. direct Decode calls in tests).
+	// metrics-carrying context).
 	bytesIn   *metrics.Counter
 	decodeLat *metrics.Histogram
 
@@ -41,39 +41,13 @@ type ScanOp struct {
 	rowScratch []any
 }
 
-// Open implements Operator, binding the scan's serde metrics.
+// Open implements Opener, binding the scan's serde metrics.
 func (s *ScanOp) Open(ctx *OpContext) error {
 	if ctx.Metrics != nil {
 		s.bytesIn = ctx.Metrics.Counter(SerdeBytesInMetric)
 		s.decodeLat = ctx.Metrics.Histogram("operator.scan." + s.Stream + ".decode-ns")
 	}
 	return nil
-}
-
-// Process is not used for ScanOp; scans convert raw messages via Decode.
-func (s *ScanOp) Process(_ int, t *Tuple, emit Emit) error { return emit(t) }
-
-// Decode converts one raw message into a tuple.
-func (s *ScanOp) Decode(value []byte, key []byte, msgTs int64, partition int32, offset int64) (*Tuple, error) {
-	start := time.Now()
-	row, err := s.decodeRow(value, nil)
-	if err != nil {
-		return nil, fmt.Errorf("operators: scan decode (%s): %w", s.Stream, err)
-	}
-	if s.bytesIn != nil {
-		s.bytesIn.Add(int64(len(value)))
-		s.decodeLat.Observe(time.Since(start).Nanoseconds())
-	}
-	t := &Tuple{
-		Row: row, Ts: msgTs, Key: key,
-		Stream: s.Stream, Partition: partition, Offset: offset,
-	}
-	if s.TsIdx >= 0 && s.TsIdx < len(row) {
-		if ts, ok := row[s.TsIdx].(int64); ok {
-			t.Ts = ts
-		}
-	}
-	return t, nil
 }
 
 // decodeRow decodes one message into row (reused when it has the schema's
@@ -87,8 +61,44 @@ func (s *ScanOp) decodeRow(value []byte, row []any) ([]any, error) {
 	return s.Codec.DecodeRow(value, row)
 }
 
-// Sender abstracts the Samza message collector for the insert operator.
-type Sender func(stream string, partition int32, key, value []byte, ts int64) error
+// DecodeBlock decodes the block's raw messages into its column vectors —
+// the AvroToArray step of Figure 4 amortized to one virtual dispatch and
+// one metrics/latency observation per block. When the source declares a
+// timestamp column, event timestamps refresh from it. The block arrives with
+// Raw, Keys, Ts and Offsets filled for N rows; all rows become selected.
+//
+//samzasql:hotpath
+func (s *ScanOp) DecodeBlock(b *TupleBlock) error {
+	start := time.Now()
+	arity := len(s.Codec.Schema().Fields)
+	b.sizeCols(arity, b.N)
+	if cap(s.rowScratch) < arity {
+		s.rowScratch = make([]any, arity)
+	}
+	row := s.rowScratch[:arity]
+	var bytes int64
+	for r := 0; r < b.N; r++ {
+		bytes += int64(len(b.Raw[r]))
+		row, err := s.decodeRow(b.Raw[r], row)
+		if err != nil {
+			return fmt.Errorf("operators: scan decode (%s): %w", s.Stream, err)
+		}
+		for c := 0; c < arity; c++ {
+			b.Cols[c][r] = row[c]
+		}
+		if s.TsIdx >= 0 && s.TsIdx < arity {
+			if ts, ok := row[s.TsIdx].(int64); ok {
+				b.Ts[r] = ts
+			}
+		}
+	}
+	if s.bytesIn != nil {
+		s.bytesIn.Add(bytes)
+		s.decodeLat.Observe(time.Since(start).Nanoseconds())
+	}
+	b.SelAll()
+	return nil
+}
 
 // InsertOp encodes result rows back to Avro (the ArrayToAvro step of Figure
 // 4) and sends them to the output stream. Output preserves the source
@@ -97,9 +107,7 @@ type Sender func(stream string, partition int32, key, value []byte, ts int64) er
 type InsertOp struct {
 	Codec  *avro.Codec
 	Target string
-	Send   Sender
-	// SendBatch, when bound, lets ProcessBlock flush a whole block's output
-	// in one producer call; without it the block path sends per row.
+	// SendBatch flushes a whole block's output in one producer call.
 	SendBatch BatchSender
 	// KeyByTupleKey selects key-based partitioning when tuples carry keys.
 	KeyByTupleKey bool
@@ -107,9 +115,9 @@ type InsertOp struct {
 	// bytesOut counts encoded output bytes; bound at Open.
 	bytesOut *metrics.Counter
 
-	// Block-path arenas: the gather row, the (start, end) offsets of each
-	// encoded row in the block slab, the outgoing message headers, and the
-	// high-water slab size used to pre-size the next block's slab.
+	// Arenas: the gather row, the (start, end) offsets of each encoded row in
+	// the block slab, the outgoing message headers, and the high-water slab
+	// size used to pre-size the next block's slab.
 	rowScratch []any
 	offScratch []int
 	msgScratch []kafka.Message
@@ -124,26 +132,60 @@ func (i *InsertOp) Open(ctx *OpContext) error {
 	return nil
 }
 
-// Process implements Operator.
-func (i *InsertOp) Process(_ int, t *Tuple, emit Emit) error {
-	value, err := i.Codec.EncodeRow(t.Row)
-	if err != nil {
-		return fmt.Errorf("operators: insert encode (%s): %w", i.Target, err)
+// ProcessBlock implements Operator for InsertOp: it encodes every selected
+// row into one per-block byte slab (the ArrayToAvro step amortized across the
+// block) and flushes the block's messages through one batched send. The slab
+// is freshly allocated per block because the broker retains sent value
+// slices; the message and offset scratches are reused.
+//
+//samzasql:hotpath
+func (i *InsertOp) ProcessBlock(_ int, b *TupleBlock, emit BlockEmit) error {
+	if cap(i.rowScratch) < len(b.Cols) {
+		i.rowScratch = make([]any, len(b.Cols))
+	}
+	row := i.rowScratch[:len(b.Cols)]
+	slab := make([]byte, 0, i.slabHint)
+	offs := i.offScratch[:0]
+	var err error
+	for _, r := range b.Sel {
+		row = b.gather(r, row)
+		start := len(slab)
+		slab, err = i.Codec.AppendEncodeRow(slab, row)
+		if err != nil {
+			return fmt.Errorf("operators: insert encode (%s): %w", i.Target, err)
+		}
+		offs = append(offs, start, len(slab))
+	}
+	i.offScratch = offs
+	if len(slab) > i.slabHint {
+		i.slabHint = len(slab)
 	}
 	if i.bytesOut != nil {
-		i.bytesOut.Add(int64(len(value)))
+		i.bytesOut.Add(int64(len(slab)))
 	}
-	partition := t.Partition
-	var key []byte
-	if i.KeyByTupleKey && len(t.Key) > 0 {
-		key = t.Key
-		partition = -1
+	msgs := i.msgScratch[:0]
+	for k, r := range b.Sel {
+		partition := b.Partition
+		var key []byte
+		if i.KeyByTupleKey && len(b.Keys[r]) > 0 {
+			key = b.Keys[r]
+			partition = -1
+		}
+		msgs = append(msgs, kafka.Message{
+			Partition: partition,
+			Key:       key,
+			Value:     slab[offs[2*k]:offs[2*k+1]:offs[2*k+1]],
+			Timestamp: b.Ts[r],
+		})
 	}
-	if err := i.Send(i.Target, partition, key, value, t.Ts); err != nil {
-		return err
+	i.msgScratch = msgs
+	if len(msgs) > 0 {
+		if err := i.SendBatch(i.Target, msgs); err != nil {
+			return err
+		}
 	}
 	if emit != nil {
-		return emit(t)
+		return emit(b)
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"samzasql/internal/kv"
 	"samzasql/internal/serde"
@@ -18,11 +19,12 @@ const SlidingStoreName = "samzasql-window"
 // partition's deque holds. Every chunk but the tail holds exactly chunkCap.
 const chunkCap = 64
 
-// SlidingWindowOp implements Algorithm 1 (§4.3): on each tuple it saves the
+// SlidingWindowOp implements Algorithm 1 (§4.3): for each tuple it saves the
 // message's contribution into local storage, purges expired contributions
 // while adjusting aggregate values, folds in the current tuple, persists the
 // window state, and emits the input row extended with the latest aggregate
-// values downstream.
+// values downstream (ProcessBlock, block_stateful.go, runs these steps over a
+// whole block, loading and persisting each partition's state once).
 //
 // Where Algorithm 1 stores every message under its own key, this operator
 // keeps each window partition's retained contributions as a deque ordered by
@@ -36,13 +38,13 @@ const chunkCap = 64
 // All state lives in the task's key-value store so Samza's changelog
 // snapshot/restore makes the operator fault-tolerant, and per-stream offset
 // markers make re-delivered messages no-ops (exactly-once output, §4.3).
-// Every store write one tuple (scalar path) or one block (block path) causes
-// goes down as a single kv write batch, which the changelog never splits, so
-// a restored state row always finds the chunks its cursors point into.
+// Every store write one block causes goes down as a single kv write batch,
+// which the changelog never splits, so a restored state row always finds the
+// chunks its cursors point into.
 //
 // When the job enables the store cache (JobSpec.StoreCacheSize), the state
 // rows stay resident as decoded windowState objects together with their
-// head and tail chunk images: a cache-hit tuple pays no state decode, no
+// head and tail chunk images: a cache-hit partition pays no state decode, no
 // chunk read and no state encode (encoding defers to commit flush or
 // eviction). Chunks are rewritten, never re-read point-wise while their
 // state is resident, so they route to the uncached layer.
@@ -81,7 +83,7 @@ type SlidingWindowOp struct {
 	pool     []*windowState
 	poolUsed int
 
-	// Block-path scratch (block_stateful.go): the output block, the gather
+	// Per-block scratch (block_stateful.go): the output block, the gather
 	// row, per-row group keys, per-row replay flags, the per-block state map
 	// keyed by state-key string, and the batched-read slices.
 	outBlock   TupleBlock
@@ -232,101 +234,11 @@ func (o *SlidingWindowOp) Open(ctx *OpContext) error {
 	return nil
 }
 
-// Process implements Operator (Algorithm 1). Re-delivered messages are
-// detected via the last-applied offset carried in each window state row and
-// produce no state change and no output (exactly-once, §4.3). Everything the
-// tuple writes, across all analytic calls, goes down as one write batch.
-//
-//samzasql:hotpath
-func (o *SlidingWindowOp) Process(_ int, t *Tuple, emit Emit) error {
-	out := append([]any(nil), t.Row...)
-	replay := false
-	for i, call := range o.calls {
-		v, seen, err := o.processCall(call, t)
-		if err != nil {
-			o.discardWrites()
-			return err
-		}
-		if i == 0 && seen {
-			replay = true
-		}
-		out = append(out, v)
-	}
-	o.flushWrites()
-	if replay {
-		return nil
-	}
-	return emit(&Tuple{
-		Row: out, Ts: t.Ts, Key: t.Key,
-		Stream: t.Stream, Partition: t.Partition, Offset: t.Offset,
-	})
-}
-
-//samzasql:hotpath
-func (o *SlidingWindowOp) processCall(c *analyticState, t *Tuple) (any, bool, error) {
-	// Partition key for window state.
-	if c.partVals == nil {
-		c.partVals = make([]any, len(c.partEvals))
-	}
-	for i, ev := range c.partEvals {
-		v, err := ev(t.Row)
-		if err != nil {
-			return nil, false, err
-		}
-		c.partVals[i] = v
-	}
-	pk, err := c.groupKey(o.obj)
-	if err != nil {
-		return nil, false, err
-	}
-	// Window ordering value (the tuple timestamp; §3.8 assumes it
-	// monotonically increases per partition).
-	ov, err := c.orderEval(t.Row)
-	if err != nil {
-		return nil, false, err
-	}
-	ts, ok := ov.(int64)
-	if !ok {
-		return nil, false, fmt.Errorf("operators: ORDER BY value is %T", ov)
-	}
-	// The aggregate input value (a non-nil marker for COUNT(*)).
-	var arg any = int64(1)
-	if c.argEval != nil {
-		arg, err = c.argEval(t.Row)
-		if err != nil {
-			return nil, false, err
-		}
-	}
-
-	// 1. Load window state (aggregate values, cursors, applied offsets) —
-	// from the object cache when resident, decoding from bytes otherwise.
-	o.sbuf = appendStateKey(o.sbuf[:0], c.idx, pk)
-	sk := o.sbuf
-	//samzasql:ignore hotpath-blocking -- the task store mutex is per-task single-writer and uncontended by design; skiplist access under it is the state-access contract
-	ws, err := o.loadCallState(c, sk)
-	if err != nil {
-		return nil, false, err
-	}
-	// Replayed message: state already reflects it; report current value.
-	src := o.sources.key(t)
-	if ws.offsets.seen(src, t.Offset) {
-		return ws.acc.Value(), true, nil
-	}
-	if err := o.foldTuple(c, ws, pk, ts, arg, t.Offset); err != nil {
-		return nil, false, err
-	}
-	// 6. Persist state.
-	ws.offsets = ws.offsets.update(src, t.Offset)
-	o.stageState(c, sk, pk, ws)
-	return ws.acc.Value(), false, nil
-}
-
 // foldTuple applies one tuple's contribution to a loaded window state:
 // Algorithm 1 steps 2–5 (save contribution, purge expired, fold, rebuild
 // non-invertible aggregates). Replay detection and state persistence stay
-// with the caller — the scalar path stages the state per tuple, the block
-// path once per key per block. An UNBOUNDED frame never purges, so it keeps
-// no contributions at all.
+// with the caller, which stages the state once per key per block. An
+// UNBOUNDED frame never purges, so it keeps no contributions at all.
 //
 //samzasql:hotpath
 func (o *SlidingWindowOp) foldTuple(c *analyticState, ws *windowState, pk []byte, ts int64, arg any, offset int64) error {
@@ -377,7 +289,7 @@ func (o *SlidingWindowOp) foldTuple(c *analyticState, ws *windowState, pk []byte
 	return nil
 }
 
-// purge is the one expiry routine of both execution paths: it pops expired
+// purge is the one expiry routine: it pops expired
 // contributions off the deque's head — all but the newest FrameRows+1 for a
 // ROWS frame, those older than ts - FrameMillis for a RANGE frame, ts being
 // the current tuple's own — removing each from an invertible accumulator. It
@@ -543,8 +455,8 @@ func (o *SlidingWindowOp) insertLate(c *analyticState, ws *windowState, pk []byt
 // rebuildDeque is the slow path of a late tuple: it reads every retained
 // entry, merges the entry in o.ebuf in at its (ts, offset) position, and
 // rewrites the deque from chunk headSeq on with the expired head prefix
-// gone. The result depends only on the deque's contents, so the scalar and
-// block paths lay out identical chunks.
+// gone. The result depends only on the deque's contents, so every block size
+// lays out identical chunks.
 func (o *SlidingWindowOp) rebuildDeque(c *analyticState, ws *windowState, pk []byte) error {
 	if err := o.loadHead(c, ws, pk); err != nil {
 		return err
@@ -739,8 +651,8 @@ func (o *SlidingWindowOp) flushWrites() {
 	o.discardWrites()
 }
 
-// discardWrites drops the pending batch unwritten — the error path: a tuple
-// or block that failed leaves the store as it found it.
+// discardWrites drops the pending batch unwritten — the error path: a block
+// that failed leaves the store as it found it.
 func (o *SlidingWindowOp) discardWrites() {
 	o.ops, o.arena, o.rolled, o.cachePuts = o.ops[:0], o.arena[:0], o.rolled[:0], o.cachePuts[:0]
 	o.poolUsed = 0
@@ -826,7 +738,11 @@ func (o *SlidingWindowOp) entryValue(b []byte) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	return row.([]any)[0], nil
+	vals, ok := row.([]any)
+	if !ok || len(vals) != 1 {
+		return nil, fmt.Errorf("operators: window chunk entry holds %T, want a one-value row", row)
+	}
+	return vals[0], nil
 }
 
 // appendChunkKey appends "m" + callIdx + len(pk) + pk + chunkSeq to buf. The
@@ -846,27 +762,6 @@ const stateKeyPrefix = 2
 func appendStateKey(buf []byte, idx byte, pk []byte) []byte {
 	buf = append(buf, 's', idx)
 	return append(buf, pk...)
-}
-
-// loadCallState returns the window state stored under state key sk. On a
-// cache hit the decoded windowState comes back as-is — no Get, no decode.
-// Otherwise the state row is read and decoded, and the decoded form is
-// memoized for subsequent tuples.
-func (o *SlidingWindowOp) loadCallState(c *analyticState, sk []byte) (*windowState, error) {
-	if o.cache != nil {
-		if obj, ok := o.cache.GetObject(sk); ok {
-			return obj.(*windowState), nil
-		}
-	}
-	v, ok := o.store.Get(sk)
-	ws, err := o.decodeCallState(c, v, ok)
-	if err != nil {
-		return nil, err
-	}
-	if o.cache != nil {
-		o.cache.CacheObject(sk, ws)
-	}
-	return ws, nil
 }
 
 // The state row has a fixed binary layout — uvarints for the retained
@@ -904,8 +799,7 @@ func (o *SlidingWindowOp) encodeState(obj any) ([]byte, error) {
 }
 
 // decodeCallState builds a windowState from stored bytes; ok=false yields a
-// fresh empty state. Shared by the scalar load path and the block path's
-// batched miss fill.
+// fresh empty state.
 func (o *SlidingWindowOp) decodeCallState(c *analyticState, v []byte, ok bool) (*windowState, error) {
 	ws := o.newState(c)
 	if !ok {
@@ -920,13 +814,15 @@ func (o *SlidingWindowOp) decodeCallState(c *analyticState, v []byte, ok bool) (
 		}
 		fields[i], v = u, v[w:]
 	}
+	// Range-check the unsigned values: a cursor past 2^63 would turn negative
+	// in the int fields below and slip under the bounds.
+	if fields[0] > math.MaxInt64 || fields[1] > fields[3] || fields[2] >= chunkCap || fields[4] > chunkCap {
+		return nil, fmt.Errorf("operators: window state out of range (count %d, head %d+%d, tail %d+%d)",
+			fields[0], fields[1], fields[2], fields[3], fields[4])
+	}
 	ws.count = int64(fields[0])
 	ws.headSeq, ws.headPos = fields[1], int(fields[2])
 	ws.tailSeq, ws.tailLen = fields[3], int(fields[4])
-	if ws.headSeq > ws.tailSeq || ws.headPos >= chunkCap || ws.tailLen > chunkCap {
-		return nil, fmt.Errorf("operators: window state cursors out of range (head %d+%d, tail %d+%d)",
-			ws.headSeq, ws.headPos, ws.tailSeq, ws.tailLen)
-	}
 	for n := fields[5]; n > 0; n-- {
 		l, w := binary.Uvarint(v)
 		if w <= 0 || uint64(len(v)-w) < l {
@@ -944,7 +840,11 @@ func (o *SlidingWindowOp) decodeCallState(c *analyticState, v []byte, ok bool) (
 	if err != nil {
 		return nil, err
 	}
-	if err := ws.acc.Restore(snap.([]any)); err != nil {
+	row, ok := snap.([]any)
+	if !ok {
+		return nil, fmt.Errorf("operators: window accumulator snapshot is %T, want a row", snap)
+	}
+	if err := ws.acc.Restore(row); err != nil {
 		return nil, err
 	}
 	return ws, nil

@@ -2,8 +2,10 @@ package operators
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"samzasql/internal/kafka"
@@ -26,9 +28,8 @@ func inOrderRows(n, keys int) []windowRow {
 	return rows
 }
 
-// feedWindow drives rows[from:to) through op — one Process call per row when
-// batch <= 0, ProcessBlock over blocks of at most batch rows otherwise — and
-// records every emitted row's analytic values under the row's offset.
+// feedWindow drives rows[from:to) through op in blocks of at most batch rows
+// and records every emitted row's analytic values under the row's offset.
 func feedWindow(t *testing.T, op *SlidingWindowOp, rows []windowRow, from, to, batch int, out map[int64]string) {
 	t.Helper()
 	feedWindowArgs(t, op, rows, nil, from, to, batch, out)
@@ -44,19 +45,6 @@ func feedWindowArgs(t *testing.T, op *SlidingWindowOp, rows []windowRow, args []
 			return args[i]
 		}
 		return rows[i].units
-	}
-	if batch <= 0 {
-		for i := from; i < to; i++ {
-			r := rows[i]
-			err := op.Process(0, tup(int64(i), r.ts, r.ts, arg(i), r.pid), func(o *Tuple) error {
-				out[o.Offset] = fmt.Sprint(o.Row[3:])
-				return nil
-			})
-			if err != nil {
-				t.Fatalf("offset %d: %v", i, err)
-			}
-		}
-		return
 	}
 	b := &TupleBlock{}
 	for from < to {
@@ -149,6 +137,37 @@ func foldedChangelog(t *testing.T, broker *kafka.Broker) []string {
 	return out
 }
 
+// windowGolden is what the per-tuple Process path — commit fc0bc3c, the last
+// one to have it — left behind for one scenario: the FNV-64a of the emitted
+// analytic values in offset order and of the folded changelog.
+type windowGolden struct{ out, state string }
+
+// windowDigest folds the analytic values emitted for offsets 0..n-1.
+func windowDigest(out map[int64]string, n int) string {
+	h := fnv.New64a()
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(h, "%s,", strings.Trim(out[int64(i)], "[]"))
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// stateDigest folds the window changelog, as foldedChangelog does, into one
+// FNV-64a.
+func stateDigest(t *testing.T, broker *kafka.Broker) string {
+	t.Helper()
+	h := fnv.New64a()
+	for _, l := range foldedChangelog(t, broker) {
+		fmt.Fprintf(h, "%s\n", l)
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// windowBlockSizes is the spread the window tests run: one-row blocks (the
+// per-tuple case), a prime, the default 256 and a seeded random size.
+func windowBlockSizes() []int {
+	return []int{1, 7, 256, 2 + rand.New(rand.NewSource(0x5eed)).Intn(96)}
+}
+
 // windowReference computes, for in-order rows, what one bounded analytic
 // call emits per row: the aggregate over the row's partition, restricted to
 // the frame ending at the row.
@@ -191,9 +210,9 @@ func windowReference(fn string, frameMillis, frameRows int64, rows []windowRow) 
 // TestSlidingWindowChunkBoundaries runs window plans whose partitions hold
 // chunkCap-1, chunkCap, chunkCap+1 and 3*chunkCap contributions — ROWS and
 // RANGE frames, invertible and rebuilt aggregates, two calls in one
-// operator — through the scalar path and a spread of block sizes. Every run
-// must emit the brute-force reference, and every block size must leave the
-// changelog folding to exactly the state the scalar path leaves.
+// operator — at a spread of block sizes. Every run must emit the brute-force
+// reference, and every block size must leave the changelog folding to exactly
+// the state the recorded per-tuple reference left.
 func TestSlidingWindowChunkBoundaries(t *testing.T) {
 	const n = 5*chunkCap + 17
 	type plan struct {
@@ -231,8 +250,18 @@ func TestSlidingWindowChunkBoundaries(t *testing.T) {
 			specs: []*validate.BoundAnalytic{slidingSpec("SUM", (chunkCap+1)*30, 0, false), slidingSpec("COUNT", 0, chunkCap, false)},
 			fns:   []string{"SUM", "COUNT"}, millis: []int64{(chunkCap + 1) * 30, 0}, nrows: []int64{0, chunkCap},
 		})
-	rng := rand.New(rand.NewSource(0x5eed))
-	sizes := []int{-1, 1, 7, 256, 2 + rng.Intn(96)}
+	goldens := map[string]windowGolden{
+		"rows-sum-63":             {"7ce3e5898017e936", "17bcd11df9a14a25"},
+		"range-sum-63":            {"042eb236e0a221c4", "1d45d8ebacb1ea7c"},
+		"rows-sum-64":             {"5a9aeac3e32abd06", "141f4c99e85ce18e"},
+		"range-sum-64":            {"476a7ef9049f9249", "ac5c14baa289c332"},
+		"rows-sum-65":             {"4af95049228801a7", "292ccda8b222bded"},
+		"range-sum-65":            {"ae2251ee4500df80", "7859546c95266627"},
+		"rows-sum-192":            {"09e947495b554395", "312c6763f2c733f2"},
+		"range-sum-192":           {"e46197f1114a5427", "dc6d94a0854bbfa1"},
+		"minmax-rebuild-3-chunks": {"74bad5b233f962cd", "f9c3a69eb2a042b8"},
+		"two-calls":               {"59f6855df7683127", "f4d29c10607e9daa"},
+	}
 	for _, p := range plans {
 		t.Run(p.name, func(t *testing.T) {
 			rows := inOrderRows(n, p.keys)
@@ -240,8 +269,7 @@ func TestSlidingWindowChunkBoundaries(t *testing.T) {
 			for c := range p.specs {
 				refs[c] = windowReference(p.fns[c], p.millis[c], p.nrows[c], rows)
 			}
-			var scalarState []string
-			for _, bs := range sizes {
+			for _, bs := range windowBlockSizes() {
 				broker := kafka.NewBroker()
 				op, cl := changelogWindowOp(t, broker, 1, p.specs...)
 				out := map[int64]string{}
@@ -258,13 +286,8 @@ func TestSlidingWindowChunkBoundaries(t *testing.T) {
 						t.Fatalf("batch=%d offset %d: emitted %s, want %v", bs, i, got, want)
 					}
 				}
-				state := foldedChangelog(t, broker)
-				if bs == -1 {
-					scalarState = state
-					continue
-				}
-				if fmt.Sprint(state) != fmt.Sprint(scalarState) {
-					t.Fatalf("batch=%d: folded changelog state differs from the scalar path's\n scalar: %v\n block:  %v", bs, scalarState, state)
+				if got := (windowGolden{windowDigest(out, n), stateDigest(t, broker)}); got != goldens[p.name] {
+					t.Fatalf("batch=%d: digests %+v, want the per-tuple reference's %+v", bs, got, goldens[p.name])
 				}
 			}
 		})
@@ -310,9 +333,12 @@ func TestSlidingWindowNonIntegerContributions(t *testing.T) {
 			return least
 		}},
 	}
+	goldens := map[string]windowGolden{
+		"SUM": {"4fc70d121c84e247", "2cf75531ffc5bdb2"},
+		"MIN": {"bc994d89e1ef1e7d", "fe4415d2a3a3d764"},
+	}
 	for _, c := range cases {
-		var scalarState []string
-		for _, bs := range []int{-1, 7, 256} {
+		for _, bs := range []int{1, 7, 256} {
 			broker := kafka.NewBroker()
 			op, cl := changelogWindowOp(t, broker, 1, slidingSpec(c.fn, 0, frameRows, false))
 			out := map[int64]string{}
@@ -325,11 +351,8 @@ func TestSlidingWindowNonIntegerContributions(t *testing.T) {
 					t.Fatalf("%s batch=%d offset %d: emitted %s, want %s", c.fn, bs, i, got, want)
 				}
 			}
-			state := foldedChangelog(t, broker)
-			if bs == -1 {
-				scalarState = state
-			} else if fmt.Sprint(state) != fmt.Sprint(scalarState) {
-				t.Fatalf("%s batch=%d: folded changelog state differs from the scalar path's", c.fn, bs)
+			if got := (windowGolden{windowDigest(out, n), stateDigest(t, broker)}); got != goldens[c.fn] {
+				t.Fatalf("%s batch=%d: digests %+v, want the per-tuple reference's %+v", c.fn, bs, got, goldens[c.fn])
 			}
 		}
 	}
@@ -339,8 +362,9 @@ func TestSlidingWindowNonIntegerContributions(t *testing.T) {
 // every point of an interval after a commit — the changelog's write-batch
 // cap small enough that early flushes land all through the interval — then
 // restores from the changelog, replays from the committed offset, and
-// requires every row to come out exactly as the uncrashed run emits it. An
-// early flush that split one tuple's (or block's) writes would restore a
+// requires every row to come out exactly as the uncrashed run emits it, and
+// the changelog to fold to the state the per-tuple reference left after the
+// same crash. An early flush that split one block's writes would restore a
 // state row whose accumulator and deque disagree, and the sums after the
 // crash would stay wrong.
 func TestSlidingWindowCrashPointSweep(t *testing.T) {
@@ -353,15 +377,23 @@ func TestSlidingWindowCrashPointSweep(t *testing.T) {
 		crashes     []int
 	}{
 		// Five contributions per partition: expiry from the first commit on.
-		{name: "scalar", batch: -1, frameMillis: 120, n: 160, commitAt: 50, crashes: seq(51, 120)},
+		{name: "block-1", batch: 1, frameMillis: 120, n: 160, commitAt: 50, crashes: seq(51, 120)},
 		// 80 per partition: the deque spans chunks, heads get deleted.
-		{name: "scalar-multi-chunk", batch: -1, frameMillis: 1590, n: 400, commitAt: 200, crashes: seq(201, 270)},
+		{name: "block-1-multi-chunk", batch: 1, frameMillis: 1590, n: 400, commitAt: 200, crashes: seq(201, 270)},
 		{name: "block-7", batch: 7, frameMillis: 120, n: 160, commitAt: 49, crashes: seq(50, 120)},
 		{name: "block-7-multi-chunk", batch: 7, frameMillis: 1590, n: 400, commitAt: 196, crashes: seq(197, 270)},
 		{name: "block-256", batch: 256, frameMillis: 1590, n: 1400, commitAt: 512, crashes: []int{600, 768, 900, 1024, 1280}},
 	}
+	// The state a crashed-and-replayed run leaves does not depend on where
+	// the crash fell, only on the input: one golden per (frame, n).
+	goldens := map[[2]int64]windowGolden{
+		{120, 160}:   {"7169b2233e188cab", "5ab6766d1e669d26"},
+		{1590, 400}:  {"788417414f7f20d1", "1342327d89be9b5d"},
+		{1590, 1400}: {"eaa5bac3ed55f354", "26fae69bf9b00ef5"},
+	}
 	for _, sw := range sweeps {
 		t.Run(sw.name, func(t *testing.T) {
+			want := goldens[[2]int64{sw.frameMillis, int64(sw.n)}]
 			spec := slidingSpec("SUM", sw.frameMillis, 0, false)
 			rows := inOrderRows(sw.n, 2)
 			ref := windowReference("SUM", sw.frameMillis, 0, rows)
@@ -376,8 +408,14 @@ func TestSlidingWindowCrashPointSweep(t *testing.T) {
 				}
 				feedWindow(t, op, rows, sw.commitAt, crashAt, sw.batch, out)
 				// Crash: whatever the changelog store still buffers is lost.
-				op, _ = changelogWindowOp(t, broker, writeBatch, spec)
+				op, cl = changelogWindowOp(t, broker, writeBatch, spec)
 				feedWindow(t, op, rows, sw.commitAt, sw.n, sw.batch, out)
+				if err := cl.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				if got := (windowGolden{windowDigest(out, sw.n), stateDigest(t, broker)}); got != want {
+					t.Errorf("crash at %d: digests %+v, want the per-tuple reference's %+v", crashAt, got, want)
+				}
 				for i := range rows {
 					if got, want := out[int64(i)], fmt.Sprint([]any{ref[i]}); got != want {
 						t.Errorf("crash at %d: offset %d emitted %s, want %s", crashAt, i, got, want)
@@ -400,4 +438,92 @@ func seq(from, to int) []int {
 		out = append(out, i)
 	}
 	return out
+}
+
+// FuzzSlidingStateDecode feeds arbitrary bytes to the readers of the two
+// sliding-window formats that reach the changelog — the state row
+// (decodeCallState) and the chunk image (trimChunk, entrySize, entryValue).
+// Corrupt bytes must come back as an error, never a panic, and a state row
+// that decodes must carry cursors inside a chunk. Seeded with the rows a real
+// run stores, int64 and ObjectSerde entries alike, and with the three inputs
+// that used to panic or slip through.
+func FuzzSlidingStateDecode(f *testing.F) {
+	const n = 2*chunkCap + 5
+	rows := inOrderRows(n, 1)
+	strs := make([]any, n)
+	for i := range strs {
+		strs[i] = fmt.Sprintf("k%03d", i*37%101)
+	}
+	for _, args := range [][]any{nil, strs} {
+		store := kv.NewStore()
+		op, err := NewSlidingWindowOp([]*validate.BoundAnalytic{slidingSpec("MIN", 0, n, false)})
+		if err != nil {
+			f.Fatal(err)
+		}
+		if err := op.Open(&OpContext{Store: func(string) kv.Store { return store }}); err != nil {
+			f.Fatal(err)
+		}
+		b := &TupleBlock{}
+		b.Reset("in", 0, n)
+		b.sizeCols(3, n)
+		for k, r := range rows {
+			b.Cols[0][k], b.Cols[1][k], b.Cols[2][k] = r.ts, any(r.units), r.pid
+			if args != nil {
+				b.Cols[1][k] = args[k]
+			}
+			b.Ts, b.Keys, b.Offsets = append(b.Ts, r.ts), append(b.Keys, nil), append(b.Offsets, int64(k))
+		}
+		b.SelAll()
+		if err := op.ProcessBlock(0, b, func(*TupleBlock) error { return nil }); err != nil {
+			f.Fatal(err)
+		}
+		var state []byte
+		for _, e := range store.Range([]byte("s"), []byte("t"), 0) {
+			state = e.Value
+		}
+		for _, e := range store.Range([]byte("m"), []byte("n"), 0) {
+			f.Add(state, e.Value)
+		}
+	}
+	op, err := NewSlidingWindowOp([]*validate.BoundAnalytic{slidingSpec("SUM", 1000, 0, false)})
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := op.Open(testCtx()); err != nil {
+		f.Fatal(err)
+	}
+	// Cursors past 2^63 on the wire: negative once converted, so under every
+	// upper bound.
+	f.Add(op.appendState(nil, &windowState{acc: op.calls[0].newAcc(), count: 1, tailLen: -1}), []byte{})
+	f.Add(op.appendState(nil, &windowState{acc: op.calls[0].newAcc(), count: 1, tailSeq: 1, headPos: -5}), []byte{})
+	// An ObjectSerde entry whose row is empty: no value to return.
+	f.Add([]byte{}, append(make([]byte, entryHeader), 1, 0))
+	f.Fuzz(func(t *testing.T, state, chunk []byte) {
+		n := chunkCap
+		if ws, err := op.decodeCallState(op.calls[0], state, true); err == nil {
+			if ws.count < 0 || ws.headPos < 0 || ws.headPos >= chunkCap || ws.tailLen < 0 || ws.tailLen > chunkCap || ws.headSeq > ws.tailSeq {
+				t.Fatalf("accepted state row with count %d, head %d+%d, tail %d+%d", ws.count, ws.headSeq, ws.headPos, ws.tailSeq, ws.tailLen)
+			}
+			n = ws.tailLen
+		}
+		op.discardWrites() // recycle the pooled state
+		img, err := trimChunk(chunk, n, 0)
+		if err != nil {
+			img = chunk // walk whatever whole entries the bytes start with
+		}
+		for len(img) > 0 {
+			size := entrySize(img)
+			if size < 0 {
+				if err == nil {
+					t.Fatalf("trimChunk accepted %d entries but entry at -%d is not whole", n, len(img))
+				}
+				return
+			}
+			if size < entryHeader || size > len(img) {
+				t.Fatalf("entrySize %d for %d remaining bytes", size, len(img))
+			}
+			_, _ = op.entryValue(img) // must not panic
+			img = img[size:]
+		}
+	})
 }

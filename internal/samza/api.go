@@ -62,8 +62,8 @@ type MessageCollector interface {
 
 // BatchCollector is a MessageCollector that can also flush a whole block of
 // output messages in one producer call. The framework's collector
-// implements it; vectorized tasks type-assert for it and fall back to
-// per-message sends against plain collectors (tests, bounded execution).
+// implements it; batched tasks type-assert for it and fall back to
+// per-message sends against plain collectors (test fakes).
 //
 // The broker copies Message structs but retains key/value slices, so
 // callers hand over freshly allocated per-block payloads and may reuse the

@@ -140,22 +140,9 @@ func TestBatchedTaskReceivesBlocks(t *testing.T) {
 	}
 }
 
-// TestScalarBatchForcesPerMessageDelivery pins the equivalence-reference
-// escape hatch: BatchSize = ScalarBatch delivers through Process one
-// message at a time even when the task implements BatchedStreamTask.
-func TestScalarBatchForcesPerMessageDelivery(t *testing.T) {
-	const n = 50
-	batches, scalar := runBatchJob(t, ScalarBatch, n)
-	if len(batches) != 0 {
-		t.Fatalf("ProcessBatch ran %d times with BatchSize=ScalarBatch", len(batches))
-	}
-	if scalar != n {
-		t.Fatalf("scalar Process ran %d times, want %d", scalar, n)
-	}
-}
-
 // TestBatchSizeOneDeliversSingleRowBlocks checks the boundary granularity:
-// BatchSize = 1 still uses the batched entry point, one message per block.
+// BatchSize = 1 — per-tuple execution — still uses the batched entry point,
+// one message per block.
 func TestBatchSizeOneDeliversSingleRowBlocks(t *testing.T) {
 	const n = 40
 	batches, scalar := runBatchJob(t, 1, n)

@@ -62,7 +62,7 @@ func (r *bootstrapRecorder) ProcessBatch(envs []IncomingMessageEnvelope, _ Messa
 }
 
 // TestBootstrapStopsAtHighWatermark pins the bootstrap cut-off for batched
-// and per-message delivery alike: with the relation topic appended to
+// tasks and for plain StreamTasks, which get per-message delivery, alike: with the relation topic appended to
 // concurrently, the bootstrap delivers exactly the offsets below the high
 // watermark it observed at start — the last block cut short there, not
 // rounded up to the fetch — and leaves the consumer positioned on the
@@ -77,7 +77,7 @@ func TestBootstrapStopsAtHighWatermark(t *testing.T) {
 		batchSize int
 		wantBatch int // largest delivery the task may see; 0 = per message
 	}{
-		{"scalar", ScalarBatch, 0},
+		{"plain-task", 0, 0},
 		{"batch-1", 1, 1},
 		{"batch-7", 7, 7}, // 100 = 14*7 + 2: the last block is cut at the watermark
 		{"batch-256", 256, 256},
@@ -91,10 +91,16 @@ func TestBootstrapStopsAtHighWatermark(t *testing.T) {
 			produceN(t, b, "relation", 0, preloaded, "rel")
 			rec := &bootstrapRecorder{broker: b, topic: "relation", extra: extra, done: make(chan struct{})}
 			job := &JobSpec{
-				Name:        "bootstrap-hwm-" + tc.name,
-				Inputs:      []StreamSpec{{Topic: "relation", Bootstrap: true}},
-				BatchSize:   tc.batchSize,
-				TaskFactory: func() StreamTask { return rec },
+				Name:      "bootstrap-hwm-" + tc.name,
+				Inputs:    []StreamSpec{{Topic: "relation", Bootstrap: true}},
+				BatchSize: tc.batchSize,
+				TaskFactory: func() StreamTask {
+					if tc.wantBatch == 0 {
+						// Only the StreamTask half of the recorder.
+						return struct{ StreamTask }{rec}
+					}
+					return rec
+				},
 			}
 			cpm, err := NewCheckpointManager(b, job)
 			if err != nil {
@@ -132,7 +138,7 @@ func TestBootstrapStopsAtHighWatermark(t *testing.T) {
 			}
 			if tc.wantBatch == 0 {
 				if rec.scalar != preloaded {
-					t.Fatalf("BatchSize = ScalarBatch made %d Process calls, want %d", rec.scalar, preloaded)
+					t.Fatalf("plain StreamTask got %d Process calls, want %d", rec.scalar, preloaded)
 				}
 				return
 			}

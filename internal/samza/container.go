@@ -114,9 +114,8 @@ type taskInstance struct {
 	name      TaskName
 	partition int32
 	task      StreamTask
-	// batched is the task's vectorized path, cached at build time: non-nil
-	// only when the task implements BatchedStreamTask and the job has not
-	// forced scalar delivery (BatchSize == ScalarBatch).
+	// batched is the task's whole-batch entry point, cached at build time:
+	// non-nil when the task implements BatchedStreamTask.
 	batched BatchedStreamTask
 	// pollMax caps messages per poll (JobSpec.BatchSize resolved).
 	pollMax int
@@ -320,9 +319,7 @@ func (c *Container) buildTask(partition, inputPartitions int32) (*taskInstance, 
 		winLat:     c.Metrics.Timer("task." + string(name) + ".window-ns"),
 		commitLat:  c.Metrics.Timer("task." + string(name) + ".commit-ns"),
 	}
-	if c.job.BatchSize != ScalarBatch {
-		ti.batched, _ = task.(BatchedStreamTask)
-	}
+	ti.batched, _ = task.(BatchedStreamTask)
 	return ti, nil
 }
 
@@ -604,9 +601,9 @@ func (c *Container) bootstrap(ctx context.Context, ti *taskInstance) error {
 }
 
 // deliverBootstrap hands one fetched run of bootstrap messages to the task:
-// as a single ProcessBatch call when the task is batched — a vectorized job
+// as a single ProcessBatch call when the task is batched — a SamzaSQL job
 // loads its relations block-wise, like it processes its streams — and one
-// Process call per message otherwise (BatchSize = ScalarBatch included).
+// Process call per message otherwise.
 //
 //samzasql:hotpath
 func (c *Container) deliverBootstrap(ti *taskInstance, msgs []kafka.Message) error {
@@ -646,14 +643,9 @@ func bootstrapEnvelope(m *kafka.Message) IncomingMessageEnvelope {
 const idleWait = 10 * time.Millisecond
 
 // DefaultBatchSize is the per-poll message cap when JobSpec.BatchSize is
-// unset: the delivery unit of the vectorized block path and the fetch
-// granularity of the scalar path alike.
+// unset: the block a BatchedStreamTask receives and the fetch granularity of
+// per-message delivery alike.
 const DefaultBatchSize = 256
-
-// ScalarBatch, as JobSpec.BatchSize, forces per-message delivery even for
-// tasks implementing BatchedStreamTask — the reference path batch-vs-scalar
-// equivalence tests compare against.
-const ScalarBatch = -1
 
 // pollTask delivers one batch to the task. Returns stop=true when the task
 // requested shutdown.

@@ -113,13 +113,11 @@ type JobSpec struct {
 	// ProfilesTopic overrides the profiles stream name; empty uses
 	// DefaultProfilesTopic.
 	ProfilesTopic string
-	// BatchSize caps how many messages one poll delivers to a task and, for
-	// tasks implementing BatchedStreamTask, selects vectorized delivery:
-	// whole batches per ProcessBatch call. 0 (the default) uses
-	// DefaultBatchSize. ScalarBatch (-1) forces per-message delivery even
-	// for batched tasks — the scalar reference path the equivalence tests
-	// compare against. Plain StreamTasks see per-message delivery at every
-	// setting.
+	// BatchSize caps how many messages one poll delivers to a task: the
+	// block size of a BatchedStreamTask's ProcessBatch calls (1 is per-tuple
+	// execution), the fetch granularity of a plain StreamTask's per-message
+	// delivery. 0 (the default) uses DefaultBatchSize; negative values are
+	// rejected.
 	BatchSize int
 	// Config carries arbitrary job configuration strings.
 	Config map[string]string
@@ -172,8 +170,8 @@ func (j *JobSpec) Validate() error {
 	if j.ProfileInterval < 0 || j.ProfileWindow < 0 {
 		return fmt.Errorf("samza: job %q has negative profile interval/window", j.Name)
 	}
-	if j.BatchSize < ScalarBatch {
-		return fmt.Errorf("samza: job %q has invalid batch size %d (want >= %d)", j.Name, j.BatchSize, ScalarBatch)
+	if j.BatchSize < 0 {
+		return fmt.Errorf("samza: job %q has negative batch size %d", j.Name, j.BatchSize)
 	}
 	seen := map[string]bool{}
 	for _, in := range j.Inputs {

@@ -107,6 +107,7 @@ func TestJobSpecValidate(t *testing.T) {
 		{"dup input", JobSpec{Name: "j", Inputs: []StreamSpec{{Topic: "a"}, {Topic: "a"}}, TaskFactory: factory}, "twice"},
 		{"dup store", JobSpec{Name: "j", Inputs: []StreamSpec{{Topic: "a"}}, TaskFactory: factory,
 			Stores: []StoreSpec{{Name: "s"}, {Name: "s"}}}, "twice"},
+		{"negative batch size", JobSpec{Name: "j", Inputs: []StreamSpec{{Topic: "a"}}, TaskFactory: factory, BatchSize: -1}, "negative batch size"},
 	}
 	for _, tc := range cases {
 		err := tc.spec.Validate()

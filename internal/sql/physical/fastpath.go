@@ -28,15 +28,14 @@ import (
 //     output message without materializing values.
 //
 // The scan, filter, project and insert operators of Figure 4 fuse into one
-// per-message function. Enable with Options.FastPath; the
+// per-block kernel. Enable with Options.FastPath; the
 // BenchmarkAblationFastPath benches measure the recovered throughput.
 
-// fastProgram is the fused handler: per-message via handle, per-block via
-// handleBlock. Three output modes, cheapest first: identity forwards input
-// bytes unchanged; extent projection (projectNames/projIdx) byte-copies
-// column encodings without materializing values; computed projection
-// (projEvals) evaluates compiled expressions over the sparse row and
-// re-encodes — the generalization that lets arbitrary filter/project/
+// fastProgram is the fused handler (handleBlock). Three output modes,
+// cheapest first: identity forwards input bytes unchanged; extent projection
+// (projIdx) byte-copies column encodings without materializing values;
+// computed projection (projEvals) evaluates compiled expressions over the
+// sparse row and re-encodes — the generalization that lets arbitrary filter/project/
 // scalar pipelines compile to the kernel instead of falling back.
 type fastProgram struct {
 	codec *avro.Codec
@@ -44,17 +43,14 @@ type fastProgram struct {
 	// condition and any computed projections read.
 	cond   expr.Evaluator
 	wanted []bool
-	// identity forwards input bytes; projectNames/projIdx select the extent
-	// copy mode; projEvals selects the computed mode.
-	identity     bool
-	projectNames []string
-	projIdx      []int
-	projEvals    []expr.Evaluator
-	outCodec     *avro.Codec
+	// identity forwards input bytes; projIdx selects the extent copy mode;
+	// projEvals selects the computed mode.
+	identity  bool
+	projIdx   []int
+	projEvals []expr.Evaluator
+	outCodec  *avro.Codec
 
-	send operators.Sender
-	// sendBatch, when bound, lets handleBlock flush a whole block's output
-	// in one producer call; without it batches fall back to handle.
+	// sendBatch flushes a whole block's output in one producer call.
 	sendBatch operators.BatchSender
 	// scratch is the reusable sparse row; outScratch the computed output row.
 	scratch    []any
@@ -62,7 +58,7 @@ type fastProgram struct {
 	topic      string
 	target     string
 
-	// Block-path arenas: outgoing message headers, (envIdx, start, end)
+	// Arenas: outgoing message headers, (envIdx, start, end)
 	// triplets locating each encoded row in the block slab, the field
 	// extent scratch for extent projection, and the slab high-water mark
 	// used to pre-size the next block's slab.
@@ -78,9 +74,6 @@ type fastProgram struct {
 	out      *metrics.Counter
 	bytesIn  *metrics.Counter
 	bytesOut *metrics.Counter
-	// act is the task's tracing cursor (nil without one); sampled messages
-	// record the fused chain as a single "operator.fastpath" span.
-	act *trace.Active
 }
 
 // fastBinder registers the fused handler with the router purely for the
@@ -90,7 +83,7 @@ type fastBinder struct {
 	fp *fastProgram
 }
 
-// Open implements operators.Operator.
+// Open implements operators.Opener.
 func (b *fastBinder) Open(ctx *operators.OpContext) error {
 	if ctx.Metrics != nil {
 		b.fp.lat = ctx.Metrics.Histogram("operator.fastpath.process-ns")
@@ -98,14 +91,7 @@ func (b *fastBinder) Open(ctx *operators.OpContext) error {
 		b.fp.bytesIn = ctx.Metrics.Counter(operators.SerdeBytesInMetric)
 		b.fp.bytesOut = ctx.Metrics.Counter(operators.SerdeBytesOutMetric)
 	}
-	b.fp.act = ctx.Trace
 	return nil
-}
-
-// Process implements operators.Operator; the fused path never routes tuples
-// through it.
-func (b *fastBinder) Process(_ int, t *operators.Tuple, emit operators.Emit) error {
-	return emit(t)
 }
 
 // tryFastPath recognizes Project(Filter?(Scan)) shapes and compiles the
@@ -193,23 +179,18 @@ func (p *Program) tryFastPath(body plan.Node, target string) (bool, error) {
 	case identity:
 		fp.outCodec = codec
 	case allCols:
-		names := make([]string, len(colIdx))
-		idxs := make([]int, len(colIdx))
 		fields := make([]avro.Field, len(colIdx))
 		for i, idx := range colIdx {
 			if idx < 0 || idx >= arity {
 				return false, nil
 			}
-			names[i] = schema.Fields[idx].Name
-			idxs[i] = idx
 			fields[i] = avro.F(proj.Names[i], schema.Fields[idx].Schema)
 		}
 		out, err := avro.NewCodec(avro.Record("Output", fields...))
 		if err != nil {
 			return false, err
 		}
-		fp.projectNames = names
-		fp.projIdx = idxs
+		fp.projIdx = colIdx
 		fp.outCodec = out
 	default:
 		// Computed projection: compile each output expression over the
@@ -261,105 +242,16 @@ func tsIdxOf(o *catalog.Object) int {
 	return o.Row.Index(o.TimestampCol)
 }
 
-// handle processes one raw message through the fused path. Metric handles
-// are pre-bound and the timing is two monotonic clock reads plus lock-free
-// atomics, keeping the fused path at 0 allocs/op with instrumentation on.
-func (f *fastProgram) handle(value, key []byte, ts int64, partition int32) error {
-	start := time.Now()
-	// Sampled messages bracket the fused chain in one span; the send runs
-	// inside it, so an outgoing trace context parents here.
-	if f.act.Sampled() {
-		defer f.closeSpan(start)
-		f.act.Begin("operator.fastpath", start.UnixNano())
-	}
-	if f.bytesIn != nil {
-		f.bytesIn.Add(int64(len(value)))
-	}
-	var row []any
-	if f.cond != nil || f.projEvals != nil {
-		var err error
-		row, err = f.codec.ReadFields(value, f.wanted, f.scratch)
-		if err != nil {
-			return err
-		}
-	}
-	if f.cond != nil {
-		v, err := f.cond(row)
-		if err != nil {
-			return err
-		}
-		if b, ok := v.(bool); !ok || !b {
-			if f.lat != nil {
-				f.lat.Observe(time.Since(start).Nanoseconds())
-			}
-			return nil
-		}
-	}
-	out := value
-	switch {
-	case f.identity:
-	case f.projEvals != nil:
-		for i, ev := range f.projEvals {
-			v, err := ev(row)
-			if err != nil {
-				return err
-			}
-			f.outScratch[i] = v
-		}
-		var err error
-		out, err = f.outCodec.EncodeRow(f.outScratch)
-		if err != nil {
-			return err
-		}
-	default:
-		var err error
-		out, err = f.codec.ProjectFields(value, f.projectNames, f.outCodec)
-		if err != nil {
-			return err
-		}
-	}
-	err := f.send(f.target, partition, key, out, ts)
-	if err == nil && f.out != nil {
-		f.out.Inc()
-		f.bytesOut.Add(int64(len(out)))
-	}
-	if f.lat != nil {
-		f.lat.Observe(time.Since(start).Nanoseconds())
-	}
-	return err
-}
-
-// closeSpan ends the fused stage's trace span, anchored to the same
-// monotonic start as the latency observation.
-func (f *fastProgram) closeSpan(start time.Time) {
-	f.act.End(start.UnixNano() + time.Since(start).Nanoseconds())
-}
-
 // handleBlock runs the fused kernel over one polled batch: one sparse
 // decode + condition evaluation per row, all surviving outputs encoded
 // into a single per-block slab (freshly allocated, because the broker
 // retains sent value slices; identity mode forwards the input bytes and
 // allocates nothing), flushed through one batched send. Metrics observe
-// once per block. Without a batch sender bound, the batch degrades to the
-// per-message handler.
+// once per block; sampled messages record the fused chain as a single
+// "operator.fastpath" span.
 //
 //samzasql:hotpath
 func (f *fastProgram) handleBlock(envs []samza.IncomingMessageEnvelope, act *trace.Active, pollNs int64) error {
-	if f.sendBatch == nil {
-		for i := range envs {
-			env := &envs[i]
-			if env.Trace.Sampled {
-				act.StartMessage(env.Trace, pollNs, time.Now().UnixNano())
-			}
-			if err := f.handle(env.Value, env.Key, env.Timestamp, env.Partition); err != nil {
-				return err
-			}
-			if env.Trace.Sampled {
-				act.FinishMessage(time.Now().UnixNano())
-			}
-		}
-		return nil
-	}
 	start := time.Now()
 	sampled := 0
 	var bytesIn, bytesOut int64

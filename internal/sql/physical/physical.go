@@ -1,5 +1,6 @@
 // Package physical lowers a logical plan to a SamzaSQL program: the scan /
-// operator / insert chain (Figure 4), the message router wiring, the input
+// operator / insert chain (Figure 4), the message router wiring (one block
+// pipeline per input topic, see block.go), the input
 // stream set with bootstrap flags, and the store declarations the Samza job
 // needs. It is the second half of the paper's two-step planning (§4.2):
 // the same compilation runs in the shell (to derive the job configuration)
@@ -25,6 +26,9 @@ type Input struct {
 	Bootstrap bool
 	// Scan decodes messages from this topic.
 	Scan *operators.ScanOp
+	// entry is the compiled chain above the scan: RouteBatch hands it every
+	// decoded block of this topic.
+	entry operators.BlockEmit
 	// tombstone receives the message key of every nil-value message on a
 	// bootstrap input — a row deleted from the relation's compacted
 	// changelog — in place of the scan, which has nothing to decode.
@@ -51,13 +55,13 @@ type Program struct {
 	// registry holds "operator.<stage>.*" metrics — what EXPLAIN ANALYZE
 	// walks to annotate the plan with live counts and latencies.
 	Stages []string
-	// insert is the sink operator; its sender is bound via SetSender.
+	// insert is the sink operator; its sender is bound via SetBatchSender.
 	insert *operators.InsertOp
 	// aggregate is non-nil when the plan aggregates; the bounded executor
 	// uses FlushAggregate at end of input. aggDownstream is the compiled
 	// chain above the aggregate (having filter, projection, insert).
 	aggregate     *operators.StreamAggregateOp
-	aggDownstream operators.Emit
+	aggDownstream operators.BlockEmit
 	// fast is non-nil when the plan compiled to the fused fast path (§7's
 	// proposed SamzaSQL-specific code generation; see fastpath.go).
 	fast *fastProgram
@@ -65,16 +69,8 @@ type Program struct {
 	// instrumented stage gets a unique metric name.
 	stageSeq map[string]int
 
-	// Vectorized block pipelines (see block.go): one entry per input topic,
-	// compiled alongside the scalar router by threading a BlockEmit through
-	// build. Every operator kind has a block path — filter/project refine or
-	// compact selections, the stateful stages (aggregate, sliding window,
-	// joins) cluster each block by key and batch their state reads — so
-	// every topic a plan consumes gets an entry and RouteBatch never falls
-	// back to per-tuple routing for compiled plans.
-	blockInputs map[string]*blockInput
 	// blockArena and btrace are the task-owned reusable block and stage-span
-	// log RouteBatch drives the chain with.
+	// log RouteBatch drives an input's chain with.
 	blockArena operators.TupleBlock
 	btrace     operators.BlockTrace
 }
@@ -110,25 +106,13 @@ func (p *Program) FlushAggregate() error {
 	return p.aggregate.FlushFinal(p.aggDownstream)
 }
 
-// SetSender binds the output sink to a message collector.
-func (p *Program) SetSender(s operators.Sender) {
-	if p.fast != nil {
-		p.fast.send = s
-		return
-	}
-	p.insert.Send = s
-}
-
-// SetBatchSender binds the output sink's batched path. Nil unbinds it; the
-// block path then falls back to per-row sends through the scalar sender.
+// SetBatchSender binds the output sink to a message collector.
 func (p *Program) SetBatchSender(bs operators.BatchSender) {
 	if p.fast != nil {
 		p.fast.sendBatch = bs
 		return
 	}
-	if p.insert != nil {
-		p.insert.SendBatch = bs
-	}
+	p.insert.SendBatch = bs
 }
 
 // Aggregate exposes the aggregate operator (nil when the plan has none).
@@ -177,19 +161,10 @@ func CompileWithOptions(root plan.Node, defaultOutput string, opts Options) (*Pr
 	prog.OutputCodec = outCodec
 	prog.insert = &operators.InsertOp{Codec: outCodec, Target: target}
 	insInst := prog.instrument("insert", prog.insert)
-	// The insert op invokes emit per sent message, so the counting emit
-	// built here gives "operator.insert.out" = messages actually produced.
-	insEmit := insInst.WrapEmit(func(*operators.Tuple) error { return nil })
-	sink := func(t *operators.Tuple) error {
-		return insInst.Process(0, t, insEmit)
-	}
-	// The block pipeline compiles next to the scalar chain: the same
-	// instrumented sink, fed whole blocks.
-	insBlockEmit := insInst.WrapBlockEmit(func(*operators.TupleBlock) error { return nil })
-	blockSink := func(b *operators.TupleBlock) error {
-		return insInst.ProcessBlock(0, b, insBlockEmit)
-	}
-	if err := prog.build(body, sink, blockSink); err != nil {
+	// The insert op emits each block it sent, so the counting emit built
+	// here gives "operator.insert.out" = messages actually produced.
+	sink := prog.blockStage(insInst, 0, func(*operators.TupleBlock) error { return nil })
+	if err := prog.build(body, sink); err != nil {
 		return nil, err
 	}
 	// Aggregate outputs partition by group key (tuples carry it); other
@@ -200,37 +175,27 @@ func CompileWithOptions(root plan.Node, defaultOutput string, opts Options) (*Pr
 	return prog, nil
 }
 
-// blockStage wraps one instrumented operator as a block pipeline stage
-// feeding blockDown on the given input side. A nil blockDown (no vectorized
-// path downstream) propagates, leaving the subtree's scans on the per-tuple
-// router.
-func (p *Program) blockStage(inst *operators.Instrumented, side int, blockDown operators.BlockEmit) operators.BlockEmit {
-	if blockDown == nil {
-		return nil
-	}
-	emitTo := inst.WrapBlockEmit(blockDown)
+// blockStage wraps one instrumented operator as a pipeline stage feeding
+// downstream on the given input side.
+func (p *Program) blockStage(inst *operators.Instrumented, side int, downstream operators.BlockEmit) operators.BlockEmit {
+	emitTo := inst.WrapBlockEmit(downstream)
 	return func(b *operators.TupleBlock) error {
 		return inst.ProcessBlock(side, b, emitTo)
 	}
 }
 
 // build wires the plan node's operator and recurses to its inputs.
-// downstream receives the node's output tuples; blockDown receives its
-// output blocks on the vectorized pipeline compiled alongside.
-func (p *Program) build(n plan.Node, downstream operators.Emit, blockDown operators.BlockEmit) error {
+// downstream receives the node's output blocks.
+func (p *Program) build(n plan.Node, downstream operators.BlockEmit) error {
 	switch t := n.(type) {
 	case *plan.Scan:
-		return p.buildScan(t, downstream, blockDown)
+		return p.buildScan(t, downstream)
 	case *plan.Filter:
 		op, err := operators.NewFilterOp(t.Cond)
 		if err != nil {
 			return err
 		}
-		inst := p.instrument("filter", op)
-		emitTo := inst.WrapEmit(downstream)
-		return p.build(t.Input, func(tp *operators.Tuple) error {
-			return inst.Process(0, tp, emitTo)
-		}, p.blockStage(inst, 0, blockDown))
+		return p.build(t.Input, p.blockStage(p.instrument("filter", op), 0, downstream))
 	case *plan.Project:
 		tsIdx := -1
 		for i, c := range t.Row().Columns {
@@ -244,8 +209,7 @@ func (p *Program) build(n plan.Node, downstream operators.Emit, blockDown operat
 			return err
 		}
 		// SELECT *: every expression is its own input column, in order. The
-		// block path then passes rows through (raw encodings included),
-		// letting the insert raw-forward filter-only chains.
+		// operator then passes blocks through untouched.
 		if identity := t.Exprs != nil && len(t.Exprs) == t.Input.Row().Arity(); identity {
 			for i, e := range t.Exprs {
 				c, ok := e.(*expr.ColRef)
@@ -256,39 +220,28 @@ func (p *Program) build(n plan.Node, downstream operators.Emit, blockDown operat
 			}
 			op.Identity = identity
 		}
-		inst := p.instrument("project", op)
-		emitTo := inst.WrapEmit(downstream)
-		return p.build(t.Input, func(tp *operators.Tuple) error {
-			return inst.Process(0, tp, emitTo)
-		}, p.blockStage(inst, 0, blockDown))
+		return p.build(t.Input, p.blockStage(p.instrument("project", op), 0, downstream))
 	case *plan.Aggregate:
 		op, err := operators.NewStreamAggregateOp(t.Keys, t.Window, t.Aggs)
 		if err != nil {
 			return err
 		}
 		inst := p.instrument("aggregate", op)
-		emitTo := inst.WrapEmit(downstream)
 		p.aggregate = op
 		// Flushes go through the counting emit too, so final-window rows
 		// show up in "operator.aggregate.out".
-		p.aggDownstream = emitTo
+		p.aggDownstream = inst.WrapBlockEmit(downstream)
 		p.addStore(operators.AggStoreName)
-		return p.build(t.Input, func(tp *operators.Tuple) error {
-			return inst.Process(0, tp, emitTo)
-		}, p.blockStage(inst, 0, blockDown))
+		return p.build(t.Input, p.blockStage(inst, 0, downstream))
 	case *plan.Analytic:
 		op, err := operators.NewSlidingWindowOp(t.Calls)
 		if err != nil {
 			return err
 		}
-		inst := p.instrument("sliding-window", op)
-		emitTo := inst.WrapEmit(downstream)
 		p.addStore(operators.SlidingStoreName)
-		return p.build(t.Input, func(tp *operators.Tuple) error {
-			return inst.Process(0, tp, emitTo)
-		}, p.blockStage(inst, 0, blockDown))
+		return p.build(t.Input, p.blockStage(p.instrument("sliding-window", op), 0, downstream))
 	case *plan.Join:
-		return p.buildJoin(t, downstream, blockDown)
+		return p.buildJoin(t, downstream)
 	case *plan.Insert:
 		return fmt.Errorf("physical: nested INSERT is not supported")
 	default:
@@ -296,7 +249,7 @@ func (p *Program) build(n plan.Node, downstream operators.Emit, blockDown operat
 	}
 }
 
-func (p *Program) buildScan(s *plan.Scan, downstream operators.Emit, blockDown operators.BlockEmit) error {
+func (p *Program) buildScan(s *plan.Scan, downstream operators.BlockEmit) error {
 	codec, err := catalog.AvroSchemaFor(s.Object)
 	if err != nil {
 		return err
@@ -326,24 +279,14 @@ func (p *Program) buildScan(s *plan.Scan, downstream operators.Emit, blockDown o
 			return fmt.Errorf("physical: topic %q appears twice in one query (self-joins need an intermediate stream)", in.Topic)
 		}
 	}
-	in := &Input{Topic: topic, Bootstrap: s.Bootstrap, Scan: scan}
-	p.Inputs = append(p.Inputs, in)
+	p.Inputs = append(p.Inputs, &Input{Topic: topic, Bootstrap: s.Bootstrap, Scan: scan, entry: downstream})
 	if s.Streaming {
 		p.Streaming = true
-	}
-	p.Router.AddEntry(topic, func(t *operators.Tuple) error {
-		return downstream(t)
-	})
-	if blockDown != nil {
-		if p.blockInputs == nil {
-			p.blockInputs = map[string]*blockInput{}
-		}
-		p.blockInputs[topic] = &blockInput{in: in, entry: blockDown}
 	}
 	return nil
 }
 
-func (p *Program) buildJoin(j *plan.Join, downstream operators.Emit, blockDown operators.BlockEmit) error {
+func (p *Program) buildJoin(j *plan.Join, downstream operators.BlockEmit) error {
 	// Classify: a bootstrap scan below either side marks a
 	// stream-to-relation join.
 	leftBoot := hasBootstrapScan(j.Left)
@@ -365,26 +308,19 @@ func (p *Program) buildJoin(j *plan.Join, downstream operators.Emit, blockDown o
 			op.SetRelationKeyedBy(t)
 		}
 		inst := p.instrument("stream-relation-join", op)
-		emitTo := inst.WrapEmit(downstream)
 		// Stream side feeds LeftSide, relation changelog feeds RightSide.
-		streamEmit := func(t *operators.Tuple) error {
-			return inst.Process(operators.LeftSide, t, emitTo)
-		}
-		relEmit := func(t *operators.Tuple) error {
-			return inst.Process(operators.RightSide, t, emitTo)
-		}
-		streamBlock := p.blockStage(inst, operators.LeftSide, blockDown)
-		relBlock := p.blockStage(inst, operators.RightSide, blockDown)
-		leftEmit, leftBlock, rightEmit, rightBlock := relEmit, relBlock, streamEmit, streamBlock
+		streamEmit := p.blockStage(inst, operators.LeftSide, downstream)
+		relEmit := p.blockStage(inst, operators.RightSide, downstream)
+		leftEmit, rightEmit := relEmit, streamEmit
 		if streamIsLeft {
-			leftEmit, leftBlock, rightEmit, rightBlock = streamEmit, streamBlock, relEmit, relBlock
+			leftEmit, rightEmit = streamEmit, relEmit
 		}
 		first := len(p.Inputs)
-		if err := p.build(j.Left, leftEmit, leftBlock); err != nil {
+		if err := p.build(j.Left, leftEmit); err != nil {
 			return err
 		}
 		mid := len(p.Inputs)
-		if err := p.build(j.Right, rightEmit, rightBlock); err != nil {
+		if err := p.build(j.Right, rightEmit); err != nil {
 			return err
 		}
 		// The relation side's changelog inputs hand their tombstones to the
@@ -405,15 +341,10 @@ func (p *Program) buildJoin(j *plan.Join, downstream operators.Emit, blockDown o
 			return err
 		}
 		inst := p.instrument("stream-stream-join", op)
-		emitTo := inst.WrapEmit(downstream)
-		if err := p.build(j.Left, func(t *operators.Tuple) error {
-			return inst.Process(operators.LeftSide, t, emitTo)
-		}, p.blockStage(inst, operators.LeftSide, blockDown)); err != nil {
+		if err := p.build(j.Left, p.blockStage(inst, operators.LeftSide, downstream)); err != nil {
 			return err
 		}
-		return p.build(j.Right, func(t *operators.Tuple) error {
-			return inst.Process(operators.RightSide, t, emitTo)
-		}, p.blockStage(inst, operators.RightSide, blockDown))
+		return p.build(j.Right, p.blockStage(inst, operators.RightSide, downstream))
 	}
 }
 
@@ -493,29 +424,4 @@ func codecFor(name string, row *types.RowType, nullable bool) (*avro.Codec, erro
 		fields = append(fields, avro.F(col.Name, fs))
 	}
 	return avro.NewCodec(avro.Record(name, fields...))
-}
-
-// RouteMessage decodes one raw message from topic and drives it through the
-// router — the per-message path of a SamzaSQL task.
-func (p *Program) RouteMessage(topic string, value, key []byte, msgTs int64, partition int32, offset int64) error {
-	if p.fast != nil {
-		if topic != p.fast.topic {
-			return nil
-		}
-		return p.fast.handle(value, key, msgTs, partition)
-	}
-	for _, in := range p.Inputs {
-		if in.Topic != topic {
-			continue
-		}
-		if value == nil && in.tombstone != nil {
-			return in.tombstone(key)
-		}
-		t, err := in.Scan.Decode(value, key, msgTs, partition, offset)
-		if err != nil {
-			return err
-		}
-		return p.Router.Route(topic, t)
-	}
-	return nil
 }

@@ -5,10 +5,11 @@ import (
 	"testing"
 
 	"samzasql/internal/avro"
-
+	"samzasql/internal/kafka"
 	"samzasql/internal/kv"
 	"samzasql/internal/metrics"
 	"samzasql/internal/operators"
+	"samzasql/internal/samza"
 	"samzasql/internal/sql/catalog"
 	"samzasql/internal/sql/parser"
 	"samzasql/internal/sql/plan"
@@ -60,15 +61,24 @@ func openProgram(t *testing.T, prog *Program) *[]capture {
 		t.Fatal(err)
 	}
 	out := &[]capture{}
-	prog.SetSender(func(stream string, partition int32, key, value []byte, ts int64) error {
-		row, err := prog.OutputCodec.DecodeRow(value, nil)
-		if err != nil {
-			return err
+	prog.SetBatchSender(func(stream string, msgs []kafka.Message) error {
+		for _, m := range msgs {
+			row, err := prog.OutputCodec.DecodeRow(m.Value, nil)
+			if err != nil {
+				return err
+			}
+			*out = append(*out, capture{stream: stream, row: row})
 		}
-		*out = append(*out, capture{stream: stream, row: row})
 		return nil
 	})
 	return out
+}
+
+// routeOne drives one message through the program as a block of one.
+func routeOne(prog *Program, topic string, value, key []byte, ts, offset int64) error {
+	return prog.RouteBatch([]samza.IncomingMessageEnvelope{{
+		Stream: topic, Offset: offset, Key: key, Value: value, Timestamp: ts,
+	}}, nil, 0)
 }
 
 type capture struct {
@@ -109,7 +119,7 @@ func TestCompileFilterProgram(t *testing.T) {
 		if row[3].(int64) > 50 {
 			want++
 		}
-		if err := prog.RouteMessage("orders", value, nil, row[0].(int64), 0, int64(i)); err != nil {
+		if err := routeOne(prog, "orders", value, nil, row[0].(int64), int64(i)); err != nil {
 			t.Fatal(err)
 		}
 		sent++
@@ -166,7 +176,7 @@ func TestCompiledJoinRoutesSides(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := prog.RouteMessage("products", pv, []byte("7"), 0, 0, 0); err != nil {
+	if err := routeOne(prog, "products", pv, []byte("7"), 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	oc := avro.MustCodec(workload.OrdersSchema())
@@ -174,7 +184,7 @@ func TestCompiledJoinRoutesSides(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := prog.RouteMessage("orders", ov, []byte("7"), 1000, 0, 0); err != nil {
+	if err := routeOne(prog, "orders", ov, []byte("7"), 1000, 0); err != nil {
 		t.Fatal(err)
 	}
 	if len(*out) != 1 {
@@ -186,7 +196,7 @@ func TestCompiledJoinRoutesSides(t *testing.T) {
 	}
 	// Order with no matching product: no output.
 	ov2, _ := oc.EncodeRow([]any{int64(1001), int64(99), int64(2), int64(5), "x"})
-	if err := prog.RouteMessage("orders", ov2, []byte("99"), 1001, 0, 1); err != nil {
+	if err := routeOne(prog, "orders", ov2, []byte("99"), 1001, 1); err != nil {
 		t.Fatal(err)
 	}
 	if len(*out) != 1 {
@@ -205,7 +215,7 @@ func TestCompileAggregateProgramFlush(t *testing.T) {
 	oc := avro.MustCodec(workload.OrdersSchema())
 	for i, ts := range []int64{100, 400, 900} {
 		v, _ := oc.EncodeRow([]any{ts, int64(1), int64(i), int64(2), "x"})
-		if err := prog.RouteMessage("orders", v, nil, ts, 0, int64(i)); err != nil {
+		if err := routeOne(prog, "orders", v, nil, ts, int64(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
