@@ -23,6 +23,7 @@ import (
 	"samzasql/internal/sql/expr"
 	"samzasql/internal/sql/types"
 	"samzasql/internal/sql/validate"
+	"samzasql/internal/vec"
 	"samzasql/internal/workload"
 )
 
@@ -220,7 +221,7 @@ func routerWithDepth(b *testing.B, depth int) operators.BlockEmit {
 	b.Helper()
 	chain := func(*operators.TupleBlock) error { return nil }
 	for i := 0; i < depth; i++ {
-		op, err := operators.NewFilterOp(&expr.Const{V: true, T: types.Boolean})
+		op, err := operators.NewFilterOp(&expr.Const{V: true, T: types.Boolean}, []vec.Kind{vec.Int64, vec.Int64})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -230,27 +231,25 @@ func routerWithDepth(b *testing.B, depth int) operators.BlockEmit {
 	return chain
 }
 
-// oneRowBlock refills blk, reusing its arenas, with a single row — the
-// per-tuple case.
-func oneRowBlock(blk *operators.TupleBlock, ts, offset int64, row ...any) {
-	blk.Reset("orders", 0, 1)
-	for len(blk.Cols) < len(row) {
-		blk.Cols = append(blk.Cols, nil)
-	}
-	blk.Cols = blk.Cols[:len(row)]
+// oneRowBlock refills blk, reusing its arenas, with a single row of int64
+// columns — the per-tuple case.
+func oneRowBlock(blk *operators.TupleBlock, ts, offset int64, row ...int64) {
+	blk.Begin("orders", 0, int64Kinds[:len(row)])
 	for c, v := range row {
-		blk.Cols[c] = append(blk.Cols[c][:0], v)
+		blk.Cols[c].AppendInt64(v)
 	}
 	blk.Ts = append(blk.Ts, ts)
 	blk.Keys = append(blk.Keys, nil)
 	blk.Offsets = append(blk.Offsets, offset)
-	blk.SelAll()
+	blk.Finish()
 }
+
+var int64Kinds = []vec.Kind{vec.Int64, vec.Int64, vec.Int64}
 
 func benchRouterDepth(b *testing.B, depth int) {
 	chain := routerWithDepth(b, depth)
 	blk := &operators.TupleBlock{}
-	oneRowBlock(blk, 1, 0, int64(1), int64(2))
+	oneRowBlock(blk, 1, 0, 1, 2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := chain(blk); err != nil {

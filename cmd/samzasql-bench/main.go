@@ -168,12 +168,12 @@ func main() {
 	// run, behind "-figure hot"; it lands in -json for bench-compare
 	// attribution.
 	runHot := func() {
-		funcs, err := bench.CollectHotFunctions(cfg.Messages)
+		funcs, samples, err := bench.CollectHotFunctions(cfg.Messages)
 		if err != nil {
 			fatalf("hot functions: %v", err)
 		}
-		fmt.Println(bench.FormatHotFunctions(funcs))
-		report.HotFunctions = funcs
+		fmt.Println(bench.FormatHotFunctions(funcs, samples))
+		report.HotFunctions, report.HotFunctionSamples = funcs, samples
 	}
 
 	switch *figure {
@@ -233,7 +233,7 @@ func main() {
 			// diff hot-function CPU shares against the committed baseline, so
 			// the regression report names the function whose share grew.
 			if len(baseline.HotFunctions) > 0 {
-				fresh, err := bench.CollectHotFunctions(cfg.Messages)
+				fresh, _, err := bench.CollectHotFunctions(cfg.Messages)
 				if err != nil {
 					fmt.Fprintf(os.Stderr, "samzasql-bench: regression attribution failed: %v\n", err)
 				} else {

@@ -24,6 +24,8 @@ type Report struct {
 	// diffs a fresh profiled run against it to attribute ratio regressions
 	// to the function whose share grew.
 	HotFunctions []HotFunctionReport `json:"hot_functions,omitempty"`
+	// HotFunctionSamples is how many CPU samples HotFunctions rests on.
+	HotFunctionSamples int64 `json:"hot_function_samples,omitempty"`
 }
 
 // HotFunctionReport is one function's share of sampled CPU in a profiled
@@ -131,7 +133,7 @@ func (r *Report) MergeFrom(prev *Report) {
 	}
 	r.Figures = merged
 	if r.HotFunctions == nil {
-		r.HotFunctions = prev.HotFunctions
+		r.HotFunctions, r.HotFunctionSamples = prev.HotFunctions, prev.HotFunctionSamples
 	}
 	if r.StoreTuning == nil {
 		r.StoreTuning = prev.StoreTuning

@@ -14,6 +14,7 @@ import (
 	"samzasql/internal/sql/expr"
 	"samzasql/internal/sql/types"
 	"samzasql/internal/sql/validate"
+	"samzasql/internal/vec"
 )
 
 // WindowStoreConfig sizes one sliding-window store micro-run: the SQL
@@ -139,7 +140,8 @@ func RunWindowStore(cfg WindowStoreConfig) (WindowStoreResult, error) {
 		return WindowStoreResult{}, err
 	}
 	emit := func(*operators.TupleBlock) error { return nil }
-	block := &operators.TupleBlock{Cols: make([][]any, 3)}
+	block := &operators.TupleBlock{}
+	kinds := []vec.Kind{vec.Int64, vec.Int64, vec.Int64}
 
 	// Start the timed section from a collected heap so leftover garbage from
 	// setup (or a previous run in the same process) doesn't bill a GC cycle
@@ -149,20 +151,17 @@ func RunWindowStore(cfg WindowStoreConfig) (WindowStoreResult, error) {
 	uncommitted := 0
 	for i := 0; i < cfg.Tuples; {
 		n := min(samza.DefaultBatchSize, cfg.Tuples-i)
-		block.Reset("orders", 0, n)
-		for c := range block.Cols {
-			block.Cols[c] = block.Cols[c][:0]
-		}
+		block.Begin("orders", 0, kinds)
 		for ; len(block.Ts) < n; i++ {
 			ts := int64(1_600_000_000_000 + i*10)
-			block.Cols[0] = append(block.Cols[0], ts)
-			block.Cols[1] = append(block.Cols[1], int64(i%97))
-			block.Cols[2] = append(block.Cols[2], int64(i%cfg.Keys))
+			block.Cols[0].AppendInt64(ts)
+			block.Cols[1].AppendInt64(int64(i % 97))
+			block.Cols[2].AppendInt64(int64(i % cfg.Keys))
 			block.Ts = append(block.Ts, ts)
 			block.Keys = append(block.Keys, nil)
 			block.Offsets = append(block.Offsets, int64(i))
 		}
-		block.SelAll()
+		block.Finish()
 		if err := op.ProcessBlock(0, block, emit); err != nil {
 			return WindowStoreResult{}, err
 		}

@@ -31,10 +31,13 @@ func (c *nullCollector) SendBatch(_ string, msgs []kafka.Message) error {
 	return nil
 }
 
-// setupFilterTask initializes a SamzaSQL fastpath filter task exactly as a
-// container would — collector and tracing cursor (nil for none) bound in
-// TaskContext before Init — and returns n pre-encoded Orders envelopes, some
-// passing the predicate and some not.
+// filterQuery is the repository benchmark's filter workload.
+const filterQuery = "SELECT STREAM rowtime, orderId, productId, units FROM Orders WHERE units > 50"
+
+// setupFilterTask initializes a SamzaSQL filter task on the default block
+// path exactly as a container would — collector and tracing cursor (nil for
+// none) bound in TaskContext before Init — and returns n pre-encoded Orders
+// envelopes, some passing the predicate and some not.
 func setupFilterTask(tb testing.TB, act *trace.Active, n int) (*Task, *nullCollector, []samza.IncomingMessageEnvelope) {
 	tb.Helper()
 	cat := catalog.New()
@@ -43,7 +46,7 @@ func setupFilterTask(tb testing.TB, act *trace.Active, n int) (*Task, *nullColle
 	}
 	zkStore := zk.NewStore()
 	const queryPath = "/samzasql/queries/bench-filter"
-	if err := zkStore.CreateRecursive(queryPath, []byte("SELECT STREAM * FROM Orders WHERE units > 50")); err != nil {
+	if err := zkStore.CreateRecursive(queryPath, []byte(filterQuery)); err != nil {
 		tb.Fatal(err)
 	}
 	coll := &nullCollector{}
@@ -55,7 +58,6 @@ func setupFilterTask(tb testing.TB, act *trace.Active, n int) (*Task, *nullColle
 		Config: map[string]string{
 			"samzasql.zk.query.path": queryPath,
 			"samzasql.output.topic":  "bench-out",
-			"samzasql.fastpath":      "true",
 		},
 		Collector: coll,
 	}
@@ -78,11 +80,13 @@ func setupFilterTask(tb testing.TB, act *trace.Active, n int) (*Task, *nullColle
 	return task, coll, envs
 }
 
-// TestFilterBatchZeroAllocs pins the allocation cost of the message path:
-// once the scratch buffers are warm (AllocsPerRun runs the body once before
-// measuring), the identity-filter kernel processes a block — decode-sparse,
-// evaluate, forward — without a single heap allocation, whether the block
-// holds one row or 256, and whichever observability machinery stands by:
+// TestFilterBatchZeroAllocs pins the allocation cost of the default message
+// path on the benchmark's filter query: once the scratch buffers are warm
+// (AllocsPerRun runs the body once before measuring), a block — typed sparse
+// decode, the `units > 50` kernel, the column permutation, typed encode —
+// costs no allocation per row and at most one per block, the output slab the
+// broker retains, whether the block holds one row or 256, and whichever
+// observability machinery stands by:
 // none; the tracing cursor wired the way a container wires it, sampling off
 // (the unsampled path is one branch per call site); a live cluster monitor,
 // tailers parked on the telemetry topics (its eval interval is pushed out of
@@ -128,20 +132,24 @@ func TestFilterBatchZeroAllocs(t *testing.T) {
 					}
 					next = (next + block) % rows
 				})
-				if allocs != 0 {
-					t.Errorf("%.2f allocs per row (%.1f per %d-row block), want 0", allocs/float64(block), allocs, block)
+				t.Logf("%.3f allocs per %d-row block", allocs, block)
+				if allocs > 1 {
+					t.Errorf("%.2f allocs per row (%.1f per %d-row block), want none but the block's output slab", allocs/float64(block), allocs, block)
 				}
 				if coll.batches == 0 || coll.rows == 0 {
-					t.Fatalf("the kernel never reached the collector (batches=%d rows=%d)", coll.batches, coll.rows)
+					t.Fatalf("the block path never reached the collector (batches=%d rows=%d)", coll.batches, coll.rows)
+				}
+				if task.program.FastPath() {
+					t.Fatal("the pin runs the fused fast path, want the default block path")
 				}
 			})
 		}
 	}
 }
 
-// BenchmarkFilterBatchProcess measures the per-block cost of the fastpath
-// filter kernel through Task.ProcessBatch, excluding broker I/O, in one-row
-// and 256-row blocks.
+// BenchmarkFilterBatchProcess measures the per-block cost of the default
+// path on the benchmark's filter query through Task.ProcessBatch, excluding
+// broker I/O, in one-row and 256-row blocks.
 func BenchmarkFilterBatchProcess(b *testing.B) {
 	for _, block := range []int{1, 256} {
 		b.Run(fmt.Sprintf("block=%d", block), func(b *testing.B) {

@@ -150,6 +150,92 @@ var equivCases = []equivCase{
 			return n
 		},
 	},
+	// Where a kind-typed rewrite of filter/project silently diverges:
+	// int↔float comparison, NULL operands, int64 wraparound, strings,
+	// booleans and projections mixing bare columns with computed ones.
+	{
+		name:     "int-gt-float",
+		query:    "SELECT STREAM * FROM Orders WHERE units > 50.5",
+		wantRows: countOrders(func(r []any) bool { return r[3].(int64) > 50 }),
+	},
+	{
+		name:     "int-eq-float",
+		query:    "SELECT STREAM rowtime, orderId, units FROM Orders WHERE units = 50.0",
+		wantRows: countOrders(func(r []any) bool { return r[3].(int64) == 50 }),
+	},
+	{
+		name: "double-vs-bigint",
+		query: `SELECT STREAM orderId, half, productId
+		FROM (SELECT STREAM orderId, productId, units * 0.5 AS half FROM Orders)
+		WHERE half > productId`,
+		wantRows: countOrders(func(r []any) bool { return float64(r[3].(int64))*0.5 > float64(r[1].(int64)) }),
+	},
+	{
+		name: "null-aggregate-filtered",
+		query: `SELECT STREAM productId, m
+		FROM (SELECT STREAM productId, MAX(CASE WHEN units > 90 THEN units ELSE NULL END) AS m
+		  FROM Orders GROUP BY productId)
+		WHERE m > 95`,
+		wantRows: func(orders [][]any) int {
+			best := map[int64]int64{}
+			n := 0
+			for _, r := range orders {
+				p, u := r[1].(int64), r[3].(int64)
+				if u > 90 && u > best[p] {
+					best[p] = u
+				}
+				if best[p] > 95 {
+					n++
+				}
+			}
+			return n
+		},
+	},
+	{
+		name:     "case-null-vs-const",
+		query:    "SELECT STREAM orderId, units FROM Orders WHERE CASE WHEN units > 30 THEN units ELSE NULL END < 60",
+		wantRows: countOrders(func(r []any) bool { u := r[3].(int64); return u > 30 && u < 60 }),
+	},
+	{
+		name:     "int64-wraparound",
+		query:    "SELECT STREAM orderId, orderId * 4611686018427387904 FROM Orders",
+		wantRows: func(orders [][]any) int { return len(orders) },
+	},
+	{
+		name: "string-eq",
+		query: `SELECT STREAM orderId, c
+		FROM (SELECT STREAM orderId, SUBSTRING(pad, 1, 1) AS c FROM Orders)
+		WHERE c = 'a'`,
+		wantRows: countOrders(func(r []any) bool { return r[4].(string)[0] == 'a' }),
+	},
+	{
+		name:     "like",
+		query:    "SELECT STREAM orderId, pad FROM Orders WHERE pad LIKE '%x_'",
+		wantRows: countOrders(func(r []any) bool { p := r[4].(string); return len(p) >= 2 && p[len(p)-2] == 'x' }),
+	},
+	{
+		name:     "bool-project",
+		query:    "SELECT STREAM orderId, units > 50 AS big, units = 7 OR productId < 3 AS odd FROM Orders",
+		wantRows: func(orders [][]any) int { return len(orders) },
+	},
+	{
+		name:     "mixed-project",
+		query:    "SELECT STREAM units, orderId + 1 AS next, rowtime, productId * 2 AS p2, pad FROM Orders WHERE productId < 50",
+		wantRows: countOrders(func(r []any) bool { return r[1].(int64) < 50 }),
+	},
+}
+
+// countOrders counts the replayed orders a predicate keeps.
+func countOrders(keep func(r []any) bool) func(orders [][]any) int {
+	return func(orders [][]any) int {
+		n := 0
+		for _, r := range orders {
+			if keep(r) {
+				n++
+			}
+		}
+		return n
+	}
 }
 
 // golden is what the per-tuple reference path — `-batch-size -1` at commit
@@ -179,6 +265,18 @@ var equivGoldens = map[string]golden{
 	"aggregate-grouped":     {457, "4b91e26bf106cede", "0d70641488ab93e4"},
 	"aggregate-tumble":      {4, "2db1d297666e2245", "c51666c75235797f"},
 	"repartition":           {300, "65aacda6e575d822", "10169a52a451150d"},
+	// Recorded from the boxed ([][]any) block path at commit 1aae1b5, before
+	// the column vectors became kind-typed.
+	"int-gt-float":            {238, "0f30403ab5597739", "cbf29ce484222325"},
+	"int-eq-float":            {5, "d073b11f9f2ef1ba", "cbf29ce484222325"},
+	"double-vs-bigint":        {114, "4ebd830f73c4b9cc", "cbf29ce484222325"},
+	"null-aggregate-filtered": {64, "964d1882f54bd94a", "028b8688f4be200b"},
+	"case-null-vs-const":      {133, "83ce395083771484", "cbf29ce484222325"},
+	"int64-wraparound":        {457, "02fe61245be3be06", "cbf29ce484222325"},
+	"string-eq":               {14, "61fa0dff73764e0f", "cbf29ce484222325"},
+	"like":                    {4, "500fe3e77843ea9d", "cbf29ce484222325"},
+	"bool-project":            {457, "cd4cbe8ac17dfc5e", "cbf29ce484222325"},
+	"mixed-project":           {241, "91a77fa7f8aae36a", "cbf29ce484222325"},
 }
 
 // multiPartitionGoldens holds the (key, value) multisets the first three

@@ -203,6 +203,26 @@ func (h *HotStore) TopN(job, kind string, n int, fromMillis int64) ([]HotFunc, i
 	return out, containers
 }
 
+// CPUTotals sums the whole sampled CPU — nanoseconds and samples, every
+// function included — of the CPU batches TopN merges for the same job and
+// window: the denominator a function's share of sampled CPU is taken of.
+func (h *HotStore) CPUTotals(job string, fromMillis int64) (nanos, samples int64) {
+	h.mu.RLock()
+	defer h.mu.RUnlock()
+	for k, r := range h.rings {
+		if job != "" && k.Job != job {
+			continue
+		}
+		for i := 0; i < r.n; i++ {
+			if m := r.at(i); m.TimeMillis >= fromMillis && len(m.CPU) > 0 {
+				nanos += m.CPUTotal
+				samples += m.CPUSamples
+			}
+		}
+	}
+	return nanos, samples
+}
+
 // ProfileResponse is the /profile JSON payload.
 type ProfileResponse struct {
 	Job        string    `json:"job,omitempty"`

@@ -8,6 +8,7 @@ import (
 	"samzasql/internal/serde"
 	"samzasql/internal/sql/expr"
 	"samzasql/internal/sql/validate"
+	"samzasql/internal/vec"
 )
 
 // AggStoreName is the task store the streaming aggregate operator uses.
@@ -41,6 +42,10 @@ type StreamAggregateOp struct {
 	// every AccumSet the state decode path builds.
 	argEvals   []expr.Evaluator
 	accumCtors []func() Accumulator
+	// kinds are the output row's column kinds (keys, then aggregates); refs
+	// the input columns the key, timestamp and argument expressions read.
+	kinds []vec.Kind
+	refs  []int
 
 	store     kv.Store
 	obj       serde.ObjectSerde
@@ -74,6 +79,20 @@ type aggBlockState struct {
 // NewStreamAggregateOp builds the operator from the bound query pieces.
 func NewStreamAggregateOp(keys []expr.Expr, window *validate.GroupWindow, aggs []*validate.BoundAgg) (*StreamAggregateOp, error) {
 	op := &StreamAggregateOp{keys: keys, window: window, aggs: aggs}
+	read := append([]expr.Expr(nil), keys...)
+	for _, k := range keys {
+		op.kinds = append(op.kinds, vec.KindOf(k.Type()))
+	}
+	for _, ag := range aggs {
+		op.kinds = append(op.kinds, vec.KindOf(ag.T))
+		if ag.Arg != nil {
+			read = append(read, ag.Arg)
+		}
+	}
+	if window != nil {
+		read = append(read, window.Ts)
+	}
+	op.refs = expr.Columns(read...)
 	for _, k := range keys {
 		ev, err := expr.Compile(k)
 		if err != nil {
@@ -138,7 +157,9 @@ func (o *StreamAggregateOp) advanceWatermark(ts int64, out *TupleBlock, offset i
 			return err
 		}
 		set.SetWindow(winEnd-o.window.RetainMillis, winEnd)
-		out.appendRow(append(keyVals, set.Values()...), winEnd, e.Key, offset)
+		if err := out.AppendRow(append(keyVals, set.Values()...), winEnd, e.Key, offset); err != nil {
+			return err
+		}
 		o.store.Delete(e.Key)
 	}
 	o.watermark = ts
@@ -162,11 +183,11 @@ func (o *StreamAggregateOp) FlushFinal(emit BlockEmit) error {
 		return nil // unwindowed groups already emitted their latest rows
 	}
 	out := &o.outBlock
-	out.resetOut(&TupleBlock{}, len(o.keyEvals)+len(o.aggs))
+	out.resetOut(&TupleBlock{}, o.kinds)
 	if err := o.advanceWatermark(int64(1)<<62, out, 0); err != nil {
 		return err
 	}
-	out.finishOut()
+	out.Finish()
 	return emit(out)
 }
 

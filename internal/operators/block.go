@@ -5,6 +5,7 @@ import (
 
 	"samzasql/internal/kafka"
 	"samzasql/internal/sql/expr"
+	"samzasql/internal/vec"
 )
 
 // The execution model: Figure 4 routes one tuple per virtual dispatch; here
@@ -16,9 +17,16 @@ import (
 // batched send. A block of one row is the tuple-at-a-time case; there is no
 // other path. Allocation discipline is per-block, not per-tuple: column
 // vectors and the output byte slab amortize across the rows of a block.
+//
+// Columns are kind-typed vectors (package vec), never boxed values: the scan
+// decodes Avro straight into them, filters refine the selection with typed
+// comparison kernels, a projection of bare columns is a permutation of
+// vectors, and the insert encodes straight out of them. Expressions without
+// a kernel, and the stateful operators, read rows through the block's boxed
+// view (gather), built lazily at most once per column per block.
 
 // TupleBlock is a batch of rows in columnar layout — the tuple-as-array
-// representation of Figure 4, one array per column: the unit of work of
+// representation of Figure 4, one vector per column: the unit of work of
 // every operator. Column vectors and per-row attribute slices are arenas
 // owned by whoever built the block and reused across batches; only the
 // output byte slab is freshly allocated per block (the broker retains sent
@@ -28,11 +36,12 @@ type TupleBlock struct {
 	// from a single topic-partition, so they are block-level.
 	Stream    string
 	Partition int32
-	// N is the number of rows decoded into the block. Column vectors and
-	// per-row slices are index-aligned over [0, N).
+	// N is the number of rows in the block. Column vectors and per-row
+	// slices are index-aligned over [0, N).
 	N int
-	// Cols are the column vectors: Cols[c][r] holds column c of row r.
-	Cols [][]any
+	// Cols are the column vectors, typed from the producing plan node's row
+	// type; Cols[c] holds column c of every row.
+	Cols []vec.Vec
 	// Ts is the per-row event timestamp (Unix millis).
 	Ts []int64
 	// Keys holds each row's message key (nil for keyless messages).
@@ -43,12 +52,21 @@ type TupleBlock struct {
 	Raw [][]byte
 	// Sel is the selection vector: indexes of the live rows, ascending.
 	// Filters refine it in place; downstream operators visit only selected
-	// rows.
+	// rows. Within one block it only ever shrinks.
 	Sel []int
 	// Trace, when non-nil, collects per-stage spans for the block so the
 	// sampled messages inside it can have the batch-level spans (with row
 	// counts) replayed onto their traces after the block completes.
 	Trace *BlockTrace
+
+	// view is the boxed, row-oriented view of the columns that generic
+	// evaluators and the stateful operators read through gather: view[c][r]
+	// is row r of column c, for the rows selected when column c was boxed.
+	// viewed marks the columns boxed since the block was last filled.
+	view   [][]any
+	viewed []bool
+	// all lists every column index, for readers of whole rows.
+	all []int
 }
 
 // Reset prepares the block for a new batch of n rows from one partition,
@@ -64,6 +82,7 @@ func (b *TupleBlock) Reset(stream string, partition int32, n int) {
 	b.Raw = b.Raw[:0]
 	b.Sel = b.Sel[:0]
 	b.Trace = nil
+	clear(b.viewed)
 }
 
 // SelAll selects every row of the block (the state after a scan).
@@ -77,77 +96,137 @@ func (b *TupleBlock) SelAll() {
 	b.Sel = sel
 }
 
-// sizeCols ensures the block has arity column vectors of length n, reusing
-// capacity. One slice make per column per growth, amortized across blocks.
-func (b *TupleBlock) sizeCols(arity, n int) {
-	for len(b.Cols) < arity {
-		b.Cols = append(b.Cols, nil)
+// setArity sizes the block to arity column vectors, keeping each vector's
+// arenas, and drops the boxed view.
+func (b *TupleBlock) setArity(arity int) {
+	if cap(b.Cols) < arity {
+		b.Cols = append(make([]vec.Vec, 0, arity), b.Cols...)
+		b.view = append(make([][]any, 0, arity), b.view...)
+		b.viewed = make([]bool, arity)
 	}
 	b.Cols = b.Cols[:arity]
-	for c := range b.Cols {
-		if cap(b.Cols[c]) < n {
-			b.Cols[c] = make([]any, n)
+	b.view = b.view[:arity]
+	b.viewed = b.viewed[:arity]
+	clear(b.viewed)
+}
+
+// allCols lists every column of the block.
+func (b *TupleBlock) allCols() []int {
+	for len(b.all) < len(b.Cols) {
+		b.all = append(b.all, len(b.all))
+	}
+	return b.all[:len(b.Cols)]
+}
+
+// box builds the boxed view of cols over the selected rows, once per column
+// per block: each value is boxed no more often than a boxing scan would.
+//
+//samzasql:hotpath
+func (b *TupleBlock) box(cols []int) {
+	for _, c := range cols {
+		if b.viewed[c] {
+			continue
 		}
-		b.Cols[c] = b.Cols[c][:n]
+		if cap(b.view[c]) < b.N {
+			b.view[c] = make([]any, b.N)
+		}
+		v := b.view[c][:b.N]
+		col := &b.Cols[c]
+		for _, r := range b.Sel {
+			v[r] = col.Value(r)
+		}
+		b.view[c] = v
+		b.viewed[c] = true
 	}
 }
 
-// gather copies row r's columns into the reusable row scratch, giving
-// row-oriented evaluators (compiled expressions) a view of one block row.
+// gather copies row r's boxed values of cols (boxed first with box) into
+// the reusable row scratch, giving row-oriented evaluators a view of one
+// block row. Slots of other columns are left as they were.
 //
 //samzasql:hotpath
-func (b *TupleBlock) gather(r int, row []any) []any {
-	row = row[:len(b.Cols)]
-	for c := range b.Cols {
-		row[c] = b.Cols[c][r]
+func (b *TupleBlock) gather(r int, row []any, cols []int) []any {
+	for _, c := range cols {
+		row[c] = b.view[c][r]
 	}
 	return row
 }
 
-// resetOut prepares an operator-owned output block for row-appending
-// assembly: arity columns emptied, per-row vectors emptied, source location
-// and trace log carried over from src. Stateful operators produce a
-// variable number of output rows per block (joins drop non-matches, window
-// emission depends on watermarks), so their output blocks grow by appendRow
-// instead of being pre-sized.
-func (b *TupleBlock) resetOut(src *TupleBlock, arity int) {
-	b.Stream = src.Stream
-	b.Partition = src.Partition
-	for len(b.Cols) < arity {
-		b.Cols = append(b.Cols, nil)
+// rowScratch returns scratch sized for one row of b, growing it if needed.
+func rowScratch(scratch *[]any, b *TupleBlock) []any {
+	if cap(*scratch) < len(b.Cols) {
+		*scratch = make([]any, len(b.Cols))
 	}
-	b.Cols = b.Cols[:arity]
-	for c := range b.Cols {
-		b.Cols[c] = b.Cols[c][:0]
+	return (*scratch)[:len(b.Cols)]
+}
+
+// Begin prepares the block for row-appending assembly of rows of the given
+// column kinds: vectors emptied, per-row slices emptied. Stateful operators
+// produce a variable number of output rows per block (joins drop
+// non-matches, window emission depends on watermarks), so their output
+// blocks grow by AppendRow instead of being pre-sized.
+func (b *TupleBlock) Begin(stream string, partition int32, kinds []vec.Kind) {
+	b.Stream = stream
+	b.Partition = partition
+	b.setArity(len(kinds))
+	for c, k := range kinds {
+		b.Cols[c].Truncate(k)
 	}
 	b.Ts = b.Ts[:0]
 	b.Keys = b.Keys[:0]
 	b.Offsets = b.Offsets[:0]
 	b.Raw = b.Raw[:0]
 	b.Sel = b.Sel[:0]
+	b.Trace = nil
+}
+
+// resetOut begins an operator-owned output block whose source location and
+// trace log come from src.
+func (b *TupleBlock) resetOut(src *TupleBlock, kinds []vec.Kind) {
+	b.Begin(src.Stream, src.Partition, kinds)
 	b.Trace = src.Trace
 }
 
-// appendRow adds one assembled row (len(row) must equal the block's arity).
-// Values are copied element-wise, so callers may reuse row as scratch; key
-// is retained.
+// AppendRow adds one assembled row (len(row) must equal the block's arity),
+// unboxing each value into its column vector; a value of a Go type its
+// column's kind cannot hold is an error. Callers may reuse row as scratch;
+// key is retained.
 //
 //samzasql:hotpath
-func (b *TupleBlock) appendRow(row []any, ts int64, key []byte, offset int64) {
+func (b *TupleBlock) AppendRow(row []any, ts int64, key []byte, offset int64) error {
 	for c := range b.Cols {
-		b.Cols[c] = append(b.Cols[c], row[c])
+		if err := b.Cols[c].Append(row[c]); err != nil {
+			return fmt.Errorf("operators: output column %d: %w", c, err)
+		}
 	}
+	b.appendMeta(ts, key, offset)
+	return nil
+}
+
+// appendMeta appends one row's timestamp, key and offset; the caller has
+// appended its column values.
+func (b *TupleBlock) appendMeta(ts int64, key []byte, offset int64) {
 	b.Ts = append(b.Ts, ts)
 	b.Keys = append(b.Keys, key)
 	b.Offsets = append(b.Offsets, offset)
 }
 
-// finishOut completes assembly: N covers the appended rows and all are
+// Finish completes assembly: N covers the appended rows and all are
 // selected. Raw stays empty — no operator downstream of a stateful stage
 // reads raw source encodings.
-func (b *TupleBlock) finishOut() {
+func (b *TupleBlock) Finish() {
 	b.N = len(b.Ts)
 	b.SelAll()
+}
+
+// shareRows makes b a view of src's rows with arity columns: the same row
+// count, per-row slices, selection and trace, and no columns yet — the
+// caller shares or fills them. Nothing is copied.
+func (b *TupleBlock) shareRows(src *TupleBlock, arity int) {
+	b.Stream, b.Partition, b.N = src.Stream, src.Partition, src.N
+	b.Ts, b.Keys, b.Offsets, b.Raw = src.Ts, src.Keys, src.Offsets, src.Raw
+	b.Sel, b.Trace = src.Sel, src.Trace
+	b.setArity(arity)
 }
 
 // BlockSpan is one completed batch-level stage span: the stage ran once for
@@ -177,139 +256,147 @@ type BatchSender func(stream string, msgs []kafka.Message) error
 // FilterOp drops tuples whose condition is not TRUE (NULL filters out, per
 // SQL semantics).
 type FilterOp struct {
-	cond expr.Evaluator
-	// rowScratch is ProcessBlock's reusable gather row.
-	rowScratch []any
+	sel selector
 }
 
-// NewFilterOp compiles the condition.
-func NewFilterOp(cond expr.Expr) (*FilterOp, error) {
-	ev, err := expr.Compile(cond)
+// NewFilterOp compiles the condition over input rows of the given column
+// kinds into a selection kernel (kernel.go).
+func NewFilterOp(cond expr.Expr, in []vec.Kind) (*FilterOp, error) {
+	sel, err := compileSelector(cond, in)
 	if err != nil {
 		return nil, err
 	}
-	return &FilterOp{cond: ev}, nil
+	return &FilterOp{sel: sel}, nil
 }
 
 // Open implements Operator.
 func (*FilterOp) Open(*OpContext) error { return nil }
 
-// ProcessBlock implements Operator for FilterOp: it evaluates the
-// condition over each selected row and refines the selection vector in
-// place — rows are never copied or compacted.
+// ProcessBlock implements Operator for FilterOp: it refines the selection
+// vector in place — rows are never copied or compacted.
 //
 //samzasql:hotpath
 func (f *FilterOp) ProcessBlock(_ int, b *TupleBlock, emit BlockEmit) error {
-	if cap(f.rowScratch) < len(b.Cols) {
-		f.rowScratch = make([]any, len(b.Cols))
+	if err := f.sel(b); err != nil {
+		return fmt.Errorf("operators: filter: %w", err)
 	}
-	row := f.rowScratch[:len(b.Cols)]
-	sel := b.Sel[:0]
-	for _, r := range b.Sel {
-		row = b.gather(r, row)
-		v, err := f.cond(row)
-		if err != nil {
-			return fmt.Errorf("operators: filter: %w", err)
-		}
-		if keep, ok := v.(bool); ok && keep {
-			sel = append(sel, r)
-		}
-	}
-	b.Sel = sel
 	return emit(b)
 }
 
-// ProjectOp computes the output expressions of a projection. When the
-// output row type carries a timestamp column (TsIdx >= 0), the produced
-// tuple's event time is refreshed from it so downstream windows keep
-// working (§3.4's recommendation to preserve timestamps).
+// ProjectOp computes the output expressions of a projection. An output that
+// is a bare input column shares the input's vector; the others are computed
+// into operator-owned vectors. When the output row type carries a timestamp
+// column (TsIdx >= 0), the produced tuple's event time is refreshed from it
+// so downstream windows keep working (§3.4's recommendation to preserve
+// timestamps).
 type ProjectOp struct {
+	// src[c] is the input column output c shares, or -1 when evals[c]
+	// computes it into a vector of kinds[c].
+	src   []int
 	evals []expr.Evaluator
+	kinds []vec.Kind
+	// refs are the input columns the computed outputs read; computed
+	// reports whether there are any.
+	refs     []int
+	computed bool
 	// TsIdx is the output timestamp column, or -1.
 	TsIdx int
 	// Identity marks a projection whose expressions are the input columns in
-	// order (SELECT *): blocks then pass through unchanged instead of
-	// re-evaluating column references and compacting.
+	// order (SELECT *): blocks then pass through unchanged.
 	Identity bool
 
-	// Arenas: the gather row and the operator-owned output block
-	// ProcessBlock compacts selected rows into.
+	// Arenas: the gather row and the output block, which shares the input's
+	// rows and selection.
 	rowScratch []any
 	outBlock   TupleBlock
 }
 
 // NewProjectOp compiles the projections.
 func NewProjectOp(exprs []expr.Expr, tsIdx int) (*ProjectOp, error) {
-	evals := make([]expr.Evaluator, len(exprs))
-	for i, e := range exprs {
+	p := &ProjectOp{TsIdx: tsIdx}
+	var computed []expr.Expr
+	for _, e := range exprs {
+		p.kinds = append(p.kinds, vec.KindOf(e.Type()))
+		if c, ok := e.(*expr.ColRef); ok {
+			p.src = append(p.src, c.Idx)
+			p.evals = append(p.evals, nil)
+			continue
+		}
 		ev, err := expr.Compile(e)
 		if err != nil {
 			return nil, err
 		}
-		evals[i] = ev
+		p.src = append(p.src, -1)
+		p.evals = append(p.evals, ev)
+		computed = append(computed, e)
 	}
-	return &ProjectOp{evals: evals, TsIdx: tsIdx}, nil
+	p.refs = expr.Columns(computed...)
+	p.computed = len(computed) > 0
+	return p, nil
 }
 
 // Open implements Operator.
 func (*ProjectOp) Open(*OpContext) error { return nil }
 
-// ProcessBlock implements Operator for ProjectOp: it evaluates the
-// output expressions over the selected rows into an operator-owned output
-// block (compacting the selection), refreshing event timestamps from the
-// output timestamp column when one is declared.
+// ProcessBlock implements Operator for ProjectOp. The output block shares
+// the input's rows and selection: bare-column outputs are the input's
+// vectors (a permutation, zero-copy), computed outputs are evaluated over
+// the selected rows through the boxed view and written back unboxed.
 //
 //samzasql:hotpath
 func (p *ProjectOp) ProcessBlock(_ int, b *TupleBlock, emit BlockEmit) error {
-	if p.Identity {
-		// SELECT *: every expression is its own input column, so the block
-		// passes through untouched — selection, columns and raw encodings
-		// intact. The out counter still sees len(Sel) via WrapBlockEmit.
-		// Only the timestamp refresh is applied, for a projection whose
-		// timestamp column differs from the scan's.
-		if p.TsIdx >= 0 && p.TsIdx < len(b.Cols) {
-			for _, r := range b.Sel {
-				if t, ok := b.Cols[p.TsIdx][r].(int64); ok {
-					b.Ts[r] = t
+	out := b
+	if !p.Identity {
+		out = &p.outBlock
+		out.shareRows(b, len(p.src))
+		if p.computed {
+			if err := p.compute(b, out); err != nil {
+				return err
+			}
+		}
+		for c, s := range p.src {
+			if s >= 0 {
+				out.Cols[c] = b.Cols[s]
+			}
+		}
+	}
+	if p.TsIdx >= 0 && p.TsIdx < len(out.Cols) {
+		// The row slices are the input's: refreshing in place is safe, no
+		// stage reads the input block after it has been emitted onwards.
+		if col := &out.Cols[p.TsIdx]; col.Kind == vec.Int64 && !col.Absent {
+			for _, r := range out.Sel {
+				if !col.IsNull(r) {
+					out.Ts[r] = col.I64[r]
 				}
 			}
 		}
-		return emit(b)
 	}
-	if cap(p.rowScratch) < len(b.Cols) {
-		p.rowScratch = make([]any, len(b.Cols))
+	return emit(out)
+}
+
+// compute evaluates the computed outputs over b's selected rows.
+func (p *ProjectOp) compute(b, out *TupleBlock) error {
+	for c, ev := range p.evals {
+		if ev != nil {
+			out.Cols[c].Reset(p.kinds[c], b.N, false)
+		}
 	}
-	row := p.rowScratch[:len(b.Cols)]
-	out := &p.outBlock
-	n := len(b.Sel)
-	out.Stream = b.Stream
-	out.Partition = b.Partition
-	out.N = n
-	out.sizeCols(len(p.evals), n)
-	out.Ts = out.Ts[:0]
-	out.Keys = out.Keys[:0]
-	out.Offsets = out.Offsets[:0]
-	out.Raw = out.Raw[:0]
-	out.Trace = b.Trace
-	for k, r := range b.Sel {
-		row = b.gather(r, row)
-		ts := b.Ts[r]
+	b.box(p.refs)
+	row := rowScratch(&p.rowScratch, b)
+	for _, r := range b.Sel {
+		row = b.gather(r, row, p.refs)
 		for c, ev := range p.evals {
+			if ev == nil {
+				continue
+			}
 			v, err := ev(row)
 			if err != nil {
 				return fmt.Errorf("operators: project: %w", err)
 			}
-			out.Cols[c][k] = v
-		}
-		if p.TsIdx >= 0 && p.TsIdx < len(p.evals) {
-			if t, ok := out.Cols[p.TsIdx][k].(int64); ok {
-				ts = t
+			if err := out.Cols[c].Set(r, v); err != nil {
+				return fmt.Errorf("operators: project column %d: %w", c, err)
 			}
 		}
-		out.Ts = append(out.Ts, ts)
-		out.Keys = append(out.Keys, b.Keys[r])
-		out.Offsets = append(out.Offsets, b.Offsets[r])
 	}
-	out.SelAll()
-	return emit(out)
+	return nil
 }

@@ -9,6 +9,7 @@ import (
 	"samzasql/internal/sql/expr"
 	"samzasql/internal/sql/types"
 	"samzasql/internal/sql/validate"
+	"samzasql/internal/vec"
 )
 
 // fillWindowBlock loads b with n rows [ts, units, pid]: timestamps advance
@@ -16,27 +17,27 @@ import (
 // cycle in runs of runLen so the block path's adjacent-key run detection
 // engages alongside the memo.
 func fillWindowBlock(b *TupleBlock, n, parts, runLen int, baseTs, baseOff int64, stepMillis int64) {
-	b.Reset("in", 0, n)
-	b.sizeCols(3, n)
+	b.Begin("in", 0, int64Kinds)
 	for r := 0; r < n; r++ {
 		ts := baseTs + int64(r)*stepMillis
-		b.Cols[0][r] = ts
-		b.Cols[1][r] = int64(r%13 + 1)
-		b.Cols[2][r] = int64((r / runLen) % parts)
-		b.Ts = append(b.Ts, ts)
-		b.Keys = append(b.Keys, nil)
-		b.Offsets = append(b.Offsets, baseOff+int64(r))
+		b.Cols[0].AppendInt64(ts)
+		b.Cols[1].AppendInt64(int64(r%13 + 1))
+		b.Cols[2].AppendInt64(int64((r / runLen) % parts))
+		b.appendMeta(ts, nil, baseOff+int64(r))
 	}
-	b.SelAll()
+	b.Finish()
 }
+
+var int64Kinds = []vec.Kind{vec.Int64, vec.Int64, vec.Int64}
 
 // TestSlidingWindowBlockAllocBudget pins the vectorized sliding window's
 // per-row allocation cost. A fresh tuple's contribution is appended to its
 // partition's resident tail-chunk image and the block's writes leave through
 // one arena-backed write batch, so the operator itself allocates per distinct
 // key per block (the store's copies of the tail chunk, the block-state map
-// key), not per row: of the ~1.06 allocs/row measured, 1.0 is this test
-// boxing each row's timestamp into the input block, as the scan stage does.
+// key), not per row: of the ~1.06 allocs/row measured, 1.0 is the boxed view
+// of the timestamp column the ORDER BY evaluator reads (the scan stage boxed
+// it before the column vectors were typed).
 // The budget leaves headroom for aggregate values too large for the
 // runtime's small-integer boxes.
 func TestSlidingWindowBlockAllocBudget(t *testing.T) {
@@ -90,8 +91,9 @@ func TestSlidingWindowBlockAllocBudget(t *testing.T) {
 // columns are reused, so what is left per probed key is the boxing of the
 // relation's integer columns wider than one byte (the runtime's small-integer
 // boxes cover the rest) — here supplierId < 1000, i.e. ~1.7 boxes per distinct
-// key with productId — and nothing per stream row. The input blocks are built
-// (and their values boxed) before measuring, as the scan stage would have.
+// key with productId — and nothing per stream row: the join copies stream
+// columns vector to vector and boxes only the key column its evaluators
+// read, once per block (each input block here is reused, its view with it).
 func TestStreamRelationJoinBlockAllocBudget(t *testing.T) {
 	stream := types.NewRowType(
 		types.Column{Name: "rowtime", Type: types.Timestamp},
@@ -133,17 +135,16 @@ func TestStreamRelationJoinBlockAllocBudget(t *testing.T) {
 	rel := &TupleBlock{}
 	for base := 0; base < products; base += block {
 		n := min(block, products-base)
-		rel.Reset("products", 0, n)
-		rel.sizeCols(3, n)
+		rel.Begin("products", 0, vec.KindsOf(relation))
 		for r := 0; r < n; r++ {
-			rel.Cols[0][r] = int64(base + r)
-			rel.Cols[1][r] = nil
-			rel.Cols[2][r] = rng.Int63n(1000)
-			rel.Ts = append(rel.Ts, 0)
-			rel.Keys = append(rel.Keys, nil)
-			rel.Offsets = append(rel.Offsets, int64(base+r))
+			rel.Cols[0].AppendInt64(int64(base + r))
+			if err := rel.Cols[1].Append(nil); err != nil {
+				t.Fatal(err)
+			}
+			rel.Cols[2].AppendInt64(rng.Int63n(1000))
+			rel.appendMeta(0, nil, int64(base+r))
 		}
-		rel.SelAll()
+		rel.Finish()
 		if err := op.ProcessBlock(RightSide, rel, emit); err != nil {
 			t.Fatal(err)
 		}
@@ -155,18 +156,15 @@ func TestStreamRelationJoinBlockAllocBudget(t *testing.T) {
 	blocks := make([]*TupleBlock, 8)
 	for i := range blocks {
 		b := &TupleBlock{}
-		b.Reset("orders", 0, block)
-		b.sizeCols(3, block)
+		b.Begin("orders", 0, vec.KindsOf(stream))
 		for r := 0; r < block; r++ {
 			seq := int64(i*block + r)
-			b.Cols[0][r] = int64(1_600_000_000_000) + seq*10
-			b.Cols[1][r] = rng.Int63n(products)
-			b.Cols[2][r] = seq
-			b.Ts = append(b.Ts, 0)
-			b.Keys = append(b.Keys, nil)
-			b.Offsets = append(b.Offsets, seq)
+			b.Cols[0].AppendInt64(int64(1_600_000_000_000) + seq*10)
+			b.Cols[1].AppendInt64(rng.Int63n(products))
+			b.Cols[2].AppendInt64(seq)
+			b.appendMeta(0, nil, seq)
 		}
-		b.SelAll()
+		b.Finish()
 		blocks[i] = b
 	}
 	var rows int

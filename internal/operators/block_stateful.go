@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"samzasql/internal/kv"
+	"samzasql/internal/vec"
 )
 
 // ProcessBlock of the stateful operators: sliding window, streaming
@@ -44,57 +45,48 @@ func runEqual(a, b any) (eq, ok bool) {
 // key's rows in offset order through foldTuple, and stages each modified
 // state once; everything the block wrote —
 // chunk puts, chunk deletes, state rows, across all calls — then goes to the
-// store as one kv write batch. The output block carries one row per selected
-// input row — input columns plus one value column per call — with replayed
-// rows (already-applied offsets) deselected: re-delivered messages change no
+// store as one kv write batch. The output block shares the input's column
+// vectors and rows and adds one vector per call; replayed rows
+// (already-applied offsets) are deselected: re-delivered messages change no
 // state and produce no output (exactly-once, §4.3).
 //
 //samzasql:hotpath
 func (o *SlidingWindowOp) ProcessBlock(_ int, b *TupleBlock, emit BlockEmit) error {
-	nSel := len(b.Sel)
 	inArity := len(b.Cols)
-	arity := inArity + len(o.calls)
 	out := &o.outBlock
-	out.resetOut(b, arity)
+	out.shareRows(b, inArity+len(o.calls))
+	copy(out.Cols, b.Cols)
+	for ci, c := range o.calls {
+		out.Cols[inArity+ci].Reset(c.kind, b.N, false)
+	}
+	nSel := len(b.Sel)
 	if nSel == 0 {
-		out.finishOut()
 		return emit(out)
 	}
-	out.N = nSel
-	out.sizeCols(arity, nSel)
-	for k, r := range b.Sel {
-		for c := 0; c < inArity; c++ {
-			out.Cols[c][k] = b.Cols[c][r]
-		}
-		out.Ts = append(out.Ts, b.Ts[r])
-		out.Keys = append(out.Keys, b.Keys[r])
-		out.Offsets = append(out.Offsets, b.Offsets[r])
-	}
-	if cap(o.rowScratch) < inArity {
-		o.rowScratch = make([]any, inArity)
-	}
-	row := o.rowScratch[:inArity]
+	b.box(o.refs)
+	row := rowScratch(&o.rowScratch, b)
 	replay := o.blkReplay[:0]
 	for k := 0; k < nSel; k++ {
 		replay = append(replay, false)
 	}
 	src := o.sources.keyFor(b.Stream, b.Partition)
 	for ci, call := range o.calls {
-		if err := o.processCallBlock(call, b, out.Cols[inArity+ci], replay, ci == 0, src, row); err != nil {
+		if err := o.processCallBlock(call, b, &out.Cols[inArity+ci], replay, ci == 0, src, row); err != nil {
 			o.discardWrites()
 			return err
 		}
 	}
 	o.flushWrites()
 	o.blkReplay = replay
-	// Replayed rows (detected on call 0) are deselected rather than
-	// compacted; downstream stages honor Sel.
-	sel := out.Sel[:0]
-	for k := 0; k < nSel; k++ {
+	// Replayed rows (detected on call 0) are deselected; downstream stages
+	// honor Sel.
+	sel := o.outSel[:0]
+	for k, r := range b.Sel {
 		if !replay[k] {
-			sel = append(sel, k)
+			sel = append(sel, r)
 		}
 	}
+	o.outSel = sel
 	out.Sel = sel
 	return emit(out)
 }
@@ -105,7 +97,7 @@ func (o *SlidingWindowOp) ProcessBlock(_ int, b *TupleBlock, emit BlockEmit) err
 // per modified key.
 //
 //samzasql:hotpath
-func (o *SlidingWindowOp) processCallBlock(c *analyticState, b *TupleBlock, outCol []any, replay []bool, first bool, src string, row []any) error {
+func (o *SlidingWindowOp) processCallBlock(c *analyticState, b *TupleBlock, outCol *vec.Vec, replay []bool, first bool, src string, row []any) error {
 	if c.partVals == nil {
 		c.partVals = make([]any, len(c.partEvals))
 	}
@@ -117,7 +109,7 @@ func (o *SlidingWindowOp) processCallBlock(c *analyticState, b *TupleBlock, outC
 	var prevVal any
 	havePrev := false
 	for _, r := range b.Sel {
-		row = b.gather(r, row)
+		row = b.gather(r, row, o.refs)
 		for i, ev := range c.partEvals {
 			v, err := ev(row)
 			if err != nil {
@@ -179,10 +171,9 @@ func (o *SlidingWindowOp) processCallBlock(c *analyticState, b *TupleBlock, outC
 			if first {
 				replay[k] = true
 			}
-			outCol[k] = ws.acc.Value()
 			continue
 		}
-		row = b.gather(r, row)
+		row = b.gather(r, row, o.refs)
 		ov, err := c.orderEval(row)
 		if err != nil {
 			return err
@@ -203,7 +194,9 @@ func (o *SlidingWindowOp) processCallBlock(c *analyticState, b *TupleBlock, outC
 		}
 		ws.offsets = ws.offsets.update(src, offset)
 		ws.dirty = true
-		outCol[k] = ws.acc.Value()
+		if err := outCol.Set(r, ws.acc.Value()); err != nil {
+			return fmt.Errorf("operators: sliding window value: %w", err)
+		}
 	}
 
 	// Stage once per modified key, in first-touch order (deterministic
@@ -347,7 +340,7 @@ func appendWindowKey(buf []byte, end int64, kb []byte) []byte {
 //samzasql:hotpath
 func (o *StreamAggregateOp) ProcessBlock(_ int, b *TupleBlock, emit BlockEmit) error {
 	out := &o.outBlock
-	out.resetOut(b, len(o.keyEvals)+len(o.aggs))
+	out.resetOut(b, o.kinds)
 	if len(b.Sel) > 0 {
 		var err error
 		if o.window == nil {
@@ -361,19 +354,18 @@ func (o *StreamAggregateOp) ProcessBlock(_ int, b *TupleBlock, emit BlockEmit) e
 			return err
 		}
 	}
-	out.finishOut()
+	out.Finish()
 	return emit(out)
 }
 
-// blockScratch sizes the gather row and group-key scratch for the block.
+// blockScratch boxes the columns the aggregate reads and sizes the gather
+// row and group-key scratch for the block.
 func (o *StreamAggregateOp) blockScratch(b *TupleBlock) []any {
-	if cap(o.rowScratch) < len(b.Cols) {
-		o.rowScratch = make([]any, len(b.Cols))
-	}
+	b.box(o.refs)
 	if cap(o.keyScratch) < len(o.keyEvals)+len(o.aggs) {
 		o.keyScratch = make([]any, len(o.keyEvals)+len(o.aggs))
 	}
-	return o.rowScratch[:len(b.Cols)]
+	return rowScratch(&o.rowScratch, b)
 }
 
 // loadAggStates batch-reads the distinct store keys into the block state
@@ -427,7 +419,7 @@ func (o *StreamAggregateOp) processUnwindowedBlock(b *TupleBlock, out *TupleBloc
 	var prevVal any
 	havePrev := false
 	for _, r := range b.Sel {
-		row = b.gather(r, row)
+		row = b.gather(r, row, o.refs)
 		for i, ev := range o.keyEvals {
 			v, err := ev(row)
 			if err != nil {
@@ -476,7 +468,7 @@ func (o *StreamAggregateOp) processUnwindowedBlock(b *TupleBlock, out *TupleBloc
 		if st.offsets.seen(src, offset) {
 			continue
 		}
-		row = b.gather(r, row)
+		row = b.gather(r, row, o.refs)
 		if err := st.set.Add(row); err != nil {
 			return err
 		}
@@ -484,7 +476,9 @@ func (o *StreamAggregateOp) processUnwindowedBlock(b *TupleBlock, out *TupleBloc
 		st.dirty = true
 		copy(outRow[:nk], keyArena[k*nk:(k+1)*nk])
 		copy(outRow[nk:], st.set.Values())
-		out.appendRow(outRow, b.Ts[r], kbs[k], offset)
+		if err := out.AppendRow(outRow, b.Ts[r], kbs[k], offset); err != nil {
+			return err
+		}
 	}
 	for _, sk := range keys {
 		st := states[string(sk)]
@@ -519,7 +513,7 @@ func (o *StreamAggregateOp) processWindowedBlock(b *TupleBlock, out *TupleBlock)
 	var prevVal any
 	havePrev := false
 	for _, r := range b.Sel {
-		row = b.gather(r, row)
+		row = b.gather(r, row, o.refs)
 		for i, ev := range o.keyEvals {
 			v, err := ev(row)
 			if err != nil {
@@ -585,7 +579,7 @@ func (o *StreamAggregateOp) processWindowedBlock(b *TupleBlock, out *TupleBlock)
 	for k, r := range b.Sel {
 		ts := tss[k]
 		offset := b.Offsets[r]
-		row = b.gather(r, row)
+		row = b.gather(r, row, o.refs)
 		for e := nextBoundary(ts, emitEvery, align); e <= ts+retain; e += emitEvery {
 			if e <= wmLocal {
 				continue // window already closed; late contribution dropped
@@ -642,19 +636,17 @@ func (o *StreamAggregateOp) processWindowedBlock(b *TupleBlock, out *TupleBlock)
 //
 //samzasql:hotpath
 func (o *StreamRelationJoinOp) ProcessBlock(side int, b *TupleBlock, emit BlockEmit) error {
-	if cap(o.rowScratch) < len(b.Cols) {
-		o.rowScratch = make([]any, len(b.Cols))
-	}
-	row := o.rowScratch[:len(b.Cols)]
+	row := rowScratch(&o.rowScratch, b)
 	if side == RightSide {
 		return o.processRelationBlock(b, row)
 	}
 	out := &o.outBlock
-	out.resetOut(b, o.leftArity+o.rightArity)
+	out.resetOut(b, o.kinds)
 	if len(b.Sel) == 0 {
-		out.finishOut()
+		out.Finish()
 		return emit(out)
 	}
+	b.box(o.streamRefs)
 
 	// Pass 1: every row's state key, built back to back in the key arena
 	// (adjacent equal join keys reuse the previous row's), and its slot among
@@ -666,7 +658,7 @@ func (o *StreamRelationJoinOp) ProcessBlock(side int, b *TupleBlock, emit BlockE
 	var prevVal any
 	havePrev := false
 	for _, r := range b.Sel {
-		row = b.gather(r, row)
+		row = b.gather(r, row, o.streamRefs)
 		kval, err := o.keyEval(o.combineInto(row, nil))
 		if err != nil {
 			return fmt.Errorf("operators: stream join key: %w", err)
@@ -700,24 +692,38 @@ func (o *StreamRelationJoinOp) ProcessBlock(side int, b *TupleBlock, emit BlockE
 		return err
 	}
 
-	// Pass 3: combine, apply the residual, emit matches in input order.
+	// Pass 3: apply the residual, emit matches in input order — the stream
+	// columns copied vector to vector, the relation row unboxed.
+	streamAt, relAt := 0, o.leftArity
+	if !o.StreamIsLeft {
+		streamAt, relAt = o.rightArity, 0
+	}
 	for k, r := range b.Sel {
 		relRow := rel[slots[k]]
 		if relRow == nil {
 			continue
 		}
-		row = b.gather(r, row)
-		combined := o.combineInto(row, relRow)
-		v, err := o.residual(combined)
+		row = b.gather(r, row, o.streamRefs)
+		v, err := o.residual(o.combineInto(row, relRow))
 		if err != nil {
 			return fmt.Errorf("operators: join condition: %w", err)
 		}
 		if bl, ok := v.(bool); !ok || !bl {
 			continue
 		}
-		out.appendRow(combined, b.Ts[r], b.Keys[r], b.Offsets[r])
+		for c := range b.Cols {
+			if err := out.Cols[streamAt+c].AppendFrom(&b.Cols[c], r); err != nil {
+				return err
+			}
+		}
+		for i, x := range relRow {
+			if err := out.Cols[relAt+i].Append(x); err != nil {
+				return fmt.Errorf("operators: join output column %d: %w", relAt+i, err)
+			}
+		}
+		out.appendMeta(b.Ts[r], b.Keys[r], b.Offsets[r])
 	}
-	out.finishOut()
+	out.Finish()
 	return emit(out)
 }
 
@@ -730,9 +736,11 @@ func (o *StreamRelationJoinOp) ProcessBlock(side int, b *TupleBlock, emit BlockE
 //
 //samzasql:hotpath
 func (o *StreamRelationJoinOp) processRelationBlock(b *TupleBlock, row []any) error {
+	all := b.allCols()
+	b.box(all)
 	if o.cache != nil {
 		for _, r := range b.Sel {
-			row = b.gather(r, row)
+			row = b.gather(r, row, all)
 			rk, err := o.relationKey(o.kbuf[:0], row)
 			if err != nil {
 				return err
@@ -748,7 +756,7 @@ func (o *StreamRelationJoinOp) processRelationBlock(b *TupleBlock, row []any) er
 	ops := o.blkOps[:0]
 	var err error
 	for _, r := range b.Sel {
-		row = b.gather(r, row)
+		row = b.gather(r, row, all)
 		ks, vs := len(keys), len(vals)
 		if keys, err = o.relationKey(keys, row); err != nil {
 			return err
@@ -846,18 +854,17 @@ func (o *StreamRelationJoinOp) resolveRelBatch(keys [][]byte) ([][]any, error) {
 //samzasql:hotpath
 func (o *StreamStreamJoinOp) ProcessBlock(side int, b *TupleBlock, emit BlockEmit) error {
 	out := &o.outBlock
-	out.resetOut(b, o.leftArity+o.rightArity)
-	if cap(o.rowScratch) < len(b.Cols) {
-		o.rowScratch = make([]any, len(b.Cols))
-	}
-	row := o.rowScratch[:len(b.Cols)]
+	out.resetOut(b, o.kinds)
+	all := b.allCols()
+	b.box(all)
+	row := rowScratch(&o.rowScratch, b)
 	for _, r := range b.Sel {
-		row = b.gather(r, row)
+		row = b.gather(r, row, all)
 		//samzasql:ignore hotpath-blocking -- the task store mutex is per-task single-writer and uncontended by design; skiplist access under it is the state-access contract
 		if err := o.processOne(side, row, b.Ts[r], b.Offsets[r], b.Keys[r]); err != nil {
 			return err
 		}
 	}
-	out.finishOut()
+	out.Finish()
 	return emit(out)
 }

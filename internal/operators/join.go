@@ -11,6 +11,7 @@ import (
 	"samzasql/internal/sql/expr"
 	"samzasql/internal/sql/types"
 	"samzasql/internal/sql/validate"
+	"samzasql/internal/vec"
 )
 
 // JoinStoreName is the task store backing join state.
@@ -27,31 +28,11 @@ const (
 // message key does not identify its join state row.
 const TombstonesSkippedMetric = "operator.stream-relation-join.tombstones-skipped"
 
-// columnKind maps a planned SQL column type to the layout its values get in
-// a join state row.
-func columnKind(t types.Type) serde.Kind {
-	switch t {
-	case types.Bigint, types.Timestamp, types.Interval:
-		return serde.KindInt64
-	case types.Double:
-		return serde.KindFloat64
-	case types.Varchar:
-		return serde.KindString
-	case types.Boolean:
-		return serde.KindBool
-	}
-	return serde.KindObject
-}
-
 // rowCodecFor compiles the state-row codec of one join input from the row
 // type the physical planner hands the operator. Both join operators store
 // rows through these codecs only: join state has one row format.
 func rowCodecFor(row *types.RowType) *serde.RowCodec {
-	kinds := make([]serde.Kind, row.Arity())
-	for i, c := range row.Columns {
-		kinds[i] = columnKind(c.Type)
-	}
-	return serde.NewRowCodec(kinds)
+	return serde.NewRowCodec(vec.KindsOf(row))
 }
 
 // StreamRelationJoinOp implements stream-to-relation joins (§4.4): the
@@ -68,6 +49,10 @@ type StreamRelationJoinOp struct {
 	StreamIsLeft bool
 	leftArity    int
 	rightArity   int
+	// kinds are the combined output row's column kinds; streamRefs the
+	// stream-side columns the key and ON expressions read.
+	kinds      []vec.Kind
+	streamRefs []int
 
 	keyEval  expr.Evaluator // stream-side key over combined row
 	relKey   expr.Evaluator // relation-side key over combined row
@@ -83,9 +68,9 @@ type StreamRelationJoinOp struct {
 
 	// msgKeyKind is the layout of the relation's join column when the
 	// relation's changelog is keyed by that column (SetRelationKeyedBy), so
-	// a tombstone's message key names the state row to delete; KindObject
+	// a tombstone's message key names the state row to delete; vec.Any
 	// when the message key says nothing about the join key.
-	msgKeyKind        serde.Kind
+	msgKeyKind        vec.Kind
 	tombstonesSkipped *metrics.Counter
 
 	// Scratch: the one-value key row, the state key buffer (stores copy what
@@ -131,6 +116,16 @@ func NewStreamRelationJoinOp(info *validate.JoinInfo, left, right *types.RowType
 		streamKey, relKey = info.RightKey, info.LeftKey
 		op.relCodec = rowCodecFor(left)
 	}
+	op.kinds = append(vec.KindsOf(left), vec.KindsOf(right)...)
+	streamAt, streamArity := 0, left.Arity()
+	if !streamIsLeft {
+		streamAt, streamArity = left.Arity(), right.Arity()
+	}
+	for _, c := range expr.Columns(streamKey, info.On) {
+		if c >= streamAt && c < streamAt+streamArity {
+			op.streamRefs = append(op.streamRefs, c-streamAt)
+		}
+	}
 	var err error
 	if op.keyEval, err = expr.Compile(streamKey); err != nil {
 		return nil, err
@@ -150,7 +145,7 @@ func NewStreamRelationJoinOp(info *validate.JoinInfo, left, right *types.RowType
 // rendering of the column value, as publishers and the repartition stage
 // write it. DeleteRelation can then apply tombstones.
 func (o *StreamRelationJoinOp) SetRelationKeyedBy(t types.Type) {
-	o.msgKeyKind = columnKind(t)
+	o.msgKeyKind = vec.KindOf(t)
 }
 
 // Open implements Operator.
@@ -215,17 +210,17 @@ func (o *StreamRelationJoinOp) DeleteRelation(msgKey []byte) error {
 // parseMessageKey reads a message key written in the publisher convention
 // (integers in decimal, strings as their bytes) back into a column value of
 // the given kind.
-func parseMessageKey(kind serde.Kind, key []byte) (any, bool) {
+func parseMessageKey(kind vec.Kind, key []byte) (any, bool) {
 	switch kind {
-	case serde.KindInt64:
+	case vec.Int64:
 		v, err := strconv.ParseInt(string(key), 10, 64)
 		return v, err == nil
-	case serde.KindString:
+	case vec.String:
 		return string(key), true
-	case serde.KindFloat64:
+	case vec.Float64:
 		v, err := strconv.ParseFloat(string(key), 64)
 		return v, err == nil
-	case serde.KindBool:
+	case vec.Bool:
 		v, err := strconv.ParseBool(string(key))
 		return v, err == nil
 	}
@@ -233,9 +228,8 @@ func parseMessageKey(kind serde.Kind, key []byte) (any, bool) {
 }
 
 // combineInto lays out the combined row, the stream side in its SQL position
-// and missing sides nil-filled, in operator scratch; appendRow and the
-// compiled evaluators copy or read values, so the scratch is safe to reuse
-// per row.
+// and missing sides nil-filled, in operator scratch; the compiled evaluators
+// only read values, so the scratch is safe to reuse per row.
 //
 //samzasql:hotpath
 func (o *StreamRelationJoinOp) combineInto(streamRow, relRow []any) []any {
@@ -263,6 +257,7 @@ type StreamStreamJoinOp struct {
 	info       *validate.JoinInfo
 	leftArity  int
 	rightArity int
+	kinds      []vec.Kind
 
 	leftKey, rightKey expr.Evaluator // over combined row
 	residual          expr.Evaluator
@@ -286,7 +281,8 @@ type StreamStreamJoinOp struct {
 // NewStreamStreamJoinOp builds the operator for inputs of the given row
 // types.
 func NewStreamStreamJoinOp(info *validate.JoinInfo, left, right *types.RowType) (*StreamStreamJoinOp, error) {
-	op := &StreamStreamJoinOp{info: info, leftArity: left.Arity(), rightArity: right.Arity()}
+	op := &StreamStreamJoinOp{info: info, leftArity: left.Arity(), rightArity: right.Arity(),
+		kinds: append(vec.KindsOf(left), vec.KindsOf(right)...)}
 	op.codecs = [2]*serde.RowCodec{rowCodecFor(left), rowCodecFor(right)}
 	op.rowDecoded = [2][]any{make([]any, left.Arity()), make([]any, right.Arity())}
 	var err error
@@ -377,7 +373,9 @@ func (o *StreamStreamJoinOp) processOne(side int, row []any, ts, offset int64, k
 			return fmt.Errorf("operators: join condition: %w", err)
 		}
 		if b, ok := v.(bool); ok && b {
-			o.outBlock.appendRow(full, ts, key, offset)
+			if err := o.outBlock.AppendRow(full, ts, key, offset); err != nil {
+				return err
+			}
 		}
 	}
 

@@ -11,6 +11,7 @@ import (
 	"samzasql/internal/sql/expr"
 	"samzasql/internal/sql/types"
 	"samzasql/internal/sql/validate"
+	"samzasql/internal/vec"
 )
 
 func testCtx() *OpContext {
@@ -48,7 +49,7 @@ func collect(out *[]testRow) BlockEmit {
 		for _, r := range b.Sel {
 			row := make([]any, len(b.Cols))
 			for c := range b.Cols {
-				row[c] = b.Cols[c][r]
+				row[c] = b.Cols[c].Value(r)
 			}
 			*out = append(*out, testRow{Row: row, Ts: b.Ts[r], Key: b.Keys[r], Offset: b.Offsets[r]})
 		}
@@ -56,19 +57,52 @@ func collect(out *[]testRow) BlockEmit {
 	}
 }
 
+// kindsOf types a test row's columns by its values (NULL as an escape
+// column).
+func kindsOf(row []any) []vec.Kind {
+	kinds := make([]vec.Kind, len(row))
+	for c, v := range row {
+		switch v.(type) {
+		case int64:
+			kinds[c] = vec.Int64
+		case float64:
+			kinds[c] = vec.Float64
+		case string:
+			kinds[c] = vec.String
+		case bool:
+			kinds[c] = vec.Bool
+		}
+	}
+	return kinds
+}
+
+// blockOf fills b with rows of the given kinds, offsets counting from
+// offset and timestamps from column tsCol (-1 for none).
+func blockOf(t testing.TB, b *TupleBlock, kinds []vec.Kind, rows [][]any, tsCol int, offset int64) *TupleBlock {
+	t.Helper()
+	b.Begin("in", 0, kinds)
+	for i, row := range rows {
+		var ts int64
+		if tsCol >= 0 {
+			ts = row[tsCol].(int64)
+		}
+		if err := b.AppendRow(row, ts, nil, offset+int64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b.Finish()
+	return b
+}
+
 // process drives one row through op as a block of one — the per-tuple case.
 func process(t *testing.T, op Operator, in testRow, emit BlockEmit) {
 	t.Helper()
 	b := &TupleBlock{}
-	b.Reset("in", 0, 1)
-	b.sizeCols(len(in.Row), 1)
-	for c, v := range in.Row {
-		b.Cols[c][0] = v
+	b.Begin("in", 0, kindsOf(in.Row))
+	if err := b.AppendRow(in.Row, in.Ts, in.Key, in.Offset); err != nil {
+		t.Fatal(err)
 	}
-	b.Ts = append(b.Ts, in.Ts)
-	b.Keys = append(b.Keys, in.Key)
-	b.Offsets = append(b.Offsets, in.Offset)
-	b.SelAll()
+	b.Finish()
 	if err := op.ProcessBlock(0, b, emit); err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +113,7 @@ func TestFilterOp(t *testing.T) {
 		L: &expr.ColRef{Idx: 0, Name: "units", T: types.Bigint},
 		R: &expr.Const{V: int64(10), T: types.Bigint},
 		T: types.Boolean}
-	op, err := NewFilterOp(cond)
+	op, err := NewFilterOp(cond, []vec.Kind{vec.Int64})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,8 @@ import (
 	"samzasql/internal/avro"
 	"samzasql/internal/kafka"
 	"samzasql/internal/metrics"
+	"samzasql/internal/sql/types"
+	"samzasql/internal/vec"
 )
 
 // Serde byte counters shared by every decode/encode stage of a task: bytes
@@ -19,26 +21,36 @@ const (
 
 // ScanOp decodes an incoming Avro message into the tuple-as-array
 // representation — the AvroToArray step of Figure 4 that every SamzaSQL
-// message pays and native jobs avoid (§5.1). When the source declares a
-// timestamp column the event time is read from it.
+// message pays and native jobs avoid (§5.1) — here straight into the block's
+// kind-typed column vectors. When the source declares a timestamp column the
+// event time is read from it.
 type ScanOp struct {
 	Codec *avro.Codec
 	// TsIdx is the timestamp column index, or -1 to use the message time.
 	TsIdx int
 	// Stream is the source topic name (used for routing labels).
 	Stream string
-	// Wanted, when non-nil, marks the columns some operator of the plan
-	// reads (plan.Scan.Required): the scan decodes those and skips the rest
-	// on the wire, leaving their slots nil. Nil decodes whole rows.
-	Wanted []bool
+
+	// dec decodes into vectors typed from the scan's row type, skipping on
+	// the wire the columns no operator of the plan reads (plan.Scan.Required)
+	// and marking their vectors absent.
+	dec *avro.ColumnDecoder
 
 	// Observability handles, bound at Open (nil when the op runs outside a
 	// metrics-carrying context).
 	bytesIn   *metrics.Counter
 	decodeLat *metrics.Histogram
+}
 
-	// rowScratch is DecodeBlock's reusable decode row.
-	rowScratch []any
+// NewScanOp compiles the scan of stream, whose messages codec decodes, into
+// vectors typed from the source's row type. wanted, when non-nil, marks the
+// columns some operator of the plan reads; the rest are skipped.
+func NewScanOp(codec *avro.Codec, row *types.RowType, tsIdx int, stream string, wanted []bool) (*ScanOp, error) {
+	dec, err := codec.NewColumnDecoder(vec.KindsOf(row), wanted)
+	if err != nil {
+		return nil, fmt.Errorf("operators: scan %s: %w", stream, err)
+	}
+	return &ScanOp{Codec: codec, TsIdx: tsIdx, Stream: stream, dec: dec}, nil
 }
 
 // Open implements Opener, binding the scan's serde metrics.
@@ -50,45 +62,31 @@ func (s *ScanOp) Open(ctx *OpContext) error {
 	return nil
 }
 
-// decodeRow decodes one message into row (reused when it has the schema's
-// arity), sparsely when the plan reads only some columns.
-//
-//samzasql:hotpath
-func (s *ScanOp) decodeRow(value []byte, row []any) ([]any, error) {
-	if s.Wanted != nil {
-		return s.Codec.ReadFields(value, s.Wanted, row)
-	}
-	return s.Codec.DecodeRow(value, row)
-}
-
 // DecodeBlock decodes the block's raw messages into its column vectors —
 // the AvroToArray step of Figure 4 amortized to one virtual dispatch and
 // one metrics/latency observation per block. When the source declares a
-// timestamp column, event timestamps refresh from it. The block arrives with
-// Raw, Keys, Ts and Offsets filled for N rows; all rows become selected.
+// timestamp column, event timestamps refresh from its int64 vector. The
+// block arrives with Raw, Keys, Ts and Offsets filled for N rows; all rows
+// become selected.
 //
 //samzasql:hotpath
 func (s *ScanOp) DecodeBlock(b *TupleBlock) error {
 	start := time.Now()
-	arity := len(s.Codec.Schema().Fields)
-	b.sizeCols(arity, b.N)
-	if cap(s.rowScratch) < arity {
-		s.rowScratch = make([]any, arity)
-	}
-	row := s.rowScratch[:arity]
+	b.setArity(len(s.Codec.Schema().Fields))
+	s.dec.Reset(b.Cols, b.N)
 	var bytes int64
 	for r := 0; r < b.N; r++ {
 		bytes += int64(len(b.Raw[r]))
-		row, err := s.decodeRow(b.Raw[r], row)
-		if err != nil {
+		if err := s.dec.Decode(b.Raw[r], b.Cols, r); err != nil {
 			return fmt.Errorf("operators: scan decode (%s): %w", s.Stream, err)
 		}
-		for c := 0; c < arity; c++ {
-			b.Cols[c][r] = row[c]
-		}
-		if s.TsIdx >= 0 && s.TsIdx < arity {
-			if ts, ok := row[s.TsIdx].(int64); ok {
-				b.Ts[r] = ts
+	}
+	if s.TsIdx >= 0 && s.TsIdx < len(b.Cols) {
+		if ts := &b.Cols[s.TsIdx]; ts.Kind == vec.Int64 && !ts.Absent {
+			for r := 0; r < b.N; r++ {
+				if !ts.IsNull(r) {
+					b.Ts[r] = ts.I64[r]
+				}
 			}
 		}
 	}
@@ -101,9 +99,9 @@ func (s *ScanOp) DecodeBlock(b *TupleBlock) error {
 }
 
 // InsertOp encodes result rows back to Avro (the ArrayToAvro step of Figure
-// 4) and sends them to the output stream. Output preserves the source
-// partition unless the tuple carries an explicit key, in which case the
-// broker partitions by key.
+// 4) straight from the block's column vectors and sends them to the output
+// stream. Output preserves the source partition unless the tuple carries an
+// explicit key, in which case the broker partitions by key.
 type InsertOp struct {
 	Codec  *avro.Codec
 	Target string
@@ -112,16 +110,30 @@ type InsertOp struct {
 	// KeyByTupleKey selects key-based partitioning when tuples carry keys.
 	KeyByTupleKey bool
 
+	// enc encodes rows of the column kinds in kinds.
+	enc   *avro.ColumnEncoder
+	kinds []vec.Kind
 	// bytesOut counts encoded output bytes; bound at Open.
 	bytesOut *metrics.Counter
 
-	// Arenas: the gather row, the (start, end) offsets of each encoded row in
-	// the block slab, the outgoing message headers, and the high-water slab
-	// size used to pre-size the next block's slab.
-	rowScratch []any
+	// Arenas: the (start, end) offsets of each encoded row in the block slab
+	// and the outgoing message headers. rowHint is the most bytes one row
+	// has encoded to: a block's slab is sized for its own rows, because the
+	// broker keeps every slab whole and one sized for a full block would
+	// strand most of its bytes under a partial one.
 	offScratch []int
 	msgScratch []kafka.Message
-	slabHint   int
+	rowHint    int
+}
+
+// NewInsertOp compiles the insert of rows of the given column kinds into
+// target, encoded by codec.
+func NewInsertOp(codec *avro.Codec, kinds []vec.Kind, target string) (*InsertOp, error) {
+	enc, err := codec.NewColumnEncoder(kinds)
+	if err != nil {
+		return nil, fmt.Errorf("operators: insert %s: %w", target, err)
+	}
+	return &InsertOp{Codec: codec, Target: target, enc: enc, kinds: append([]vec.Kind(nil), kinds...)}, nil
 }
 
 // Open implements Operator, binding the insert's serde metrics.
@@ -136,30 +148,47 @@ func (i *InsertOp) Open(ctx *OpContext) error {
 // row into one per-block byte slab (the ArrayToAvro step amortized across the
 // block) and flushes the block's messages through one batched send. The slab
 // is freshly allocated per block because the broker retains sent value
-// slices; the message and offset scratches are reused.
+// slices — and only for a block with rows to send; the message and offset
+// scratches are reused.
 //
 //samzasql:hotpath
 func (i *InsertOp) ProcessBlock(_ int, b *TupleBlock, emit BlockEmit) error {
-	if cap(i.rowScratch) < len(b.Cols) {
-		i.rowScratch = make([]any, len(b.Cols))
+	if len(b.Sel) > 0 {
+		if err := i.send(b); err != nil {
+			return err
+		}
 	}
-	row := i.rowScratch[:len(b.Cols)]
-	slab := make([]byte, 0, i.slabHint)
+	if emit != nil {
+		return emit(b)
+	}
+	return nil
+}
+
+// send encodes and sends the selected rows of b.
+//
+//samzasql:hotpath
+func (i *InsertOp) send(b *TupleBlock) error {
+	if len(b.Cols) != len(i.kinds) {
+		return fmt.Errorf("operators: insert (%s): block has %d columns, planned %d", i.Target, len(b.Cols), len(i.kinds))
+	}
+	for c := range b.Cols {
+		if b.Cols[c].Kind != i.kinds[c] {
+			return fmt.Errorf("operators: insert (%s): column %d is %s, planned %s", i.Target, c, b.Cols[c].Kind, i.kinds[c])
+		}
+	}
+	slab := make([]byte, 0, len(b.Sel)*i.rowHint)
 	offs := i.offScratch[:0]
 	var err error
 	for _, r := range b.Sel {
-		row = b.gather(r, row)
 		start := len(slab)
-		slab, err = i.Codec.AppendEncodeRow(slab, row)
+		slab, err = i.enc.AppendRow(slab, b.Cols, r)
 		if err != nil {
 			return fmt.Errorf("operators: insert encode (%s): %w", i.Target, err)
 		}
 		offs = append(offs, start, len(slab))
+		i.rowHint = max(i.rowHint, len(slab)-start)
 	}
 	i.offScratch = offs
-	if len(slab) > i.slabHint {
-		i.slabHint = len(slab)
-	}
 	if i.bytesOut != nil {
 		i.bytesOut.Add(int64(len(slab)))
 	}
@@ -179,13 +208,5 @@ func (i *InsertOp) ProcessBlock(_ int, b *TupleBlock, emit BlockEmit) error {
 		})
 	}
 	i.msgScratch = msgs
-	if len(msgs) > 0 {
-		if err := i.SendBatch(i.Target, msgs); err != nil {
-			return err
-		}
-	}
-	if emit != nil {
-		return emit(b)
-	}
-	return nil
+	return i.SendBatch(i.Target, msgs)
 }

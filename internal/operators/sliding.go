@@ -10,6 +10,7 @@ import (
 	"samzasql/internal/serde"
 	"samzasql/internal/sql/expr"
 	"samzasql/internal/sql/validate"
+	"samzasql/internal/vec"
 )
 
 // SlidingStoreName is the task store backing the sliding window operator.
@@ -50,6 +51,8 @@ const chunkCap = 64
 // state is resident, so they route to the uncached layer.
 type SlidingWindowOp struct {
 	calls []*analyticState
+	// refs are the input columns the calls' expressions read.
+	refs  []int
 	store kv.Store
 	// cache is non-nil when the task store supports object caching;
 	// chunkStore is then the layer underneath it, and the store itself
@@ -83,10 +86,12 @@ type SlidingWindowOp struct {
 	pool     []*windowState
 	poolUsed int
 
-	// Per-block scratch (block_stateful.go): the output block, the gather
-	// row, per-row group keys, per-row replay flags, the per-block state map
-	// keyed by state-key string, and the batched-read slices.
+	// Per-block scratch (block_stateful.go): the output block and its
+	// selection, the gather row, per-row group keys, per-row replay flags,
+	// the per-block state map keyed by state-key string, and the batched-read
+	// slices.
 	outBlock   TupleBlock
+	outSel     []int
 	rowScratch []any
 	blkPks     [][]byte
 	blkReplay  []bool
@@ -143,6 +148,8 @@ type analyticState struct {
 	// construction so per-tuple state decodes stay off the UDAF registry lock.
 	newAcc func() Accumulator
 	idx    byte
+	// kind is the call's output column kind.
+	kind vec.Kind
 	// partVals is the per-tuple partition-value scratch (tasks are
 	// single-goroutine, so one buffer per call suffices).
 	partVals []any
@@ -188,8 +195,10 @@ func NewSlidingWindowOp(calls []*validate.BoundAnalytic) (*SlidingWindowOp, erro
 		return nil, fmt.Errorf("operators: too many analytic calls (%d)", len(calls))
 	}
 	op := &SlidingWindowOp{}
+	var read []expr.Expr
 	for i, c := range calls {
-		st := &analyticState{spec: c, idx: byte(i)}
+		st := &analyticState{spec: c, idx: byte(i), kind: vec.KindOf(c.T)}
+		read = append(append(read, c.PartitionBy...), c.OrderBy, c.Arg)
 		for _, p := range c.PartitionBy {
 			ev, err := expr.Compile(p)
 			if err != nil {
@@ -216,6 +225,7 @@ func NewSlidingWindowOp(calls []*validate.BoundAnalytic) (*SlidingWindowOp, erro
 		st.newAcc = ctor
 		op.calls = append(op.calls, st)
 	}
+	op.refs = expr.Columns(read...)
 	return op, nil
 }
 

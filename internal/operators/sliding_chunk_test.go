@@ -11,7 +11,9 @@ import (
 	"samzasql/internal/kafka"
 	"samzasql/internal/kv"
 	"samzasql/internal/metrics"
+	"samzasql/internal/sql/types"
 	"samzasql/internal/sql/validate"
+	"samzasql/internal/vec"
 )
 
 // windowRow is one sliding-window input row [ts, units, pid]; a row's offset
@@ -47,23 +49,22 @@ func feedWindowArgs(t *testing.T, op *SlidingWindowOp, rows []windowRow, args []
 		return rows[i].units
 	}
 	b := &TupleBlock{}
+	kinds := windowKinds(args)
 	for from < to {
 		n := min(batch, to-from)
-		b.Reset("in", 0, n)
-		b.sizeCols(3, n)
+		b.Begin("in", 0, kinds)
 		for k := 0; k < n; k++ {
 			r := rows[from+k]
-			b.Cols[0][k], b.Cols[1][k], b.Cols[2][k] = r.ts, arg(from+k), r.pid
-			b.Ts = append(b.Ts, r.ts)
-			b.Keys = append(b.Keys, nil)
-			b.Offsets = append(b.Offsets, int64(from+k))
+			if err := b.AppendRow([]any{r.ts, arg(from + k), r.pid}, r.ts, nil, int64(from+k)); err != nil {
+				t.Fatal(err)
+			}
 		}
-		b.SelAll()
+		b.Finish()
 		err := op.ProcessBlock(0, b, func(o *TupleBlock) error {
 			for _, k := range o.Sel {
 				vals := make([]any, 0, len(o.Cols)-3)
-				for _, col := range o.Cols[3:] {
-					vals = append(vals, col[k])
+				for c := range o.Cols[3:] {
+					vals = append(vals, o.Cols[3+c].Value(k))
 				}
 				out[o.Offsets[k]] = fmt.Sprint(vals)
 			}
@@ -74,6 +75,19 @@ func feedWindowArgs(t *testing.T, op *SlidingWindowOp, rows []windowRow, args []
 		}
 		from += n
 	}
+}
+
+// windowKinds types the [ts, arg, pid] columns of a window input whose
+// aggregate arguments are args (int64 units when nil).
+func windowKinds(args []any) []vec.Kind {
+	kinds := []vec.Kind{vec.Int64, vec.Int64, vec.Int64}
+	for _, a := range args {
+		if a != nil {
+			kinds[1] = kindsOf([]any{a})[0]
+			break
+		}
+	}
+	return kinds
 }
 
 const windowChangelog = "window-changelog"
@@ -311,10 +325,11 @@ func TestSlidingWindowNonIntegerContributions(t *testing.T) {
 	const frameRows = chunkCap + 3
 	cases := []struct {
 		fn   string
+		t    types.Type
 		args []any
 		want func(i int) any
 	}{
-		{"SUM", floats, func(i int) any {
+		{"SUM", types.Double, floats, func(i int) any {
 			sum := 0.0
 			for j := max(0, i-frameRows); j <= i; j++ {
 				if f, ok := floats[j].(float64); ok {
@@ -323,7 +338,7 @@ func TestSlidingWindowNonIntegerContributions(t *testing.T) {
 			}
 			return sum
 		}},
-		{"MIN", strs, func(i int) any {
+		{"MIN", types.Varchar, strs, func(i int) any {
 			var least any
 			for j := max(0, i-frameRows); j <= i; j++ {
 				if s, ok := strs[j].(string); ok && (least == nil || s < least.(string)) {
@@ -340,7 +355,9 @@ func TestSlidingWindowNonIntegerContributions(t *testing.T) {
 	for _, c := range cases {
 		for _, bs := range []int{1, 7, 256} {
 			broker := kafka.NewBroker()
-			op, cl := changelogWindowOp(t, broker, 1, slidingSpec(c.fn, 0, frameRows, false))
+			spec := slidingSpec(c.fn, 0, frameRows, false)
+			spec.T = c.t
+			op, cl := changelogWindowOp(t, broker, 1, spec)
 			out := map[int64]string{}
 			feedWindowArgs(t, op, rows, c.args, 0, n, bs, out)
 			if err := cl.Flush(); err != nil {
@@ -456,7 +473,11 @@ func FuzzSlidingStateDecode(f *testing.F) {
 	}
 	for _, args := range [][]any{nil, strs} {
 		store := kv.NewStore()
-		op, err := NewSlidingWindowOp([]*validate.BoundAnalytic{slidingSpec("MIN", 0, n, false)})
+		spec := slidingSpec("MIN", 0, n, false)
+		if args != nil {
+			spec.T = types.Varchar
+		}
+		op, err := NewSlidingWindowOp([]*validate.BoundAnalytic{spec})
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -464,16 +485,17 @@ func FuzzSlidingStateDecode(f *testing.F) {
 			f.Fatal(err)
 		}
 		b := &TupleBlock{}
-		b.Reset("in", 0, n)
-		b.sizeCols(3, n)
+		b.Begin("in", 0, windowKinds(args))
 		for k, r := range rows {
-			b.Cols[0][k], b.Cols[1][k], b.Cols[2][k] = r.ts, any(r.units), r.pid
+			var arg any = r.units
 			if args != nil {
-				b.Cols[1][k] = args[k]
+				arg = args[k]
 			}
-			b.Ts, b.Keys, b.Offsets = append(b.Ts, r.ts), append(b.Keys, nil), append(b.Offsets, int64(k))
+			if err := b.AppendRow([]any{r.ts, arg, r.pid}, r.ts, nil, int64(k)); err != nil {
+				f.Fatal(err)
+			}
 		}
-		b.SelAll()
+		b.Finish()
 		if err := op.ProcessBlock(0, b, func(*TupleBlock) error { return nil }); err != nil {
 			f.Fatal(err)
 		}

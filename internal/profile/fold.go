@@ -12,6 +12,19 @@ type FuncStat struct {
 	Cum  int64  `json:"cum"`
 }
 
+// Sum totals the profile's samples at the given value index (0 for a
+// negative or out-of-range index) — the denominator of a function's share:
+// Fold's flat values sum to at most this, its top-N to less.
+func (p *Profile) Sum(valueIndex int) int64 {
+	var total int64
+	for _, s := range p.Samples {
+		if valueIndex >= 0 && valueIndex < len(s.Values) {
+			total += s.Values[valueIndex]
+		}
+	}
+	return total
+}
+
 // Fold aggregates the profile's samples at the given value index into
 // per-function flat/cum totals, sorted by Flat descending (Cum, then name,
 // break ties so output is deterministic). A negative or out-of-range index

@@ -62,6 +62,10 @@ type Batch struct {
 	// CPU holds per-function CPU nanoseconds sampled during the window,
 	// flat/cum, top-N by flat.
 	CPU []FuncStat `json:"cpu,omitempty"`
+	// CPUTotal and CPUSamples are the window's whole sampled CPU, every
+	// function included, in nanoseconds and in samples.
+	CPUTotal   int64 `json:"cpu-total,omitempty"`
+	CPUSamples int64 `json:"cpu-samples,omitempty"`
 	// HeapDelta holds per-function bytes allocated since the previous
 	// capture (alloc_space delta between cumulative snapshots).
 	HeapDelta []FuncStat `json:"heap-delta,omitempty"`
@@ -111,7 +115,7 @@ func (p *Profiler) Capture(ctx context.Context) (*Batch, error) {
 	if !p.Enabled() {
 		return nil, fmt.Errorf("profile: profiler disabled")
 	}
-	cpu, err := p.CaptureCPU(ctx, p.cfg.Window)
+	cpu, err := p.captureCPU(ctx, p.cfg.Window)
 	if err != nil {
 		return nil, err
 	}
@@ -126,20 +130,34 @@ func (p *Profiler) Capture(ctx context.Context) (*Batch, error) {
 	return &Batch{
 		TimeMillis:   time.Now().UnixMilli(),
 		WindowMillis: p.cfg.Window.Milliseconds(),
-		CPU:          cpu,
+		CPU:          cpu.funcs,
+		CPUTotal:     cpu.total,
+		CPUSamples:   cpu.samples,
 		HeapDelta:    heap,
 		Goroutines:   gor,
 	}, nil
 }
 
+// cpuWindow is one folded CPU capture: the top-N functions and the whole
+// window's sampled nanoseconds and sample count.
+type cpuWindow struct {
+	funcs          []FuncStat
+	total, samples int64
+}
+
 // CaptureCPU samples the process's CPU for d and folds the profile into
 // top-N per-function flat/cum nanoseconds.
 func (p *Profiler) CaptureCPU(ctx context.Context, d time.Duration) ([]FuncStat, error) {
+	w, err := p.captureCPU(ctx, d)
+	return w.funcs, err
+}
+
+func (p *Profiler) captureCPU(ctx context.Context, d time.Duration) (cpuWindow, error) {
 	captureMu.Lock()
 	defer captureMu.Unlock()
 	var buf bytes.Buffer
 	if err := pprof.StartCPUProfile(&buf); err != nil {
-		return nil, fmt.Errorf("profile: start cpu: %w", err)
+		return cpuWindow{}, fmt.Errorf("profile: start cpu: %w", err)
 	}
 	t := time.NewTimer(d)
 	//samzasql:ignore lock-discipline -- captureMu exists to make this blocking sampling window exclusive: StartCPUProfile is process-global, so concurrent captures must wait out the window, not interleave
@@ -151,14 +169,15 @@ func (p *Profiler) CaptureCPU(ctx context.Context, d time.Duration) ([]FuncStat,
 	pprof.StopCPUProfile()
 	prof, err := Parse(buf.Bytes())
 	if err != nil {
-		return nil, fmt.Errorf("profile: decode cpu: %w", err)
+		return cpuWindow{}, fmt.Errorf("profile: decode cpu: %w", err)
 	}
+	samples := prof.ValueIndex("samples")
 	idx := prof.ValueIndex("cpu")
 	if idx < 0 {
 		// Fall back to the samples dimension; every CPU profile has one.
-		idx = prof.ValueIndex("samples")
+		idx = samples
 	}
-	return Truncate(prof.Fold(idx), p.cfg.TopN), nil
+	return cpuWindow{funcs: Truncate(prof.Fold(idx), p.cfg.TopN), total: prof.Sum(idx), samples: prof.Sum(samples)}, nil
 }
 
 // CaptureHeapDelta snapshots the cumulative allocation profile and returns

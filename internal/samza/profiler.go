@@ -40,6 +40,10 @@ type ProfileBatchMessage struct {
 	WindowMillis int64 `json:"window-millis"`
 	// CPU is the top-N per-function CPU time over the window.
 	CPU []profile.FuncStat `json:"cpu,omitempty"`
+	// CPUTotal and CPUSamples are the window's whole sampled CPU (every
+	// function, not only the top N), in nanoseconds and in samples.
+	CPUTotal   int64 `json:"cpu-total,omitempty"`
+	CPUSamples int64 `json:"cpu-samples,omitempty"`
 	// HeapDelta is the top-N per-function bytes allocated since the
 	// previous batch.
 	HeapDelta []profile.FuncStat `json:"heap-delta,omitempty"`
@@ -124,6 +128,8 @@ func (r *ProfileReporter) publish(batch *profile.Batch, final bool) error {
 		Final:        final,
 		WindowMillis: batch.WindowMillis,
 		CPU:          batch.CPU,
+		CPUTotal:     batch.CPUTotal,
+		CPUSamples:   batch.CPUSamples,
 		HeapDelta:    batch.HeapDelta,
 		Goroutines:   batch.Goroutines,
 	}

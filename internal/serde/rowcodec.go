@@ -5,23 +5,16 @@ import (
 	"errors"
 	"fmt"
 	"math"
-)
 
-// Kind is the declared payload layout of one column of a RowCodec row.
-type Kind uint8
-
-// Column kinds. KindObject is the zero value: a column whose SQL type has no
-// fixed layout (arrays, maps, ANY) is always written as an ObjectSerde value.
-const (
-	KindObject  Kind = iota
-	KindInt64        // zig-zag varint (BIGINT, TIMESTAMP, INTERVAL)
-	KindFloat64      // 8 bytes little-endian (DOUBLE)
-	KindString       // uvarint length, then the bytes (VARCHAR)
-	KindBool         // one byte (BOOLEAN)
+	"samzasql/internal/vec"
 )
 
 // RowCodec is a schema-driven codec for []any rows whose column kinds are
-// known when the query is planned — the join state's row format. Where
+// known when the query is planned — the join state's row format. Its kinds
+// are the column-vector kinds (vec.KindsOf compiles both from the plan's row
+// type): vec.Int64 is a zig-zag varint, vec.Float64 8 bytes little-endian,
+// vec.String a uvarint length then the bytes, vec.Bool one byte, and a
+// vec.Any column (arrays, maps, ANY) is always an ObjectSerde value. Where
 // ObjectSerde writes a class name in front of every value and allocates a
 // fresh row per decode, a RowCodec is compiled once per operator from the
 // plan's row type and writes
@@ -40,7 +33,7 @@ const (
 // carry it. Decode fills a caller-owned row, so a reader that decodes into an
 // arena allocates only what the values themselves need.
 type RowCodec struct {
-	kinds []Kind
+	kinds []vec.Kind
 	hdr   int // null bitmap bytes
 	esc   int // escape bitmap bytes
 }
@@ -49,9 +42,9 @@ type RowCodec struct {
 var ErrCorruptRow = errors.New("serde: corrupt row payload")
 
 // NewRowCodec compiles a codec for rows of the given column kinds.
-func NewRowCodec(kinds []Kind) *RowCodec {
+func NewRowCodec(kinds []vec.Kind) *RowCodec {
 	n := len(kinds)
-	return &RowCodec{kinds: append([]Kind(nil), kinds...), hdr: (n + 8) / 8, esc: (n + 7) / 8}
+	return &RowCodec{kinds: append([]vec.Kind(nil), kinds...), hdr: (n + 8) / 8, esc: (n + 7) / 8}
 }
 
 // Arity is the number of columns of the codec's rows.
@@ -79,23 +72,23 @@ func (c *RowCodec) AppendEncode(dst []byte, row []any) ([]byte, error) {
 		}
 		switch x := v.(type) {
 		case int64:
-			if c.kinds[i] == KindInt64 {
+			if c.kinds[i] == vec.Int64 {
 				dst = binary.AppendUvarint(dst, uint64((x<<1)^(x>>63)))
 				continue
 			}
 		case float64:
-			if c.kinds[i] == KindFloat64 {
+			if c.kinds[i] == vec.Float64 {
 				dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(x))
 				continue
 			}
 		case string:
-			if c.kinds[i] == KindString {
+			if c.kinds[i] == vec.String {
 				dst = binary.AppendUvarint(dst, uint64(len(x)))
 				dst = append(dst, x...)
 				continue
 			}
 		case bool:
-			if c.kinds[i] == KindBool {
+			if c.kinds[i] == vec.Bool {
 				b := byte(0)
 				if x {
 					b = 1
@@ -104,7 +97,7 @@ func (c *RowCodec) AppendEncode(dst []byte, row []any) ([]byte, error) {
 				continue
 			}
 		}
-		if c.kinds[i] != KindObject {
+		if c.kinds[i] != vec.Any {
 			if escAt < 0 {
 				// First mistyped value of the row: open the escape bitmap
 				// behind the null bitmap, moving the payloads written so far.
@@ -155,7 +148,7 @@ func (c *RowCodec) Decode(data []byte, dst []any) error {
 			dst[i] = nil
 			continue
 		}
-		if k == KindObject || (escs != nil && escs[i>>3]&bit != 0) {
+		if k == vec.Any || (escs != nil && escs[i>>3]&bit != 0) {
 			v, m, err := (ObjectSerde{}).decodeValue(data[pos:])
 			if err != nil {
 				return fmt.Errorf("%w: column %d: %v", ErrCorruptRow, i, err)
@@ -165,20 +158,20 @@ func (c *RowCodec) Decode(data []byte, dst []any) error {
 			continue
 		}
 		switch k {
-		case KindInt64:
+		case vec.Int64:
 			u, m := binary.Uvarint(data[pos:])
 			if m <= 0 {
 				return ErrCorruptRow
 			}
 			dst[i] = int64(u>>1) ^ -int64(u&1)
 			pos += m
-		case KindFloat64:
+		case vec.Float64:
 			if len(data)-pos < 8 {
 				return ErrCorruptRow
 			}
 			dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[pos:]))
 			pos += 8
-		case KindString:
+		case vec.String:
 			ln, m := binary.Uvarint(data[pos:])
 			if m <= 0 || ln > uint64(len(data)-pos-m) {
 				return ErrCorruptRow
@@ -186,7 +179,7 @@ func (c *RowCodec) Decode(data []byte, dst []any) error {
 			pos += m
 			dst[i] = string(data[pos : pos+int(ln)])
 			pos += int(ln)
-		case KindBool:
+		case vec.Bool:
 			if pos >= len(data) {
 				return ErrCorruptRow
 			}

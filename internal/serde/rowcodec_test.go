@@ -5,11 +5,13 @@ import (
 	"math"
 	"reflect"
 	"testing"
+
+	"samzasql/internal/vec"
 )
 
 // allKinds has one column per SQL type family the planner maps: BIGINT /
 // TIMESTAMP / INTERVAL, DOUBLE, VARCHAR, BOOLEAN, and the untyped rest.
-var allKinds = []Kind{KindInt64, KindFloat64, KindString, KindBool, KindObject}
+var allKinds = []vec.Kind{vec.Int64, vec.Float64, vec.String, vec.Bool, vec.Any}
 
 func roundTrip(t *testing.T, c *RowCodec, row []any) []byte {
 	t.Helper()
@@ -63,10 +65,10 @@ func TestRowCodecNullInEveryPosition(t *testing.T) {
 // columns put the escape flag in the first, second and second header byte.
 func TestRowCodecWideRow(t *testing.T) {
 	for _, n := range []int{0, 1, 7, 8, 9, 16, 17} {
-		kinds := make([]Kind, n)
+		kinds := make([]vec.Kind, n)
 		row := make([]any, n)
 		for i := range kinds {
-			kinds[i] = KindInt64
+			kinds[i] = vec.Int64
 			if i%3 != 0 {
 				row[i] = int64(i * 1000)
 			}
@@ -145,7 +147,7 @@ func TestRowCodecCorruptInput(t *testing.T) {
 	}
 	// A string length that runs past the payload, including one that would
 	// overflow int.
-	strOnly := NewRowCodec([]Kind{KindString})
+	strOnly := NewRowCodec([]vec.Kind{vec.String})
 	for _, bad := range [][]byte{
 		{0x00, 0x05, 'a'},
 		{0x00, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01},
@@ -160,7 +162,7 @@ func TestRowCodecCorruptInput(t *testing.T) {
 // TestRowCodecAppendsAfterExistingBytes pins that AppendEncode only appends:
 // an arena of back-to-back rows decodes row by row.
 func TestRowCodecAppendsAfterExistingBytes(t *testing.T) {
-	c := NewRowCodec([]Kind{KindInt64, KindString})
+	c := NewRowCodec([]vec.Kind{vec.Int64, vec.String})
 	var arena []byte
 	var ends []int
 	rows := [][]any{{int64(1), "a"}, {nil, "bb"}, {int64(3), nil}, {"esc", "c"}}

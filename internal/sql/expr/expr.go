@@ -229,3 +229,63 @@ type FloorTime struct {
 func (*FloorTime) Type() types.Type { return types.Timestamp }
 
 func (f *FloorTime) String() string { return fmt.Sprintf("FLOOR(%s TO %s)", f.X, f.UnitName) }
+
+// Columns returns the input columns the expressions read, ascending and
+// each once — what a row-oriented evaluator of them needs gathered.
+func Columns(es ...Expr) []int {
+	var seen []bool
+	var walk func(Expr)
+	walk = func(e Expr) {
+		switch n := e.(type) {
+		case nil, *Const:
+		case *ColRef:
+			for len(seen) <= n.Idx {
+				seen = append(seen, false)
+			}
+			seen[n.Idx] = true
+		case *Binary:
+			walk(n.L)
+			walk(n.R)
+		case *Not:
+			walk(n.X)
+		case *Neg:
+			walk(n.X)
+		case *IsNull:
+			walk(n.X)
+		case *Case:
+			for _, w := range n.Whens {
+				walk(w.When)
+				walk(w.Then)
+			}
+			walk(n.Else)
+		case *Like:
+			walk(n.X)
+			walk(n.Pattern)
+		case *InList:
+			walk(n.X)
+			for _, x := range n.List {
+				walk(x)
+			}
+		case *Cast:
+			walk(n.X)
+		case *Call:
+			for _, a := range n.Args {
+				walk(a)
+			}
+		case *FloorTime:
+			walk(n.X)
+		default:
+			panic(fmt.Sprintf("expr: Columns over %T", e))
+		}
+	}
+	for _, e := range es {
+		walk(e)
+	}
+	var cols []int
+	for c, ok := range seen {
+		if ok {
+			cols = append(cols, c)
+		}
+	}
+	return cols
+}

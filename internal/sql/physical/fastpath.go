@@ -221,13 +221,14 @@ func (p *Program) tryFastPath(body plan.Node, target string) (bool, error) {
 		fp.outCodec = out
 	}
 
+	scanOp, err := operators.NewScanOp(codec, scan.Object.Row, tsIdxOf(scan.Object), scan.Object.Topic, nil)
+	if err != nil {
+		return false, err
+	}
 	p.fast = fp
 	p.Stages = append(p.Stages, "fastpath")
 	p.Router.Register(&fastBinder{fp: fp})
-	p.Inputs = []*Input{{
-		Topic: scan.Object.Topic,
-		Scan:  &operators.ScanOp{Codec: codec, TsIdx: tsIdxOf(scan.Object), Stream: scan.Object.Topic},
-	}}
+	p.Inputs = []*Input{{Topic: scan.Object.Topic, Scan: scanOp}}
 	p.Streaming = scan.Streaming
 	p.OutputTopic = target
 	p.OutputRow = proj.Row()

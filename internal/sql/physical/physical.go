@@ -17,6 +17,7 @@ import (
 	"samzasql/internal/sql/expr"
 	"samzasql/internal/sql/plan"
 	"samzasql/internal/sql/types"
+	"samzasql/internal/vec"
 )
 
 // Input describes one source stream of the program.
@@ -159,7 +160,9 @@ func CompileWithOptions(root plan.Node, defaultOutput string, opts Options) (*Pr
 	prog.OutputTopic = target
 	prog.OutputRow = outRow
 	prog.OutputCodec = outCodec
-	prog.insert = &operators.InsertOp{Codec: outCodec, Target: target}
+	if prog.insert, err = operators.NewInsertOp(outCodec, vec.KindsOf(outRow), target); err != nil {
+		return nil, err
+	}
 	insInst := prog.instrument("insert", prog.insert)
 	// The insert op emits each block it sent, so the counting emit built
 	// here gives "operator.insert.out" = messages actually produced.
@@ -191,7 +194,7 @@ func (p *Program) build(n plan.Node, downstream operators.BlockEmit) error {
 	case *plan.Scan:
 		return p.buildScan(t, downstream)
 	case *plan.Filter:
-		op, err := operators.NewFilterOp(t.Cond)
+		op, err := operators.NewFilterOp(t.Cond, vec.KindsOf(t.Input.Row()))
 		if err != nil {
 			return err
 		}
@@ -272,7 +275,10 @@ func (p *Program) buildScan(s *plan.Scan, downstream operators.BlockEmit) error 
 			return err
 		}
 	}
-	scan := &operators.ScanOp{Codec: c, TsIdx: tsIdx, Stream: topic, Wanted: s.Required}
+	scan, err := operators.NewScanOp(c, s.Object.Row, tsIdx, topic, s.Required)
+	if err != nil {
+		return err
+	}
 	p.Router.Register(scan)
 	for _, in := range p.Inputs {
 		if in.Topic == topic {
