@@ -86,13 +86,13 @@ func (t *RepartitionTask) ProcessBatch(envs []samza.IncomingMessageEnvelope, c s
 		return nil
 	}
 	n := t.Partitions
-	for int32(len(t.perPart)) < n {
+	groups := max(n, 1) // unknown partition count: one unsplit batch
+	for int32(len(t.perPart)) < groups {
 		t.perPart = append(t.perPart, nil)
 	}
 	for p := range t.perPart {
 		t.perPart[p] = t.perPart[p][:0]
 	}
-	var all []kafka.Message // unknown partition count: one unsplit batch
 	for i := range envs {
 		env := &envs[i]
 		keyVal, err := t.Spec.Codec.ReadField(env.Value, t.Spec.KeyCol)
@@ -100,24 +100,17 @@ func (t *RepartitionTask) ProcessBatch(envs []samza.IncomingMessageEnvelope, c s
 			return fmt.Errorf("executor: repartition key read: %w", err)
 		}
 		key := repartitionKey(keyVal)
-		if n <= 0 {
-			all = append(all, kafka.Message{Partition: -1, Key: key, Value: env.Value, Timestamp: env.Timestamp})
-			continue
+		dest, part := int32(0), int32(-1)
+		if n > 0 {
+			//samzasql:ignore hotpath-blocking -- producing to the broker is this task's output contract; the partition append lock is held for a single in-memory append
+			dest = kafka.PartitionForKey(key, n)
+			part = dest
 		}
-		//samzasql:ignore hotpath-blocking -- producing to the broker is this task's output contract; the partition append lock is held for a single in-memory append
-		dest := kafka.PartitionForKey(key, n)
 		t.perPart[dest] = append(t.perPart[dest], kafka.Message{
-			Partition: dest, Key: key, Value: env.Value, Timestamp: env.Timestamp,
+			Partition: part, Key: key, Value: env.Value, Timestamp: env.Timestamp,
 		})
 	}
-	if n <= 0 {
-		if len(all) == 0 {
-			return nil
-		}
-		//samzasql:ignore hotpath-blocking -- producing to the broker is this task's output contract; the partition append lock is held for a single in-memory append
-		return bc.SendBatch(t.Spec.TargetTopic, all)
-	}
-	for p := int32(0); p < n; p++ {
+	for p := int32(0); p < groups; p++ {
 		if len(t.perPart[p]) == 0 {
 			continue
 		}

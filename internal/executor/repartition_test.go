@@ -10,6 +10,7 @@ import (
 	"samzasql/internal/kafka"
 	"samzasql/internal/samza"
 	"samzasql/internal/sql/catalog"
+	"samzasql/internal/sql/physical"
 	"samzasql/internal/sql/types"
 	"samzasql/internal/workload"
 	"samzasql/internal/yarn"
@@ -198,6 +199,62 @@ func TestRepartitionedJoinEndToEnd(t *testing.T) {
 				}
 			}
 			off = msgs[len(msgs)-1].Offset + 1
+		}
+	}
+}
+
+// batchRecorder is a BatchCollector that keeps a copy of every batch sent.
+type batchRecorder struct{ batches [][]kafka.Message }
+
+func (r *batchRecorder) Send(samza.OutgoingMessageEnvelope) error { return nil }
+
+func (r *batchRecorder) SendBatch(_ string, msgs []kafka.Message) error {
+	r.batches = append(r.batches, append([]kafka.Message(nil), msgs...))
+	return nil
+}
+
+// TestRepartitionBatchGrouping pins both shapes of the re-keying batch: with
+// the target partition count known, one batch per destination partition in
+// input order; unknown, a single unsplit batch left to the broker's key
+// hash.
+func TestRepartitionBatchGrouping(t *testing.T) {
+	codec := avro.MustCodec(avro.Record("Clicks",
+		avro.F("rowtime", avro.Long()), avro.F("userId", avro.Long()), avro.F("productId", avro.Long())))
+	var envs []samza.IncomingMessageEnvelope
+	for i := 0; i < 40; i++ {
+		value, err := codec.EncodeRow([]any{int64(i), int64(i % 7), int64(i % 13)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		envs = append(envs, samza.IncomingMessageEnvelope{Value: value, Timestamp: int64(i)})
+	}
+	spec := &physical.RepartitionSpec{TargetTopic: "out", KeyCol: "productId", Codec: codec}
+	for _, parts := range []int32{0, 4} {
+		task := &RepartitionTask{Spec: spec, Partitions: parts}
+		for round := 0; round < 2; round++ { // the second reuses the groups
+			rec := &batchRecorder{}
+			if err := task.ProcessBatch(envs, rec, nil, 0); err != nil {
+				t.Fatal(err)
+			}
+			seen := 0
+			for _, b := range rec.batches {
+				for j, m := range b {
+					want := int32(-1)
+					if parts > 0 {
+						want = kafka.PartitionForKey(m.Key, parts)
+					}
+					if m.Partition != want || (j > 0 && m.Timestamp <= b[j-1].Timestamp) {
+						t.Fatalf("partitions %d: message %+v in batch %v", parts, m, b)
+					}
+					if k := string(repartitionKey(m.Timestamp % 13)); string(m.Key) != k {
+						t.Fatalf("partitions %d: key %q, want %q", parts, m.Key, k)
+					}
+					seen++
+				}
+			}
+			if seen != len(envs) || (parts == 0 && len(rec.batches) != 1) || (parts > 0 && len(rec.batches) > int(parts)) {
+				t.Fatalf("partitions %d: %d messages in %d batches", parts, seen, len(rec.batches))
+			}
 		}
 	}
 }
