@@ -51,15 +51,14 @@ func suppressed(key string, n int) string {
 
 // processBlock documents the vectorized-execution granularity: one
 // allocation per *block* is the allowed unit, per-row allocations inside the
-// row loop are not. Slice construction (the per-block value slab the broker
-// retains), append growth, and boxing into slice elements (columnar []any
+// row loop are not. Slice construction (a per-block value slab), append
+// growth, and boxing into slice elements (columnar []any
 // scatter) are all legal; the per-row patterns above remain banned even when
 // the function processes blocks.
 //
 //samzasql:hotpath
 func processBlock(rows []int, keys []string) [][]any {
-	// Fresh slab per block: the downstream broker retains the value slices,
-	// so this cannot be hoisted. One make per block, not per row.
+	// Fresh slab per block: one make per block, not per row.
 	slab := make([]byte, 0, 1024)
 	cols := make([][]any, 1)
 	cols[0] = make([]any, len(rows))

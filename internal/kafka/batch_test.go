@@ -66,28 +66,53 @@ func TestProduceBatchErrors(t *testing.T) {
 	if err := b.ProduceBatch("t", nil); err != nil {
 		t.Fatalf("empty batch: %v", err)
 	}
+	// A bad partition late in a batch fails it before anything is appended.
+	if err := b.ProduceBatch("t", []Message{{Partition: 0}, {Partition: 1}, {Partition: 7}}); !errors.Is(err, ErrUnknownPartition) {
+		t.Fatalf("batch with a bad partition: %v", err)
+	}
+	for p := int32(0); p < 2; p++ {
+		if hwm, _ := b.HighWatermark(TopicPartition{Topic: "t", Partition: p}); hwm != 0 {
+			t.Fatalf("failed batch appended %d records to partition %d", hwm, p)
+		}
+	}
 }
 
-// TestProduceBatchCoalescedWakeup verifies a batch signals a persistent
-// subscriber once (coalesced), not once per record — the synchronization
-// saving the changelog flush path depends on.
+// TestProduceBatchCoalescedWakeup verifies a batch signals each partition's
+// persistent subscriber once (coalesced), not once per record nor once per
+// run of records — the synchronization saving the changelog flush path
+// depends on, and what keeps a producer spreading a batch over partitions
+// from waking each consumer for every one or two records — and that each
+// partition keeps its records in batch order.
 func TestProduceBatchCoalescedWakeup(t *testing.T) {
 	b := NewBroker()
-	mustCreate(t, b, "t", TopicConfig{Partitions: 1})
-	tp := TopicPartition{Topic: "t", Partition: 0}
-	ch := make(chan struct{}, 16)
-	if err := b.Subscribe(tp, ch); err != nil {
-		t.Fatal(err)
+	mustCreate(t, b, "t", TopicConfig{Partitions: 2})
+	var subs [2]chan struct{}
+	for p := range subs {
+		subs[p] = make(chan struct{}, 64)
+		if err := b.Subscribe(TopicPartition{Topic: "t", Partition: int32(p)}, subs[p]); err != nil {
+			t.Fatal(err)
+		}
 	}
 	msgs := make([]Message, 64)
 	for i := range msgs {
-		msgs[i] = Message{Partition: 0, Value: []byte("v")}
+		msgs[i] = Message{Partition: int32(i % 2), Value: []byte(fmt.Sprint(i))}
 	}
 	if err := b.ProduceBatch("t", msgs); err != nil {
 		t.Fatal(err)
 	}
-	if n := len(ch); n != 1 {
-		t.Fatalf("batch produced %d subscriber signals, want 1", n)
+	for p, ch := range subs {
+		if n := len(ch); n != 1 {
+			t.Fatalf("batch produced %d signals on partition %d, want 1", n, p)
+		}
+		got, _, err := b.Fetch(TopicPartition{Topic: "t", Partition: int32(p)}, 0, 64)
+		if err != nil || len(got) != 32 {
+			t.Fatalf("partition %d: fetched %d records, %v", p, len(got), err)
+		}
+		for i, m := range got {
+			if want := fmt.Sprint(2*i + p); string(m.Value) != want || m.Offset != int64(i) {
+				t.Fatalf("partition %d record %d is %q@%d, want %q@%d", p, i, m.Value, m.Offset, want, i)
+			}
+		}
 	}
 }
 

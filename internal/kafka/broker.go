@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -147,7 +148,8 @@ func (b *Broker) partition(tp TopicPartition) (*partition, error) {
 
 // Produce appends a message. If m.Partition is negative the broker picks the
 // partition by FNV-hashing the key (or partition 0 for nil keys), mirroring
-// Kafka's default partitioner. The assigned offset is returned.
+// Kafka's default partitioner. The key and value are copied into the log.
+// The assigned offset is returned.
 func (b *Broker) Produce(topicName string, m Message) (int64, error) {
 	b.mu.RLock()
 	t, ok := b.topics[topicName]
@@ -189,12 +191,18 @@ func isUserTopic(name string) bool {
 }
 
 // ProduceBatch appends msgs to topicName, resolving each message's
-// partition exactly as Produce does. Runs of consecutive messages bound for
-// the same partition are appended under one partition lock acquisition with
-// one subscriber wakeup, so an N-record flush (a changelog commit batch)
-// costs the synchronization of a single append. Assigned Topic/Partition/
-// Offset fields are written back into msgs; the broker retains the key and
-// value slices, so callers must not mutate them afterwards.
+// partition exactly as Produce does. All the messages bound for one
+// partition are appended in their order under one partition lock
+// acquisition with one subscriber wakeup — a batch per partition, as
+// Kafka's producer accumulates them — so an N-record flush (a changelog
+// commit batch) costs the synchronization of a single append, and a
+// consumer wakes once for its partition's share of a batch spread over many
+// partitions instead of once per run of it. Every partition is resolved
+// before anything is appended, so a batch naming a partition the topic
+// lacks appends nothing. Assigned Topic/Partition/Offset fields are written
+// back into msgs. The broker copies every key and value into the log, as
+// Kafka does, so callers may reuse msgs and the bytes behind them as soon
+// as it returns.
 func (b *Broker) ProduceBatch(topicName string, msgs []Message) error {
 	if len(msgs) == 0 {
 		return nil
@@ -206,28 +214,24 @@ func (b *Broker) ProduceBatch(topicName string, msgs []Message) error {
 		return fmt.Errorf("%w: %q", ErrUnknownTopic, topicName)
 	}
 	n := int32(len(t.partitions))
-	for i := 0; i < len(msgs); {
+	var first [16]int32
+	parts := first[:0] // the partitions the batch touches, in first-use order
+	for i := range msgs {
 		part, err := resolvePartition(&msgs[i], n, topicName)
 		if err != nil {
 			return err
 		}
-		j := i + 1
-		for j < len(msgs) {
-			next, err := resolvePartition(&msgs[j], n, topicName)
-			if err != nil {
-				return err
-			}
-			if next != part {
-				break
-			}
-			j++
+		msgs[i].Partition = part
+		if !slices.Contains(parts, part) {
+			parts = append(parts, part)
 		}
+	}
+	for _, part := range parts {
 		p := t.partitions[part]
-		p.appendBatch(msgs[i:j])
+		p.appendBatch(msgs)
 		if t.config.Compacted && p.closedSegmentCount() >= b.compactEvery {
 			p.compact()
 		}
-		i = j
 	}
 	return nil
 }
@@ -257,15 +261,28 @@ func PartitionForKey(key []byte, n int32) int32 {
 	return int32(h.Sum32() % uint32(n))
 }
 
-// Fetch returns up to max messages from tp starting at offset. When the
-// consumer is caught up it returns an empty batch plus a channel that is
-// closed on the next append to the partition.
+// Fetch returns up to max messages from tp starting at offset, in a slice
+// the caller owns. Key and Value are read-only views into the log's
+// immutable bytes and stay valid indefinitely. When the consumer is caught
+// up it returns an empty batch plus a channel that is closed on the next
+// append to the partition.
 func (b *Broker) Fetch(tp TopicPartition, offset int64, max int) ([]Message, <-chan struct{}, error) {
 	p, err := b.partition(tp)
 	if err != nil {
 		return nil, nil, err
 	}
 	return p.fetch(offset, max)
+}
+
+// read is Fetch appending into dst, without a wait channel (see
+// partition.read): the Consumer's path, which reuses one header buffer
+// across polls.
+func (b *Broker) read(dst []Message, tp TopicPartition, offset int64, max int) ([]Message, error) {
+	p, err := b.partition(tp)
+	if err != nil {
+		return dst, err
+	}
+	return p.read(dst, offset, max)
 }
 
 // Subscribe registers a persistent notification channel with tp: every

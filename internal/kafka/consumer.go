@@ -39,6 +39,10 @@ type Consumer struct {
 	rr     []TopicPartition
 	next   int
 	closed bool
+	// buf is the message-header buffer every poll materialises into and
+	// returns, so a poll allocates nothing once it has grown to the largest
+	// batch.
+	buf []Message
 }
 
 // NewConsumer creates a consumer for group. Group may be empty for an
@@ -140,6 +144,11 @@ func (c *Consumer) Assignment() []TopicPartition {
 // fairness. If every partition is caught up it blocks until new data arrives
 // on any of them or ctx is done. A nil slice with nil error means the
 // consumer has no assignment.
+//
+// The returned slice is the consumer's own buffer and is valid only until
+// the next Poll, which overwrites it; copy the headers to keep them. Key and
+// Value are read-only views into the log's immutable bytes and stay valid
+// after that.
 func (c *Consumer) Poll(ctx context.Context, max int) ([]Message, error) {
 	for {
 		msgs, assigned, err := c.pollOnce(max)
@@ -166,9 +175,11 @@ func (c *Consumer) Poll(ctx context.Context, max int) ([]Message, error) {
 
 // pollOnce tries each assigned partition once, starting after the last
 // partition that produced data. The whole pass runs under one lock
-// acquisition: broker fetches never block and never call back into the
+// acquisition: broker reads never block and never call back into the
 // consumer, and holding the lock lets the pass read rr (the assignment
-// snapshot) and positions in place instead of copying them per call.
+// snapshot) and positions in place instead of copying them per call. Reads
+// register no wait channel — Poll parks on the persistent notifier — so a
+// caught-up partition is left with nothing to release.
 //
 //samzasql:hotpath
 func (c *Consumer) pollOnce(max int) (msgs []Message, assigned bool, err error) {
@@ -182,11 +193,12 @@ func (c *Consumer) pollOnce(max int) (msgs []Message, assigned bool, err error) 
 	for i := 0; i < len(c.rr); i++ {
 		tp := c.rr[(start+i)%len(c.rr)]
 		//samzasql:ignore hotpath-blocking -- consumer offset state is owned by the poll loop; the lock is uncontended except during seek/rebalance
-		msgs, _, err := c.broker.Fetch(tp, c.positions[tp], max)
+		msgs, err := c.broker.read(c.buf[:0], tp, c.positions[tp], max)
 		if err != nil {
 			return nil, true, err
 		}
 		if len(msgs) > 0 {
+			c.buf = msgs
 			c.positions[tp] = msgs[len(msgs)-1].Offset + 1
 			c.next = (start + i + 1) % len(c.rr)
 			return msgs, true, nil

@@ -342,6 +342,47 @@ func TestConsumerPollBlocksAndWakes(t *testing.T) {
 	}
 }
 
+// TestConsumerPollLeavesNoWaiters: a consumer parks on its persistent
+// notifier, so polling past a caught-up partition must not leave a wait
+// channel there — only an append to that partition would release it, and a
+// partition that stays idle (a bootstrapped relation) would collect one per
+// poll for the life of the job. Broker.Fetch keeps its wait-channel contract.
+func TestConsumerPollLeavesNoWaiters(t *testing.T) {
+	b := NewBroker()
+	mustCreate(t, b, "t", TopicConfig{Partitions: 2})
+	c := NewConsumer(b, "")
+	defer c.Close()
+	for p := int32(0); p < 2; p++ {
+		if err := c.Assign(TopicPartition{"t", p}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx := context.Background()
+	for i := 0; i < 100; i++ {
+		if _, err := b.Produce("t", Message{Partition: 0, Value: []byte{byte(i)}}); err != nil {
+			t.Fatal(err)
+		}
+		msgs, err := c.Poll(ctx, 10)
+		if err != nil || len(msgs) != 1 {
+			t.Fatalf("round %d: poll returned %d messages, %v", i, len(msgs), err)
+		}
+	}
+	idle := TopicPartition{"t", 1}
+	p, err := b.partition(idle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.mu.Lock()
+	waiters := len(p.waiters)
+	p.mu.Unlock()
+	if waiters != 0 {
+		t.Fatalf("100 polls left %d wait channels on the idle partition, want 0", waiters)
+	}
+	if _, wait, err := b.Fetch(idle, 0, 10); err != nil || wait == nil {
+		t.Fatalf("Fetch at the high watermark returned wait=%v err=%v, want a wait channel", wait, err)
+	}
+}
+
 func TestConsumerPollContextCancel(t *testing.T) {
 	b := NewBroker()
 	mustCreate(t, b, "t", TopicConfig{Partitions: 1})
@@ -466,6 +507,52 @@ func TestConcurrentProducersDenseOffsets(t *testing.T) {
 	}
 	if total != producers*per {
 		t.Fatalf("total records %d, want %d", total, producers*per)
+	}
+}
+
+// TestConsumerReadsWhileProducing polls a partition while another goroutine
+// appends to it with small segments, so reads of arena views race with
+// appends into the same arena and with segment rolls (run under -race):
+// every record must arrive once, in order, with its own bytes.
+func TestConsumerReadsWhileProducing(t *testing.T) {
+	b := NewBroker()
+	mustCreate(t, b, "t", TopicConfig{Partitions: 1, SegmentBytes: 512})
+	const n = 5000
+	produced := make(chan error, 1)
+	go func() {
+		for i := 0; i < n; i += 10 {
+			batch := make([]Message, 10)
+			for j := range batch {
+				batch[j] = Message{Partition: 0, Key: []byte(fmt.Sprint(i + j)), Value: []byte(fmt.Sprintf("v%d", i+j))}
+			}
+			if err := b.ProduceBatch("t", batch); err != nil {
+				produced <- err
+				return
+			}
+		}
+		produced <- nil
+	}()
+	c := NewConsumer(b, "")
+	defer c.Close()
+	if err := c.Assign(TopicPartition{"t", 0}); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	for next := 0; next < n; {
+		msgs, err := c.Poll(ctx, 64)
+		if err != nil {
+			t.Fatalf("poll after %d records: %v", next, err)
+		}
+		for _, m := range msgs {
+			if m.Offset != int64(next) || string(m.Key) != fmt.Sprint(next) || string(m.Value) != fmt.Sprintf("v%d", next) {
+				t.Fatalf("record %d arrived as offset %d key %q value %q", next, m.Offset, m.Key, m.Value)
+			}
+			next++
+		}
+	}
+	if err := <-produced; err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -16,7 +16,9 @@ import (
 )
 
 // Message is a single record in a partition. Key and Value are opaque byte
-// slices; interpretation is left to serdes layered above the log.
+// slices; interpretation is left to serdes layered above the log. The log
+// stores a copy of a produced message; a fetched message's Key and Value are
+// read-only views into that copy.
 type Message struct {
 	// Topic and Partition identify where the message is (or will be) stored.
 	Topic     string

@@ -3,6 +3,7 @@ package kafka
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 )
@@ -63,70 +64,70 @@ func newPartition(topic string, id int32, cfg TopicConfig) *partition {
 
 const defaultSegmentBytes = 1 << 20
 
-// append assigns the next offset to m, stores it, wakes blocked fetchers and
-// applies retention. It returns the assigned offset.
+// append assigns the next offset to m, copies it into the log, wakes blocked
+// fetchers and applies retention. It returns the assigned offset.
 func (p *partition) append(m Message) int64 {
 	p.mu.Lock()
+	offset := p.appendLocked(&m)
+	p.hwm.Store(offset + 1)
+	waiters, subs := p.endAppendLocked()
+	p.mu.Unlock()
+	wake(waiters, subs)
+	return offset
+}
+
+// appendBatch assigns consecutive offsets to the messages of msgs whose
+// (resolved) Partition is this partition, in their order, writing their
+// Topic/Partition/Offset fields back in place; copies them into the log,
+// wakes blocked fetchers and applies retention — all under one lock
+// acquisition with one coalesced subscriber signal, so an N-record
+// changelog flush costs the same synchronization as a single append.
+func (p *partition) appendBatch(msgs []Message) {
+	p.mu.Lock()
+	last := int64(-1)
+	for i := range msgs {
+		if msgs[i].Partition == p.id {
+			last = p.appendLocked(&msgs[i])
+		}
+	}
+	if last < 0 {
+		p.mu.Unlock()
+		return
+	}
+	p.hwm.Store(last + 1)
+	waiters, subs := p.endAppendLocked()
+	p.mu.Unlock()
+	wake(waiters, subs)
+}
+
+// appendLocked frames m into the active segment, rolling a new one when it
+// is full, and writes the assigned position back into m.
+func (p *partition) appendLocked(m *Message) int64 {
 	active := p.segments[len(p.segments)-1]
-	if active.sizeBytes >= p.maxSegmentBytes {
+	if active.full(p.maxSegmentBytes) {
 		active = newSegmentLike(active)
 		p.segments = append(p.segments, active)
 	}
 	m.Topic = p.topic
 	m.Partition = p.id
 	m.Offset = active.nextOffset()
-	active.append(m)
-	offset := m.Offset
-	p.hwm.Store(offset + 1)
-
-	waiters := p.waiters
-	p.waiters = nil
-	subs := p.subs
-	p.applyRetentionLocked()
-	p.mu.Unlock()
-
-	for _, w := range waiters {
-		close(w)
-	}
-	// Signal persistent subscribers without blocking: a full buffer means a
-	// wakeup is already pending, which is all the subscriber needs.
-	for _, s := range subs {
-		select {
-		case s <- struct{}{}:
-		default:
-		}
-	}
-	return offset
+	active.append(m, p.maxSegmentBytes)
+	return m.Offset
 }
 
-// appendBatch assigns consecutive offsets to msgs (mutating their
-// Topic/Partition/Offset fields in place), stores them, wakes blocked
-// fetchers and applies retention — all under one lock acquisition with one
-// coalesced subscriber signal, so an N-record changelog flush costs the same
-// synchronization as a single append.
-func (p *partition) appendBatch(msgs []Message) {
-	if len(msgs) == 0 {
-		return
-	}
-	p.mu.Lock()
-	for i := range msgs {
-		active := p.segments[len(p.segments)-1]
-		if active.sizeBytes >= p.maxSegmentBytes {
-			active = newSegmentLike(active)
-			p.segments = append(p.segments, active)
-		}
-		msgs[i].Topic = p.topic
-		msgs[i].Partition = p.id
-		msgs[i].Offset = active.nextOffset()
-		active.append(msgs[i])
-	}
-	p.hwm.Store(msgs[len(msgs)-1].Offset + 1)
-	waiters := p.waiters
-	p.waiters = nil
-	subs := p.subs
+// endAppendLocked applies retention after an append and takes the blocked
+// fetchers' wait channels and a snapshot of the subscribers, for wake to
+// signal once the lock is released.
+func (p *partition) endAppendLocked() (waiters, subs []chan struct{}) {
+	waiters, p.waiters = p.waiters, nil
 	p.applyRetentionLocked()
-	p.mu.Unlock()
+	return waiters, p.subs
+}
 
+// wake closes the wait channels and signals persistent subscribers without
+// blocking: a full buffer means a wakeup is already pending, which is all
+// the subscriber needs.
+func wake(waiters, subs []chan struct{}) {
 	for _, w := range waiters {
 		close(w)
 	}
@@ -198,50 +199,67 @@ func (p *partition) startOffset() int64 {
 	return p.logStartOffset
 }
 
-// fetch returns up to max messages with offsets >= offset. If no records at
-// or above offset exist yet (offset >= high watermark is allowed up to
-// exactly the watermark), it returns an empty slice plus a wait channel that
-// is closed on the next append. Fetching below the log start offset returns
-// ErrOffsetOutOfRange.
+// fetch returns up to max messages with offsets >= offset in a slice the
+// caller owns. If no records at or above offset exist yet (offset >= high
+// watermark is allowed up to exactly the watermark), it returns an empty
+// slice plus a wait channel that is closed on the next append. Fetching below
+// the log start offset returns ErrOffsetOutOfRange.
 func (p *partition) fetch(offset int64, max int) ([]Message, <-chan struct{}, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-
-	if offset < p.logStartOffset {
-		return nil, nil, fmt.Errorf("%w: fetch %s-%d@%d below log start %d",
-			ErrOffsetOutOfRange, p.topic, p.id, offset, p.logStartOffset)
-	}
-	hwm := p.segments[len(p.segments)-1].nextOffset()
-	if offset > hwm {
-		return nil, nil, fmt.Errorf("%w: fetch %s-%d@%d above high watermark %d",
-			ErrOffsetOutOfRange, p.topic, p.id, offset, hwm)
-	}
-	if offset == hwm {
-		w := make(chan struct{})
-		p.waiters = append(p.waiters, w)
-		return nil, w, nil
-	}
-
-	var out []Message
-	for _, s := range p.segments {
-		if s.nextOffset() <= offset {
-			continue
-		}
-		got := s.fetch(offset, max-len(out))
-		out = append(out, got...)
-		if len(out) >= max {
-			break
-		}
-		offset = s.nextOffset()
+	out, err := p.readLocked(nil, offset, max)
+	if err != nil {
+		return nil, nil, err
 	}
 	if len(out) == 0 {
-		// Every record in range was removed by compaction; the caller
-		// should retry from the high watermark.
+		// At the high watermark, or every record in range was removed by
+		// compaction; the caller should retry from the high watermark.
 		w := make(chan struct{})
 		p.waiters = append(p.waiters, w)
 		return nil, w, nil
 	}
 	return out, nil, nil
+}
+
+// read appends to dst up to max messages with offsets >= offset. Unlike
+// fetch it never registers a wait channel: its caller, a Consumer, parks on
+// its persistent subscriber channel instead, and a waiter nobody receives
+// from would sit on an idle partition until the next append.
+func (p *partition) read(dst []Message, offset int64, max int) ([]Message, error) {
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	return p.readLocked(dst, offset, max)
+}
+
+// readLocked is read under p.mu (shared or exclusive).
+func (p *partition) readLocked(dst []Message, offset int64, max int) ([]Message, error) {
+	if offset < p.logStartOffset {
+		return dst, fmt.Errorf("%w: fetch %s-%d@%d below log start %d",
+			ErrOffsetOutOfRange, p.topic, p.id, offset, p.logStartOffset)
+	}
+	if hwm := p.segments[len(p.segments)-1].nextOffset(); offset > hwm {
+		return dst, fmt.Errorf("%w: fetch %s-%d@%d above high watermark %d",
+			ErrOffsetOutOfRange, p.topic, p.id, offset, hwm)
+	}
+	// First segment whose range ends past offset: a consumer at the tail of
+	// a long log skips the head by binary search, not by walking it.
+	lo, hi := 0, len(p.segments)
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); p.segments[mid].nextOffset() <= offset {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	n := len(dst)
+	for _, s := range p.segments[lo:] {
+		dst = s.read(dst, offset, max-(len(dst)-n), p.topic, p.id)
+		if len(dst)-n >= max {
+			break
+		}
+		offset = s.nextOffset()
+	}
+	return dst, nil
 }
 
 // compact rewrites the closed segments of a compacted partition, retaining
@@ -274,51 +292,61 @@ func (p *partition) compact() {
 	// front: growing the map incrementally would rehash every doubling.
 	n := 0
 	for _, s := range dirty {
-		n += len(s.records)
+		n += len(s.index)
 	}
 	latest := make(map[string]int64, n)
+	var m Message
 	for _, s := range dirty {
-		for _, m := range s.records {
-			latest[string(m.Key)] = m.Offset
+		for i := range s.index {
+			decodeRecord(s.arena, int(s.index[i]), &m)
+			latest[string(m.Key)] = s.offsetAt(i)
 		}
 	}
 
-	capHint := 0
+	// Two passes over the closed segments: the first sizes the survivor
+	// exactly (it outlives every segment it replaces), the second copies
+	// the surviving records' framed bytes into it unchanged.
+	records, bytes := 0, 0
 	for _, s := range closed {
-		capHint += len(s.records)
+		for i := range s.index {
+			if survives(latest, s, s == clean, i, &m) {
+				records++
+				bytes += s.recordEnd(i) - int(s.index[i])
+			}
+		}
+	}
+	if uint64(bytes) > math.MaxUint32 {
+		return // a survivor this large cannot be indexed; keep the log as is
 	}
 	merged := &segment{
 		baseOffset:  closed[0].baseOffset,
 		upperOffset: active.baseOffset,
-		records:     make([]Message, 0, capHint),
-		dense:       false,
+		arena:       make([]byte, 0, bytes),
+		index:       make([]uint32, 0, records),
+		offsets:     make([]int64, 0, records),
 		clean:       true,
 	}
-	if clean != nil {
-		for _, m := range clean.records {
-			if _, overridden := latest[string(m.Key)]; overridden {
-				continue
-			}
-			merged.records = append(merged.records, m)
-			merged.sizeBytes += m.Size()
-		}
-	}
 	for _, s := range closed {
-		if s == clean {
-			continue
-		}
-		for _, m := range s.records {
-			if latest[string(m.Key)] != m.Offset {
-				continue
+		for i := range s.index {
+			if survives(latest, s, s == clean, i, &m) {
+				merged.copyRecord(s, i, s.offsetAt(i), m.Size())
 			}
-			if m.Value == nil {
-				continue // tombstone with no later write: drop
-			}
-			merged.records = append(merged.records, m)
-			merged.sizeBytes += m.Size()
 		}
 	}
 	p.segments = []*segment{merged, active}
+}
+
+// survives decodes record i of closed segment s into m and reports whether
+// compaction keeps it: a clean survivor's record unless a dirty record
+// overrides its key; a dirty record if it is its key's latest and not a
+// tombstone (a tombstone with no later write drops).
+func survives(latest map[string]int64, s *segment, clean bool, i int, m *Message) bool {
+	decodeRecord(s.arena, int(s.index[i]), m)
+	if clean {
+		_, overridden := latest[string(m.Key)]
+		return !overridden
+	}
+	return m.Value != nil && latest[string(m.Key)] == s.offsetAt(i)
 }
 
 // closedSegmentCount reports how many non-active segments the partition

@@ -1,14 +1,23 @@
 package kafka
 
-import "testing"
+import (
+	"bytes"
+	"math"
+	"testing"
 
-// sparseSegment builds a compaction survivor: n records whose offsets start
-// at base+gap and advance by gap, so every offset that is not a multiple of
-// gap past base falls in a hole.
+	"samzasql/internal/trace"
+)
+
+// sparseSegment builds a compaction survivor: n framed records whose offsets
+// start at base+gap and advance by gap, so every offset that is not a
+// multiple of gap past base falls in a hole. Each record's key names its
+// offset.
 func sparseSegment(base int64, n int, gap int64) *segment {
-	s := &segment{baseOffset: base, records: make([]Message, n), clean: true}
-	for i := range s.records {
-		s.records[i] = Message{Offset: base + int64(i+1)*gap}
+	s := &segment{baseOffset: base, offsets: make([]int64, 0, n), clean: true}
+	for i := 0; i < n; i++ {
+		off := base + int64(i+1)*gap
+		s.encode(&Message{Key: []byte{byte(off)}, Value: []byte("v")})
+		s.offsets = append(s.offsets, off)
 	}
 	s.upperOffset = base + int64(n+1)*gap
 	return s
@@ -33,17 +42,20 @@ func TestSegmentFetchSparse(t *testing.T) {
 		{"max zero", 110, 0, 0, 0},
 	}
 	for _, c := range cases {
-		got := s.fetch(c.from, c.max)
+		got := s.read(nil, c.from, c.max, "t", 0)
 		if len(got) != c.wantLen {
-			t.Errorf("%s: fetch(%d, %d) returned %d records, want %d", c.name, c.from, c.max, len(got), c.wantLen)
+			t.Errorf("%s: read(%d, %d) returned %d records, want %d", c.name, c.from, c.max, len(got), c.wantLen)
 			continue
 		}
 		if c.wantLen > 0 && got[0].Offset != c.wantFirst {
-			t.Errorf("%s: fetch(%d, %d) starts at offset %d, want %d", c.name, c.from, c.max, got[0].Offset, c.wantFirst)
+			t.Errorf("%s: read(%d, %d) starts at offset %d, want %d", c.name, c.from, c.max, got[0].Offset, c.wantFirst)
 		}
-		for i := 1; i < len(got); i++ {
-			if got[i].Offset != got[i-1].Offset+10 {
+		for i := range got {
+			if i > 0 && got[i].Offset != got[i-1].Offset+10 {
 				t.Errorf("%s: records not consecutive survivors: %d after %d", c.name, got[i].Offset, got[i-1].Offset)
+			}
+			if got[i].Key[0] != byte(got[i].Offset) || string(got[i].Value) != "v" {
+				t.Errorf("%s: record at offset %d decodes as key %v value %q", c.name, got[i].Offset, got[i].Key, got[i].Value)
 			}
 		}
 	}
@@ -84,23 +96,74 @@ func TestFetchCompactedPartitionWalk(t *testing.T) {
 	}
 }
 
+// FuzzSegmentRecord frames an arbitrary record between two neighbours in a
+// partition whose segments roll every few records and requires all three to
+// read back field for field — nil and empty keys and values told apart, any
+// timestamp, any trace context — with the retention size the message itself
+// reports.
+func FuzzSegmentRecord(f *testing.F) {
+	f.Add([]byte("k"), []byte("v"), int64(1_700_000_000_000), uint64(0), uint64(0), uint64(0), int64(0), false, false, false)
+	f.Add([]byte{}, []byte{}, int64(0), uint64(0), uint64(0), uint64(0), int64(0), false, false, false)
+	f.Add([]byte(nil), []byte(nil), int64(-1), uint64(0), uint64(0), uint64(0), int64(0), true, true, false)
+	f.Add(bytes.Repeat([]byte("x"), 200), []byte("tombstone next"), int64(math.MinInt64), uint64(1), uint64(2), uint64(3), int64(-5), false, false, true)
+	f.Add([]byte("k"), bytes.Repeat([]byte{0x80}, 300), int64(math.MaxInt64), uint64(math.MaxUint64), uint64(7), uint64(0), int64(math.MaxInt64), false, true, false)
+	f.Fuzz(func(t *testing.T, key, value []byte, ts int64, traceID, spanID, parentID uint64, startNs int64, keyNil, valueNil, sampled bool) {
+		rec := Message{Key: key, Value: value, Timestamp: ts, Trace: trace.Context{
+			TraceID: traceID, SpanID: spanID, ParentID: parentID, Sampled: sampled, StartNs: startNs,
+		}}
+		if keyNil {
+			rec.Key = nil
+		} else if rec.Key == nil {
+			rec.Key = []byte{}
+		}
+		if valueNil {
+			rec.Value = nil
+		} else if rec.Value == nil {
+			rec.Value = []byte{}
+		}
+		want := []Message{
+			{Key: []byte("before"), Value: []byte{}, Timestamp: -1},
+			rec,
+			{Value: []byte("after"), Timestamp: 1},
+		}
+		p := newPartition("f", 3, TopicConfig{SegmentBytes: 64})
+		for i := range want {
+			p.append(want[i])
+			want[i].Topic, want[i].Partition, want[i].Offset = "f", 3, int64(i)
+		}
+		got, err := p.read(nil, 0, len(want))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameMessages(t, "read back", got, want)
+		size := 0
+		for _, s := range p.segments {
+			size += s.sizeBytes
+		}
+		if want := want[0].Size() + rec.Size() + want[2].Size(); size != want {
+			t.Fatalf("segments account %d bytes, the messages %d", size, want)
+		}
+	})
+}
+
 // BenchmarkFetchCompacted walks a compacted segment of one million surviving
-// records in 512-record fetches, the access pattern of a changelog restore.
-// With a head scan per fetch the walk visits ~N²/1024 records; with the
+// records in 512-record reads, the access pattern of a changelog restore.
+// With a head scan per read the walk visits ~N²/1024 records; with the
 // binary search it is linear in N.
 func BenchmarkFetchCompacted(b *testing.B) {
 	const n = 1_000_000
 	s := sparseSegment(0, n, 2)
+	var buf []Message
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		records := 0
 		for off := int64(0); ; {
-			got := s.fetch(off, 512)
-			if len(got) == 0 {
+			buf = s.read(buf[:0], off, 512, "t", 0)
+			if len(buf) == 0 {
 				break
 			}
-			records += len(got)
-			off = got[len(got)-1].Offset + 1
+			records += len(buf)
+			off = buf[len(buf)-1].Offset + 1
 		}
 		if records != n {
 			b.Fatalf("walk saw %d records, want %d", records, n)

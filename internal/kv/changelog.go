@@ -20,9 +20,8 @@ type Flushable interface {
 // not configure one — Samza's write.batch.size default of 500.
 const DefaultWriteBatchSize = 500
 
-// changelogSlabSize is the arena slab the changelog copies key/value bytes
-// into. Slices handed to the broker alias the slab, so a slab is never
-// rewritten; exhausted slabs are simply dropped for a fresh one.
+// changelogSlabSize is the smallest arena slab the changelog copies
+// key/value bytes into.
 const changelogSlabSize = 64 << 10
 
 // ChangelogStore wraps a Store, mirroring every write to a compacted Kafka
@@ -34,9 +33,10 @@ const changelogSlabSize = 64 << 10
 // Mirrored writes are buffered and produced as one batch — at Flush (the
 // container calls it during commit, before the offset checkpoint) or when
 // the buffer reaches the write-batch cap. Each key/value is copied once,
-// into an arena slab shared by the whole batch; the broker retains the
-// slices, so used slab regions are never rewritten. Like the stores it
-// wraps, a ChangelogStore is owned by a single task goroutine.
+// into an arena slab shared by the whole batch; the broker copies the batch
+// into the log, so after a successful flush the slab is rewritten by the
+// next batch. Like the stores it wraps, a ChangelogStore is owned by a
+// single task goroutine.
 type ChangelogStore struct {
 	Store
 	broker    *kafka.Broker
@@ -92,19 +92,16 @@ func (c *ChangelogStore) Delete(key []byte) bool {
 	return ok
 }
 
-// copyToArena copies b into the current slab (starting a fresh slab when it
-// does not fit) and returns the aliasing slice. Previously returned slices
-// stay valid: slabs are append-only and never recycled.
+// copyToArena copies b into the current slab and returns the aliasing
+// slice. Slices returned since the last flush stay valid: a slab that fills
+// is left to the pending records aliasing it and replaced by one twice its
+// size, so the slab kept across flushes grows to hold a whole batch.
 func (c *ChangelogStore) copyToArena(b []byte) []byte {
 	if len(b) == 0 {
 		return nil
 	}
 	if cap(c.arena)-len(c.arena) < len(b) {
-		size := changelogSlabSize
-		if len(b) > size {
-			size = len(b)
-		}
-		c.arena = make([]byte, 0, size)
+		c.arena = make([]byte, 0, max(changelogSlabSize, 2*cap(c.arena), len(b)))
 	}
 	start := len(c.arena)
 	c.arena = append(c.arena, b...)
@@ -153,9 +150,10 @@ func (c *ChangelogStore) Flush() error {
 	if err := c.broker.ProduceBatch(c.topic, c.pending); err != nil {
 		return fmt.Errorf("kv: changelog flush: %w", err)
 	}
-	// The broker retains the message key/value slices (they alias arena
-	// slabs that are never rewritten); only the message headers are reused.
+	// The broker copied the records into the log: headers and slab are
+	// free for the next batch.
 	c.pending = c.pending[:0]
+	c.arena = c.arena[:0]
 	return nil
 }
 

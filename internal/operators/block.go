@@ -16,7 +16,7 @@ import (
 // intermediate tuples. Selected rows flush to the producer through one
 // batched send. A block of one row is the tuple-at-a-time case; there is no
 // other path. Allocation discipline is per-block, not per-tuple: column
-// vectors and the output byte slab amortize across the rows of a block.
+// vectors and the output byte slab are reused from block to block.
 //
 // Columns are kind-typed vectors (package vec), never boxed values: the scan
 // decodes Avro straight into them, filters refine the selection with typed
@@ -28,9 +28,8 @@ import (
 // TupleBlock is a batch of rows in columnar layout — the tuple-as-array
 // representation of Figure 4, one vector per column: the unit of work of
 // every operator. Column vectors and per-row attribute slices are arenas
-// owned by whoever built the block and reused across batches; only the
-// output byte slab is freshly allocated per block (the broker retains sent
-// value slices).
+// owned by whoever built the block and reused across batches, as is the
+// insert's output byte slab (the broker copies what it is sent).
 type TupleBlock struct {
 	// Stream and Partition locate the source; a polled batch always comes
 	// from a single topic-partition, so they are block-level.
@@ -248,9 +247,9 @@ type BlockTrace struct {
 func (t *BlockTrace) Reset() { t.Spans = t.Spans[:0] }
 
 // BatchSender abstracts the Samza message collector for the insert operator:
-// one call appends a whole block's output messages. Message structs are
-// copied by the broker, but key/value slices are retained — senders must
-// hand over freshly allocated (per-block) payload slabs.
+// one call appends a whole block's output messages. The messages and the
+// key/value bytes behind them are the caller's again when it returns (the
+// broker copies them into the log), so a sender that keeps any must copy it.
 type BatchSender func(stream string, msgs []kafka.Message) error
 
 // FilterOp drops tuples whose condition is not TRUE (NULL filters out, per

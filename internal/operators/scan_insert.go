@@ -116,14 +116,13 @@ type InsertOp struct {
 	// bytesOut counts encoded output bytes; bound at Open.
 	bytesOut *metrics.Counter
 
-	// Arenas: the (start, end) offsets of each encoded row in the block slab
-	// and the outgoing message headers. rowHint is the most bytes one row
-	// has encoded to: a block's slab is sized for its own rows, because the
-	// broker keeps every slab whole and one sized for a full block would
-	// strand most of its bytes under a partial one.
+	// Arenas reused across blocks: the encoded rows, the (start, end)
+	// offsets of each in the slab, and the outgoing message headers. The
+	// broker copies what it is sent, so the slab is rewritten by the next
+	// block.
+	slab       []byte
 	offScratch []int
 	msgScratch []kafka.Message
-	rowHint    int
 }
 
 // NewInsertOp compiles the insert of rows of the given column kinds into
@@ -145,11 +144,9 @@ func (i *InsertOp) Open(ctx *OpContext) error {
 }
 
 // ProcessBlock implements Operator for InsertOp: it encodes every selected
-// row into one per-block byte slab (the ArrayToAvro step amortized across the
-// block) and flushes the block's messages through one batched send. The slab
-// is freshly allocated per block because the broker retains sent value
-// slices — and only for a block with rows to send; the message and offset
-// scratches are reused.
+// row into one byte slab (the ArrayToAvro step amortized across the block)
+// and flushes the block's messages through one batched send. The slab and
+// the message and offset scratches are reused from block to block.
 //
 //samzasql:hotpath
 func (i *InsertOp) ProcessBlock(_ int, b *TupleBlock, emit BlockEmit) error {
@@ -176,7 +173,7 @@ func (i *InsertOp) send(b *TupleBlock) error {
 			return fmt.Errorf("operators: insert (%s): column %d is %s, planned %s", i.Target, c, b.Cols[c].Kind, i.kinds[c])
 		}
 	}
-	slab := make([]byte, 0, len(b.Sel)*i.rowHint)
+	slab := i.slab[:0]
 	offs := i.offScratch[:0]
 	var err error
 	for _, r := range b.Sel {
@@ -186,9 +183,8 @@ func (i *InsertOp) send(b *TupleBlock) error {
 			return fmt.Errorf("operators: insert encode (%s): %w", i.Target, err)
 		}
 		offs = append(offs, start, len(slab))
-		i.rowHint = max(i.rowHint, len(slab)-start)
 	}
-	i.offScratch = offs
+	i.slab, i.offScratch = slab, offs
 	if i.bytesOut != nil {
 		i.bytesOut.Add(int64(len(slab)))
 	}

@@ -65,11 +65,10 @@ type MessageCollector interface {
 // implements it; batched tasks type-assert for it and fall back to
 // per-message sends against plain collectors (test fakes).
 //
-// The broker copies Message structs but retains key/value slices, so
-// callers hand over freshly allocated per-block payloads and may reuse the
-// msgs header slice itself. Message Partition fields follow the
-// OutgoingMessageEnvelope sign contract (negative delegates to the broker's
-// key hash).
+// The broker copies every key and value into the log, so callers may reuse
+// msgs and the bytes behind them as soon as SendBatch returns. Message
+// Partition fields follow the OutgoingMessageEnvelope sign contract
+// (negative delegates to the broker's key hash).
 type BatchCollector interface {
 	MessageCollector
 	SendBatch(stream string, msgs []kafka.Message) error

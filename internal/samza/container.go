@@ -80,8 +80,8 @@ func (c *collector) Send(env OutgoingMessageEnvelope) error {
 
 // SendBatch implements BatchCollector: one producer call appends a whole
 // block's output messages, preserving order. The broker writes assigned
-// offsets back into msgs and retains the key/value slices (never the msgs
-// header slice itself).
+// offsets back into msgs and copies the key/value bytes into the log, so the
+// caller may reuse both on return.
 func (c *collector) SendBatch(stream string, msgs []kafka.Message) error {
 	if err := c.broker.ProduceBatch(stream, msgs); err != nil {
 		return err

@@ -58,14 +58,14 @@ type fastProgram struct {
 	topic      string
 	target     string
 
-	// Arenas: outgoing message headers, (envIdx, start, end)
-	// triplets locating each encoded row in the block slab, the field
-	// extent scratch for extent projection, and the slab high-water mark
-	// used to pre-size the next block's slab.
+	// Arenas reused across blocks (the broker copies what it is sent):
+	// outgoing message headers, the encoded-row slab, (envIdx, start, end)
+	// triplets locating each row in it, and the field extent scratch for
+	// extent projection.
 	msgScratch []kafka.Message
+	slab       []byte
 	offScratch []int
 	extScratch []int
-	slabHint   int
 
 	// Observability handles for the fused stage, bound by fastBinder at
 	// Router.Open (nil without a metrics registry). The whole fused
@@ -245,9 +245,8 @@ func tsIdxOf(o *catalog.Object) int {
 
 // handleBlock runs the fused kernel over one polled batch: one sparse
 // decode + condition evaluation per row, all surviving outputs encoded
-// into a single per-block slab (freshly allocated, because the broker
-// retains sent value slices; identity mode forwards the input bytes and
-// allocates nothing), flushed through one batched send. Metrics observe
+// into one reused slab (identity mode forwards the input bytes instead),
+// flushed through one batched send. Metrics observe
 // once per block; sampled messages record the fused chain as a single
 // "operator.fastpath" span.
 //
@@ -256,10 +255,7 @@ func (f *fastProgram) handleBlock(envs []samza.IncomingMessageEnvelope, act *tra
 	start := time.Now()
 	sampled := 0
 	var bytesIn, bytesOut int64
-	var slab []byte
-	if !f.identity {
-		slab = make([]byte, 0, f.slabHint)
-	}
+	slab := f.slab[:0]
 	msgs := f.msgScratch[:0]
 	offs := f.offScratch[:0]
 	ext := f.extScratch
@@ -289,7 +285,7 @@ func (f *fastProgram) handleBlock(envs []samza.IncomingMessageEnvelope, act *tra
 		}
 		switch {
 		case f.identity:
-			// Forwarded bytes are broker-owned already; no slab needed.
+			// Forwarded bytes are the log's already; no slab needed.
 			msgs = append(msgs, kafka.Message{
 				Partition: env.Partition, Key: env.Key, Value: value, Timestamp: env.Timestamp,
 			})
@@ -332,11 +328,9 @@ func (f *fastProgram) handleBlock(envs []samza.IncomingMessageEnvelope, act *tra
 		})
 	}
 	f.msgScratch = msgs
+	f.slab = slab
 	f.offScratch = offs
 	f.extScratch = ext
-	if len(slab) > f.slabHint {
-		f.slabHint = len(slab)
-	}
 	if !f.identity {
 		bytesOut = int64(len(slab))
 	}
