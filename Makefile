@@ -83,10 +83,10 @@ ci: build
 # default is the smallest count that gives stable sql_native_ratio values.
 BENCH_MESSAGES ?= 100000
 
-# Quick container/hot-path benchmarks plus the machine-readable figure
-# report: regenerates every paper figure and the sliding-window store-tuning
-# comparison into BENCH_results.json (per-figure rows/sec, operator p95/p99,
-# cached-vs-baseline speedup).
+# Quick container/hot-path benchmarks, the sliding-window store benchmark
+# (tuples/sec and changelog records per tuple over the write-through store
+# stack), plus the machine-readable figure report: regenerates every paper
+# figure into BENCH_results.json (per-figure rows/sec, operator p95/p99).
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkContainerParallelism|BenchmarkTaskLoopMachineryAllocs' -benchmem ./internal/samza/
 	$(GO) test -run '^$$' -bench 'BenchmarkFilterBatchProcess' -benchmem ./internal/executor/

@@ -16,9 +16,11 @@ import (
 
 	"samzasql/internal/avro"
 	"samzasql/internal/bench"
+	"samzasql/internal/kafka"
 	"samzasql/internal/kv"
 	"samzasql/internal/metrics"
 	"samzasql/internal/operators"
+	"samzasql/internal/samza"
 	"samzasql/internal/serde"
 	"samzasql/internal/sql/expr"
 	"samzasql/internal/sql/types"
@@ -269,7 +271,9 @@ func BenchmarkAblationRouterDepth16(b *testing.B) { benchRouterDepth(b, 16) }
 // chunk), and reports the store operations it performs, confirming the
 // paper's KV-bound finding.
 
-func BenchmarkAblationWindowStore(b *testing.B) {
+// openWindowSum opens the Figure 6 aggregation — SUM(units) over a 5-minute
+// range frame partitioned by product — over store.
+func openWindowSum(b *testing.B, store kv.Store) *operators.SlidingWindowOp {
 	spec := &validate.BoundAnalytic{
 		Fn:          "SUM",
 		Arg:         &expr.ColRef{Idx: 1, Name: "units", T: types.Bigint},
@@ -282,7 +286,6 @@ func BenchmarkAblationWindowStore(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	store := kv.NewStore()
 	ctx := &operators.OpContext{
 		Store:   func(string) kv.Store { return store },
 		Metrics: metrics.NewRegistry(),
@@ -290,6 +293,12 @@ func BenchmarkAblationWindowStore(b *testing.B) {
 	if err := op.Open(ctx); err != nil {
 		b.Fatal(err)
 	}
+	return op
+}
+
+func BenchmarkAblationWindowStore(b *testing.B) {
+	store := kv.NewStore()
+	op := openWindowSum(b, store)
 	emit := func(*operators.TupleBlock) error { return nil }
 	blk := &operators.TupleBlock{}
 	b.ResetTimer()
@@ -305,33 +314,49 @@ func BenchmarkAblationWindowStore(b *testing.B) {
 	b.ReportMetric(float64(reads+writes)/float64(b.N), "store-ops/tuple")
 }
 
-// --- Sliding-window state-store layer: cached+batched vs. write-through ---
+// --- Sliding-window state-store layer ---
 //
-// Drives the SQL sliding-window operator (Algorithm 1) over the full store
-// stack — skiplist, changelog mirror, instrumentation, optional LRU object
-// cache — flushing every commit interval as the container does. The
-// "cached-batched" variant must sustain at least 2x the throughput of the
-// paper-faithful "uncached" baseline; `samzasql-bench -figure state -json`
-// records the same comparison in BENCH_results.json.
+// Drives the SQL sliding-window operator (Algorithm 1) the way a job drives
+// it — samza.DefaultBatchSize-row blocks over 100 products — on the task
+// store stack: skiplist, write-through changelog mirror, instrumentation.
+// Consumers, routing and output produce are left out, so the figure is store
+// and serde cost.
 
-func benchSlidingWindowStore(b *testing.B, cacheSize, batchSize int) {
-	cfg := bench.DefaultWindowStoreConfig()
-	cfg.Tuples = b.N
-	cfg.StoreCacheSize = cacheSize
-	cfg.WriteBatchSize = batchSize
-	res, err := bench.RunWindowStore(cfg)
+func BenchmarkSlidingWindow(b *testing.B) {
+	broker := kafka.NewBroker()
+	const topic = "bench-window-changelog"
+	cl, err := kv.NewChangelogStore(kv.NewStore(), broker, topic, 1, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ReportMetric(res.Throughput, "tuples/sec")
-	b.ReportMetric(float64(res.ChangelogRecords)/float64(b.N), "changelog-recs/tuple")
-}
-
-func BenchmarkSlidingWindow(b *testing.B) {
-	b.Run("uncached", func(b *testing.B) { benchSlidingWindowStore(b, 0, 0) })
-	b.Run("cached-batched", func(b *testing.B) {
-		benchSlidingWindowStore(b, 1024, kv.DefaultWriteBatchSize)
-	})
+	op := openWindowSum(b, kv.Instrument(cl, metrics.NewRegistry(), "window"))
+	emit := func(*operators.TupleBlock) error { return nil }
+	blk := &operators.TupleBlock{}
+	b.ResetTimer()
+	for i := 0; i < b.N; {
+		n := min(samza.DefaultBatchSize, b.N-i)
+		blk.Begin("orders", 0, int64Kinds)
+		for ; len(blk.Ts) < n; i++ {
+			ts := int64(1_600_000_000_000 + i*10)
+			blk.Cols[0].AppendInt64(ts)
+			blk.Cols[1].AppendInt64(int64(i % 97))
+			blk.Cols[2].AppendInt64(int64(i % 100))
+			blk.Ts = append(blk.Ts, ts)
+			blk.Keys = append(blk.Keys, nil)
+			blk.Offsets = append(blk.Offsets, int64(i))
+		}
+		blk.Finish()
+		if err := op.ProcessBlock(0, blk, emit); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	hwm, err := broker.HighWatermark(kafka.TopicPartition{Topic: topic, Partition: 0})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "tuples/sec")
+	b.ReportMetric(float64(hwm)/float64(b.N), "changelog-recs/tuple")
 }
 
 // --- Ablation 5 (DESIGN.md §4.5): partition-count scaling ---

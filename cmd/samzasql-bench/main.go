@@ -6,7 +6,6 @@
 //	samzasql-bench -figure all -messages 200000
 //	samzasql-bench -figure 5c -containers 1,2,4,8
 //	samzasql-bench -figure loc
-//	samzasql-bench -figure state                 # store-tuning comparison
 //	samzasql-bench -figure all -json BENCH_results.json
 package main
 
@@ -22,7 +21,7 @@ import (
 
 func main() {
 	var (
-		figure     = flag.String("figure", "all", "figure to regenerate: 5a, 5b, 5c, 6, figures (all four), state, trace, monitor-smoke, profile-overhead, profile-smoke, hot, loc or all")
+		figure     = flag.String("figure", "all", "figure to regenerate: 5a, 5b, 5c, 6, figures (all four), trace, monitor-smoke, profile-overhead, profile-smoke, hot, loc or all")
 		messages   = flag.Int("messages", 200_000, "orders messages per run")
 		partitions = flag.Int("partitions", 32, "partitions per topic (paper: 32)")
 		products   = flag.Int("products", 100, "products relation cardinality")
@@ -31,8 +30,6 @@ func main() {
 		check      = flag.Bool("check", false, "verify the measured shape matches the paper and exit non-zero otherwise")
 		mAddr      = flag.String("metrics-addr", "", "serve /metrics, /healthz and /debug/pprof/ on this address during runs (e.g. 127.0.0.1:8642)")
 		mInterval  = flag.Duration("metrics-interval", 0, "enable the per-container metrics snapshot reporter at this period (e.g. 500ms) and print per-operator latency tables")
-		storeCache = flag.Int("store-cache", 0, "wrap every task store in an LRU object cache of this many entries (0 = paper-faithful per-tuple store path)")
-		writeBatch = flag.Int("write-batch", 0, "batch store/changelog writes until commit, capped at this many dirty keys (0 = write-through mirroring)")
 		traceRate  = flag.Float64("trace-sample-rate", 0, "sample roughly this fraction of produced messages into end-to-end span trees (0 = tracing off)")
 		traceRnds  = flag.Int("trace-rounds", 5, "rounds per point for -figure trace (best-of comparison)")
 		profIntv   = flag.Duration("profile-interval", 0, "run each job's continuous profiler at this capture period (e.g. 1s; 0 = profiling off)")
@@ -56,11 +53,6 @@ func main() {
 	cfg.TaskParallelism = *taskPar
 	cfg.MetricsAddr = *mAddr
 	cfg.MetricsInterval = *mInterval
-	if *storeCache < 0 {
-		fatalf("bad -store-cache value %d", *storeCache)
-	}
-	cfg.StoreCacheSize = *storeCache
-	cfg.WriteBatchSize = *writeBatch
 	if *traceRate < 0 || *traceRate > 1 {
 		fatalf("bad -trace-sample-rate value %v (want [0, 1])", *traceRate)
 	}
@@ -111,17 +103,6 @@ func main() {
 			}
 		}
 	}
-	// runStoreTuning measures the sliding-window store micro comparison
-	// (cache+batch on vs. off) behind the "state" figure.
-	runStoreTuning := func() {
-		cmp, err := bench.RunStoreTuning(cfg.Messages, *storeCache, *writeBatch)
-		if err != nil {
-			fatalf("store tuning: %v", err)
-		}
-		fmt.Println(bench.FormatStoreTuning(cmp))
-		report.StoreTuning = &cmp
-	}
-
 	// runTraceOverhead measures tracing cost at sample rates 0, 0.01, 1.0
 	// on the filter and sliding-window benchmarks, behind "-figure trace".
 	runTraceOverhead := func() {
@@ -181,14 +162,11 @@ func main() {
 		for _, spec := range bench.Figures {
 			runOne(spec)
 		}
-		runStoreTuning()
 		printLOC()
 	case "figures":
 		for _, spec := range bench.Figures {
 			runOne(spec)
 		}
-	case "state":
-		runStoreTuning()
 	case "trace":
 		runTraceOverhead()
 	case "monitor-smoke":
@@ -204,15 +182,14 @@ func main() {
 	default:
 		spec, ok := bench.FigureByID(*figure)
 		if !ok {
-			fatalf("unknown figure %q (want 5a, 5b, 5c, 6, figures, state, trace, monitor-smoke, profile-overhead, profile-smoke, hot, loc or all)", *figure)
+			fatalf("unknown figure %q (want 5a, 5b, 5c, 6, figures, trace, monitor-smoke, profile-overhead, profile-smoke, hot, loc or all)", *figure)
 		}
 		runOne(spec)
 	}
 	if *jsonPath != "" {
 		// Merge-on-write: whatever this run did not measure — other figures,
-		// hot functions, store tuning — keeps the baseline file's section
-		// instead of being erased, so `-figure 6 -json` re-measures one
-		// figure in place.
+		// hot functions — keeps the baseline file's section instead of being
+		// erased, so `-figure 6 -json` re-measures one figure in place.
 		if prev, err := bench.ReadReport(*jsonPath); err == nil {
 			report.MergeFrom(prev)
 		}

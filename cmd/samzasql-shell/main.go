@@ -36,8 +36,6 @@ func main() {
 		demoOrders = flag.Int("demo-orders", 10_000, "demo Orders records")
 		streamRows = flag.Int("stream-rows", 20, "rows to tail from a streaming query before stopping it")
 		partitions = flag.Int("partitions", 4, "partitions for demo topics")
-		storeCache = flag.Int("store-cache", 0, "wrap task stores of submitted jobs in an LRU object cache of this many entries (0 = per-tuple store path)")
-		writeBatch = flag.Int("write-batch", 0, "batch store/changelog writes until commit, capped at this many dirty keys (0 = write-through mirroring)")
 		traceRate  = flag.Float64("trace-sample-rate", 0, "sample roughly this fraction of produced messages into end-to-end span trees (0 = tracing off; see \\trace and EXPLAIN ANALYZE)")
 		batchSize  = flag.Int("batch-size", 0, "block size of submitted jobs: messages one poll delivers as a columnar block (0 = framework default 256, 1 = tuple at a time)")
 		monitorOn  = flag.Bool("monitor", false, "attach the cluster monitor: tail __metrics/__traces/__profiles into the time-series and hot-function stores, evaluate SLO rules onto __alerts, and enable \\top, \\alerts and \\profile")
@@ -54,11 +52,6 @@ func main() {
 	cat := catalog.New()
 	engine := executor.NewEngine(cat, broker, samza.NewJobRunner(broker, cluster), zk.NewStore())
 	engine.Containers = 2
-	if *storeCache < 0 {
-		fatalf("bad -store-cache value %d", *storeCache)
-	}
-	engine.StoreCacheSize = *storeCache
-	engine.WriteBatchSize = *writeBatch
 	if *traceRate < 0 || *traceRate > 1 {
 		fatalf("bad -trace-sample-rate value %v (want [0, 1])", *traceRate)
 	}

@@ -65,18 +65,26 @@ func TestFilterPerformanceShape(t *testing.T) {
 	}
 	cfg := smallConfig()
 	cfg.Messages = 30_000
-	nat, err := RunNative("filter", cfg)
-	if err != nil {
-		t.Fatal(err)
+	// One run drains in a few milliseconds, so a single GC pause or a
+	// descheduling under a parallel `go test ./...` can flip the order.
+	// Alternate five runs per side and compare each side's best: noise only
+	// slows a run down, so the best run is the closest to its real cost.
+	var nat, sql float64
+	for i := 0; i < 5; i++ {
+		n, err := RunNative("filter", cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := RunSQL("filter", cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nat, sql = max(nat, n.Throughput), max(sql, s.Throughput)
 	}
-	sql, err := RunSQL("filter", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ratio := sql.Throughput / nat.Throughput
-	t.Logf("filter: native %.0f msg/s, samzasql %.0f msg/s, ratio %.2f", nat.Throughput, sql.Throughput, ratio)
+	ratio := sql / nat
+	t.Logf("filter: native %.0f msg/s, samzasql %.0f msg/s, ratio %.2f (best of 5 each)", nat, sql, ratio)
 	if ratio >= 1.0 {
-		t.Errorf("SamzaSQL filter (%.0f) faster than native (%.0f); transformation overhead missing", sql.Throughput, nat.Throughput)
+		t.Errorf("SamzaSQL filter (%.0f) faster than native (%.0f); transformation overhead missing", sql, nat)
 	}
 }
 
@@ -198,17 +206,16 @@ func indexOf(s, sub string) int {
 
 // TestReportMergeKeepsOtherFigures pins merge-on-write per figure ID:
 // re-measuring one figure replaces that figure in place and keeps every
-// other figure, the store tuning and the hot functions of the report on
-// disk; `-figure 6 -json F` used to drop 5a-5c from F.
+// other figure and the hot functions of the report on disk; `-figure 6 -json F` used to drop 5a-5c from F.
 func TestReportMergeKeepsOtherFigures(t *testing.T) {
 	fig := func(id string, ratio float64) FigureReport {
 		return FigureReport{ID: id, Rows: []FigureReportRow{{Containers: 1, SQLNativeRatio: ratio}}}
 	}
 	prev := &Report{
 		Messages: 100000, Partitions: 32,
-		Figures:      []FigureReport{fig("5a", 0.8), fig("5b", 0.9), fig("6", 3.5)},
-		StoreTuning:  &StoreTuningComparison{Speedup: 2},
-		HotFunctions: []HotFunctionReport{{Name: "f", FlatPct: 10}},
+		Figures:            []FigureReport{fig("5a", 0.8), fig("5b", 0.9), fig("6", 3.5)},
+		HotFunctions:       []HotFunctionReport{{Name: "f", FlatPct: 10}},
+		HotFunctionSamples: 400,
 	}
 	path := filepath.Join(t.TempDir(), "report.json")
 	if err := prev.WriteJSON(path); err != nil {
@@ -228,15 +235,16 @@ func TestReportMergeKeepsOtherFigures(t *testing.T) {
 	if want := "[5a=0.8 5b=1.1 6=3.5 5c=1.3]"; fmt.Sprint(got) != want {
 		t.Fatalf("merged figures %v, want %s", got, want)
 	}
-	if run.Messages != 20000 || run.StoreTuning == nil || run.StoreTuning.Speedup != 2 || len(run.HotFunctions) != 1 {
+	if run.Messages != 20000 || len(run.HotFunctions) != 1 || run.HotFunctionSamples != 400 {
 		t.Fatalf("merged report lost a section: %+v", run)
 	}
 
 	// A run without figures keeps the file's figures and header.
-	state := &Report{Messages: 5, StoreTuning: &StoreTuningComparison{Speedup: 3}}
-	state.MergeFrom(onDisk)
-	if len(state.Figures) != 3 || state.Messages != 100000 || state.Partitions != 32 || state.StoreTuning.Speedup != 3 {
-		t.Fatalf("store-tuning-only merge: %+v", state)
+	hot := &Report{Messages: 5, HotFunctions: []HotFunctionReport{{Name: "g", FlatPct: 20}}, HotFunctionSamples: 900}
+	hot.MergeFrom(onDisk)
+	if len(hot.Figures) != 3 || hot.Messages != 100000 || hot.Partitions != 32 ||
+		len(hot.HotFunctions) != 1 || hot.HotFunctions[0].Name != "g" || hot.HotFunctionSamples != 900 {
+		t.Fatalf("hot-functions-only merge: %+v", hot)
 	}
 }
 

@@ -37,14 +37,6 @@ type Config struct {
 	// FastPath enables the engine's fused execution mode (§7 future work
 	// item 5) for the SamzaSQL side; off reproduces the paper's prototype.
 	FastPath bool
-	// StoreCacheSize, when positive, runs both implementations' task stores
-	// behind an LRU object cache with write-behind batching
-	// (samza.JobSpec.StoreCacheSize). 0 reproduces the paper's per-tuple
-	// store path.
-	StoreCacheSize int
-	// WriteBatchSize > 1 batches store/changelog writes per commit interval
-	// (samza.JobSpec.WriteBatchSize); 0 keeps write-through mirroring.
-	WriteBatchSize int
 	// MetricsInterval, when positive, enables each benchmark job's
 	// per-container metrics snapshot reporter (snapshots land on the
 	// __metrics stream of the run's private broker).
@@ -215,8 +207,6 @@ func RunNative(query string, cfg Config) (Result, error) {
 		Containers:      cfg.Containers,
 		TaskParallelism: cfg.TaskParallelism,
 		CommitEvery:     100_000,
-		StoreCacheSize:  cfg.StoreCacheSize,
-		WriteBatchSize:  cfg.WriteBatchSize,
 		MetricsInterval: cfg.MetricsInterval,
 		TraceSampleRate: cfg.TraceSampleRate,
 		TraceInterval:   cfg.TraceInterval,
@@ -340,8 +330,6 @@ func RunSQL(query string, cfg Config) (Result, error) {
 	e.engine.Containers = cfg.Containers
 	e.engine.TaskParallelism = cfg.TaskParallelism
 	e.engine.FastPath = cfg.FastPath
-	e.engine.StoreCacheSize = cfg.StoreCacheSize
-	e.engine.WriteBatchSize = cfg.WriteBatchSize
 	e.engine.MetricsInterval = cfg.MetricsInterval
 	e.engine.TraceSampleRate = cfg.TraceSampleRate
 	e.engine.TraceInterval = cfg.TraceInterval

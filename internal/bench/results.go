@@ -10,15 +10,12 @@ import (
 
 // Report is the machine-readable benchmark output (BENCH_results.json):
 // per-figure throughput series with operator latency percentiles, plus the
-// store-tuning comparison backing the state-store performance layer.
+// CPU hot-function baseline.
 type Report struct {
 	// Messages/Partitions echo the run configuration.
 	Messages   int            `json:"messages"`
 	Partitions int32          `json:"partitions"`
 	Figures    []FigureReport `json:"figures,omitempty"`
-	// StoreTuning is the sliding-window cached-versus-baseline micro
-	// comparison (tuples/sec, store traffic, changelog records, speedup).
-	StoreTuning *StoreTuningComparison `json:"store_tuning,omitempty"`
 	// HotFunctions is the cluster-merged CPU hot-function baseline from a
 	// profiled filter run, as flat shares of sampled CPU. bench-compare
 	// diffs a fresh profiled run against it to attribute ratio regressions
@@ -105,10 +102,10 @@ func operatorLatencies(r FigureRow) []OperatorLatency {
 }
 
 // MergeFrom fills what this run did not measure from prev, the report
-// already on disk, so that writing a partial run — one figure, only the
-// store tuning, only the hot functions — replaces its own sections and keeps
-// every other one. Figures merge per ID: prev's order is kept, a re-measured
-// figure takes its old place, new IDs follow. Messages and Partitions echo
+// already on disk, so that writing a partial run — one figure, only the hot
+// functions — replaces its own sections and keeps every other one. Figures
+// merge per ID: prev's order is kept, a re-measured figure takes its old
+// place, new IDs follow. Messages and Partitions echo
 // this run's configuration only when it measured a figure.
 func (r *Report) MergeFrom(prev *Report) {
 	if len(r.Figures) == 0 {
@@ -134,9 +131,6 @@ func (r *Report) MergeFrom(prev *Report) {
 	r.Figures = merged
 	if r.HotFunctions == nil {
 		r.HotFunctions, r.HotFunctionSamples = prev.HotFunctions, prev.HotFunctionSamples
-	}
-	if r.StoreTuning == nil {
-		r.StoreTuning = prev.StoreTuning
 	}
 }
 

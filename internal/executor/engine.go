@@ -46,16 +46,6 @@ type Engine struct {
 	// gap by avoiding the AvroToArray/ArrayToAvro steps. Off by default to
 	// match the prototype the paper evaluates.
 	FastPath bool
-	// StoreCacheSize, when positive, wraps every task store of submitted
-	// jobs in an LRU object cache with write-behind batching
-	// (samza.JobSpec.StoreCacheSize). 0 — the default — keeps the
-	// paper-faithful per-operation store path.
-	StoreCacheSize int
-	// WriteBatchSize, when > 1, buffers store/changelog writes until commit
-	// (samza.JobSpec.WriteBatchSize). The default (0) keeps write-through
-	// changelog mirroring, which the §4.3 replay-detection output dedup
-	// depends on; see the JobSpec field for the trade-off.
-	WriteBatchSize int
 	// MetricsInterval, when positive, enables the per-container metrics
 	// snapshot reporter on submitted jobs (samza.JobSpec.MetricsInterval).
 	MetricsInterval time.Duration
@@ -236,8 +226,6 @@ func (e *Engine) Submit(ctx context.Context, p *Prepared) (*Job, error) {
 		Stores:          p.Program.Stores,
 		CommitEvery:     1000,
 		MaxRestarts:     2,
-		StoreCacheSize:  e.StoreCacheSize,
-		WriteBatchSize:  e.WriteBatchSize,
 		MetricsInterval: e.MetricsInterval,
 		TraceSampleRate: e.TraceSampleRate,
 		TraceInterval:   e.TraceInterval,

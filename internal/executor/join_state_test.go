@@ -190,10 +190,9 @@ var joinGoldens = map[string]golden{
 
 // TestBlockSizeEquivalenceRelationUpdates replays the stream-relation join
 // over a relation changelog that overwrites a row, deletes one, and deletes
-// and re-inserts another, at every block size and with and without the
-// object cache: outputs must be byte-identical to the recorded per-tuple,
-// uncached reference — and match the plain-Go expectation — and the folded
-// changelog state must be identical too.
+// and re-inserts another, at every block size: outputs must be
+// byte-identical to the recorded per-tuple reference — and match the plain-Go
+// expectation — and the folded changelog state must be identical too.
 func TestBlockSizeEquivalenceRelationUpdates(t *testing.T) {
 	const orders = 457
 	want := wantRelationJoin(replayOrders(t, orders))
@@ -202,34 +201,31 @@ func TestBlockSizeEquivalenceRelationUpdates(t *testing.T) {
 		avro.F("productId", avro.Long().AsNullable()), avro.F("units", avro.Long().AsNullable()),
 		avro.F("name", avro.String().AsNullable()), avro.F("supplierId", avro.Long().AsNullable())))
 	var first []string
-	for _, cache := range []int{0, 64} {
-		for _, bs := range blockSizes(0x7ab1e) {
-			label := fmt.Sprintf("batch=%d cache=%d", bs, cache)
-			e, _ := testEngine(t, 1, orders)
-			updateProducts(t, e.Broker)
-			e.StoreCacheSize = cache
-			out, state := runOnEngine(t, e, relationJoin, bs, len(want))
-			if first == nil {
-				rows := make([][]any, len(out))
-				for i, m := range out {
-					row, err := codec.DecodeRow(m.Value, nil)
-					if err != nil {
-						t.Fatal(err)
-					}
-					rows[i] = row
+	for _, bs := range blockSizes(0x7ab1e) {
+		label := fmt.Sprintf("batch=%d", bs)
+		e, _ := testEngine(t, 1, orders)
+		updateProducts(t, e.Broker)
+		out, state := runOnEngine(t, e, relationJoin, bs, len(want))
+		if first == nil {
+			rows := make([][]any, len(out))
+			for i, m := range out {
+				row, err := codec.DecodeRow(m.Value, nil)
+				if err != nil {
+					t.Fatal(err)
 				}
-				checkRelationJoinRows(t, label, rows, want)
+				rows[i] = row
 			}
-			checkGolden(t, label, joinGoldens["relation-updates"], first, digest(out), state)
-			first = digest(out)
+			checkRelationJoinRows(t, label, rows, want)
 		}
+		checkGolden(t, label, joinGoldens["relation-updates"], first, digest(out), state)
+		first = digest(out)
 	}
 }
 
 // TestRelationTombstoneSurvivesRestore crashes the join task mid-stream, so
 // the restarted attempt rebuilds its relation state from the join changelog
-// instead of from the relation topic, in one-row and 64-row blocks, with and
-// without the object cache: the deleted product still joins to nothing,
+// instead of from the relation topic, in one-row and 64-row blocks: the
+// deleted product still joins to nothing,
 // every other order is joined exactly once, and a store restored from the
 // changelog afterwards holds the overwritten row and not the deleted one.
 // Joined rows and folded changelog are the recorded per-tuple reference's.
@@ -237,13 +233,11 @@ func TestRelationTombstoneSurvivesRestore(t *testing.T) {
 	const orders = 1200
 	want := wantRelationJoin(replayOrders(t, orders))
 	for _, tc := range []struct {
-		name             string
-		batchSize, cache int
+		name      string
+		batchSize int
 	}{
-		{"block-1", 1, 0},
-		{"block-64", 64, 0},
-		{"block-1-cached", 1, 32},
-		{"block-64-cached", 64, 32},
+		{"block-1", 1},
+		{"block-64", 64},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e, _ := testEngine(t, 1, orders)
@@ -266,12 +260,11 @@ func TestRelationTombstoneSurvivesRestore(t *testing.T) {
 					{Topic: "orders"},
 					{Topic: "products", Bootstrap: true},
 				},
-				Containers:     1,
-				Stores:         p.Program.Stores,
-				CommitEvery:    200,
-				MaxRestarts:    2,
-				BatchSize:      tc.batchSize,
-				StoreCacheSize: tc.cache,
+				Containers:  1,
+				Stores:      p.Program.Stores,
+				CommitEvery: 200,
+				MaxRestarts: 2,
+				BatchSize:   tc.batchSize,
 				Config: map[string]string{
 					"samzasql.zk.query.path": zkQueryPath(p.JobName),
 					"samzasql.output.topic":  p.OutputTopic,
@@ -419,8 +412,8 @@ FROM Bids JOIN Asks ON
 
 // TestBlockSizeEquivalenceStreamStreamJoin runs a windowed stream-stream
 // join whose stored rows carry VARCHAR and DOUBLE columns (and NULLs in the
-// columns the query never reads, such as Bids.note), with the
-// object cache configured, at every block size. The sides are
+// columns the query never reads, such as Bids.note), at every block size.
+// The sides are
 // fed in two stages — all bids, then, once the job has consumed them, all
 // asks — so every run sees one arrival order and the comparison is exact:
 // outputs and folded changelog state byte-identical to the recorded
@@ -432,7 +425,6 @@ func TestBlockSizeEquivalenceStreamStreamJoin(t *testing.T) {
 	)
 	run := func(batchSize int) ([]kafka.Message, []string) {
 		e := quotesEngine(t)
-		e.StoreCacheSize = 64
 		e.BatchSize = batchSize
 		produceQuotes(t, e, "Bids", quotes, baseTs)
 		ctx, cancel := context.WithCancel(context.Background())

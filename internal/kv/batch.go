@@ -42,10 +42,10 @@ type WriteOp struct {
 
 // BatchWriter is implemented by stores that apply a sequence of writes as
 // one unit, in order. A write batch is the atomicity grain of the changelog:
-// a ChangelogStore never flushes early between two writes of one batch, so
-// writes that only make sense together (a window partition's chunk writes
-// and the state row whose cursors point into them) reach the changelog
-// together or not at all. A single Put or Delete is a batch of one.
+// a ChangelogStore produces each batch as one contiguous run, so writes that
+// only make sense together (a window partition's chunk writes and the state
+// row whose cursors point into them) reach the changelog together or not at
+// all. A single Put or Delete is a batch of one.
 type BatchWriter interface {
 	WriteMany(ops []WriteOp)
 }
@@ -111,9 +111,8 @@ func (c *ChangelogStore) GetMany(keys [][]byte, vals [][]byte, oks []bool) {
 	GetMany(c.Store, keys, vals, oks)
 }
 
-// WriteMany writes the batch through to the inner store and mirrors it as
-// one contiguous run of the pending buffer; the write-batch cap is checked
-// only after the whole run, so an early flush never splits a batch.
+// WriteMany writes the batch through to the inner store and produces it as
+// one contiguous run of changelog records, so a batch reaches the log whole.
 //
 //samzasql:hotpath
 func (c *ChangelogStore) WriteMany(ops []WriteOp) {
@@ -126,103 +125,5 @@ func (c *ChangelogStore) WriteMany(ops []WriteOp) {
 		}
 	}
 	//samzasql:ignore hotpath-blocking -- write-through to the changelog is the durability contract; the flush path's broker append lock is per-partition and the io.Write is an in-memory FNV hash
-	c.flushIfFull()
-}
-
-// GetMany serves cache-resident keys (including buffered uncommitted
-// writes and negative entries) straight from the cache and gathers the
-// misses into one inner batched read, so a block whose keys are cold costs
-// a single lock acquisition downstream instead of one per key. Entries
-// fetched for misses are inserted like Get would insert them; an insert
-// can evict an earlier entry mid-batch, which is safe because already
-// filled vals alias entry value slices that survive unlinking.
-//
-//samzasql:hotpath
-func (c *CachedStore) GetMany(keys [][]byte, vals [][]byte, oks []bool) {
-	missKeys := c.missKeys[:0]
-	missIdx := c.missIdx[:0]
-	for i, k := range keys {
-		if e, ok := c.entries[string(k)]; ok {
-			c.touch(e)
-			if c.hits != nil {
-				c.hits.Inc()
-			}
-			if e.present {
-				c.encodeEntry(e)
-				vals[i], oks[i] = e.value, true
-			} else {
-				vals[i], oks[i] = nil, false
-			}
-			continue
-		}
-		if c.misses != nil {
-			c.misses.Inc()
-		}
-		missKeys = append(missKeys, k)
-		missIdx = append(missIdx, i)
-	}
-	if len(missKeys) > 0 {
-		missVals := c.missVals[:0]
-		missOks := c.missOks[:0]
-		for range missKeys {
-			missVals = append(missVals, nil)
-			missOks = append(missOks, false)
-		}
-		GetMany(c.inner, missKeys, missVals, missOks)
-		for j, i := range missIdx {
-			vals[i], oks[i] = missVals[j], missOks[j]
-			// A duplicate key earlier in this batch may have inserted the
-			// entry already; re-inserting would double-link it in the LRU.
-			if _, ok := c.entries[string(missKeys[j])]; !ok {
-				//samzasql:ignore hotpath-blocking -- write-through to the changelog is the durability contract; the flush path's broker append lock is per-partition and the io.Write is an in-memory FNV hash
-				c.insert(&cacheEntry{key: string(missKeys[j]), value: missVals[j], present: missOks[j]})
-			}
-		}
-		c.missVals, c.missOks = missVals[:0], missOks[:0]
-	}
-	c.missKeys, c.missIdx = missKeys[:0], missIdx[:0]
-}
-
-// GetObjectMany fills objs[i], oks[i] with the memoized decoded object for
-// each resident keys[i] — the batched form of GetObject. Misses are left
-// for the caller to resolve through GetMany plus its decoder; unlike
-// GetMany this never touches the inner store, because only the caller
-// knows how to decode.
-//
-//samzasql:hotpath
-func (c *CachedStore) GetObjectMany(keys [][]byte, objs []any, oks []bool) {
-	for i, k := range keys {
-		e, ok := c.entries[string(k)]
-		if !ok || !e.present || e.obj == nil {
-			if c.misses != nil {
-				c.misses.Inc()
-			}
-			objs[i], oks[i] = nil, false
-			continue
-		}
-		c.touch(e)
-		if c.hits != nil {
-			c.hits.Inc()
-		}
-		objs[i], oks[i] = e.obj, true
-	}
-}
-
-// WriteMany buffers the whole batch in the cache — each write supersedes the
-// key's entry exactly as Put or Delete would — and checks the write-batch
-// cap once, after the last write, so a cap-triggered write-through never
-// lands between two writes of one batch.
-//
-//samzasql:hotpath
-func (c *CachedStore) WriteMany(ops []WriteOp) {
-	for i := range ops {
-		var v []byte
-		if !ops[i].Delete {
-			v = append([]byte(nil), ops[i].Value...)
-		}
-		//samzasql:ignore hotpath-blocking -- write-through to the changelog is the durability contract; the flush path's broker append lock is per-partition and the io.Write is an in-memory FNV hash
-		c.setEntry(ops[i].Key, v, !ops[i].Delete)
-	}
-	//samzasql:ignore hotpath-blocking -- write-through to the changelog is the durability contract; the flush path's broker append lock is per-partition and the io.Write is an in-memory FNV hash
-	c.flushIfFull()
+	c.produce()
 }

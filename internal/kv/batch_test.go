@@ -51,155 +51,6 @@ func TestStoreGetManyMatchesGet(t *testing.T) {
 	}
 }
 
-func TestCachedStoreGetManyHitMissMix(t *testing.T) {
-	inner := NewStore()
-	inner.Put([]byte("hot"), []byte("H"))
-	inner.Put([]byte("cold"), []byte("C"))
-	c := NewCachedStore(inner, 8, 0)
-	// Warm one positive and one negative entry.
-	if _, ok := c.Get([]byte("hot")); !ok {
-		t.Fatal("warm read failed")
-	}
-	if _, ok := c.Get([]byte("ghost")); ok {
-		t.Fatal("phantom key")
-	}
-	readsBefore, _ := inner.Stats()
-
-	keys := [][]byte{
-		[]byte("hot"),   // positive hit
-		[]byte("ghost"), // negative hit: absent, served without an inner read
-		[]byte("cold"),  // miss: filled from the inner store
-		[]byte("void"),  // miss: absent below too
-		[]byte("hot"),   // repeated hit
-	}
-	vals := make([][]byte, len(keys))
-	oks := make([]bool, len(keys))
-	c.GetMany(keys, vals, oks)
-	if !oks[0] || string(vals[0]) != "H" || !oks[4] || string(vals[4]) != "H" {
-		t.Fatalf("hit results: %q %v", vals, oks)
-	}
-	if oks[1] || vals[1] != nil {
-		t.Fatalf("negative entry leaked a value: %q %v", vals[1], oks[1])
-	}
-	if !oks[2] || string(vals[2]) != "C" || oks[3] {
-		t.Fatalf("miss results: %q %v", vals, oks)
-	}
-	// Only the two cold keys reached the inner store, in one batched read.
-	readsAfter, _ := inner.Stats()
-	if readsAfter-readsBefore != 2 {
-		t.Fatalf("inner reads for the batch: %d, want 2", readsAfter-readsBefore)
-	}
-	// The misses were inserted like Get would insert them: both (including
-	// the absent one, as a negative entry) now serve without inner reads.
-	if v, ok := c.Get([]byte("cold")); !ok || string(v) != "C" {
-		t.Fatalf("miss not cached: %q %v", v, ok)
-	}
-	if _, ok := c.Get([]byte("void")); ok {
-		t.Fatal("absent key resurrected")
-	}
-	if r, _ := inner.Stats(); r != readsAfter {
-		t.Fatalf("post-batch scalar reads went to the inner store (%d -> %d)", readsAfter, r)
-	}
-}
-
-// TestCachedStoreGetManySeesUncommittedWrites drives the batched read over a
-// write-behind dirty batch: buffered Puts, a buffered deferred-encode
-// PutObject, and a buffered tombstone must all be visible before any flush
-// reaches the inner store.
-func TestCachedStoreGetManySeesUncommittedWrites(t *testing.T) {
-	inner := NewStore()
-	inner.Put([]byte("doomed"), []byte("old"))
-	inner.Put([]byte("stale"), []byte("old"))
-	c := NewCachedStore(inner, 16, 100) // large batch: nothing auto-flushes
-	c.Put([]byte("plain"), []byte("new"))
-	c.Put([]byte("stale"), []byte("new")) // overwrite shadows the inner value
-	enc := func(obj any) ([]byte, error) { return []byte(obj.(string)), nil }
-	c.PutObject([]byte("obj"), "decoded", ObjectEncoder(enc))
-	c.Delete([]byte("doomed"))
-
-	_, writesBefore := inner.Stats()
-	if writesBefore != 2 {
-		t.Fatalf("writes flushed early: %d", writesBefore)
-	}
-	keys := [][]byte{[]byte("plain"), []byte("stale"), []byte("obj"), []byte("doomed")}
-	vals := make([][]byte, len(keys))
-	oks := make([]bool, len(keys))
-	c.GetMany(keys, vals, oks)
-	if !oks[0] || string(vals[0]) != "new" {
-		t.Fatalf("buffered put invisible: %q %v", vals[0], oks[0])
-	}
-	if !oks[1] || string(vals[1]) != "new" {
-		t.Fatalf("buffered overwrite lost to inner value: %q %v", vals[1], oks[1])
-	}
-	// The deferred-encode entry must be materialized on read, exactly once.
-	if !oks[2] || string(vals[2]) != "decoded" {
-		t.Fatalf("deferred-encode object not materialized: %q %v", vals[2], oks[2])
-	}
-	if oks[3] {
-		t.Fatalf("buffered tombstone invisible: read %q", vals[3])
-	}
-	// Reads never forced the dirty batch through.
-	if _, writes := inner.Stats(); writes != writesBefore {
-		t.Fatalf("batched read flushed writes (%d -> %d)", writesBefore, writes)
-	}
-}
-
-// TestCachedStoreGetManyEvictionMidBatch reads more distinct cold keys than
-// the cache holds: inserting each miss evicts an earlier one mid-batch, and
-// every already-filled result slot must survive the unlinking.
-func TestCachedStoreGetManyEvictionMidBatch(t *testing.T) {
-	inner := NewStore()
-	const n = 6
-	keys := make([][]byte, n)
-	for i := range keys {
-		keys[i] = []byte(fmt.Sprintf("k%d", i))
-		inner.Put(keys[i], []byte(fmt.Sprintf("v%d", i)))
-	}
-	c := NewCachedStore(inner, 2, 0) // capacity far below the batch's key count
-	vals := make([][]byte, n)
-	oks := make([]bool, n)
-	c.GetMany(keys, vals, oks)
-	for i := range keys {
-		if !oks[i] || string(vals[i]) != fmt.Sprintf("v%d", i) {
-			t.Fatalf("slot %d corrupted by mid-batch eviction: %q %v", i, vals[i], oks[i])
-		}
-	}
-	// The survivors still answer correctly after the churn.
-	for i := range keys {
-		if v, ok := c.Get(keys[i]); !ok || string(v) != fmt.Sprintf("v%d", i) {
-			t.Fatalf("key %d after eviction churn: %q %v", i, v, ok)
-		}
-	}
-}
-
-func TestCachedStoreGetObjectManyResidentOnly(t *testing.T) {
-	inner := NewStore()
-	inner.Put([]byte("bytesOnly"), []byte("raw"))
-	c := NewCachedStore(inner, 8, 100)
-	enc := func(obj any) ([]byte, error) { return []byte(obj.(string)), nil }
-	c.PutObject([]byte("a"), "objA", ObjectEncoder(enc))
-	c.Get([]byte("bytesOnly")) // resident, but bytes-only: no decoded object
-	c.CacheObject([]byte("bytesOnly"), "decodedB")
-
-	keys := [][]byte{[]byte("a"), []byte("bytesOnly"), []byte("coldKey")}
-	objs := make([]any, len(keys))
-	oks := make([]bool, len(keys))
-	c.GetObjectMany(keys, objs, oks)
-	if !oks[0] || objs[0] != "objA" {
-		t.Fatalf("dirty object not served: %v %v", objs[0], oks[0])
-	}
-	if !oks[1] || objs[1] != "decodedB" {
-		t.Fatalf("memoized object not served: %v %v", objs[1], oks[1])
-	}
-	if oks[2] || objs[2] != nil {
-		t.Fatalf("non-resident key fabricated an object: %v %v", objs[2], oks[2])
-	}
-	// GetObjectMany never touches the inner store: misses are the caller's.
-	if reads, _ := inner.Stats(); reads != 1 {
-		t.Fatalf("inner reads = %d, want 1 (the warming Get only)", reads)
-	}
-}
-
 // writeOps is a batch mixing inserts, an overwrite, a delete of a live key,
 // a delete of an absent key and a put-then-delete of one key, so order
 // matters.
@@ -275,48 +126,57 @@ func TestStoreWriteManyMatchesPerKeyWrites(t *testing.T) {
 	}
 }
 
-// TestChangelogWriteManyIsOneRun pins the atomicity grain: a write batch
-// lands on the changelog as one contiguous run in batch order, and the
-// write-batch cap is checked only after it — never inside.
+// TestChangelogWriteManyIsOneRun pins the write-through changelog and its
+// atomicity grain: each Put and Delete is one record on the topic by the
+// time the call returns, and each write batch lands as one contiguous run in
+// batch order by the time WriteMany returns.
 func TestChangelogWriteManyIsOneRun(t *testing.T) {
 	broker := kafka.NewBroker()
 	cs, err := NewChangelogStore(NewStore(), broker, "wm-cl", 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs.SetWriteBatchSize(4)
 	tp := kafka.TopicPartition{Topic: "wm-cl", Partition: 0}
+	hwm := func() int64 {
+		h, err := broker.HighWatermark(tp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h
+	}
 	cs.Put([]byte("p0"), []byte("v"))
+	if got := hwm(); got != 1 {
+		t.Fatalf("changelog holds %d records after one Put, want 1", got)
+	}
 	cs.Put([]byte("p1"), []byte("v"))
-	cs.Put([]byte("p2"), []byte("v"))
-	ops := writeOps() // crosses the cap of 4 on its first write
+	cs.Delete([]byte("p0"))
+	if got := hwm(); got != 3 {
+		t.Fatalf("changelog holds %d records after Put, Put, Delete, want 3", got)
+	}
+	ops := writeOps()
 	cs.WriteMany(ops)
-	if cs.Pending() != 0 {
-		t.Fatalf("%d records still pending after a batch that crossed the cap", cs.Pending())
+	if got := hwm(); got != int64(3+len(ops)) {
+		t.Fatalf("changelog holds %d records after the batch, want %d", got, 3+len(ops))
 	}
-	hwm, _ := broker.HighWatermark(tp)
-	if hwm != int64(3+len(ops)) {
-		t.Fatalf("changelog holds %d records, want %d: the early flush split the batch", hwm, 3+len(ops))
-	}
-	msgs, _, err := broker.Fetch(tp, 3, 64)
+	msgs, _, err := broker.Fetch(tp, 0, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if m := msgs[2]; string(m.Key) != "p0" || m.Value != nil {
+		t.Fatalf("record 2 is %q=%q, want the p0 tombstone", m.Key, m.Value)
+	}
 	for i, op := range ops {
-		m := msgs[i]
+		m := msgs[3+i]
 		if string(m.Key) != string(op.Key) || (m.Value == nil) != op.Delete || string(m.Value) != string(op.Value) {
-			t.Fatalf("changelog record %d is %q=%q, want op %q=%q delete=%v", i, m.Key, m.Value, op.Key, op.Value, op.Delete)
+			t.Fatalf("changelog record %d is %q=%q, want op %q=%q delete=%v", 3+i, m.Key, m.Value, op.Key, op.Value, op.Delete)
 		}
 	}
-	// Below the cap a batch stays buffered whole.
+	// A second batch follows the first as its own run.
 	cs.WriteMany(ops[:3])
-	if cs.Pending() != 3 {
-		t.Fatalf("pending=%d after a 3-write batch under a cap of 4", cs.Pending())
+	if got := hwm(); got != int64(6+len(ops)) {
+		t.Fatalf("changelog holds %d records after a 3-write batch, want %d", got, 6+len(ops))
 	}
-	// A restore replays the batch to the same store contents.
-	if err := cs.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	// A restore replays the batches to the same store contents.
 	restored, err := NewChangelogStore(NewStore(), broker, "wm-cl", 1, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -326,49 +186,6 @@ func TestChangelogWriteManyIsOneRun(t *testing.T) {
 	}
 	if got, want := dumpStore(restored), dumpStore(cs); got != want {
 		t.Fatalf("restored %s, live %s", got, want)
-	}
-}
-
-// TestCachedStoreWriteManyCoherence checks a write batch against the cache's
-// dirty batch: buffered writes are superseded in place, reads see the batch
-// before it is flushed, the cap is checked once after the batch, and the
-// flush hands the inner store the final values in first-dirtied order.
-func TestCachedStoreWriteManyCoherence(t *testing.T) {
-	inner := NewStore()
-	inner.Put([]byte("old"), []byte("x"))
-	c := NewCachedStore(inner, 64, 6)
-	c.Put([]byte("a"), []byte("stale")) // dirty entry the batch supersedes
-	c.PutObject([]byte("b"), "obj", func(any) ([]byte, error) { return []byte("deferred"), nil })
-	if v, _ := c.Get([]byte("old")); string(v) != "x" { // clean resident entry the batch deletes
-		t.Fatalf("warm read: %q", v)
-	}
-	ops := writeOps()
-	c.WriteMany(ops[:5]) // a, b, a again, old and ghost deleted: dirty count 4 of 6
-	if _, writes := inner.Stats(); writes != 1 {
-		t.Fatalf("inner saw %d writes before any flush", writes)
-	}
-	for key, want := range map[string]string{"a": "1'", "b": "2"} {
-		if v, ok := c.Get([]byte(key)); !ok || string(v) != want {
-			t.Fatalf("uncommitted read %s = %q %v, want %q", key, v, ok, want)
-		}
-	}
-	if _, ok := c.GetObject([]byte("b")); ok {
-		t.Fatal("byte write left the superseded decoded object behind")
-	}
-	if _, ok := c.Get([]byte("old")); ok {
-		t.Fatal("buffered delete not visible")
-	}
-	// The rest of the batch crosses the cap of 6 dirty keys mid-batch; the
-	// write-through happens after its last write.
-	c.WriteMany(ops[5:])
-	if _, writes := inner.Stats(); writes != 1+6 {
-		t.Fatalf("inner saw %d writes, want the 6 dirty keys written through once", writes-1)
-	}
-	want := NewStore()
-	want.Put([]byte("old"), []byte("x"))
-	applyPerKey(want, ops)
-	if got := dumpStore(inner); got != dumpStore(want) {
-		t.Fatalf("flushed %s, per-key writes leave %s", got, dumpStore(want))
 	}
 }
 

@@ -16,10 +16,6 @@ type Flushable interface {
 	Flush() error
 }
 
-// DefaultWriteBatchSize is the changelog/write-batch cap when the job does
-// not configure one — Samza's write.batch.size default of 500.
-const DefaultWriteBatchSize = 500
-
 // changelogSlabSize is the smallest arena slab the changelog copies
 // key/value bytes into.
 const changelogSlabSize = 64 << 10
@@ -30,22 +26,24 @@ const changelogSlabSize = 64 << 10
 // partition matches the task's input partition so restored state lands on
 // the task that owns the keys.
 //
-// Mirrored writes are buffered and produced as one batch — at Flush (the
-// container calls it during commit, before the offset checkpoint) or when
-// the buffer reaches the write-batch cap. Each key/value is copied once,
-// into an arena slab shared by the whole batch; the broker copies the batch
-// into the log, so after a successful flush the slab is rewritten by the
-// next batch. Like the stores it wraps, a ChangelogStore is owned by a
-// single task goroutine.
+// The changelog writes through: every Put, Delete and WriteMany is on the
+// topic by the time the call returns, so the changelog is always at or
+// ahead of the offsets the container commits and operators that keep input
+// offsets in their state recognise replayed messages after a restore. A
+// WriteMany is produced as one batch — one lock acquisition and one
+// subscriber wakeup on the partition — so writes that only make sense
+// together reach the log together. Each key/value is copied once, into an
+// arena slab the broker copies out of on produce; the slab is then reused.
+// Like the stores it wraps, a ChangelogStore is owned by a single task
+// goroutine.
 type ChangelogStore struct {
 	Store
 	broker    *kafka.Broker
 	topic     string
 	partition int32
 
-	pending  []kafka.Message
-	arena    []byte
-	batchCap int
+	pending []kafka.Message
+	arena   []byte
 }
 
 // NewChangelogStore creates (if needed) the compacted changelog topic with
@@ -63,39 +61,33 @@ func NewChangelogStore(inner Store, broker *kafka.Broker, topic string, partitio
 		broker:    broker,
 		topic:     topic,
 		partition: partition,
-		batchCap:  DefaultWriteBatchSize,
 	}, nil
 }
 
-// SetWriteBatchSize caps how many mirrored writes buffer before an early
-// flush (Samza's write.batch.size). Values <= 0 keep the default.
-func (c *ChangelogStore) SetWriteBatchSize(n int) {
-	if n > 0 {
-		c.batchCap = n
-	}
-}
+// SetWriteBatchSize is a no-op kept for callers that still set a batch size
+// of 1, such as the repository benchmark: every write reaches the topic
+// before the call returns, which is the only behaviour left.
+func (c *ChangelogStore) SetWriteBatchSize(int) {}
 
-// Put writes through to the inner store and buffers the changelog record: a
-// write batch of one.
+// Put writes through to the inner store and produces the changelog record.
 func (c *ChangelogStore) Put(key, value []byte) {
 	c.Store.Put(key, value)
 	c.buffer(key, value)
-	c.flushIfFull()
+	c.produce()
 }
 
-// Delete removes the key and buffers a tombstone for the changelog: a write
-// batch of one.
+// Delete removes the key and produces a tombstone for the changelog.
 func (c *ChangelogStore) Delete(key []byte) bool {
 	ok := c.Store.Delete(key)
 	c.buffer(key, nil)
-	c.flushIfFull()
+	c.produce()
 	return ok
 }
 
 // copyToArena copies b into the current slab and returns the aliasing
-// slice. Slices returned since the last flush stay valid: a slab that fills
-// is left to the pending records aliasing it and replaced by one twice its
-// size, so the slab kept across flushes grows to hold a whole batch.
+// slice. Slices returned since the last produce stay valid: a slab that
+// fills is left to the pending records aliasing it and replaced by one twice
+// its size, so the slab kept across produces grows to hold a whole batch.
 func (c *ChangelogStore) copyToArena(b []byte) []byte {
 	if len(b) == 0 {
 		return nil
@@ -109,9 +101,7 @@ func (c *ChangelogStore) copyToArena(b []byte) []byte {
 }
 
 // buffer queues one mirrored write, copying key and value once into the
-// batch arena. A nil value is a tombstone. It never flushes: the cap is
-// checked between write batches only (flushIfFull), because a flush that
-// lands inside a batch would make half of it durable.
+// batch arena. A nil value is a tombstone.
 func (c *ChangelogStore) buffer(key, value []byte) {
 	m := kafka.Message{
 		Partition: c.partition,
@@ -126,23 +116,19 @@ func (c *ChangelogStore) buffer(key, value []byte) {
 	c.pending = append(c.pending, m)
 }
 
-// flushIfFull flushes early once the buffer has reached the write-batch cap.
-// Callers invoke it after a complete write batch. A broker failure here is a
-// programming error (the topic exists and the partition was validated at
-// construction) and panics, as the byte Store interface has no error channel.
-func (c *ChangelogStore) flushIfFull() {
-	if len(c.pending) < c.batchCap {
-		return
-	}
+// produce puts the queued records on the changelog topic. Callers invoke it
+// after a complete write batch. A broker failure here is a programming error
+// (the topic exists and the partition was validated at construction) and
+// panics, as the byte Store interface has no error channel.
+func (c *ChangelogStore) produce() {
 	if err := c.Flush(); err != nil {
 		panic(fmt.Sprintf("kv: changelog append: %v", err))
 	}
 }
 
-// Flush produces the buffered changelog records as one batch: one lock
-// acquisition and one subscriber wakeup on the partition regardless of the
-// batch size. The container calls it at commit, before the offset
-// checkpoint, so a restored store is never behind committed offsets.
+// Flush produces the queued changelog records as one batch. Every write
+// produces before it returns, so at commit time Flush finds nothing queued;
+// it keeps the store Flushable for the container's commit sequence.
 func (c *ChangelogStore) Flush() error {
 	if len(c.pending) == 0 {
 		return nil
@@ -156,10 +142,6 @@ func (c *ChangelogStore) Flush() error {
 	c.arena = c.arena[:0]
 	return nil
 }
-
-// Pending reports how many mirrored writes are buffered but not yet on the
-// changelog topic — test and introspection hook.
-func (c *ChangelogStore) Pending() int { return len(c.pending) }
 
 // Restore rebuilds the inner store by replaying the changelog partition from
 // its start offset to the current high watermark. It is called by the task

@@ -3,12 +3,12 @@ package kv
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
 
 	"samzasql/internal/kafka"
-	"samzasql/internal/serde"
 )
 
 func TestStoreGetPutDelete(t *testing.T) {
@@ -145,10 +145,6 @@ func TestChangelogRestore(t *testing.T) {
 		cs.Put([]byte(fmt.Sprintf("k%02d", i%10)), []byte(fmt.Sprintf("v%d", i)))
 	}
 	cs.Delete([]byte("k03"))
-	// Writes buffer until commit; flush puts them on the changelog topic.
-	if err := cs.Flush(); err != nil {
-		t.Fatal(err)
-	}
 
 	// Simulate failure: brand-new store restored from the changelog.
 	restored, err := NewChangelogStore(NewStore(), broker, "state-cl", 2, 1)
@@ -179,9 +175,6 @@ func TestChangelogRestoreAfterCompaction(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		cs.Put([]byte(fmt.Sprintf("k%02d", i%25)), []byte(fmt.Sprintf("v%d", i)))
 	}
-	if err := cs.Flush(); err != nil {
-		t.Fatal(err)
-	}
 	if err := broker.Compact("cl"); err != nil {
 		t.Fatal(err)
 	}
@@ -204,54 +197,89 @@ func TestChangelogRestoreAfterCompaction(t *testing.T) {
 	}
 }
 
-func TestTypedStoreRoundTrip(t *testing.T) {
-	ts := NewTypedStore(NewStore(), serde.Int64Serde{}, serde.GobSerde{})
-	row := []any{int64(1), "order", 2.5}
-	if err := ts.Put(int64(100), row); err != nil {
-		t.Fatal(err)
-	}
-	got, ok, err := ts.Get(int64(100))
-	if err != nil || !ok {
-		t.Fatalf("Get: %v %v", ok, err)
-	}
-	r := got.([]any)
-	if r[0].(int64) != 1 || r[1].(string) != "order" || r[2].(float64) != 2.5 {
-		t.Fatalf("decoded %v", r)
-	}
-	if _, ok, _ := ts.Get(int64(999)); ok {
-		t.Fatal("phantom key")
-	}
-	if err := ts.Delete(int64(100)); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok, _ := ts.Get(int64(100)); ok {
-		t.Fatal("key survived delete")
-	}
-}
-
-func TestTypedStoreRangeNumericOrder(t *testing.T) {
-	ts := NewTypedStore(NewStore(), serde.Int64Serde{}, serde.GobSerde{})
-	// Include negatives: the int64 serde must keep numeric order.
-	for _, k := range []int64{5, -3, 10, 0, 7, -8} {
-		if err := ts.Put(k, []any{k}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	entries, err := ts.Range(int64(-5), int64(8), 0)
+// TestChangelogRestoreCompactedSparseOffsets drives overwrites and deletes
+// through small segments, forces compaction (leaving offset gaps up to the
+// active segment), and checks Restore replays the sparse log exactly.
+func TestChangelogRestoreCompactedSparseOffsets(t *testing.T) {
+	broker := kafka.NewBroker()
+	inner := NewStore()
+	cs, err := NewChangelogStore(inner, broker, "sparse-cl", 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got []int64
-	for _, e := range entries {
-		got = append(got, e.Key.(int64))
-	}
-	want := []int64{-3, 0, 5, 7}
-	if len(got) != len(want) {
-		t.Fatalf("range keys %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("range keys %v, want %v", got, want)
+	rng := rand.New(rand.NewSource(7))
+	ref := map[string]string{}
+	for i := 0; i < 3000; i++ {
+		k := fmt.Sprintf("k%02d", rng.Intn(20))
+		if rng.Intn(6) == 0 {
+			cs.Delete([]byte(k))
+			delete(ref, k)
+		} else {
+			v := fmt.Sprintf("v%d", i)
+			cs.Put([]byte(k), []byte(v))
+			ref[k] = v
 		}
+	}
+	if err := broker.Compact("sparse-cl"); err != nil {
+		t.Fatal(err)
+	}
+	tp := kafka.TopicPartition{Topic: "sparse-cl", Partition: 0}
+	hwm, _ := broker.HighWatermark(tp)
+	if hwm != 3000 {
+		t.Fatalf("hwm %d, want 3000 (offsets preserved across compaction)", hwm)
+	}
+
+	restored, err := NewChangelogStore(NewStore(), broker, "sparse-cl", 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := restored.Restore(); err != nil {
+		t.Fatal(err)
+	}
+	if restored.Len() != len(ref) {
+		t.Fatalf("restored %d keys, want %d", restored.Len(), len(ref))
+	}
+	for k, want := range ref {
+		v, ok := restored.Get([]byte(k))
+		if !ok || string(v) != want {
+			t.Fatalf("restored %s = %q %v, want %q", k, v, ok, want)
+		}
+	}
+	// The restored store must byte-equal the survivor, not just size-match.
+	a, b := inner.Range(nil, nil, 0), restored.Range(nil, nil, 0)
+	for i := range a {
+		if !bytes.Equal(a[i].Key, b[i].Key) || !bytes.Equal(a[i].Value, b[i].Value) {
+			t.Fatalf("entry %d diverges: %q vs %q", i, a[i].Key, b[i].Key)
+		}
+	}
+}
+
+// nopStore isolates the changelog mirroring path from skiplist allocations
+// for the arena allocation pin.
+type nopStore struct{}
+
+func (nopStore) Get([]byte) ([]byte, bool)        { return nil, false }
+func (nopStore) Put(_, _ []byte)                  {}
+func (nopStore) Delete([]byte) bool               { return false }
+func (nopStore) Range(_, _ []byte, _ int) []Entry { return nil }
+func (nopStore) Len() int                         { return 0 }
+func (nopStore) Stats() (int64, int64)            { return 0, 0 }
+
+// TestChangelogBufferAllocs pins the arena design: mirroring a write costs
+// amortized under one allocation on the changelog side, versus the two
+// defensive copies a per-write copy of key and value would make.
+func TestChangelogBufferAllocs(t *testing.T) {
+	broker := kafka.NewBroker()
+	cs, err := NewChangelogStore(nopStore{}, broker, "alloc-cl", 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := []byte("alloc-key")
+	val := []byte("alloc-value-of-reasonable-size")
+	avg := testing.AllocsPerRun(400, func() {
+		cs.Put(key, val)
+	})
+	if avg >= 1 {
+		t.Fatalf("changelog mirror path averages %.2f allocs/op, want < 1", avg)
 	}
 }

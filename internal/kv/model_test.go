@@ -229,23 +229,8 @@ func TestStoreModelManyKeys(t *testing.T) {
 	}
 }
 
-// TestStoreModelUnderCachedStore runs the same sequences through a small
-// write-behind cache — constant eviction and batch write-through — and then
-// requires the store underneath, once flushed, to equal the model too.
-func TestStoreModelUnderCachedStore(t *testing.T) {
-	for seed := int64(1); seed <= 4; seed++ {
-		inner := NewStore()
-		c := NewCachedStore(inner, 5, 4)
-		m, everSeen := runStoreModel(t, c, seed, 3000)
-		if err := c.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		checkAgainstModel(t, "inner store after flush", inner, m, everSeen)
-	}
-}
-
-// TestStoreModelAfterChangelogRestore mirrors the sequence to a changelog in
-// small produce batches, compacts it, and requires a store restored from the
+// TestStoreModelAfterChangelogRestore mirrors the sequence to a changelog one
+// write batch per produce, compacts it, and requires a store restored from the
 // sparse log to equal the model: restore maintains the index like any other
 // write path.
 func TestStoreModelAfterChangelogRestore(t *testing.T) {
@@ -256,11 +241,7 @@ func TestStoreModelAfterChangelogRestore(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cs.SetWriteBatchSize(8)
 		m, everSeen := runStoreModel(t, cs, seed, 3000)
-		if err := cs.Flush(); err != nil {
-			t.Fatal(err)
-		}
 		if seed%2 == 0 {
 			if err := broker.Compact(topic); err != nil {
 				t.Fatal(err)

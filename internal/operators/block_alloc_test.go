@@ -34,10 +34,12 @@ var int64Kinds = []vec.Kind{vec.Int64, vec.Int64, vec.Int64}
 // per-row allocation cost. A fresh tuple's contribution is appended to its
 // partition's resident tail-chunk image and the block's writes leave through
 // one arena-backed write batch, so the operator itself allocates per distinct
-// key per block (the store's copies of the tail chunk, the block-state map
-// key), not per row: of the ~1.06 allocs/row measured, 1.0 is the boxed view
-// of the timestamp column the ORDER BY evaluator reads (the scan stage boxed
-// it before the column vectors were typed).
+// key per block (the state row's decode and encode — the accumulator snapshot
+// goes through ObjectSerde — the store's copies of the tail chunk and state
+// row, the block-state map key), not per row: of the ~1.42 allocs/row
+// measured with four keys per block, 1.0 is the boxed view of the timestamp
+// column the ORDER BY evaluator reads (the scan stage boxed it before the
+// column vectors were typed).
 // The budget leaves headroom for aggregate values too large for the
 // runtime's small-integer boxes.
 func TestSlidingWindowBlockAllocBudget(t *testing.T) {
@@ -45,11 +47,9 @@ func TestSlidingWindowBlockAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The production perf configuration: an object-caching store, so window
-	// states stay resident as decoded objects between blocks.
-	cached := kv.NewCachedStore(kv.NewStore(), 1<<12, 0)
+	store := kv.NewStore()
 	ctx := &OpContext{
-		Store:   func(string) kv.Store { return cached },
+		Store:   func(string) kv.Store { return store },
 		Metrics: metrics.NewRegistry(),
 	}
 	if err := op.Open(ctx); err != nil {
@@ -73,7 +73,7 @@ func TestSlidingWindowBlockAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	runBlock() // warm the scratch arenas and resident states
+	runBlock() // warm the scratch arenas and the state pool
 	allocs := testing.AllocsPerRun(50, runBlock)
 	perRow := allocs / block
 	t.Logf("vectorized sliding window: %.2f allocs/row (%.0f per %d-row block)", perRow, allocs, block)

@@ -14,7 +14,7 @@ import (
 // block, encode each group/join key once per distinct key (adjacent equal
 // keys are run-detected, the single-int64 memo catches repeats across
 // runs), load every distinct key's state through one batched store read
-// (kv.GetMany / ObjectCache.GetObjectMany), fold all of the key's rows, and
+// (kv.GetMany), fold all of the key's rows, and
 // write the state back once per key per block instead of once per tuple.
 //
 // Output rows are emitted in input-row order (window emissions in window-end
@@ -139,7 +139,7 @@ func (o *SlidingWindowOp) processCallBlock(c *analyticState, b *TupleBlock, outC
 	o.blkPks = pks
 
 	// Pass 2: distinct state keys in first-touch order, then one batched
-	// load through the cache/store stack.
+	// load through the store stack.
 	states := o.resetBlockStates()
 	keys := o.blkKeys[:0]
 	for _, pk := range pks {
@@ -210,11 +210,10 @@ func (o *SlidingWindowOp) processCallBlock(c *analyticState, b *TupleBlock, outC
 }
 
 // loadTailsBatch makes the tail chunk image of every block state resident
-// with one batched chunk read; states whose image is already resident (the
-// object cache kept them) and empty deques cost nothing.
+// with one batched chunk read; empty deques cost nothing.
 func (o *SlidingWindowOp) loadTailsBatch(c *analyticState, keys [][]byte, states map[string]*windowState) error {
 	want := o.blkTails[:0]
-	ckeys := o.blkMiss[:0]
+	ckeys := o.blkChunks[:0]
 	for _, sk := range keys {
 		ws := states[string(sk)]
 		switch {
@@ -226,7 +225,7 @@ func (o *SlidingWindowOp) loadTailsBatch(c *analyticState, keys [][]byte, states
 			ckeys = append(ckeys, o.arenaCopy(appendChunkKey(o.kbuf[:0], c.idx, sk[stateKeyPrefix:], ws.tailSeq)))
 		}
 	}
-	o.blkTails, o.blkMiss = want[:0], ckeys[:0]
+	o.blkTails, o.blkChunks = want[:0], ckeys[:0]
 	if len(want) == 0 {
 		return nil
 	}
@@ -236,7 +235,7 @@ func (o *SlidingWindowOp) loadTailsBatch(c *analyticState, keys [][]byte, states
 		vals = append(vals, nil)
 		oks = append(oks, false)
 	}
-	kv.GetMany(o.chunkStore, ckeys, vals, oks)
+	kv.GetMany(o.store, ckeys, vals, oks)
 	o.blkVals, o.blkOks = vals[:0], oks[:0]
 	for i, ws := range want {
 		if !oks[i] {
@@ -263,55 +262,23 @@ func (o *SlidingWindowOp) resetBlockStates() map[string]*windowState {
 	return o.blkStates
 }
 
-// loadStatesBatch fills the block state map for the distinct state keys:
-// cache-resident decoded states come from one GetObjectMany, everything
-// else from one batched byte read (which, over a CachedStore, also caches
-// the entries exactly as a point Get would).
+// loadStatesBatch fills the block state map for the distinct state keys
+// from one batched byte read.
 func (o *SlidingWindowOp) loadStatesBatch(c *analyticState, keys [][]byte, states map[string]*windowState) error {
-	miss := keys
-	if o.cache != nil {
-		objs := o.blkObjs[:0]
-		oks := o.blkOks[:0]
-		for range keys {
-			objs = append(objs, nil)
-			oks = append(oks, false)
-		}
-		o.cache.GetObjectMany(keys, objs, oks)
-		miss = o.blkMiss[:0]
-		for i, k := range keys {
-			if oks[i] {
-				states[string(k)] = objs[i].(*windowState)
-			} else {
-				miss = append(miss, k)
-			}
-		}
-		o.blkMiss = miss
-		o.blkObjs = objs[:0]
+	vals := o.blkVals[:0]
+	oks := o.blkOks[:0]
+	for range keys {
+		vals = append(vals, nil)
+		oks = append(oks, false)
 	}
-	if len(miss) > 0 {
-		vals := o.blkVals[:0]
-		oks := o.blkOks[:0]
-		for range miss {
-			vals = append(vals, nil)
-			oks = append(oks, false)
+	kv.GetMany(o.store, keys, vals, oks)
+	o.blkVals, o.blkOks = vals[:0], oks[:0]
+	for i, k := range keys {
+		ws, err := o.decodeCallState(c, vals[i], oks[i])
+		if err != nil {
+			return err
 		}
-		kv.GetMany(o.store, miss, vals, oks)
-		for j, k := range miss {
-			ws, err := o.decodeCallState(c, vals[j], oks[j])
-			if err != nil {
-				return err
-			}
-			if o.cache != nil {
-				o.cache.CacheObject(k, ws)
-			}
-			states[string(k)] = ws
-		}
-		o.blkVals, o.blkOks = vals[:0], oks[:0]
-	}
-	// Clear dirty flags: cached state objects are shared with earlier
-	// blocks and may carry stale marks.
-	for _, k := range keys {
-		states[string(k)].dirty = false
+		states[string(k)] = ws
 	}
 	return nil
 }
@@ -630,9 +597,8 @@ func (o *StreamAggregateOp) processWindowedBlock(b *TupleBlock, out *TupleBlock)
 // planner routes accordingly). A relation-side block becomes one
 // write batch and emits nothing. A stream-side block evaluates the join key
 // columnarly, encodes every row's state key into one arena, resolves each
-// distinct key once through one batched read (decoded-object cache first,
-// then bytes decoded into a per-block row arena), and emits the matching
-// combined rows in input order.
+// distinct key once through one batched read decoded into a per-block row
+// arena, and emits the matching combined rows in input order.
 //
 //samzasql:hotpath
 func (o *StreamRelationJoinOp) ProcessBlock(side int, b *TupleBlock, emit BlockEmit) error {
@@ -727,30 +693,15 @@ func (o *StreamRelationJoinOp) ProcessBlock(side int, b *TupleBlock, emit BlockE
 	return emit(out)
 }
 
-// processRelationBlock applies a block of relation changelog rows. Without
-// an object cache the rows are encoded back to back into one value arena
-// and handed to the store as a single write batch — one lock acquisition,
-// one latency observation and one changelog produce for the block instead of
-// one per row. With the cache each row is kept decoded (PutObject), encoding
-// deferred to the cache's own write-behind batch.
+// processRelationBlock applies a block of relation changelog rows: the rows
+// are encoded back to back into one value arena and handed to the store as a
+// single write batch — one lock acquisition, one latency observation and one
+// changelog produce for the block instead of one per row.
 //
 //samzasql:hotpath
 func (o *StreamRelationJoinOp) processRelationBlock(b *TupleBlock, row []any) error {
 	all := b.allCols()
 	b.box(all)
-	if o.cache != nil {
-		for _, r := range b.Sel {
-			row = b.gather(r, row, all)
-			rk, err := o.relationKey(o.kbuf[:0], row)
-			if err != nil {
-				return err
-			}
-			o.kbuf = rk
-			// The cache retains the row; hand over an owned copy.
-			o.cache.PutObject(rk, append([]any(nil), row...), o.encRow)
-		}
-		return nil
-	}
 	keys := o.keyArena[:0]
 	vals := o.valArena[:0]
 	ops := o.blkOps[:0]
@@ -772,71 +723,32 @@ func (o *StreamRelationJoinOp) processRelationBlock(b *TupleBlock, row []any) er
 }
 
 // resolveRelBatch returns the relation row of each distinct key (nil where
-// the relation has none), index-aligned with keys: decoded rows from one
-// GetObjectMany when the cache is on, everything else through one batched
-// byte read decoded into the block's row arena — or, when the cache will
-// memoize the row, into a row of its own.
+// the relation has none), index-aligned with keys, through one batched byte
+// read decoded into the block's row arena.
 //
 //samzasql:hotpath
 func (o *StreamRelationJoinOp) resolveRelBatch(keys [][]byte) ([][]any, error) {
 	rel := o.blkRel[:0]
-	for range keys {
-		rel = append(rel, nil)
-	}
-	o.blkRel = rel
-	// miss lists the keys the byte read has to resolve and missAt their
-	// positions in keys; without the cache that is every key, in place.
-	miss, missAt := keys, o.blkMissAt[:0]
-	if o.cache != nil {
-		objs := o.blkObjs[:0]
-		oks := o.blkOks[:0]
-		for range keys {
-			objs = append(objs, nil)
-			oks = append(oks, false)
-		}
-		o.cache.GetObjectMany(keys, objs, oks)
-		miss = o.blkMiss[:0]
-		for i, k := range keys {
-			if oks[i] {
-				rel[i] = objs[i].([]any)
-			} else {
-				miss = append(miss, k)
-				missAt = append(missAt, int32(i))
-			}
-		}
-		o.blkObjs, o.blkOks, o.blkMiss, o.blkMissAt = objs[:0], oks[:0], miss[:0], missAt[:0]
-	}
-	if len(miss) == 0 {
-		return rel, nil
-	}
 	vals := o.blkVals[:0]
 	oks := o.blkOks[:0]
-	for range miss {
+	for range keys {
+		rel = append(rel, nil)
 		vals = append(vals, nil)
 		oks = append(oks, false)
 	}
-	o.blkVals, o.blkOks = vals[:0], oks[:0]
+	o.blkRel, o.blkVals, o.blkOks = rel, vals[:0], oks[:0]
 	arity := o.relCodec.Arity()
-	if need := len(miss) * arity; cap(o.rowArena) < need {
+	if need := len(keys) * arity; cap(o.rowArena) < need {
 		o.rowArena = make([]any, need)
 	}
-	kv.GetMany(o.store, miss, vals, oks)
-	for j, k := range miss {
-		if !oks[j] {
+	kv.GetMany(o.store, keys, vals, oks)
+	for i := range keys {
+		if !oks[i] {
 			continue
 		}
-		i := j
-		relRow := o.rowArena[j*arity : (j+1)*arity : (j+1)*arity]
-		if o.cache != nil {
-			// The cache memoizes the row, so it needs one of its own.
-			i = int(missAt[j])
-			relRow = make([]any, arity)
-		}
-		if err := o.relCodec.Decode(vals[j], relRow); err != nil {
+		relRow := o.rowArena[i*arity : (i+1)*arity : (i+1)*arity]
+		if err := o.relCodec.Decode(vals[i], relRow); err != nil {
 			return nil, fmt.Errorf("operators: relation row decode: %w", err)
-		}
-		if o.cache != nil {
-			o.cache.CacheObject(k, relRow)
 		}
 		rel[i] = relRow
 	}
@@ -846,8 +758,8 @@ func (o *StreamRelationJoinOp) resolveRelBatch(keys [][]byte) ([][]any, error) {
 // ----- StreamStreamJoinOp -----
 
 // ProcessBlock implements Operator: the windowed side state stays
-// range-probed per tuple (write-once keys a point cache or batched point
-// read cannot serve), but dispatch and instrumentation amortize over the
+// range-probed per tuple (write-once keys a batched point read cannot
+// serve), but dispatch and instrumentation amortize over the
 // block and all matches are assembled into one output block, emitted in
 // probe order.
 //

@@ -60,11 +60,6 @@ type StreamRelationJoinOp struct {
 
 	store    kv.Store
 	relCodec *serde.RowCodec
-	// cache, when the task store supports it, memoizes decoded relation rows
-	// so repeated probes of a hot key skip the decode. encRow re-encodes a
-	// cached row when a relation update defers its serialization.
-	cache  kv.ObjectCache
-	encRow kv.ObjectEncoder
 
 	// msgKeyKind is the layout of the relation's join column when the
 	// relation's changelog is keyed by that column (SetRelationKeyedBy), so
@@ -92,10 +87,7 @@ type StreamRelationJoinOp struct {
 	blkSlot     []int32
 	blkRel      [][]any
 	blkKeys     [][]byte
-	blkMiss     [][]byte
-	blkMissAt   []int32
 	blkVals     [][]byte
-	blkObjs     []any
 	blkOks      []bool
 	blkOps      []kv.WriteOp
 }
@@ -151,11 +143,6 @@ func (o *StreamRelationJoinOp) SetRelationKeyedBy(t types.Type) {
 // Open implements Operator.
 func (o *StreamRelationJoinOp) Open(ctx *OpContext) error {
 	o.store = ctx.Store(JoinStoreName)
-	if c, ok := o.store.(kv.ObjectCache); ok {
-		o.cache = c
-		// Bound once; handed to the cache per update.
-		o.encRow = func(obj any) ([]byte, error) { return o.relCodec.AppendEncode(nil, obj.([]any)) }
-	}
 	if ctx.Metrics != nil {
 		o.tombstonesSkipped = ctx.Metrics.Counter(TombstonesSkippedMetric)
 	}
@@ -187,9 +174,8 @@ func (o *StreamRelationJoinOp) relationKey(dst []byte, row []any) ([]byte, error
 // DeleteRelation applies a relation tombstone — a nil-value message on the
 // relation's changelog, how a compacted topic deletes a row. When the
 // changelog is keyed by the join column the message key names the state row,
-// which is deleted from the store (and with it from the object cache, whose
-// entry becomes a buffered tombstone); otherwise nothing identifies the row
-// and the tombstone is skipped and counted.
+// which is deleted from the store; otherwise nothing identifies the row and
+// the tombstone is skipped and counted.
 func (o *StreamRelationJoinOp) DeleteRelation(msgKey []byte) error {
 	kval, ok := parseMessageKey(o.msgKeyKind, msgKey)
 	if !ok {
@@ -301,12 +287,6 @@ func NewStreamStreamJoinOp(info *validate.JoinInfo, left, right *types.RowType) 
 // Open implements Operator.
 func (o *StreamStreamJoinOp) Open(ctx *OpContext) error {
 	o.store = ctx.Store(JoinStoreName)
-	// Windowed side state is write-once and probed/purged with per-tuple
-	// range scans; an LRU point cache cannot help it, and ranging through
-	// the cache would flush the write batch on every probe. Bypass it.
-	if c, ok := o.store.(kv.ObjectCache); ok {
-		o.store = c.Uncached()
-	}
 	return nil
 }
 
@@ -314,8 +294,7 @@ func (o *StreamStreamJoinOp) Open(ctx *OpContext) error {
 // right stream): store the tuple on its own side, probe the opposite side's
 // window, append every match to the output block under the row's timestamp,
 // message key and offset, then purge. State access stays range-based per
-// tuple — write-once windowed side state cannot use the point cache or the
-// batched point reads.
+// tuple — write-once windowed side state cannot use batched point reads.
 func (o *StreamStreamJoinOp) processOne(side int, row []any, ts, offset int64, key []byte) error {
 	if side != LeftSide && side != RightSide {
 		return fmt.Errorf("operators: bad join side %d", side)

@@ -545,12 +545,9 @@ func TestSlidingWindowOutOfOrderGolden(t *testing.T) {
 			}
 			for _, bs := range sizes {
 				broker := kafka.NewBroker()
-				op, cl := changelogWindowOp(t, broker, 1, spec)
+				op := changelogWindowOp(t, broker, spec)
 				out := map[int64]string{}
 				feedWindow(t, op, rows, 0, len(rows), bs, out)
-				if err := cl.Flush(); err != nil {
-					t.Fatal(err)
-				}
 				got, want := windowGolden{windowDigest(out, len(rows)), stateDigest(t, broker)}, goldens[fn+" "+mode]
 				if got != want {
 					t.Fatalf("%s %s batch=%d: digests %+v, want the recorded %+v", fn, mode, bs, got, want)
@@ -578,18 +575,12 @@ func TestSlidingWindowRestoreMidTailChunk(t *testing.T) {
 			// The first task stops a few entries into a tail chunk.
 			stopAt := 2*chunkCap + chunkCap/3
 			broker := kafka.NewBroker()
-			op, cl := changelogWindowOp(t, broker, 1, spec)
+			op := changelogWindowOp(t, broker, spec)
 			out := map[int64]string{}
 			feedWindow(t, op, rows, 0, stopAt, bs, out)
-			if err := cl.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			op, cl = changelogWindowOp(t, broker, 1, spec)
+			op = changelogWindowOp(t, broker, spec)
 			// The last committed rows replay, then new ones arrive.
 			feedWindow(t, op, rows, stopAt-5, len(rows), bs, out)
-			if err := cl.Flush(); err != nil {
-				t.Fatal(err)
-			}
 			for i := range rows {
 				if got, want := out[int64(i)], fmt.Sprint([]any{ref[i]}); got != want {
 					t.Fatalf("rows=%d batch=%d: offset %d emitted %s, want %s", frameRows, bs, i, got, want)
@@ -597,11 +588,8 @@ func TestSlidingWindowRestoreMidTailChunk(t *testing.T) {
 			}
 			// An uninterrupted task leaves the same state behind.
 			whole := kafka.NewBroker()
-			op, cl = changelogWindowOp(t, whole, 1, spec)
+			op = changelogWindowOp(t, whole, spec)
 			feedWindow(t, op, rows, 0, len(rows), bs, map[int64]string{})
-			if err := cl.Flush(); err != nil {
-				t.Fatal(err)
-			}
 			if got, want := fmt.Sprint(foldedChangelog(t, broker)), fmt.Sprint(foldedChangelog(t, whole)); got != want {
 				t.Fatalf("rows=%d batch=%d: restored task left different state than an uninterrupted one", frameRows, bs)
 			}

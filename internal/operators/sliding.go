@@ -42,26 +42,13 @@ const chunkCap = 64
 // Every store write one block causes goes down as a single kv write batch,
 // which the changelog never splits, so a restored state row always finds the
 // chunks its cursors point into.
-//
-// When the job enables the store cache (JobSpec.StoreCacheSize), the state
-// rows stay resident as decoded windowState objects together with their
-// head and tail chunk images: a cache-hit partition pays no state decode, no
-// chunk read and no state encode (encoding defers to commit flush or
-// eviction). Chunks are rewritten, never re-read point-wise while their
-// state is resident, so they route to the uncached layer.
 type SlidingWindowOp struct {
 	calls []*analyticState
 	// refs are the input columns the calls' expressions read.
-	refs  []int
-	store kv.Store
-	// cache is non-nil when the task store supports object caching;
-	// chunkStore is then the layer underneath it, and the store itself
-	// otherwise.
-	cache      kv.ObjectCache
-	chunkStore kv.Store
-	encState   kv.ObjectEncoder
-	obj        serde.ObjectSerde
-	sources    sourceKeys
+	refs    []int
+	store   kv.Store
+	obj     serde.ObjectSerde
+	sources sourceKeys
 	// srcNames interns the source names of decoded offset vectors.
 	srcNames map[string]string
 
@@ -74,15 +61,13 @@ type SlidingWindowOp struct {
 	// the order they were caused. Keys and values alias arena, which is
 	// reset with the batch. rolled indexes the puts of chunks that filled up
 	// since the last flush — the only chunks a read can want before the
-	// store has them. With the object cache on, state rows wait in
-	// cachePuts instead and reach the cache right after the batch.
-	ops       []kv.WriteOp
-	arena     []byte
-	rolled    []int
-	cachePuts []cachePut
+	// store has them.
+	ops    []kv.WriteOp
+	arena  []byte
+	rolled []int
 
 	// pool recycles windowState objects (and the chunk images they own)
-	// between batches when no cache retains them.
+	// between batches.
 	pool     []*windowState
 	poolUsed int
 
@@ -97,9 +82,8 @@ type SlidingWindowOp struct {
 	blkReplay  []bool
 	blkStates  map[string]*windowState
 	blkKeys    [][]byte
-	blkMiss    [][]byte
+	blkChunks  [][]byte
 	blkVals    [][]byte
-	blkObjs    []any
 	blkOks     []bool
 	blkTails   []*windowState
 }
@@ -130,13 +114,6 @@ type windowState struct {
 	// tailDirty marks a tail image the store has not seen; dirty marks a
 	// state modified since its last save.
 	tailDirty, dirty bool
-}
-
-// cachePut is a state the object cache takes over once the write batch that
-// carries its chunks is down.
-type cachePut struct {
-	key []byte
-	ws  *windowState
 }
 
 type analyticState struct {
@@ -232,15 +209,7 @@ func NewSlidingWindowOp(calls []*validate.BoundAnalytic) (*SlidingWindowOp, erro
 // Open implements Operator.
 func (o *SlidingWindowOp) Open(ctx *OpContext) error {
 	o.store = ctx.Store(SlidingStoreName)
-	o.chunkStore = o.store
 	o.srcNames = map[string]string{}
-	if c, ok := o.store.(kv.ObjectCache); ok {
-		o.cache = c
-		o.chunkStore = c.Uncached()
-		// Bound once: a method value allocates, and the encoder is handed to
-		// the cache on every state save.
-		o.encState = o.encodeState
-	}
 	return nil
 }
 
@@ -586,7 +555,7 @@ func (o *SlidingWindowOp) readChunk(c *analyticState, pk []byte, seq uint64, n i
 		}
 	}
 	if !found {
-		v, found = o.chunkStore.Get(o.kbuf)
+		v, found = o.store.Get(o.kbuf)
 	}
 	if !found {
 		return nil, errMissingChunk(seq)
@@ -628,8 +597,7 @@ func (o *SlidingWindowOp) arenaCopy(b []byte) []byte {
 }
 
 // stageState queues a modified state for the next flush: its tail chunk when
-// the image changed, then the state row — encoded into the batch, or set
-// aside for the object cache, which defers the encode to its own flush.
+// the image changed, then the state row encoded into the batch.
 func (o *SlidingWindowOp) stageState(c *analyticState, sk, pk []byte, ws *windowState) {
 	if ws.tailDirty {
 		o.kbuf = appendChunkKey(o.kbuf[:0], c.idx, pk, ws.tailSeq)
@@ -638,25 +606,16 @@ func (o *SlidingWindowOp) stageState(c *analyticState, sk, pk []byte, ws *window
 	}
 	ws.dirty = false
 	sk = o.arenaCopy(sk)
-	if o.cache != nil {
-		o.cachePuts = append(o.cachePuts, cachePut{key: sk, ws: ws})
-		return
-	}
 	start := len(o.arena)
 	o.arena = o.appendState(o.arena, ws)
 	o.ops = append(o.ops, kv.WriteOp{Key: sk, Value: o.arena[start:len(o.arena):len(o.arena)]})
 }
 
 // flushWrites hands the pending batch to the store as one kv write batch
-// and recycles the states the batch covered. Cached states follow their
-// chunks, never precede them: a state row that reached the changelog ahead
-// of the entries its tail cursor counts could not be restored.
+// and recycles the states the batch covered.
 func (o *SlidingWindowOp) flushWrites() {
 	if len(o.ops) > 0 {
-		kv.WriteMany(o.chunkStore, o.ops)
-	}
-	for i := range o.cachePuts {
-		o.cache.PutObject(o.cachePuts[i].key, o.cachePuts[i].ws, o.encState)
+		kv.WriteMany(o.store, o.ops)
 	}
 	o.discardWrites()
 }
@@ -664,16 +623,12 @@ func (o *SlidingWindowOp) flushWrites() {
 // discardWrites drops the pending batch unwritten — the error path: a block
 // that failed leaves the store as it found it.
 func (o *SlidingWindowOp) discardWrites() {
-	o.ops, o.arena, o.rolled, o.cachePuts = o.ops[:0], o.arena[:0], o.rolled[:0], o.cachePuts[:0]
+	o.ops, o.arena, o.rolled = o.ops[:0], o.arena[:0], o.rolled[:0]
 	o.poolUsed = 0
 }
 
-// newState returns an empty windowState for call c: a recycled one, or —
-// when the object cache will retain it — a fresh one.
+// newState returns an empty, recycled windowState for call c.
 func (o *SlidingWindowOp) newState(c *analyticState) *windowState {
-	if o.cache != nil {
-		return &windowState{acc: c.newAcc()}
-	}
 	if o.poolUsed == len(o.pool) {
 		o.pool = append(o.pool, &windowState{})
 	}
@@ -799,13 +754,6 @@ func (o *SlidingWindowOp) appendState(buf []byte, ws *windowState) []byte {
 		panic(fmt.Sprintf("operators: window accumulator snapshot: %v", err))
 	}
 	return append(buf, snap...)
-}
-
-// encodeState is the deferred ObjectEncoder for cached window state; the
-// cache invokes it at commit flush or eviction, so a partition rewritten N
-// times per interval is encoded once.
-func (o *SlidingWindowOp) encodeState(obj any) ([]byte, error) {
-	return o.appendState(nil, obj.(*windowState)), nil
 }
 
 // decodeCallState builds a windowState from stored bytes; ok=false yields a

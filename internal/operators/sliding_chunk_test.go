@@ -95,13 +95,12 @@ const windowChangelog = "window-changelog"
 // changelogWindowOp opens a sliding-window operator over a fresh store
 // mirrored to the broker's window changelog (restored from it first, the
 // way a restarted task comes up).
-func changelogWindowOp(t *testing.T, broker *kafka.Broker, writeBatch int, specs ...*validate.BoundAnalytic) (*SlidingWindowOp, *kv.ChangelogStore) {
+func changelogWindowOp(t *testing.T, broker *kafka.Broker, specs ...*validate.BoundAnalytic) *SlidingWindowOp {
 	t.Helper()
 	cl, err := kv.NewChangelogStore(kv.NewStore(), broker, windowChangelog, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl.SetWriteBatchSize(writeBatch)
 	if err := cl.Restore(); err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +112,7 @@ func changelogWindowOp(t *testing.T, broker *kafka.Broker, writeBatch int, specs
 	if err := op.Open(ctx); err != nil {
 		t.Fatal(err)
 	}
-	return op, cl
+	return op
 }
 
 // foldedChangelog folds the window changelog last-write-wins per key, the
@@ -285,12 +284,9 @@ func TestSlidingWindowChunkBoundaries(t *testing.T) {
 			}
 			for _, bs := range windowBlockSizes() {
 				broker := kafka.NewBroker()
-				op, cl := changelogWindowOp(t, broker, 1, p.specs...)
+				op := changelogWindowOp(t, broker, p.specs...)
 				out := map[int64]string{}
 				feedWindow(t, op, rows, 0, n, bs, out)
-				if err := cl.Flush(); err != nil {
-					t.Fatal(err)
-				}
 				for i := range rows {
 					want := make([]any, len(refs))
 					for c := range refs {
@@ -357,12 +353,9 @@ func TestSlidingWindowNonIntegerContributions(t *testing.T) {
 			broker := kafka.NewBroker()
 			spec := slidingSpec(c.fn, 0, frameRows, false)
 			spec.T = c.t
-			op, cl := changelogWindowOp(t, broker, 1, spec)
+			op := changelogWindowOp(t, broker, spec)
 			out := map[int64]string{}
 			feedWindowArgs(t, op, rows, c.args, 0, n, bs, out)
-			if err := cl.Flush(); err != nil {
-				t.Fatal(err)
-			}
 			for i := range rows {
 				if got, want := out[int64(i)], fmt.Sprint([]any{c.want(i)}); got != want {
 					t.Fatalf("%s batch=%d offset %d: emitted %s, want %s", c.fn, bs, i, got, want)
@@ -376,16 +369,15 @@ func TestSlidingWindowNonIntegerContributions(t *testing.T) {
 }
 
 // TestSlidingWindowCrashPointSweep crashes a changelog-backed window task at
-// every point of an interval after a commit — the changelog's write-batch
-// cap small enough that early flushes land all through the interval — then
-// restores from the changelog, replays from the committed offset, and
-// requires every row to come out exactly as the uncrashed run emits it, and
-// the changelog to fold to the state the per-tuple reference left after the
-// same crash. An early flush that split one block's writes would restore a
-// state row whose accumulator and deque disagree, and the sums after the
-// crash would stay wrong.
+// every point of an interval after a commit, then restores from the
+// changelog, replays from the committed offset, and requires every row to
+// come out exactly as the uncrashed run emits it, and the changelog to fold
+// to the state the per-tuple reference left after the same crash. The
+// write-through changelog holds every block the task finished, so the replay
+// must recognise the already-applied offsets; a block whose writes reached
+// the log split would restore a state row whose accumulator and deque
+// disagree, and the sums after the crash would stay wrong.
 func TestSlidingWindowCrashPointSweep(t *testing.T) {
-	const writeBatch = 7
 	sweeps := []struct {
 		name        string
 		batch       int
@@ -417,19 +409,14 @@ func TestSlidingWindowCrashPointSweep(t *testing.T) {
 			diverged := 0
 			for _, crashAt := range sw.crashes {
 				broker := kafka.NewBroker()
-				op, cl := changelogWindowOp(t, broker, writeBatch, spec)
+				op := changelogWindowOp(t, broker, spec)
 				out := map[int64]string{}
 				feedWindow(t, op, rows, 0, sw.commitAt, sw.batch, out)
-				if err := cl.Flush(); err != nil { // the commit
-					t.Fatal(err)
-				}
+				// The commit: offsets up to sw.commitAt are checkpointed.
 				feedWindow(t, op, rows, sw.commitAt, crashAt, sw.batch, out)
-				// Crash: whatever the changelog store still buffers is lost.
-				op, cl = changelogWindowOp(t, broker, writeBatch, spec)
+				// Crash: restart from the changelog and the committed offset.
+				op = changelogWindowOp(t, broker, spec)
 				feedWindow(t, op, rows, sw.commitAt, sw.n, sw.batch, out)
-				if err := cl.Flush(); err != nil {
-					t.Fatal(err)
-				}
 				if got := (windowGolden{windowDigest(out, sw.n), stateDigest(t, broker)}); got != want {
 					t.Errorf("crash at %d: digests %+v, want the per-tuple reference's %+v", crashAt, got, want)
 				}

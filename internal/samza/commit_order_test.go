@@ -7,15 +7,15 @@ import (
 	"strconv"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"samzasql/internal/kafka"
 	"samzasql/internal/kv"
-	"time"
 )
 
 // incrementTask keeps one counter per key in a changelog-backed store and
-// injects a crash mid-commit-interval, after buffered (unflushed) writes
-// have accumulated.
+// injects a crash mid-commit-interval, after the crashing message's own
+// increment has been written.
 type incrementTask struct {
 	ctx       *TaskContext
 	crashed   *atomic.Bool
@@ -38,7 +38,7 @@ func (t *incrementTask) Process(env IncomingMessageEnvelope, c MessageCollector,
 	}
 	st.Put(env.Key, []byte(strconv.FormatInt(n+1, 10)))
 	if t.delivered.Add(1) == t.crashAt && t.crashed.CompareAndSwap(false, true) {
-		return errors.New("injected crash with unflushed batch writes")
+		return errors.New("injected crash after the increment was written")
 	}
 	t.lastOff = env.Offset
 	if env.Offset == t.lastExpectedOffset() {
@@ -49,102 +49,95 @@ func (t *incrementTask) Process(env IncomingMessageEnvelope, c MessageCollector,
 
 func (t *incrementTask) lastExpectedOffset() int64 { return 999 }
 
-// TestCrashMidBatchReplaysExactly proves the commit-order invariant end to
-// end: store flush precedes the offset checkpoint, and writes buffered after
-// the last commit die with the crash instead of reaching the changelog. The
-// restarted task therefore resumes from state that matches the committed
-// offsets exactly, and replaying the uncommitted suffix recomputes — not
-// double-applies — each increment: final counts come out exactly-once even
-// though delivery is at-least-once. Runs with the object cache enabled and
-// disabled; the batched changelog alone provides the invariant in both.
-func TestCrashMidBatchReplaysExactly(t *testing.T) {
+// TestCrashReplaysOntoStateAheadOfOffsets pins the commit-order guarantee of
+// the write-through store stack end to end: every store write reaches the
+// changelog before it returns, so the state a restarted task restores is at
+// or ahead of its committed offsets, never behind. The task counts messages
+// per key without tracking offsets in its state, so the replayed suffix —
+// the offsets between the last commit and the crash — is applied a second
+// time, and exactly once more: each key's final count is total/keys plus
+// the number of its replayed deliveries. A count below that would mean
+// state restored behind the offsets (increments lost); above it, a replay
+// reaching back past the last commit.
+func TestCrashReplaysOntoStateAheadOfOffsets(t *testing.T) {
 	const (
-		total   = 1000
-		keys    = 20
-		crashAt = 350 // after 3 commits of 100, mid-interval
+		total       = 1000
+		keys        = 20
+		commitEvery = 100
+		crashAt     = 350 // the 350th delivery, offset 349: after commits at 100/200/300
 	)
-	for _, tc := range []struct {
-		name      string
-		cacheSize int
-	}{
-		{"cached", 64},
-		{"uncached", 0},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			b, r := testEnv()
-			if err := b.CreateTopic("in", kafka.TopicConfig{Partitions: 1}); err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < total; i++ {
-				_, err := b.Produce("in", kafka.Message{
-					Partition: 0,
-					Key:       []byte(fmt.Sprintf("k%02d", i%keys)),
-					Value:     []byte("x"),
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-			}
-
-			var crashed, done atomic.Bool
-			var delivered atomic.Int64
-			job := &JobSpec{
-				Name:           "crash-batch-" + tc.name,
-				Inputs:         []StreamSpec{{Topic: "in"}},
-				Stores:         []StoreSpec{{Name: "counts", Changelog: true}},
-				CommitEvery:    100,
-				MaxRestarts:    2,
-				StoreCacheSize: tc.cacheSize,
-				// Opt into commit-scoped batching with a cap no mid-interval
-				// write count reaches: nothing hits the changelog between
-				// commits, which is the semantics under test.
-				WriteBatchSize: 1000,
-				TaskFactory: func() StreamTask {
-					return &incrementTask{crashed: &crashed, delivered: &delivered, done: &done, crashAt: crashAt}
-				},
-			}
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			rj, err := r.Submit(ctx, job)
-			if err != nil {
-				t.Fatal(err)
-			}
-			waitFor(t, 10*time.Second, done.Load, "last input offset processed after crash")
-			rj.Stop() // final commit flushes the store stack onto the changelog
-
-			if !crashed.Load() {
-				t.Fatal("crash was never injected")
-			}
-			if delivered.Load() <= total {
-				t.Fatalf("delivered %d messages; expected a replayed suffix beyond %d", delivered.Load(), total)
-			}
-
-			// Rebuild the state from the changelog exactly as a restarted task
-			// would and require every counter to be exact: any buffered write
-			// that leaked past the last checkpoint would double-count its
-			// replayed increments.
-			restored, err := kv.NewChangelogStore(kv.NewStore(), b, job.ChangelogTopic("counts"), 1, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := restored.Restore(); err != nil {
-				t.Fatal(err)
-			}
-			if restored.Len() != keys {
-				t.Fatalf("restored %d keys, want %d", restored.Len(), keys)
-			}
-			for k := 0; k < keys; k++ {
-				key := []byte(fmt.Sprintf("k%02d", k))
-				v, ok := restored.Get(key)
-				if !ok {
-					t.Fatalf("key %s missing from final state", key)
-				}
-				n, _ := strconv.ParseInt(string(v), 10, 64)
-				if n != total/keys {
-					t.Fatalf("key %s = %d, want exactly %d (state ran ahead of or behind committed offsets)",
-						key, n, total/keys)
-				}
-			}
+	b, r := testEnv()
+	if err := b.CreateTopic("in", kafka.TopicConfig{Partitions: 1}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < total; i++ {
+		_, err := b.Produce("in", kafka.Message{
+			Partition: 0,
+			Key:       []byte(fmt.Sprintf("k%02d", i%keys)),
+			Value:     []byte("x"),
 		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var crashed, done atomic.Bool
+	var delivered atomic.Int64
+	job := &JobSpec{
+		Name:        "crash-replay",
+		Inputs:      []StreamSpec{{Topic: "in"}},
+		Stores:      []StoreSpec{{Name: "counts", Changelog: true}},
+		CommitEvery: commitEvery,
+		MaxRestarts: 2,
+		TaskFactory: func() StreamTask {
+			return &incrementTask{crashed: &crashed, delivered: &delivered, done: &done, crashAt: crashAt}
+		},
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	rj, err := r.Submit(ctx, job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 10*time.Second, done.Load, "last input offset processed after crash")
+	rj.Stop()
+
+	if !crashed.Load() {
+		t.Fatal("crash was never injected")
+	}
+	// The restart resumes from the last committed offset, 300.
+	committed := int64(crashAt / commitEvery * commitEvery)
+	replayed := map[string]int64{}
+	for off := committed; off < crashAt; off++ {
+		replayed[fmt.Sprintf("k%02d", off%keys)]++
+	}
+	if want := int64(total) + crashAt - committed; delivered.Load() != want {
+		t.Fatalf("delivered %d messages, want %d: the replay must cover offsets %d-%d exactly",
+			delivered.Load(), want, committed, crashAt-1)
+	}
+
+	// Rebuild the state from the changelog exactly as a further restart
+	// would.
+	restored, err := kv.NewChangelogStore(kv.NewStore(), b, job.ChangelogTopic("counts"), 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := restored.Restore(); err != nil {
+		t.Fatal(err)
+	}
+	if restored.Len() != keys {
+		t.Fatalf("restored %d keys, want %d", restored.Len(), keys)
+	}
+	for k := 0; k < keys; k++ {
+		key := fmt.Sprintf("k%02d", k)
+		v, ok := restored.Get([]byte(key))
+		if !ok {
+			t.Fatalf("key %s missing from final state", key)
+		}
+		n, _ := strconv.ParseInt(string(v), 10, 64)
+		if want := total/keys + replayed[key]; n != want {
+			t.Fatalf("key %s = %d, want %d (%d plus %d replayed deliveries): state restored behind the committed offsets or replayed past them",
+				key, n, want, total/keys, replayed[key])
+		}
 	}
 }

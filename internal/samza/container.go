@@ -125,9 +125,8 @@ type taskInstance struct {
 	ctx       *TaskContext
 	changelog []*kv.ChangelogStore
 	// flushables are the top of each store stack, flushed at commit before
-	// the offset checkpoint is written: buffered store writes and changelog
-	// records always land before the offsets covering them, so restored
-	// state is never behind committed offsets.
+	// the offset checkpoint is written, so anything a store layer still
+	// buffered lands before the offsets covering it.
 	flushables []kv.Flushable
 	processed  int // messages since last commit
 	sinceWin   int // messages since last window fire
@@ -252,24 +251,15 @@ func (c *Container) buildTask(partition, inputPartitions int32) (*taskInstance, 
 	var flushables []kv.Flushable
 	for _, spec := range c.job.Stores {
 		// Store stack, bottom to top: skiplist base, optional changelog
-		// mirroring (batched, produced at flush), latency instrumentation,
-		// optional LRU object cache with write-behind batching. Flush on the
-		// top layer cascades down, so one call drains the whole stack.
-		// WriteBatchSize <= 0 means write-through (a batch cap of one):
-		// every mirrored write reaches the changelog immediately, the
-		// seed-faithful default that keeps state ahead of offsets for
-		// replay detection. Batching is an explicit job-level opt-in.
-		batch := c.job.WriteBatchSize
-		if batch <= 0 {
-			batch = 1
-		}
+		// mirroring, latency instrumentation. The changelog writes through:
+		// every store write reaches the changelog before it returns, which
+		// keeps state ahead of offsets for replay detection.
 		s := kv.NewStore()
 		if spec.Changelog {
 			cl, err := kv.NewChangelogStore(s, c.broker, c.job.ChangelogTopic(spec.Name), inputPartitions, partition)
 			if err != nil {
 				return nil, err
 			}
-			cl.SetWriteBatchSize(batch)
 			changelogs = append(changelogs, cl)
 			s = cl
 		}
@@ -278,11 +268,6 @@ func (c *Container) buildTask(partition, inputPartitions int32) (*taskInstance, 
 		// cursor lets it double those timings as trace leaf spans when the
 		// current message is sampled.
 		kv.BindTrace(s, act)
-		if c.job.StoreCacheSize > 0 {
-			cached := kv.NewCachedStore(s, c.job.StoreCacheSize, batch)
-			cached.BindMetrics(c.Metrics, spec.Name)
-			s = cached
-		}
 		stores[spec.Name] = s
 		if f, ok := s.(kv.Flushable); ok {
 			flushables = append(flushables, f)
@@ -783,11 +768,12 @@ func (c *Container) pollTask(ctx context.Context, ti *taskInstance) (bool, error
 }
 
 // commitTask runs the task's commit sequence in Samza's order: flush the
-// store stacks (write-behind batches into the stores, buffered changelog
-// records onto their topics), then write the offset checkpoint. State on the
-// changelog is therefore always at or ahead of the committed offsets; a
-// restart replays at most the uncommitted suffix, and buffered writes that
-// never flushed are reproduced by that replay rather than lost.
+// store stacks, then write the offset checkpoint. The changelog writes
+// through, so every store write is on its topic before the offsets covering
+// it are committed: state on the changelog is always at or ahead of the
+// committed offsets. A restart replays at most the uncommitted suffix onto
+// state that already reflects it, and operators that keep input offsets in
+// their state recognise those replayed messages (§4.3).
 func (c *Container) commitTask(ti *taskInstance) error {
 	// A trace pending since the last sampled message closes here: the
 	// commit span re-activates it so the store and changelog flush spans

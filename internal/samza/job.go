@@ -60,23 +60,6 @@ type JobSpec struct {
 	// like 0. Tasks own disjoint partitions and disjoint state, so any
 	// setting preserves per-task ordering.
 	TaskParallelism int
-	// StoreCacheSize, when positive, wraps every task store in a CachedStore
-	// holding up to this many entries: an LRU of decoded values plus a
-	// deduplicating write-behind batch flushed at commit (Samza's
-	// stores.<store>.object.cache.size). 0 disables caching; stores then
-	// write through per operation as before.
-	StoreCacheSize int
-	// WriteBatchSize caps how many dirty keys (CachedStore) or mirrored
-	// changelog records (ChangelogStore) buffer before an early flush —
-	// Samza's stores.<store>.write.batch.size. <= 0 (the default) keeps
-	// write-through mirroring: every store write reaches the changelog
-	// immediately, so after a crash restored state covers everything
-	// processed and offset-tracking operators can suppress replayed output
-	// (§4.3 exactly-once). Values > 1 buffer writes until commit: state then
-	// tracks committed offsets exactly (replay recomputes rather than
-	// double-applies), at the cost of re-emitted output for the replayed
-	// suffix in tasks that rely on state-ahead replay detection.
-	WriteBatchSize int
 	// MetricsInterval, when positive, runs a MetricsSnapshotReporter per
 	// container, publishing registry snapshots to the metrics stream at this
 	// period (plus an initial snapshot at start and a final one at stop).
@@ -160,9 +143,6 @@ func (j *JobSpec) Validate() error {
 	}
 	if j.TaskParallelism < 0 {
 		return fmt.Errorf("samza: job %q has negative task parallelism %d", j.Name, j.TaskParallelism)
-	}
-	if j.StoreCacheSize < 0 {
-		return fmt.Errorf("samza: job %q has negative store cache size %d", j.Name, j.StoreCacheSize)
 	}
 	if j.TraceSampleRate < 0 || j.TraceSampleRate > 1 {
 		return fmt.Errorf("samza: job %q trace sample rate %v outside [0, 1]", j.Name, j.TraceSampleRate)
