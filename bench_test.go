@@ -396,53 +396,3 @@ func BenchmarkUsabilityLOCTable(b *testing.B) {
 		}
 	}
 }
-
-// --- Ablation 6: the §7 fast-path code generation ---
-//
-// The paper proposes closing the 30-40% filter/project gap by generating
-// code that works directly on the wire representation, fusing scan, filter,
-// project and insert. Compare the prototype pipeline, the fast path and the
-// hand-written native job.
-
-func BenchmarkAblationFastPathOff(b *testing.B) {
-	skipLongBench(b)
-	cfg := benchConfig(1)
-	var total float64
-	for i := 0; i < b.N; i++ {
-		res, err := bench.RunSQL("filter", cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		total += res.Throughput
-	}
-	b.ReportMetric(total/float64(b.N), "msgs/sec")
-}
-
-func BenchmarkAblationFastPathOn(b *testing.B) {
-	skipLongBench(b)
-	cfg := benchConfig(1)
-	cfg.FastPath = true
-	var total float64
-	for i := 0; i < b.N; i++ {
-		res, err := bench.RunSQL("filter", cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		total += res.Throughput
-	}
-	b.ReportMetric(total/float64(b.N), "msgs/sec")
-}
-
-func BenchmarkAblationFastPathNativeBaseline(b *testing.B) {
-	skipLongBench(b)
-	cfg := benchConfig(1)
-	var total float64
-	for i := 0; i < b.N; i++ {
-		res, err := bench.RunNative("filter", cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		total += res.Throughput
-	}
-	b.ReportMetric(total/float64(b.N), "msgs/sec")
-}

@@ -525,8 +525,8 @@ func (c *Codec) ReadField(data []byte, name string) (any, error) {
 // pass over the wire bytes. The result is a sparse row: unwanted slots are
 // nil — the boxed twin of a ColumnDecoder compiled with the same wanted
 // marks, which the block scan uses (the paper's §7 proposal to avoid
-// materializing full tuples for filter queries). The fused fast path still
-// calls it directly.
+// materializing full tuples for filter queries); FuzzAvroDecode holds the
+// two to the same results.
 func (c *Codec) ReadFields(data []byte, wanted []bool, row []any) ([]any, error) {
 	if len(row) != len(c.schema.Fields) {
 		row = make([]any, len(c.schema.Fields))
@@ -585,23 +585,4 @@ func (c *Codec) ProjectFields(data []byte, names []string, out *Codec) ([]byte, 
 		dst = append(dst, data[extents[idx].start:extents[idx].end]...)
 	}
 	return dst, nil
-}
-
-// FieldExtents locates the byte extent of every top-level field in one pass
-// over the wire bytes, appending (start, end) pairs to ext (reused across
-// calls by the vectorized kernel, so extent location costs no allocation
-// per row). The returned slice holds 2*arity ints: field i spans
-// data[ext[2i]:ext[2i+1]].
-func (c *Codec) FieldExtents(data []byte, ext []int) ([]int, error) {
-	ext = ext[:0]
-	pos := 0
-	for _, f := range c.schema.Fields {
-		n, err := skipValue(data[pos:], f.Schema)
-		if err != nil {
-			return nil, fmt.Errorf("avro: sizing field %q: %w", f.Name, err)
-		}
-		ext = append(ext, pos, pos+n)
-		pos += n
-	}
-	return ext, nil
 }

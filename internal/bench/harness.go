@@ -34,9 +34,6 @@ type Config struct {
 	TaskParallelism int
 	// WindowMillis for the sliding-window benchmarks (paper: 5 minutes).
 	WindowMillis int64
-	// FastPath enables the engine's fused execution mode (§7 future work
-	// item 5) for the SamzaSQL side; off reproduces the paper's prototype.
-	FastPath bool
 	// MetricsInterval, when positive, enables each benchmark job's
 	// per-container metrics snapshot reporter (snapshots land on the
 	// __metrics stream of the run's private broker).
@@ -329,7 +326,6 @@ func RunSQL(query string, cfg Config) (Result, error) {
 	}
 	e.engine.Containers = cfg.Containers
 	e.engine.TaskParallelism = cfg.TaskParallelism
-	e.engine.FastPath = cfg.FastPath
 	e.engine.MetricsInterval = cfg.MetricsInterval
 	e.engine.TraceSampleRate = cfg.TraceSampleRate
 	e.engine.TraceInterval = cfg.TraceInterval

@@ -223,6 +223,17 @@ var equivCases = []equivCase{
 		query:    "SELECT STREAM units, orderId + 1 AS next, rowtime, productId * 2 AS p2, pad FROM Orders WHERE productId < 50",
 		wantRows: countOrders(func(r []any) bool { return r[1].(int64) < 50 }),
 	},
+	// The bare identity projection and a conjunction over two columns.
+	{
+		name:     "select-star",
+		query:    "SELECT STREAM * FROM Orders",
+		wantRows: func(orders [][]any) int { return len(orders) },
+	},
+	{
+		name:     "conjunction",
+		query:    "SELECT STREAM rowtime, units FROM Orders WHERE units > 25 AND productId < 50",
+		wantRows: countOrders(func(r []any) bool { return r[3].(int64) > 25 && r[1].(int64) < 50 }),
+	},
 }
 
 // countOrders counts the replayed orders a predicate keeps.
@@ -277,6 +288,10 @@ var equivGoldens = map[string]golden{
 	"like":                    {4, "500fe3e77843ea9d", "cbf29ce484222325"},
 	"bool-project":            {457, "cd4cbe8ac17dfc5e", "cbf29ce484222325"},
 	"mixed-project":           {241, "91a77fa7f8aae36a", "cbf29ce484222325"},
+	// Recorded from the block path at commit 6aedf34, before the fused
+	// kernel was deleted.
+	"select-star": {457, "f8cf92bf0931f0ec", "cbf29ce484222325"},
+	"conjunction": {187, "f7ffc07268e342b4", "cbf29ce484222325"},
 }
 
 // multiPartitionGoldens holds the (key, value) multisets the first three

@@ -41,10 +41,8 @@ type Engine struct {
 	// Optimize toggles the rule-based optimizer (on by default; the
 	// ablation benches turn it off).
 	Optimize bool
-	// FastPath enables the fused scan/filter/project/insert execution mode
-	// for eligible queries — the paper's §7 proposal to close the 30-40%
-	// gap by avoiding the AvroToArray/ArrayToAvro steps. Off by default to
-	// match the prototype the paper evaluates.
+	// FastPath is ignored: every query runs the one block pipeline. It is
+	// kept for callers that still read it, such as the repository benchmark.
 	FastPath bool
 	// MetricsInterval, when positive, enables the per-container metrics
 	// snapshot reporter on submitted jobs (samza.JobSpec.MetricsInterval).
@@ -127,7 +125,7 @@ func (e *Engine) Prepare(query string) (*Prepared, error) {
 	if output == "" {
 		output = fmt.Sprintf("%s-output", jobName)
 	}
-	prog, err := physical.CompileWithOptions(optimized, output, physical.Options{FastPath: e.FastPath})
+	prog, err := physical.Compile(optimized, output)
 	if err != nil {
 		return nil, err
 	}
@@ -235,7 +233,6 @@ func (e *Engine) Submit(ctx context.Context, p *Prepared) (*Job, error) {
 		Config: map[string]string{
 			"samzasql.zk.query.path": zkQueryPath(p.JobName),
 			"samzasql.output.topic":  p.OutputTopic,
-			"samzasql.fastpath":      fmt.Sprintf("%v", e.FastPath),
 		},
 		TaskFactory: func() samza.StreamTask {
 			return NewTask(e.Catalog, e.ZK, e.Optimize)

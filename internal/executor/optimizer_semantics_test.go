@@ -2,6 +2,7 @@ package executor
 
 import (
 	"fmt"
+	"sort"
 	"testing"
 )
 
@@ -56,4 +57,10 @@ func TestOptimizerPreservesSemantics(t *testing.T) {
 			}
 		}
 	}
+}
+
+func sortRows(rows [][]any) {
+	sort.Slice(rows, func(i, j int) bool {
+		return fmt.Sprintf("%v", rows[i]) < fmt.Sprintf("%v", rows[j])
+	})
 }

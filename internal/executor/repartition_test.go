@@ -21,7 +21,7 @@ import (
 // Clicks stream published keyed by userId, joined to Orders (keyed by
 // productId) on productId. The Clicks side must repartition (§7 future
 // work 1).
-func clicksEngine(t *testing.T, partitions int32) *Engine {
+func clicksEngine(t testing.TB, partitions int32) *Engine {
 	t.Helper()
 	broker := kafka.NewBroker()
 	cluster := yarn.NewCluster()

@@ -69,8 +69,7 @@ func (t *Task) Init(ctx *samza.TaskContext) error {
 	if t.optimize {
 		logical = opt.Optimize(logical)
 	}
-	prog, err := physical.CompileWithOptions(logical, ctx.Config["samzasql.output.topic"],
-		physical.Options{FastPath: ctx.Config["samzasql.fastpath"] == "true"})
+	prog, err := physical.Compile(logical, ctx.Config["samzasql.output.topic"])
 	if err != nil {
 		return err
 	}

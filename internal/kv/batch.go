@@ -124,6 +124,6 @@ func (c *ChangelogStore) WriteMany(ops []WriteOp) {
 			c.buffer(ops[i].Key, ops[i].Value)
 		}
 	}
-	//samzasql:ignore hotpath-blocking -- write-through to the changelog is the durability contract; the flush path's broker append lock is per-partition and the io.Write is an in-memory FNV hash
+	//samzasql:ignore hotpath-blocking -- write-through to the changelog is the durability contract; the produce path's broker append lock is per-partition and the io.Write is an in-memory FNV hash
 	c.produce()
 }

@@ -6,16 +6,6 @@ import (
 	"samzasql/internal/kafka"
 )
 
-// Flushable is implemented by stores that buffer writes between commits.
-// The container flushes every store at commit time, before the offset
-// checkpoint is written, so restored state is never behind committed
-// offsets (§4.3; Samza's task commit order).
-type Flushable interface {
-	// Flush forces buffered writes down the store stack (and, for
-	// changelog-backed stores, onto the changelog topic).
-	Flush() error
-}
-
 // changelogSlabSize is the smallest arena slab the changelog copies
 // key/value bytes into.
 const changelogSlabSize = 64 << 10
@@ -116,31 +106,22 @@ func (c *ChangelogStore) buffer(key, value []byte) {
 	c.pending = append(c.pending, m)
 }
 
-// produce puts the queued records on the changelog topic. Callers invoke it
-// after a complete write batch. A broker failure here is a programming error
-// (the topic exists and the partition was validated at construction) and
-// panics, as the byte Store interface has no error channel.
+// produce puts the queued records on the changelog topic as one batch.
+// Callers invoke it after a complete write batch, so nothing is ever left
+// queued between writes. A broker failure here is a programming error (the
+// topic exists and the partition was validated at construction) and panics,
+// as the byte Store interface has no error channel.
 func (c *ChangelogStore) produce() {
-	if err := c.Flush(); err != nil {
-		panic(fmt.Sprintf("kv: changelog append: %v", err))
-	}
-}
-
-// Flush produces the queued changelog records as one batch. Every write
-// produces before it returns, so at commit time Flush finds nothing queued;
-// it keeps the store Flushable for the container's commit sequence.
-func (c *ChangelogStore) Flush() error {
 	if len(c.pending) == 0 {
-		return nil
+		return
 	}
 	if err := c.broker.ProduceBatch(c.topic, c.pending); err != nil {
-		return fmt.Errorf("kv: changelog flush: %w", err)
+		panic(fmt.Sprintf("kv: changelog append: %v", err))
 	}
 	// The broker copied the records into the log: headers and slab are
 	// free for the next batch.
 	c.pending = c.pending[:0]
 	c.arena = c.arena[:0]
-	return nil
 }
 
 // Restore rebuilds the inner store by replaying the changelog partition from

@@ -21,11 +21,11 @@ import (
 type instrumentedStore struct {
 	raw                      Store
 	getLat, putLat, rangeLat *metrics.Histogram
-	deleteLat, flushLat      *metrics.Histogram
+	deleteLat                *metrics.Histogram
 
 	act *trace.Active
 	getStage, putStage, rangeStage,
-	deleteStage, flushStage, getManyStage, writeManyStage string
+	deleteStage, getManyStage, writeManyStage string
 }
 
 // Instrument wraps s so that get/put/delete/range latencies are recorded
@@ -40,12 +40,10 @@ func Instrument(s Store, reg *metrics.Registry, name string) Store {
 		putLat:         reg.Histogram(prefix + "put-ns"),
 		rangeLat:       reg.Histogram(prefix + "range-ns"),
 		deleteLat:      reg.Histogram(prefix + "delete-ns"),
-		flushLat:       reg.Histogram(prefix + "flush-ns"),
 		getStage:       prefix + "get",
 		putStage:       prefix + "put",
 		rangeStage:     prefix + "range",
 		deleteStage:    prefix + "delete",
-		flushStage:     prefix + "flush",
 		getManyStage:   prefix + "get-many",
 		writeManyStage: prefix + "write-many",
 	}
@@ -144,25 +142,6 @@ func (s *instrumentedStore) Range(start, end []byte, limit int) []Entry {
 		s.act.Leaf(s.rangeStage, t0.UnixNano(), d)
 	}
 	return out
-}
-
-// Flush forwards to the wrapped store's Flush when it buffers writes (a
-// ChangelogStore producing its batch), timing it; otherwise it is a no-op,
-// so an instrumented stack is always safely Flushable. Flushes run inside
-// the commit, so a sampled flush span nests under the commit span.
-func (s *instrumentedStore) Flush() error {
-	f, ok := s.raw.(Flushable)
-	if !ok {
-		return nil
-	}
-	start := time.Now()
-	err := f.Flush()
-	d := time.Since(start).Nanoseconds()
-	s.flushLat.Observe(d)
-	if s.act.Sampled() {
-		s.act.Leaf(s.flushStage, start.UnixNano(), d)
-	}
-	return err
 }
 
 func (s *instrumentedStore) Len() int { return s.raw.Len() }

@@ -124,12 +124,8 @@ type taskInstance struct {
 	consumer  *kafka.Consumer
 	ctx       *TaskContext
 	changelog []*kv.ChangelogStore
-	// flushables are the top of each store stack, flushed at commit before
-	// the offset checkpoint is written, so anything a store layer still
-	// buffered lands before the offsets covering it.
-	flushables []kv.Flushable
-	processed  int // messages since last commit
-	sinceWin   int // messages since last window fire
+	processed int // messages since last commit
+	sinceWin  int // messages since last window fire
 	// coord is the per-loop Coordinator handed to Process, reset per
 	// message instead of allocated per message.
 	coord coordinatorState
@@ -248,7 +244,6 @@ func (c *Container) buildTask(partition, inputPartitions int32) (*taskInstance, 
 	act := trace.NewActive(c.tracer)
 	stores := map[string]kv.Store{}
 	var changelogs []*kv.ChangelogStore
-	var flushables []kv.Flushable
 	for _, spec := range c.job.Stores {
 		// Store stack, bottom to top: skiplist base, optional changelog
 		// mirroring, latency instrumentation. The changelog writes through:
@@ -269,9 +264,6 @@ func (c *Container) buildTask(partition, inputPartitions int32) (*taskInstance, 
 		// current message is sampled.
 		kv.BindTrace(s, act)
 		stores[spec.Name] = s
-		if f, ok := s.(kv.Flushable); ok {
-			flushables = append(flushables, f)
-		}
 	}
 	tctx := &TaskContext{
 		Job:       c.job,
@@ -290,19 +282,18 @@ func (c *Container) buildTask(partition, inputPartitions int32) (*taskInstance, 
 		pollMax = DefaultBatchSize
 	}
 	ti := &taskInstance{
-		name:       name,
-		partition:  partition,
-		task:       task,
-		pollMax:    pollMax,
-		consumer:   consumer,
-		ctx:        tctx,
-		changelog:  changelogs,
-		flushables: flushables,
-		act:        act,
-		delivered:  map[string]int64{},
-		procLat:    c.Metrics.Timer("task." + string(name) + ".process-ns"),
-		winLat:     c.Metrics.Timer("task." + string(name) + ".window-ns"),
-		commitLat:  c.Metrics.Timer("task." + string(name) + ".commit-ns"),
+		name:      name,
+		partition: partition,
+		task:      task,
+		pollMax:   pollMax,
+		consumer:  consumer,
+		ctx:       tctx,
+		changelog: changelogs,
+		act:       act,
+		delivered: map[string]int64{},
+		procLat:   c.Metrics.Timer("task." + string(name) + ".process-ns"),
+		winLat:    c.Metrics.Timer("task." + string(name) + ".window-ns"),
+		commitLat: c.Metrics.Timer("task." + string(name) + ".commit-ns"),
 	}
 	ti.batched, _ = task.(BatchedStreamTask)
 	return ti, nil
@@ -767,29 +758,20 @@ func (c *Container) pollTask(ctx context.Context, ti *taskInstance) (bool, error
 	return false, nil
 }
 
-// commitTask runs the task's commit sequence in Samza's order: flush the
-// store stacks, then write the offset checkpoint. The changelog writes
-// through, so every store write is on its topic before the offsets covering
-// it are committed: state on the changelog is always at or ahead of the
-// committed offsets. A restart replays at most the uncommitted suffix onto
-// state that already reflects it, and operators that keep input offsets in
-// their state recognise those replayed messages (§4.3).
+// commitTask writes the task's offset checkpoint. There is nothing to flush
+// first: the changelog writes through, so every store write is on its topic
+// before the offsets covering it are committed, and state on the changelog
+// is always at or ahead of the committed offsets. A restart replays at most
+// the uncommitted suffix onto state that already reflects it, and operators
+// that keep input offsets in their state recognise those replayed messages
+// (§4.3).
 func (c *Container) commitTask(ti *taskInstance) error {
-	// A trace pending since the last sampled message closes here: the
-	// commit span re-activates it so the store and changelog flush spans
-	// recorded below nest underneath.
+	// A trace pending since the last sampled message closes here, with the
+	// commit span as its last stage.
 	if ti.act.PendingCommit() {
 		ti.act.StartCommit(time.Now().UnixNano())
 	}
 	start := ti.commitLat.Start()
-	for _, f := range ti.flushables {
-		if err := f.Flush(); err != nil {
-			return fmt.Errorf("samza: %s store flush: %w", ti.name, err)
-		}
-	}
-	if len(ti.flushables) > 0 {
-		c.tracer.Event(time.Now().UnixNano(), "store-flush", string(ti.name))
-	}
 	cp := Checkpoint{Task: ti.name, Offsets: map[string]int64{}}
 	for topic, off := range ti.delivered {
 		cp.Offsets[topic] = off

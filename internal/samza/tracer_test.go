@@ -88,7 +88,7 @@ func pollTraces(t *testing.T, b *kafka.Broker, done func([]*TraceBatchMessage) b
 
 // TestEndToEndTraceSpanTree runs a store-writing job with every message
 // sampled and asserts a published trace covers the full causal chain:
-// produce → poll → process → store put, and commit → store flush — plus the
+// produce → poll → process → store put, then the commit — plus the
 // lifecycle event log around it.
 func TestEndToEndTraceSpanTree(t *testing.T) {
 	b, r := testEnv()
@@ -120,7 +120,7 @@ func TestEndToEndTraceSpanTree(t *testing.T) {
 
 	// Collect until some trace holds the full chain including the commit
 	// side, which only records after a checkpoint.
-	wantStages := []string{"produce", "poll", "process", "store.s.put", "commit", "store.s.flush"}
+	wantStages := []string{"produce", "poll", "process", "store.s.put", "commit"}
 	complete := func(batches []*TraceBatchMessage) map[uint64]map[string]trace.Span {
 		byTrace := map[uint64]map[string]trace.Span{}
 		for _, batch := range batches {
@@ -164,8 +164,7 @@ func TestEndToEndTraceSpanTree(t *testing.T) {
 			continue
 		}
 		// The causal chain: poll under produce, process under poll, the
-		// store put under process; the commit under a process span with the
-		// flush beneath it.
+		// store put under process; the commit under a process span.
 		if m["produce"].ParentID != 0 {
 			t.Fatalf("produce span has parent %d, want root", m["produce"].ParentID)
 		}
@@ -180,9 +179,6 @@ func TestEndToEndTraceSpanTree(t *testing.T) {
 		}
 		if m["commit"].ParentID != m["process"].SpanID {
 			t.Fatalf("commit parent %d, want process span %d", m["commit"].ParentID, m["process"].SpanID)
-		}
-		if m["store.s.flush"].ParentID != m["commit"].SpanID {
-			t.Fatalf("flush parent %d, want commit span %d", m["store.s.flush"].ParentID, m["commit"].SpanID)
 		}
 		break
 	}
@@ -199,7 +195,7 @@ func TestEndToEndTraceSpanTree(t *testing.T) {
 			}
 		}
 	}
-	for _, kind := range []string{"container-start", "task-assigned", "checkpoint-commit", "store-flush", "container-stop"} {
+	for _, kind := range []string{"container-start", "task-assigned", "checkpoint-commit", "container-stop"} {
 		if !events[kind] {
 			t.Errorf("missing lifecycle event %q; have %v", kind, events)
 		}

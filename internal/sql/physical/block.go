@@ -27,12 +27,6 @@ func (p *Program) RouteBatch(envs []samza.IncomingMessageEnvelope, act *trace.Ac
 		return nil
 	}
 	topic := envs[0].Stream
-	if p.fast != nil {
-		if topic != p.fast.topic {
-			return nil
-		}
-		return p.fast.handleBlock(envs, act, pollNs)
-	}
 	var in *Input
 	for _, candidate := range p.Inputs {
 		if candidate.Topic == topic {

@@ -51,10 +51,10 @@ type Program struct {
 	Repartitions []*RepartitionSpec
 	// Streaming reports whether any scan is unbounded.
 	Streaming bool
-	// Stages lists the instrumented stage names in compile order (plus
-	// "fastpath" when the fused path compiles), the keys under which the
-	// registry holds "operator.<stage>.*" metrics — what EXPLAIN ANALYZE
-	// walks to annotate the plan with live counts and latencies.
+	// Stages lists the instrumented stage names in compile order, the keys
+	// under which the registry holds "operator.<stage>.*" metrics — what
+	// EXPLAIN ANALYZE walks to annotate the plan with live counts and
+	// latencies.
 	Stages []string
 	// insert is the sink operator; its sender is bound via SetBatchSender.
 	insert *operators.InsertOp
@@ -63,9 +63,6 @@ type Program struct {
 	// chain above the aggregate (having filter, projection, insert).
 	aggregate     *operators.StreamAggregateOp
 	aggDownstream operators.BlockEmit
-	// fast is non-nil when the plan compiled to the fused fast path (§7's
-	// proposed SamzaSQL-specific code generation; see fastpath.go).
-	fast *fastProgram
 	// stageSeq numbers repeated operator kinds during compilation so every
 	// instrumented stage gets a unique metric name.
 	stageSeq map[string]int
@@ -95,9 +92,6 @@ func (p *Program) instrument(kind string, op operators.Operator) *operators.Inst
 	return inst
 }
 
-// FastPath reports whether the program uses the fused fast path.
-func (p *Program) FastPath() bool { return p.fast != nil }
-
 // FlushAggregate closes all open windows through the post-aggregate chain.
 // No-op for plans without aggregation.
 func (p *Program) FlushAggregate() error {
@@ -109,31 +103,15 @@ func (p *Program) FlushAggregate() error {
 
 // SetBatchSender binds the output sink to a message collector.
 func (p *Program) SetBatchSender(bs operators.BatchSender) {
-	if p.fast != nil {
-		p.fast.sendBatch = bs
-		return
-	}
 	p.insert.SendBatch = bs
 }
 
 // Aggregate exposes the aggregate operator (nil when the plan has none).
 func (p *Program) Aggregate() *operators.StreamAggregateOp { return p.aggregate }
 
-// Options controls compilation.
-type Options struct {
-	// FastPath enables the fused scan/filter/project/insert path for
-	// eligible plans (§7 future work item 5); see fastpath.go.
-	FastPath bool
-}
-
 // Compile lowers the plan. defaultOutput names the output topic for plain
 // SELECTs (INSERT INTO plans carry their own target).
 func Compile(root plan.Node, defaultOutput string) (*Program, error) {
-	return CompileWithOptions(root, defaultOutput, Options{})
-}
-
-// CompileWithOptions lowers the plan with explicit options.
-func CompileWithOptions(root plan.Node, defaultOutput string, opts Options) (*Program, error) {
 	prog := &Program{Router: operators.NewRouter()}
 
 	target := defaultOutput
@@ -144,13 +122,6 @@ func CompileWithOptions(root plan.Node, defaultOutput string, opts Options) (*Pr
 	}
 	if target == "" {
 		return nil, fmt.Errorf("physical: no output topic for query")
-	}
-	if opts.FastPath {
-		if ok, err := prog.tryFastPath(body, target); err != nil {
-			return nil, err
-		} else if ok {
-			return prog, nil
-		}
 	}
 	outRow := body.Row()
 	outCodec, err := codecFor("Output", outRow, true)

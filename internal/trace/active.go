@@ -24,8 +24,8 @@ type frame struct {
 //	Begin/End     — operator stages nest via the call stack
 //	Leaf          — point spans for store/changelog operations
 //	FinishMessage — close "process"; the trace pends until the next commit
-//	StartCommit/FinishCommit — the commit span (store + changelog flushes
-//	                recorded during it nest under it) closes the trace
+//	StartCommit/FinishCommit — the commit span (spans recorded during it
+//	                nest under it) closes the trace
 //
 // Every method is nil-safe and collapses to a bool check when no trace is
 // active, so unsampled messages pay one branch per call site.
@@ -190,8 +190,8 @@ func (a *Active) FinishMessage(nowNs int64) {
 func (a *Active) PendingCommit() bool { return a != nil && a.pendTrace != 0 }
 
 // StartCommit re-activates the pending trace and opens the "commit" frame
-// under the last sampled message's process span, so store and changelog
-// flush spans recorded during the commit nest beneath it.
+// under the last sampled message's process span, so spans recorded during
+// the commit nest beneath it.
 func (a *Active) StartCommit(nowNs int64) {
 	if a == nil || a.pendTrace == 0 {
 		return

@@ -75,7 +75,7 @@ type Span struct {
 func (s *Span) DurationNs() int64 { return s.EndNs - s.StartNs }
 
 // Event is one structured lifecycle event (job start/stop, container
-// allocate/restart, task assignment, checkpoint commit, store flush),
+// allocate/restart, task assignment, checkpoint commit),
 // published on the trace stream so span anomalies can be correlated with
 // runtime events.
 type Event struct {
