@@ -57,15 +57,18 @@ FUZZTIME ?= 10s
 # Every parser of untrusted input, fuzzed for FUZZTIME each. The decoders
 # that read log bytes: Avro messages (typed column decode against
 # DecodeRow/ReadFields), join state rows (RowCodec), sliding-window state
-# rows and chunks, and the log's own record framing (append then fetch). And
-# the SQL front end: lexer, parser and Engine.Prepare on arbitrary text, with
-# the print/re-parse round trip tasks rely on. Their seed corpora already run
-# under plain `go test`; this looks past them. A failing input lands in the
-# package's testdata/fuzz/ for `go test` to replay.
+# rows and chunks, builtin accumulator state rows (differential against the
+# ObjectSerde row they must equal byte for byte), and the log's own record
+# framing (append then fetch). And the SQL front end: lexer, parser and
+# Engine.Prepare on arbitrary text, with the print/re-parse round trip tasks
+# rely on. Their seed corpora already run under plain `go test`; this looks
+# past them. A failing input lands in the package's testdata/fuzz/ for
+# `go test` to replay.
 fuzz-smoke:
 	$(GO) test ./internal/avro -run '^$$' -fuzz '^FuzzAvroDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serde -run '^$$' -fuzz '^FuzzRowCodecDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/operators -run '^$$' -fuzz '^FuzzSlidingStateDecode$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/operators -run '^$$' -fuzz '^FuzzAccumState$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/kafka -run '^$$' -fuzz '^FuzzSegmentRecord$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/executor -run '^$$' -fuzz '^FuzzSQL$$' -fuzztime $(FUZZTIME)
 

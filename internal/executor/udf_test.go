@@ -60,6 +60,16 @@ func registerTestUDFs(t *testing.T) {
 		if err != nil {
 			panic(err)
 		}
+		// Aggregate: INTCOUNT — a count whose snapshot holds a Go int, a
+		// type the object serde cannot encode.
+		err = udf.RegisterAggregate(&udf.Aggregate{
+			Name:       "INTCOUNT",
+			ResultType: func(types.Type) (types.Type, error) { return types.Bigint, nil },
+			New:        func() udf.AggregateState { return &intCountState{} },
+		})
+		if err != nil {
+			panic(err)
+		}
 	})
 }
 
@@ -106,6 +116,16 @@ func (g *geomeanState) Restore(row []any) error {
 	g.count, _ = row[1].(int64)
 	return nil
 }
+
+// intCountState counts its inputs; its Snapshot row holds a Go int.
+type intCountState struct{ n int }
+
+func (c *intCountState) Add(v any) error         { c.n++; return nil }
+func (c *intCountState) Remove(v any) error      { c.n--; return nil }
+func (c *intCountState) Invertible() bool        { return true }
+func (c *intCountState) Value() any              { return int64(c.n) }
+func (c *intCountState) Snapshot() []any         { return []any{c.n} }
+func (c *intCountState) Restore(row []any) error { return fmt.Errorf("intCountState cannot restore") }
 
 func toF(v any) (float64, error) {
 	switch t := v.(type) {
@@ -216,6 +236,25 @@ func TestUDAFInSlidingWindow(t *testing.T) {
 			t.Fatalf("row %d (product %d): GEOMEAN %v, want %v", idx, pid, got, want)
 		}
 		idx++
+	}
+}
+
+// TestUDAFUnencodableSnapshotFails runs a UDAF whose snapshot the object
+// serde cannot encode, over a window and in a GROUP BY: the query must fail
+// with an error naming the type. The sliding window used to panic on it,
+// taking the container down.
+func TestUDAFUnencodableSnapshotFails(t *testing.T) {
+	registerTestUDFs(t)
+	for _, q := range []string{
+		`SELECT rowtime, INTCOUNT(units) OVER (PARTITION BY productId ORDER BY rowtime
+			RANGE INTERVAL '1' SECOND PRECEDING) FROM Orders`,
+		`SELECT productId, INTCOUNT(units) FROM Orders GROUP BY productId`,
+	} {
+		e, _ := testEngine(t, 1, 20)
+		_, err := e.ExecuteBounded(q)
+		if err == nil || !strings.Contains(err.Error(), "cannot encode int") {
+			t.Fatalf("%s: error %v, want one naming the Go int", q, err)
+		}
 	}
 }
 

@@ -2,10 +2,13 @@ package operators
 
 import (
 	"fmt"
+	"strings"
 
+	"samzasql/internal/serde"
 	"samzasql/internal/sql/expr"
 	"samzasql/internal/sql/udf"
 	"samzasql/internal/sql/validate"
+	"samzasql/internal/vec"
 )
 
 // Accumulator is one aggregate function's running state: the builtins
@@ -19,26 +22,23 @@ type Accumulator interface {
 	Add(v any) error
 	// Remove unfolds one value (only called when Invertible is true).
 	Remove(v any) error
+	// AddInt64 and RemoveInt64 are Add and Remove of a non-NULL int64, which
+	// the builtins fold without boxing it.
+	AddInt64(v int64) error
+	RemoveInt64(v int64) error
 	// Invertible reports whether Remove fully maintains the aggregate.
 	Invertible() bool
 	// Value returns the aggregate's current SQL value.
 	Value() any
+	// WriteValue stores Value() as row r of col.
+	WriteValue(col *vec.Vec, r int) error
 	// SetWindow supplies window bounds (used by START/END; no-op others).
 	SetWindow(start, end int64)
-	// Snapshot flattens the state for changelog-backed persistence.
-	Snapshot() []any
-	// Restore rebuilds the state from a Snapshot row.
-	Restore(row []any) error
-}
-
-// NewAccumulatorFor builds the accumulator for an aggregate function name:
-// a builtin, or a registered user-defined aggregate (§7 future work 4).
-func NewAccumulatorFor(fn string) (Accumulator, error) {
-	ctor, err := AccumCtorFor(fn)
-	if err != nil {
-		return nil, err
-	}
-	return ctor(), nil
+	// AppendState appends the state, as an object-serde row, for
+	// changelog-backed persistence.
+	AppendState(dst []byte) ([]byte, error)
+	// ReadState rebuilds the state from exactly one AppendState row.
+	ReadState(src []byte) error
 }
 
 // AccumCtorFor resolves fn's accumulator constructor once — builtins
@@ -76,8 +76,9 @@ type Accum struct {
 	SumI    int64
 	SumF    float64
 	IsFloat bool
-	Min     any
-	Max     any
+	// least and greatest are the MIN and MAX inputs seen, tracked for every
+	// function but COUNT (they are part of the stored state).
+	least, greatest scalar
 	// Start/End hold window bounds for the START/END aggregates (§3.6).
 	Start int64
 	End   int64
@@ -88,54 +89,83 @@ func NewAccum(fn string) *Accum { return &Accum{Fn: fn} }
 
 // Add implements Accumulator.
 func (a *Accum) Add(v any) error {
-	if v == nil {
+	switch t := v.(type) {
+	case nil:
 		return nil
-	}
-	if a.Fn == "COUNT" {
-		a.Count++
-		return nil
+	case int64:
+		return a.AddInt64(t)
 	}
 	a.Count++
+	if a.Fn == "COUNT" {
+		return nil
+	}
+	var s scalar
 	switch t := v.(type) {
-	case int64:
-		a.SumI += t
 	case float64:
 		a.SumF += t
 		a.IsFloat = true
-	case bool, string:
+		s = scalar{kind: floatVal, f: t}
+	case string:
+		s = scalar{kind: strVal, s: t}
+	case bool:
 		// MIN/MAX over non-numerics: no sum.
+		s = scalar{kind: boolVal}
+		if t {
+			s.i = 1
+		}
 	default:
 		return fmt.Errorf("operators: aggregate over %T", v)
 	}
-	if a.Min == nil {
-		a.Min = v
-		a.Max = v
+	a.fold(s)
+	return nil
+}
+
+// AddInt64 implements Accumulator.
+func (a *Accum) AddInt64(v int64) error {
+	a.Count++
+	if a.Fn == "COUNT" {
 		return nil
 	}
-	if c, err := expr.CompareValues(v, a.Min); err == nil && c < 0 {
-		a.Min = v
+	a.SumI += v
+	a.fold(scalar{kind: intVal, i: v})
+	return nil
+}
+
+// fold updates the extremes with one input.
+func (a *Accum) fold(s scalar) {
+	if a.least.kind == noVal {
+		a.least, a.greatest = s, s
+		return
 	}
-	if c, err := expr.CompareValues(v, a.Max); err == nil && c > 0 {
-		a.Max = v
+	if c, ok := s.compare(a.least); ok && c < 0 {
+		a.least = s
+	}
+	if c, ok := s.compare(a.greatest); ok && c > 0 {
+		a.greatest = s
+	}
+}
+
+// Remove implements Accumulator (invertible aggregates only; the extremes
+// go stale and are rebuilt by the caller when it relies on them).
+func (a *Accum) Remove(v any) error {
+	switch t := v.(type) {
+	case nil:
+		return nil
+	case int64:
+		return a.RemoveInt64(t)
+	}
+	a.Count--
+	if f, ok := v.(float64); ok && a.Fn != "COUNT" {
+		a.SumF -= f
 	}
 	return nil
 }
 
-// Remove implements Accumulator (invertible aggregates only; Min/Max go
-// stale and are rebuilt by the caller when it relies on them).
-func (a *Accum) Remove(v any) error {
-	if v == nil {
-		return nil
-	}
+// RemoveInt64 implements Accumulator.
+func (a *Accum) RemoveInt64(v int64) error {
 	a.Count--
-	if a.Fn == "COUNT" {
-		return nil
-	}
-	switch t := v.(type) {
-	case int64:
-		a.SumI -= t
-	case float64:
-		a.SumF -= t
+	if a.Fn != "COUNT" {
+		a.SumI -= v
 	}
 	return nil
 }
@@ -157,83 +187,227 @@ func (a *Accum) SetWindow(start, end int64) {
 
 // Value implements Accumulator.
 func (a *Accum) Value() any {
+	if v, ok := a.int64Value(); ok {
+		return v
+	}
 	switch a.Fn {
-	case "COUNT":
-		return a.Count
 	case "SUM":
 		if a.Count == 0 {
 			return nil
 		}
-		if a.IsFloat {
-			return a.SumF + float64(a.SumI)
-		}
-		return a.SumI
+		return a.SumF + float64(a.SumI)
 	case "AVG":
 		if a.Count == 0 {
 			return nil
 		}
 		return (a.SumF + float64(a.SumI)) / float64(a.Count)
 	case "MIN":
-		return a.Min
+		return a.least.value()
 	case "MAX":
-		return a.Max
-	case "START":
-		return a.Start
-	case "END":
-		return a.End
+		return a.greatest.value()
 	default:
 		return nil
 	}
 }
 
-// Snapshot implements Accumulator; rows round-trip through the object serde
-// used for state (the paper prototype's Kryo analog).
-func (a *Accum) Snapshot() []any {
-	return []any{a.Fn, a.Count, a.SumI, a.SumF, a.IsFloat, a.Min, a.Max, a.Start, a.End}
+// int64Value returns Value() when that is a non-NULL int64.
+func (a *Accum) int64Value() (int64, bool) {
+	switch a.Fn {
+	case "COUNT":
+		return a.Count, true
+	case "SUM":
+		return a.SumI, a.Count != 0 && !a.IsFloat
+	case "MIN":
+		return a.least.i, a.least.kind == intVal
+	case "MAX":
+		return a.greatest.i, a.greatest.kind == intVal
+	case "START":
+		return a.Start, true
+	case "END":
+		return a.End, true
+	}
+	return 0, false
 }
 
-// Restore implements Accumulator.
-func (a *Accum) Restore(row []any) error {
-	if len(row) != 9 {
-		return fmt.Errorf("operators: accumulator snapshot has %d fields", len(row))
+// WriteValue implements Accumulator; an int64 result goes into an Int64
+// column unboxed.
+func (a *Accum) WriteValue(col *vec.Vec, r int) error {
+	if v, ok := a.int64Value(); ok && col.Kind == vec.Int64 {
+		col.SetInt64(r, v)
+		return nil
 	}
-	fn, ok := row[0].(string)
-	if !ok {
-		return fmt.Errorf("operators: accumulator snapshot fn is %T", row[0])
+	return col.Set(r, a.Value())
+}
+
+// accumStateFields is the element count of a builtin accumulator's state
+// row: Fn, Count, SumI, SumF, IsFloat, the MIN and MAX inputs, Start, End.
+const accumStateFields = 9
+
+// AppendState implements Accumulator. The row is the one the object serde
+// writes for [Fn, Count, SumI, SumF, IsFloat, min, max, Start, End] (string,
+// long, long, double, boolean, two scalars, long, long), written directly.
+func (a *Accum) AppendState(dst []byte) ([]byte, error) {
+	dst = serde.AppendRowHeader(dst, accumStateFields)
+	dst = serde.AppendString(dst, a.Fn)
+	dst = serde.AppendLong(dst, a.Count)
+	dst = serde.AppendLong(dst, a.SumI)
+	dst = serde.AppendDouble(dst, a.SumF)
+	dst = serde.AppendBool(dst, a.IsFloat)
+	dst = a.least.appendTo(dst)
+	dst = a.greatest.appendTo(dst)
+	dst = serde.AppendLong(dst, a.Start)
+	return serde.AppendLong(dst, a.End), nil
+}
+
+// ReadState implements Accumulator. Only the layout AppendState writes is
+// accepted, and only for the accumulator's own function: a state row of
+// another function, a slot of another class or trailing bytes are errors.
+func (a *Accum) ReadState(src []byte) error {
+	r := serde.NewReader(src)
+	if n := r.RowHeader(); r.Err() == nil && n != accumStateFields {
+		return fmt.Errorf("operators: accumulator state has %d fields, want %d", n, accumStateFields)
 	}
-	a.Fn = fn
-	a.Count, _ = row[1].(int64)
-	a.SumI, _ = row[2].(int64)
-	a.SumF, _ = row[3].(float64)
-	a.IsFloat, _ = row[4].(bool)
-	a.Min = row[5]
-	a.Max = row[6]
-	a.Start, _ = row[7].(int64)
-	a.End, _ = row[8].(int64)
+	if fn := r.Str(); r.Err() == nil && string(fn) != a.Fn {
+		return fmt.Errorf("operators: accumulator state is %s's, the plan's call is %s", fn, a.Fn)
+	}
+	a.Count, a.SumI, a.SumF, a.IsFloat = r.Long(), r.Long(), r.Double(), r.Bool()
+	a.least, a.greatest = readScalar(&r), readScalar(&r)
+	a.Start, a.End = r.Long(), r.Long()
+	if err := r.Done(); err != nil {
+		return fmt.Errorf("operators: accumulator state: %w", err)
+	}
 	return nil
 }
 
-// RestoreAccum rebuilds a builtin accumulator from Snapshot output.
-func RestoreAccum(row []any) (*Accum, error) {
-	a := &Accum{}
-	if err := a.Restore(row); err != nil {
-		return nil, err
-	}
-	return a, nil
+// scalar is a MIN/MAX input held unboxed: NULL, an int64, a float64, a
+// string or a bool.
+type scalar struct {
+	kind scalarKind
+	i    int64 // intVal; boolVal as 0 or 1
+	f    float64
+	s    string
 }
 
-// udafAccum adapts a user-defined aggregate to the Accumulator interface.
+type scalarKind uint8
+
+const (
+	noVal scalarKind = iota
+	intVal
+	floatVal
+	strVal
+	boolVal
+)
+
+// compare orders s against t exactly as expr.CompareValues orders the boxed
+// values; ok is false where CompareValues fails (the values do not compare).
+func (s scalar) compare(t scalar) (c int, ok bool) {
+	switch {
+	case s.kind == intVal && t.kind == intVal, s.kind == boolVal && t.kind == boolVal:
+		return cmpOrdered(s.i, t.i), true
+	case s.kind == strVal && t.kind == strVal:
+		return strings.Compare(s.s, t.s), true
+	case s.numeric() && t.numeric():
+		return cmpOrdered(s.float(), t.float()), true
+	}
+	return 0, false
+}
+
+func (s scalar) numeric() bool { return s.kind == intVal || s.kind == floatVal }
+
+func (s scalar) float() float64 {
+	if s.kind == intVal {
+		return float64(s.i)
+	}
+	return s.f
+}
+
+// cmpOrdered is -1, 0 or 1 for a < b, neither, a > b (a NaN compares equal
+// to everything, as in expr.CompareValues).
+func cmpOrdered[T int64 | float64](a, b T) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	}
+	return 0
+}
+
+func (s scalar) value() any {
+	switch s.kind {
+	case intVal:
+		return s.i
+	case floatVal:
+		return s.f
+	case strVal:
+		return s.s
+	case boolVal:
+		return s.i != 0
+	}
+	return nil
+}
+
+func (s scalar) appendTo(dst []byte) []byte {
+	switch s.kind {
+	case intVal:
+		return serde.AppendLong(dst, s.i)
+	case floatVal:
+		return serde.AppendDouble(dst, s.f)
+	case strVal:
+		return serde.AppendString(dst, s.s)
+	case boolVal:
+		return serde.AppendBool(dst, s.i != 0)
+	}
+	return serde.AppendNull(dst)
+}
+
+// readScalar reads a null, long, double, string or boolean element.
+func readScalar(r *serde.Reader) scalar {
+	switch r.Class() {
+	case serde.ClassLong:
+		return scalar{kind: intVal, i: r.Long()}
+	case serde.ClassDouble:
+		return scalar{kind: floatVal, f: r.Double()}
+	case serde.ClassString:
+		return scalar{kind: strVal, s: string(r.Str())}
+	case serde.ClassBool:
+		if r.Bool() {
+			return scalar{kind: boolVal, i: 1}
+		}
+		return scalar{kind: boolVal}
+	}
+	r.Null() // a null; any other class fails the read
+	return scalar{}
+}
+
+// udafAccum adapts a user-defined aggregate to the Accumulator interface;
+// its state row is the object-serde encoding of the UDAF's Snapshot.
 type udafAccum struct {
 	state udf.AggregateState
 }
 
-func (u *udafAccum) Add(v any) error         { return u.state.Add(v) }
-func (u *udafAccum) Remove(v any) error      { return u.state.Remove(v) }
-func (u *udafAccum) Invertible() bool        { return u.state.Invertible() }
-func (u *udafAccum) Value() any              { return u.state.Value() }
-func (u *udafAccum) SetWindow(_, _ int64)    {}
-func (u *udafAccum) Snapshot() []any         { return u.state.Snapshot() }
-func (u *udafAccum) Restore(row []any) error { return u.state.Restore(row) }
+func (u *udafAccum) Add(v any) error           { return u.state.Add(v) }
+func (u *udafAccum) Remove(v any) error        { return u.state.Remove(v) }
+func (u *udafAccum) AddInt64(v int64) error    { return u.state.Add(v) }
+func (u *udafAccum) RemoveInt64(v int64) error { return u.state.Remove(v) }
+func (u *udafAccum) Invertible() bool          { return u.state.Invertible() }
+func (u *udafAccum) Value() any                { return u.state.Value() }
+func (u *udafAccum) SetWindow(_, _ int64)      {}
+func (u *udafAccum) WriteValue(col *vec.Vec, r int) error {
+	return col.Set(r, u.state.Value())
+}
+
+func (u *udafAccum) AppendState(dst []byte) ([]byte, error) {
+	return serde.ObjectSerde{}.AppendEncode(dst, u.state.Snapshot())
+}
+
+func (u *udafAccum) ReadState(src []byte) error {
+	row, err := serde.ObjectSerde{}.Decode(src)
+	if err != nil {
+		return err
+	}
+	return u.state.Restore(row.([]any))
+}
 
 // AccumSet is the per-group collection of accumulators.
 type AccumSet struct {
@@ -263,22 +437,6 @@ func CompileAggArgs(aggs []*validate.BoundAgg) ([]expr.Evaluator, error) {
 	return evals, nil
 }
 
-// NewAccumSet builds accumulators and compiled argument evaluators for the
-// bound aggregates. Per-message callers must resolve once with CompileAggArgs
-// and AccumCtors and build sets with NewAccumSetWith — this convenience form
-// recompiles the argument expressions and re-resolves constructors per call.
-func NewAccumSet(aggs []*validate.BoundAgg) (*AccumSet, error) {
-	evals, err := CompileAggArgs(aggs)
-	if err != nil {
-		return nil, err
-	}
-	ctors, err := AccumCtors(aggs)
-	if err != nil {
-		return nil, err
-	}
-	return NewAccumSetWith(aggs, evals, ctors), nil
-}
-
 // NewAccumSetWith builds fresh accumulators around pre-compiled argument
 // evaluators and pre-resolved constructors, keeping the per-group set
 // construction the state decode path performs for every store entry free of
@@ -290,10 +448,6 @@ func NewAccumSetWith(aggs []*validate.BoundAgg, argEvals []expr.Evaluator, ctors
 	}
 	return s
 }
-
-// ArgEvals exposes the compiled argument evaluators (index-aligned with
-// Accums; nil entries mean "count the row" or window-bound aggregates).
-func (s *AccumSet) ArgEvals() []expr.Evaluator { return s.argEvals }
 
 // Add folds a tuple row into every accumulator.
 func (s *AccumSet) Add(row []any) error {
@@ -333,29 +487,36 @@ func (s *AccumSet) Values() []any {
 	return out
 }
 
-// Snapshot nests each accumulator's snapshot into one row.
-func (s *AccumSet) Snapshot() []any {
-	out := make([]any, len(s.Accums))
-	for i, a := range s.Accums {
-		out[i] = a.Snapshot()
+// AppendState appends the set's state: a row holding each accumulator's
+// state row as a nested row.
+func (s *AccumSet) AppendState(dst []byte) ([]byte, error) {
+	dst = serde.AppendRowHeader(dst, len(s.Accums))
+	for _, a := range s.Accums {
+		var err error
+		if dst, err = a.AppendState(serde.AppendNestedRow(dst)); err != nil {
+			return nil, err
+		}
 	}
-	return out
+	return dst, nil
 }
 
-// RestoreInto refills the accumulators from a Snapshot row.
-func (s *AccumSet) RestoreInto(row []any) error {
-	if len(row) != len(s.Accums) {
-		return fmt.Errorf("operators: accumulator set snapshot has %d entries, want %d",
-			len(row), len(s.Accums))
+// ReadState refills the accumulators from exactly one AppendState row.
+func (s *AccumSet) ReadState(src []byte) error {
+	r := serde.NewReader(src)
+	if n := r.RowHeader(); r.Err() == nil && n != len(s.Accums) {
+		return fmt.Errorf("operators: accumulator set state has %d entries, want %d", n, len(s.Accums))
 	}
-	for i := range s.Accums {
-		snap, ok := row[i].([]any)
-		if !ok {
-			return fmt.Errorf("operators: accumulator snapshot entry %d is %T", i, row[i])
+	for _, a := range s.Accums {
+		row := r.Row()
+		if r.Err() != nil {
+			break
 		}
-		if err := s.Accums[i].Restore(snap); err != nil {
+		if err := a.ReadState(row); err != nil {
 			return err
 		}
+	}
+	if err := r.Done(); err != nil {
+		return fmt.Errorf("operators: accumulator set state: %w", err)
 	}
 	return nil
 }

@@ -51,19 +51,26 @@ type StreamAggregateOp struct {
 	obj       serde.ObjectSerde
 	watermark int64
 	sources   sourceKeys
+	srcNames  sourceNames
+	// valBuf is the scratch a state row is encoded into.
+	valBuf []byte
 
 	// Per-block scratch (block_stateful.go): the output block, the gather
-	// row, per-row group key values/bytes/timestamps, the per-block state
-	// map, and the batched-read slices.
+	// row, the group key values and bytes, per-row timestamps and key values,
+	// the block's distinct store keys (built back to back in keyArena, found
+	// through blkTable), their states, each row's slots among them, and the
+	// batched-read slices.
 	outBlock   TupleBlock
 	rowScratch []any
 	keyScratch []any
-	blkKb      [][]byte
+	kbuf       []byte
 	blkTs      []int64
 	blkKeyVals []any
-	blkWk      []byte
-	blkStates  map[string]*aggBlockState
+	keyArena   []byte
+	blkTable   keyTable
 	blkKeys    [][]byte
+	blkStates  []aggBlockState
+	blkSlots   []int32
 	blkVals    [][]byte
 	blkOks     []bool
 }
@@ -72,7 +79,7 @@ type StreamAggregateOp struct {
 // block is in flight: loaded once per block, written back once when dirty.
 type aggBlockState struct {
 	set     *AccumSet
-	offsets offsetVector
+	offsets appliedOffsets
 	dirty   bool
 }
 
@@ -123,6 +130,7 @@ func NewStreamAggregateOp(keys []expr.Expr, window *validate.GroupWindow, aggs [
 // Open implements Operator.
 func (o *StreamAggregateOp) Open(ctx *OpContext) error {
 	o.store = ctx.Store(AggStoreName)
+	o.srcNames = sourceNames{}
 	if v, ok := o.store.Get([]byte("wm")); ok && len(v) == 8 {
 		o.watermark = int64(binary.BigEndian.Uint64(v))
 	}
@@ -191,81 +199,55 @@ func (o *StreamAggregateOp) FlushFinal(emit BlockEmit) error {
 	return emit(out)
 }
 
-// encodeKey builds the store key "w:" + windowEnd + object(groupKey).
-func (o *StreamAggregateOp) encodeKey(windowEnd int64, keyVals []any) ([]byte, error) {
-	kb, err := o.obj.Encode(keyVals)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]byte, 0, 10+len(kb))
-	out = append(out, 'w', ':')
-	out = append(out, u64be(uint64(windowEnd))...)
-	return append(out, kb...), nil
-}
-
 func (o *StreamAggregateOp) decodeEntry(e kv.Entry) ([]any, *AccumSet, error) {
 	kv, err := o.obj.Decode(e.Key[10:])
 	if err != nil {
 		return nil, nil, err
 	}
-	keyVals := kv.([]any)
-	set := NewAccumSetWith(o.aggs, o.argEvals, o.accumCtors)
-	snap, err := o.obj.Decode(e.Value)
+	set, _, err := o.decodeSet(e.Value, true)
 	if err != nil {
 		return nil, nil, err
 	}
-	row := snap.([]any)
-	if len(row) != 2 {
-		return nil, nil, fmt.Errorf("operators: aggregate state has %d fields", len(row))
-	}
-	snaps, ok := row[1].([]any)
-	if !ok {
-		return nil, nil, fmt.Errorf("operators: aggregate snapshots are %T", row[1])
-	}
-	if err := set.RestoreInto(snaps); err != nil {
-		return nil, nil, err
-	}
-	return keyVals, set, nil
+	return kv.([]any), set, nil
 }
+
+// The state row of a group (or of a (window, group)) is the object-serde
+// row [offsets, accumulator states]: the applied-offset vector as a nested
+// row of (source, offset) pairs, then the AccumSet state as a nested row.
 
 // decodeSet builds the accumulator set and offset vector from stored state
 // bytes; ok=false yields a fresh empty set.
-func (o *StreamAggregateOp) decodeSet(v []byte, ok bool) (*AccumSet, offsetVector, error) {
+func (o *StreamAggregateOp) decodeSet(v []byte, ok bool) (*AccumSet, appliedOffsets, error) {
 	set := NewAccumSetWith(o.aggs, o.argEvals, o.accumCtors)
 	if !ok {
 		return set, nil, nil
 	}
-	snap, err := o.obj.Decode(v)
+	r := serde.NewReader(v)
+	if n := r.RowHeader(); r.Err() == nil && n != 2 {
+		return nil, nil, fmt.Errorf("operators: aggregate state has %d fields", n)
+	}
+	offs, accs := r.Row(), r.Row()
+	if err := r.Done(); err != nil {
+		return nil, nil, fmt.Errorf("operators: aggregate state: %w", err)
+	}
+	offsets, err := readOffsetsRow(offs, o.srcNames)
 	if err != nil {
 		return nil, nil, err
 	}
-	row := snap.([]any)
-	if len(row) != 2 {
-		return nil, nil, fmt.Errorf("operators: aggregate state has %d fields", len(row))
-	}
-	snaps, ok := row[1].([]any)
-	if !ok {
-		return nil, nil, fmt.Errorf("operators: aggregate snapshots are %T", row[1])
-	}
-	if err := set.RestoreInto(snaps); err != nil {
+	if err := set.ReadState(accs); err != nil {
 		return nil, nil, err
 	}
-	vec, _ := row[0].([]any)
-	return set, offsetVector(vec), nil
+	return set, offsets, nil
 }
 
-func (o *StreamAggregateOp) saveSet(storeKey []byte, set *AccumSet, offsets offsetVector) error {
-	row := []any{[]any(offsets), set.Snapshot()}
-	v, err := o.obj.Encode(row)
+func (o *StreamAggregateOp) saveSet(storeKey []byte, set *AccumSet, offsets appliedOffsets) error {
+	buf := serde.AppendRowHeader(o.valBuf[:0], 2)
+	buf = offsets.appendRow(serde.AppendNestedRow(buf))
+	buf, err := set.AppendState(serde.AppendNestedRow(buf))
 	if err != nil {
-		return err
+		return fmt.Errorf("operators: aggregate state: %w", err)
 	}
-	o.store.Put(storeKey, v)
+	o.valBuf = buf
+	o.store.Put(storeKey, buf)
 	return nil
-}
-
-// encodeGroupKey produces stable key bytes for a value tuple; shared by the
-// join and sliding-window operators.
-func encodeGroupKey(g serde.ObjectSerde, vals []any) ([]byte, error) {
-	return g.Encode(vals)
 }

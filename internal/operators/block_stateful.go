@@ -5,17 +5,18 @@ import (
 	"fmt"
 
 	"samzasql/internal/kv"
+	"samzasql/internal/serde"
 	"samzasql/internal/vec"
 )
 
 // ProcessBlock of the stateful operators: sliding window, streaming
 // aggregate, stream-relation join, stream-stream join. The shared scheme is
 // per-block group clustering — evaluate key expressions columnarly over the
-// block, encode each group/join key once per distinct key (adjacent equal
-// keys are run-detected, the single-int64 memo catches repeats across
-// runs), load every distinct key's state through one batched store read
-// (kv.GetMany), fold all of the key's rows, and
-// write the state back once per key per block instead of once per tuple.
+// block, encode each group/join key into a per-block arena once per run of
+// equal adjacent keys, number the distinct keys through the allocation-free
+// key table (keytable.go), load every distinct key's state through one
+// batched store read (kv.GetMany), fold all of the key's rows, and write the
+// state back once per key per block instead of once per tuple.
 //
 // Output rows are emitted in input-row order (window emissions in window-end
 // order), so a program produces byte-identical output in the identical
@@ -40,8 +41,8 @@ func runEqual(a, b any) (eq, ok bool) {
 // ----- SlidingWindowOp -----
 
 // ProcessBlock implements Operator: Algorithm 1 over a whole block.
-// Per analytic call it clusters the block's rows by partition key, loads
-// each distinct key's window state and tail chunk once (batched), folds the
+// Per analytic call it numbers the block's distinct partition keys, loads
+// each one's window state and tail chunk once (batched), folds the
 // key's rows in offset order through foldTuple, and stages each modified
 // state once; everything the block wrote —
 // chunk puts, chunk deletes, state rows, across all calls — then goes to the
@@ -63,7 +64,6 @@ func (o *SlidingWindowOp) ProcessBlock(_ int, b *TupleBlock, emit BlockEmit) err
 	if nSel == 0 {
 		return emit(out)
 	}
-	b.box(o.refs)
 	row := rowScratch(&o.rowScratch, b)
 	replay := o.blkReplay[:0]
 	for k := 0; k < nSel; k++ {
@@ -91,81 +91,38 @@ func (o *SlidingWindowOp) ProcessBlock(_ int, b *TupleBlock, emit BlockEmit) err
 	return emit(out)
 }
 
-// processCallBlock runs one analytic call over the block: columnar key
-// evaluation with run detection, one batched state load and one batched
-// tail-chunk load per distinct key, in-order folding, one staged write-back
-// per modified key.
+// processCallBlock runs one analytic call over the block: the distinct
+// partition keys and each row's slot among them, one batched state load and
+// one batched tail-chunk load per distinct key, in-order folding, one staged
+// write-back per modified key, in first-touch order.
 //
 //samzasql:hotpath
 func (o *SlidingWindowOp) processCallBlock(c *analyticState, b *TupleBlock, outCol *vec.Vec, replay []bool, first bool, src string, row []any) error {
-	if c.partVals == nil {
-		c.partVals = make([]any, len(c.partEvals))
+	pks, slots, err := o.partitionSlots(c, b, row)
+	if err != nil {
+		return err
 	}
-	// Pass 1: encoded partition key per selected row. Adjacent rows with the
-	// same single-column key reuse the previous encoding; the group-key memo
-	// catches non-adjacent repeats of int64 keys.
-	pks := o.blkPks[:0]
-	var prevPk []byte
-	var prevVal any
-	havePrev := false
-	for _, r := range b.Sel {
-		row = b.gather(r, row, o.refs)
-		for i, ev := range c.partEvals {
-			v, err := ev(row)
-			if err != nil {
-				return err
-			}
-			c.partVals[i] = v
-		}
-		if len(c.partVals) == 1 && havePrev {
-			if eq, ok := runEqual(c.partVals[0], prevVal); ok && eq {
-				pks = append(pks, prevPk)
-				continue
-			}
-		}
-		pk, err := c.groupKey(o.obj)
-		if err != nil {
-			return err
-		}
-		pks = append(pks, pk)
-		if len(c.partVals) == 1 {
-			if _, ok := runEqual(c.partVals[0], c.partVals[0]); ok {
-				prevPk, prevVal, havePrev = pk, c.partVals[0], true
-				continue
-			}
-		}
-		havePrev = false
-	}
-	o.blkPks = pks
-
-	// Pass 2: distinct state keys in first-touch order, then one batched
-	// load through the store stack.
-	states := o.resetBlockStates()
 	keys := o.blkKeys[:0]
 	for _, pk := range pks {
-		o.sbuf = appendStateKey(o.sbuf[:0], c.idx, pk)
-		if _, ok := states[string(o.sbuf)]; ok {
-			continue
-		}
-		sk := append([]byte(nil), o.sbuf...)
-		states[string(sk)] = nil
-		keys = append(keys, sk)
+		start := len(o.arena)
+		o.arena = appendStateKey(o.arena, c.idx, pk)
+		keys = append(keys, o.arena[start:len(o.arena):len(o.arena)])
 	}
 	o.blkKeys = keys
-	if err := o.loadStatesBatch(c, keys, states); err != nil {
+	states, err := o.loadStatesBatch(c, keys)
+	if err != nil {
 		return err
 	}
 	if !c.spec.Unbounded {
-		if err := o.loadTailsBatch(c, keys, states); err != nil {
+		if err := o.loadTailsBatch(c, pks, states); err != nil {
 			return err
 		}
 	}
 
-	// Pass 3: fold the rows in offset order against the block-resident
-	// states.
+	// Fold the rows in offset order against the block-resident states.
+	tsCol, argCol := c.order.int64Col(b), c.arg.int64Col(b)
 	for k, r := range b.Sel {
-		o.sbuf = appendStateKey(o.sbuf[:0], c.idx, pks[k])
-		ws := states[string(o.sbuf)]
+		ws := states[slots[k]]
 		offset := b.Offsets[r]
 		if ws.offsets.seen(src, offset) {
 			if first {
@@ -173,56 +130,112 @@ func (o *SlidingWindowOp) processCallBlock(c *analyticState, b *TupleBlock, outC
 			}
 			continue
 		}
-		row = b.gather(r, row, o.refs)
-		ov, err := c.orderEval(row)
+		ts, err := c.order.at(b, tsCol, r, row)
 		if err != nil {
 			return err
 		}
-		ts, ok := ov.(int64)
-		if !ok {
-			return fmt.Errorf("operators: ORDER BY value is %T", ov)
+		if !ts.isInt {
+			return fmt.Errorf("operators: ORDER BY value is %T", ts.v)
 		}
-		var arg any = int64(1)
-		if c.argEval != nil {
-			arg, err = c.argEval(row)
-			if err != nil {
-				return err
-			}
+		arg, err := c.arg.at(b, argCol, r, row)
+		if err != nil {
+			return err
 		}
-		if err := o.foldTuple(c, ws, pks[k], ts, arg, offset); err != nil {
+		if err := o.foldTuple(c, ws, pks[slots[k]], ts.i, arg, offset); err != nil {
 			return err
 		}
 		ws.offsets = ws.offsets.update(src, offset)
 		ws.dirty = true
-		if err := outCol.Set(r, ws.acc.Value()); err != nil {
+		if err := ws.acc.WriteValue(outCol, r); err != nil {
 			return fmt.Errorf("operators: sliding window value: %w", err)
 		}
 	}
 
 	// Stage once per modified key, in first-touch order (deterministic
 	// changelog content for a given input).
-	for _, sk := range keys {
-		if ws := states[string(sk)]; ws.dirty {
-			o.stageState(c, sk, sk[stateKeyPrefix:], ws)
+	for i, ws := range states {
+		if ws.dirty {
+			if err := o.stageState(c, keys[i], pks[i], ws); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
 }
 
+// partitionSlots encodes the selected rows' partition keys into the batch
+// arena and numbers the block's distinct keys in first-touch order; it
+// returns the distinct keys and each row's slot among them. A partition that
+// is one bare Int64 column is read unboxed, and a run of equal values is
+// encoded once; the encoding is the object-serde row of the partition
+// values either way.
+//
+//samzasql:hotpath
+func (o *SlidingWindowOp) partitionSlots(c *analyticState, b *TupleBlock, row []any) ([][]byte, []int32, error) {
+	var col *vec.Vec
+	if len(c.part) == 1 {
+		col = c.part[0].int64Col(b)
+	} else {
+		for i := range c.part {
+			b.box(c.part[i].refs)
+		}
+	}
+	o.blkTable.reset(len(b.Sel))
+	pks, slots := o.blkPks[:0], o.blkSlots[:0]
+	var prev int64
+	run := false
+	for _, r := range b.Sel {
+		start := len(o.arena)
+		switch {
+		case col == nil:
+			for i := range c.part {
+				p := &c.part[i]
+				v, err := p.eval(b.gather(r, row, p.refs))
+				if err != nil {
+					return nil, nil, err
+				}
+				c.partVals[i] = v
+			}
+			buf, err := o.obj.AppendEncode(o.arena, c.partVals)
+			if err != nil {
+				return nil, nil, err
+			}
+			o.arena = buf
+		case col.IsNull(r):
+			run = false
+			o.arena = serde.AppendNull(serde.AppendRowHeader(o.arena, 1))
+		default:
+			v := col.I64[r]
+			if run && v == prev {
+				slots = append(slots, slots[len(slots)-1])
+				continue
+			}
+			prev, run = v, true
+			o.arena = serde.AppendLong(serde.AppendRowHeader(o.arena, 1), v)
+		}
+		var slot int32
+		slot, pks, o.arena = o.blkTable.slotOfLast(pks, o.arena, start)
+		slots = append(slots, slot)
+	}
+	o.blkPks, o.blkSlots = pks, slots
+	return pks, slots, nil
+}
+
 // loadTailsBatch makes the tail chunk image of every block state resident
 // with one batched chunk read; empty deques cost nothing.
-func (o *SlidingWindowOp) loadTailsBatch(c *analyticState, keys [][]byte, states map[string]*windowState) error {
+func (o *SlidingWindowOp) loadTailsBatch(c *analyticState, pks [][]byte, states []*windowState) error {
 	want := o.blkTails[:0]
 	ckeys := o.blkChunks[:0]
-	for _, sk := range keys {
-		ws := states[string(sk)]
+	for i, ws := range states {
 		switch {
 		case ws.tailLoaded:
 		case ws.tailLen == 0:
 			ws.setTail(nil)
 		default:
 			want = append(want, ws)
-			ckeys = append(ckeys, o.arenaCopy(appendChunkKey(o.kbuf[:0], c.idx, sk[stateKeyPrefix:], ws.tailSeq)))
+			start := len(o.arena)
+			o.arena = appendChunkKey(o.arena, c.idx, pks[i], ws.tailSeq)
+			ckeys = append(ckeys, o.arena[start:len(o.arena):len(o.arena)])
 		}
 	}
 	o.blkTails, o.blkChunks = want[:0], ckeys[:0]
@@ -250,21 +263,9 @@ func (o *SlidingWindowOp) loadTailsBatch(c *analyticState, keys [][]byte, states
 	return nil
 }
 
-// resetBlockStates returns the cleared per-block state map; the map itself
-// allocates once per operator, outside the hot path.
-func (o *SlidingWindowOp) resetBlockStates() map[string]*windowState {
-	if o.blkStates == nil {
-		o.blkStates = make(map[string]*windowState)
-	}
-	for k := range o.blkStates {
-		delete(o.blkStates, k)
-	}
-	return o.blkStates
-}
-
-// loadStatesBatch fills the block state map for the distinct state keys
-// from one batched byte read.
-func (o *SlidingWindowOp) loadStatesBatch(c *analyticState, keys [][]byte, states map[string]*windowState) error {
+// loadStatesBatch decodes the states of the distinct state keys, in their
+// order, from one batched byte read.
+func (o *SlidingWindowOp) loadStatesBatch(c *analyticState, keys [][]byte) ([]*windowState, error) {
 	vals := o.blkVals[:0]
 	oks := o.blkOks[:0]
 	for range keys {
@@ -273,14 +274,16 @@ func (o *SlidingWindowOp) loadStatesBatch(c *analyticState, keys [][]byte, state
 	}
 	kv.GetMany(o.store, keys, vals, oks)
 	o.blkVals, o.blkOks = vals[:0], oks[:0]
-	for i, k := range keys {
+	states := o.blkStates[:0]
+	for i := range keys {
 		ws, err := o.decodeCallState(c, vals[i], oks[i])
 		if err != nil {
-			return err
+			return nil, err
 		}
-		states[string(k)] = ws
+		states = append(states, ws)
 	}
-	return nil
+	o.blkStates = states
+	return states, nil
 }
 
 // ----- StreamAggregateOp -----
@@ -325,50 +328,55 @@ func (o *StreamAggregateOp) ProcessBlock(_ int, b *TupleBlock, emit BlockEmit) e
 	return emit(out)
 }
 
-// blockScratch boxes the columns the aggregate reads and sizes the gather
-// row and group-key scratch for the block.
+// blockScratch boxes the columns the aggregate reads, sizes the gather row
+// and group-key scratch for the block, and empties the distinct-key table.
 func (o *StreamAggregateOp) blockScratch(b *TupleBlock) []any {
 	b.box(o.refs)
 	if cap(o.keyScratch) < len(o.keyEvals)+len(o.aggs) {
 		o.keyScratch = make([]any, len(o.keyEvals)+len(o.aggs))
 	}
+	o.blkTable.reset(len(b.Sel))
 	return rowScratch(&o.rowScratch, b)
 }
 
-// loadAggStates batch-reads the distinct store keys into the block state
-// map (first-touch order in keys).
-func (o *StreamAggregateOp) loadAggStates(keys [][]byte, states map[string]*aggBlockState) error {
-	if len(keys) == 0 {
-		return nil
-	}
+// loadAggStates batch-reads the states of the distinct store keys, in their
+// (first-touch) order.
+func (o *StreamAggregateOp) loadAggStates(keys [][]byte) ([]aggBlockState, error) {
+	states := o.blkStates[:0]
 	vals := o.blkVals[:0]
 	oks := o.blkOks[:0]
 	for range keys {
 		vals = append(vals, nil)
 		oks = append(oks, false)
 	}
-	kv.GetMany(o.store, keys, vals, oks)
-	for i, k := range keys {
+	if len(keys) > 0 {
+		kv.GetMany(o.store, keys, vals, oks)
+	}
+	for i := range keys {
 		set, offsets, err := o.decodeSet(vals[i], oks[i])
 		if err != nil {
-			return err
+			return nil, err
 		}
-		states[string(k)] = &aggBlockState{set: set, offsets: offsets}
+		states = append(states, aggBlockState{set: set, offsets: offsets})
 	}
-	o.blkVals, o.blkOks = vals[:0], oks[:0]
-	return nil
+	o.blkStates, o.blkVals, o.blkOks = states, vals[:0], oks[:0]
+	return states, nil
 }
 
-func (o *StreamAggregateOp) resetBlockStates() map[string]*aggBlockState {
-	states := o.blkStates
-	if states == nil {
-		states = make(map[string]*aggBlockState)
-		o.blkStates = states
+// saveDirty writes every state the block modified through, in first-touch
+// order.
+func (o *StreamAggregateOp) saveDirty(keys [][]byte, states []aggBlockState) error {
+	for i := range states {
+		st := &states[i]
+		if !st.dirty {
+			continue
+		}
+		st.dirty = false
+		if err := o.saveSet(keys[i], st.set, st.offsets); err != nil {
+			return err
+		}
 	}
-	for k := range states {
-		delete(states, k)
-	}
-	return states
+	return nil
 }
 
 func (o *StreamAggregateOp) processUnwindowedBlock(b *TupleBlock, out *TupleBlock) error {
@@ -376,13 +384,13 @@ func (o *StreamAggregateOp) processUnwindowedBlock(b *TupleBlock, out *TupleBloc
 	nk := len(o.keyEvals)
 	keyVals := o.keyScratch[:nk]
 
-	// Pass 1: per-row store keys (run-detected) plus the flat key-value
-	// arena emission reads back, and the distinct-key list.
-	states := o.resetBlockStates()
-	kbs := o.blkKb[:0]
-	keyArena := o.blkKeyVals[:0]
+	// Pass 1: each row's store key (run-detected), built in the key arena
+	// and numbered among the block's distinct keys, plus the flat key-value
+	// arena emission reads back.
+	slots := o.blkSlots[:0]
+	keyValArena := o.blkKeyVals[:0]
 	keys := o.blkKeys[:0]
-	var prevKey []byte
+	o.keyArena = o.keyArena[:0]
 	var prevVal any
 	havePrev := false
 	for _, r := range b.Sel {
@@ -394,34 +402,32 @@ func (o *StreamAggregateOp) processUnwindowedBlock(b *TupleBlock, out *TupleBloc
 			}
 			keyVals[i] = v
 		}
-		keyArena = append(keyArena, keyVals...)
+		keyValArena = append(keyValArena, keyVals...)
 		if nk == 1 && havePrev {
 			if eq, ok := runEqual(keyVals[0], prevVal); ok && eq {
-				kbs = append(kbs, prevKey)
+				slots = append(slots, slots[len(slots)-1])
 				continue
 			}
 		}
-		sk, err := o.encodeKey(0, keyVals)
-		if err != nil {
+		var err error
+		if o.kbuf, err = o.obj.AppendEncode(o.kbuf[:0], keyVals); err != nil {
 			return err
 		}
-		kbs = append(kbs, sk)
+		start := len(o.keyArena)
+		o.keyArena = appendWindowKey(o.keyArena, 0, o.kbuf)
+		var slot int32
+		slot, keys, o.keyArena = o.blkTable.slotOfLast(keys, o.keyArena, start)
+		slots = append(slots, slot)
 		if nk == 1 {
-			if _, ok := runEqual(keyVals[0], keyVals[0]); ok {
-				prevKey, prevVal, havePrev = sk, keyVals[0], true
-			} else {
-				havePrev = false
-			}
-		}
-		if _, ok := states[string(sk)]; !ok {
-			states[string(sk)] = nil
-			keys = append(keys, sk)
+			_, havePrev = runEqual(keyVals[0], keyVals[0])
+			prevVal = keyVals[0]
 		}
 	}
-	o.blkKb, o.blkKeyVals, o.blkKeys = kbs, keyArena, keys
+	o.blkSlots, o.blkKeyVals, o.blkKeys = slots, keyValArena, keys
 
 	// Pass 2: one batched load for every distinct group.
-	if err := o.loadAggStates(keys, states); err != nil {
+	states, err := o.loadAggStates(keys)
+	if err != nil {
 		return err
 	}
 
@@ -430,7 +436,7 @@ func (o *StreamAggregateOp) processUnwindowedBlock(b *TupleBlock, out *TupleBloc
 	src := o.sources.keyFor(b.Stream, b.Partition)
 	outRow := o.keyScratch[:nk+len(o.aggs)]
 	for k, r := range b.Sel {
-		st := states[string(kbs[k])]
+		st := &states[slots[k]]
 		offset := b.Offsets[r]
 		if st.offsets.seen(src, offset) {
 			continue
@@ -441,23 +447,15 @@ func (o *StreamAggregateOp) processUnwindowedBlock(b *TupleBlock, out *TupleBloc
 		}
 		st.offsets = st.offsets.update(src, offset)
 		st.dirty = true
-		copy(outRow[:nk], keyArena[k*nk:(k+1)*nk])
-		copy(outRow[nk:], st.set.Values())
-		if err := out.AppendRow(outRow, b.Ts[r], kbs[k], offset); err != nil {
+		copy(outRow[:nk], keyValArena[k*nk:(k+1)*nk])
+		for i, a := range st.set.Accums {
+			outRow[nk+i] = a.Value()
+		}
+		if err := out.AppendRow(outRow, b.Ts[r], keys[slots[k]], offset); err != nil {
 			return err
 		}
 	}
-	for _, sk := range keys {
-		st := states[string(sk)]
-		if !st.dirty {
-			continue
-		}
-		st.dirty = false
-		if err := o.saveSet(sk, st.set, st.offsets); err != nil {
-			return err
-		}
-	}
-	return nil
+	return o.saveDirty(keys, states)
 }
 
 func (o *StreamAggregateOp) processWindowedBlock(b *TupleBlock, out *TupleBlock) error {
@@ -468,15 +466,15 @@ func (o *StreamAggregateOp) processWindowedBlock(b *TupleBlock, out *TupleBlock)
 	retain := o.window.RetainMillis
 	align := o.window.AlignMillis
 
-	// Pass 1: per-row group-key bytes (run-detected) and window timestamps,
-	// plus the candidate (window end, group) store keys — every boundary
-	// past the block-start watermark. Rows a later (local) watermark will
+	// Pass 1: per-row window timestamps and group-key bytes (run-detected),
+	// and the slot of every candidate (window end, group) store key — every
+	// boundary past the block-start watermark — among the block's distinct
+	// keys, in (row, boundary) order. Rows a later (local) watermark will
 	// drop contribute unused loads, never wrong state.
-	states := o.resetBlockStates()
-	kbs := o.blkKb[:0]
 	tss := o.blkTs[:0]
+	slots := o.blkSlots[:0]
 	keys := o.blkKeys[:0]
-	var prevKb []byte
+	o.keyArena = o.keyArena[:0]
 	var prevVal any
 	havePrev := false
 	for _, r := range b.Sel {
@@ -499,60 +497,56 @@ func (o *StreamAggregateOp) processWindowedBlock(b *TupleBlock, out *TupleBlock)
 		tss = append(tss, ts)
 		reused := false
 		if nk == 1 && havePrev {
-			if eq, ok := runEqual(keyVals[0], prevVal); ok && eq {
-				kbs = append(kbs, prevKb)
-				reused = true
-			}
+			eq, ok := runEqual(keyVals[0], prevVal)
+			reused = ok && eq
 		}
 		if !reused {
-			kb, err := o.obj.Encode(keyVals)
-			if err != nil {
+			if o.kbuf, err = o.obj.AppendEncode(o.kbuf[:0], keyVals); err != nil {
 				return err
 			}
-			kbs = append(kbs, kb)
 			if nk == 1 {
-				if _, ok := runEqual(keyVals[0], keyVals[0]); ok {
-					prevKb, prevVal, havePrev = kb, keyVals[0], true
-				} else {
-					havePrev = false
-				}
+				_, havePrev = runEqual(keyVals[0], keyVals[0])
+				prevVal = keyVals[0]
 			}
 		}
-		kb := kbs[len(kbs)-1]
 		for e := nextBoundary(ts, emitEvery, align); e <= ts+retain; e += emitEvery {
 			if e <= o.watermark {
 				continue
 			}
-			o.blkWk = appendWindowKey(o.blkWk[:0], e, kb)
-			if _, ok := states[string(o.blkWk)]; ok {
-				continue
-			}
-			sk := append([]byte(nil), o.blkWk...)
-			states[string(sk)] = nil
-			keys = append(keys, sk)
+			start := len(o.keyArena)
+			o.keyArena = appendWindowKey(o.keyArena, e, o.kbuf)
+			var slot int32
+			slot, keys, o.keyArena = o.blkTable.slotOfLast(keys, o.keyArena, start)
+			slots = append(slots, slot)
 		}
 	}
-	o.blkKb, o.blkTs, o.blkKeys = kbs, tss, keys
+	o.blkTs, o.blkSlots, o.blkKeys = tss, slots, keys
 
 	// Pass 2: one batched load for every candidate window state.
-	if err := o.loadAggStates(keys, states); err != nil {
+	states, err := o.loadAggStates(keys)
+	if err != nil {
 		return err
 	}
 
 	// Pass 3: fold contributions against a locally advancing watermark —
-	// the drop decisions tuple-by-tuple processing makes.
+	// the drop decisions tuple-by-tuple processing makes — walking the
+	// boundaries in pass 1's order.
 	src := o.sources.keyFor(b.Stream, b.Partition)
 	wmLocal := o.watermark
+	next := 0
 	for k, r := range b.Sel {
 		ts := tss[k]
 		offset := b.Offsets[r]
 		row = b.gather(r, row, o.refs)
 		for e := nextBoundary(ts, emitEvery, align); e <= ts+retain; e += emitEvery {
+			if e <= o.watermark {
+				continue
+			}
+			st := &states[slots[next]]
+			next++
 			if e <= wmLocal {
 				continue // window already closed; late contribution dropped
 			}
-			o.blkWk = appendWindowKey(o.blkWk[:0], e, kbs[k])
-			st := states[string(o.blkWk)]
 			if st.offsets.seen(src, offset) {
 				continue
 			}
@@ -574,15 +568,8 @@ func (o *StreamAggregateOp) processWindowedBlock(b *TupleBlock, out *TupleBlock)
 	// (end-order) sequence: contributions to a window past the local
 	// watermark were dropped above, exactly as mid-stream advances would
 	// drop them.
-	for _, sk := range keys {
-		st := states[string(sk)]
-		if !st.dirty {
-			continue
-		}
-		st.dirty = false
-		if err := o.saveSet(sk, st.set, st.offsets); err != nil {
-			return err
-		}
+	if err := o.saveDirty(keys, states); err != nil {
+		return err
 	}
 	if wmLocal > o.watermark {
 		return o.advanceWatermark(wmLocal, out, b.Offsets[b.Sel[len(b.Sel)-1]])
@@ -639,12 +626,8 @@ func (o *StreamRelationJoinOp) ProcessBlock(side int, b *TupleBlock, emit BlockE
 		if arena, err = o.appendRelKey(arena, kval); err != nil {
 			return err
 		}
-		distinct := len(keys)
 		var slot int32
-		slot, keys = o.blkDistinct.slotOf(keys, arena[start:len(arena):len(arena)])
-		if len(keys) == distinct {
-			arena = arena[:start] // seen before: the key list holds the first copy
-		}
+		slot, keys, arena = o.blkDistinct.slotOfLast(keys, arena, start)
 		slots = append(slots, slot)
 		_, havePrev = runEqual(kval, kval)
 		prevVal = kval

@@ -315,7 +315,7 @@ func (o *StreamStreamJoinOp) processOne(side int, row []any, ts, offset int64, k
 		return fmt.Errorf("operators: join key: %w", err)
 	}
 	o.keyVal[0] = kvVal
-	pk, err := encodeGroupKey(serde.ObjectSerde{}, o.keyVal[:])
+	pk, err := serde.ObjectSerde{}.Encode(o.keyVal[:])
 	if err != nil {
 		return err
 	}

@@ -15,7 +15,8 @@ type keyTable struct {
 	seed  maphash.Seed
 }
 
-// reset empties the table and sizes it for up to n distinct keys.
+// reset empties the table and sizes it for n distinct keys; more make it
+// grow.
 func (t *keyTable) reset(n int) {
 	if t.slots == nil {
 		t.seed = maphash.MakeSeed()
@@ -37,6 +38,9 @@ func (t *keyTable) reset(n int) {
 //
 //samzasql:hotpath
 func (t *keyTable) slotOf(keys [][]byte, key []byte) (int32, [][]byte) {
+	if 2*(len(keys)+1) > len(t.slots) {
+		t.grow(keys)
+	}
 	mask := uint64(len(t.slots) - 1)
 	for i := maphash.Bytes(t.seed, key) & mask; ; i = (i + 1) & mask {
 		s := t.slots[i]
@@ -48,5 +52,33 @@ func (t *keyTable) slotOf(keys [][]byte, key []byte) (int32, [][]byte) {
 		if bytes.Equal(keys[s-1], key) {
 			return s - 1, keys
 		}
+	}
+}
+
+// slotOfLast is slotOf for the key at arena[start:], which the caller has
+// just appended to its key arena; a key the block already has is cut off the
+// arena again, keys holding its first copy.
+//
+//samzasql:hotpath
+func (t *keyTable) slotOfLast(keys [][]byte, arena []byte, start int) (int32, [][]byte, []byte) {
+	distinct := len(keys)
+	slot, keys := t.slotOf(keys, arena[start:len(arena):len(arena)])
+	if len(keys) == distinct {
+		arena = arena[:start]
+	}
+	return slot, keys, arena
+}
+
+// grow doubles the table and re-places the keys it holds, keeping the load
+// at most one half.
+func (t *keyTable) grow(keys [][]byte) {
+	t.reset(len(t.slots))
+	mask := uint64(len(t.slots) - 1)
+	for k, key := range keys {
+		i := maphash.Bytes(t.seed, key) & mask
+		for t.slots[i] != 0 {
+			i = (i + 1) & mask
+		}
+		t.slots[i] = int32(k + 1)
 	}
 }

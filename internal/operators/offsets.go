@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"samzasql/internal/kafka"
+	"samzasql/internal/serde"
 )
 
 // Stateful operators remember, inside each state row, the offset of the
@@ -14,35 +15,8 @@ import (
 // instance can see several partitions (a join's two inputs; the bounded
 // table-mode executor feeds all partitions through one instance).
 
-// offsetVector is a flat [key1, off1, key2, off2, ...] list of source
-// identifiers and last-applied offsets, stored as a nested row.
-type offsetVector []any
-
-// seen reports whether the offset was already applied from source key.
-func (v offsetVector) seen(key string, offset int64) bool {
-	for i := 0; i+1 < len(v); i += 2 {
-		if k, ok := v[i].(string); ok && k == key {
-			last, _ := v[i+1].(int64)
-			return offset <= last
-		}
-	}
-	return false
-}
-
-// update records offset for source key, returning the updated vector.
-func (v offsetVector) update(key string, offset int64) offsetVector {
-	for i := 0; i+1 < len(v); i += 2 {
-		if k, ok := v[i].(string); ok && k == key {
-			v[i+1] = offset
-			return v
-		}
-	}
-	return append(v, key, offset)
-}
-
-// appliedOffsets is the typed form of offsetVector for state rows with a
-// binary layout of their own (the sliding window's): the same (source, last
-// applied offset) pairs without boxing an offset per update.
+// appliedOffsets is the (source, last applied offset) vector of one state
+// row.
 type appliedOffsets []sourceOffset
 
 type sourceOffset struct {
@@ -69,6 +43,49 @@ func (v appliedOffsets) update(src string, offset int64) appliedOffsets {
 		}
 	}
 	return append(v, sourceOffset{src, offset})
+}
+
+// appendRow appends v as the object-serde row [src1, last1, src2, last2, …]
+// (the streaming aggregate's state row carries it that way).
+func (v appliedOffsets) appendRow(dst []byte) []byte {
+	dst = serde.AppendRowHeader(dst, 2*len(v))
+	for _, so := range v {
+		dst = serde.AppendLong(serde.AppendString(dst, so.src), so.last)
+	}
+	return dst
+}
+
+// readOffsetsRow decodes exactly one appendRow row, interning source names.
+func readOffsetsRow(src []byte, names sourceNames) (appliedOffsets, error) {
+	r := serde.NewReader(src)
+	n := r.RowHeader()
+	if r.Err() == nil && n%2 != 0 {
+		return nil, fmt.Errorf("operators: offset vector has %d elements, want (source, offset) pairs", n)
+	}
+	var v appliedOffsets
+	for ; n > 0 && r.Err() == nil; n -= 2 {
+		name, last := r.Str(), r.Long()
+		if r.Err() == nil {
+			v = append(v, sourceOffset{names.intern(name), last})
+		}
+	}
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("operators: offset vector: %w", err)
+	}
+	return v, nil
+}
+
+// sourceNames interns the source names of decoded offset vectors, so
+// decoding a state row allocates no string per source.
+type sourceNames map[string]string
+
+func (n sourceNames) intern(name []byte) string {
+	if s, ok := n[string(name)]; ok {
+		return s
+	}
+	s := string(name)
+	n[s] = s
+	return s
 }
 
 // sourceKeys caches the "stream:partition" strings so the per-block path

@@ -43,25 +43,22 @@ const chunkCap = 64
 // which the changelog never splits, so a restored state row always finds the
 // chunks its cursors point into.
 type SlidingWindowOp struct {
-	calls []*analyticState
-	// refs are the input columns the calls' expressions read.
-	refs    []int
-	store   kv.Store
-	obj     serde.ObjectSerde
-	sources sourceKeys
-	// srcNames interns the source names of decoded offset vectors.
-	srcNames map[string]string
+	calls    []*analyticState
+	store    kv.Store
+	obj      serde.ObjectSerde
+	sources  sourceKeys
+	srcNames sourceNames
 
 	// Scratch (tasks are single-goroutine; every store layer copies keys and
-	// values it retains, so reuse is safe): sbuf holds the state key, kbuf a
-	// chunk key, ebuf one encoded entry, allbuf a whole deque being rebuilt.
-	sbuf, kbuf, ebuf, allbuf []byte
+	// values it retains, so reuse is safe): kbuf holds a chunk key, ebuf one
+	// encoded entry, allbuf a whole deque being rebuilt.
+	kbuf, ebuf, allbuf []byte
 
 	// The pending write batch: chunk puts, chunk deletes and state rows in
 	// the order they were caused. Keys and values alias arena, which is
-	// reset with the batch. rolled indexes the puts of chunks that filled up
-	// since the last flush — the only chunks a read can want before the
-	// store has them.
+	// reset with the batch and also holds the block's partition and state
+	// keys. rolled indexes the puts of chunks that filled up since the last
+	// flush — the only chunks a read can want before the store has them.
 	ops    []kv.WriteOp
 	arena  []byte
 	rolled []int
@@ -72,16 +69,19 @@ type SlidingWindowOp struct {
 	poolUsed int
 
 	// Per-block scratch (block_stateful.go): the output block and its
-	// selection, the gather row, per-row group keys, per-row replay flags,
-	// the per-block state map keyed by state-key string, and the batched-read
+	// selection, the gather row, per-row replay flags, one call's distinct
+	// partition keys (found through blkTable), their state keys and states
+	// in first-touch order, each row's slot among them, and the batched-read
 	// slices.
 	outBlock   TupleBlock
 	outSel     []int
 	rowScratch []any
-	blkPks     [][]byte
 	blkReplay  []bool
-	blkStates  map[string]*windowState
+	blkTable   keyTable
+	blkPks     [][]byte
 	blkKeys    [][]byte
+	blkStates  []*windowState
+	blkSlots   []int32
 	blkChunks  [][]byte
 	blkVals    [][]byte
 	blkOks     []bool
@@ -117,53 +117,101 @@ type windowState struct {
 }
 
 type analyticState struct {
-	spec      *validate.BoundAnalytic
-	partEvals []expr.Evaluator
-	orderEval expr.Evaluator
-	argEval   expr.Evaluator // nil for COUNT(*)
+	spec *validate.BoundAnalytic
+	// part, order and arg read a row's PARTITION BY values, ORDER BY
+	// timestamp and aggregate input (arg is the zero callInput for COUNT(*)).
+	part       []callInput
+	order, arg callInput
+	// partVals is the scratch of evaluated PARTITION BY values (tasks are
+	// single-goroutine, so one buffer per call suffices).
+	partVals []any
 	// newAcc builds a fresh accumulator for this call, resolved once at
 	// construction so per-tuple state decodes stay off the UDAF registry lock.
 	newAcc func() Accumulator
 	idx    byte
 	// kind is the call's output column kind.
 	kind vec.Kind
-	// partVals is the per-tuple partition-value scratch (tasks are
-	// single-goroutine, so one buffer per call suffices).
-	partVals []any
-	// pkMemo caches encoded group keys for the common single-int64
-	// partition column (PARTITION BY productId), skipping the per-tuple
-	// ObjectSerde encode. Bounded: cardinality past pkMemoCap falls back to
-	// encoding.
-	pkMemo map[int64][]byte
 }
 
-// pkMemoCap bounds the group-key memo; the window state itself holds one row
-// per group, so the memo never exceeds the state's own key cardinality until
-// this cap.
-const pkMemoCap = 1 << 16
+// callInput is one per-row input of an analytic call. A bare column reference
+// over an Int64 vector is read from the vector, unboxed; any other
+// expression runs its compiled evaluator over the block's boxed view. The
+// zero callInput, with no expression, reads COUNT(*)'s marker input 1.
+type callInput struct {
+	col  int // the column a bare reference reads, or -1
+	eval expr.Evaluator
+	refs []int // the columns eval reads
+}
 
-// groupKey returns the encoded partition key for the tuple's partition
-// values, memoized for single-int64 partitions.
-func (c *analyticState) groupKey(g serde.ObjectSerde) ([]byte, error) {
-	if len(c.partVals) == 1 {
-		if v, ok := c.partVals[0].(int64); ok {
-			if pk, ok := c.pkMemo[v]; ok {
-				return pk, nil
-			}
-			pk, err := encodeGroupKey(g, c.partVals)
-			if err != nil {
-				return nil, err
-			}
-			if c.pkMemo == nil {
-				c.pkMemo = make(map[int64][]byte)
-			}
-			if len(c.pkMemo) < pkMemoCap {
-				c.pkMemo[v] = pk
-			}
-			return pk, nil
-		}
+func newCallInput(e expr.Expr) (callInput, error) {
+	ev, err := expr.Compile(e)
+	if err != nil {
+		return callInput{}, err
 	}
-	return encodeGroupKey(g, c.partVals)
+	p := callInput{col: -1, eval: ev, refs: expr.Columns(e)}
+	if c, ok := e.(*expr.ColRef); ok {
+		p.col = c.Idx
+	}
+	return p, nil
+}
+
+// int64Col returns the Int64 vector p reads unboxed in b, or nil after
+// boxing the columns p's evaluator reads.
+func (p *callInput) int64Col(b *TupleBlock) *vec.Vec {
+	if p.eval != nil && p.col >= 0 && b.Cols[p.col].Kind == vec.Int64 {
+		return &b.Cols[p.col]
+	}
+	b.box(p.refs)
+	return nil
+}
+
+// at returns p's value in row r, where col is what int64Col returned.
+//
+//samzasql:hotpath
+func (p *callInput) at(b *TupleBlock, col *vec.Vec, r int, row []any) (value, error) {
+	switch {
+	case col != nil:
+		if col.IsNull(r) {
+			return value{}, nil
+		}
+		return value{i: col.I64[r], isInt: true}, nil
+	case p.eval == nil:
+		return value{i: 1, isInt: true}, nil
+	}
+	v, err := p.eval(b.gather(r, row, p.refs))
+	if err != nil {
+		return value{}, err
+	}
+	return valueOf(v), nil
+}
+
+// value is one aggregate input: an int64 held unboxed (isInt) or any other
+// value boxed in v, nil being NULL.
+type value struct {
+	i     int64
+	v     any
+	isInt bool
+}
+
+func valueOf(x any) value {
+	if i, ok := x.(int64); ok {
+		return value{i: i, isInt: true}
+	}
+	return value{v: x}
+}
+
+func (v value) addTo(acc Accumulator) error {
+	if v.isInt {
+		return acc.AddInt64(v.i)
+	}
+	return acc.Add(v.v)
+}
+
+func (v value) removeFrom(acc Accumulator) error {
+	if v.isInt {
+		return acc.RemoveInt64(v.i)
+	}
+	return acc.Remove(v.v)
 }
 
 // NewSlidingWindowOp compiles the analytic calls.
@@ -172,44 +220,36 @@ func NewSlidingWindowOp(calls []*validate.BoundAnalytic) (*SlidingWindowOp, erro
 		return nil, fmt.Errorf("operators: too many analytic calls (%d)", len(calls))
 	}
 	op := &SlidingWindowOp{}
-	var read []expr.Expr
 	for i, c := range calls {
-		st := &analyticState{spec: c, idx: byte(i), kind: vec.KindOf(c.T)}
-		read = append(append(read, c.PartitionBy...), c.OrderBy, c.Arg)
+		st := &analyticState{spec: c, idx: byte(i), kind: vec.KindOf(c.T), partVals: make([]any, len(c.PartitionBy))}
 		for _, p := range c.PartitionBy {
-			ev, err := expr.Compile(p)
+			pe, err := newCallInput(p)
 			if err != nil {
 				return nil, err
 			}
-			st.partEvals = append(st.partEvals, ev)
+			st.part = append(st.part, pe)
 		}
-		ev, err := expr.Compile(c.OrderBy)
-		if err != nil {
+		var err error
+		if st.order, err = newCallInput(c.OrderBy); err != nil {
 			return nil, err
 		}
-		st.orderEval = ev
 		if c.Arg != nil {
-			ae, err := expr.Compile(c.Arg)
-			if err != nil {
+			if st.arg, err = newCallInput(c.Arg); err != nil {
 				return nil, err
 			}
-			st.argEval = ae
 		}
-		ctor, err := AccumCtorFor(c.Fn)
-		if err != nil {
+		if st.newAcc, err = AccumCtorFor(c.Fn); err != nil {
 			return nil, err
 		}
-		st.newAcc = ctor
 		op.calls = append(op.calls, st)
 	}
-	op.refs = expr.Columns(read...)
 	return op, nil
 }
 
 // Open implements Operator.
 func (o *SlidingWindowOp) Open(ctx *OpContext) error {
 	o.store = ctx.Store(SlidingStoreName)
-	o.srcNames = map[string]string{}
+	o.srcNames = sourceNames{}
 	return nil
 }
 
@@ -220,10 +260,10 @@ func (o *SlidingWindowOp) Open(ctx *OpContext) error {
 // UNBOUNDED frame never purges, so it keeps no contributions at all.
 //
 //samzasql:hotpath
-func (o *SlidingWindowOp) foldTuple(c *analyticState, ws *windowState, pk []byte, ts int64, arg any, offset int64) error {
+func (o *SlidingWindowOp) foldTuple(c *analyticState, ws *windowState, pk []byte, ts int64, arg value, offset int64) error {
 	ws.count++
 	if c.spec.Unbounded {
-		return ws.acc.Add(arg)
+		return arg.addTo(ws.acc)
 	}
 	// 2. Save the message's window contribution at its (ts, offset) place in
 	// the partition's deque — the tail, unless the tuple is late.
@@ -256,7 +296,7 @@ func (o *SlidingWindowOp) foldTuple(c *analyticState, ws *windowState, pk []byte
 		return err
 	}
 	// 4. Fold in the current tuple.
-	if err := ws.acc.Add(arg); err != nil {
+	if err := arg.addTo(ws.acc); err != nil {
 		return err
 	}
 	// 5. Non-invertible aggregates (MIN/MAX, non-invertible UDAFs) rebuild
@@ -314,7 +354,7 @@ func (o *SlidingWindowOp) purge(c *analyticState, ws *windowState, pk []byte, ts
 			if err != nil {
 				return false, err
 			}
-			if err := ws.acc.Remove(val); err != nil {
+			if err := val.removeFrom(ws.acc); err != nil {
 				return false, err
 			}
 		} else {
@@ -382,7 +422,7 @@ func (o *SlidingWindowOp) addEntries(acc Accumulator, img []byte, n int) error {
 		if err != nil {
 			return err
 		}
-		if err := acc.Add(val); err != nil {
+		if err := val.addTo(acc); err != nil {
 			return err
 		}
 		img = img[entrySize(img):]
@@ -597,18 +637,23 @@ func (o *SlidingWindowOp) arenaCopy(b []byte) []byte {
 }
 
 // stageState queues a modified state for the next flush: its tail chunk when
-// the image changed, then the state row encoded into the batch.
-func (o *SlidingWindowOp) stageState(c *analyticState, sk, pk []byte, ws *windowState) {
+// the image changed, then the state row encoded into the batch under sk, a
+// key already in the batch arena.
+func (o *SlidingWindowOp) stageState(c *analyticState, sk, pk []byte, ws *windowState) error {
 	if ws.tailDirty {
 		o.kbuf = appendChunkKey(o.kbuf[:0], c.idx, pk, ws.tailSeq)
 		o.stageWrite(o.kbuf, ws.tail, false)
 		ws.tailDirty = false
 	}
 	ws.dirty = false
-	sk = o.arenaCopy(sk)
 	start := len(o.arena)
-	o.arena = o.appendState(o.arena, ws)
+	buf, err := o.appendState(o.arena, ws)
+	if err != nil {
+		return fmt.Errorf("operators: window accumulator state: %w", err)
+	}
+	o.arena = buf
 	o.ops = append(o.ops, kv.WriteOp{Key: sk, Value: o.arena[start:len(o.arena):len(o.arena)]})
+	return nil
 }
 
 // flushWrites hands the pending batch to the store as one kv write batch
@@ -627,14 +672,21 @@ func (o *SlidingWindowOp) discardWrites() {
 	o.poolUsed = 0
 }
 
-// newState returns an empty, recycled windowState for call c.
+// newState returns an empty, recycled windowState for call c, with the
+// state's builtin accumulator reset for reuse when it computes c's function.
 func (o *SlidingWindowOp) newState(c *analyticState) *windowState {
 	if o.poolUsed == len(o.pool) {
 		o.pool = append(o.pool, &windowState{})
 	}
 	ws := o.pool[o.poolUsed]
 	o.poolUsed++
-	*ws = windowState{acc: c.newAcc(), offsets: ws.offsets[:0], tail: ws.tail[:0], head: ws.head[:0]}
+	acc := ws.acc
+	if a, ok := acc.(*Accum); ok && a.Fn == c.spec.Fn {
+		*a = Accum{Fn: a.Fn}
+	} else {
+		acc = c.newAcc()
+	}
+	*ws = windowState{acc: acc, offsets: ws.offsets[:0], tail: ws.tail[:0], head: ws.head[:0]}
 	return ws
 }
 
@@ -645,14 +697,14 @@ func (o *SlidingWindowOp) newState(c *analyticState) *windowState {
 // its entries back to back.
 const entryHeader = 17
 
-func (o *SlidingWindowOp) appendEntry(buf []byte, ts, offset int64, arg any) ([]byte, error) {
+func (o *SlidingWindowOp) appendEntry(buf []byte, ts, offset int64, arg value) ([]byte, error) {
 	buf = binary.BigEndian.AppendUint64(buf, uint64(ts))
 	buf = binary.BigEndian.AppendUint64(buf, uint64(offset))
-	if v, ok := arg.(int64); ok {
+	if arg.isInt {
 		buf = append(buf, 1)
-		return binary.BigEndian.AppendUint64(buf, uint64(v)), nil
+		return binary.BigEndian.AppendUint64(buf, uint64(arg.i)), nil
 	}
-	row, err := o.obj.Encode([]any{arg})
+	row, err := o.obj.Encode([]any{arg.v})
 	if err != nil {
 		return nil, err
 	}
@@ -694,20 +746,20 @@ func entryBefore(a, b []byte) bool {
 
 // entryValue returns the aggregate input value of the entry at the start of
 // b (which entrySize has vetted).
-func (o *SlidingWindowOp) entryValue(b []byte) (any, error) {
+func (o *SlidingWindowOp) entryValue(b []byte) (value, error) {
 	if b[entryHeader-1] == 1 {
-		return int64(binary.BigEndian.Uint64(b[entryHeader:])), nil
+		return value{i: int64(binary.BigEndian.Uint64(b[entryHeader:])), isInt: true}, nil
 	}
 	l, w := binary.Uvarint(b[entryHeader:])
 	row, err := o.obj.Decode(b[entryHeader+w : entryHeader+w+int(l)])
 	if err != nil {
-		return nil, err
+		return value{}, err
 	}
 	vals, ok := row.([]any)
 	if !ok || len(vals) != 1 {
-		return nil, fmt.Errorf("operators: window chunk entry holds %T, want a one-value row", row)
+		return value{}, fmt.Errorf("operators: window chunk entry holds %T, want a one-value row", row)
 	}
-	return vals[0], nil
+	return valueOf(vals[0]), nil
 }
 
 // appendChunkKey appends "m" + callIdx + len(pk) + pk + chunkSeq to buf. The
@@ -721,9 +773,6 @@ func appendChunkKey(buf []byte, idx byte, pk []byte, seq uint64) []byte {
 	return binary.BigEndian.AppendUint64(buf, seq)
 }
 
-// stateKeyPrefix is how many bytes of a state key precede the partition key.
-const stateKeyPrefix = 2
-
 func appendStateKey(buf []byte, idx byte, pk []byte) []byte {
 	buf = append(buf, 's', idx)
 	return append(buf, pk...)
@@ -732,10 +781,10 @@ func appendStateKey(buf []byte, idx byte, pk []byte) []byte {
 // The state row has a fixed binary layout — uvarints for the retained
 // count, the four deque cursors and the offset vector (pair count, then
 // source name and last applied offset per pair) — followed by the
-// accumulator snapshot, the only part that still goes through ObjectSerde.
+// accumulator's state row (Accumulator.AppendState).
 
 // appendState appends ws's encoded state row to buf.
-func (o *SlidingWindowOp) appendState(buf []byte, ws *windowState) []byte {
+func (o *SlidingWindowOp) appendState(buf []byte, ws *windowState) ([]byte, error) {
 	buf = binary.AppendUvarint(buf, uint64(ws.count))
 	buf = binary.AppendUvarint(buf, ws.headSeq)
 	buf = binary.AppendUvarint(buf, uint64(ws.headPos))
@@ -747,13 +796,7 @@ func (o *SlidingWindowOp) appendState(buf []byte, ws *windowState) []byte {
 		buf = append(buf, so.src...)
 		buf = binary.AppendUvarint(buf, uint64(so.last))
 	}
-	snap, err := o.obj.Encode(ws.acc.Snapshot())
-	if err != nil {
-		// The same snapshot shape encoded fine when the state was built; a
-		// failure here is a programming error on the state path.
-		panic(fmt.Sprintf("operators: window accumulator snapshot: %v", err))
-	}
-	return append(buf, snap...)
+	return ws.acc.AppendState(buf)
 }
 
 // decodeCallState builds a windowState from stored bytes; ok=false yields a
@@ -791,30 +834,11 @@ func (o *SlidingWindowOp) decodeCallState(c *analyticState, v []byte, ok bool) (
 		if w2 <= 0 {
 			return nil, fmt.Errorf("operators: window state offset vector truncated")
 		}
-		ws.offsets = append(ws.offsets, sourceOffset{o.internSource(name), int64(last)})
+		ws.offsets = append(ws.offsets, sourceOffset{o.srcNames.intern(name), int64(last)})
 		v = v[w+int(l)+w2:]
 	}
-	snap, err := o.obj.Decode(v)
-	if err != nil {
-		return nil, err
-	}
-	row, ok := snap.([]any)
-	if !ok {
-		return nil, fmt.Errorf("operators: window accumulator snapshot is %T, want a row", snap)
-	}
-	if err := ws.acc.Restore(row); err != nil {
-		return nil, err
+	if err := ws.acc.ReadState(v); err != nil {
+		return nil, fmt.Errorf("operators: window state: %w", err)
 	}
 	return ws, nil
-}
-
-// internSource returns the one shared string for a source name, so decoding
-// an offset vector allocates no string per state row.
-func (o *SlidingWindowOp) internSource(name []byte) string {
-	if s, ok := o.srcNames[string(name)]; ok {
-		return s
-	}
-	s := string(name)
-	o.srcNames[s] = s
-	return s
 }

@@ -446,24 +446,36 @@ func seq(from, to int) []int {
 
 // FuzzSlidingStateDecode feeds arbitrary bytes to the readers of the two
 // sliding-window formats that reach the changelog — the state row
-// (decodeCallState) and the chunk image (trimChunk, entrySize, entryValue).
-// Corrupt bytes must come back as an error, never a panic, and a state row
-// that decodes must carry cursors inside a chunk. Seeded with the rows a real
-// run stores, int64 and ObjectSerde entries alike, and with the three inputs
-// that used to panic or slip through.
+// (decodeCallState, under each of several calls) and the chunk image
+// (trimChunk, entrySize, entryValue). Corrupt bytes must come back as an
+// error, never a panic, and a state row that decodes must carry cursors
+// inside a chunk. Seeded with the rows real runs store — int64 MIN, string
+// MIN and MAX, float SUM, AVG and a UDAF, int64 and ObjectSerde entries
+// alike — and with the three inputs that used to panic or slip through.
 func FuzzSlidingStateDecode(f *testing.F) {
+	registerTestUDAF()
 	const n = 2*chunkCap + 5
 	rows := inOrderRows(n, 1)
-	strs := make([]any, n)
+	strs, floats := make([]any, n), make([]any, n)
 	for i := range strs {
-		strs[i] = fmt.Sprintf("k%03d", i*37%101)
+		strs[i], floats[i] = fmt.Sprintf("k%03d", i*37%101), float64(i%17)+0.25
 	}
-	for _, args := range [][]any{nil, strs} {
+	var decoders []*SlidingWindowOp
+	for _, c := range []struct {
+		fn   string
+		t    types.Type
+		args []any
+	}{
+		{"MIN", types.Bigint, nil},
+		{"MIN", types.Varchar, strs},
+		{"MAX", types.Varchar, strs},
+		{"SUM", types.Double, floats},
+		{"AVG", types.Double, floats},
+		{"SUMSQ", types.Bigint, nil},
+	} {
+		spec := slidingSpec(c.fn, 0, n, false)
+		spec.T = c.t
 		store := kv.NewStore()
-		spec := slidingSpec("MIN", 0, n, false)
-		if args != nil {
-			spec.T = types.Varchar
-		}
 		op, err := NewSlidingWindowOp([]*validate.BoundAnalytic{spec})
 		if err != nil {
 			f.Fatal(err)
@@ -472,11 +484,11 @@ func FuzzSlidingStateDecode(f *testing.F) {
 			f.Fatal(err)
 		}
 		b := &TupleBlock{}
-		b.Begin("in", 0, windowKinds(args))
+		b.Begin("in", 0, windowKinds(c.args))
 		for k, r := range rows {
 			var arg any = r.units
-			if args != nil {
-				arg = args[k]
+			if c.args != nil {
+				arg = c.args[k]
 			}
 			if err := b.AppendRow([]any{r.ts, arg, r.pid}, r.ts, nil, int64(k)); err != nil {
 				f.Fatal(err)
@@ -493,6 +505,7 @@ func FuzzSlidingStateDecode(f *testing.F) {
 		for _, e := range store.Range([]byte("m"), []byte("n"), 0) {
 			f.Add(state, e.Value)
 		}
+		decoders = append(decoders, op)
 	}
 	op, err := NewSlidingWindowOp([]*validate.BoundAnalytic{slidingSpec("SUM", 1000, 0, false)})
 	if err != nil {
@@ -501,21 +514,32 @@ func FuzzSlidingStateDecode(f *testing.F) {
 	if err := op.Open(testCtx()); err != nil {
 		f.Fatal(err)
 	}
+	decoders = append(decoders, op)
 	// Cursors past 2^63 on the wire: negative once converted, so under every
 	// upper bound.
-	f.Add(op.appendState(nil, &windowState{acc: op.calls[0].newAcc(), count: 1, tailLen: -1}), []byte{})
-	f.Add(op.appendState(nil, &windowState{acc: op.calls[0].newAcc(), count: 1, tailSeq: 1, headPos: -5}), []byte{})
+	for _, ws := range []*windowState{
+		{acc: op.calls[0].newAcc(), count: 1, tailLen: -1},
+		{acc: op.calls[0].newAcc(), count: 1, tailSeq: 1, headPos: -5},
+	} {
+		state, err := op.appendState(nil, ws)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(state, []byte{})
+	}
 	// An ObjectSerde entry whose row is empty: no value to return.
 	f.Add([]byte{}, append(make([]byte, entryHeader), 1, 0))
 	f.Fuzz(func(t *testing.T, state, chunk []byte) {
 		n := chunkCap
-		if ws, err := op.decodeCallState(op.calls[0], state, true); err == nil {
-			if ws.count < 0 || ws.headPos < 0 || ws.headPos >= chunkCap || ws.tailLen < 0 || ws.tailLen > chunkCap || ws.headSeq > ws.tailSeq {
-				t.Fatalf("accepted state row with count %d, head %d+%d, tail %d+%d", ws.count, ws.headSeq, ws.headPos, ws.tailSeq, ws.tailLen)
+		for _, d := range decoders {
+			if ws, err := d.decodeCallState(d.calls[0], state, true); err == nil {
+				if ws.count < 0 || ws.headPos < 0 || ws.headPos >= chunkCap || ws.tailLen < 0 || ws.tailLen > chunkCap || ws.headSeq > ws.tailSeq {
+					t.Fatalf("%s accepted state row with count %d, head %d+%d, tail %d+%d", d.calls[0].spec.Fn, ws.count, ws.headSeq, ws.headPos, ws.tailSeq, ws.tailLen)
+				}
+				n = ws.tailLen
 			}
-			n = ws.tailLen
+			d.discardWrites() // recycle the pooled state
 		}
-		op.discardWrites() // recycle the pooled state
 		img, err := trimChunk(chunk, n, 0)
 		if err != nil {
 			img = chunk // walk whatever whole entries the bytes start with

@@ -16,23 +16,50 @@ import (
 // where Avro's codec walks a fixed field plan. SamzaSQL's prototype used
 // Kryo for its key-value store values, which the paper identifies as the
 // main cause of its ~2x join slowdown versus native Avro state (§5.1).
+//
+// The wire format is defined once, by the Append* functions and the Reader
+// below; ObjectSerde boxes values on top of them, and a caller that knows
+// the shape of its row (an accumulator's state) writes and reads the same
+// bytes with them directly, unboxed.
 type ObjectSerde struct{}
 
 // Name implements Serde.
 func (ObjectSerde) Name() string { return "object" }
 
-// Class names (what Kryo would write for unregistered classes; shortened
-// from the java.lang.* forms but kept as strings so decode must match on
-// text, not on a byte tag).
+// Class is the class of one value, written as its name in front of the
+// payload.
+type Class uint8
+
+// The classes a value can have; the zero Class is none of them.
 const (
-	clsNil    = "null"
-	clsInt64  = "long"
-	clsFloat  = "double"
-	clsString = "string"
-	clsBool   = "boolean"
-	clsBytes  = "bytes"
-	clsRow    = "object[]"
+	ClassNull Class = iota + 1
+	ClassLong
+	ClassDouble
+	ClassString
+	ClassBool
+	ClassBytes
+	ClassRow
 )
+
+// classNames are what Kryo would write for unregistered classes, shortened
+// from the java.lang.* forms but kept as strings so decode must match on
+// text, not on a byte tag.
+var classNames = [...]string{
+	ClassNull:   "null",
+	ClassLong:   "long",
+	ClassDouble: "double",
+	ClassString: "string",
+	ClassBool:   "boolean",
+	ClassBytes:  "bytes",
+	ClassRow:    "object[]",
+}
+
+func (c Class) String() string {
+	if c == 0 || int(c) >= len(classNames) {
+		return "no class"
+	}
+	return classNames[c]
+}
 
 // ErrCorruptObject reports undecodable object payloads.
 var ErrCorruptObject = errors.New("serde: corrupt object payload")
@@ -54,13 +81,8 @@ func (o ObjectSerde) AppendEncode(dst []byte, row []any) ([]byte, error) {
 	return o.appendRow(dst, row)
 }
 
-func appendName(dst []byte, name string) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(name)))
-	return append(dst, name...)
-}
-
 func (o ObjectSerde) appendRow(dst []byte, row []any) ([]byte, error) {
-	dst = binary.AppendUvarint(dst, uint64(len(row)))
+	dst = AppendRowHeader(dst, len(row))
 	var err error
 	for _, el := range row {
 		dst, err = o.appendValue(dst, el)
@@ -74,30 +96,20 @@ func (o ObjectSerde) appendRow(dst []byte, row []any) ([]byte, error) {
 func (o ObjectSerde) appendValue(dst []byte, el any) ([]byte, error) {
 	switch t := el.(type) {
 	case nil:
-		return appendName(dst, clsNil), nil
+		return AppendNull(dst), nil
 	case int64:
-		dst = appendName(dst, clsInt64)
-		return binary.AppendUvarint(dst, uint64((t<<1)^(t>>63))), nil
+		return AppendLong(dst, t), nil
 	case float64:
-		dst = appendName(dst, clsFloat)
-		return binary.LittleEndian.AppendUint64(dst, math.Float64bits(t)), nil
+		return AppendDouble(dst, t), nil
 	case string:
-		dst = appendName(dst, clsString)
-		dst = binary.AppendUvarint(dst, uint64(len(t)))
-		return append(dst, t...), nil
+		return AppendString(dst, t), nil
 	case bool:
-		dst = appendName(dst, clsBool)
-		if t {
-			return append(dst, 1), nil
-		}
-		return append(dst, 0), nil
+		return AppendBool(dst, t), nil
 	case []byte:
-		dst = appendName(dst, clsBytes)
-		dst = binary.AppendUvarint(dst, uint64(len(t)))
-		return append(dst, t...), nil
+		dst = appendClass(dst, ClassBytes)
+		return appendLenPrefixed(dst, t), nil
 	case []any:
-		dst = appendName(dst, clsRow)
-		return o.appendRow(dst, t)
+		return o.appendRow(AppendNestedRow(dst), t)
 	default:
 		return nil, fmt.Errorf("serde: object serde cannot encode %T", el)
 	}
@@ -116,13 +128,10 @@ func (o ObjectSerde) Decode(data []byte) (any, error) {
 }
 
 func (o ObjectSerde) decodeRow(data []byte) ([]any, int, error) {
-	count, n := binary.Uvarint(data)
-	// Every element takes at least one byte, which bounds the row a corrupt
-	// count can make decode allocate.
-	if n <= 0 || count > uint64(len(data)-n) {
-		return nil, 0, ErrCorruptObject
+	count, pos, err := readRowHeader(data)
+	if err != nil {
+		return nil, 0, err
 	}
-	pos := n
 	row := make([]any, count)
 	for i := range row {
 		v, n, err := o.decodeValue(data[pos:])
@@ -135,63 +144,321 @@ func (o ObjectSerde) decodeRow(data []byte) ([]any, int, error) {
 	return row, pos, nil
 }
 
-func readName(data []byte) (string, int, error) {
-	ln, n := binary.Uvarint(data)
-	if n <= 0 || ln > uint64(len(data)-n) {
-		return "", 0, ErrCorruptObject
-	}
-	return string(data[n : n+int(ln)]), n + int(ln), nil
-}
-
 func (o ObjectSerde) decodeValue(data []byte) (any, int, error) {
-	name, pos, err := readName(data)
+	cls, pos, err := readClass(data)
 	if err != nil {
 		return nil, 0, err
 	}
-	switch name {
-	case clsNil:
+	data = data[pos:]
+	switch cls {
+	case ClassNull:
 		return nil, pos, nil
-	case clsInt64:
-		u, n := binary.Uvarint(data[pos:])
-		if n <= 0 {
-			return nil, 0, ErrCorruptObject
-		}
-		return int64(u>>1) ^ -int64(u&1), pos + n, nil
-	case clsFloat:
-		if pos+8 > len(data) {
-			return nil, 0, ErrCorruptObject
-		}
-		return math.Float64frombits(binary.LittleEndian.Uint64(data[pos:])), pos + 8, nil
-	case clsString:
-		ln, n := binary.Uvarint(data[pos:])
-		if n <= 0 || ln > uint64(len(data)-pos-n) {
-			return nil, 0, ErrCorruptObject
-		}
-		start := pos + n
-		return string(data[start : start+int(ln)]), start + int(ln), nil
-	case clsBool:
-		if pos >= len(data) {
-			return nil, 0, ErrCorruptObject
-		}
-		return data[pos] != 0, pos + 1, nil
-	case clsBytes:
-		ln, n := binary.Uvarint(data[pos:])
-		if n <= 0 || ln > uint64(len(data)-pos-n) {
-			return nil, 0, ErrCorruptObject
-		}
-		start := pos + n
-		out := make([]byte, ln)
-		copy(out, data[start:start+int(ln)])
-		return out, start + int(ln), nil
-	case clsRow:
-		row, n, err := o.decodeRow(data[pos:])
-		if err != nil {
-			return nil, 0, err
-		}
-		return row, pos + n, nil
-	default:
-		return nil, 0, fmt.Errorf("%w: unknown class %q", ErrCorruptObject, name)
+	case ClassLong:
+		v, n, err := readLong(data)
+		return v, pos + n, err
+	case ClassDouble:
+		v, n, err := readDouble(data)
+		return v, pos + n, err
+	case ClassString:
+		b, n, err := readLenPrefixed(data)
+		return string(b), pos + n, err
+	case ClassBool:
+		v, n, err := readBool(data)
+		return v, pos + n, err
+	case ClassBytes:
+		b, n, err := readLenPrefixed(data)
+		return append([]byte{}, b...), pos + n, err
+	default: // ClassRow
+		row, n, err := o.decodeRow(data)
+		return row, pos + n, err
 	}
+}
+
+// The wire primitives. A row is its element count (a uvarint) followed by
+// its elements; an element is a class name (uvarint length, then the name)
+// followed by the class's payload: nothing for null, a zigzag varint for
+// long, 8 bytes little-endian for double, a uvarint length and the bytes
+// for string and bytes, one byte 0 or 1 for boolean, and a row for object[].
+
+// AppendRowHeader appends the element count that opens a row; the row's n
+// elements follow it.
+func AppendRowHeader(dst []byte, n int) []byte {
+	return binary.AppendUvarint(dst, uint64(n))
+}
+
+// AppendNestedRow appends the class name that makes the row written next
+// (AppendRowHeader and its elements) an element of the enclosing row.
+func AppendNestedRow(dst []byte) []byte { return appendClass(dst, ClassRow) }
+
+// AppendNull appends a null element.
+func AppendNull(dst []byte) []byte { return appendClass(dst, ClassNull) }
+
+// AppendLong appends a long element.
+func AppendLong(dst []byte, v int64) []byte {
+	return binary.AppendUvarint(appendClass(dst, ClassLong), uint64((v<<1)^(v>>63)))
+}
+
+// AppendDouble appends a double element.
+func AppendDouble(dst []byte, v float64) []byte {
+	return binary.LittleEndian.AppendUint64(appendClass(dst, ClassDouble), math.Float64bits(v))
+}
+
+// AppendString appends a string element.
+func AppendString(dst []byte, s string) []byte {
+	dst = appendClass(dst, ClassString)
+	dst = binary.AppendUvarint(dst, uint64(len(s)))
+	return append(dst, s...)
+}
+
+// AppendBool appends a boolean element.
+func AppendBool(dst []byte, v bool) []byte {
+	dst = appendClass(dst, ClassBool)
+	if v {
+		return append(dst, 1)
+	}
+	return append(dst, 0)
+}
+
+func appendClass(dst []byte, c Class) []byte {
+	name := classNames[c]
+	dst = binary.AppendUvarint(dst, uint64(len(name)))
+	return append(dst, name...)
+}
+
+func appendLenPrefixed(dst, b []byte) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(b)))
+	return append(dst, b...)
+}
+
+// Reader reads a row's elements in sequence, in place: class names are
+// matched without building strings and strings come back as views of the
+// input, so reading allocates nothing. Each read accepts only the class it
+// names. The first failure sticks — later reads return zero values — and
+// Err reports it; Done also fails on bytes left unread.
+type Reader struct {
+	data []byte
+	err  error
+}
+
+// NewReader returns a Reader over data.
+func NewReader(data []byte) Reader { return Reader{data: data} }
+
+// Err reports the first failed read, wrapping ErrCorruptObject.
+func (r *Reader) Err() error { return r.err }
+
+// Done reports the first failed read, or else an error when bytes are left
+// unread: a reader that has read everything it expects calls it to accept
+// exactly that layout.
+func (r *Reader) Done() error {
+	if r.err == nil && len(r.data) > 0 {
+		return fmt.Errorf("%w: %d trailing bytes", ErrCorruptObject, len(r.data))
+	}
+	return r.err
+}
+
+// RowHeader reads the element count that opens a row.
+func (r *Reader) RowHeader() int {
+	if r.err != nil {
+		return 0
+	}
+	n, w, err := readRowHeader(r.data)
+	r.advance(w, err)
+	return n
+}
+
+// Row reads a nested row element and returns the row — its element count
+// and elements — for a Reader of its own.
+func (r *Reader) Row() []byte {
+	if !r.expect(ClassRow) {
+		return nil
+	}
+	n, err := rowLen(r.data)
+	row := r.data[:n]
+	r.advance(n, err)
+	return row
+}
+
+// Class returns the class of the next element without reading it.
+func (r *Reader) Class() Class {
+	if r.err != nil {
+		return 0
+	}
+	c, _, err := readClass(r.data)
+	if err != nil {
+		r.fail(err)
+	}
+	return c
+}
+
+// Null reads a null element.
+func (r *Reader) Null() { r.expect(ClassNull) }
+
+// Long reads a long element.
+func (r *Reader) Long() int64 {
+	if !r.expect(ClassLong) {
+		return 0
+	}
+	v, n, err := readLong(r.data)
+	r.advance(n, err)
+	return v
+}
+
+// Double reads a double element.
+func (r *Reader) Double() float64 {
+	if !r.expect(ClassDouble) {
+		return 0
+	}
+	v, n, err := readDouble(r.data)
+	r.advance(n, err)
+	return v
+}
+
+// Str reads a string element, returned as a view of the input.
+func (r *Reader) Str() []byte {
+	if !r.expect(ClassString) {
+		return nil
+	}
+	b, n, err := readLenPrefixed(r.data)
+	r.advance(n, err)
+	return b
+}
+
+// Bool reads a boolean element.
+func (r *Reader) Bool() bool {
+	if !r.expect(ClassBool) {
+		return false
+	}
+	v, n, err := readBool(r.data)
+	r.advance(n, err)
+	return v
+}
+
+// expect consumes the next element's class name, failing unless it is want.
+func (r *Reader) expect(want Class) bool {
+	if r.err != nil {
+		return false
+	}
+	name := classNames[want]
+	if len(r.data) > len(name) && int(r.data[0]) == len(name) && string(r.data[1:1+len(name)]) == name {
+		r.data = r.data[1+len(name):]
+		return true
+	}
+	got, _, err := readClass(r.data)
+	if err == nil {
+		err = fmt.Errorf("%w: %s where %s belongs", ErrCorruptObject, got, want)
+	}
+	r.fail(err)
+	return false
+}
+
+func (r *Reader) advance(n int, err error) {
+	if err != nil {
+		r.fail(err)
+		return
+	}
+	r.data = r.data[n:]
+}
+
+func (r *Reader) fail(err error) {
+	r.err, r.data = err, nil
+}
+
+func readRowHeader(data []byte) (int, int, error) {
+	count, n := binary.Uvarint(data)
+	// Every element takes at least one byte, which bounds the row a corrupt
+	// count can make decode allocate.
+	if n <= 0 || count > uint64(len(data)-n) {
+		return 0, 0, ErrCorruptObject
+	}
+	return int(count), n, nil
+}
+
+// readClass reads the class name at the start of data.
+func readClass(data []byte) (Class, int, error) {
+	name, n, err := readLenPrefixed(data)
+	if err != nil {
+		return 0, 0, err
+	}
+	for c := ClassNull; c <= ClassRow; c++ {
+		if string(name) == classNames[c] {
+			return c, n, nil
+		}
+	}
+	return 0, 0, fmt.Errorf("%w: unknown class %q", ErrCorruptObject, name)
+}
+
+func readLong(data []byte) (int64, int, error) {
+	u, n := binary.Uvarint(data)
+	if n <= 0 {
+		return 0, 0, ErrCorruptObject
+	}
+	return int64(u>>1) ^ -int64(u&1), n, nil
+}
+
+func readDouble(data []byte) (float64, int, error) {
+	if len(data) < 8 {
+		return 0, 0, ErrCorruptObject
+	}
+	return math.Float64frombits(binary.LittleEndian.Uint64(data)), 8, nil
+}
+
+func readBool(data []byte) (bool, int, error) {
+	if len(data) == 0 || data[0] > 1 {
+		return false, 0, ErrCorruptObject
+	}
+	return data[0] == 1, 1, nil
+}
+
+// readLenPrefixed reads a uvarint length and that many bytes, returned as a
+// view of data.
+func readLenPrefixed(data []byte) ([]byte, int, error) {
+	ln, n := binary.Uvarint(data)
+	if n <= 0 || ln > uint64(len(data)-n) {
+		return nil, 0, ErrCorruptObject
+	}
+	end := n + int(ln)
+	return data[n:end], end, nil
+}
+
+// rowLen returns the encoded length of the row at the start of data
+// without decoding it.
+func rowLen(data []byte) (int, error) {
+	count, pos, err := readRowHeader(data)
+	if err != nil {
+		return 0, err
+	}
+	for ; count > 0; count-- {
+		n, err := valueLen(data[pos:])
+		if err != nil {
+			return 0, err
+		}
+		pos += n
+	}
+	return pos, nil
+}
+
+// valueLen returns the encoded length of the element at the start of data
+// without decoding it.
+func valueLen(data []byte) (int, error) {
+	cls, pos, err := readClass(data)
+	if err != nil {
+		return 0, err
+	}
+	var n int
+	switch cls {
+	case ClassNull:
+	case ClassLong:
+		_, n, err = readLong(data[pos:])
+	case ClassDouble:
+		_, n, err = readDouble(data[pos:])
+	case ClassString, ClassBytes:
+		_, n, err = readLenPrefixed(data[pos:])
+	case ClassBool:
+		_, n, err = readBool(data[pos:])
+	default: // ClassRow
+		n, err = rowLen(data[pos:])
+	}
+	return pos + n, err
 }
 
 func init() {

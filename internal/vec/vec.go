@@ -187,9 +187,7 @@ func (v *Vec) Set(r int, x any) error {
 		v.SetNull(r)
 		return nil
 	}
-	if v.HasNull && r>>6 < len(v.Nulls) {
-		v.Nulls[r>>6] &^= 1 << (r & 63)
-	}
+	v.clearNull(r)
 	switch v.Kind {
 	case Int64:
 		switch t := x.(type) {
@@ -232,6 +230,18 @@ func (v *Vec) Set(r int, x any) error {
 		return nil
 	}
 	return fmt.Errorf("vec: %s column cannot hold %T", v.Kind, x)
+}
+
+// SetInt64 stores x as row r of an Int64 vector, without boxing it.
+func (v *Vec) SetInt64(r int, x int64) {
+	v.clearNull(r)
+	v.I64[r] = x
+}
+
+func (v *Vec) clearNull(r int) {
+	if v.HasNull && r>>6 < len(v.Nulls) {
+		v.Nulls[r>>6] &^= 1 << (r & 63)
+	}
 }
 
 // grow appends one row slot to v and returns its index.
