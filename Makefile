@@ -14,12 +14,12 @@ vet:
 # Project-specific static analysis (see README "Static analysis"): seven
 # per-package rules (hot-path allocations, metrics binding, lock discipline,
 # commit-chain error drops, goroutine supervision, trace guards, profile
-# guards) plus four
-# whole-program interprocedural rules (lock-order, chan-leak,
-# hotpath-blocking, hotpath-escape) over the CFG/call-graph layer. Exits
-# non-zero on any unsuppressed finding; prints how many //samzasql:ignore
-# directives suppress how many findings, and is timed so a regression past
-# the ~30s budget is visible in CI logs.
+# guards) plus two whole-program rules (lock-order, chan-leak) over the
+# CFG/call-graph layer; each is proven on a seeded regression in a copy of
+# the code it guards (internal/analysis/seeded_test.go). Exits non-zero on
+# any unsuppressed finding; prints how many //samzasql:ignore directives
+# suppress how many findings, warns on directives naming no analyzer, and is
+# timed so a regression past the ~30s budget is visible in CI logs.
 vet-custom:
 	@start=$$(date +%s); \
 	$(GO) run ./cmd/samzasql-vet ./... || exit $$?; \

@@ -18,7 +18,8 @@
 //
 // Every run ends with the suppression count on standard error: how many
 // //samzasql:ignore directives the loaded packages carry and how many
-// findings they suppress.
+// findings they suppress. A directive naming an analyzer the suite does not
+// have is printed there as a warning.
 //
 // Exit status: 0 clean, 1 findings, 2 usage or load/type-check failure. In
 // both modes only unsuppressed findings fail the run.
@@ -96,12 +97,7 @@ func run() int {
 		if d.Suppressed && !*showIgnored && !*jsonOut {
 			continue
 		}
-		file := d.Pos.Filename
-		if cwd != "" {
-			if rel, err := filepath.Rel(cwd, file); err == nil && !strings.HasPrefix(rel, "..") {
-				file = rel
-			}
-		}
+		file := relTo(cwd, d.Pos.Filename)
 		if !d.Suppressed {
 			failures++
 		}
@@ -128,6 +124,13 @@ func run() int {
 	directives := 0
 	for _, pkg := range pkgs {
 		directives += pkg.IgnoreDirectives()
+		// A directive naming an analyzer the suite no longer has suppresses
+		// nothing; it is reported so it gets deleted, but does not fail the
+		// run.
+		for _, st := range pkg.StaleIgnores() {
+			fmt.Fprintf(os.Stderr, "%s:%d: warning: //samzasql:ignore names %q, which is not an analyzer of the suite; delete it\n",
+				relTo(cwd, st.Pos.Filename), st.Pos.Line, st.Name)
+		}
 	}
 	fmt.Fprintf(os.Stderr, "samzasql-vet: %d //samzasql:ignore directive(s) suppress %d finding(s)\n", directives, suppressed)
 	if failures > 0 {
@@ -148,6 +151,16 @@ type jsonFinding struct {
 	Col        int    `json:"col"`
 	Message    string `json:"message"`
 	Suppressed bool   `json:"suppressed"`
+}
+
+// relTo returns file relative to dir when it lies below dir, else file.
+func relTo(dir, file string) string {
+	if dir != "" {
+		if rel, err := filepath.Rel(dir, file); err == nil && !strings.HasPrefix(rel, "..") {
+			return rel
+		}
+	}
+	return file
 }
 
 // findModuleRoot walks up from the working directory to the nearest go.mod.

@@ -71,16 +71,6 @@ func (f *Func) Pos() token.Pos {
 	return f.Lit.Pos()
 }
 
-// IsHotPath reports whether the function (or, for literals, its outermost
-// enclosing declaration) carries the //samzasql:hotpath directive.
-func (f *Func) IsHotPath() bool {
-	root := f
-	for root.Parent != nil {
-		root = root.Parent
-	}
-	return root.Decl != nil && root.Pkg.IsHotPath(root.Decl)
-}
-
 // CallSite is one resolved call expression within a caller.
 type CallSite struct {
 	Caller *Func
@@ -439,38 +429,4 @@ func declName(pkg *Package, fd *ast.FuncDecl, obj *types.Func) string {
 		return fmt.Sprintf("(*%s.%s).%s", short, name, fd.Name.Name)
 	}
 	return fmt.Sprintf("(%s.%s).%s", short, name, fd.Name.Name)
-}
-
-// GoOnlyLiteral reports whether fn is a function literal whose every known
-// call site spawns it with `go` — it never runs on its definer's stack, so
-// hot-path rules do not apply to its body.
-func (g *CallGraph) GoOnlyLiteral(fn *Func) bool {
-	if fn.Lit == nil {
-		return false
-	}
-	sites := g.CallerSites[fn]
-	if len(sites) == 0 {
-		return false
-	}
-	for _, s := range sites {
-		if !s.Go {
-			return false
-		}
-	}
-	return true
-}
-
-// FuncAt returns the Func containing pos, preferring the innermost literal.
-func (g *CallGraph) FuncAt(pos token.Pos) *Func {
-	var best *Func
-	for _, fn := range g.Funcs {
-		body := fn.Body()
-		if body == nil || pos < body.Pos() || pos > body.End() {
-			continue
-		}
-		if best == nil || (body.Pos() >= best.Body().Pos() && body.End() <= best.Body().End()) {
-			best = fn
-		}
-	}
-	return best
 }

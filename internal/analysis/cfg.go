@@ -8,9 +8,9 @@ import (
 )
 
 // This file builds per-function control-flow graphs — the foundation the
-// interprocedural analyzers (lock-order, chan-leak, hotpath-blocking,
-// hotpath-escape) walk instead of re-deriving branch structure from the AST
-// the way the older linear analyzers do.
+// interprocedural analyzers (lock-order, chan-leak) walk instead of
+// re-deriving branch structure from the AST the way the older linear
+// analyzers do.
 //
 // The graph is a conventional basic-block CFG over go/ast statements:
 //

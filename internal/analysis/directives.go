@@ -3,6 +3,7 @@ package analysis
 import (
 	"go/ast"
 	"go/token"
+	"sort"
 	"strings"
 )
 
@@ -124,6 +125,38 @@ func (p *Package) IgnoreDirectives() int {
 		}
 	}
 	return n
+}
+
+// StaleIgnore is a //samzasql:ignore directive naming an analyzer Suite()
+// does not have: a suppression left behind by a deleted or renamed analyzer.
+type StaleIgnore struct {
+	Pos  token.Position // Column is not recorded
+	Name string
+}
+
+// StaleIgnores lists the package's stale ignore directives in file and line
+// order.
+func (p *Package) StaleIgnores() []StaleIgnore {
+	var out []StaleIgnore
+	for file, byLine := range p.directives.ignores {
+		for line, entries := range byLine {
+			for _, e := range entries {
+				for _, name := range e.analyzers {
+					if ByName(name) == nil {
+						out = append(out, StaleIgnore{Pos: token.Position{Filename: file, Line: line}, Name: name})
+					}
+				}
+			}
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		a, b := out[i].Pos, out[j].Pos
+		if a.Filename != b.Filename {
+			return a.Filename < b.Filename
+		}
+		return a.Line < b.Line
+	})
+	return out
 }
 
 // Enforces reports whether the package opted into the named scoped analyzer

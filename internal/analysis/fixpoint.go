@@ -2,13 +2,13 @@ package analysis
 
 import "sort"
 
-// This file is the worklist fixpoint driver the interprocedural analyzers
-// share: each analyzer owns a per-function fact (its summary), a transfer
-// function recomputing the fact from the function body plus current callee
-// facts, and an equality test. The driver iterates bottom-up until no fact
+// This file is the worklist fixpoint driver for interprocedural summaries
+// (lock-order's may-acquire sets): each analyzer owns a per-function fact
+// (its summary), a transfer function recomputing the fact from the function
+// body plus current callee facts, and an equality test. The driver iterates bottom-up until no fact
 // changes; recursion and mutual recursion converge as long as the facts are
-// monotone and drawn from a finite domain (all four analyzers use grow-only
-// sets over program positions, which are both).
+// monotone and drawn from a finite domain (lock-order's summaries are
+// grow-only sets of the program's lock classes, which are both).
 
 // Fact is an analyzer-owned per-function summary value.
 type Fact any

@@ -40,11 +40,3 @@ func TestLockOrderFixture(t *testing.T) {
 func TestChanLeakFixture(t *testing.T) {
 	checkFixture(t, "chanleak", ChanLeak)
 }
-
-func TestHotpathBlockingFixture(t *testing.T) {
-	checkFixture(t, "hotpathblock", HotpathBlocking)
-}
-
-func TestHotpathEscapeFixture(t *testing.T) {
-	checkFixture(t, "hotpathescape", HotpathEscape)
-}

@@ -11,14 +11,14 @@ import (
 // LockDiscipline enforces the locking rules the single-lock poll path and
 // the batched producer path rely on:
 //
-//  1. no copying of values containing sync.Mutex/RWMutex/WaitGroup/Once/Cond
-//     (assignments, by-value parameters, range variables, call arguments);
-//  2. no blocking channel operation and no Produce/Flush-class call while a
+//  1. no blocking channel operation and no Produce/Flush-class call while a
 //     mutex is held — the broker signals subscribers *after* unlocking for
 //     exactly this reason, and a produce under a task lock can deadlock
 //     against a consumer parked on the same partition;
-//  3. no return while a mutex is still held without a deferred unlock —
+//  2. no return while a mutex is still held without a deferred unlock —
 //     the multi-return early-exit that leaks the lock.
+//
+// Copying a lock by value is go vet's copylocks check, which CI runs first.
 //
 // The analysis is a linear, branch-aware walk over each function body (an
 // intraprocedural approximation, not a full CFG): branches fork the held-lock
@@ -26,8 +26,8 @@ import (
 // path still holds it.
 var LockDiscipline = &Analyzer{
 	Name: "lock-discipline",
-	Doc: "no mutex copied by value; no blocking channel op or Produce/Flush-class call while a " +
-		"lock is held; no return while a lock is held without defer Unlock",
+	Doc: "no blocking channel op or Produce/Flush-class call while a lock is held; " +
+		"no return while a lock is held without defer Unlock",
 	Run: runLockDiscipline,
 }
 
@@ -43,7 +43,6 @@ var blockingCallsUnderLock = map[string]bool{
 }
 
 func runLockDiscipline(pass *Pass) {
-	checkLockCopies(pass)
 	for _, f := range pass.Files() {
 		for _, d := range f.Decls {
 			if decl, ok := d.(*ast.FuncDecl); ok && decl.Body != nil {
@@ -53,87 +52,9 @@ func runLockDiscipline(pass *Pass) {
 	}
 }
 
-// ---- rule 1: lock values copied ----
-
-func checkLockCopies(pass *Pass) {
-	for _, f := range pass.Files() {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.AssignStmt:
-				for _, rhs := range n.Rhs {
-					checkCopiedExpr(pass, rhs)
-				}
-			case *ast.FuncDecl:
-				if n.Type.Params != nil {
-					for _, field := range n.Type.Params.List {
-						if t := pass.TypeOf(field.Type); t != nil && lockKind(t) != "" {
-							pass.Reportf(field.Pos(), "parameter passes %s by value, copying its %s; pass a pointer", t, lockKind(t))
-						}
-					}
-				}
-				if n.Recv != nil {
-					for _, field := range n.Recv.List {
-						if t := pass.TypeOf(field.Type); t != nil && lockKind(t) != "" {
-							pass.Reportf(field.Pos(), "value receiver copies %s, which contains a %s; use a pointer receiver", t, lockKind(t))
-						}
-					}
-				}
-			case *ast.RangeStmt:
-				if v := n.Value; v != nil {
-					if t := pass.TypeOf(v); t != nil && lockKind(t) != "" {
-						pass.Reportf(v.Pos(), "range value copies %s, which contains a %s; iterate by index", t, lockKind(t))
-					}
-				}
-			case *ast.CallExpr:
-				for _, arg := range n.Args {
-					checkCopiedExpr(pass, arg)
-				}
-			}
-			return true
-		})
-	}
-}
-
-// checkCopiedExpr flags e when it reads an existing lock-holding value by
-// value. Composite literals and function-call results are fresh values, not
-// copies, so only variable-like expressions are checked.
-func checkCopiedExpr(pass *Pass, e ast.Expr) {
-	switch e.(type) {
-	case *ast.Ident, *ast.SelectorExpr, *ast.StarExpr, *ast.IndexExpr:
-	default:
-		return
-	}
-	if _, isPkg := pass.Info().Uses[rootIdent(e)].(*types.PkgName); isPkg {
-		return
-	}
-	t := pass.TypeOf(e)
-	if t == nil {
-		return
-	}
-	if kind := lockKind(t); kind != "" {
-		pass.Reportf(e.Pos(), "copies %s by value, which contains a %s; copy a pointer instead", t, kind)
-	}
-}
-
-func rootIdent(e ast.Expr) *ast.Ident {
-	for {
-		switch x := e.(type) {
-		case *ast.Ident:
-			return x
-		case *ast.SelectorExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		default:
-			return nil
-		}
-	}
-}
-
 // lockKind reports the sync primitive t contains by value ("" when none),
-// looking through named types, structs and arrays.
+// looking through named types, structs and arrays. lockCall and lock-order
+// use it to tell a sync primitive's Lock/Unlock from unrelated methods.
 func lockKind(t types.Type) string {
 	return lockKindSeen(t, map[types.Type]bool{})
 }
@@ -165,7 +86,7 @@ func lockKindSeen(t types.Type, seen map[types.Type]bool) string {
 	return ""
 }
 
-// ---- rules 2+3: held-lock regions ----
+// ---- held-lock regions ----
 
 // lockState maps a lock expression (printed, e.g. "c.mu") to whether its
 // unlock is deferred (true = safe on every exit path).

@@ -1,6 +1,8 @@
 package analysis
 
 import (
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -29,14 +31,14 @@ func TestRepoIsClean(t *testing.T) {
 
 // TestSuiteHasInterproceduralRules pins the whole-program rules into the
 // suite: dropping one from Suite() would silently stop checking deadlock
-// freedom, channel hygiene, and the hot-path blocking/escape contracts
-// everywhere (TestRepoIsClean and make vet-custom both run Suite()).
+// freedom and channel hygiene everywhere (TestRepoIsClean and make
+// vet-custom both run Suite()).
 func TestSuiteHasInterproceduralRules(t *testing.T) {
 	have := map[string]bool{}
 	for _, a := range Suite() {
 		have[a.Name] = true
 	}
-	for _, want := range []string{"lock-order", "chan-leak", "hotpath-blocking", "hotpath-escape"} {
+	for _, want := range []string{"lock-order", "chan-leak"} {
 		if !have[want] {
 			t.Errorf("Suite() lost the %s analyzer", want)
 		}
@@ -71,11 +73,11 @@ func TestRepoHasHotpathAnnotations(t *testing.T) {
 		total += n
 		perPkg[pkg.PkgPath] = n
 	}
-	// The interprocedural rules (hotpath-blocking, hotpath-escape) root their
-	// whole-program walks at these annotations, so shrinking the set now
-	// blinds four analyzers, not one. The floor sits under the current count
-	// (52, after the per-tuple bodies and their five annotations went) but
-	// far above vacuity.
+	// hotpath-alloc, metrics-binding, trace-guard and profile-guard all scope
+	// their checks to these annotations, so shrinking the set blinds four
+	// analyzers, not one. The floor sits under the current count (52, after
+	// the per-tuple bodies and their five annotations went) but far above
+	// vacuity.
 	if total < 45 {
 		t.Fatalf("only %d //samzasql:hotpath functions in the tree; the message hot paths must stay annotated", total)
 	}
@@ -92,5 +94,33 @@ func TestRepoHasHotpathAnnotations(t *testing.T) {
 		if perPkg[want] == 0 {
 			t.Errorf("package %s has no //samzasql:hotpath annotations left", want)
 		}
+	}
+}
+
+// TestStaleIgnores: a suppression naming an analyzer the suite no longer
+// has is found, and live names and the name-less form are not.
+func TestStaleIgnores(t *testing.T) {
+	dir := t.TempDir()
+	src := `package stale
+
+//samzasql:ignore lock-discipline -- live
+//samzasql:ignore error-drop,hotpath-blocking -- one live, one deleted
+//samzasql:ignore -- every analyzer
+var x int
+`
+	if err := os.WriteFile(filepath.Join(dir, "stale.go"), []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	loader, err := NewLoader("../..")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkg, err := loader.LoadDir(dir, "samzasql-vet-fixtures/stale")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := pkg.StaleIgnores()
+	if len(got) != 1 || got[0].Name != "hotpath-blocking" || got[0].Pos.Line != 4 {
+		t.Fatalf("StaleIgnores() = %+v, want hotpath-blocking on line 4", got)
 	}
 }

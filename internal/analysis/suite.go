@@ -1,7 +1,7 @@
 package analysis
 
 // Suite returns every project analyzer, in stable order. The first seven are
-// per-package; the last four are whole-program (CFG + call graph).
+// per-package; the last two are whole-program (CFG + call graph).
 func Suite() []*Analyzer {
 	return []*Analyzer{
 		ErrDrop,
@@ -12,8 +12,6 @@ func Suite() []*Analyzer {
 		ProfileGuard,
 		TraceGuard,
 		ChanLeak,
-		HotpathBlocking,
-		HotpathEscape,
 		LockOrder,
 	}
 }

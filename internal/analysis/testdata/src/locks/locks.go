@@ -1,6 +1,6 @@
 // Package locks is a golden fixture for the lock-discipline analyzer:
-// copied locks, blocking operations under a held mutex, and returns that
-// leak a lock, next to the legal shapes the runtime uses.
+// blocking operations under a held mutex and returns that leak a lock, next
+// to the legal shapes the runtime uses.
 package locks
 
 import "sync"
@@ -15,19 +15,7 @@ type guarded struct {
 	vals []int
 }
 
-// ---- rule 1: lock values copied ----
-
-func copies(g guarded, grid []guarded) { // want `parameter passes .*guarded by value, copying its sync\.Mutex`
-	dup := g.mu // want `copies sync\.Mutex by value`
-	_ = &dup
-	for _, item := range grid { // want `range value copies .*guarded, which contains a sync\.Mutex`
-		_ = item.n
-	}
-}
-
-func (g guarded) valueReceiver() {} // want `value receiver copies .*guarded, which contains a sync\.Mutex`
-
-// ---- rule 2: blocking operations under a held lock ----
+// ---- rule 1: blocking operations under a held lock ----
 
 func blockingUnderLock(g *guarded, p producer, ch chan int) {
 	g.mu.Lock()
@@ -63,7 +51,7 @@ func snapshotThenSend(g *guarded, p producer) error {
 	return p.Produce(n)
 }
 
-// ---- rule 3: returns that leak the lock ----
+// ---- rule 2: returns that leak the lock ----
 
 func leakyReturn(g *guarded, stop bool) int {
 	g.mu.Lock()

@@ -81,7 +81,6 @@ func (t *NativeFilterTask) ProcessBatch(envs []samza.IncomingMessageEnvelope, c 
 	if len(t.out) == 0 {
 		return nil
 	}
-	//samzasql:ignore hotpath-blocking -- producing to the broker is this task's output contract; the partition append lock is held for a single in-memory append
 	return bc.SendBatch(t.Output, t.out)
 }
 

@@ -78,7 +78,6 @@ func (t *RepartitionTask) ProcessBatch(envs []samza.IncomingMessageEnvelope, c s
 	bc, ok := c.(samza.BatchCollector)
 	if !ok {
 		for i := range envs {
-			//samzasql:ignore hotpath-blocking -- producing to the broker is this task's output contract; the partition append lock is held for a single in-memory append
 			if err := t.Process(envs[i], c, coord); err != nil {
 				return err
 			}
@@ -102,7 +101,6 @@ func (t *RepartitionTask) ProcessBatch(envs []samza.IncomingMessageEnvelope, c s
 		key := repartitionKey(keyVal)
 		dest, part := int32(0), int32(-1)
 		if n > 0 {
-			//samzasql:ignore hotpath-blocking -- producing to the broker is this task's output contract; the partition append lock is held for a single in-memory append
 			dest = kafka.PartitionForKey(key, n)
 			part = dest
 		}
@@ -114,7 +112,6 @@ func (t *RepartitionTask) ProcessBatch(envs []samza.IncomingMessageEnvelope, c s
 		if len(t.perPart[p]) == 0 {
 			continue
 		}
-		//samzasql:ignore hotpath-blocking -- producing to the broker is this task's output contract; the partition append lock is held for a single in-memory append
 		if err := bc.SendBatch(t.Spec.TargetTopic, t.perPart[p]); err != nil {
 			return err
 		}

@@ -96,7 +96,6 @@ func (t *Task) bindSender(collector samza.MessageCollector) {
 		t.program.SetBatchSender(bc.SendBatch)
 		return
 	}
-	//samzasql:ignore hotpath-escape -- the sender closure is bound once per task (rebound only when a test driver swaps collectors), not per message
 	t.program.SetBatchSender(func(stream string, msgs []kafka.Message) error {
 		for i := range msgs {
 			m := &msgs[i]

@@ -183,7 +183,6 @@ func (c *Consumer) Poll(ctx context.Context, max int) ([]Message, error) {
 //
 //samzasql:hotpath
 func (c *Consumer) pollOnce(max int) (msgs []Message, assigned bool, err error) {
-	//samzasql:ignore hotpath-blocking -- consumer offset state is owned by the poll loop; the lock is uncontended except during seek/rebalance
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if len(c.rr) == 0 {
@@ -192,7 +191,6 @@ func (c *Consumer) pollOnce(max int) (msgs []Message, assigned bool, err error) 
 	start := c.next
 	for i := 0; i < len(c.rr); i++ {
 		tp := c.rr[(start+i)%len(c.rr)]
-		//samzasql:ignore hotpath-blocking -- consumer offset state is owned by the poll loop; the lock is uncontended except during seek/rebalance
 		msgs, err := c.broker.read(c.buf[:0], tp, c.positions[tp], max)
 		if err != nil {
 			return nil, true, err

@@ -26,7 +26,6 @@ func GetMany(s Store, keys [][]byte, vals [][]byte, oks []bool) {
 		return
 	}
 	for i, k := range keys {
-		//samzasql:ignore hotpath-blocking -- the task store mutex is per-task single-writer and uncontended by design; skiplist access under it is the state-access contract
 		vals[i], oks[i] = s.Get(k)
 	}
 }
@@ -61,10 +60,8 @@ func WriteMany(s Store, ops []WriteOp) {
 	}
 	for i := range ops {
 		if ops[i].Delete {
-			//samzasql:ignore hotpath-blocking -- the task store mutex is per-task single-writer and uncontended by design; skiplist access under it is the state-access contract
 			s.Delete(ops[i].Key)
 		} else {
-			//samzasql:ignore hotpath-blocking -- the task store mutex is per-task single-writer and uncontended by design; skiplist access under it is the state-access contract
 			s.Put(ops[i].Key, ops[i].Value)
 		}
 	}
@@ -76,7 +73,6 @@ func WriteMany(s Store, ops []WriteOp) {
 //
 //samzasql:hotpath
 func (s *store) GetMany(keys [][]byte, vals [][]byte, oks []bool) {
-	//samzasql:ignore hotpath-blocking -- the task store mutex is per-task single-writer and uncontended by design; skiplist access under it is the state-access contract
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.reads += int64(len(keys))
@@ -89,7 +85,6 @@ func (s *store) GetMany(keys [][]byte, vals [][]byte, oks []bool) {
 //
 //samzasql:hotpath
 func (s *store) WriteMany(ops []WriteOp) {
-	//samzasql:ignore hotpath-blocking -- the task store mutex is per-task single-writer and uncontended by design; skiplist access under it is the state-access contract
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.writes += int64(len(ops))
@@ -124,6 +119,5 @@ func (c *ChangelogStore) WriteMany(ops []WriteOp) {
 			c.buffer(ops[i].Key, ops[i].Value)
 		}
 	}
-	//samzasql:ignore hotpath-blocking -- write-through to the changelog is the durability contract; the produce path's broker append lock is per-partition and the io.Write is an in-memory FNV hash
 	c.produce()
 }

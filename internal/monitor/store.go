@@ -124,7 +124,6 @@ func NewStore(capacity int) *Store {
 //
 //samzasql:hotpath
 func (st *Store) Observe(k SeriesKey, kind Kind, tMillis, v int64) {
-	//samzasql:ignore hotpath-blocking -- the monitor store lock guards a counter update on the metrics-ingest path, which is the monitor's own input loop
 	st.mu.Lock()
 	s := st.series[k]
 	if s == nil {

@@ -314,10 +314,8 @@ func (o *StreamAggregateOp) ProcessBlock(_ int, b *TupleBlock, emit BlockEmit) e
 	if len(b.Sel) > 0 {
 		var err error
 		if o.window == nil {
-			//samzasql:ignore hotpath-blocking -- the task store mutex is per-task single-writer and uncontended by design; skiplist access under it is the state-access contract
 			err = o.processUnwindowedBlock(b, out)
 		} else {
-			//samzasql:ignore hotpath-blocking -- the task store mutex is per-task single-writer and uncontended by design; skiplist access under it is the state-access contract
 			err = o.processWindowedBlock(b, out)
 		}
 		if err != nil {
@@ -755,7 +753,6 @@ func (o *StreamStreamJoinOp) ProcessBlock(side int, b *TupleBlock, emit BlockEmi
 	row := rowScratch(&o.rowScratch, b)
 	for _, r := range b.Sel {
 		row = b.gather(r, row, all)
-		//samzasql:ignore hotpath-blocking -- the task store mutex is per-task single-writer and uncontended by design; skiplist access under it is the state-access contract
 		if err := o.processOne(side, row, b.Ts[r], b.Offsets[r], b.Keys[r]); err != nil {
 			return err
 		}

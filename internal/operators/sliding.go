@@ -267,7 +267,6 @@ func (o *SlidingWindowOp) foldTuple(c *analyticState, ws *windowState, pk []byte
 	}
 	// 2. Save the message's window contribution at its (ts, offset) place in
 	// the partition's deque — the tail, unless the tuple is late.
-	//samzasql:ignore hotpath-blocking -- the task store mutex is per-task single-writer and uncontended by design; skiplist access under it is the state-access contract
 	if err := o.loadTail(c, ws, pk); err != nil {
 		return err
 	}
@@ -277,7 +276,6 @@ func (o *SlidingWindowOp) foldTuple(c *analyticState, ws *windowState, pk []byte
 		return err
 	}
 	if ws.tailLen > 0 && entryBefore(o.ebuf, ws.tail[ws.lastOff:]) {
-		//samzasql:ignore hotpath-blocking -- the task store mutex is per-task single-writer and uncontended by design; skiplist access under it is the state-access contract
 		if err := o.insertLate(c, ws, pk); err != nil {
 			return err
 		}
@@ -302,7 +300,6 @@ func (o *SlidingWindowOp) foldTuple(c *analyticState, ws *windowState, pk []byte
 	// 5. Non-invertible aggregates (MIN/MAX, non-invertible UDAFs) rebuild
 	// from the retained window after a purge.
 	if rebuild {
-		//samzasql:ignore hotpath-blocking -- the task store mutex is per-task single-writer and uncontended by design; skiplist access under it is the state-access contract
 		return o.rebuildAcc(c, ws, pk)
 	}
 	return nil
@@ -334,7 +331,6 @@ func (o *SlidingWindowOp) purge(c *analyticState, ws *windowState, pk []byte, ts
 	for ws.count > 0 {
 		img, off := ws.tail, front
 		if ws.headSeq != ws.tailSeq {
-			//samzasql:ignore hotpath-blocking -- the task store mutex is per-task single-writer and uncontended by design; skiplist access under it is the state-access contract
 			if err := o.loadHead(c, ws, pk); err != nil {
 				return false, err
 			}

@@ -597,7 +597,6 @@ func (c *Container) deliverBootstrap(ti *taskInstance, msgs []kafka.Message) err
 	}
 	for i := range msgs {
 		ti.coord.reset()
-		//samzasql:ignore hotpath-blocking -- devirtualization resolves StreamTask to every impl including the bench throttle task, whose Sleep is intended backpressure in benchmarks only
 		if err := ti.task.Process(bootstrapEnvelope(&msgs[i]), c.coll, &ti.coord); err != nil {
 			return fmt.Errorf("samza: %s bootstrap process: %w", ti.name, err)
 		}
@@ -628,7 +627,6 @@ const DefaultBatchSize = 256
 //
 //samzasql:hotpath
 func (c *Container) pollTask(ctx context.Context, ti *taskInstance) (bool, error) {
-	//samzasql:ignore hotpath-blocking -- the blocking poll is the idle wait itself; it wakes on new input or shutdown, never while messages are queued
 	msgs, err := ti.consumer.Poll(ctx, ti.pollMax)
 	if err != nil {
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
@@ -638,7 +636,6 @@ func (c *Container) pollTask(ctx context.Context, ti *taskInstance) (bool, error
 	}
 	if len(msgs) == 0 {
 		// No assignment: nothing will ever arrive; avoid a hot spin.
-		//samzasql:ignore hotpath-blocking -- the blocking poll is the idle wait itself; it wakes on new input or shutdown, never while messages are queued
 		select {
 		case <-ctx.Done():
 		case <-time.After(idleWait):
@@ -648,13 +645,11 @@ func (c *Container) pollTask(ctx context.Context, ti *taskInstance) (bool, error
 	// TaskParallelism gates processing, not polling: a parked poll holds no
 	// slot, so N slots bound the tasks concurrently burning CPU.
 	if c.sem != nil {
-		//samzasql:ignore hotpath-blocking -- the blocking poll is the idle wait itself; it wakes on new input or shutdown, never while messages are queued
 		select {
 		case c.sem <- struct{}{}:
 		case <-ctx.Done():
 			return false, nil
 		}
-		//samzasql:ignore hotpath-blocking -- the blocking poll is the idle wait itself; it wakes on new input or shutdown, never while messages are queued
 		defer func() { <-c.sem }()
 	}
 	// batchNs anchors the poll span of any sampled message in this batch:
@@ -698,7 +693,6 @@ func (c *Container) pollTask(ctx context.Context, ti *taskInstance) (bool, error
 		needCommit := ti.coord.commitRequested ||
 			(c.job.CommitEvery > 0 && ti.processed >= c.job.CommitEvery)
 		if needCommit {
-			//samzasql:ignore hotpath-blocking -- commit-interval work amortized across the whole batch, not a per-message cost
 			if err := c.commitTask(ti); err != nil {
 				return false, err
 			}
@@ -721,7 +715,6 @@ func (c *Container) pollTask(ctx context.Context, ti *taskInstance) (bool, error
 			ti.act.StartMessage(m.Trace, batchNs, time.Now().UnixNano())
 		}
 		start := ti.procLat.Start()
-		//samzasql:ignore hotpath-blocking -- devirtualization resolves StreamTask to every impl including the bench throttle task, whose Sleep is intended backpressure in benchmarks only
 		if err := ti.task.Process(env, c.coll, &ti.coord); err != nil {
 			return false, fmt.Errorf("samza: %s process: %w", ti.name, err)
 		}
@@ -745,7 +738,6 @@ func (c *Container) pollTask(ctx context.Context, ti *taskInstance) (bool, error
 		needCommit := ti.coord.commitRequested ||
 			(c.job.CommitEvery > 0 && ti.processed >= c.job.CommitEvery)
 		if needCommit {
-			//samzasql:ignore hotpath-blocking -- commit-interval work amortized across the whole batch, not a per-message cost
 			if err := c.commitTask(ti); err != nil {
 				return false, err
 			}
