@@ -186,6 +186,87 @@ var joinGoldens = map[string]golden{
 	"relation-updates":  {453, "bd3a76d24f63d80d", "5e3715abd4564663"},
 	"tombstone-restore": {1189, "f89be954cd359831", "5e3715abd4564663"},
 	"stream-stream":     {1500, "c66a878db8729fdd", "39e2214452f87a3d"},
+	// The relationShapes, recorded at commit 53dd5ae, before the
+	// stream-relation join read keys and relation rows without boxing.
+	"residual-conjunct": {437, "d1bd176890073a7d", "18ccebe293c52121"},
+	"null-keys":         {371, "2e4910e0ee804c1f", "ab74dac75537e7ca"},
+	"varchar-key":       {416, "0593dc0c904082ec", "197dafa4d929d07d"},
+	"computed-key":      {457, "09a653e147964430", "18ccebe293c52121"},
+}
+
+// relationShapes are the stream-relation join shapes the relation-update
+// scenario does not reach, over the 457 orders and 100 products of
+// testEngine: an ON condition with a conjunct besides the key equality; NULL
+// join keys on both sides (the stream key is NULL for orders of at most 20
+// units, the relation key for product 7, and a NULL never matches a NULL); a
+// VARCHAR key; and a stream key computed per row. Catalog objects named in
+// unkeyed are redefined without a partition key column, so a computed or
+// non-key join column plans without repartitioning.
+var relationShapes = []struct {
+	name    string
+	unkeyed []string
+	query   string
+	keep    func(order []any) bool
+}{
+	{
+		name: "residual-conjunct",
+		query: `SELECT STREAM Orders.rowtime, Orders.orderId, Orders.units, Products.name, Products.supplierId
+		FROM Orders JOIN Products ON Orders.productId = Products.productId AND Orders.units > Products.supplierId`,
+		keep: func(o []any) bool { return o[3].(int64) > o[1].(int64)%10 },
+	},
+	{
+		name:    "null-keys",
+		unkeyed: []string{"Products"},
+		query: `SELECT STREAM O.rowtime, O.orderId, O.pid, Products.name, Products.supplierId
+		FROM (SELECT STREAM rowtime, orderId, CASE WHEN units > 20 THEN productId ELSE NULL END AS pid FROM Orders) AS O
+		JOIN Products ON O.pid = CASE WHEN Products.productId <> 7 THEN Products.productId ELSE NULL END`,
+		keep: func(o []any) bool { return o[3].(int64) > 20 && o[1].(int64) != 7 },
+	},
+	{
+		name:    "varchar-key",
+		unkeyed: []string{"Products"},
+		query: `SELECT STREAM O.rowtime, O.orderId, O.pname, Products.productId, Products.supplierId
+		FROM (SELECT STREAM rowtime, orderId, CASE WHEN units > 10 THEN 'product-' || productId ELSE NULL END AS pname FROM Orders) AS O
+		JOIN Products ON O.pname = Products.name`,
+		keep: func(o []any) bool { return o[3].(int64) > 10 },
+	},
+	{
+		name:    "computed-key",
+		unkeyed: []string{"Orders"},
+		query: `SELECT STREAM Orders.rowtime, Orders.orderId, Orders.productId, Products.name, Products.supplierId
+		FROM Orders JOIN Products ON Orders.productId + 0 = Products.productId`,
+		keep: func([]any) bool { return true },
+	},
+}
+
+// TestBlockSizeEquivalenceRelationShapes runs every relationShapes query at
+// every block size: outputs and folded changelog state byte-identical to the
+// recorded reference, and the row count the plain-Go predicate expects.
+func TestBlockSizeEquivalenceRelationShapes(t *testing.T) {
+	const orders = 457
+	replayed := replayOrders(t, orders)
+	for _, c := range relationShapes {
+		t.Run(c.name, func(t *testing.T) {
+			var first []string
+			for _, bs := range blockSizes(0x5a9e) {
+				e, _ := testEngine(t, 1, orders)
+				for _, name := range c.unkeyed {
+					obj, err := e.Catalog.Resolve(name)
+					if err != nil {
+						t.Fatal(err)
+					}
+					unkeyed := *obj
+					unkeyed.PartitionKeyCol = ""
+					if err := e.Catalog.Define(&unkeyed); err != nil {
+						t.Fatal(err)
+					}
+				}
+				out, state := runOnEngine(t, e, c.query, bs, countOrders(c.keep)(replayed))
+				checkGolden(t, fmt.Sprintf("%s batch=%d", c.name, bs), joinGoldens[c.name], first, digest(out), state)
+				first = digest(out)
+			}
+		})
+	}
 }
 
 // TestBlockSizeEquivalenceRelationUpdates replays the stream-relation join

@@ -6,10 +6,12 @@ import (
 	"strconv"
 	"sync"
 
+	"samzasql/internal/avro"
 	"samzasql/internal/kafka"
 	"samzasql/internal/metrics"
 	"samzasql/internal/samza"
 	"samzasql/internal/sql/physical"
+	"samzasql/internal/vec"
 	"samzasql/internal/yarn"
 )
 
@@ -28,6 +30,15 @@ type RepartitionTask struct {
 
 	// perPart is the per-destination message grouping reused across batches.
 	perPart [][]kafka.Message
+	// The batched key read, compiled on first use: a decoder of the key
+	// field alone into keyCols (an Int64 or String vector for a long or
+	// string field, the boxed escape vector otherwise), and the arena the
+	// batch's key bytes are formatted into, reused across batches — the
+	// broker copies what it is sent.
+	keyDec   *avro.ColumnDecoder
+	keyIdx   int
+	keyCols  []vec.Vec
+	keyArena []byte
 }
 
 // Init implements samza.StreamTask.
@@ -50,20 +61,71 @@ func (t *RepartitionTask) Process(env samza.IncomingMessageEnvelope, c samza.Mes
 
 // repartitionKey renders the re-keying value as bytes: the same text
 // fmt.Sprintf("%v") produces (the broker hashes these bytes, so both paths
-// must agree), with the common scalar types formatted via strconv to keep
-// reflection out of the batched path.
-func repartitionKey(v any) []byte {
+// must agree), with the common scalar types formatted via strconv.
+func repartitionKey(v any) []byte { return appendRepartitionKey(nil, v) }
+
+// appendRepartitionKey appends repartitionKey(v) to dst.
+func appendRepartitionKey(dst []byte, v any) []byte {
 	switch x := v.(type) {
 	case int64:
-		return strconv.AppendInt(nil, x, 10)
+		return strconv.AppendInt(dst, x, 10)
 	case string:
-		return []byte(x)
+		return append(dst, x...)
 	case float64:
-		return strconv.AppendFloat(nil, x, 'g', -1, 64)
+		return strconv.AppendFloat(dst, x, 'g', -1, 64)
 	case bool:
-		return strconv.AppendBool(nil, x)
+		return strconv.AppendBool(dst, x)
 	}
-	return []byte(fmt.Sprintf("%v", v))
+	return fmt.Appendf(dst, "%v", v)
+}
+
+// compileKeyRead builds the batched key decoder. A long or string key field
+// is decoded into a typed vector; any other field goes through the boxed
+// decode ReadField runs, so every field reads and fails as ReadField does.
+func (t *RepartitionTask) compileKeyRead() error {
+	schema := t.Spec.Codec.Schema()
+	t.keyIdx = schema.FieldIndex(t.Spec.KeyCol)
+	if t.keyIdx < 0 {
+		return fmt.Errorf("avro: record %q has no field %q", schema.Name, t.Spec.KeyCol)
+	}
+	kinds := make([]vec.Kind, len(schema.Fields))
+	wanted := make([]bool, len(schema.Fields))
+	wanted[t.keyIdx] = true
+	switch schema.Fields[t.keyIdx].Schema.Kind {
+	case avro.KindLong:
+		kinds[t.keyIdx] = vec.Int64
+	case avro.KindString:
+		kinds[t.keyIdx] = vec.String
+	}
+	dec, err := t.Spec.Codec.NewColumnDecoder(kinds, wanted)
+	if err != nil {
+		return err
+	}
+	t.keyDec, t.keyCols = dec, make([]vec.Vec, len(kinds))
+	return nil
+}
+
+// appendKey decodes envelope r's key field into row r of the key vectors
+// and appends the key's bytes to the arena: repartitionKey of the value
+// ReadField returns.
+//
+//samzasql:hotpath
+func (t *RepartitionTask) appendKey(value []byte, r int) error {
+	if err := t.keyDec.Decode(value, t.keyCols, r); err != nil {
+		return err
+	}
+	col := &t.keyCols[t.keyIdx]
+	switch {
+	case col.IsNull(r):
+		t.keyArena = appendRepartitionKey(t.keyArena, nil)
+	case col.Kind == vec.Int64:
+		t.keyArena = strconv.AppendInt(t.keyArena, col.I64[r], 10)
+	case col.Kind == vec.String:
+		t.keyArena = append(t.keyArena, col.Str(r)...)
+	default:
+		t.keyArena = appendRepartitionKey(t.keyArena, col.Any[r])
+	}
+	return nil
 }
 
 // ProcessBatch implements samza.BatchedStreamTask: the whole polled batch is
@@ -92,13 +154,20 @@ func (t *RepartitionTask) ProcessBatch(envs []samza.IncomingMessageEnvelope, c s
 	for p := range t.perPart {
 		t.perPart[p] = t.perPart[p][:0]
 	}
-	for i := range envs {
-		env := &envs[i]
-		keyVal, err := t.Spec.Codec.ReadField(env.Value, t.Spec.KeyCol)
-		if err != nil {
+	if t.keyDec == nil {
+		if err := t.compileKeyRead(); err != nil {
 			return fmt.Errorf("executor: repartition key read: %w", err)
 		}
-		key := repartitionKey(keyVal)
+	}
+	t.keyDec.Reset(t.keyCols, len(envs))
+	t.keyArena = t.keyArena[:0]
+	for i := range envs {
+		env := &envs[i]
+		start := len(t.keyArena)
+		if err := t.appendKey(env.Value, i); err != nil {
+			return fmt.Errorf("executor: repartition key read: %w", err)
+		}
+		key := t.keyArena[start:len(t.keyArena):len(t.keyArena)]
 		dest, part := int32(0), int32(-1)
 		if n > 0 {
 			dest = kafka.PartitionForKey(key, n)

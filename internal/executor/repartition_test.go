@@ -2,6 +2,7 @@ package executor
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -256,6 +257,82 @@ func TestRepartitionBatchGrouping(t *testing.T) {
 				t.Fatalf("partitions %d: %d messages in %d batches", parts, seen, len(rec.batches))
 			}
 		}
+	}
+}
+
+// TestRepartitionBatchKeysMatchReadField keys a batch by a field of every
+// kind the typed and the boxed key reads handle, NULLs included: each
+// message's key is repartitionKey of what ReadField returns — the bytes the
+// per-message path writes and the broker hashes.
+func TestRepartitionBatchKeysMatchReadField(t *testing.T) {
+	codec := avro.MustCodec(avro.Record("Mixed",
+		avro.F("l", avro.Long()), avro.F("s", avro.String()), avro.F("d", avro.Double()),
+		avro.F("b", avro.Boolean()), avro.F("i", avro.Int()), avro.F("nl", avro.Long().AsNullable())))
+	var envs []samza.IncomingMessageEnvelope
+	for i := 0; i < 20; i++ {
+		var nl any
+		if i%3 != 0 {
+			nl = int64(-i * 1000)
+		}
+		value, err := codec.EncodeRow([]any{int64(i * 7919), fmt.Sprintf("k-%d", i%5), float64(i) / 3, i%2 == 0, int32(i - 10), nl})
+		if err != nil {
+			t.Fatal(err)
+		}
+		envs = append(envs, samza.IncomingMessageEnvelope{Value: value, Timestamp: int64(i)})
+	}
+	for _, col := range []string{"l", "s", "d", "b", "i", "nl"} {
+		task := &RepartitionTask{Spec: &physical.RepartitionSpec{TargetTopic: "out", KeyCol: col, Codec: codec}}
+		rec := &batchRecorder{}
+		if err := task.ProcessBatch(envs, rec, nil, 0); err != nil {
+			t.Fatal(err)
+		}
+		for j, m := range rec.batches[0] {
+			v, err := codec.ReadField(envs[j].Value, col)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := repartitionKey(v); string(m.Key) != string(want) {
+				t.Fatalf("key column %s, message %d: key %q, want %q", col, j, m.Key, want)
+			}
+		}
+	}
+	task := &RepartitionTask{Spec: &physical.RepartitionSpec{TargetTopic: "out", KeyCol: "missing", Codec: codec}}
+	if err := task.ProcessBatch(envs, &batchRecorder{}, nil, 0); err == nil {
+		t.Fatal("a key column the record lacks was accepted")
+	}
+}
+
+// TestRepartitionBatchAllocs pins the re-keying batch's allocation cost on
+// the repartition benchmark's shape, a BIGINT key in the middle of the
+// record: the key field is decoded into an Int64 vector and formatted into
+// an arena reused across batches, so a warm 256-message batch allocates
+// nothing. Reading it through ReadField and repartitionKey cost a boxed
+// value and a fresh key slice per message (2.00 allocs/message).
+func TestRepartitionBatchAllocs(t *testing.T) {
+	codec := avro.MustCodec(avro.Record("Clicks",
+		avro.F("rowtime", avro.Long()), avro.F("userId", avro.Long()),
+		avro.F("productId", avro.Long()), avro.F("pad", avro.String())))
+	envs := make([]samza.IncomingMessageEnvelope, 256)
+	for i := range envs {
+		value, err := codec.EncodeRow([]any{int64(1_600_000_000_000 + i), int64(i % 7), int64(1000 + i*37), "padding"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		envs[i] = samza.IncomingMessageEnvelope{Value: value, Timestamp: int64(i)}
+	}
+	task := &RepartitionTask{Spec: &physical.RepartitionSpec{TargetTopic: "out", KeyCol: "productId", Codec: codec}, Partitions: 4}
+	coll := &nullCollector{}
+	perMsg := testing.AllocsPerRun(32, func() {
+		if err := task.ProcessBatch(envs, coll, nil, 0); err != nil {
+			t.Fatal(err)
+		}
+	}) / float64(len(envs))
+	t.Logf("repartition batch: %.2f allocs/message", perMsg)
+	if coll.rows != 33*len(envs) {
+		t.Fatalf("%d messages sent over 33 batches, want %d", coll.rows, 33*len(envs))
+	}
+	if perMsg > 0 {
+		t.Errorf("repartition batch: %.2f allocs/message, want none", perMsg)
 	}
 }
 

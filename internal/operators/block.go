@@ -21,9 +21,11 @@ import (
 // Columns are kind-typed vectors (package vec), never boxed values: the scan
 // decodes Avro straight into them, filters refine the selection with typed
 // comparison kernels, a projection of bare columns is a permutation of
-// vectors, and the insert encodes straight out of them. Expressions without
-// a kernel, and the stateful operators, read rows through the block's boxed
-// view (gather), built lazily at most once per column per block.
+// vectors, and the insert encodes straight out of them; the sliding window
+// and the stream-relation join read bare key columns from the vectors too.
+// Expressions without a kernel, the stream-stream join and the aggregate
+// folds read rows through the block's boxed view (gather), built lazily at
+// most once per column per block.
 
 // TupleBlock is a batch of rows in columnar layout — the tuple-as-array
 // representation of Figure 4, one vector per column: the unit of work of

@@ -12,11 +12,12 @@ import (
 // ProcessBlock of the stateful operators: sliding window, streaming
 // aggregate, stream-relation join, stream-stream join. The shared scheme is
 // per-block group clustering — evaluate key expressions columnarly over the
-// block, encode each group/join key into a per-block arena once per run of
-// equal adjacent keys, number the distinct keys through the allocation-free
-// key table (keytable.go), load every distinct key's state through one
-// batched store read (kv.GetMany), fold all of the key's rows, and write the
-// state back once per key per block instead of once per tuple.
+// block, encode each group/join key into a per-block arena (the window and
+// the aggregate once per run of equal adjacent keys), number the distinct
+// keys through the allocation-free key table (keytable.go), load every
+// distinct key's state through one batched store read (kv.GetMany), fold all
+// of the key's rows, and write the state back once per key per block instead
+// of once per tuple.
 //
 // Output rows are emitted in input-row order (window emissions in window-end
 // order), so a program produces byte-identical output in the identical
@@ -580,120 +581,127 @@ func (o *StreamAggregateOp) processWindowedBlock(b *TupleBlock, out *TupleBlock)
 // ProcessBlock implements Operator. Side 0 carries stream tuples, side 1
 // relation changelog tuples (regardless of SQL-side order; the physical
 // planner routes accordingly). A relation-side block becomes one
-// write batch and emits nothing. A stream-side block evaluates the join key
-// columnarly, encodes every row's state key into one arena, resolves each
-// distinct key once through one batched read decoded into a per-block row
-// arena, and emits the matching combined rows in input order.
+// write batch and emits nothing. A stream-side block writes every row's
+// state key into one arena, resolves each distinct key once through one
+// batched read decoded into typed per-block relation vectors, and emits the
+// stream block itself, refined like a filter: an inner join with one
+// relation row per key keeps a stream row or drops it, in input order. The
+// output shares the input's rows and stream column vectors and adds one
+// vector per relation column, filled at the matching rows.
 //
 //samzasql:hotpath
 func (o *StreamRelationJoinOp) ProcessBlock(side int, b *TupleBlock, emit BlockEmit) error {
-	row := rowScratch(&o.rowScratch, b)
 	if side == RightSide {
-		return o.processRelationBlock(b, row)
+		return o.processRelationBlock(b)
 	}
 	out := &o.outBlock
-	out.resetOut(b, o.kinds)
+	out.shareRows(b, len(o.kinds))
+	copy(out.Cols[o.streamAt:], b.Cols)
+	for i := range o.relRows {
+		out.Cols[o.relAt+i].Reset(o.kinds[o.relAt+i], b.N, false)
+	}
+	sel := o.outSel[:0]
 	if len(b.Sel) == 0 {
-		out.Finish()
+		out.Sel = sel
 		return emit(out)
 	}
-	b.box(o.streamRefs)
 
-	// Pass 1: every row's state key, built back to back in the key arena
-	// (adjacent equal join keys reuse the previous row's), and its slot among
-	// the block's distinct keys.
+	// Pass 1: every row's state key, built back to back in the key arena,
+	// and its slot among the block's distinct keys; a NULL key matches
+	// nothing and gets slot -1.
 	o.blkDistinct.reset(len(b.Sel))
 	arena := o.keyArena[:0]
 	slots := o.blkSlot[:0]
 	keys := o.blkKeys[:0]
-	var prevVal any
-	havePrev := false
 	for _, r := range b.Sel {
-		row = b.gather(r, row, o.streamRefs)
-		kval, err := o.keyEval(o.combineInto(row, nil))
-		if err != nil {
-			return fmt.Errorf("operators: stream join key: %w", err)
-		}
-		if havePrev {
-			if eq, ok := runEqual(kval, prevVal); ok && eq {
-				slots = append(slots, slots[len(slots)-1])
-				continue
-			}
-		}
 		start := len(arena)
-		if arena, err = o.appendRelKey(arena, kval); err != nil {
+		var null bool
+		var err error
+		if arena, null, err = o.appendKey(arena, &o.streamKey, b, r); err != nil {
 			return err
+		}
+		if null {
+			arena = arena[:start]
+			slots = append(slots, -1)
+			continue
 		}
 		var slot int32
 		slot, keys, arena = o.blkDistinct.slotOfLast(keys, arena, start)
 		slots = append(slots, slot)
-		_, havePrev = runEqual(kval, kval)
-		prevVal = kval
 	}
 	o.keyArena, o.blkSlot, o.blkKeys = arena, slots, keys
 
 	// Pass 2: resolve every distinct key with one batched read. A key whose
-	// row stays nil has no relation row — the inner join drops its rows.
-	rel, err := o.resolveRelBatch(keys)
+	// row is -1 has no relation row — the inner join drops its rows.
+	relRow, err := o.resolveRelBatch(keys)
 	if err != nil {
 		return err
 	}
 
-	// Pass 3: apply the residual, emit matches in input order — the stream
-	// columns copied vector to vector, the relation row unboxed.
-	streamAt, relAt := 0, o.leftArity
-	if !o.StreamIsLeft {
-		streamAt, relAt = o.rightArity, 0
-	}
+	// Pass 3: apply the residual, select the matches and fill in their
+	// relation columns.
 	for k, r := range b.Sel {
-		relRow := rel[slots[k]]
-		if relRow == nil {
+		if slots[k] < 0 || relRow[slots[k]] < 0 {
 			continue
 		}
-		row = b.gather(r, row, o.streamRefs)
-		v, err := o.residual(o.combineInto(row, relRow))
-		if err != nil {
-			return fmt.Errorf("operators: join condition: %w", err)
+		ri := int(relRow[slots[k]])
+		if o.residual != nil {
+			ok, err := o.residualHolds(b, r, ri)
+			if err != nil {
+				return err
+			}
+			if !ok {
+				continue
+			}
 		}
-		if bl, ok := v.(bool); !ok || !bl {
-			continue
-		}
-		for c := range b.Cols {
-			if err := out.Cols[streamAt+c].AppendFrom(&b.Cols[c], r); err != nil {
+		for i := range o.relRows {
+			if err := out.Cols[o.relAt+i].SetFrom(r, &o.relRows[i], ri); err != nil {
 				return err
 			}
 		}
-		for i, x := range relRow {
-			if err := out.Cols[relAt+i].Append(x); err != nil {
-				return fmt.Errorf("operators: join output column %d: %w", relAt+i, err)
-			}
-		}
-		out.appendMeta(b.Ts[r], b.Keys[r], b.Offsets[r])
+		sel = append(sel, r)
 	}
-	out.Finish()
+	o.outSel = sel
+	out.Sel = sel
 	return emit(out)
 }
 
-// processRelationBlock applies a block of relation changelog rows: the rows
-// are encoded back to back into one value arena and handed to the store as a
-// single write batch — one lock acquisition, one latency observation and one
-// changelog produce for the block instead of one per row.
+// residualHolds evaluates the ON condition over the combined row of stream
+// row r of b and relation row ri, boxed from the columns it reads.
+func (o *StreamRelationJoinOp) residualHolds(b *TupleBlock, r, ri int) (bool, error) {
+	row := o.cmbScratch
+	for _, c := range o.resStream {
+		row[o.streamAt+c] = b.Cols[c].Value(r)
+	}
+	for _, c := range o.resRel {
+		row[o.relAt+c] = o.relRows[c].Value(ri)
+	}
+	v, err := o.residual(row)
+	if err != nil {
+		return false, fmt.Errorf("operators: join condition: %w", err)
+	}
+	bl, ok := v.(bool)
+	return ok && bl, nil
+}
+
+// processRelationBlock applies a block of relation changelog rows: each
+// row's state key and encoded row are written straight from the block's
+// vectors, back to back into two arenas, and handed to the store as a
+// single write batch — one lock acquisition, one latency observation and
+// one changelog produce for the block instead of one per row.
 //
 //samzasql:hotpath
-func (o *StreamRelationJoinOp) processRelationBlock(b *TupleBlock, row []any) error {
-	all := b.allCols()
-	b.box(all)
+func (o *StreamRelationJoinOp) processRelationBlock(b *TupleBlock) error {
 	keys := o.keyArena[:0]
 	vals := o.valArena[:0]
 	ops := o.blkOps[:0]
 	var err error
 	for _, r := range b.Sel {
-		row = b.gather(r, row, all)
 		ks, vs := len(keys), len(vals)
-		if keys, err = o.relationKey(keys, row); err != nil {
+		if keys, _, err = o.appendKey(keys, &o.relKey, b, r); err != nil {
 			return err
 		}
-		if vals, err = o.relCodec.AppendEncode(vals, row); err != nil {
+		if vals, err = o.relCodec.AppendEncodeFrom(vals, b.Cols, r); err != nil {
 			return err
 		}
 		ops = append(ops, kv.WriteOp{Key: keys[ks:len(keys):len(keys)], Value: vals[vs:len(vals):len(vals)]})
@@ -703,37 +711,39 @@ func (o *StreamRelationJoinOp) processRelationBlock(b *TupleBlock, row []any) er
 	return nil
 }
 
-// resolveRelBatch returns the relation row of each distinct key (nil where
-// the relation has none), index-aligned with keys, through one batched byte
-// read decoded into the block's row arena.
+// resolveRelBatch decodes the relation row of each distinct key, through
+// one batched byte read, into the block's relation vectors, and returns
+// each key's row among them (-1 where the relation has none), index-aligned
+// with keys.
 //
 //samzasql:hotpath
-func (o *StreamRelationJoinOp) resolveRelBatch(keys [][]byte) ([][]any, error) {
-	rel := o.blkRel[:0]
+func (o *StreamRelationJoinOp) resolveRelBatch(keys [][]byte) ([]int32, error) {
+	rows := o.blkRelRow[:0]
 	vals := o.blkVals[:0]
 	oks := o.blkOks[:0]
 	for range keys {
-		rel = append(rel, nil)
 		vals = append(vals, nil)
 		oks = append(oks, false)
 	}
-	o.blkRel, o.blkVals, o.blkOks = rel, vals[:0], oks[:0]
-	arity := o.relCodec.Arity()
-	if need := len(keys) * arity; cap(o.rowArena) < need {
-		o.rowArena = make([]any, need)
+	o.blkVals, o.blkOks = vals[:0], oks[:0]
+	for i := range o.relRows {
+		o.relRows[i].Truncate(o.kinds[o.relAt+i])
 	}
 	kv.GetMany(o.store, keys, vals, oks)
+	n := int32(0)
 	for i := range keys {
 		if !oks[i] {
+			rows = append(rows, -1)
 			continue
 		}
-		relRow := o.rowArena[i*arity : (i+1)*arity : (i+1)*arity]
-		if err := o.relCodec.Decode(vals[i], relRow); err != nil {
+		if err := o.relCodec.DecodeInto(o.relRows, vals[i]); err != nil {
 			return nil, fmt.Errorf("operators: relation row decode: %w", err)
 		}
-		rel[i] = relRow
+		rows = append(rows, n)
+		n++
 	}
-	return rel, nil
+	o.blkRelRow = rows
+	return rows, nil
 }
 
 // ----- StreamStreamJoinOp -----

@@ -42,21 +42,21 @@ func rowCodecFor(row *types.RowType) *serde.RowCodec {
 // the relation's planned row type. The paper's prototype used a generic
 // object serde (Kryo) here and names its deserialization cost as the main
 // reason SamzaSQL joins ran ~2x slower than native jobs (§5.1); that serde's
-// analog, ObjectSerde, now encodes only the join keys.
+// analog, ObjectSerde, now only lays out the join keys, which a bare key
+// column writes straight from its vector.
 type StreamRelationJoinOp struct {
-	// StreamIsLeft records which side of the combined row the stream
-	// occupies.
-	StreamIsLeft bool
-	leftArity    int
-	rightArity   int
-	// kinds are the combined output row's column kinds; streamRefs the
-	// stream-side columns the key and ON expressions read.
-	kinds      []vec.Kind
-	streamRefs []int
+	// kinds are the combined output row's column kinds; streamAt and relAt
+	// where each side starts in it.
+	kinds           []vec.Kind
+	streamAt, relAt int
 
-	keyEval  expr.Evaluator // stream-side key over combined row
-	relKey   expr.Evaluator // relation-side key over combined row
-	residual expr.Evaluator // full ON condition over combined row
+	streamKey, relKey joinKey
+	// residual is the full ON condition over the combined row, nil when ON
+	// is nothing but the equality of the two bare key columns (keyOnly),
+	// which equal key bytes already decide. resStream and resRel are the
+	// side-local columns it reads.
+	residual          expr.Evaluator
+	resStream, resRel []int
 
 	store    kv.Store
 	relCodec *serde.RowCodec
@@ -69,66 +69,118 @@ type StreamRelationJoinOp struct {
 	tombstonesSkipped *metrics.Counter
 
 	// Scratch: the one-value key row, the state key buffer (stores copy what
-	// they keep) and the combined row for key evaluation.
+	// they keep) and the combined row the evaluators read.
 	keyVal     [1]any
 	kbuf       []byte
 	cmbScratch []any
 
-	// Per-block scratch (block_stateful.go): the output block and gather
-	// row; the per-block arenas holding every row's state key, the decoded
-	// relation rows and the relation side's encoded rows; the distinct-key
-	// table with each row's slot in it; and the batched read/write slices.
+	// Per-block scratch (block_stateful.go): the output block and its
+	// selection; the block's distinct relation rows, one vector per
+	// relation column, and each distinct key's row among them; the
+	// per-block arenas holding every row's state key and the relation
+	// side's encoded rows; the distinct-key table with each row's slot in
+	// it; and the batched read/write slices.
 	outBlock    TupleBlock
-	rowScratch  []any
+	outSel      []int
+	relRows     []vec.Vec
+	blkRelRow   []int32
 	keyArena    []byte
-	rowArena    []any
 	valArena    []byte
 	blkDistinct keyTable
 	blkSlot     []int32
-	blkRel      [][]any
 	blkKeys     [][]byte
 	blkVals     [][]byte
 	blkOks      []bool
 	blkOps      []kv.WriteOp
 }
 
+// joinKey is one side's join key: a bare column of the side, whose state
+// key is written straight from its vector, or an expression evaluated over
+// the combined row, filled from the side's columns it reads.
+type joinKey struct {
+	col  int            // side-local key column, or -1
+	eval expr.Evaluator // when col < 0
+	refs []int          // side-local columns eval reads
+	at   int            // where the side starts in the combined row
+}
+
+// newJoinKey compiles key, an expression over the combined row, for the
+// side of the given arity starting at at.
+func newJoinKey(key expr.Expr, at, arity int) (joinKey, error) {
+	if c, ok := key.(*expr.ColRef); ok && c.Idx >= at && c.Idx < at+arity {
+		return joinKey{col: c.Idx - at, at: at}, nil
+	}
+	ev, err := expr.Compile(key)
+	if err != nil {
+		return joinKey{}, err
+	}
+	return joinKey{col: -1, eval: ev, refs: sideCols(key, at, arity), at: at}, nil
+}
+
+// sideCols lists the side-local columns of the side [at, at+arity) that e
+// reads.
+func sideCols(e expr.Expr, at, arity int) []int {
+	var cols []int
+	for _, c := range expr.Columns(e) {
+		if c >= at && c < at+arity {
+			cols = append(cols, c-at)
+		}
+	}
+	return cols
+}
+
+// keyOnly reports whether on is nothing but the equality of the two bare
+// key columns, of one kind whose values are equal exactly when their state
+// keys are (BIGINT-like or VARCHAR). The keys are bound apart from on, so
+// columns are compared by index.
+func keyOnly(on, streamKey, relKey expr.Expr) bool {
+	eq, ok := on.(*expr.Binary)
+	if !ok || eq.Op != expr.Eq {
+		return false
+	}
+	l, lok := eq.L.(*expr.ColRef)
+	r, rok := eq.R.(*expr.ColRef)
+	sk, sok := streamKey.(*expr.ColRef)
+	rk, kok := relKey.(*expr.ColRef)
+	if !lok || !rok || !sok || !kok {
+		return false
+	}
+	if !(l.Idx == sk.Idx && r.Idx == rk.Idx) && !(l.Idx == rk.Idx && r.Idx == sk.Idx) {
+		return false
+	}
+	kind := vec.KindOf(sk.T)
+	return kind == vec.KindOf(rk.T) && (kind == vec.Int64 || kind == vec.String)
+}
+
 // NewStreamRelationJoinOp builds the operator for inputs of the given row
 // types. info's LeftKey/RightKey are bound over the combined row.
 func NewStreamRelationJoinOp(info *validate.JoinInfo, left, right *types.RowType, streamIsLeft bool) (*StreamRelationJoinOp, error) {
-	op := &StreamRelationJoinOp{
-		StreamIsLeft: streamIsLeft,
-		leftArity:    left.Arity(),
-		rightArity:   right.Arity(),
-	}
-	var streamKey, relKey expr.Expr
-	if streamIsLeft {
-		streamKey, relKey = info.LeftKey, info.RightKey
-		op.relCodec = rowCodecFor(right)
-	} else {
-		streamKey, relKey = info.RightKey, info.LeftKey
-		op.relCodec = rowCodecFor(left)
-	}
-	op.kinds = append(vec.KindsOf(left), vec.KindsOf(right)...)
-	streamAt, streamArity := 0, left.Arity()
+	op := &StreamRelationJoinOp{kinds: append(vec.KindsOf(left), vec.KindsOf(right)...)}
+	streamKey, relKey := info.LeftKey, info.RightKey
+	stream, rel := left, right
+	op.relAt = left.Arity()
 	if !streamIsLeft {
-		streamAt, streamArity = left.Arity(), right.Arity()
+		streamKey, relKey = relKey, streamKey
+		stream, rel = rel, stream
+		op.streamAt, op.relAt = left.Arity(), 0
 	}
-	for _, c := range expr.Columns(streamKey, info.On) {
-		if c >= streamAt && c < streamAt+streamArity {
-			op.streamRefs = append(op.streamRefs, c-streamAt)
-		}
-	}
+	op.relCodec = rowCodecFor(rel)
+	op.relRows = make([]vec.Vec, rel.Arity())
 	var err error
-	if op.keyEval, err = expr.Compile(streamKey); err != nil {
+	if op.streamKey, err = newJoinKey(streamKey, op.streamAt, stream.Arity()); err != nil {
 		return nil, err
 	}
-	if op.relKey, err = expr.Compile(relKey); err != nil {
+	if op.relKey, err = newJoinKey(relKey, op.relAt, rel.Arity()); err != nil {
 		return nil, err
 	}
-	if op.residual, err = expr.Compile(info.On); err != nil {
-		return nil, err
+	if !keyOnly(info.On, streamKey, relKey) {
+		if op.residual, err = expr.Compile(info.On); err != nil {
+			return nil, err
+		}
+		op.resStream = sideCols(info.On, op.streamAt, stream.Arity())
+		op.resRel = sideCols(info.On, op.relAt, rel.Arity())
 	}
-	op.cmbScratch = make([]any, op.leftArity+op.rightArity)
+	op.cmbScratch = make([]any, len(op.kinds))
 	return op, nil
 }
 
@@ -159,16 +211,42 @@ func (o *StreamRelationJoinOp) appendRelKey(dst []byte, kval any) ([]byte, error
 	return serde.ObjectSerde{}.AppendEncode(dst, o.keyVal[:])
 }
 
-// relationKey evaluates the relation-side join key of row and appends its
-// state key to dst.
+// appendKey appends the state key of row r of b under key k to dst — the
+// bytes appendRelKey writes for the key's value — and reports whether the
+// key is NULL. A key column is read from its vector unboxed.
 //
 //samzasql:hotpath
-func (o *StreamRelationJoinOp) relationKey(dst []byte, row []any) ([]byte, error) {
-	kval, err := o.relKey(o.combineInto(nil, row))
-	if err != nil {
-		return nil, fmt.Errorf("operators: relation join key: %w", err)
+func (o *StreamRelationJoinOp) appendKey(dst []byte, k *joinKey, b *TupleBlock, r int) ([]byte, bool, error) {
+	if k.col < 0 {
+		row := o.cmbScratch
+		for _, c := range k.refs {
+			row[k.at+c] = b.Cols[c].Value(r)
+		}
+		kval, err := k.eval(row)
+		if err != nil {
+			return nil, false, fmt.Errorf("operators: join key: %w", err)
+		}
+		dst, err = o.appendRelKey(dst, kval)
+		return dst, kval == nil, err
 	}
-	return o.appendRelKey(dst, kval)
+	col := &b.Cols[k.col]
+	if col.Kind == vec.Any {
+		kval := col.Value(r)
+		dst, err := o.appendRelKey(dst, kval)
+		return dst, kval == nil, err
+	}
+	dst = serde.AppendRowHeader(append(dst, 'r', ':'), 1)
+	switch {
+	case col.IsNull(r):
+		return serde.AppendNull(dst), true, nil
+	case col.Kind == vec.Int64:
+		return serde.AppendLong(dst, col.I64[r]), false, nil
+	case col.Kind == vec.String:
+		return serde.AppendString(dst, col.Str(r)), false, nil
+	case col.Kind == vec.Float64:
+		return serde.AppendDouble(dst, col.F64[r]), false, nil
+	}
+	return serde.AppendBool(dst, col.Bools[r]), false, nil
 }
 
 // DeleteRelation applies a relation tombstone — a nil-value message on the
@@ -211,26 +289,6 @@ func parseMessageKey(kind vec.Kind, key []byte) (any, bool) {
 		return v, err == nil
 	}
 	return nil, false
-}
-
-// combineInto lays out the combined row, the stream side in its SQL position
-// and missing sides nil-filled, in operator scratch; the compiled evaluators
-// only read values, so the scratch is safe to reuse per row.
-//
-//samzasql:hotpath
-func (o *StreamRelationJoinOp) combineInto(streamRow, relRow []any) []any {
-	out := o.cmbScratch
-	for i := range out {
-		out[i] = nil
-	}
-	if o.StreamIsLeft {
-		copy(out, streamRow)
-		copy(out[o.leftArity:], relRow)
-	} else {
-		copy(out, relRow)
-		copy(out[o.leftArity:], streamRow)
-	}
-	return out
 }
 
 // StreamStreamJoinOp implements windowed stream-to-stream joins (§3.8.1):

@@ -194,40 +194,44 @@ func AppendNestedRow(dst []byte) []byte { return appendClass(dst, ClassRow) }
 func AppendNull(dst []byte) []byte { return appendClass(dst, ClassNull) }
 
 // AppendLong appends a long element.
-func AppendLong(dst []byte, v int64) []byte {
-	return binary.AppendUvarint(appendClass(dst, ClassLong), uint64((v<<1)^(v>>63)))
-}
+func AppendLong(dst []byte, v int64) []byte { return appendZigzag(appendClass(dst, ClassLong), v) }
 
 // AppendDouble appends a double element.
 func AppendDouble(dst []byte, v float64) []byte {
-	return binary.LittleEndian.AppendUint64(appendClass(dst, ClassDouble), math.Float64bits(v))
+	return appendFloat64(appendClass(dst, ClassDouble), v)
 }
 
-// AppendString appends a string element.
-func AppendString(dst []byte, s string) []byte {
-	dst = appendClass(dst, ClassString)
-	dst = binary.AppendUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
+// AppendString appends a string element, from a string or its bytes.
+func AppendString[S string | []byte](dst []byte, s S) []byte {
+	return appendLenPrefixed(appendClass(dst, ClassString), s)
 }
 
 // AppendBool appends a boolean element.
-func AppendBool(dst []byte, v bool) []byte {
-	dst = appendClass(dst, ClassBool)
+func AppendBool(dst []byte, v bool) []byte { return appendBoolByte(appendClass(dst, ClassBool), v) }
+
+func appendClass(dst []byte, c Class) []byte { return appendLenPrefixed(dst, classNames[c]) }
+
+// The payload layouts, shared with RowCodec, which writes the same payloads
+// without class names.
+
+func appendZigzag(dst []byte, v int64) []byte {
+	return binary.AppendUvarint(dst, uint64((v<<1)^(v>>63)))
+}
+
+func appendFloat64(dst []byte, v float64) []byte {
+	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
+}
+
+func appendLenPrefixed[S string | []byte](dst []byte, b S) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(b)))
+	return append(dst, b...)
+}
+
+func appendBoolByte(dst []byte, v bool) []byte {
 	if v {
 		return append(dst, 1)
 	}
 	return append(dst, 0)
-}
-
-func appendClass(dst []byte, c Class) []byte {
-	name := classNames[c]
-	dst = binary.AppendUvarint(dst, uint64(len(name)))
-	return append(dst, name...)
-}
-
-func appendLenPrefixed(dst, b []byte) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(b)))
-	return append(dst, b...)
 }
 
 // Reader reads a row's elements in sequence, in place: class names are

@@ -55,67 +55,120 @@ func (c *RowCodec) Arity() int { return len(c.kinds) }
 //
 //samzasql:hotpath
 func (c *RowCodec) AppendEncode(dst []byte, row []any) ([]byte, error) {
-	n := len(c.kinds)
-	if len(row) != n {
-		return nil, fmt.Errorf("serde: row codec: row has %d columns, codec %d", len(row), n)
+	if len(row) != len(c.kinds) {
+		return nil, fmt.Errorf("serde: row codec: row has %d columns, codec %d", len(row), len(c.kinds))
 	}
+	w := c.begin(dst)
+	for i, v := range row {
+		if err := w.value(i, v); err != nil {
+			return nil, err
+		}
+	}
+	return w.dst, nil
+}
+
+// AppendEncodeFrom appends the encoding of row r of cols, one vector per
+// column, to dst without boxing it: the bytes AppendEncode writes for the
+// row's boxed values (vec.Vec.Value). A vector whose kind is not its
+// column's declared kind, and an escape (vec.Any) vector, go through
+// AppendEncode's boxed path.
+//
+//samzasql:hotpath
+func (c *RowCodec) AppendEncodeFrom(dst []byte, cols []vec.Vec, r int) ([]byte, error) {
+	if len(cols) != len(c.kinds) {
+		return nil, fmt.Errorf("serde: row codec: row has %d columns, codec %d", len(cols), len(c.kinds))
+	}
+	w := c.begin(dst)
+	for i := range cols {
+		col := &cols[i]
+		switch {
+		case col.IsNull(r):
+			w.null(i)
+		case col.Kind != c.kinds[i] || col.Kind == vec.Any:
+			if err := w.value(i, col.Value(r)); err != nil {
+				return nil, err
+			}
+		case col.Kind == vec.Int64:
+			w.dst = appendZigzag(w.dst, col.I64[r])
+		case col.Kind == vec.Float64:
+			w.dst = appendFloat64(w.dst, col.F64[r])
+		case col.Kind == vec.String:
+			w.dst = appendLenPrefixed(w.dst, col.Str(r))
+		default: // vec.Bool
+			w.dst = appendBoolByte(w.dst, col.Bools[r])
+		}
+	}
+	return w.dst, nil
+}
+
+// rowWriter appends one row: the null bitmap is reserved up front, the
+// escape bitmap opened behind it by the first mistyped value.
+type rowWriter struct {
+	c     *RowCodec
+	dst   []byte
+	start int // where the row starts in dst
+	escAt int // where the escape bitmap starts, once a value needed it
+}
+
+func (c *RowCodec) begin(dst []byte) rowWriter {
 	start := len(dst)
 	for i := 0; i < c.hdr; i++ {
 		dst = append(dst, 0)
 	}
-	escAt := -1 // where the escape bitmap starts, once a value needed it
-	var err error
-	for i, v := range row {
-		if v == nil {
-			dst[start+i>>3] |= 1 << (i & 7)
-			continue
+	return rowWriter{c: c, dst: dst, start: start, escAt: -1}
+}
+
+// null marks column i NULL.
+func (w *rowWriter) null(i int) { w.dst[w.start+i>>3] |= 1 << (i & 7) }
+
+// value appends boxed value v as column i: NULL for nil, the column's
+// declared layout when v's dynamic type is the declared one, an ObjectSerde
+// value otherwise (escaped unless the column is vec.Any).
+func (w *rowWriter) value(i int, v any) error {
+	c := w.c
+	switch x := v.(type) {
+	case nil:
+		w.null(i)
+		return nil
+	case int64:
+		if c.kinds[i] == vec.Int64 {
+			w.dst = appendZigzag(w.dst, x)
+			return nil
 		}
-		switch x := v.(type) {
-		case int64:
-			if c.kinds[i] == vec.Int64 {
-				dst = binary.AppendUvarint(dst, uint64((x<<1)^(x>>63)))
-				continue
-			}
-		case float64:
-			if c.kinds[i] == vec.Float64 {
-				dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(x))
-				continue
-			}
-		case string:
-			if c.kinds[i] == vec.String {
-				dst = binary.AppendUvarint(dst, uint64(len(x)))
-				dst = append(dst, x...)
-				continue
-			}
-		case bool:
-			if c.kinds[i] == vec.Bool {
-				b := byte(0)
-				if x {
-					b = 1
-				}
-				dst = append(dst, b)
-				continue
-			}
+	case float64:
+		if c.kinds[i] == vec.Float64 {
+			w.dst = appendFloat64(w.dst, x)
+			return nil
 		}
-		if c.kinds[i] != vec.Any {
-			if escAt < 0 {
-				// First mistyped value of the row: open the escape bitmap
-				// behind the null bitmap, moving the payloads written so far.
-				escAt = start + c.hdr
-				dst[start+n>>3] |= 1 << (n & 7)
-				for k := 0; k < c.esc; k++ {
-					dst = append(dst, 0)
-				}
-				copy(dst[escAt+c.esc:], dst[escAt:len(dst)-c.esc])
-				clear(dst[escAt : escAt+c.esc])
-			}
-			dst[escAt+i>>3] |= 1 << (i & 7)
+	case string:
+		if c.kinds[i] == vec.String {
+			w.dst = appendLenPrefixed(w.dst, x)
+			return nil
 		}
-		if dst, err = (ObjectSerde{}).appendValue(dst, v); err != nil {
-			return nil, err
+	case bool:
+		if c.kinds[i] == vec.Bool {
+			w.dst = appendBoolByte(w.dst, x)
+			return nil
 		}
 	}
-	return dst, nil
+	if c.kinds[i] != vec.Any {
+		n := len(c.kinds)
+		if w.escAt < 0 {
+			// First mistyped value of the row: open the escape bitmap
+			// behind the null bitmap, moving the payloads written so far.
+			w.escAt = w.start + c.hdr
+			w.dst[w.start+n>>3] |= 1 << (n & 7)
+			for k := 0; k < c.esc; k++ {
+				w.dst = append(w.dst, 0)
+			}
+			copy(w.dst[w.escAt+c.esc:], w.dst[w.escAt:len(w.dst)-c.esc])
+			clear(w.dst[w.escAt : w.escAt+c.esc])
+		}
+		w.dst[w.escAt+i>>3] |= 1 << (i & 7)
+	}
+	var err error
+	w.dst, err = (ObjectSerde{}).appendValue(w.dst, v)
+	return err
 }
 
 // Decode decodes data into dst, which must have the codec's arity; NULL
@@ -125,72 +178,191 @@ func (c *RowCodec) AppendEncode(dst []byte, row []any) ([]byte, error) {
 //
 //samzasql:hotpath
 func (c *RowCodec) Decode(data []byte, dst []any) error {
-	n := len(c.kinds)
-	if len(dst) != n {
-		return fmt.Errorf("serde: row codec: destination has %d columns, codec %d", len(dst), n)
+	if len(dst) != len(c.kinds) {
+		return fmt.Errorf("serde: row codec: destination has %d columns, codec %d", len(dst), len(c.kinds))
 	}
-	if len(data) < c.hdr {
-		return ErrCorruptRow
+	rd, err := c.open(data)
+	if err != nil {
+		return err
 	}
-	nulls := data[:c.hdr]
-	pos := c.hdr
-	var escs []byte
-	if nulls[n>>3]&(1<<(n&7)) != 0 {
-		if len(data) < pos+c.esc {
-			return ErrCorruptRow
+	for i := range c.kinds {
+		if dst[i], err = rd.value(i); err != nil {
+			return err
 		}
-		escs = data[pos : pos+c.esc]
-		pos += c.esc
+	}
+	return rd.done()
+}
+
+// DecodeInto decodes data as one more row of cols, one vector per column,
+// without boxing it: a NULL column appends a NULL row, a value in its
+// column's declared layout is appended to a vector of that kind directly.
+// Escaped values, vec.Any columns and vectors of another kind than their
+// column's take the boxed value Decode returns through vec.Vec.Append, whose
+// error a value the vector cannot hold becomes. The checks on data are
+// Decode's, with the same errors; on any error the vectors are left in an
+// unspecified state.
+//
+//samzasql:hotpath
+func (c *RowCodec) DecodeInto(cols []vec.Vec, data []byte) error {
+	if len(cols) != len(c.kinds) {
+		return fmt.Errorf("serde: row codec: destination has %d columns, codec %d", len(cols), len(c.kinds))
+	}
+	rd, err := c.open(data)
+	if err != nil {
+		return err
 	}
 	for i, k := range c.kinds {
-		bit := byte(1) << (i & 7)
-		if nulls[i>>3]&bit != 0 {
-			dst[i] = nil
-			continue
-		}
-		if k == vec.Any || (escs != nil && escs[i>>3]&bit != 0) {
-			v, m, err := (ObjectSerde{}).decodeValue(data[pos:])
+		col := &cols[i]
+		if col.Kind != k || rd.boxed(i) {
+			v, err := rd.value(i)
 			if err != nil {
-				return fmt.Errorf("%w: column %d: %v", ErrCorruptRow, i, err)
+				return err
 			}
-			dst[i] = v
-			pos += m
+			if err := col.Append(v); err != nil {
+				return fmt.Errorf("serde: row codec: column %d: %w", i, err)
+			}
 			continue
 		}
 		switch k {
 		case vec.Int64:
-			u, m := binary.Uvarint(data[pos:])
-			if m <= 0 {
-				return ErrCorruptRow
+			x, err := rd.int64()
+			if err != nil {
+				return err
 			}
-			dst[i] = int64(u>>1) ^ -int64(u&1)
-			pos += m
+			col.AppendInt64(x)
 		case vec.Float64:
-			if len(data)-pos < 8 {
-				return ErrCorruptRow
+			x, err := rd.float64()
+			if err != nil {
+				return err
 			}
-			dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[pos:]))
-			pos += 8
+			col.AppendFloat64(x)
 		case vec.String:
-			ln, m := binary.Uvarint(data[pos:])
-			if m <= 0 || ln > uint64(len(data)-pos-m) {
-				return ErrCorruptRow
+			x, err := rd.str()
+			if err != nil {
+				return err
 			}
-			pos += m
-			dst[i] = string(data[pos : pos+int(ln)])
-			pos += int(ln)
+			if err := col.AppendStr(x); err != nil {
+				return err
+			}
 		case vec.Bool:
-			if pos >= len(data) {
-				return ErrCorruptRow
+			x, err := rd.bool()
+			if err != nil {
+				return err
 			}
-			dst[i] = data[pos] != 0
-			pos++
+			col.AppendBool(x)
 		default:
-			return fmt.Errorf("%w: column %d has unknown kind %d", ErrCorruptRow, i, k)
+			return rd.unknownKind(i)
 		}
 	}
-	if pos != len(data) {
-		return fmt.Errorf("%w: %d trailing bytes", ErrCorruptRow, len(data)-pos)
+	return rd.done()
+}
+
+// rowReader reads one encoded row column by column, in column order.
+type rowReader struct {
+	c     *RowCodec
+	data  []byte
+	nulls []byte
+	escs  []byte // nil when the row has no escape bitmap
+	pos   int
+}
+
+// open checks data's bitmaps and positions a reader on its first payload.
+func (c *RowCodec) open(data []byte) (rowReader, error) {
+	n := len(c.kinds)
+	if len(data) < c.hdr {
+		return rowReader{}, ErrCorruptRow
+	}
+	rd := rowReader{c: c, data: data, nulls: data[:c.hdr], pos: c.hdr}
+	if rd.nulls[n>>3]&(1<<(n&7)) != 0 {
+		if len(data) < rd.pos+c.esc {
+			return rowReader{}, ErrCorruptRow
+		}
+		rd.escs = data[rd.pos : rd.pos+c.esc]
+		rd.pos += c.esc
+	}
+	return rd, nil
+}
+
+// boxed reports whether column i is not a payload in its declared typed
+// layout: NULL, a vec.Any column, or escaped.
+func (rd *rowReader) boxed(i int) bool {
+	bit := byte(1) << (i & 7)
+	return rd.nulls[i>>3]&bit != 0 || rd.c.kinds[i] == vec.Any || (rd.escs != nil && rd.escs[i>>3]&bit != 0)
+}
+
+// value reads column i boxed: nil for NULL, an ObjectSerde value where
+// boxed, else the declared layout's Go value.
+func (rd *rowReader) value(i int) (any, error) {
+	if rd.nulls[i>>3]&(1<<(i&7)) != 0 {
+		return nil, nil
+	}
+	if rd.boxed(i) {
+		v, m, err := (ObjectSerde{}).decodeValue(rd.data[rd.pos:])
+		if err != nil {
+			return nil, fmt.Errorf("%w: column %d: %v", ErrCorruptRow, i, err)
+		}
+		rd.pos += m
+		return v, nil
+	}
+	switch rd.c.kinds[i] {
+	case vec.Int64:
+		return rd.int64()
+	case vec.Float64:
+		return rd.float64()
+	case vec.String:
+		s, err := rd.str()
+		return string(s), err
+	case vec.Bool:
+		return rd.bool()
+	}
+	return nil, rd.unknownKind(i)
+}
+
+func (rd *rowReader) int64() (int64, error) {
+	u, m := binary.Uvarint(rd.data[rd.pos:])
+	if m <= 0 {
+		return 0, ErrCorruptRow
+	}
+	rd.pos += m
+	return int64(u>>1) ^ -int64(u&1), nil
+}
+
+func (rd *rowReader) float64() (float64, error) {
+	if len(rd.data)-rd.pos < 8 {
+		return 0, ErrCorruptRow
+	}
+	x := math.Float64frombits(binary.LittleEndian.Uint64(rd.data[rd.pos:]))
+	rd.pos += 8
+	return x, nil
+}
+
+// str returns a view of the string payload in data.
+func (rd *rowReader) str() ([]byte, error) {
+	ln, m := binary.Uvarint(rd.data[rd.pos:])
+	if m <= 0 || ln > uint64(len(rd.data)-rd.pos-m) {
+		return nil, ErrCorruptRow
+	}
+	s := rd.data[rd.pos+m : rd.pos+m+int(ln)]
+	rd.pos += m + int(ln)
+	return s, nil
+}
+
+func (rd *rowReader) bool() (bool, error) {
+	if rd.pos >= len(rd.data) {
+		return false, ErrCorruptRow
+	}
+	rd.pos++
+	return rd.data[rd.pos-1] != 0, nil
+}
+
+func (rd *rowReader) unknownKind(i int) error {
+	return fmt.Errorf("%w: column %d has unknown kind %d", ErrCorruptRow, i, rd.c.kinds[i])
+}
+
+// done fails on bytes left after the last column.
+func (rd *rowReader) done() error {
+	if rd.pos != len(rd.data) {
+		return fmt.Errorf("%w: %d trailing bytes", ErrCorruptRow, len(rd.data)-rd.pos)
 	}
 	return nil
 }

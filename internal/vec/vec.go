@@ -275,28 +275,38 @@ func (v *Vec) Append(x any) error {
 // AppendInt64 appends a non-NULL row to an Int64 vector.
 func (v *Vec) AppendInt64(x int64) { v.I64 = append(v.I64, x) }
 
-// AppendFrom appends row r of src, a vector of the same kind, without
+// AppendFloat64 appends a non-NULL row to a Float64 vector.
+func (v *Vec) AppendFloat64(x float64) { v.F64 = append(v.F64, x) }
+
+// AppendBool appends a non-NULL row to a Bool vector.
+func (v *Vec) AppendBool(x bool) { v.Bools = append(v.Bools, x) }
+
+// AppendStr appends a non-NULL row to a String vector, copying s into the
+// arena.
+func (v *Vec) AppendStr(s []byte) error { return setStr(v, v.grow(), s) }
+
+// SetFrom stores row sr of src, a vector of the same kind, as row r without
 // boxing it.
-func (v *Vec) AppendFrom(src *Vec, r int) error {
+func (v *Vec) SetFrom(r int, src *Vec, sr int) error {
 	if src.Kind != v.Kind {
-		return v.Append(src.Value(r))
+		return v.Set(r, src.Value(sr))
 	}
-	d := v.grow()
-	if src.IsNull(r) {
-		v.SetNull(d)
+	if src.IsNull(sr) {
+		v.SetNull(r)
 		return nil
 	}
+	v.clearNull(r)
 	switch v.Kind {
 	case Int64:
-		v.I64[d] = src.I64[r]
+		v.I64[r] = src.I64[sr]
 	case Float64:
-		v.F64[d] = src.F64[r]
+		v.F64[r] = src.F64[sr]
 	case Bool:
-		v.Bools[d] = src.Bools[r]
+		v.Bools[r] = src.Bools[sr]
 	case String:
-		return v.SetStr(d, src.Str(r))
+		return v.SetStr(r, src.Str(sr))
 	default:
-		v.Any[d] = src.Any[r]
+		v.Any[r] = src.Any[sr]
 	}
 	return nil
 }

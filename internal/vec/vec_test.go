@@ -32,14 +32,17 @@ func TestSetAppendValue(t *testing.T) {
 		}
 		var got []any
 		var copied Vec
-		copied.Truncate(c.kind)
+		copied.Reset(c.kind, len(c.in), false)
 		for r := range c.in {
-			got = append(got, v.Value(r))
-			if err := copied.AppendFrom(&v, r); err != nil {
+			copied.SetNull(r) // SetFrom must clear it
+		}
+		for r := len(c.in) - 1; r >= 0; r-- {
+			got = append([]any{v.Value(r)}, got...)
+			if err := copied.SetFrom(r, &v, r); err != nil {
 				t.Fatal(err)
 			}
 			if fmt.Sprint(copied.Value(r)) != fmt.Sprint(v.Value(r)) {
-				t.Fatalf("%s row %d: AppendFrom copied %v, want %v", c.kind, r, copied.Value(r), v.Value(r))
+				t.Fatalf("%s row %d: SetFrom copied %v, want %v", c.kind, r, copied.Value(r), v.Value(r))
 			}
 		}
 		if fmt.Sprint(got) != c.want {
