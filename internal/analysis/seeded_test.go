@@ -120,9 +120,9 @@ return fmt.Errorf("samza: %s checkpoint write: %w", ti.name, err)
 		edits: []seedEdit{{file: "container.go",
 			old: `go func() {
 defer repWG.Done()
-run(repCtx)
+pub.Run(repCtx, rep.interval, rep.collect)
 }()`,
-			new: `go run(repCtx)`,
+			new: `go pub.Run(repCtx, rep.interval, rep.collect)`,
 		}},
 		want: `unsupervised goroutine`,
 	},

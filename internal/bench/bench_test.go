@@ -257,13 +257,13 @@ func TestReportMergeKeepsOtherFigures(t *testing.T) {
 func TestHotSharesNormaliseBySampledCPU(t *testing.T) {
 	h := monitor.NewHotStore(8)
 	batch := func(container int, cpu []profile.FuncStat, nanos, samples int64) *samza.ProfileBatchMessage {
-		return &samza.ProfileBatchMessage{Job: "j", Container: container, TimeMillis: 100, WindowMillis: 100,
+		return &samza.ProfileBatchMessage{Header: samza.Header{Job: "j", Container: container, TimeMillis: 100}, WindowMillis: 100,
 			CPU: cpu, CPUTotal: nanos, CPUSamples: samples}
 	}
 	h.Ingest(batch(0, []profile.FuncStat{{Name: "a", Flat: 300, Cum: 600}, {Name: "b", Flat: 100, Cum: 100}}, 1000, 150))
 	h.Ingest(batch(1, []profile.FuncStat{{Name: "a", Flat: 100, Cum: 100}}, 1000, 150))
 	// A CPU-less final flush carries no sampled time.
-	h.Ingest(&samza.ProfileBatchMessage{Job: "j", Container: 1, TimeMillis: 200, Final: true})
+	h.Ingest(&samza.ProfileBatchMessage{Header: samza.Header{Job: "j", Container: 1, TimeMillis: 200, Final: true}})
 	funcs, _ := h.TopN("j", monitor.HotKindCPU, 10, 0)
 	nanos, samples := h.CPUTotals("j", 0)
 	if nanos != 2000 || samples != 300 {

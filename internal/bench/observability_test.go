@@ -40,7 +40,7 @@ func TestFigureQueryPublishesSnapshots(t *testing.T) {
 	time.Sleep(15 * time.Millisecond)
 	rj.Stop()
 
-	tailer, err := samza.NewMetricsTailer(e.broker, samza.DefaultMetricsTopic)
+	tailer, err := samza.NewTailer[samza.MetricsSnapshotMessage](e.broker, samza.DefaultMetricsTopic)
 	if err != nil {
 		t.Fatal(err)
 	}

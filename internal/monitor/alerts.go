@@ -1,14 +1,6 @@
 package monitor
 
-import (
-	"context"
-	"encoding/json"
-	"fmt"
-	"sync"
-
-	"samzasql/internal/kafka"
-	"samzasql/internal/serde"
-)
+import "sync"
 
 // DefaultAlertsTopic is the stream alert transitions publish to. The "__"
 // prefix keeps it out of user-topic trace sampling, like __metrics and
@@ -26,10 +18,12 @@ const (
 	StateResolved AlertState = "resolved"
 )
 
-// AlertMessage is one serde-encoded alert transition on __alerts. Records
-// are published only on transitions (deduplication: a condition that keeps
-// violating while firing publishes nothing), so the stream is a compact
-// event log of SLO state changes, replayable like any other stream.
+// AlertMessage is one alert transition on __alerts, encoded with the
+// control-stream codec (samza.EncodeRecord). Records are published only on
+// transitions (deduplication: a condition that keeps violating while firing
+// publishes nothing), so the stream is a compact event log of SLO state
+// changes, replayable like any other stream. It carries no samza.Header:
+// an alert belongs to a rule and subject, not to a publishing container.
 type AlertMessage struct {
 	// Rule names the rule that fired, unique within the monitor config.
 	Rule string `json:"rule"`
@@ -58,33 +52,6 @@ type AlertMessage struct {
 	// Seq numbers this monitor's alert records from 1.
 	Seq int64 `json:"seq"`
 }
-
-// alertSerde routes alert records through the serde stack, registered as
-// "alert" so jobs and tools resolve it by name.
-type alertSerde struct{}
-
-// Name implements serde.Serde.
-func (alertSerde) Name() string { return "alert" }
-
-// Encode implements serde.Serde.
-func (alertSerde) Encode(v any) ([]byte, error) {
-	m, ok := v.(*AlertMessage)
-	if !ok {
-		return nil, fmt.Errorf("%w: want *monitor.AlertMessage, got %T", serde.ErrWrongType, v)
-	}
-	return json.Marshal(m)
-}
-
-// Decode implements serde.Serde.
-func (alertSerde) Decode(data []byte) (any, error) {
-	var m AlertMessage
-	if err := json.Unmarshal(data, &m); err != nil {
-		return nil, err
-	}
-	return &m, nil
-}
-
-func init() { serde.Register(alertSerde{}) }
 
 // alertKey identifies one alert instance for deduplication. The job is part
 // of the key: different jobs legitimately share subject names (every
@@ -254,48 +221,3 @@ func (am *alertManager) Recent(max int) []AlertMessage {
 	copy(out, am.recent[len(am.recent)-n:])
 	return out
 }
-
-// AlertsTailer consumes the alerts stream back into decoded records — the
-// consumer half of the evaluator, used by the shell's \alerts command and
-// by tests asserting on published transitions.
-type AlertsTailer struct {
-	consumer *kafka.Consumer
-	s        serde.Serde
-}
-
-// NewAlertsTailer attaches a consumer at the start of the alerts topic.
-func NewAlertsTailer(b *kafka.Broker, topic string) (*AlertsTailer, error) {
-	s, err := serde.Lookup("alert")
-	if err != nil {
-		return nil, err
-	}
-	if err := b.EnsureTopic(topic, kafka.TopicConfig{Partitions: 1}); err != nil {
-		return nil, fmt.Errorf("monitor: alerts tailer ensure topic: %w", err)
-	}
-	c := kafka.NewConsumer(b, "alerts-tailer")
-	if err := c.Assign(kafka.TopicPartition{Topic: topic, Partition: 0}); err != nil {
-		return nil, fmt.Errorf("monitor: alerts tailer assign: %w", err)
-	}
-	return &AlertsTailer{consumer: c, s: s}, nil
-}
-
-// Poll returns up to max alert records published since the last call,
-// blocking per the consumer's semantics until records arrive or ctx ends.
-func (t *AlertsTailer) Poll(ctx context.Context, max int) ([]*AlertMessage, error) {
-	msgs, err := t.consumer.Poll(ctx, max)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*AlertMessage, 0, len(msgs))
-	for i := range msgs {
-		v, err := t.s.Decode(msgs[i].Value)
-		if err != nil {
-			return out, fmt.Errorf("monitor: alert decode: %w", err)
-		}
-		out = append(out, v.(*AlertMessage))
-	}
-	return out, nil
-}
-
-// Close releases the tailer's consumer.
-func (t *AlertsTailer) Close() { t.consumer.Close() }

@@ -2,6 +2,7 @@ package monitor
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -9,7 +10,6 @@ import (
 	"samzasql/internal/kafka"
 	"samzasql/internal/metrics"
 	"samzasql/internal/samza"
-	"samzasql/internal/serde"
 	"samzasql/internal/trace"
 )
 
@@ -36,14 +36,6 @@ type Config struct {
 	// Broker is the broker whose telemetry streams the monitor tails and
 	// whose alerts topic it publishes to. Required.
 	Broker *kafka.Broker
-	// MetricsTopic defaults to samza.DefaultMetricsTopic.
-	MetricsTopic string
-	// TraceTopic defaults to samza.DefaultTraceTopic.
-	TraceTopic string
-	// ProfilesTopic defaults to samza.DefaultProfilesTopic.
-	ProfilesTopic string
-	// AlertsTopic defaults to DefaultAlertsTopic.
-	AlertsTopic string
 	// Health, when set, feeds the task-flap rule. Polled every eval tick.
 	Health HealthSource
 	// Rules is the SLO rule set; nil means DefaultRules().
@@ -64,14 +56,12 @@ type Config struct {
 // Monitor tails the telemetry streams into the store and evaluates the
 // rule set. Create with Start, release with Stop.
 type Monitor struct {
-	cfg    Config
-	store  *Store
-	hot    *HotStore
-	am     *alertManager
-	mtail  *samza.MetricsTailer
-	ttail  *samza.TraceTailer
-	ptail  *samza.ProfilesTailer
-	alerts serde.Serde
+	cfg   Config
+	store *Store
+	hot   *HotStore
+	am    *alertManager
+	// tailers are the control-stream tailers, one per poller.
+	tailers []tailer
 
 	// Monitor self-metrics, pre-bound (never looked up on the ingest path).
 	reg             *metrics.Registry
@@ -103,6 +93,12 @@ type Monitor struct {
 	wg     sync.WaitGroup
 }
 
+// tailer is what the monitor needs of a samza.Tailer beyond its Poll.
+type tailer interface {
+	UpdateLag() (int64, error)
+	Close()
+}
+
 // flapKey identifies one task for liveness tracking.
 type flapKey struct{ job, task string }
 
@@ -124,18 +120,6 @@ func Start(cfg Config) (*Monitor, error) {
 	if cfg.Broker == nil {
 		return nil, fmt.Errorf("monitor: config needs a broker")
 	}
-	if cfg.MetricsTopic == "" {
-		cfg.MetricsTopic = samza.DefaultMetricsTopic
-	}
-	if cfg.TraceTopic == "" {
-		cfg.TraceTopic = samza.DefaultTraceTopic
-	}
-	if cfg.ProfilesTopic == "" {
-		cfg.ProfilesTopic = samza.DefaultProfilesTopic
-	}
-	if cfg.AlertsTopic == "" {
-		cfg.AlertsTopic = DefaultAlertsTopic
-	}
 	if cfg.Rules == nil {
 		cfg.Rules = DefaultRules()
 	}
@@ -151,29 +135,8 @@ func Start(cfg Config) (*Monitor, error) {
 	if cfg.HotCapacity <= 0 {
 		cfg.HotCapacity = DefaultHotCapacity
 	}
-	for _, topic := range []string{cfg.MetricsTopic, cfg.TraceTopic, cfg.ProfilesTopic, cfg.AlertsTopic} {
-		if err := cfg.Broker.EnsureTopic(topic, kafka.TopicConfig{Partitions: 1}); err != nil {
-			return nil, fmt.Errorf("monitor: ensure topic %s: %w", topic, err)
-		}
-	}
-	alertSerde, err := serde.Lookup("alert")
-	if err != nil {
-		return nil, err
-	}
-	mtail, err := samza.NewMetricsTailer(cfg.Broker, cfg.MetricsTopic)
-	if err != nil {
-		return nil, err
-	}
-	ttail, err := samza.NewTraceTailer(cfg.Broker, cfg.TraceTopic)
-	if err != nil {
-		mtail.Close()
-		return nil, err
-	}
-	ptail, err := samza.NewProfilesTailer(cfg.Broker, cfg.ProfilesTopic)
-	if err != nil {
-		mtail.Close()
-		ttail.Close()
-		return nil, err
+	if err := cfg.Broker.EnsureTopic(DefaultAlertsTopic, kafka.TopicConfig{Partitions: 1}); err != nil {
+		return nil, fmt.Errorf("monitor: ensure topic %s: %w", DefaultAlertsTopic, err)
 	}
 	reg := metrics.NewRegistry()
 	m := &Monitor{
@@ -181,10 +144,6 @@ func Start(cfg Config) (*Monitor, error) {
 		store:           NewStore(cfg.Capacity),
 		hot:             NewHotStore(cfg.HotCapacity),
 		am:              newAlertManager(),
-		mtail:           mtail,
-		ttail:           ttail,
-		ptail:           ptail,
-		alerts:          alertSerde,
 		reg:             reg,
 		snapshotsIn:     reg.Counter("monitor.snapshots-ingested"),
 		spansIn:         reg.Counter("monitor.spans-ingested"),
@@ -199,35 +158,30 @@ func Start(cfg Config) (*Monitor, error) {
 		tracesCh:        make(chan []*samza.TraceBatchMessage, 16),
 		profilesCh:      make(chan []*samza.ProfileBatchMessage, 16),
 	}
-	// The tailers' own lag gauges land in the monitor registry, which the
-	// run loop files into the store each tick — the pipeline observes
-	// itself falling behind.
-	mtail.BindLag(reg)
-	ttail.BindLag(reg)
-	ptail.BindLag(reg)
+	pollMetrics, err := follow(m, samza.DefaultMetricsTopic, m.metricsCh)
+	if err != nil {
+		return nil, err
+	}
+	pollTraces, err := follow(m, samza.DefaultTraceTopic, m.tracesCh)
+	if err != nil {
+		m.closeTailers()
+		return nil, err
+	}
+	pollProfiles, err := follow(m, samza.DefaultProfilesTopic, m.profilesCh)
+	if err != nil {
+		m.closeTailers()
+		return nil, err
+	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	m.cancel = cancel
-	m.wg.Add(1)
-	go func() {
-		defer m.wg.Done()
-		m.tailMetrics(ctx)
-	}()
-	m.wg.Add(1)
-	go func() {
-		defer m.wg.Done()
-		m.tailTraces(ctx)
-	}()
-	m.wg.Add(1)
-	go func() {
-		defer m.wg.Done()
-		m.tailProfiles(ctx)
-	}()
-	m.wg.Add(1)
-	go func() {
-		defer m.wg.Done()
-		m.run(ctx)
-	}()
+	for _, run := range []func(context.Context){pollMetrics, pollTraces, pollProfiles, m.run} {
+		m.wg.Add(1)
+		go func() {
+			defer m.wg.Done()
+			run(ctx)
+		}()
+	}
 	return m, nil
 }
 
@@ -235,9 +189,51 @@ func Start(cfg Config) (*Monitor, error) {
 func (m *Monitor) Stop() {
 	m.cancel()
 	m.wg.Wait()
-	m.mtail.Close()
-	m.ttail.Close()
-	m.ptail.Close()
+	m.closeTailers()
+}
+
+func (m *Monitor) closeTailers() {
+	for _, t := range m.tailers {
+		t.Close()
+	}
+}
+
+// follow attaches a tailer to one control stream and returns its poller:
+// a loop forwarding each poll's decoded records to out, for the run loop,
+// until ctx ends. A record that does not decode counts once in
+// monitor.decode-errors and the rest of its poll is still delivered. The
+// tailer's own lag gauge lands in the monitor registry, which the run loop
+// files into the store each tick — the pipeline observes itself falling
+// behind.
+func follow[M any](m *Monitor, topic string, out chan<- []*M) (func(context.Context), error) {
+	t, err := samza.NewTailer[M](m.cfg.Broker, topic)
+	if err != nil {
+		return nil, err
+	}
+	t.BindLag(m.reg)
+	m.tailers = append(m.tailers, t)
+	return func(ctx context.Context) {
+		for {
+			batch, err := t.Poll(ctx, 256)
+			if ctx.Err() != nil {
+				return
+			}
+			var bad *samza.DecodeError
+			if errors.As(err, &bad) {
+				m.decodeErrors.Add(int64(bad.Skipped))
+			} else if err != nil {
+				m.decodeErrors.Inc()
+			}
+			if len(batch) == 0 {
+				continue
+			}
+			select {
+			case out <- batch:
+			case <-ctx.Done():
+				return
+			}
+		}
+	}, nil
 }
 
 // Store exposes the time-series store for queries.
@@ -277,72 +273,7 @@ func (m *Monitor) RecentEvents(max int) []trace.Event {
 	return out
 }
 
-// tailMetrics blocks on the metrics tailer and forwards decoded batches to
-// the run loop. Decode errors are counted, the decoded prefix still
-// delivered; the loop exits when ctx ends.
-func (m *Monitor) tailMetrics(ctx context.Context) {
-	for {
-		batch, err := m.mtail.Poll(ctx, 256)
-		if err != nil && ctx.Err() != nil {
-			return
-		}
-		if err != nil {
-			m.decodeErrors.Inc()
-		}
-		if len(batch) == 0 {
-			continue
-		}
-		select {
-		case m.metricsCh <- batch:
-		case <-ctx.Done():
-			return
-		}
-	}
-}
-
-// tailTraces is tailMetrics for the trace stream.
-func (m *Monitor) tailTraces(ctx context.Context) {
-	for {
-		batch, err := m.ttail.Poll(ctx, 256)
-		if err != nil && ctx.Err() != nil {
-			return
-		}
-		if err != nil {
-			m.decodeErrors.Inc()
-		}
-		if len(batch) == 0 {
-			continue
-		}
-		select {
-		case m.tracesCh <- batch:
-		case <-ctx.Done():
-			return
-		}
-	}
-}
-
-// tailProfiles is tailMetrics for the profiles stream.
-func (m *Monitor) tailProfiles(ctx context.Context) {
-	for {
-		batch, err := m.ptail.Poll(ctx, 256)
-		if err != nil && ctx.Err() != nil {
-			return
-		}
-		if err != nil {
-			m.decodeErrors.Inc()
-		}
-		if len(batch) == 0 {
-			continue
-		}
-		select {
-		case m.profilesCh <- batch:
-		case <-ctx.Done():
-			return
-		}
-	}
-}
-
-// run is the single writer: it ingests batches from both pollers and
+// run is the single writer: it ingests batches from the pollers and
 // evaluates the rule set every EvalInterval.
 func (m *Monitor) run(ctx context.Context) {
 	tick := time.NewTicker(m.cfg.EvalInterval)
@@ -420,9 +351,9 @@ func (m *Monitor) evaluate(now time.Time) {
 	// Tailer lag gauges + own counters into the store under the
 	// pseudo-job, so /query can answer for the monitor itself. A lag
 	// refresh failure just leaves the gauge at its last value.
-	_, _ = m.mtail.UpdateLag()
-	_, _ = m.ttail.UpdateLag()
-	_, _ = m.ptail.UpdateLag()
+	for _, t := range m.tailers {
+		_, _ = t.UpdateLag()
+	}
 	m.store.IngestSnapshot(MonitorJob, -1, now.UnixMilli(), m.reg.Snapshot(), false)
 
 	if m.cfg.Health != nil {
@@ -477,21 +408,11 @@ func (m *Monitor) flapCounts(fromMillis int64) map[flapKey]int64 {
 	return out
 }
 
-// publishAlert serde-encodes one transition onto the alerts topic. Errors
-// are counted, never fatal: alerting must not take down the monitor.
+// publishAlert produces one transition onto the alerts topic. Errors are
+// counted, never fatal: alerting must not take down the monitor.
 func (m *Monitor) publishAlert(msg *AlertMessage) {
-	data, err := m.alerts.Encode(msg)
-	if err != nil {
-		m.publishErrors.Inc()
-		return
-	}
-	_, err = m.cfg.Broker.Produce(m.cfg.AlertsTopic, kafka.Message{
-		Partition: 0,
-		Key:       []byte(msg.Rule + "/" + msg.Subject),
-		Value:     data,
-		Timestamp: msg.TimeMillis,
-	})
-	if err != nil {
+	key := []byte(msg.Rule + "/" + msg.Subject)
+	if err := samza.ProduceRecord(m.cfg.Broker, DefaultAlertsTopic, key, msg.TimeMillis, msg); err != nil {
 		m.publishErrors.Inc()
 		return
 	}

@@ -256,7 +256,7 @@ func TestLagAlertFiresAndResolves(t *testing.T) {
 	}
 	defer mon.Stop()
 
-	tailer, err := NewAlertsTailer(b, DefaultAlertsTopic)
+	tailer, err := samza.NewTailer[AlertMessage](b, DefaultAlertsTopic)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +325,7 @@ func TestLagAlertFiresAndResolves(t *testing.T) {
 // window).
 func TestTailersResumeAcrossContainerRestart(t *testing.T) {
 	b, runner := testEnv()
-	runner.EnableEventLog("")
+	runner.EnableEventLog()
 	if err := b.CreateTopic("in", kafka.TopicConfig{Partitions: 1}); err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,7 @@ import (
 
 func batchAt(job string, container int, tMillis int64, cpu []profile.FuncStat) *samza.ProfileBatchMessage {
 	return &samza.ProfileBatchMessage{
-		Job: job, Container: container, TimeMillis: tMillis,
+		Header:       samza.Header{Job: job, Container: container, TimeMillis: tMillis},
 		WindowMillis: 100, CPU: cpu,
 	}
 }

@@ -2,7 +2,8 @@
 // CPU/heap/goroutine captures via runtime/pprof, decoded by a minimal
 // in-repo reader for the pprof profile.proto wire format (this file), folded
 // into per-function flat/cum aggregates (fold.go), published onto the
-// __profiles stream by samza.ProfileReporter. A runtime/metrics collector
+// __profiles stream by each container's profile reporter (samza's
+// profileCollector on a samza.Publisher). A runtime/metrics collector
 // (runtime.go) feeds GC/scheduler/heap series into the ordinary typed
 // registry so they ride __metrics unchanged.
 //

@@ -366,57 +366,48 @@ func (c *Container) Run(ctx context.Context) error {
 	// loops, on their own context: they must outlive the tasks so the final
 	// flushes after wg.Wait() capture complete end-of-run metrics and the
 	// spans of the last sampled messages.
-	var (
-		repWG     sync.WaitGroup
-		repCancel context.CancelFunc
-		repCtx    context.Context
-	)
-	startReporter := func(run func(context.Context)) {
-		if repCancel == nil {
-			repCtx, repCancel = context.WithCancel(context.Background())
-		}
-		repWG.Add(1)
-		go func() {
-			defer repWG.Done()
-			run(repCtx)
-		}()
+	type reporter struct {
+		topic    string
+		interval time.Duration
+		collect  func(context.Context, bool) Record
 	}
+	var reporters []reporter
 	if c.job.MetricsInterval > 0 {
-		topic := c.job.MetricsTopicName()
-		if err := c.broker.EnsureTopic(topic, kafka.TopicConfig{Partitions: 1}); err != nil {
-			return fmt.Errorf("samza: metrics topic: %w", err)
-		}
 		// The runtime/metrics collector rides the snapshot reporter's
 		// refresh hook: goroutine count, live heap, GC pauses and scheduler
 		// latencies land in the ordinary registry once per publish, so they
 		// travel __metrics with no extra plumbing and zero hot-path cost.
 		rtc := profile.NewCollector(c.Metrics)
-		rep := NewMetricsSnapshotReporter(c.broker, c.job.Name, c.ID, topic,
-			c.job.MetricsInterval, c.Metrics, func() {
+		reporters = append(reporters, reporter{DefaultMetricsTopic, c.job.MetricsInterval,
+			metricsCollector(c.Metrics, func() {
 				c.UpdateLags()
 				rtc.Refresh()
-			})
-		startReporter(rep.Run)
+			})})
 	}
 	if c.job.ProfileInterval > 0 {
-		topic := c.job.ProfilesTopicName()
-		if err := c.broker.EnsureTopic(topic, kafka.TopicConfig{Partitions: 1}); err != nil {
-			return fmt.Errorf("samza: profiles topic: %w", err)
-		}
 		prof := profile.New(profile.Config{
 			Interval: c.job.ProfileInterval,
 			Window:   c.job.ProfileWindow,
 		}, true)
-		rep := NewProfileReporter(c.broker, c.job.Name, c.ID, topic, prof)
-		startReporter(rep.Run)
+		reporters = append(reporters, reporter{DefaultProfilesTopic, prof.Config().Interval, profileCollector(prof)})
 	}
 	if interval := c.traceInterval(); interval > 0 {
-		topic := c.job.TraceTopicName()
-		if err := c.broker.EnsureTopic(topic, kafka.TopicConfig{Partitions: 1}); err != nil {
-			return fmt.Errorf("samza: trace topic: %w", err)
+		reporters = append(reporters, reporter{DefaultTraceTopic, interval, traceCollector(c.SyncTraces)})
+	}
+	for _, rep := range reporters {
+		if err := c.broker.EnsureTopic(rep.topic, kafka.TopicConfig{Partitions: 1}); err != nil {
+			return fmt.Errorf("samza: %s topic: %w", rep.topic, err)
 		}
-		rep := NewTraceReporter(c.broker, c.job.Name, c.ID, topic, interval, c.SyncTraces)
-		startReporter(rep.Run)
+	}
+	repCtx, repCancel := context.WithCancel(context.Background())
+	var repWG sync.WaitGroup
+	for _, rep := range reporters {
+		pub := NewPublisher(c.broker, rep.topic, c.job.Name, c.ID)
+		repWG.Add(1)
+		go func() {
+			defer repWG.Done()
+			pub.Run(repCtx, rep.interval, rep.collect)
+		}()
 	}
 	// Lifecycle events land in the same recorder as spans and publish on
 	// the trace stream, so trace anomalies correlate with runtime events.
@@ -458,10 +449,8 @@ func (c *Container) Run(ctx context.Context) error {
 	}
 	wg.Wait()
 	c.tracer.Event(time.Now().UnixNano(), "container-stop", fmt.Sprintf("%s container %d", c.job.Name, c.ID))
-	if repCancel != nil {
-		repCancel()
-		repWG.Wait()
-	}
+	repCancel()
+	repWG.Wait()
 	return firstErr
 }
 

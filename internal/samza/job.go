@@ -60,32 +60,26 @@ type JobSpec struct {
 	// like 0. Tasks own disjoint partitions and disjoint state, so any
 	// setting preserves per-task ordering.
 	TaskParallelism int
-	// MetricsInterval, when positive, runs a MetricsSnapshotReporter per
-	// container, publishing registry snapshots to the metrics stream at this
+	// MetricsInterval, when positive, runs a metrics reporter per
+	// container, publishing registry snapshots to DefaultMetricsTopic at this
 	// period (plus an initial snapshot at start and a final one at stop).
 	// 0 disables reporting.
 	MetricsInterval time.Duration
-	// MetricsTopic overrides the metrics stream name; empty uses
-	// DefaultMetricsTopic.
-	MetricsTopic string
 	// TraceSampleRate, when positive, samples roughly this fraction of
 	// messages produced to the job's input topics into end-to-end traces
 	// (produce → poll → operators → store/changelog → commit). The runner
 	// installs the sampler on the broker at submit. 0 disables tracing;
 	// the hot path then pays a single branch per call site.
 	TraceSampleRate float64
-	// TraceInterval, when positive, runs a TraceReporter per container,
-	// draining the span ring onto the trace stream at this period (plus a
+	// TraceInterval, when positive, runs a trace reporter per container,
+	// draining the span ring onto DefaultTraceTopic at this period (plus a
 	// final flush at stop). Defaults to DefaultTraceInterval whenever
 	// TraceSampleRate is set and this is 0.
 	TraceInterval time.Duration
-	// TraceTopic overrides the trace stream name; empty uses
-	// DefaultTraceTopic.
-	TraceTopic string
-	// ProfileInterval, when positive, runs a continuous ProfileReporter per
+	// ProfileInterval, when positive, runs a continuous profile reporter per
 	// container: every interval it captures a short windowed CPU profile
 	// plus heap-delta/goroutine snapshots, folds them per function, and
-	// publishes the batch to the profiles stream (plus a final CPU-less
+	// publishes the batch to DefaultProfilesTopic (plus a final CPU-less
 	// flush at stop). 0 disables continuous profiling entirely; the hot
 	// path then pays nothing.
 	ProfileInterval time.Duration
@@ -93,9 +87,6 @@ type JobSpec struct {
 	// uses profile.DefaultWindow, values above ProfileInterval clamp to it
 	// (100% duty — the aggressive mode of the overhead sweep).
 	ProfileWindow time.Duration
-	// ProfilesTopic overrides the profiles stream name; empty uses
-	// DefaultProfilesTopic.
-	ProfilesTopic string
 	// BatchSize caps how many messages one poll delivers to a task: the
 	// block size of a BatchedStreamTask's ProcessBatch calls (1 is per-tuple
 	// execution), the fetch granularity of a plain StreamTask's per-message
@@ -104,30 +95,6 @@ type JobSpec struct {
 	BatchSize int
 	// Config carries arbitrary job configuration strings.
 	Config map[string]string
-}
-
-// MetricsTopicName resolves the metrics stream this job publishes to.
-func (j *JobSpec) MetricsTopicName() string {
-	if j.MetricsTopic != "" {
-		return j.MetricsTopic
-	}
-	return DefaultMetricsTopic
-}
-
-// TraceTopicName resolves the trace stream this job publishes to.
-func (j *JobSpec) TraceTopicName() string {
-	if j.TraceTopic != "" {
-		return j.TraceTopic
-	}
-	return DefaultTraceTopic
-}
-
-// ProfilesTopicName resolves the profiles stream this job publishes to.
-func (j *JobSpec) ProfilesTopicName() string {
-	if j.ProfilesTopic != "" {
-		return j.ProfilesTopic
-	}
-	return DefaultProfilesTopic
 }
 
 // Validate checks the spec for structural problems.

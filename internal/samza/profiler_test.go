@@ -8,43 +8,7 @@ import (
 	"time"
 
 	"samzasql/internal/kafka"
-	"samzasql/internal/profile"
-	"samzasql/internal/serde"
 )
-
-func TestProfileSerdeRoundTrip(t *testing.T) {
-	s, err := serde.Lookup("profile-batch")
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := &ProfileBatchMessage{
-		Job: "j", Container: 1, TimeMillis: 99, Seq: 3, WindowMillis: 200,
-		CPU:        []profile.FuncStat{{Name: "samzasql/internal/operators.fold", Flat: 1000, Cum: 2500}},
-		HeapDelta:  []profile.FuncStat{{Name: "encoding/json.Marshal", Flat: 4096, Cum: 8192}},
-		Goroutines: []profile.FuncStat{{Name: "runtime.gopark", Flat: 12, Cum: 12}},
-	}
-	data, err := s.Encode(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, err := s.Decode(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := v.(*ProfileBatchMessage)
-	if out.Job != "j" || out.Container != 1 || out.Seq != 3 || out.WindowMillis != 200 {
-		t.Fatalf("round trip mangled envelope: %+v", out)
-	}
-	if len(out.CPU) != 1 || out.CPU[0].Flat != 1000 || out.CPU[0].Cum != 2500 {
-		t.Fatalf("round trip mangled cpu stats: %+v", out.CPU)
-	}
-	if len(out.HeapDelta) != 1 || len(out.Goroutines) != 1 {
-		t.Fatalf("round trip dropped sections: %+v", out)
-	}
-	if _, err := s.Encode("not a batch"); err == nil {
-		t.Fatal("expected wrong-type error")
-	}
-}
 
 // TestProfileReporterPublishes runs a job with continuous profiling enabled
 // and tails __profiles back: batches must arrive with increasing Seq,
@@ -82,7 +46,7 @@ func TestProfileReporterPublishes(t *testing.T) {
 	time.Sleep(150 * time.Millisecond)
 	rj.Stop()
 
-	tailer, err := NewProfilesTailer(b, DefaultProfilesTopic)
+	tailer, err := NewTailer[ProfileBatchMessage](b, DefaultProfilesTopic)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +134,7 @@ func TestProfilesTailerResumeAcrossContainerRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	tailer, err := NewProfilesTailer(b, DefaultProfilesTopic)
+	tailer, err := NewTailer[ProfileBatchMessage](b, DefaultProfilesTopic)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,36 +6,7 @@ import (
 	"time"
 
 	"samzasql/internal/kafka"
-	"samzasql/internal/serde"
 )
-
-func TestSnapshotSerdeRoundTrip(t *testing.T) {
-	s, err := serde.Lookup("metrics-snapshot")
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := &MetricsSnapshotMessage{Job: "j", Container: 2, TimeMillis: 123, Seq: 7}
-	in.Metrics.Counters = map[string]int64{"messages-processed": 42}
-	in.Metrics.Gauges = map[string]int64{"kafka.lag.orders.0": 5}
-	data, err := s.Encode(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, err := s.Decode(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := v.(*MetricsSnapshotMessage)
-	if out.Job != "j" || out.Container != 2 || out.Seq != 7 {
-		t.Fatalf("round trip mangled envelope: %+v", out)
-	}
-	if out.Metrics.Counters["messages-processed"] != 42 || out.Metrics.Gauges["kafka.lag.orders.0"] != 5 {
-		t.Fatalf("round trip mangled metrics: %+v", out.Metrics)
-	}
-	if _, err := s.Encode("not a snapshot"); err == nil {
-		t.Fatal("expected wrong-type error")
-	}
-}
 
 // TestMetricsSnapshotReporterPublishes runs a job with the reporter enabled
 // and tails the metrics stream back, asserting the published snapshots carry
@@ -71,7 +42,7 @@ func TestMetricsSnapshotReporterPublishes(t *testing.T) {
 	time.Sleep(15 * time.Millisecond)
 	rj.Stop()
 
-	tailer, err := NewMetricsTailer(b, DefaultMetricsTopic)
+	tailer, err := NewTailer[MetricsSnapshotMessage](b, DefaultMetricsTopic)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +127,7 @@ func TestMetricsReporterFinalSnapshotShortLivedJob(t *testing.T) {
 	}, "all messages processed")
 	rj.Stop()
 
-	tailer, err := NewMetricsTailer(b, DefaultMetricsTopic)
+	tailer, err := NewTailer[MetricsSnapshotMessage](b, DefaultMetricsTopic)
 	if err != nil {
 		t.Fatal(err)
 	}

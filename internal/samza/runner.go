@@ -7,11 +7,11 @@ import (
 	"net/http"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"samzasql/internal/kafka"
 	"samzasql/internal/metrics"
-	"samzasql/internal/serde"
 	"samzasql/internal/trace"
 	"samzasql/internal/yarn"
 )
@@ -29,13 +29,11 @@ type JobRunner struct {
 	mu   sync.Mutex
 	jobs []*RunningJob
 
-	// Runner-level lifecycle event log (job start/stop, YARN allocations
-	// and failures), published on the trace stream as Container -1 batches.
-	// Armed by the first tracing-enabled Submit or by EnableEventLog.
-	evMu    sync.Mutex
-	evOn    bool
-	evTopic string
-	evSeq   int64
+	// events publishes the runner-level lifecycle event log (job
+	// start/stop, YARN allocations and failures) on the trace stream as
+	// Job "", Container -1 batches. nil until armed by the first
+	// tracing-enabled Submit or by EnableEventLog.
+	events atomic.Pointer[Publisher]
 
 	// Extra introspection handlers (the monitor's /query and /alerts).
 	// Registered onto the mux when ServeIntrospection starts; patterns added
@@ -80,57 +78,31 @@ func NewJobRunner(b *kafka.Broker, c *yarn.Cluster) *JobRunner {
 	return r
 }
 
-// EnableEventLog arms lifecycle-event publishing onto topic (empty means
-// DefaultTraceTopic). Submit arms it automatically for tracing-enabled jobs;
-// call this to capture job and YARN events without sampling any messages.
-func (r *JobRunner) EnableEventLog(topic string) {
-	if topic == "" {
-		topic = DefaultTraceTopic
+// EnableEventLog arms lifecycle-event publishing onto DefaultTraceTopic.
+// Submit arms it automatically for tracing-enabled jobs; call this to
+// capture job and YARN events without sampling any messages. If the topic
+// cannot be created the log stays unarmed: observability must never take
+// down the cluster it observes.
+func (r *JobRunner) EnableEventLog() {
+	if r.events.Load() != nil {
+		return
 	}
-	r.evMu.Lock()
-	r.evOn = true
-	r.evTopic = topic
-	r.evMu.Unlock()
+	if err := r.Broker.EnsureTopic(DefaultTraceTopic, kafka.TopicConfig{Partitions: 1}); err != nil {
+		return
+	}
+	r.events.CompareAndSwap(nil, NewPublisher(r.Broker, DefaultTraceTopic, "", -1))
 }
 
 // publishEvent writes one lifecycle event to the trace stream as a
-// runner-level batch (Job "", Container -1). A no-op until the event log is
-// armed; publish errors are dropped — observability must never take down
-// the cluster it observes.
+// runner-level batch. A no-op until the event log is armed; publish errors
+// are dropped.
 func (r *JobRunner) publishEvent(kind, detail string) {
-	r.evMu.Lock()
-	if !r.evOn {
-		r.evMu.Unlock()
+	pub := r.events.Load()
+	if pub == nil {
 		return
 	}
-	topic := r.evTopic
-	r.evSeq++
-	seq := r.evSeq
-	r.evMu.Unlock()
-	s, err := serde.Lookup("trace-batch")
-	if err != nil {
-		return
-	}
-	if err := r.Broker.EnsureTopic(topic, kafka.TopicConfig{Partitions: 1}); err != nil {
-		return
-	}
-	now := time.Now()
-	msg := &TraceBatchMessage{
-		Container:  -1,
-		TimeMillis: now.UnixMilli(),
-		Seq:        seq,
-		Events:     []trace.Event{{TimeNs: now.UnixNano(), Kind: kind, Detail: detail}},
-	}
-	data, err := s.Encode(msg)
-	if err != nil {
-		return
-	}
-	_, _ = r.Broker.Produce(topic, kafka.Message{
-		Partition: 0,
-		Key:       []byte("runner"),
-		Value:     data,
-		Timestamp: msg.TimeMillis,
-	})
+	ev := trace.Event{TimeNs: time.Now().UnixNano(), Kind: kind, Detail: detail}
+	_ = pub.Publish(&TraceBatchMessage{Events: []trace.Event{ev}}, false)
 }
 
 // RunningJob is a handle to a submitted job.
@@ -159,7 +131,7 @@ func (r *JobRunner) Submit(ctx context.Context, job *JobSpec) (*RunningJob, erro
 	}
 	inputPartitions := int32(len(a.taskPartitions))
 	if job.TraceSampleRate > 0 || job.TraceInterval > 0 {
-		r.EnableEventLog(job.TraceTopicName())
+		r.EnableEventLog()
 	}
 	r.publishEvent("job-start", job.Name)
 

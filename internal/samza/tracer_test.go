@@ -7,46 +7,8 @@ import (
 
 	"samzasql/internal/kafka"
 	"samzasql/internal/metrics"
-	"samzasql/internal/serde"
 	"samzasql/internal/trace"
 )
-
-func TestTraceBatchSerdeRoundTrip(t *testing.T) {
-	s, err := serde.Lookup("trace-batch")
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := &TraceBatchMessage{
-		Job: "j", Container: 1, TimeMillis: 99, Seq: 3,
-		Spans: []trace.Span{
-			{TraceID: 7, SpanID: 8, ParentID: 0, Stage: "produce", StartNs: 10, EndNs: 10},
-			{TraceID: 7, SpanID: 9, ParentID: 8, Stage: "poll", StartNs: 11, EndNs: 12},
-		},
-		Events:  []trace.Event{{TimeNs: 5, Kind: "container-start", Detail: "j container 1"}},
-		Dropped: 2,
-	}
-	data, err := s.Encode(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, err := s.Decode(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := v.(*TraceBatchMessage)
-	if out.Job != "j" || out.Container != 1 || out.Seq != 3 || out.Dropped != 2 {
-		t.Fatalf("round trip mangled envelope: %+v", out)
-	}
-	if len(out.Spans) != 2 || out.Spans[1].ParentID != 8 || out.Spans[1].Stage != "poll" {
-		t.Fatalf("round trip mangled spans: %+v", out.Spans)
-	}
-	if len(out.Events) != 1 || out.Events[0].Kind != "container-start" {
-		t.Fatalf("round trip mangled events: %+v", out.Events)
-	}
-	if _, err := s.Encode("not a batch"); err == nil {
-		t.Fatal("expected wrong-type error")
-	}
-}
 
 // storePutTask writes every message into a changelog-backed store.
 type storePutTask struct {
@@ -64,7 +26,7 @@ func (t *storePutTask) Process(env IncomingMessageEnvelope, c MessageCollector, 
 // suffice, or the deadline passes.
 func pollTraces(t *testing.T, b *kafka.Broker, done func([]*TraceBatchMessage) bool) []*TraceBatchMessage {
 	t.Helper()
-	tailer, err := NewTraceTailer(b, DefaultTraceTopic)
+	tailer, err := NewTailer[TraceBatchMessage](b, DefaultTraceTopic)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +208,7 @@ func TestTailerLagGauges(t *testing.T) {
 	rj.Stop()
 
 	reg := metrics.NewRegistry()
-	mt, err := NewMetricsTailer(b, DefaultMetricsTopic)
+	mt, err := NewTailer[MetricsSnapshotMessage](b, DefaultMetricsTopic)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +225,7 @@ func TestTailerLagGauges(t *testing.T) {
 		t.Fatalf("metrics lag gauge %d, want %d", got, lag)
 	}
 
-	tt, err := NewTraceTailer(b, DefaultTraceTopic)
+	tt, err := NewTailer[TraceBatchMessage](b, DefaultTraceTopic)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +280,7 @@ func TestReportersConcurrentShutdown(t *testing.T) {
 
 		// The final flush runs after every task exits, so the last published
 		// snapshot must carry the end-of-run counter.
-		mt, err := NewMetricsTailer(b, DefaultMetricsTopic)
+		mt, err := NewTailer[MetricsSnapshotMessage](b, DefaultMetricsTopic)
 		if err != nil {
 			t.Fatal(err)
 		}
