@@ -368,8 +368,9 @@ func runOnEngine(t *testing.T, e *Engine, query string, batchSize, want int) ([]
 	return out, changelogDigest(t, e.Broker)
 }
 
-// changelogDigest folds every changelog topic last-write-wins per (topic,
-// partition, key) — an empty value is a tombstone — so two runs that leave
+// changelogDigest folds every changelog topic per (topic, partition, key) —
+// a full record replaces (an empty value is a tombstone), an append record
+// extends, as a restore does — so two runs that leave
 // identical durable state produce identical digests no matter how many
 // intermediate versions each wrote. A block writes a key's state once however
 // many of its rows touched the key; equality here proves the batched
@@ -377,7 +378,7 @@ func runOnEngine(t *testing.T, e *Engine, query string, batchSize, want int) ([]
 // what a replay would restore.
 func changelogDigest(t *testing.T, b *kafka.Broker) []string {
 	t.Helper()
-	state := map[string]string{}
+	state := map[string][]byte{}
 	for _, topic := range b.Topics() {
 		if !strings.Contains(topic, "-changelog") {
 			continue
@@ -406,10 +407,13 @@ func changelogDigest(t *testing.T, b *kafka.Broker) []string {
 				}
 				for _, m := range msgs {
 					id := fmt.Sprintf("%s p%d k=%x", topic, part, m.Key)
-					if len(m.Value) == 0 {
+					switch {
+					case m.Append:
+						state[id] = append(state[id], m.Value...)
+					case len(m.Value) == 0:
 						delete(state, id)
-					} else {
-						state[id] = fmt.Sprintf("%s v=%x", id, m.Value)
+					default:
+						state[id] = append([]byte(nil), m.Value...)
 					}
 				}
 				off = msgs[len(msgs)-1].Offset + 1
@@ -417,8 +421,8 @@ func changelogDigest(t *testing.T, b *kafka.Broker) []string {
 		}
 	}
 	out := make([]string, 0, len(state))
-	for _, v := range state {
-		out = append(out, v)
+	for id, v := range state {
+		out = append(out, fmt.Sprintf("%s v=%x", id, v))
 	}
 	sort.Strings(out)
 	return out

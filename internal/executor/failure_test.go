@@ -4,12 +4,16 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"samzasql/internal/kafka"
+	"samzasql/internal/kv"
+	"samzasql/internal/operators"
 	"samzasql/internal/samza"
+	"samzasql/internal/yarn"
 )
 
 // crashingTask wraps the SamzaSQL task, injecting one failure after a fixed
@@ -129,5 +133,104 @@ func TestSlidingWindowExactlyOnceAcrossFailure(t *testing.T) {
 		if fmt.Sprintf("%v", got) != fmt.Sprintf("%v", want) {
 			t.Fatalf("order %d differs across failure:\n  clean: %v\n  crash: %v", orderID, want, got)
 		}
+	}
+}
+
+// TestChangelogLossFailsWindowTask deletes the window store's changelog
+// topic under a running window job. The next block's changelog write is
+// refused: the task must fail with a *kv.ChangelogError naming the store and
+// the topic, instead of panicking, and must write no checkpoint past the
+// last block the changelog holds.
+func TestChangelogLossFailsWindowTask(t *testing.T) {
+	const before, after = 600, 300
+	e, gen := testEngine(t, 1, before)
+	p, err := e.Prepare(`SELECT STREAM rowtime, orderId, units,
+		  SUM(units) OVER (PARTITION BY productId ORDER BY rowtime
+		    RANGE INTERVAL '10' SECOND PRECEDING) s
+		FROM Orders`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Broker.EnsureTopic(p.OutputTopic, kafka.TopicConfig{Partitions: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.ZK.CreateRecursive(zkQueryPath(p.JobName), []byte(p.Stmt.String())); err != nil {
+		t.Fatal(err)
+	}
+	job := &samza.JobSpec{
+		Name:        p.JobName,
+		Inputs:      []samza.StreamSpec{{Topic: "orders"}},
+		Containers:  1,
+		Stores:      p.Program.Stores,
+		CommitEvery: 1,
+		Config: map[string]string{
+			"samzasql.zk.query.path": zkQueryPath(p.JobName),
+			"samzasql.output.topic":  p.OutputTopic,
+		},
+		TaskFactory: func() samza.StreamTask { return NewTask(e.Catalog, e.ZK, true) },
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	rj, err := e.Runner.Submit(ctx, job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rj.Stop()
+
+	// Every row of the first batch out means its state is on the changelog
+	// and its offsets committed: the window flushes before it emits.
+	deadline := time.Now().Add(15 * time.Second)
+	for emitted := 0; emitted < before; emitted += len(drainNew(t, e.Broker, p.OutputTopic)) {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d rows out before the changelog was deleted", emitted, before)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	changelog := job.ChangelogTopic(operators.SlidingStoreName)
+	if err := e.Broker.DeleteTopic(changelog); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < after; i++ {
+		row, key, value, err := gen.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Broker.Produce("orders", kafka.Message{Partition: -1, Key: key, Value: value, Timestamp: row[0].(int64)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	done := make(chan []yarn.ContainerStatus, 1)
+	go func() { done <- rj.Wait() }()
+	var statuses []yarn.ContainerStatus
+	select {
+	case statuses = <-done:
+	case <-time.After(15 * time.Second):
+		t.Fatal("the job kept running after its changelog topic was deleted")
+	}
+	var ce *kv.ChangelogError
+	var taskErr error
+	for _, st := range statuses {
+		if errors.As(st.Err, &ce) {
+			taskErr = st.Err
+		}
+	}
+	if taskErr == nil {
+		t.Fatalf("no container failed with a changelog error: %+v", statuses)
+	}
+	if ce.Topic != changelog || !errors.Is(taskErr, kafka.ErrUnknownTopic) ||
+		!strings.Contains(taskErr.Error(), operators.SlidingStoreName) || !strings.Contains(taskErr.Error(), changelog) {
+		t.Fatalf("task error %q does not name store %s and topic %s", taskErr, operators.SlidingStoreName, changelog)
+	}
+	cpm, err := samza.NewCheckpointManager(e.Broker, job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, ok, err := cpm.Read(samza.TaskNameFor(0))
+	if err != nil || !ok {
+		t.Fatalf("checkpoint read: found %v, %v", ok, err)
+	}
+	if got := cp.Offsets["orders"]; got != before {
+		t.Fatalf("checkpoint at offset %d, want %d: the failed block must not commit", got, before)
 	}
 }

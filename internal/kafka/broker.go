@@ -274,10 +274,12 @@ func (b *Broker) Fetch(tp TopicPartition, offset int64, max int) ([]Message, <-c
 	return p.fetch(offset, max)
 }
 
-// read is Fetch appending into dst, without a wait channel (see
-// partition.read): the Consumer's path, which reuses one header buffer
-// across polls.
-func (b *Broker) read(dst []Message, tp TopicPartition, offset int64, max int) ([]Message, error) {
+// Read is Fetch appending into dst, without a wait channel (see
+// partition.read): an empty result means nothing at or past offset is left
+// to read. Callers that fetch in a loop — the Consumer, changelog restore,
+// bootstrap — reuse one header buffer across reads; Key and Value are views
+// as Fetch's are.
+func (b *Broker) Read(dst []Message, tp TopicPartition, offset int64, max int) ([]Message, error) {
 	p, err := b.partition(tp)
 	if err != nil {
 		return dst, err

@@ -191,7 +191,7 @@ func (c *Consumer) pollOnce(max int) (msgs []Message, assigned bool, err error) 
 	start := c.next
 	for i := 0; i < len(c.rr); i++ {
 		tp := c.rr[(start+i)%len(c.rr)]
-		msgs, err := c.broker.read(c.buf[:0], tp, c.positions[tp], max)
+		msgs, err := c.broker.Read(c.buf[:0], tp, c.positions[tp], max)
 		if err != nil {
 			return nil, true, err
 		}

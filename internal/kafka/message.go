@@ -23,6 +23,10 @@ type Message struct {
 	// Topic and Partition identify where the message is (or will be) stored.
 	Topic     string
 	Partition int32
+	// Append marks a record whose Value extends its key's value instead of
+	// replacing it (a changelog append). Compaction keeps a key's latest
+	// full record and every append after it; a tombstone is never one.
+	Append bool
 	// Offset is the dense per-partition sequence number assigned at append
 	// time. For messages that have not been appended yet it is ignored.
 	Offset int64

@@ -81,9 +81,10 @@ func (m *logModel) retain() {
 }
 
 // compact folds the closed segments into one clean survivor: a record of
-// the previous survivor stays unless a newer record has its key; any other
-// closed record stays if it is its key's latest and not a tombstone. The
-// active segment is untouched.
+// the previous survivor stays unless a newer full (non-append) record has
+// its key; any other closed append stays unless a full record of its key
+// follows it, and any other closed full record stays if it is its key's
+// latest full record and not a tombstone. The active segment is untouched.
 func (m *logModel) compact() {
 	if !m.compacted || len(m.segs) < 2 {
 		return
@@ -93,23 +94,25 @@ func (m *logModel) compact() {
 	if m.segs[0].clean {
 		cleanUpper = m.segs[0].upper
 	}
-	latest := map[string]int64{}
+	latestFull := map[string]int64{}
 	for _, r := range m.recs {
-		if r.Offset >= cleanUpper {
-			latest[string(r.Key)] = r.Offset
+		if r.Offset >= cleanUpper && !r.Append {
+			latestFull[string(r.Key)] = r.Offset
 		}
 	}
 	survivor := modelSeg{base: m.segs[0].base, upper: active.base, clean: true}
 	var kept []Message
 	for _, r := range m.recs {
+		full, overridden := latestFull[string(r.Key)]
 		keep := true
 		switch {
 		case r.Offset >= active.base:
 		case r.Offset < cleanUpper:
-			_, overridden := latest[string(r.Key)]
 			keep = !overridden
+		case r.Append:
+			keep = !overridden || full < r.Offset
 		default:
-			keep = r.Value != nil && latest[string(r.Key)] == r.Offset
+			keep = r.Value != nil && full == r.Offset
 		}
 		if keep {
 			kept = append(kept, r)
@@ -151,7 +154,7 @@ func cloneBytes(b []byte) []byte {
 // sameMessage compares every field, telling nil from empty keys and values:
 // a nil value is a tombstone, an empty one is a value.
 func sameMessage(a, b Message) bool {
-	return a.Topic == b.Topic && a.Partition == b.Partition && a.Offset == b.Offset &&
+	return a.Topic == b.Topic && a.Partition == b.Partition && a.Offset == b.Offset && a.Append == b.Append &&
 		(a.Key == nil) == (b.Key == nil) && bytes.Equal(a.Key, b.Key) &&
 		(a.Value == nil) == (b.Value == nil) && bytes.Equal(a.Value, b.Value) &&
 		a.Timestamp == b.Timestamp && a.Trace == b.Trace
@@ -171,9 +174,10 @@ func sameMessages(t *testing.T, what string, got, want []Message) {
 
 // modelMessage draws a record from the shapes the framing must tell apart:
 // nil, empty, one-byte-length and multi-byte-length keys and values (a nil
-// value is a tombstone), timestamps at both extremes, and zero, sampled and
-// unsampled-but-non-zero trace contexts. Keys come from a small space so
-// compaction has overwrites to drop.
+// value is a tombstone), full and append records, timestamps at both
+// extremes, and zero, sampled and unsampled-but-non-zero trace contexts.
+// Keys come from a small space so compaction has overwrites to drop and
+// appends to keep behind them.
 func modelMessage(rng *rand.Rand) Message {
 	var msg Message
 	switch rng.Intn(6) {
@@ -196,6 +200,7 @@ func modelMessage(rng *rand.Rand) Message {
 	default:
 		msg.Value = bytes.Repeat([]byte{byte('a' + rng.Intn(26))}, rng.Intn(40))
 	}
+	msg.Append = msg.Value != nil && rng.Intn(3) == 0
 	switch rng.Intn(6) {
 	case 0:
 		msg.Timestamp = math.MinInt64
@@ -269,14 +274,14 @@ func runLogModel(t *testing.T, cfg TopicConfig, seed int64, steps int) {
 	rng := rand.New(rand.NewSource(seed))
 	p := newPartition("m", 0, cfg)
 	m := newLogModel(cfg)
-	latest := map[string]Message{} // every key's last write, for compacted logs
+	folded := map[string][]byte{} // every key's value as a restore folds it, for compacted logs
 	var buf []Message
 	for i := 0; i < steps; i++ {
 		switch op := rng.Intn(12); {
 		case op < 3:
 			msg := modelMessage(rng)
 			want := m.append(msg)
-			latest[string(msg.Key)] = m.recs[len(m.recs)-1]
+			fold(folded, msg)
 			m.retain()
 			if got := p.append(msg); got != want {
 				t.Fatalf("step %d: append assigned offset %d, model %d", i, got, want)
@@ -290,7 +295,7 @@ func runLogModel(t *testing.T, cfg TopicConfig, seed int64, steps int) {
 			offs := make([]int64, len(batch))
 			for j := range batch {
 				offs[j] = m.append(batch[j])
-				latest[string(batch[j].Key)] = m.recs[len(m.recs)-1]
+				fold(folded, batch[j])
 			}
 			m.retain()
 			p.appendBatch(batch)
@@ -361,23 +366,36 @@ func runLogModel(t *testing.T, cfg TopicConfig, seed int64, steps int) {
 	if !cfg.Compacted {
 		return
 	}
-	// Independently of the model's compaction rule: replaying the log
-	// leaves every key at its last write, a tombstoned key absent or as a
-	// tombstone still in the active segment.
+	// Independently of the model's compaction rule: folding what the log
+	// retains, as a restore does, gives every key the value folding every
+	// write gave it, and a tombstoned key no value.
 	m.compact()
 	p.compact()
 	checkPartition(t, "after final compaction", p, m)
-	replayed := map[string]Message{}
+	replayed := map[string][]byte{}
 	for _, r := range m.recs {
-		replayed[string(r.Key)] = r
+		fold(replayed, r)
 	}
-	for k, want := range latest {
-		got, ok := replayed[k]
-		switch {
-		case want.Value == nil && !ok:
-		case !ok || !sameMessage(got, want):
-			t.Fatalf("key %q replays as %+v (present %v), last write %+v", k, got, ok, want)
+	if len(replayed) != len(folded) {
+		t.Fatalf("the compacted log folds to %d keys, every write to %d", len(replayed), len(folded))
+	}
+	for k, want := range folded {
+		if got, ok := replayed[k]; !ok || !bytes.Equal(got, want) {
+			t.Fatalf("key %q replays as %q (present %v), every write folds to %q", k, got, ok, want)
 		}
+	}
+}
+
+// fold applies one record to a key-value state the way a changelog restore
+// does: a tombstone deletes, an append extends, any other record replaces.
+func fold(state map[string][]byte, r Message) {
+	switch k := string(r.Key); {
+	case r.Value == nil:
+		delete(state, k)
+	case r.Append:
+		state[k] = append(state[k], r.Value...)
+	default:
+		state[k] = append([]byte{}, r.Value...)
 	}
 }
 

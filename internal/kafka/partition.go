@@ -3,7 +3,6 @@ package kafka
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 )
@@ -260,93 +259,6 @@ func (p *partition) readLocked(dst []Message, offset int64, max int) ([]Message,
 		offset = s.nextOffset()
 	}
 	return dst, nil
-}
-
-// compact rewrites the closed segments of a compacted partition, retaining
-// only the latest record per key and dropping nil-value tombstones whose key
-// has no later record. Offsets are preserved (leaving gaps), exactly as
-// Kafka log compaction does. The active segment is never compacted so
-// concurrent tailing consumers see a stable head.
-func (p *partition) compact() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if !p.compacted || len(p.segments) < 2 {
-		return
-	}
-	closed := p.segments[:len(p.segments)-1]
-	active := p.segments[len(p.segments)-1]
-
-	// The survivor of the previous compaction leads the segment chain and is
-	// clean: unique keys, no tombstones. Its records only drop when a newer
-	// dirty record overrides them, so it contributes membership lookups below
-	// but never map inserts — compaction cost tracks new data, not live size.
-	dirty := p.segments
-	var clean *segment
-	if closed[0].clean {
-		clean = closed[0]
-		dirty = p.segments[1:]
-	}
-
-	// Latest offset per key across the dirty segments, including the active
-	// one, so records superseded by active-segment writes drop. Sized up
-	// front: growing the map incrementally would rehash every doubling.
-	n := 0
-	for _, s := range dirty {
-		n += len(s.index)
-	}
-	latest := make(map[string]int64, n)
-	var m Message
-	for _, s := range dirty {
-		for i := range s.index {
-			decodeRecord(s.arena, int(s.index[i]), &m)
-			latest[string(m.Key)] = s.offsetAt(i)
-		}
-	}
-
-	// Two passes over the closed segments: the first sizes the survivor
-	// exactly (it outlives every segment it replaces), the second copies
-	// the surviving records' framed bytes into it unchanged.
-	records, bytes := 0, 0
-	for _, s := range closed {
-		for i := range s.index {
-			if survives(latest, s, s == clean, i, &m) {
-				records++
-				bytes += s.recordEnd(i) - int(s.index[i])
-			}
-		}
-	}
-	if uint64(bytes) > math.MaxUint32 {
-		return // a survivor this large cannot be indexed; keep the log as is
-	}
-	merged := &segment{
-		baseOffset:  closed[0].baseOffset,
-		upperOffset: active.baseOffset,
-		arena:       make([]byte, 0, bytes),
-		index:       make([]uint32, 0, records),
-		offsets:     make([]int64, 0, records),
-		clean:       true,
-	}
-	for _, s := range closed {
-		for i := range s.index {
-			if survives(latest, s, s == clean, i, &m) {
-				merged.copyRecord(s, i, s.offsetAt(i), m.Size())
-			}
-		}
-	}
-	p.segments = []*segment{merged, active}
-}
-
-// survives decodes record i of closed segment s into m and reports whether
-// compaction keeps it: a clean survivor's record unless a dirty record
-// overrides its key; a dirty record if it is its key's latest and not a
-// tombstone (a tombstone with no later write drops).
-func survives(latest map[string]int64, s *segment, clean bool, i int, m *Message) bool {
-	decodeRecord(s.arena, int(s.index[i]), m)
-	if clean {
-		_, overridden := latest[string(m.Key)]
-		return !overridden
-	}
-	return m.Value != nil && latest[string(m.Key)] == s.offsetAt(i)
 }
 
 // closedSegmentCount reports how many non-active segments the partition

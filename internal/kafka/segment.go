@@ -29,7 +29,7 @@ type segment struct {
 	index       []uint32
 	offsets     []int64 // nil while dense: record i is at baseOffset+i
 	sizeBytes   int     // retention accounting: sum of Message.Size()
-	clean       bool    // compaction survivor: unique keys, no tombstones
+	clean       bool    // compaction survivor: per key a full record and the appends after it, no tombstones
 }
 
 func newSegment(base int64) *segment {
@@ -62,6 +62,7 @@ const (
 	recValueNil             // Value is nil (a tombstone): no value length or bytes
 	recTrace                // a trace context follows the value
 	recSampled              // the trace context's Sampled bit
+	recAppend               // Message.Append: the value extends the key's value
 )
 
 // traceBytes is the framed size of a trace context: TraceID, SpanID,
@@ -79,6 +80,9 @@ func appendRecord(dst []byte, m *Message) []byte {
 	}
 	if m.Value == nil {
 		flags |= recValueNil
+	}
+	if m.Append {
+		flags |= recAppend
 	}
 	if m.Trace != (trace.Context{}) {
 		flags |= recTrace
@@ -105,7 +109,7 @@ func appendRecord(dst []byte, m *Message) []byte {
 	return dst
 }
 
-// decodeRecord fills m's Key, Value, Timestamp and Trace from the record
+// decodeRecord fills m's Key, Value, Append, Timestamp and Trace from the record
 // framed at arena[pos:]. Key and Value are capped views into the arena, so a
 // caller appending to one reallocates instead of overwriting the next
 // record. The arena was written by appendRecord under the partition lock;
@@ -116,6 +120,7 @@ func decodeRecord(arena []byte, pos int, m *Message) {
 	ts, n := binary.Varint(arena[pos:])
 	pos += n
 	m.Timestamp = ts
+	m.Append = flags&recAppend != 0
 	m.Key, pos = decodeBytes(arena, pos, flags&recKeyNil != 0)
 	m.Value, pos = decodeBytes(arena, pos, flags&recValueNil != 0)
 	if flags&recTrace == 0 {
@@ -130,6 +135,15 @@ func decodeRecord(arena []byte, pos int, m *Message) {
 		Sampled:  flags&recSampled != 0,
 		StartNs:  int64(binary.LittleEndian.Uint64(t[24:])),
 	}
+}
+
+// recordKey returns the key of the record framed at arena[pos:], a capped
+// view like decodeRecord's, without decoding the rest.
+func recordKey(arena []byte, pos int) []byte {
+	flags := arena[pos]
+	_, n := binary.Varint(arena[pos+1:])
+	key, _ := decodeBytes(arena, pos+1+n, flags&recKeyNil != 0)
+	return key
 }
 
 // decodeBytes reads one length-prefixed field at arena[pos:], returning the
@@ -192,12 +206,11 @@ func (s *segment) append(m *Message, maxBytes int) {
 }
 
 // copyRecord appends src's record i, framed bytes unchanged, at the given
-// offset of this (sparse) segment; size is the record's Message.Size().
-func (s *segment) copyRecord(src *segment, i int, offset int64, size int) {
+// offset of this (sparse) segment. The caller charges its size.
+func (s *segment) copyRecord(src *segment, i int, offset int64) {
 	s.index = append(s.index, uint32(len(s.arena)))
 	s.arena = append(s.arena, src.arena[src.index[i]:src.recordEnd(i)]...)
 	s.offsets = append(s.offsets, offset)
-	s.sizeBytes += size
 }
 
 // nextOffset is the offset one past the last offset covered by the segment.

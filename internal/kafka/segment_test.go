@@ -98,17 +98,17 @@ func TestFetchCompactedPartitionWalk(t *testing.T) {
 
 // FuzzSegmentRecord frames an arbitrary record between two neighbours in a
 // partition whose segments roll every few records and requires all three to
-// read back field for field — nil and empty keys and values told apart, any
-// timestamp, any trace context — with the retention size the message itself
-// reports.
+// read back field for field — nil and empty keys and values told apart, the
+// append flag, any timestamp, any trace context — with the retention size
+// the message itself reports.
 func FuzzSegmentRecord(f *testing.F) {
-	f.Add([]byte("k"), []byte("v"), int64(1_700_000_000_000), uint64(0), uint64(0), uint64(0), int64(0), false, false, false)
-	f.Add([]byte{}, []byte{}, int64(0), uint64(0), uint64(0), uint64(0), int64(0), false, false, false)
-	f.Add([]byte(nil), []byte(nil), int64(-1), uint64(0), uint64(0), uint64(0), int64(0), true, true, false)
-	f.Add(bytes.Repeat([]byte("x"), 200), []byte("tombstone next"), int64(math.MinInt64), uint64(1), uint64(2), uint64(3), int64(-5), false, false, true)
-	f.Add([]byte("k"), bytes.Repeat([]byte{0x80}, 300), int64(math.MaxInt64), uint64(math.MaxUint64), uint64(7), uint64(0), int64(math.MaxInt64), false, true, false)
-	f.Fuzz(func(t *testing.T, key, value []byte, ts int64, traceID, spanID, parentID uint64, startNs int64, keyNil, valueNil, sampled bool) {
-		rec := Message{Key: key, Value: value, Timestamp: ts, Trace: trace.Context{
+	f.Add([]byte("k"), []byte("v"), int64(1_700_000_000_000), uint64(0), uint64(0), uint64(0), int64(0), false, false, false, false)
+	f.Add([]byte{}, []byte{}, int64(0), uint64(0), uint64(0), uint64(0), int64(0), false, false, false, true)
+	f.Add([]byte(nil), []byte(nil), int64(-1), uint64(0), uint64(0), uint64(0), int64(0), true, true, false, false)
+	f.Add(bytes.Repeat([]byte("x"), 200), []byte("tombstone next"), int64(math.MinInt64), uint64(1), uint64(2), uint64(3), int64(-5), false, false, true, true)
+	f.Add([]byte("k"), bytes.Repeat([]byte{0x80}, 300), int64(math.MaxInt64), uint64(math.MaxUint64), uint64(7), uint64(0), int64(math.MaxInt64), false, true, false, false)
+	f.Fuzz(func(t *testing.T, key, value []byte, ts int64, traceID, spanID, parentID uint64, startNs int64, keyNil, valueNil, sampled, app bool) {
+		rec := Message{Key: key, Value: value, Append: app, Timestamp: ts, Trace: trace.Context{
 			TraceID: traceID, SpanID: spanID, ParentID: parentID, Sampled: sampled, StartNs: startNs,
 		}}
 		if keyNil {
@@ -124,7 +124,7 @@ func FuzzSegmentRecord(f *testing.F) {
 		want := []Message{
 			{Key: []byte("before"), Value: []byte{}, Timestamp: -1},
 			rec,
-			{Value: []byte("after"), Timestamp: 1},
+			{Value: []byte("after"), Append: !app, Timestamp: 1},
 		}
 		p := newPartition("f", 3, TopicConfig{SegmentBytes: 64})
 		for i := range want {

@@ -30,13 +30,26 @@ func GetMany(s Store, keys [][]byte, vals [][]byte, oks []bool) {
 	}
 }
 
-// WriteOp is one write of a write batch: a Put of Value under Key, or a
-// Delete of Key when Delete is set. Stores copy the key and value bytes they
-// retain, so the caller may reuse both once WriteMany returns.
+// WriteKind is what a WriteOp does to its key.
+type WriteKind uint8
+
+const (
+	// OpPut replaces the key's value with Value.
+	OpPut WriteKind = iota
+	// OpDelete removes the key; Value is ignored.
+	OpDelete
+	// OpAppend extends the key's value with Value, creating the key when it
+	// is absent. A writer that grows a value appends only the new bytes, so
+	// the store and the changelog copy what is new, not the whole value.
+	OpAppend
+)
+
+// WriteOp is one write of a write batch. Stores copy the key and value bytes
+// they retain, so the caller may reuse both once WriteMany returns.
 type WriteOp struct {
-	Key    []byte
-	Value  []byte
-	Delete bool
+	Key   []byte
+	Value []byte
+	Kind  WriteKind
 }
 
 // BatchWriter is implemented by stores that apply a sequence of writes as
@@ -50,7 +63,8 @@ type BatchWriter interface {
 }
 
 // WriteMany applies ops to s in order, through the store's batched path when
-// it has one and as per-key Put/Delete calls otherwise.
+// it has one and as per-key calls otherwise; an append then reads the value
+// and puts it back extended.
 //
 //samzasql:hotpath
 func WriteMany(s Store, ops []WriteOp) {
@@ -59,10 +73,15 @@ func WriteMany(s Store, ops []WriteOp) {
 		return
 	}
 	for i := range ops {
-		if ops[i].Delete {
-			s.Delete(ops[i].Key)
-		} else {
-			s.Put(ops[i].Key, ops[i].Value)
+		op := &ops[i]
+		switch op.Kind {
+		case OpDelete:
+			s.Delete(op.Key)
+		case OpAppend:
+			old, _ := s.Get(op.Key)
+			s.Put(op.Key, append(old[:len(old):len(old)], op.Value...))
+		default:
+			s.Put(op.Key, op.Value)
 		}
 	}
 }
@@ -89,10 +108,13 @@ func (s *store) WriteMany(ops []WriteOp) {
 	defer s.mu.Unlock()
 	s.writes += int64(len(ops))
 	for i := range ops {
-		if ops[i].Delete {
-			s.remove(ops[i].Key)
-		} else {
-			s.put(ops[i].Key, ops[i].Value)
+		switch op := &ops[i]; op.Kind {
+		case OpDelete:
+			s.remove(op.Key)
+		case OpAppend:
+			s.appendValue(op.Key, op.Value)
+		default:
+			s.put(op.Key, op.Value)
 		}
 	}
 }
@@ -108,15 +130,17 @@ func (c *ChangelogStore) GetMany(keys [][]byte, vals [][]byte, oks []bool) {
 
 // WriteMany writes the batch through to the inner store and produces it as
 // one contiguous run of changelog records, so a batch reaches the log whole.
+// An append goes to the log as an append record carrying only the new bytes.
 //
 //samzasql:hotpath
 func (c *ChangelogStore) WriteMany(ops []WriteOp) {
 	WriteMany(c.Store, ops)
 	for i := range ops {
-		if ops[i].Delete {
-			c.buffer(ops[i].Key, nil)
-		} else {
-			c.buffer(ops[i].Key, ops[i].Value)
+		switch op := &ops[i]; op.Kind {
+		case OpDelete:
+			c.buffer(op.Key, nil, false)
+		default:
+			c.buffer(op.Key, op.Value, op.Kind == OpAppend)
 		}
 	}
 	c.produce()

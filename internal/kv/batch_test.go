@@ -59,20 +59,27 @@ func writeOps() []WriteOp {
 		{Key: []byte("a"), Value: []byte("1")},
 		{Key: []byte("b"), Value: []byte("2")},
 		{Key: []byte("a"), Value: []byte("1'")},
-		{Key: []byte("old"), Delete: true},
-		{Key: []byte("ghost"), Delete: true},
+		{Key: []byte("old"), Kind: OpDelete},
+		{Key: []byte("ghost"), Kind: OpDelete},
 		{Key: []byte("tmp"), Value: []byte("t")},
-		{Key: []byte("tmp"), Delete: true},
+		{Key: []byte("tmp"), Kind: OpDelete},
 		{Key: []byte("c"), Value: []byte("3")},
+		{Key: []byte("a"), Value: []byte("+"), Kind: OpAppend},
+		{Key: []byte("d"), Value: []byte("4"), Kind: OpAppend},
 	}
 }
 
-// applyPerKey is what a write batch must be indistinguishable from.
+// applyPerKey is what a write batch must be indistinguishable from; an
+// append is a read and a put of the extended value.
 func applyPerKey(s Store, ops []WriteOp) {
 	for _, op := range ops {
-		if op.Delete {
+		switch op.Kind {
+		case OpDelete:
 			s.Delete(op.Key)
-		} else {
+		case OpAppend:
+			old, _ := s.Get(op.Key)
+			s.Put(op.Key, append(append([]byte(nil), old...), op.Value...))
+		default:
 			s.Put(op.Key, op.Value)
 		}
 	}
@@ -167,8 +174,9 @@ func TestChangelogWriteManyIsOneRun(t *testing.T) {
 	}
 	for i, op := range ops {
 		m := msgs[3+i]
-		if string(m.Key) != string(op.Key) || (m.Value == nil) != op.Delete || string(m.Value) != string(op.Value) {
-			t.Fatalf("changelog record %d is %q=%q, want op %q=%q delete=%v", 3+i, m.Key, m.Value, op.Key, op.Value, op.Delete)
+		if string(m.Key) != string(op.Key) || (m.Value == nil) != (op.Kind == OpDelete) ||
+			m.Append != (op.Kind == OpAppend) || string(m.Value) != string(op.Value) {
+			t.Fatalf("changelog record %d is %q=%q append=%v, want op %q=%q kind %d", 3+i, m.Key, m.Value, m.Append, op.Key, op.Value, op.Kind)
 		}
 	}
 	// A second batch follows the first as its own run.
@@ -191,7 +199,7 @@ func TestChangelogWriteManyIsOneRun(t *testing.T) {
 
 // TestInstrumentedWriteManyCountsWrites pins the meaning of the write
 // histograms' counts: writes, not calls — a batch books one put-ns
-// observation per Put and one delete-ns per Delete.
+// observation per put or append and one delete-ns per delete.
 func TestInstrumentedWriteManyCountsWrites(t *testing.T) {
 	reg := metrics.NewRegistry()
 	s := Instrument(NewStore(), reg, "w")
@@ -199,13 +207,13 @@ func TestInstrumentedWriteManyCountsWrites(t *testing.T) {
 	WriteMany(s, ops)
 	WriteMany(s, nil)
 	snap := reg.Snapshot()
-	if got := snap.Histograms["store.w.put-ns"].Count; got != 5 {
-		t.Errorf("put-ns count = %d, want 5", got)
+	if got := snap.Histograms["store.w.put-ns"].Count; got != 7 {
+		t.Errorf("put-ns count = %d, want 7", got)
 	}
 	if got := snap.Histograms["store.w.delete-ns"].Count; got != 3 {
 		t.Errorf("delete-ns count = %d, want 3", got)
 	}
-	if s.Len() != 3 {
-		t.Errorf("len = %d after the batch, want a, b, c", s.Len())
+	if s.Len() != 4 {
+		t.Errorf("len = %d after the batch, want a, b, c, d", s.Len())
 	}
 }

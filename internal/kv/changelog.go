@@ -26,6 +26,12 @@ const changelogSlabSize = 64 << 10
 // arena slab the broker copies out of on produce; the slab is then reused.
 // Like the stores it wraps, a ChangelogStore is owned by a single task
 // goroutine.
+//
+// The Store interface has no error channel, so a produce the broker refuses
+// (the topic was deleted under the task) becomes a sticky *ChangelogError:
+// the store stops producing, and its owner reads Err after each block and
+// fails the task before it checkpoints, so the restarted task restores from
+// what the changelog holds.
 type ChangelogStore struct {
 	Store
 	broker    *kafka.Broker
@@ -34,7 +40,23 @@ type ChangelogStore struct {
 
 	pending []kafka.Message
 	arena   []byte
+	err     error
 }
+
+// ChangelogError is a changelog store's failure to produce to its topic.
+// The inner store holds writes the changelog lacks, so the store must not be
+// used past it.
+type ChangelogError struct {
+	Topic     string
+	Partition int32
+	Err       error
+}
+
+func (e *ChangelogError) Error() string {
+	return fmt.Sprintf("kv: changelog %s-%d: %v", e.Topic, e.Partition, e.Err)
+}
+
+func (e *ChangelogError) Unwrap() error { return e.Err }
 
 // NewChangelogStore creates (if needed) the compacted changelog topic with
 // the given partition count and returns a store mirroring to one partition.
@@ -62,14 +84,14 @@ func (c *ChangelogStore) SetWriteBatchSize(int) {}
 // Put writes through to the inner store and produces the changelog record.
 func (c *ChangelogStore) Put(key, value []byte) {
 	c.Store.Put(key, value)
-	c.buffer(key, value)
+	c.buffer(key, value, false)
 	c.produce()
 }
 
 // Delete removes the key and produces a tombstone for the changelog.
 func (c *ChangelogStore) Delete(key []byte) bool {
 	ok := c.Store.Delete(key)
-	c.buffer(key, nil)
+	c.buffer(key, nil, false)
 	c.produce()
 	return ok
 }
@@ -91,10 +113,11 @@ func (c *ChangelogStore) copyToArena(b []byte) []byte {
 }
 
 // buffer queues one mirrored write, copying key and value once into the
-// batch arena. A nil value is a tombstone.
-func (c *ChangelogStore) buffer(key, value []byte) {
+// batch arena. A nil value is a tombstone; app marks an append record.
+func (c *ChangelogStore) buffer(key, value []byte, app bool) {
 	m := kafka.Message{
 		Partition: c.partition,
+		Append:    app,
 		Key:       c.copyToArena(key),
 	}
 	if value != nil {
@@ -108,15 +131,16 @@ func (c *ChangelogStore) buffer(key, value []byte) {
 
 // produce puts the queued records on the changelog topic as one batch.
 // Callers invoke it after a complete write batch, so nothing is ever left
-// queued between writes. A broker failure here is a programming error (the
-// topic exists and the partition was validated at construction) and panics,
-// as the byte Store interface has no error channel.
+// queued between writes. The first failure sticks (Err): later batches are
+// dropped unproduced, since the log already misses one.
 func (c *ChangelogStore) produce() {
 	if len(c.pending) == 0 {
 		return
 	}
-	if err := c.broker.ProduceBatch(c.topic, c.pending); err != nil {
-		panic(fmt.Sprintf("kv: changelog append: %v", err))
+	if c.err == nil {
+		if err := c.broker.ProduceBatch(c.topic, c.pending); err != nil {
+			c.err = &ChangelogError{Topic: c.topic, Partition: c.partition, Err: err}
+		}
 	}
 	// The broker copied the records into the log: headers and slab are
 	// free for the next batch.
@@ -124,9 +148,16 @@ func (c *ChangelogStore) produce() {
 	c.arena = c.arena[:0]
 }
 
+// Err returns the sticky *ChangelogError of the first write the changelog
+// refused, or nil.
+func (c *ChangelogStore) Err() error { return c.err }
+
 // Restore rebuilds the inner store by replaying the changelog partition from
-// its start offset to the current high watermark. It is called by the task
-// runner before any input message is delivered after a (re)start.
+// its start offset to the current high watermark, one write batch per read:
+// a full record puts, an append record appends, a tombstone deletes. Reads
+// go into one reused header buffer; the store copies the keys and values,
+// which are views into the log, before the next read. It is called by the
+// task runner before any input message is delivered after a (re)start.
 func (c *ChangelogStore) Restore() error {
 	tp := kafka.TopicPartition{Topic: c.topic, Partition: c.partition}
 	start, err := c.broker.StartOffset(tp)
@@ -137,22 +168,28 @@ func (c *ChangelogStore) Restore() error {
 	if err != nil {
 		return err
 	}
-	off := start
-	for off < hwm {
-		msgs, wait, err := c.broker.Fetch(tp, off, 1024)
-		if err != nil {
+	var msgs []kafka.Message
+	var ops []WriteOp
+	for off := start; off < hwm; {
+		if msgs, err = c.broker.Read(msgs[:0], tp, off, 1024); err != nil {
 			return err
 		}
-		if wait != nil {
+		if len(msgs) == 0 {
 			break // compaction gap at the tail; nothing further to replay
 		}
-		for _, m := range msgs {
-			if m.Value == nil {
-				c.Store.Delete(m.Key)
-			} else {
-				c.Store.Put(m.Key, m.Value)
+		ops = ops[:0]
+		for i := range msgs {
+			m := &msgs[i]
+			op := WriteOp{Key: m.Key, Value: m.Value}
+			switch {
+			case m.Value == nil:
+				op.Kind = OpDelete
+			case m.Append:
+				op.Kind = OpAppend
 			}
+			ops = append(ops, op)
 		}
+		WriteMany(c.Store, ops)
 		off = msgs[len(msgs)-1].Offset + 1
 	}
 	return nil

@@ -97,8 +97,9 @@ func (s *instrumentedStore) Put(key, value []byte) {
 }
 
 // WriteMany times the whole batch once and books an equal share of it to
-// every contained write — one put-ns observation per Put, one delete-ns per
-// Delete — so the histograms' counts keep meaning writes, not calls.
+// every contained write — one put-ns observation per put or append, one
+// delete-ns per delete — so the histograms' counts keep meaning writes, not
+// calls.
 //
 //samzasql:hotpath
 func (s *instrumentedStore) WriteMany(ops []WriteOp) {
@@ -110,7 +111,7 @@ func (s *instrumentedStore) WriteMany(ops []WriteOp) {
 	d := time.Since(start).Nanoseconds()
 	var deletes int64
 	for i := range ops {
-		if ops[i].Delete {
+		if ops[i].Kind == OpDelete {
 			deletes++
 		}
 	}

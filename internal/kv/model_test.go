@@ -113,14 +113,16 @@ func checkAgainstModel(t *testing.T, what string, s Store, m storeModel, everSee
 // whole state at intervals. Every operation reads through exactly one of the
 // store's two structures, so any disagreement between index and list — a key
 // in one and not the other, an index entry left pointing at an unlinked node
-// after delete-then-reinsert — shows as a divergence from the model.
+// after delete-then-reinsert — shows as a divergence from the model. Write
+// batches append as well as put and delete, and views read before an append
+// must not change: reads return capped views.
 func runStoreModel(t *testing.T, s Store, seed int64, steps int) (storeModel, map[string]bool) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	m := storeModel{}
 	everSeen := map[string]bool{}
 	for i := 0; i < steps; i++ {
-		switch op := rng.Intn(12); {
+		switch op := rng.Intn(13); {
 		case op < 4:
 			k, v := modelKey(rng), modelValue(rng, i)
 			s.Put(k, v)
@@ -156,7 +158,7 @@ func runStoreModel(t *testing.T, s Store, seed int64, steps int) (storeModel, ma
 		case op < 11:
 			// A write batch, often touching one key several times: delete
 			// then reinsert, insert then delete, overwrite with a shorter
-			// value.
+			// value, append to a value, to an absent key, after a delete.
 			ops := make([]WriteOp, 1+rng.Intn(8))
 			for j := range ops {
 				k := modelKey(rng)
@@ -164,16 +166,34 @@ func runStoreModel(t *testing.T, s Store, seed int64, steps int) (storeModel, ma
 					k = ops[j-1].Key
 				}
 				everSeen[string(k)] = true
-				if rng.Intn(3) == 0 {
-					ops[j] = WriteOp{Key: k, Delete: true}
+				switch v := modelValue(rng, i+j); rng.Intn(4) {
+				case 0:
+					ops[j] = WriteOp{Key: k, Kind: OpDelete}
 					delete(m, string(k))
-				} else {
-					v := modelValue(rng, i+j)
+				case 1:
+					ops[j] = WriteOp{Key: k, Value: v, Kind: OpAppend}
+					m[string(k)] += string(v)
+				default:
 					ops[j] = WriteOp{Key: k, Value: v}
 					m[string(k)] = string(v)
 				}
 			}
 			WriteMany(s, ops)
+		case op < 12:
+			// Views read before an append keep their bytes, and a caller
+			// appending to one gets a copy, not the store's spare capacity.
+			k := modelKey(rng)
+			everSeen[string(k)] = true
+			before, _ := s.Get(k)
+			scan := s.Range(k, append(append([]byte(nil), k...), 0), 0)
+			want := m[string(k)]
+			v := modelValue(rng, i)
+			WriteMany(s, []WriteOp{{Key: k, Value: v, Kind: OpAppend}})
+			m[string(k)] += string(v)
+			_ = append(before, "XYZ"...)
+			if string(before) != want || (len(scan) == 1 && string(scan[0].Value) != want) {
+				t.Fatalf("step %d: views of %q read %q and %q after an append, want %q", i, k, before, scan, want)
+			}
 		default:
 			start, end := modelKey(rng), modelKey(rng)
 			if rng.Intn(4) == 0 {
@@ -292,4 +312,87 @@ func BenchmarkStorePutNewKeys(b *testing.B) {
 		}
 		s.Put(k, k)
 	}
+}
+
+// FuzzChangelogReplay reads its input as a program of write batches — puts,
+// appends and deletes over four keys — mirrored to a changelog whose
+// segments roll every few records, with Broker.Compact forced between
+// batches where the program says so (and run on its own once enough
+// segments close). A store restored from the log must equal the map model
+// of every write, as must the live store: compaction keeps a key's latest
+// full record and the appends after it, and nothing a restore needs.
+func FuzzChangelogReplay(f *testing.F) {
+	f.Add([]byte{0x00, 2, 'a', 'b', 0x01, 1, 'c', 0x07, 0x01, 1, 'd', 0x03})
+	f.Add([]byte{0x11, 3, 'x', 'y', 'z', 0x12, 0x07, 0x11, 1, 'w', 0x07, 0x10, 0, 0x07})
+	f.Add(bytes.Repeat([]byte{0x21, 2, 'p', 'q', 0x31, 1, 'r', 0x07, 0x20, 1, 's', 0x32, 0x07}, 12))
+	// Puts then an append to one key, compacted: the append must survive
+	// behind the put it follows.
+	f.Add([]byte("000000110107"))
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		broker := kafka.NewBroker()
+		const topic = "replay-cl"
+		if err := broker.CreateTopic(topic, kafka.TopicConfig{Partitions: 1, Compacted: true, SegmentBytes: 96}); err != nil {
+			t.Fatal(err)
+		}
+		cs, err := NewChangelogStore(NewStore(), broker, topic, 1, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys := [][]byte{[]byte("k0"), []byte("k1"), []byte("key-two"), {}}
+		model := map[string]string{}
+		var batch []WriteOp
+		// Each instruction byte: bits 0-1 the op (put, append, delete, end of
+		// batch), bits 4-5 the key; a put or append reads a length byte
+		// (mod 8) and that many value bytes. An end of batch with bit 2 set
+		// also forces a compaction.
+		for i := 0; i < len(prog); i++ {
+			b := prog[i]
+			k := keys[(b>>4)&3]
+			switch b & 3 {
+			case 0, 1:
+				n := 0
+				if i+1 < len(prog) {
+					n = min(int(prog[i+1]%8), len(prog)-i-2)
+					i++
+				}
+				v := append([]byte{}, prog[i+1:i+1+n]...)
+				i += n
+				if b&3 == 0 {
+					batch = append(batch, WriteOp{Key: k, Value: v})
+					model[string(k)] = string(v)
+				} else {
+					batch = append(batch, WriteOp{Key: k, Value: v, Kind: OpAppend})
+					model[string(k)] += string(v)
+				}
+			case 2:
+				batch = append(batch, WriteOp{Key: k, Kind: OpDelete})
+				delete(model, string(k))
+			case 3:
+				WriteMany(cs, batch)
+				batch = batch[:0]
+				if b&4 != 0 {
+					if err := broker.Compact(topic); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+		WriteMany(cs, batch)
+		if err := cs.Err(); err != nil {
+			t.Fatal(err)
+		}
+		restored, err := NewChangelogStore(NewStore(), broker, topic, 1, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := restored.Restore(); err != nil {
+			t.Fatal(err)
+		}
+		everSeen := map[string]bool{}
+		for _, k := range keys {
+			everSeen[string(k)] = true
+		}
+		checkAgainstModel(t, "live store", cs, model, everSeen)
+		checkAgainstModel(t, "restored store", restored, model, everSeen)
+	})
 }

@@ -96,6 +96,10 @@ func (s *skiplist) unlink(n *skipNode) {
 	s.length--
 }
 
+// view returns the node's value capped at its length: an append that grows
+// the value in place writes past every view handed out before it.
+func (n *skipNode) view() []byte { return n.value[:len(n.value):len(n.value)] }
+
 // Entry is one key-value pair returned by iteration.
 type Entry struct {
 	Key   []byte
@@ -116,7 +120,7 @@ func (s *skiplist) rangeScan(start, end []byte, limit int) []Entry {
 		if end != nil && bytes.Compare(n.key, end) >= 0 {
 			break
 		}
-		out = append(out, Entry{Key: n.key, Value: n.value})
+		out = append(out, Entry{Key: n.key, Value: n.view()})
 		if limit > 0 && len(out) >= limit {
 			break
 		}
@@ -149,7 +153,7 @@ func NewStore() Store {
 //samzasql:hotpath
 func (s *store) get(key []byte) ([]byte, bool) {
 	if n := s.idx.find(s.idx.hash(key), key); n != nil {
-		return n.value, true
+		return n.view(), true
 	}
 	return nil, false
 }
@@ -168,6 +172,20 @@ func (s *store) put(key, value []byte) {
 	s.idx.add(h, s.list.insert(append([]byte(nil), key...), v))
 }
 
+// appendValue extends key's value with value, growing it into spare
+// capacity where there is some, or inserts key with a copy of value. Reads
+// hand out capped views (skipNode.view), so no earlier view sees the new
+// bytes; a put always takes a fresh copy, because it would overwrite bytes
+// those views still show.
+func (s *store) appendValue(key, value []byte) {
+	h := s.idx.hash(key)
+	if n := s.idx.find(h, key); n != nil {
+		n.value = append(n.value, value...)
+		return
+	}
+	s.idx.add(h, s.list.insert(append([]byte(nil), key...), append([]byte(nil), value...)))
+}
+
 // remove deletes key, reporting whether it was present. An absent key costs
 // one hash probe.
 func (s *store) remove(key []byte) bool {
@@ -183,14 +201,17 @@ func (s *store) remove(key []byte) bool {
 
 // Store is the task-local state interface handed to operators.
 type Store interface {
-	// Get returns the value for key, or ok=false.
+	// Get returns the value for key, or ok=false. The value is a read-only
+	// view capped at its length, so a later append to the key never shows
+	// through it.
 	Get(key []byte) (value []byte, ok bool)
 	// Put inserts or replaces key. Key and value bytes are copied.
 	Put(key, value []byte)
 	// Delete removes key, reporting whether it was present.
 	Delete(key []byte) bool
 	// Range returns entries with start <= key < end (nil = unbounded),
-	// at most limit (<=0 = all), in key order.
+	// at most limit (<=0 = all), in key order. Values are capped views, as
+	// Get's are.
 	Range(start, end []byte, limit int) []Entry
 	// Len returns the number of live keys.
 	Len() int

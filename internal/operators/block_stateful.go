@@ -223,13 +223,13 @@ func (o *SlidingWindowOp) partitionSlots(c *analyticState, b *TupleBlock, row []
 }
 
 // loadTailsBatch makes the tail chunk image of every block state resident
-// with one batched chunk read; empty deques cost nothing.
+// with one batched chunk read, noting how much of it the store holds;
+// empty deques cost nothing.
 func (o *SlidingWindowOp) loadTailsBatch(c *analyticState, pks [][]byte, states []*windowState) error {
 	want := o.blkTails[:0]
 	ckeys := o.blkChunks[:0]
 	for i, ws := range states {
 		switch {
-		case ws.tailLoaded:
 		case ws.tailLen == 0:
 			ws.setTail(nil)
 		default:
@@ -260,6 +260,9 @@ func (o *SlidingWindowOp) loadTailsBatch(c *analyticState, pks [][]byte, states 
 			return err
 		}
 		ws.setTail(img)
+		if len(img) == len(vals[i]) {
+			ws.tailStored = len(img) // no garbage past the cursor to append behind
+		}
 	}
 	return nil
 }

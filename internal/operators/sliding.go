@@ -54,14 +54,15 @@ type SlidingWindowOp struct {
 	// encoded entry, allbuf a whole deque being rebuilt.
 	kbuf, ebuf, allbuf []byte
 
-	// The pending write batch: chunk puts, chunk deletes and state rows in
-	// the order they were caused. Keys and values alias arena, which is
-	// reset with the batch and also holds the block's partition and state
-	// keys. rolled indexes the puts of chunks that filled up since the last
-	// flush — the only chunks a read can want before the store has them.
+	// The pending write batch: chunk puts, appends and deletes and state
+	// rows in the order they were caused. Keys and values alias arena, which
+	// is reset with the batch and also holds the block's partition and state
+	// keys. rolled holds the whole images of chunks that filled up since the
+	// last flush — the only chunks a read can want before the store has
+	// them, and whose write may carry only their newest bytes.
 	ops    []kv.WriteOp
 	arena  []byte
-	rolled []int
+	rolled []rolledChunk
 
 	// pool recycles windowState objects (and the chunk images they own)
 	// between batches.
@@ -104,17 +105,28 @@ type windowState struct {
 	headPos, tailLen int
 
 	// Chunk images, not part of the encoded state row. tail is chunk
-	// tailSeq's first tailLen entries (lastOff locating the last one), head
-	// is chunk headSeq while it is not the tail (headOff locating entry
-	// headPos). An image is loaded on first use.
-	tail, head             []byte
-	lastOff, headOff       int
-	tailLoaded, headLoaded bool
+	// tailSeq's first tailLen entries (lastOff locating the last one),
+	// loaded with the state; head is chunk headSeq while it is not the tail
+	// (headOff locating entry headPos), loaded on first use.
+	tail, head       []byte
+	lastOff, headOff int
+	headLoaded       bool
+
+	// tailStored is how many leading bytes of tail the store holds as the
+	// whole value of chunk tailSeq, so that writing tail[tailStored:] as an
+	// append brings it up to date; -1 when the store holds no usable
+	// prefix (no chunk, bytes past the cursor, or a front trim, late insert
+	// or rebuild changed the image), and the next write is a full put.
+	tailStored int
 
 	// tailDirty marks a tail image the store has not seen; dirty marks a
 	// state modified since its last save.
 	tailDirty, dirty bool
 }
+
+// rolledChunk is the whole image of a chunk that filled up in the pending
+// batch, under its key; both alias the batch arena.
+type rolledChunk struct{ key, img []byte }
 
 type analyticState struct {
 	spec *validate.BoundAnalytic
@@ -267,9 +279,6 @@ func (o *SlidingWindowOp) foldTuple(c *analyticState, ws *windowState, pk []byte
 	}
 	// 2. Save the message's window contribution at its (ts, offset) place in
 	// the partition's deque — the tail, unless the tuple is late.
-	if err := o.loadTail(c, ws, pk); err != nil {
-		return err
-	}
 	var err error
 	o.ebuf, err = o.appendEntry(o.ebuf[:0], ts, offset, arg)
 	if err != nil {
@@ -366,7 +375,7 @@ func (o *SlidingWindowOp) purge(c *analyticState, ws *windowState, pk []byte, ts
 		ws.headOff = next
 		if ws.headPos == chunkCap {
 			o.kbuf = appendChunkKey(o.kbuf[:0], c.idx, pk, ws.headSeq)
-			o.stageWrite(o.kbuf, nil, true)
+			o.stageDelete(o.kbuf)
 			ws.headSeq++
 			ws.headPos, ws.headLoaded = 0, false
 		}
@@ -376,7 +385,7 @@ func (o *SlidingWindowOp) purge(c *analyticState, ws *windowState, pk []byte, ts
 		ws.tail = ws.tail[:n]
 		ws.tailLen -= frontN
 		ws.lastOff -= front
-		ws.tailDirty = true
+		ws.tailDirty, ws.tailStored = true, -1
 	}
 	return rebuild, nil
 }
@@ -426,12 +435,16 @@ func (o *SlidingWindowOp) addEntries(acc Accumulator, img []byte, n int) error {
 	return nil
 }
 
-// rollTail closes the full tail chunk — staging its put and keeping its
-// image as the head when the head was in it — and opens an empty one.
+// rollTail closes the full tail chunk — staging the write of its image and
+// keeping the image as the head when the head was in it — and opens an
+// empty one, which the store does not hold yet.
 func (o *SlidingWindowOp) rollTail(c *analyticState, ws *windowState, pk []byte) {
 	o.kbuf = appendChunkKey(o.kbuf[:0], c.idx, pk, ws.tailSeq)
-	o.rolled = append(o.rolled, len(o.ops))
-	o.stageWrite(o.kbuf, ws.tail, false)
+	key, img := o.arenaCopy(o.kbuf), o.arenaCopy(ws.tail)
+	o.rolled = append(o.rolled, rolledChunk{key, img})
+	if op, ok := tailWrite(key, img, ws.tailStored); ok {
+		o.ops = append(o.ops, op)
+	}
 	if ws.headSeq == ws.tailSeq {
 		ws.head = append(ws.head[:0], ws.tail...)
 		ws.headOff, ws.headLoaded = 0, true
@@ -439,7 +452,7 @@ func (o *SlidingWindowOp) rollTail(c *analyticState, ws *windowState, pk []byte)
 	ws.tailSeq++
 	ws.tail = ws.tail[:0]
 	ws.tailLen, ws.lastOff = 0, 0
-	ws.tailDirty = false
+	ws.tailDirty, ws.tailStored = false, -1
 }
 
 // insertLate places the entry in o.ebuf, which sorts before the deque's
@@ -456,6 +469,9 @@ func (o *SlidingWindowOp) insertLate(c *analyticState, ws *windowState, pk []byt
 	ws.lastOff += len(o.ebuf)
 	ws.tailLen++
 	ws.tailDirty = true
+	if at < ws.tailStored {
+		ws.tailStored = -1 // the insert moved stored bytes
+	}
 	if ws.tailLen > chunkCap {
 		spill := append([]byte(nil), ws.tail[ws.lastOff:]...)
 		ws.tail = ws.tail[:ws.lastOff]
@@ -491,7 +507,7 @@ func (o *SlidingWindowOp) rebuildDeque(c *analyticState, ws *windowState, pk []b
 	oldTail := ws.tailSeq
 	ws.tailSeq, ws.headPos = ws.headSeq, 0
 	ws.tail = ws.tail[:0]
-	ws.tailLen, ws.lastOff, ws.headLoaded = 0, 0, false
+	ws.tailLen, ws.lastOff, ws.headLoaded, ws.tailStored = 0, 0, false, -1
 	for len(all) > 0 {
 		if ws.tailLen == chunkCap {
 			o.rollTail(c, ws, pk)
@@ -506,7 +522,7 @@ func (o *SlidingWindowOp) rebuildDeque(c *analyticState, ws *windowState, pk []b
 	// Dropping the expired prefix can leave the deque a chunk shorter.
 	for seq := ws.tailSeq + 1; seq <= oldTail; seq++ {
 		o.kbuf = appendChunkKey(o.kbuf[:0], c.idx, pk, seq)
-		o.stageWrite(o.kbuf, nil, true)
+		o.stageDelete(o.kbuf)
 	}
 	return nil
 }
@@ -530,23 +546,6 @@ func spliceEntry(buf []byte, at int, e []byte) []byte {
 	return buf
 }
 
-// loadTail makes the tail chunk's image resident: the first tailLen entries
-// of the stored chunk (anything past them is garbage by definition).
-func (o *SlidingWindowOp) loadTail(c *analyticState, ws *windowState, pk []byte) error {
-	if ws.tailLoaded {
-		return nil
-	}
-	var img []byte
-	if ws.tailLen > 0 {
-		var err error
-		if img, err = o.readChunk(c, pk, ws.tailSeq, ws.tailLen); err != nil {
-			return err
-		}
-	}
-	ws.setTail(img)
-	return nil
-}
-
 // setTail installs img, exactly tailLen entries, as the tail image.
 func (ws *windowState) setTail(img []byte) {
 	ws.tail = append(ws.tail[:0], img...)
@@ -555,7 +554,6 @@ func (ws *windowState) setTail(img []byte) {
 		ws.lastOff = at
 		at += entrySize(img[at:])
 	}
-	ws.tailLoaded = true
 }
 
 // loadHead makes the image of head chunk headSeq (not the tail) resident
@@ -586,8 +584,8 @@ func (o *SlidingWindowOp) readChunk(c *analyticState, pk []byte, seq uint64, n i
 	var v []byte
 	found := false
 	for i := len(o.rolled) - 1; i >= 0 && !found; i-- {
-		if op := &o.ops[o.rolled[i]]; bytes.Equal(op.Key, o.kbuf) {
-			v, found = op.Value, true
+		if r := &o.rolled[i]; bytes.Equal(r.key, o.kbuf) {
+			v, found = r.img, true
 		}
 	}
 	if !found {
@@ -617,11 +615,23 @@ func trimChunk(v []byte, n int, seq uint64) ([]byte, error) {
 	return v[:end], nil
 }
 
-// stageWrite appends one write to the pending batch, copying key and value
+// stageDelete appends a chunk delete to the pending batch, copying the key
 // into the batch arena.
-func (o *SlidingWindowOp) stageWrite(key, value []byte, del bool) {
-	key = o.arenaCopy(key)
-	o.ops = append(o.ops, kv.WriteOp{Key: key, Value: o.arenaCopy(value), Delete: del})
+func (o *SlidingWindowOp) stageDelete(key []byte) {
+	o.ops = append(o.ops, kv.WriteOp{Key: o.arenaCopy(key), Kind: kv.OpDelete})
+}
+
+// tailWrite is the write that brings the store's copy of a tail chunk, whose
+// value is img[:stored] (stored < 0: no prefix of img), up to img: an append
+// of the bytes past stored, a full put, or none when the store is current.
+func tailWrite(key, img []byte, stored int) (kv.WriteOp, bool) {
+	switch {
+	case stored < 0:
+		return kv.WriteOp{Key: key, Value: img}, true
+	case stored < len(img):
+		return kv.WriteOp{Key: key, Value: img[stored:], Kind: kv.OpAppend}, true
+	}
+	return kv.WriteOp{}, false
 }
 
 // arenaCopy copies b into the batch arena. Earlier arena slices stay valid
@@ -632,14 +642,18 @@ func (o *SlidingWindowOp) arenaCopy(b []byte) []byte {
 	return o.arena[start:len(o.arena):len(o.arena)]
 }
 
-// stageState queues a modified state for the next flush: its tail chunk when
-// the image changed, then the state row encoded into the batch under sk, a
-// key already in the batch arena.
+// stageState queues a modified state for the next flush: the write of its
+// tail chunk when the image changed — only the bytes past what the store
+// holds, when that is a prefix — then the state row encoded into the batch
+// under sk, a key already in the batch arena.
 func (o *SlidingWindowOp) stageState(c *analyticState, sk, pk []byte, ws *windowState) error {
 	if ws.tailDirty {
 		o.kbuf = appendChunkKey(o.kbuf[:0], c.idx, pk, ws.tailSeq)
-		o.stageWrite(o.kbuf, ws.tail, false)
-		ws.tailDirty = false
+		if op, ok := tailWrite(o.kbuf, ws.tail, ws.tailStored); ok {
+			op.Key, op.Value = o.arenaCopy(op.Key), o.arenaCopy(op.Value)
+			o.ops = append(o.ops, op)
+		}
+		ws.tailDirty, ws.tailStored = false, len(ws.tail)
 	}
 	ws.dirty = false
 	start := len(o.arena)
@@ -682,7 +696,7 @@ func (o *SlidingWindowOp) newState(c *analyticState) *windowState {
 	} else {
 		acc = c.newAcc()
 	}
-	*ws = windowState{acc: acc, offsets: ws.offsets[:0], tail: ws.tail[:0], head: ws.head[:0]}
+	*ws = windowState{acc: acc, offsets: ws.offsets[:0], tail: ws.tail[:0], head: ws.head[:0], tailStored: -1}
 	return ws
 }
 
@@ -800,7 +814,6 @@ func (o *SlidingWindowOp) appendState(buf []byte, ws *windowState) ([]byte, erro
 func (o *SlidingWindowOp) decodeCallState(c *analyticState, v []byte, ok bool) (*windowState, error) {
 	ws := o.newState(c)
 	if !ok {
-		ws.tailLoaded = true // nothing stored yet: the empty image is current
 		return ws, nil
 	}
 	var fields [6]uint64

@@ -123,7 +123,7 @@ type taskInstance struct {
 	envs      []IncomingMessageEnvelope
 	consumer  *kafka.Consumer
 	ctx       *TaskContext
-	changelog []*kv.ChangelogStore
+	changelog []taskChangelog
 	processed int // messages since last commit
 	sinceWin  int // messages since last window fire
 	// coord is the per-loop Coordinator handed to Process, reset per
@@ -147,6 +147,25 @@ type taskInstance struct {
 	// health is the supervisor-visible liveness state (taskHealth* consts),
 	// read by Container.TaskHealth for the /healthz endpoint.
 	health atomic.Int32
+}
+
+// taskChangelog is one of a task's changelog-backed stores, under its name.
+type taskChangelog struct {
+	store string
+	*kv.ChangelogStore
+}
+
+// changelogErr returns the first sticky changelog failure among the task's
+// stores, naming the store. A block whose writes the changelog refused must
+// fail the task before anything checkpoints offsets past it: the restarted
+// task then restores what the changelog holds and replays the rest.
+func (ti *taskInstance) changelogErr() error {
+	for _, cl := range ti.changelog {
+		if err := cl.Err(); err != nil {
+			return fmt.Errorf("samza: %s store %s: %w", ti.name, cl.store, err)
+		}
+	}
+	return nil
 }
 
 // Task liveness states reported by Container.TaskHealth.
@@ -243,7 +262,7 @@ func (c *Container) buildTask(partition, inputPartitions int32) (*taskInstance, 
 	name := TaskNameFor(partition)
 	act := trace.NewActive(c.tracer)
 	stores := map[string]kv.Store{}
-	var changelogs []*kv.ChangelogStore
+	var changelogs []taskChangelog
 	for _, spec := range c.job.Stores {
 		// Store stack, bottom to top: skiplist base, optional changelog
 		// mirroring, latency instrumentation. The changelog writes through:
@@ -255,7 +274,7 @@ func (c *Container) buildTask(partition, inputPartitions int32) (*taskInstance, 
 			if err != nil {
 				return nil, err
 			}
-			changelogs = append(changelogs, cl)
+			changelogs = append(changelogs, taskChangelog{spec.Name, cl})
 			s = cl
 		}
 		s = kv.Instrument(s, c.Metrics, spec.Name)
@@ -532,12 +551,14 @@ func (c *Container) bootstrap(ctx context.Context, ti *taskInstance) error {
 			return err
 		}
 		pos, _ := ti.consumer.Position(tp)
+		// One header buffer for every read: a batch's keys and values are
+		// views into the log, which the task's stores copy before the next.
+		var msgs []kafka.Message
 		for pos < hwm {
-			msgs, wait, err := c.broker.Fetch(tp, pos, fetchMax)
-			if err != nil {
+			if msgs, err = c.broker.Read(msgs[:0], tp, pos, fetchMax); err != nil {
 				return fmt.Errorf("samza: %s bootstrap %s: %w", ti.name, tp, err)
 			}
-			if wait != nil {
+			if len(msgs) == 0 {
 				break
 			}
 			// Cut the batch off at the watermark; a batch wholly past it
@@ -582,7 +603,7 @@ func (c *Container) deliverBootstrap(ti *taskInstance, msgs []kafka.Message) err
 		if err := ti.batched.ProcessBatch(envs, c.coll, &ti.coord, time.Now().UnixNano()); err != nil {
 			return fmt.Errorf("samza: %s bootstrap process batch: %w", ti.name, err)
 		}
-		return nil
+		return ti.changelogErr()
 	}
 	for i := range msgs {
 		ti.coord.reset()
@@ -590,7 +611,7 @@ func (c *Container) deliverBootstrap(ti *taskInstance, msgs []kafka.Message) err
 			return fmt.Errorf("samza: %s bootstrap process: %w", ti.name, err)
 		}
 	}
-	return nil
+	return ti.changelogErr()
 }
 
 // bootstrapEnvelope wraps a bootstrap message for delivery. Trace contexts
@@ -666,6 +687,9 @@ func (c *Container) pollTask(ctx context.Context, ti *taskInstance) (bool, error
 		if err := ti.batched.ProcessBatch(envs, c.coll, &ti.coord, batchNs); err != nil {
 			return false, fmt.Errorf("samza: %s process batch: %w", ti.name, err)
 		}
+		if err := ti.changelogErr(); err != nil {
+			return false, err
+		}
 		ti.procLat.Stop(start)
 		ti.delivered[msgs[0].Topic] = msgs[len(msgs)-1].Offset + 1
 		c.processed.Add(int64(len(msgs)))
@@ -707,6 +731,9 @@ func (c *Container) pollTask(ctx context.Context, ti *taskInstance) (bool, error
 		if err := ti.task.Process(env, c.coll, &ti.coord); err != nil {
 			return false, fmt.Errorf("samza: %s process: %w", ti.name, err)
 		}
+		if err := ti.changelogErr(); err != nil {
+			return false, err
+		}
 		ti.procLat.Stop(start)
 		if m.Trace.Sampled {
 			ti.act.FinishMessage(time.Now().UnixNano())
@@ -745,8 +772,12 @@ func (c *Container) pollTask(ctx context.Context, ti *taskInstance) (bool, error
 // is always at or ahead of the committed offsets. A restart replays at most
 // the uncommitted suffix onto state that already reflects it, and operators
 // that keep input offsets in their state recognise those replayed messages
-// (§4.3).
+// (§4.3). A changelog that refused a write breaks that order, so the task
+// fails instead of committing.
 func (c *Container) commitTask(ti *taskInstance) error {
+	if err := ti.changelogErr(); err != nil {
+		return err
+	}
 	// A trace pending since the last sampled message closes here, with the
 	// commit span as its last stage.
 	if ti.act.PendingCommit() {
