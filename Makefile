@@ -59,8 +59,10 @@ FUZZTIME ?= 10s
 # DecodeRow/ReadFields), join state rows (RowCodec), sliding-window state
 # rows and chunks, builtin accumulator state rows (differential against the
 # ObjectSerde row they must equal byte for byte), the log's own record
-# framing (append then fetch), and changelog replay (put, append and delete
-# batches with forced compactions, restored against a map model). And the
+# framing (append then fetch), changelog replay (put, append and delete
+# batches with forced compactions, restored against a map model), and the
+# state store itself (puts, appends, deletes, point reads and ranges on
+# pages small enough to force evacuation, against a sorted map model). And the
 # SQL front end: lexer, parser and
 # Engine.Prepare on arbitrary text, with the print/re-parse round trip tasks
 # rely on. Their seed corpora already run under plain `go test`; this looks
@@ -73,6 +75,7 @@ fuzz-smoke:
 	$(GO) test ./internal/operators -run '^$$' -fuzz '^FuzzAccumState$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/kafka -run '^$$' -fuzz '^FuzzSegmentRecord$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/kv -run '^$$' -fuzz '^FuzzChangelogReplay$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/kv -run '^$$' -fuzz '^FuzzStoreOps$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/executor -run '^$$' -fuzz '^FuzzSQL$$' -fuzztime $(FUZZTIME)
 
 # What the GitHub Actions workflow runs: formatting, build, static checks,

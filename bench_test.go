@@ -318,7 +318,7 @@ func BenchmarkAblationWindowStore(b *testing.B) {
 //
 // Drives the SQL sliding-window operator (Algorithm 1) the way a job drives
 // it — samza.DefaultBatchSize-row blocks over 100 products — on the task
-// store stack: skiplist, write-through changelog mirror, instrumentation.
+// store stack: paged store, write-through changelog mirror, instrumentation.
 // Consumers, routing and output produce are left out, so the figure is store
 // and serde cost.
 

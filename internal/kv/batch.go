@@ -3,7 +3,7 @@ package kv
 // Batched point reads and writes. The vectorized operator paths cluster a
 // block's tuples by state key, fetch every distinct key's state in one call
 // and hand every write the block caused back in one call, so the store stack
-// pays its per-operation overhead — the skiplist lock, the latency
+// pays its per-operation overhead — the store lock, the latency
 // observation, the trace leaf, the changelog produce — once per block instead
 // of once per tuple.
 
@@ -100,22 +100,29 @@ func (s *store) GetMany(keys [][]byte, vals [][]byte, oks []bool) {
 	}
 }
 
-// WriteMany applies the whole batch under one lock acquisition.
+// WriteMany applies the whole batch under one lock acquisition, then, when
+// the batch added bytes, evacuates the pages it left mostly dead.
 //
 //samzasql:hotpath
 func (s *store) WriteMany(ops []WriteOp) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.writes += int64(len(ops))
+	added := false
 	for i := range ops {
 		switch op := &ops[i]; op.Kind {
 		case OpDelete:
 			s.remove(op.Key)
 		case OpAppend:
 			s.appendValue(op.Key, op.Value)
+			added = true
 		default:
 			s.put(op.Key, op.Value)
+			added = true
 		}
+	}
+	if added {
+		s.evacuate()
 	}
 }
 

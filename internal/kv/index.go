@@ -1,20 +1,13 @@
 package kv
 
-import (
-	"bytes"
-	"hash/maphash"
-)
+import "hash/maphash"
 
-// pointIndex is the store's hash index from key bytes to skiplist node: an
-// open-addressing table (linear probing, backward-shift deletion, load kept
-// at or below one half) of node pointers beside each key's 64-bit hash. A
-// slot holds no key of its own — a probe that matches on the hash compares
-// against the node's key bytes — so the index costs two words per slot, a
-// few tens of bytes per live key, whatever the key length.
-//
-// The skiplist stays the ordered structure (Range, and the position of a new
-// key); the index answers "which node holds this key" in O(1), which is
-// every Get, every GetMany key, every overwrite and every absent-key check.
+// pointIndex is the store's hash index from key to entry: an open-addressing
+// table (linear probing, backward-shift deletion, load kept at or below one
+// half) of {hash, ref} slots, eight bytes each. A slot holds no key of its
+// own — a probe that matches on the hash compares against the key bytes at
+// ref — and no Go pointer, so the index is one flat array the garbage
+// collector never scans.
 type pointIndex struct {
 	slots []indexSlot // len is zero or a power of two
 	n     int
@@ -22,55 +15,50 @@ type pointIndex struct {
 }
 
 type indexSlot struct {
-	hash uint64
-	node *skipNode // nil marks an empty slot
+	hash uint32
+	ref  uint32 // 0 marks an empty slot
 }
 
 const minIndexSlots = 16
 
 func newPointIndex() pointIndex {
 	// The seed only decides slot placement, which nothing outside the table
-	// observes: iteration order comes from the skiplist.
+	// observes: iteration order comes from the ordered view.
 	return pointIndex{seed: maphash.MakeSeed()}
 }
 
-func (x *pointIndex) hash(key []byte) uint64 { return maphash.Bytes(x.seed, key) }
+func (x *pointIndex) hash(key []byte) uint32 { return uint32(maphash.Bytes(x.seed, key)) }
 
-// find returns the node holding key, whose hash is h, or nil.
-//
-//samzasql:hotpath
-func (x *pointIndex) find(h uint64, key []byte) *skipNode {
-	if len(x.slots) == 0 {
-		return nil
-	}
-	mask := uint64(len(x.slots) - 1)
+// slotOf returns the slot holding ref, a live entry whose key hashes to h:
+// evacuation's lookup, which compares refs, not key bytes.
+func (x *pointIndex) slotOf(h, ref uint32) int {
+	mask := uint32(len(x.slots) - 1)
 	for i := h & mask; ; i = (i + 1) & mask {
-		s := &x.slots[i]
-		if s.node == nil {
-			return nil
-		}
-		if s.hash == h && bytes.Equal(s.node.key, key) {
-			return s.node
+		switch x.slots[i].ref {
+		case ref:
+			return int(i)
+		case 0:
+			panic("kv: index lost a live entry")
 		}
 	}
 }
 
-// add indexes node, whose key hashes to h and is not in the table yet.
-func (x *pointIndex) add(h uint64, node *skipNode) {
+// add indexes ref, whose key hashes to h and is not in the table yet.
+func (x *pointIndex) add(h, ref uint32) {
 	if (x.n+1)*2 > len(x.slots) {
 		x.grow()
 	}
-	x.place(h, node)
+	x.place(h, ref)
 	x.n++
 }
 
-func (x *pointIndex) place(h uint64, node *skipNode) {
-	mask := uint64(len(x.slots) - 1)
+func (x *pointIndex) place(h, ref uint32) {
+	mask := uint32(len(x.slots) - 1)
 	i := h & mask
-	for x.slots[i].node != nil {
+	for x.slots[i].ref != 0 {
 		i = (i + 1) & mask
 	}
-	x.slots[i] = indexSlot{hash: h, node: node}
+	x.slots[i] = indexSlot{hash: h, ref: ref}
 }
 
 func (x *pointIndex) grow() {
@@ -81,31 +69,27 @@ func (x *pointIndex) grow() {
 	}
 	x.slots = make([]indexSlot, size)
 	for _, s := range old {
-		if s.node != nil {
-			x.place(s.hash, s.node)
+		if s.ref != 0 {
+			x.place(s.hash, s.ref)
 		}
 	}
 }
 
-// remove drops node, whose key hashes to h, from the table. Later entries of
-// the same probe run shift back into the hole, so lookups never need
-// tombstones and a store that deletes as much as it inserts (window chunks)
-// does not degrade.
-func (x *pointIndex) remove(h uint64, node *skipNode) {
-	mask := uint64(len(x.slots) - 1)
-	i := h & mask
-	for x.slots[i].node != node {
-		i = (i + 1) & mask
-	}
-	for j := (i + 1) & mask; x.slots[j].node != nil; j = (j + 1) & mask {
-		// The entry at j may move into the hole at i only if its home slot
-		// does not lie cyclically within (i, j].
+// removeAt empties slot i. Later entries of the same probe run shift back
+// into the hole, so lookups never need tombstones and a store that deletes
+// as much as it inserts (window chunks) does not degrade.
+func (x *pointIndex) removeAt(i int) {
+	mask := uint32(len(x.slots) - 1)
+	hole := uint32(i)
+	for j := (hole + 1) & mask; x.slots[j].ref != 0; j = (j + 1) & mask {
+		// The entry at j may move into the hole only if its home slot does
+		// not lie cyclically within (hole, j].
 		home := x.slots[j].hash & mask
-		if (j-home)&mask >= (j-i)&mask {
-			x.slots[i] = x.slots[j]
-			i = j
+		if (j-home)&mask >= (j-hole)&mask {
+			x.slots[hole] = x.slots[j]
+			hole = j
 		}
 	}
-	x.slots[i] = indexSlot{}
+	x.slots[hole] = indexSlot{}
 	x.n--
 }

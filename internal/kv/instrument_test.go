@@ -40,7 +40,7 @@ func TestInstrumentedStore(t *testing.T) {
 }
 
 // TestInstrumentedStoreZeroAllocs pins that the instrumentation layer adds
-// no allocations of its own to the store access path (the skiplist Get
+// no allocations of its own to the store access path (the store's Get
 // itself is allocation-free for present keys).
 func TestInstrumentedStoreZeroAllocs(t *testing.T) {
 	reg := metrics.NewRegistry()

@@ -254,8 +254,8 @@ func TestChangelogRestoreCompactedSparseOffsets(t *testing.T) {
 	}
 }
 
-// nopStore isolates the changelog mirroring path from skiplist allocations
-// for the arena allocation pin.
+// nopStore isolates the changelog mirroring path from the store's own
+// allocations for the arena allocation pin.
 type nopStore struct{}
 
 func (nopStore) Get([]byte) ([]byte, bool)        { return nil, false }

@@ -86,6 +86,7 @@ func checkAgainstModel(t *testing.T, what string, s Store, m storeModel, everSee
 	if s.Len() != len(m) {
 		t.Fatalf("%s: Len = %d, model has %d keys", what, s.Len(), len(m))
 	}
+	checkInvariants(t, what, s)
 	if got, want := s.Range(nil, nil, 0), m.rangeOf(nil, nil, 0); !sameEntries(got, want) {
 		t.Fatalf("%s: full scan diverges from the model:\n got  %q\n want %q", what, got, want)
 	}
@@ -110,12 +111,14 @@ func checkAgainstModel(t *testing.T, what string, s Store, m storeModel, everSee
 
 // runStoreModel drives a random sequence of Put/Delete/Get/GetMany/WriteMany/
 // Range operations through s and the model, comparing every result, and the
-// whole state at intervals. Every operation reads through exactly one of the
-// store's two structures, so any disagreement between index and list — a key
-// in one and not the other, an index entry left pointing at an unlinked node
-// after delete-then-reinsert — shows as a divergence from the model. Write
-// batches append as well as put and delete, and views read before an append
-// must not change: reads return capped views.
+// whole state — and, on a paged store, its page accounting and ordered view —
+// at intervals. Every operation reads through exactly one of the store's two
+// structures, so any disagreement between index and ordered view — a key in
+// one and not the other, a ref one of them still holds after an overwrite or
+// an evacuation moved the entry — shows as a divergence from the model. Write
+// batches append as well as put and delete. A view is checked when it is
+// read and stays checked across a delete, which must not end it; a write
+// that adds bytes ends it, so the model drops it there.
 func runStoreModel(t *testing.T, s Store, seed int64, steps int) (storeModel, map[string]bool) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -180,20 +183,29 @@ func runStoreModel(t *testing.T, s Store, seed int64, steps int) (storeModel, ma
 			}
 			WriteMany(s, ops)
 		case op < 12:
-			// Views read before an append keep their bytes, and a caller
-			// appending to one gets a copy, not the store's spare capacity.
-			k := modelKey(rng)
-			everSeen[string(k)] = true
+			// Views survive a delete of another key, and a caller appending
+			// to one gets a copy, not the page bytes behind it. The append
+			// that follows ends them.
+			k, other := modelKey(rng), modelKey(rng)
+			if bytes.Equal(k, other) {
+				other = append(other, '!')
+			}
+			everSeen[string(k)], everSeen[string(other)] = true, true
 			before, _ := s.Get(k)
 			scan := s.Range(k, append(append([]byte(nil), k...), 0), 0)
 			want := m[string(k)]
+			s.Delete(other)
+			delete(m, string(other))
+			_ = append(before, "XYZ"...)
+			if len(scan) == 1 {
+				_ = append(scan[0].Key, "XYZ"...)
+			}
+			if string(before) != want || (len(scan) == 1 && string(scan[0].Value) != want) {
+				t.Fatalf("step %d: views of %q read %q and %q after a delete, want %q", i, k, before, scan, want)
+			}
 			v := modelValue(rng, i)
 			WriteMany(s, []WriteOp{{Key: k, Value: v, Kind: OpAppend}})
 			m[string(k)] += string(v)
-			_ = append(before, "XYZ"...)
-			if string(before) != want || (len(scan) == 1 && string(scan[0].Value) != want) {
-				t.Fatalf("step %d: views of %q read %q and %q after an append, want %q", i, k, before, scan, want)
-			}
 		default:
 			start, end := modelKey(rng), modelKey(rng)
 			if rng.Intn(4) == 0 {
@@ -215,11 +227,16 @@ func runStoreModel(t *testing.T, s Store, seed int64, steps int) (storeModel, ma
 	return m, everSeen
 }
 
-// TestStoreModel checks the plain store — point index plus skiplist —
-// against the reference over several seeds.
+// TestStoreModel checks the plain store — pages, point index and ordered
+// view — against the reference over several seeds, with the default pages
+// and with pages so small that evacuation, page reuse and oversized entries
+// happen every few writes.
 func TestStoreModel(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		runStoreModel(t, NewStore(), seed, 4000)
+		for _, shift := range []uint{5, 7} {
+			runStoreModel(t, newStore(shift), seed, 4000)
+		}
 	}
 }
 
@@ -252,12 +269,16 @@ func TestStoreModelManyKeys(t *testing.T) {
 // TestStoreModelAfterChangelogRestore mirrors the sequence to a changelog one
 // write batch per produce, compacts it, and requires a store restored from the
 // sparse log to equal the model: restore maintains the index like any other
-// write path.
+// write path. Odd seeds run on 64-byte pages, so the restore evacuates.
 func TestStoreModelAfterChangelogRestore(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		broker := kafka.NewBroker()
 		topic := fmt.Sprintf("model-cl-%d", seed)
-		cs, err := NewChangelogStore(NewStore(), broker, topic, 1, 0)
+		shift := uint(pageShift)
+		if seed%2 == 1 {
+			shift = 6
+		}
+		cs, err := NewChangelogStore(newStore(shift), broker, topic, 1, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -267,7 +288,7 @@ func TestStoreModelAfterChangelogRestore(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		restored, err := NewChangelogStore(NewStore(), broker, topic, 1, 0)
+		restored, err := NewChangelogStore(newStore(shift), broker, topic, 1, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -158,14 +158,23 @@ func (o *StreamAggregateOp) advanceWatermark(ts int64, out *TupleBlock, offset i
 	start := []byte("w:")
 	end := append([]byte("w:"), u64be(uint64(ts)+1)...)
 	closed := o.store.Range(start, end, 0)
+	// The output rows keep the window keys as message keys past the "wm"
+	// put below, which ends the Range views: they get a copy.
+	n := 0
 	for _, e := range closed {
+		n += len(e.Key)
+	}
+	keys := make([]byte, 0, n)
+	for _, e := range closed {
+		keys = append(keys, e.Key...)
+		msgKey := keys[len(keys)-len(e.Key) : len(keys) : len(keys)]
 		winEnd := int64(binary.BigEndian.Uint64(e.Key[2:10]))
 		keyVals, set, err := o.decodeEntry(e)
 		if err != nil {
 			return err
 		}
 		set.SetWindow(winEnd-o.window.RetainMillis, winEnd)
-		if err := out.AppendRow(append(keyVals, set.Values()...), winEnd, e.Key, offset); err != nil {
+		if err := out.AppendRow(append(keyVals, set.Values()...), winEnd, msgKey, offset); err != nil {
 			return err
 		}
 		o.store.Delete(e.Key)

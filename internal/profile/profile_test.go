@@ -278,6 +278,10 @@ func TestConcurrentCapturesSerialize(t *testing.T) {
 
 func TestCaptureHeapDeltaAndGoroutines(t *testing.T) {
 	p := New(Config{TopN: 32}, true)
+	// The allocation profile is published as of the last completed GC: one
+	// before each capture puts the 4 MiB below inside the window the second
+	// capture reads, instead of wherever the last background GC fell.
+	runtime.GC()
 	if _, err := p.CaptureHeapDelta(); err != nil {
 		t.Fatal(err)
 	}
@@ -287,6 +291,7 @@ func TestCaptureHeapDeltaAndGoroutines(t *testing.T) {
 		sink = append(sink, make([]byte, 1024))
 	}
 	runtime.KeepAlive(sink)
+	runtime.GC()
 	delta, err := p.CaptureHeapDelta()
 	if err != nil {
 		t.Fatal(err)

@@ -183,6 +183,11 @@ func (p *Profiler) captureCPU(ctx context.Context, d time.Duration) (cpuWindow, 
 // CaptureHeapDelta snapshots the cumulative allocation profile and returns
 // the per-function alloc_space delta against the previous capture, top-N by
 // flat. The first call returns the cumulative-since-start totals.
+//
+// The runtime publishes allocation samples as of the most recently completed
+// garbage collection, so allocations made since then are missing from this
+// capture and land in a later one. A caller that needs a window's
+// allocations attributed to that window runs runtime.GC before each capture.
 func (p *Profiler) CaptureHeapDelta() ([]FuncStat, error) {
 	cur, err := lookupFold("allocs", "alloc_space")
 	if err != nil {

@@ -264,10 +264,12 @@ func (c *Container) buildTask(partition, inputPartitions int32) (*taskInstance, 
 	stores := map[string]kv.Store{}
 	var changelogs []taskChangelog
 	for _, spec := range c.job.Stores {
-		// Store stack, bottom to top: skiplist base, optional changelog
-		// mirroring, latency instrumentation. The changelog writes through:
-		// every store write reaches the changelog before it returns, which
-		// keeps state ahead of offsets for replay detection.
+		// Store stack, bottom to top: the paged base store (key and value
+		// bytes in pages behind a hash index; key order only once an
+		// operator calls Range), optional changelog mirroring, latency
+		// instrumentation. The changelog writes through: every store write
+		// reaches the changelog before it returns, which keeps state ahead
+		// of offsets for replay detection.
 		s := kv.NewStore()
 		if spec.Changelog {
 			cl, err := kv.NewChangelogStore(s, c.broker, c.job.ChangelogTopic(spec.Name), inputPartitions, partition)
