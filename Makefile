@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet vet-custom race verify ci fuzz-smoke bench-module bench-pair bench bench-figures bench-compare profile trace-overhead monitor-smoke profile-smoke profile-overhead
+.PHONY: build test vet vet-custom race verify ci fuzz-smoke bench-module bench-pair bench bench-figures bench-compare profile trace-overhead monitor-smoke
 
 build:
 	$(GO) build ./...
@@ -13,8 +13,8 @@ vet:
 
 # Project-specific static analysis (see README "Static analysis"): seven
 # per-package rules (hot-path allocations, metrics binding, lock discipline,
-# commit-chain error drops, goroutine supervision, trace guards, profile
-# guards) plus two whole-program rules (lock-order, chan-leak) over the
+# commit-chain error drops, goroutine supervision, trace guards, no
+# internal/profile calls on hot paths) plus two whole-program rules (lock-order, chan-leak) over the
 # CFG/call-graph layer; each is proven on a seeded regression in a copy of
 # the code it guards (internal/analysis/seeded_test.go). Exits non-zero on
 # any unsuppressed finding; prints how many //samzasql:ignore directives
@@ -165,24 +165,3 @@ profile:
 	kill $$pid 2>/dev/null || true; wait $$pid 2>/dev/null || true; \
 	if [ $$rc -eq 0 ]; then echo "wrote cpu.pprof"; ls -l cpu.pprof; else \
 		echo "make profile: pprof capture failed (curl exit $$rc)" >&2; exit $$rc; fi
-
-# Directory where profile-smoke saves the raw /profile JSON answers (CI
-# uploads it as a build artifact).
-PROFILE_ARTIFACTS ?= profile-artifacts
-
-# End-to-end smoke of continuous profiling: a two-container profiled job
-# drains a CPU-bound backlog while the monitor tails __profiles; asserts
-# over HTTP that /profile serves a cluster-merged, non-empty hot-function
-# top-N with contributions from both containers, then saves the raw per-kind
-# /profile JSON under PROFILE_ARTIFACTS. Exits non-zero on any missed
-# assertion.
-profile-smoke:
-	$(GO) run ./cmd/samzasql-bench -figure profile-smoke -messages 20000 -artifacts $(PROFILE_ARTIFACTS)
-
-# Continuous-profiling overhead report: first re-pin the profiler-off
-# message path at 0 allocs/row, then the best-of-5 throughput comparison across
-# profiler modes (off, default 1s/200ms, aggressive always-on) on the filter
-# query. The default mode must stay within ~5% of off (EXPERIMENTS.md).
-profile-overhead:
-	$(GO) test -run 'TestFilterBatchZeroAllocs/with-profiler' -count=1 -v ./internal/executor/
-	$(GO) run ./cmd/samzasql-bench -figure profile-overhead -messages $(BENCH_MESSAGES) -profile-rounds 5

@@ -21,7 +21,7 @@ import (
 
 func main() {
 	var (
-		figure     = flag.String("figure", "all", "figure to regenerate: 5a, 5b, 5c, 6, figures (all four), trace, monitor-smoke, profile-overhead, profile-smoke, hot, loc or all")
+		figure     = flag.String("figure", "all", "figure to regenerate: 5a, 5b, 5c, 6, figures (all four), trace, monitor-smoke, loc or all")
 		messages   = flag.Int("messages", 200_000, "orders messages per run")
 		partitions = flag.Int("partitions", 32, "partitions per topic (paper: 32)")
 		products   = flag.Int("products", 100, "products relation cardinality")
@@ -32,10 +32,6 @@ func main() {
 		mInterval  = flag.Duration("metrics-interval", 0, "enable the per-container metrics snapshot reporter at this period (e.g. 500ms) and print per-operator latency tables")
 		traceRate  = flag.Float64("trace-sample-rate", 0, "sample roughly this fraction of produced messages into end-to-end span trees (0 = tracing off)")
 		traceRnds  = flag.Int("trace-rounds", 5, "rounds per point for -figure trace (best-of comparison)")
-		profIntv   = flag.Duration("profile-interval", 0, "run each job's continuous profiler at this capture period (e.g. 1s; 0 = profiling off)")
-		profWindow = flag.Duration("profile-window", 0, "CPU sampling length within each profile interval (0 = profiler default; equal to the interval = always-on)")
-		profRnds   = flag.Int("profile-rounds", 5, "rounds per point for -figure profile-overhead (best-of comparison)")
-		artifacts  = flag.String("artifacts", "", "directory for raw /profile JSON artifacts from -figure profile-smoke (empty = don't save)")
 		monitorOn  = flag.Bool("monitor", false, "attach the cluster monitor to every run (tails __metrics/__traces, evaluates SLO rules onto __alerts) and print each SamzaSQL run's lag-recovery series")
 		batchSize  = flag.Int("batch-size", 0, "block size of SamzaSQL jobs: messages one poll delivers as a columnar block (0 = framework default 256, 1 = tuple at a time)")
 		jsonPath   = flag.String("json", "", "also write the measured series as machine-readable JSON to this path (e.g. BENCH_results.json)")
@@ -57,11 +53,6 @@ func main() {
 		fatalf("bad -trace-sample-rate value %v (want [0, 1])", *traceRate)
 	}
 	cfg.TraceSampleRate = *traceRate
-	if *profIntv < 0 || *profWindow < 0 {
-		fatalf("bad -profile-interval/-profile-window (want >= 0)")
-	}
-	cfg.ProfileInterval = *profIntv
-	cfg.ProfileWindow = *profWindow
 	cfg.Monitor = *monitorOn
 	if *batchSize < 0 {
 		fatalf("bad -batch-size value %d (want >= 0)", *batchSize)
@@ -124,39 +115,6 @@ func main() {
 		fmt.Println(bench.FormatMonitorSmoke(r))
 	}
 
-	// runProfileOverhead measures continuous-profiling cost off/default/
-	// aggressive on the filter benchmark, behind "-figure profile-overhead".
-	runProfileOverhead := func() {
-		rows, err := bench.RunProfileOverhead(cfg.Messages, *profRnds)
-		if err != nil {
-			fatalf("profile overhead: %v", err)
-		}
-		fmt.Println(bench.FormatProfileOverhead(rows))
-	}
-
-	// runProfileSmoke drives a two-container profiled job and asserts the
-	// cluster-merged /profile surface over HTTP, behind "-figure
-	// profile-smoke" and `make profile-smoke`.
-	runProfileSmoke := func() {
-		r, err := bench.RunProfileSmoke(cfg.Messages, *artifacts)
-		if err != nil {
-			fatalf("profile smoke: %v", err)
-		}
-		fmt.Println(bench.FormatProfileSmoke(r))
-	}
-
-	// runHot collects the CPU hot-function baseline from a profiled filter
-	// run, behind "-figure hot"; it lands in -json for bench-compare
-	// attribution.
-	runHot := func() {
-		funcs, samples, err := bench.CollectHotFunctions(cfg.Messages)
-		if err != nil {
-			fatalf("hot functions: %v", err)
-		}
-		fmt.Println(bench.FormatHotFunctions(funcs, samples))
-		report.HotFunctions, report.HotFunctionSamples = funcs, samples
-	}
-
 	switch *figure {
 	case "all":
 		for _, spec := range bench.Figures {
@@ -171,24 +129,18 @@ func main() {
 		runTraceOverhead()
 	case "monitor-smoke":
 		runMonitorSmoke()
-	case "profile-overhead":
-		runProfileOverhead()
-	case "profile-smoke":
-		runProfileSmoke()
-	case "hot":
-		runHot()
 	case "loc":
 		printLOC()
 	default:
 		spec, ok := bench.FigureByID(*figure)
 		if !ok {
-			fatalf("unknown figure %q (want 5a, 5b, 5c, 6, figures, trace, monitor-smoke, profile-overhead, profile-smoke, hot, loc or all)", *figure)
+			fatalf("unknown figure %q (want 5a, 5b, 5c, 6, figures, trace, monitor-smoke, loc or all)", *figure)
 		}
 		runOne(spec)
 	}
 	if *jsonPath != "" {
-		// Merge-on-write: whatever this run did not measure — other figures,
-		// hot functions — keeps the baseline file's section instead of being
+		// Merge-on-write: whatever this run did not measure — other
+		// figures — keeps the baseline file's section instead of being
 		// erased, so `-figure 6 -json` re-measures one figure in place.
 		if prev, err := bench.ReadReport(*jsonPath); err == nil {
 			report.MergeFrom(prev)
@@ -206,20 +158,6 @@ func main() {
 		table, regressed := bench.FormatComparison(bench.CompareReports(baseline, report, 0.10))
 		fmt.Printf("ratio comparison vs %s (>10%% drops flagged):\n%s", *compare, table)
 		if regressed {
-			// Attribution: re-run the filter benchmark under the profiler and
-			// diff hot-function CPU shares against the committed baseline, so
-			// the regression report names the function whose share grew.
-			if len(baseline.HotFunctions) > 0 {
-				fresh, _, err := bench.CollectHotFunctions(cfg.Messages)
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "samzasql-bench: regression attribution failed: %v\n", err)
-				} else {
-					fmt.Printf("regression attribution (profiled filter run vs baseline hot functions, top risers):\n%s",
-						bench.FormatHotShifts(bench.CompareHotFunctions(baseline.HotFunctions, fresh), 8))
-				}
-			} else {
-				fmt.Println("no hot-function baseline in the compare report; run `-figure hot -json` to record one for attribution")
-			}
 			os.Exit(3)
 		}
 	}

@@ -38,10 +38,8 @@ func main() {
 		partitions = flag.Int("partitions", 4, "partitions for demo topics")
 		traceRate  = flag.Float64("trace-sample-rate", 0, "sample roughly this fraction of produced messages into end-to-end span trees (0 = tracing off; see \\trace and EXPLAIN ANALYZE)")
 		batchSize  = flag.Int("batch-size", 0, "block size of submitted jobs: messages one poll delivers as a columnar block (0 = framework default 256, 1 = tuple at a time)")
-		monitorOn  = flag.Bool("monitor", false, "attach the cluster monitor: tail __metrics/__traces/__profiles into the time-series and hot-function stores, evaluate SLO rules onto __alerts, and enable \\top, \\alerts and \\profile")
+		monitorOn  = flag.Bool("monitor", false, "attach the cluster monitor: tail __metrics/__traces into the time-series store, evaluate SLO rules onto __alerts, and enable \\top and \\alerts")
 		mInterval  = flag.Duration("metrics-interval", 0, "per-container metrics snapshot period for submitted jobs (default 100ms when -monitor is on, else off)")
-		profIntv   = flag.Duration("profile-interval", 0, "continuous-profiling capture period for submitted jobs (e.g. 1s; default 1s when -monitor is on, 0 = off)")
-		profWindow = flag.Duration("profile-window", 0, "CPU sampling length within each profile interval (0 = profiler default 200ms)")
 	)
 	flag.Parse()
 
@@ -69,21 +67,11 @@ func main() {
 		fatalf("bad -metrics-interval value %v", *mInterval)
 	}
 	engine.MetricsInterval = *mInterval
-	if *profIntv < 0 || *profWindow < 0 {
-		fatalf("bad -profile-interval/-profile-window (want >= 0)")
-	}
-	engine.ProfileInterval = *profIntv
-	engine.ProfileWindow = *profWindow
 	var mon *monitor.Monitor
 	if *monitorOn {
 		if engine.MetricsInterval == 0 {
 			// The monitor only sees what jobs publish on __metrics.
 			engine.MetricsInterval = 100 * time.Millisecond
-		}
-		if engine.ProfileInterval == 0 {
-			// Continuous profiling rides along so \profile answers without
-			// extra flags; the default duty cycle costs a few percent at most.
-			engine.ProfileInterval = time.Second
 		}
 		runner := engine.Runner
 		var err error
@@ -101,7 +89,7 @@ func main() {
 			fatalf("starting monitor: %v", err)
 		}
 		defer mon.Stop()
-		fmt.Println("cluster monitor attached (\\top for the live overview, \\alerts for SLO state, \\profile for hot functions)")
+		fmt.Println("cluster monitor attached (\\top for the live overview, \\alerts for SLO state)")
 	}
 
 	if *modelPath != "" {
@@ -198,12 +186,6 @@ func command(engine *executor.Engine, mon *monitor.Monitor, cmd string) bool {
 			break
 		}
 		printAlerts(mon)
-	case `\profile`, "!profile":
-		if mon == nil {
-			fmt.Println("\\profile needs the cluster monitor (restart with -monitor)")
-			break
-		}
-		mon.WriteProfile(os.Stdout, 10, time.Minute, time.Now())
 	case "!help":
 		fmt.Println(`  <statement>;              run a SQL statement (SELECT [STREAM], CREATE VIEW, INSERT INTO)
   EXPLAIN <query>;          print the optimized plan
@@ -213,7 +195,6 @@ func command(engine *executor.Engine, mon *monitor.Monitor, cmd string) bool {
   \trace                    dump recent sampled span trees per job (needs -trace-sample-rate > 0)
   \top                      live job overview: throughput, task latency, lag sparklines, slowest operators (needs -monitor)
   \alerts                   firing SLO alerts and the recent transition log (needs -monitor)
-  \profile                  cluster-merged hot functions: CPU flat/cum per job plus top allocators (needs -monitor)
   !quit                     leave the shell`)
 	default:
 		fmt.Printf("unknown command %s (try !help)\n", cmd)

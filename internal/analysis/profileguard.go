@@ -6,77 +6,31 @@ import (
 	"strings"
 )
 
-// ProfileGuard enforces the continuous profiler's hot-path contract: inside
-// //samzasql:hotpath functions, every call into internal/profile (capture,
-// folding, batch construction) must sit inside an if whose condition checks
-// the enable bit — `if prof.Enabled() { ... }`. The Enabled check itself is
-// the guard and stays legal anywhere; it is nil-safe and branch-only, so an
-// idle profiler costs the hot path exactly one predicted branch. Everything
-// else the package does (StartCPUProfile, pprof lookups, protobuf folds)
-// stops the world or allocates and must never run when profiling is off.
+// ProfileGuard keeps internal/profile off the message path: no
+// //samzasql:hotpath function may call into the package. Its runtime/metrics
+// Collector reads process-wide runtime state (runtime/metrics.Read walks
+// every sample and replays histogram buckets), so it belongs on the metrics
+// reporter's refresh hook, once per publish, never once per batch.
 var ProfileGuard = &Analyzer{
 	Name: "profile-guard",
-	Doc: "calls into internal/profile inside //samzasql:hotpath functions must be guarded by a " +
-		"branch on the enable bit (if x.Enabled()); the profiler-off path stays branch-only",
+	Doc: "//samzasql:hotpath functions must not call into internal/profile; runtime/metrics " +
+		"collection runs on the metrics reporter, once per publish",
 	Run: runProfileGuard,
 }
 
 func runProfileGuard(pass *Pass) {
 	for _, decl := range pass.Pkg.HotPathFuncs() {
-		checkProfileGuard(pass, decl)
-	}
-}
-
-func checkProfileGuard(pass *Pass, decl *ast.FuncDecl) {
-	// Guarded regions: bodies of if statements whose condition mentions an
-	// Enabled identifier. Lexical containment is the check; an early-return
-	// inversion (`if !enabled { return }`) deliberately does not count, so
-	// the guarded work stays visibly bracketed — same contract as
-	// trace-guard's sample bit.
-	var guarded []*ast.BlockStmt
-	ast.Inspect(decl.Body, func(n ast.Node) bool {
-		ifs, ok := n.(*ast.IfStmt)
-		if !ok || !mentionsEnabled(ifs.Cond) {
-			return true
-		}
-		guarded = append(guarded, ifs.Body)
-		return true
-	})
-	inGuard := func(n ast.Node) bool {
-		for _, b := range guarded {
-			if n.Pos() >= b.Pos() && n.End() <= b.End() {
+		ast.Inspect(decl.Body, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
 				return true
 			}
-		}
-		return false
+			if fn := profileCallee(pass, call); fn != nil {
+				pass.Reportf(call.Pos(), "unguarded profile.%s call in //samzasql:hotpath function %s reads process-wide runtime state per batch; refresh from the metrics reporter instead", fn.Name(), decl.Name.Name)
+			}
+			return true
+		})
 	}
-
-	ast.Inspect(decl.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		fn := profileCallee(pass, call)
-		if fn == nil || fn.Name() == "Enabled" || inGuard(call) {
-			return true
-		}
-		pass.Reportf(call.Pos(), "unguarded profile.%s call in //samzasql:hotpath function %s costs the profiler-off path; branch on the enable bit first: if x.Enabled() { ... }", fn.Name(), decl.Name.Name)
-		return true
-	})
-}
-
-// mentionsEnabled reports whether a condition references an identifier or
-// selector named Enabled.
-func mentionsEnabled(cond ast.Expr) bool {
-	found := false
-	ast.Inspect(cond, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && id.Name == "Enabled" {
-			found = true
-			return false
-		}
-		return !found
-	})
-	return found
 }
 
 // profileCallee resolves call's target and returns it when it lives in the

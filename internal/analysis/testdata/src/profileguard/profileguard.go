@@ -1,39 +1,36 @@
 // Package profileguard is a golden fixture for the profile-guard analyzer:
-// profiler calls in //samzasql:hotpath functions must branch on the enable
-// bit first. Every `// want` comment is a regexp matched against the
-// diagnostic on that line; lines without one must stay clean.
+// //samzasql:hotpath functions must not call into internal/profile. Every
+// `// want` comment is a regexp matched against the diagnostic on that line;
+// lines without one must stay clean.
 package profileguard
 
-import "samzasql/internal/profile"
+import (
+	"samzasql/internal/metrics"
+	"samzasql/internal/profile"
+)
 
 //samzasql:hotpath
-func bad(prof *profile.Profiler, busy bool) {
-	_, _ = prof.CaptureHeapDelta()  // want `unguarded profile\.CaptureHeapDelta call in //samzasql:hotpath function bad`
-	_, _ = prof.CaptureGoroutines() // want `unguarded profile\.CaptureGoroutines call in //samzasql:hotpath function bad`
-	if busy {                       // a non-Enabled condition does not guard
-		profile.SortStats(nil) // want `unguarded profile\.SortStats call in //samzasql:hotpath function bad`
+func bad(c *profile.Collector, reg *metrics.Registry, busy bool) {
+	c.Refresh() // want `unguarded profile\.Refresh call in //samzasql:hotpath function bad`
+	if busy {   // no condition makes the call legal
+		_ = profile.NewCollector(reg) // want `unguarded profile\.NewCollector call in //samzasql:hotpath function bad`
 	}
 }
 
 //samzasql:hotpath
-func good(prof *profile.Profiler) {
-	// The Enabled check itself is the guard and is legal anywhere — it is
-	// nil-safe and branch-only.
-	if prof.Enabled() {
-		_, _ = prof.CaptureHeapDelta()
-		profile.SortStats(nil)
-	}
+func good(heapLive *metrics.Gauge) (string, int64) {
+	// Naming a series the collector writes and reading a pre-bound gauge
+	// are not calls into the package.
+	return profile.RuntimeHeapLive, heapLive.Value()
 }
 
 //samzasql:hotpath
-func suppressed(prof *profile.Profiler) {
+func suppressed(c *profile.Collector) {
 	//samzasql:ignore profile-guard -- cold init path, runs once per task
-	_, _ = prof.CaptureGoroutines() // want-suppressed `unguarded profile\.CaptureGoroutines call`
+	c.Refresh() // want-suppressed `unguarded profile\.Refresh call`
 }
 
-// cold has no annotation: unguarded profiler calls are legal off the hot
-// path — the reporter goroutine lives here.
-func cold(prof *profile.Profiler) {
-	_, _ = prof.CaptureHeapDelta()
-	_, _ = prof.CaptureGoroutines()
+// cold has no annotation: the metrics reporter's refresh hook lives here.
+func cold(c *profile.Collector) {
+	c.Refresh()
 }

@@ -5,10 +5,6 @@ import (
 	"path/filepath"
 	"sort"
 	"testing"
-
-	"samzasql/internal/monitor"
-	"samzasql/internal/profile"
-	"samzasql/internal/samza"
 )
 
 // smallConfig keeps unit-test runs quick; the figure benchmarks in the repo
@@ -219,16 +215,14 @@ func indexOf(s, sub string) int {
 
 // TestReportMergeKeepsOtherFigures pins merge-on-write per figure ID:
 // re-measuring one figure replaces that figure in place and keeps every
-// other figure and the hot functions of the report on disk; `-figure 6 -json F` used to drop 5a-5c from F.
+// other figure of the report on disk; `-figure 6 -json F` used to drop 5a-5c from F.
 func TestReportMergeKeepsOtherFigures(t *testing.T) {
 	fig := func(id string, ratio float64) FigureReport {
 		return FigureReport{ID: id, Rows: []FigureReportRow{{Containers: 1, SQLNativeRatio: ratio}}}
 	}
 	prev := &Report{
 		Messages: 100000, Partitions: 32,
-		Figures:            []FigureReport{fig("5a", 0.8), fig("5b", 0.9), fig("6", 3.5)},
-		HotFunctions:       []HotFunctionReport{{Name: "f", FlatPct: 10}},
-		HotFunctionSamples: 400,
+		Figures: []FigureReport{fig("5a", 0.8), fig("5b", 0.9), fig("6", 3.5)},
 	}
 	path := filepath.Join(t.TempDir(), "report.json")
 	if err := prev.WriteJSON(path); err != nil {
@@ -248,48 +242,14 @@ func TestReportMergeKeepsOtherFigures(t *testing.T) {
 	if want := "[5a=0.8 5b=1.1 6=3.5 5c=1.3]"; fmt.Sprint(got) != want {
 		t.Fatalf("merged figures %v, want %s", got, want)
 	}
-	if run.Messages != 20000 || len(run.HotFunctions) != 1 || run.HotFunctionSamples != 400 {
-		t.Fatalf("merged report lost a section: %+v", run)
+	if run.Messages != 20000 {
+		t.Fatalf("merged report lost its header: %+v", run)
 	}
 
 	// A run without figures keeps the file's figures and header.
-	hot := &Report{Messages: 5, HotFunctions: []HotFunctionReport{{Name: "g", FlatPct: 20}}, HotFunctionSamples: 900}
-	hot.MergeFrom(onDisk)
-	if len(hot.Figures) != 3 || hot.Messages != 100000 || hot.Partitions != 32 ||
-		len(hot.HotFunctions) != 1 || hot.HotFunctions[0].Name != "g" || hot.HotFunctionSamples != 900 {
-		t.Fatalf("hot-functions-only merge: %+v", hot)
-	}
-}
-
-// TestHotSharesNormaliseBySampledCPU pins hot-function shares to all
-// sampled CPU: two containers' batches carry top-N lists covering part of
-// their windows, and a function's share is its flat time over the windows'
-// whole sampled time — not over the summed flat time of the top-N entries,
-// which inflated every share. A list resting on fewer than MinHotSamples
-// samples is refused.
-func TestHotSharesNormaliseBySampledCPU(t *testing.T) {
-	h := monitor.NewHotStore(8)
-	batch := func(container int, cpu []profile.FuncStat, nanos, samples int64) *samza.ProfileBatchMessage {
-		return &samza.ProfileBatchMessage{Header: samza.Header{Job: "j", Container: container, TimeMillis: 100}, WindowMillis: 100,
-			CPU: cpu, CPUTotal: nanos, CPUSamples: samples}
-	}
-	h.Ingest(batch(0, []profile.FuncStat{{Name: "a", Flat: 300, Cum: 600}, {Name: "b", Flat: 100, Cum: 100}}, 1000, 150))
-	h.Ingest(batch(1, []profile.FuncStat{{Name: "a", Flat: 100, Cum: 100}}, 1000, 150))
-	// A CPU-less final flush carries no sampled time.
-	h.Ingest(&samza.ProfileBatchMessage{Header: samza.Header{Job: "j", Container: 1, TimeMillis: 200, Final: true}})
-	funcs, _ := h.TopN("j", monitor.HotKindCPU, 10, 0)
-	nanos, samples := h.CPUTotals("j", 0)
-	if nanos != 2000 || samples != 300 {
-		t.Fatalf("CPUTotals = %d ns over %d samples, want 2000 over 300", nanos, samples)
-	}
-	shares, err := hotShares(funcs, nanos, samples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := fmt.Sprintf("%+v", shares); got != "[{Name:a FlatPct:20 CumPct:35} {Name:b FlatPct:5 CumPct:5}]" {
-		t.Fatalf("shares %s, want a 20%%/35%%, b 5%%/5%% of all sampled CPU", got)
-	}
-	if _, err := hotShares(funcs, nanos, MinHotSamples-1); err == nil {
-		t.Fatalf("a list from %d samples was accepted", MinHotSamples-1)
+	none := &Report{Messages: 5}
+	none.MergeFrom(onDisk)
+	if len(none.Figures) != 3 || none.Messages != 100000 || none.Partitions != 32 {
+		t.Fatalf("figure-less merge: %+v", none)
 	}
 }

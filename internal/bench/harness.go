@@ -51,15 +51,6 @@ type Config struct {
 	// TraceInterval overrides the per-container trace reporter period
 	// (0 = samza.DefaultTraceInterval whenever sampling is on).
 	TraceInterval time.Duration
-	// ProfileInterval, when positive, runs each benchmark job's per-container
-	// continuous profiler (samza.JobSpec.ProfileInterval): windowed CPU
-	// captures plus heap/goroutine snapshots published on the run's private
-	// __profiles stream. 0 keeps profiling off.
-	ProfileInterval time.Duration
-	// ProfileWindow is the CPU sampling length within each profile interval
-	// (0 = profile.DefaultWindow; equal to ProfileInterval = 100% duty, the
-	// aggressive mode of the overhead sweep).
-	ProfileWindow time.Duration
 	// Monitor, when true, attaches a cluster monitor to each run's broker
 	// (tailing __metrics/__traces, evaluating the default SLO rules onto
 	// __alerts) and records the run's lag-recovery series in
@@ -207,8 +198,6 @@ func RunNative(query string, cfg Config) (Result, error) {
 		MetricsInterval: cfg.MetricsInterval,
 		TraceSampleRate: cfg.TraceSampleRate,
 		TraceInterval:   cfg.TraceInterval,
-		ProfileInterval: cfg.ProfileInterval,
-		ProfileWindow:   cfg.ProfileWindow,
 		Config:          map[string]string{},
 	}
 	switch query {
@@ -329,8 +318,6 @@ func RunSQL(query string, cfg Config) (Result, error) {
 	e.engine.MetricsInterval = cfg.MetricsInterval
 	e.engine.TraceSampleRate = cfg.TraceSampleRate
 	e.engine.TraceInterval = cfg.TraceInterval
-	e.engine.ProfileInterval = cfg.ProfileInterval
-	e.engine.ProfileWindow = cfg.ProfileWindow
 	e.engine.BatchSize = cfg.BatchSize
 
 	ctx, cancel := context.WithCancel(context.Background())

@@ -9,28 +9,12 @@ import (
 )
 
 // Report is the machine-readable benchmark output (BENCH_results.json):
-// per-figure throughput series with operator latency percentiles, plus the
-// CPU hot-function baseline.
+// per-figure throughput series with operator latency percentiles.
 type Report struct {
 	// Messages/Partitions echo the run configuration.
 	Messages   int            `json:"messages"`
 	Partitions int32          `json:"partitions"`
 	Figures    []FigureReport `json:"figures,omitempty"`
-	// HotFunctions is the cluster-merged CPU hot-function baseline from a
-	// profiled filter run, as flat shares of sampled CPU. bench-compare
-	// diffs a fresh profiled run against it to attribute ratio regressions
-	// to the function whose share grew.
-	HotFunctions []HotFunctionReport `json:"hot_functions,omitempty"`
-	// HotFunctionSamples is how many CPU samples HotFunctions rests on.
-	HotFunctionSamples int64 `json:"hot_function_samples,omitempty"`
-}
-
-// HotFunctionReport is one function's share of sampled CPU in a profiled
-// benchmark run.
-type HotFunctionReport struct {
-	Name    string  `json:"name"`
-	FlatPct float64 `json:"flat_pct"`
-	CumPct  float64 `json:"cum_pct"`
 }
 
 // FigureReport is one figure's measured series.
@@ -102,8 +86,8 @@ func operatorLatencies(r FigureRow) []OperatorLatency {
 }
 
 // MergeFrom fills what this run did not measure from prev, the report
-// already on disk, so that writing a partial run — one figure, only the hot
-// functions — replaces its own sections and keeps every other one. Figures
+// already on disk, so that writing a partial run — one figure — replaces
+// its own sections and keeps every other one. Figures
 // merge per ID: prev's order is kept, a re-measured figure takes its old
 // place, new IDs follow. Messages and Partitions echo
 // this run's configuration only when it measured a figure.
@@ -129,9 +113,6 @@ func (r *Report) MergeFrom(prev *Report) {
 		}
 	}
 	r.Figures = merged
-	if r.HotFunctions == nil {
-		r.HotFunctions, r.HotFunctionSamples = prev.HotFunctions, prev.HotFunctionSamples
-	}
 }
 
 // WriteJSON writes the report, indented, to path.

@@ -8,7 +8,6 @@ import (
 	"samzasql/internal/kafka"
 	"samzasql/internal/metrics"
 	"samzasql/internal/monitor"
-	"samzasql/internal/profile"
 	"samzasql/internal/samza"
 	"samzasql/internal/sql/catalog"
 	"samzasql/internal/trace"
@@ -90,7 +89,7 @@ func setupFilterTask(tb testing.TB, act *trace.Active, n int) (*Task, *nullColle
 // (the unsampled path is one branch per call site); a live cluster monitor,
 // tailers parked on the telemetry topics (its eval interval is pushed out of
 // the measurement window, because AllocsPerRun counts process-global
-// mallocs); a constructed-but-idle continuous profiler.
+// mallocs).
 func TestFilterBatchZeroAllocs(t *testing.T) {
 	configs := []struct {
 		name  string
@@ -104,16 +103,6 @@ func TestFilterBatchZeroAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 			t.Cleanup(mon.Stop)
-			return nil
-		}},
-		{"with-profiler", func(t *testing.T) *trace.Active {
-			prof := profile.New(profile.Config{}, false)
-			if prof.Enabled() {
-				t.Fatal("profiler should be idle")
-			}
-			if _, err := prof.Capture(t.Context()); err == nil {
-				t.Fatal("idle profiler must refuse captures")
-			}
 			return nil
 		}},
 	}

@@ -56,14 +56,6 @@ type Engine struct {
 	// TraceInterval overrides the per-container trace reporter period; 0
 	// uses samza.DefaultTraceInterval whenever sampling is enabled.
 	TraceInterval time.Duration
-	// ProfileInterval, when positive, enables the per-container continuous
-	// profiler on submitted jobs (samza.JobSpec.ProfileInterval): windowed
-	// CPU captures plus heap/goroutine snapshots published on "__profiles",
-	// cluster-merged by the monitor's /profile. 0 keeps profiling fully off.
-	ProfileInterval time.Duration
-	// ProfileWindow is the CPU sampling length within each profile interval
-	// (samza.JobSpec.ProfileWindow); 0 uses profile.DefaultWindow.
-	ProfileWindow time.Duration
 	// BatchSize sets the block size of submitted jobs
 	// (samza.JobSpec.BatchSize): how many messages one poll drains into a
 	// columnar block. 0 uses samza.DefaultBatchSize; 1 runs the operators
@@ -216,27 +208,13 @@ func (e *Engine) Submit(ctx context.Context, p *Prepared) (*Job, error) {
 	for i, in := range p.Program.Inputs {
 		inputs[i] = samza.StreamSpec{Topic: in.Topic, Bootstrap: in.Bootstrap}
 	}
-	job := &samza.JobSpec{
-		Name:            p.JobName,
-		Inputs:          inputs,
-		Containers:      e.Containers,
-		TaskParallelism: e.TaskParallelism,
-		Stores:          p.Program.Stores,
-		CommitEvery:     1000,
-		MaxRestarts:     2,
-		MetricsInterval: e.MetricsInterval,
-		TraceSampleRate: e.TraceSampleRate,
-		TraceInterval:   e.TraceInterval,
-		ProfileInterval: e.ProfileInterval,
-		ProfileWindow:   e.ProfileWindow,
-		BatchSize:       e.BatchSize,
-		Config: map[string]string{
-			"samzasql.zk.query.path": zkQueryPath(p.JobName),
-			"samzasql.output.topic":  p.OutputTopic,
-		},
-		TaskFactory: func() samza.StreamTask {
-			return NewTask(e.Catalog, e.ZK, e.Optimize)
-		},
+	job := e.jobSpec(p.JobName, inputs, func() samza.StreamTask {
+		return NewTask(e.Catalog, e.ZK, e.Optimize)
+	})
+	job.Stores = p.Program.Stores
+	job.Config = map[string]string{
+		"samzasql.zk.query.path": zkQueryPath(p.JobName),
+		"samzasql.output.topic":  p.OutputTopic,
 	}
 	// Tracing is a broker-level concern (contexts attach at produce time);
 	// installing the sampler here keeps one knob for the whole pipeline,
@@ -252,6 +230,25 @@ func (e *Engine) Submit(ctx context.Context, p *Prepared) (*Job, error) {
 		return nil, err
 	}
 	return &Job{Main: main, Repartitions: reparts}, nil
+}
+
+// jobSpec is the one source of the Engine-derived JobSpec fields —
+// placement, block size, commit cadence and telemetry — shared by query
+// jobs and their repartition stages so the two cannot drift apart.
+func (e *Engine) jobSpec(name string, inputs []samza.StreamSpec, factory func() samza.StreamTask) *samza.JobSpec {
+	return &samza.JobSpec{
+		Name:            name,
+		Inputs:          inputs,
+		Containers:      e.Containers,
+		TaskParallelism: e.TaskParallelism,
+		BatchSize:       e.BatchSize,
+		CommitEvery:     1000,
+		MaxRestarts:     2,
+		MetricsInterval: e.MetricsInterval,
+		TraceSampleRate: e.TraceSampleRate,
+		TraceInterval:   e.TraceInterval,
+		TaskFactory:     factory,
+	}
 }
 
 // ExecuteStream prepares and submits a streaming query in one call.

@@ -214,19 +214,9 @@ func (r *repartitionJobs) ensure(ctx context.Context, e *Engine, spec *physical.
 	if err := e.Broker.EnsureTopic(spec.TargetTopic, kafka.TopicConfig{Partitions: srcParts}); err != nil {
 		return nil, err
 	}
-	job := &samza.JobSpec{
-		Name:            "repartition-" + spec.TargetTopic,
-		Inputs:          []samza.StreamSpec{{Topic: spec.SourceTopic}},
-		Containers:      e.Containers,
-		TaskParallelism: e.TaskParallelism,
-		BatchSize:       e.BatchSize,
-		CommitEvery:     1000,
-		MaxRestarts:     2,
-		Config:          map[string]string{},
-		TaskFactory: func() samza.StreamTask {
-			return &RepartitionTask{Spec: spec, Partitions: srcParts}
-		},
-	}
+	job := e.jobSpec("repartition-"+spec.TargetTopic, []samza.StreamSpec{{Topic: spec.SourceTopic}}, func() samza.StreamTask {
+		return &RepartitionTask{Spec: spec, Partitions: srcParts}
+	})
 	rj, err := e.Runner.Submit(ctx, job)
 	if err != nil {
 		return nil, err

@@ -383,3 +383,57 @@ func TestRepartitionedJoinBounded(t *testing.T) {
 		t.Fatalf("second run: %d rows, want 200", len(rows2))
 	}
 }
+
+// TestRepartitionStagePublishesTelemetry: a repartition stage takes the
+// Engine's telemetry settings like the query job it feeds, so a monitored
+// repartitioned join publishes the stage's metrics snapshots on __metrics
+// and the monitor can see it.
+func TestRepartitionStagePublishesTelemetry(t *testing.T) {
+	const clicks = 200
+	e := clicksEngine(t, 2)
+	e.MetricsInterval = 20 * time.Millisecond
+	e.TraceSampleRate = 0.01
+	e.TraceInterval = 30 * time.Millisecond
+	tail, err := samza.NewTailer[samza.MetricsSnapshotMessage](e.Broker, samza.DefaultMetricsTopic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tail.Close()
+	produceClicks(t, e, clicks)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	p, job, err := e.ExecuteStream(ctx, clicksJoin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer job.Stop()
+	if len(job.Repartitions) != 1 {
+		t.Fatalf("%d repartition jobs started", len(job.Repartitions))
+	}
+	stage := job.Repartitions[0].Spec
+	if stage.MetricsInterval != e.MetricsInterval || stage.TraceSampleRate != e.TraceSampleRate || stage.TraceInterval != e.TraceInterval {
+		t.Fatalf("repartition stage telemetry %v/%v/%v, engine %v/%v/%v", stage.MetricsInterval, stage.TraceSampleRate,
+			stage.TraceInterval, e.MetricsInterval, e.TraceSampleRate, e.TraceInterval)
+	}
+	waitForCount(t, 15*time.Second, func() int {
+		return len(drainNew(t, e.Broker, p.OutputTopic))
+	}, clicks, "repartitioned join output")
+
+	pollCtx, pollCancel := context.WithTimeout(ctx, 10*time.Second)
+	defer pollCancel()
+	for {
+		batch, err := tail.Poll(pollCtx, 256)
+		if pollCtx.Err() != nil {
+			t.Fatalf("no metrics snapshot from job %q on %s", stage.Name, samza.DefaultMetricsTopic)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range batch {
+			if m.Job == stage.Name {
+				return
+			}
+		}
+	}
+}

@@ -1,8 +1,7 @@
 // Package monitor is the cluster-wide observability aggregator: it tails
-// the __metrics, __traces and __profiles control streams (plus the
-// lifecycle event log that rides on __traces) into bounded in-memory
-// stores, answers
-// windowed queries over it (raw ranges, rates, and p50/p95/p99 roll-ups
+// the __metrics and __traces control streams (plus the lifecycle event log
+// that rides on __traces) into bounded in-memory stores, answers windowed
+// queries over it (raw ranges, rates, and p50/p95/p99 roll-ups
 // merged exactly across containers from the log-bucketed histogram
 // buckets), and evaluates SLO rules — sustained consumer lag, throughput
 // drop versus the trailing window, p99 over threshold, task-liveness flaps
@@ -17,7 +16,7 @@
 //
 // Concurrency layout: one poller goroutine per stream blocks on its
 // samza.Tailer and forwards decoded batches over a channel (one poller
-// body, follow, serves all three); ONE run-loop goroutine is the
+// body, follow, serves both); ONE run-loop goroutine is the
 // single writer to all monitor state (the series store, the per-job trace
 // aggregates, the alert state machine). HTTP handlers and the shell read
 // through RLock-guarded accessors. All goroutines are WaitGroup-joined,

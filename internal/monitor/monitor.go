@@ -48,9 +48,6 @@ type Config struct {
 	// RecentTraces is the per-job trace-store size; 0 means
 	// DefaultRecentTraces.
 	RecentTraces int
-	// HotCapacity is the per-container profile-batch ring size; 0 means
-	// DefaultHotCapacity.
-	HotCapacity int
 }
 
 // Monitor tails the telemetry streams into the store and evaluates the
@@ -58,7 +55,6 @@ type Config struct {
 type Monitor struct {
 	cfg   Config
 	store *Store
-	hot   *HotStore
 	am    *alertManager
 	// tailers are the control-stream tailers, one per poller.
 	tailers []tailer
@@ -68,7 +64,6 @@ type Monitor struct {
 	snapshotsIn     *metrics.Counter
 	spansIn         *metrics.Counter
 	eventsIn        *metrics.Counter
-	profilesIn      *metrics.Counter
 	alertsPublished *metrics.Counter
 	decodeErrors    *metrics.Counter
 	publishErrors   *metrics.Counter
@@ -85,9 +80,8 @@ type Monitor struct {
 	prevHealth map[flapKey]string
 	flapLog    []flapEvent
 
-	metricsCh  chan []*samza.MetricsSnapshotMessage
-	tracesCh   chan []*samza.TraceBatchMessage
-	profilesCh chan []*samza.ProfileBatchMessage
+	metricsCh chan []*samza.MetricsSnapshotMessage
+	tracesCh  chan []*samza.TraceBatchMessage
 
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
@@ -132,9 +126,6 @@ func Start(cfg Config) (*Monitor, error) {
 	if cfg.RecentTraces <= 0 {
 		cfg.RecentTraces = DefaultRecentTraces
 	}
-	if cfg.HotCapacity <= 0 {
-		cfg.HotCapacity = DefaultHotCapacity
-	}
 	if err := cfg.Broker.EnsureTopic(DefaultAlertsTopic, kafka.TopicConfig{Partitions: 1}); err != nil {
 		return nil, fmt.Errorf("monitor: ensure topic %s: %w", DefaultAlertsTopic, err)
 	}
@@ -142,13 +133,11 @@ func Start(cfg Config) (*Monitor, error) {
 	m := &Monitor{
 		cfg:             cfg,
 		store:           NewStore(cfg.Capacity),
-		hot:             NewHotStore(cfg.HotCapacity),
 		am:              newAlertManager(),
 		reg:             reg,
 		snapshotsIn:     reg.Counter("monitor.snapshots-ingested"),
 		spansIn:         reg.Counter("monitor.spans-ingested"),
 		eventsIn:        reg.Counter("monitor.events-ingested"),
-		profilesIn:      reg.Counter("monitor.profiles-ingested"),
 		alertsPublished: reg.Counter("monitor.alerts-published"),
 		decodeErrors:    reg.Counter("monitor.decode-errors"),
 		publishErrors:   reg.Counter("monitor.publish-errors"),
@@ -156,7 +145,6 @@ func Start(cfg Config) (*Monitor, error) {
 		prevHealth:      map[flapKey]string{},
 		metricsCh:       make(chan []*samza.MetricsSnapshotMessage, 16),
 		tracesCh:        make(chan []*samza.TraceBatchMessage, 16),
-		profilesCh:      make(chan []*samza.ProfileBatchMessage, 16),
 	}
 	pollMetrics, err := follow(m, samza.DefaultMetricsTopic, m.metricsCh)
 	if err != nil {
@@ -167,15 +155,10 @@ func Start(cfg Config) (*Monitor, error) {
 		m.closeTailers()
 		return nil, err
 	}
-	pollProfiles, err := follow(m, samza.DefaultProfilesTopic, m.profilesCh)
-	if err != nil {
-		m.closeTailers()
-		return nil, err
-	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	m.cancel = cancel
-	for _, run := range []func(context.Context){pollMetrics, pollTraces, pollProfiles, m.run} {
+	for _, run := range []func(context.Context){pollMetrics, pollTraces, m.run} {
 		m.wg.Add(1)
 		go func() {
 			defer m.wg.Done()
@@ -286,8 +269,6 @@ func (m *Monitor) run(ctx context.Context) {
 			m.ingestMetrics(batch)
 		case batch := <-m.tracesCh:
 			m.ingestTraces(batch)
-		case batch := <-m.profilesCh:
-			m.ingestProfiles(batch)
 		case <-tick.C:
 			m.evaluate(time.Now())
 		}
@@ -299,14 +280,6 @@ func (m *Monitor) ingestMetrics(batch []*samza.MetricsSnapshotMessage) {
 	for _, msg := range batch {
 		m.store.IngestSnapshot(msg.Job, msg.Container, msg.TimeMillis, msg.Metrics, msg.Final)
 		m.snapshotsIn.Inc()
-	}
-}
-
-// ingestProfiles files profile batches into the hot-function store.
-func (m *Monitor) ingestProfiles(batch []*samza.ProfileBatchMessage) {
-	for _, msg := range batch {
-		m.hot.Ingest(msg)
-		m.profilesIn.Inc()
 	}
 }
 

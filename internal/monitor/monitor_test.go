@@ -481,3 +481,60 @@ func TestTaskFlapRule(t *testing.T) {
 		return false
 	}, "task-flap alert firing")
 }
+
+// TestStoreRingAtExactCapacity pins the eviction boundary the capacity ring
+// must not get wrong: exactly capacity samples fit without eviction, the
+// (capacity+1)-th evicts exactly the oldest.
+func TestStoreRingAtExactCapacity(t *testing.T) {
+	st := NewStore(4)
+	k := SeriesKey{Job: "j", Container: 0, Name: "g"}
+	for i := 0; i < 4; i++ {
+		st.Observe(k, KindGauge, int64(i), int64(i))
+	}
+	pts := st.Range("j", -1, "g", 0)[k]
+	if len(pts) != 4 || pts[0].TimeMillis != 0 {
+		t.Fatalf("at capacity: %+v (nothing should be evicted yet)", pts)
+	}
+	st.Observe(k, KindGauge, 4, 4)
+	pts = st.Range("j", -1, "g", 0)[k]
+	if len(pts) != 4 || pts[0].TimeMillis != 1 || pts[3].TimeMillis != 4 {
+		t.Fatalf("one past capacity: %+v (want t=1..4)", pts)
+	}
+}
+
+// TestStoreClosedContainerPruning pins the gauge-surface pruning boundary:
+// a container's final snapshot removes its gauges from sums and series
+// listings, while other containers' series survive.
+func TestStoreClosedContainerPruning(t *testing.T) {
+	st := NewStore(16)
+	ingest := func(container int, v int64, final bool) {
+		st.IngestSnapshot("j", container, 100, metrics.Snapshot{
+			Gauges: map[string]int64{"lag.in.0": v},
+		}, final)
+	}
+	ingest(0, 40, false)
+	ingest(1, 60, false)
+	if got := st.GaugeSum("j", "lag."); got != 100 {
+		t.Fatalf("live sum = %d, want 100", got)
+	}
+	// Container 0 closes out: its gauge must vanish from sums and series.
+	ingest(0, 40, true)
+	if !st.Closed("j", 0) {
+		t.Fatal("container 0 not marked closed after final snapshot")
+	}
+	if st.Closed("j", 1) {
+		t.Fatal("container 1 wrongly marked closed")
+	}
+	if got := st.GaugeSum("j", "lag."); got != 60 {
+		t.Fatalf("sum after close = %d, want 60 (closed container pruned)", got)
+	}
+	series := st.GaugeSeries("j", "lag.", 0)
+	if len(series) != 1 {
+		t.Fatalf("series after close = %v, want container 1 only", series)
+	}
+	for k := range series {
+		if k.Container != 1 {
+			t.Fatalf("closed container %d still listed", k.Container)
+		}
+	}
+}

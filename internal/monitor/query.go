@@ -38,12 +38,11 @@ type QueryResponse struct {
 }
 
 // Register mounts the monitor's endpoints on the runner's introspection
-// server: /query (windowed aggregates), /alerts (active + recent
-// transitions), and /profile (cluster-merged hot functions).
+// server: /query (windowed aggregates) and /alerts (active + recent
+// transitions).
 func (m *Monitor) Register(r *samza.JobRunner) {
 	r.Handle("/query", m.QueryHandler())
 	r.Handle("/alerts", m.AlertsHandler())
-	r.Handle("/profile", m.ProfileHandler())
 }
 
 // QueryHandler answers windowed queries over the store:

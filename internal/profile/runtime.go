@@ -1,3 +1,8 @@
+// Package profile is the runtime/metrics collector: it reads goroutine
+// count, live heap, GC pauses and scheduler latencies into an ordinary typed
+// registry so they ride __metrics and the monitor store like any other
+// series (\top reads these gauges). CPU and heap profiles of the process come
+// from the stdlib /debug/pprof/ handlers on the introspection server.
 package profile
 
 import (
@@ -32,7 +37,7 @@ const (
 // shape at bounded cost.
 const histReplayCap = 1024
 
-// Collector reads the runtime/metrics samples the profiler cares about —
+// Collector reads the runtime/metrics samples the monitor cares about —
 // goroutine count, live heap, GC pauses, scheduler latencies — into an
 // ordinary typed registry, so runtime telemetry rides the existing
 // __metrics stream and monitor store with no new plumbing. Call Refresh

@@ -405,13 +405,6 @@ func (c *Container) Run(ctx context.Context) error {
 				rtc.Refresh()
 			})})
 	}
-	if c.job.ProfileInterval > 0 {
-		prof := profile.New(profile.Config{
-			Interval: c.job.ProfileInterval,
-			Window:   c.job.ProfileWindow,
-		}, true)
-		reporters = append(reporters, reporter{DefaultProfilesTopic, prof.Config().Interval, profileCollector(prof)})
-	}
 	if interval := c.traceInterval(); interval > 0 {
 		reporters = append(reporters, reporter{DefaultTraceTopic, interval, traceCollector(c.SyncTraces)})
 	}

@@ -12,7 +12,7 @@ import (
 )
 
 // Control streams carry the framework's own telemetry — metrics snapshots,
-// trace batches, profile batches and the monitor's alerts — as ordinary
+// trace batches and the monitor's alerts — as ordinary
 // one-partition streams (§2: Samza publishes its metrics as a stream), so
 // monitoring data is replayable from retention and readable by any job. All
 // of them share the mechanism in this file: one codec (EncodeRecord and
@@ -111,9 +111,9 @@ func (p *Publisher) Publish(rec Record, final bool) error {
 // Run publishes what collect returns once at start, once per interval, and
 // once more with final set after ctx ends, so a job that stops between
 // ticks still leaves its closing record. A nil record publishes nothing.
-// collect gets ctx so a collection that blocks (a CPU capture window) ends
-// with it. Publish errors are dropped and the next tick tries again:
-// observability must never take down the pipeline it observes.
+// collect gets ctx so a collection that blocks ends with it. Publish
+// errors are dropped and the next tick tries again: observability must
+// never take down the pipeline it observes.
 func (p *Publisher) Run(ctx context.Context, interval time.Duration, collect func(ctx context.Context, final bool) Record) {
 	t := time.NewTicker(interval)
 	defer t.Stop()

@@ -9,7 +9,6 @@ import (
 
 	"samzasql/internal/kafka"
 	"samzasql/internal/metrics"
-	"samzasql/internal/profile"
 	"samzasql/internal/trace"
 )
 
@@ -44,18 +43,6 @@ func goldenRunnerBatch() *TraceBatchMessage {
 	}
 }
 
-func goldenProfileBatch() *ProfileBatchMessage {
-	return &ProfileBatchMessage{
-		Header:       Header{Job: "orders", Container: 0, TimeMillis: 1700000001000, Seq: 4},
-		WindowMillis: 200,
-		CPU:          []profile.FuncStat{{Name: "samzasql/internal/operators.fold", Flat: 1000, Cum: 2500}},
-		CPUTotal:     3000,
-		CPUSamples:   3,
-		HeapDelta:    []profile.FuncStat{{Name: "encoding/json.Marshal", Flat: 4096, Cum: 8192}},
-		Goroutines:   []profile.FuncStat{{Name: "runtime.gopark", Flat: 12, Cum: 12}},
-	}
-}
-
 // TestControlRecordGoldens pins the encoded bytes of one fixed record of
 // each kind. The expected strings were recorded from the per-stream serdes
 // the shared codec replaced; a change here is a wire-format change that
@@ -72,8 +59,6 @@ func TestControlRecordGoldens(t *testing.T) {
 			`{"job":"orders","container":1,"time-millis":1700000000456,"seq":3,"spans":[{"trace":7,"span":8,"stage":"produce","start-ns":10,"end-ns":10},{"trace":7,"span":9,"parent":8,"stage":"poll","start-ns":11,"end-ns":12,"rows":64}],"events":[{"time-ns":5,"kind":"container-start","detail":"orders container 1"}],"dropped":2}`},
 		{"runner-lifecycle-batch", goldenRunnerBatch(),
 			`{"job":"","container":-1,"time-millis":1700000000789,"seq":1,"events":[{"time-ns":1700000000789000000,"kind":"job-start","detail":"orders"}]}`},
-		{"profile-batch", goldenProfileBatch(),
-			`{"job":"orders","container":0,"time-millis":1700000001000,"seq":4,"window-millis":200,"cpu":[{"name":"samzasql/internal/operators.fold","flat":1000,"cum":2500}],"cpu-total":3000,"cpu-samples":3,"heap-delta":[{"name":"encoding/json.Marshal","flat":4096,"cum":8192}],"goroutines":[{"name":"runtime.gopark","flat":12,"cum":12}]}`},
 	}
 	for _, c := range cases {
 		got, err := EncodeRecord(c.rec)
@@ -138,25 +123,6 @@ func TestControlRecordRoundTrip(t *testing.T) {
 			}
 			if len(out.Events) != 1 || out.Events[0].Kind != "container-start" {
 				t.Fatalf("round trip mangled events: %+v", out.Events)
-			}
-		}},
-		{"profile-batch", func(t *testing.T) {
-			in := &ProfileBatchMessage{
-				Header:       Header{Job: "j", Container: 1, TimeMillis: 99, Seq: 3},
-				WindowMillis: 200,
-				CPU:          []profile.FuncStat{{Name: "samzasql/internal/operators.fold", Flat: 1000, Cum: 2500}},
-				HeapDelta:    []profile.FuncStat{{Name: "encoding/json.Marshal", Flat: 4096, Cum: 8192}},
-				Goroutines:   []profile.FuncStat{{Name: "runtime.gopark", Flat: 12, Cum: 12}},
-			}
-			out := roundTrip(t, in)
-			if out.Header != in.Header || out.WindowMillis != 200 {
-				t.Fatalf("round trip mangled envelope: %+v", out)
-			}
-			if len(out.CPU) != 1 || out.CPU[0].Flat != 1000 || out.CPU[0].Cum != 2500 {
-				t.Fatalf("round trip mangled cpu stats: %+v", out.CPU)
-			}
-			if len(out.HeapDelta) != 1 || len(out.Goroutines) != 1 {
-				t.Fatalf("round trip dropped sections: %+v", out)
 			}
 		}},
 	}

@@ -3,8 +3,10 @@ package samza
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -125,5 +127,81 @@ func TestIntrospectionExtraHandlers(t *testing.T) {
 	}
 	if code, body := httpGet(t, base+"/after"); code != http.StatusOK || body != "registered after serve" {
 		t.Fatalf("/after status %d body %q", code, body)
+	}
+}
+
+// leakyTask retains a buffer per message, every one allocated in
+// retainLeakedPayload: the shape of a UDAF whose state grows without bound.
+type leakyTask struct{ kept [][]byte }
+
+func (l *leakyTask) Init(*TaskContext) error { return nil }
+
+func (l *leakyTask) Process(IncomingMessageEnvelope, MessageCollector, Coordinator) error {
+	l.kept = append(l.kept, l.retainLeakedPayload())
+	return nil
+}
+
+// retainLeakedPayload allocates 512 KiB, the runtime's mean heap sampling
+// interval, so each call is sampled into the heap profile with probability
+// 1-1/e and twenty calls all go unsampled with odds under 1e-8.
+//
+//go:noinline
+func (l *leakyTask) retainLeakedPayload() []byte { return make([]byte, 512<<10) }
+
+// TestHeapProfileNamesLeakingTask is the seeded-fault check for the one
+// profiler: a task that leaks heap is diagnosable from the introspection
+// server alone, because /debug/pprof/heap's in-use stacks name the method
+// that keeps the memory.
+func TestHeapProfileNamesLeakingTask(t *testing.T) {
+	b, runner := testEnv()
+	if err := b.EnsureTopic("in", kafka.TopicConfig{Partitions: 1}); err != nil {
+		t.Fatal(err)
+	}
+	produceN(t, b, "in", 0, 20, "a")
+	addr, shutdown, err := runner.ServeIntrospection("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shutdown(context.Background())
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	rj, err := runner.Submit(ctx, &JobSpec{
+		Name:        "leaky",
+		Inputs:      []StreamSpec{{Topic: "in"}},
+		TaskFactory: func() StreamTask { return &leakyTask{} },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rj.Stop()
+	waitFor(t, 5*time.Second, func() bool {
+		return rj.MetricsSnapshot().Counters["messages-processed"] >= 20
+	}, "messages processed")
+
+	// Allocation profiles are published as of the last completed GC.
+	runtime.GC()
+	code, body := httpGet(t, "http://"+addr+"/debug/pprof/heap?debug=1")
+	if code != http.StatusOK {
+		t.Fatalf("/debug/pprof/heap status %d", code)
+	}
+	// debug=1 lists each sampled stack as a "<in-use objects>: <in-use
+	// bytes> [...] @ <pcs>" line followed by its "#"-prefixed frames; only
+	// a stack with live objects counts.
+	inUse := false
+	var objects int64
+	for _, line := range strings.Split(body, "\n") {
+		if strings.HasPrefix(line, "#") {
+			if objects > 0 && strings.Contains(line, "(*leakyTask).retainLeakedPayload") {
+				inUse = true
+			}
+			continue
+		}
+		if _, err := fmt.Sscanf(line, "%d:", &objects); err != nil {
+			objects = 0
+		}
+	}
+	if !inUse {
+		t.Fatalf("heap profile has no in-use stack through (*leakyTask).retainLeakedPayload:\n%.2000s", body)
 	}
 }

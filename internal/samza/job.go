@@ -76,17 +76,6 @@ type JobSpec struct {
 	// final flush at stop). Defaults to DefaultTraceInterval whenever
 	// TraceSampleRate is set and this is 0.
 	TraceInterval time.Duration
-	// ProfileInterval, when positive, runs a continuous profile reporter per
-	// container: every interval it captures a short windowed CPU profile
-	// plus heap-delta/goroutine snapshots, folds them per function, and
-	// publishes the batch to DefaultProfilesTopic (plus a final CPU-less
-	// flush at stop). 0 disables continuous profiling entirely; the hot
-	// path then pays nothing.
-	ProfileInterval time.Duration
-	// ProfileWindow is the CPU sampling length within each interval; 0
-	// uses profile.DefaultWindow, values above ProfileInterval clamp to it
-	// (100% duty — the aggressive mode of the overhead sweep).
-	ProfileWindow time.Duration
 	// BatchSize caps how many messages one poll delivers to a task: the
 	// block size of a BatchedStreamTask's ProcessBatch calls (1 is per-tuple
 	// execution), the fetch granularity of a plain StreamTask's per-message
@@ -114,8 +103,8 @@ func (j *JobSpec) Validate() error {
 	if j.TraceSampleRate < 0 || j.TraceSampleRate > 1 {
 		return fmt.Errorf("samza: job %q trace sample rate %v outside [0, 1]", j.Name, j.TraceSampleRate)
 	}
-	if j.ProfileInterval < 0 || j.ProfileWindow < 0 {
-		return fmt.Errorf("samza: job %q has negative profile interval/window", j.Name)
+	if j.MetricsInterval < 0 || j.TraceInterval < 0 {
+		return fmt.Errorf("samza: job %q has negative metrics/trace interval", j.Name)
 	}
 	if j.BatchSize < 0 {
 		return fmt.Errorf("samza: job %q has negative batch size %d", j.Name, j.BatchSize)

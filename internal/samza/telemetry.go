@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"samzasql/internal/metrics"
-	"samzasql/internal/profile"
 	"samzasql/internal/trace"
 )
 
@@ -18,8 +17,6 @@ const (
 	// DefaultTraceTopic carries TraceBatchMessage records: containers' span
 	// drains and the runner's lifecycle events.
 	DefaultTraceTopic = "__traces"
-	// DefaultProfilesTopic carries ProfileBatchMessage records.
-	DefaultProfilesTopic = "__profiles"
 )
 
 // DefaultTraceInterval is the trace reporter period used when a job enables
@@ -70,58 +67,5 @@ func traceCollector(drain func() ([]trace.Span, []trace.Event, int64)) func(cont
 			return nil
 		}
 		return &TraceBatchMessage{Spans: spans, Events: events, Dropped: dropped}
-	}
-}
-
-// ProfileBatchMessage is one published capture window: per-function CPU
-// flat/cum nanoseconds over the window, heap-allocation deltas, and
-// goroutine counts. Each capture observes the whole process (CPU profiling
-// is process-global), so in this in-process simulation per-container
-// batches are views of the shared process taken on that container's
-// schedule.
-type ProfileBatchMessage struct {
-	Header
-	// WindowMillis is the CPU sampling length this batch covers.
-	WindowMillis int64 `json:"window-millis"`
-	// CPU is the top-N per-function CPU time over the window.
-	CPU []profile.FuncStat `json:"cpu,omitempty"`
-	// CPUTotal and CPUSamples are the window's whole sampled CPU (every
-	// function, not only the top N), in nanoseconds and in samples.
-	CPUTotal   int64 `json:"cpu-total,omitempty"`
-	CPUSamples int64 `json:"cpu-samples,omitempty"`
-	// HeapDelta is the top-N per-function bytes allocated since the
-	// previous batch.
-	HeapDelta []profile.FuncStat `json:"heap-delta,omitempty"`
-	// Goroutines is the top-N per-function live goroutine counts (a level,
-	// not a delta).
-	Goroutines []profile.FuncStat `json:"goroutines,omitempty"`
-}
-
-// profileCollector is the profiles stream's collect: capture one CPU window
-// plus heap-delta and goroutine snapshots. The final flush captures no CPU
-// window — heap and goroutine snapshots only — so a stop never waits one
-// out. A failed capture publishes nothing.
-func profileCollector(prof *profile.Profiler) func(context.Context, bool) Record {
-	return func(ctx context.Context, final bool) Record {
-		if final {
-			heap, err := prof.CaptureHeapDelta()
-			if err != nil {
-				return nil
-			}
-			gor, _ := prof.CaptureGoroutines()
-			return &ProfileBatchMessage{HeapDelta: heap, Goroutines: gor}
-		}
-		b, err := prof.Capture(ctx)
-		if err != nil {
-			return nil
-		}
-		return &ProfileBatchMessage{
-			WindowMillis: b.WindowMillis,
-			CPU:          b.CPU,
-			CPUTotal:     b.CPUTotal,
-			CPUSamples:   b.CPUSamples,
-			HeapDelta:    b.HeapDelta,
-			Goroutines:   b.Goroutines,
-		}
 	}
 }
