@@ -44,11 +44,12 @@ bench-module:
 # Paired runs of the repository benchmark, REF against the working tree, in
 # the driver's own form and in alternating order; prints per gated metric
 # both medians and quartiles, the win count, and whether the gain rule holds
-# (scripts/bench-pair.sh). ~90 s per pair.
+# (scripts/bench-pair.sh). ~90 s per pair. WORKLOAD=all runs every workload
+# of BENCHMARK.json in turn, PAIRS pairs each.
 PAIRS ?= 10
 SEED ?= 1
 bench-pair:
-	@test -n "$(REF)" -a -n "$(WORKLOAD)" || { echo "usage: make bench-pair REF=<commit> WORKLOAD=<name> [PAIRS=10] [SEED=1]" >&2; exit 2; }
+	@test -n "$(REF)" -a -n "$(WORKLOAD)" || { echo "usage: make bench-pair REF=<commit> WORKLOAD=<name|all> [PAIRS=10] [SEED=1]" >&2; exit 2; }
 	bash scripts/bench-pair.sh $(REF) $(WORKLOAD) $(PAIRS) $(SEED)
 
 # Seconds of coverage-guided input each fuzz target gets under fuzz-smoke.

@@ -17,6 +17,7 @@ import (
 	"strings"
 
 	"samzasql/internal/bench"
+	"samzasql/internal/samza"
 )
 
 func main() {
@@ -33,7 +34,7 @@ func main() {
 		traceRate  = flag.Float64("trace-sample-rate", 0, "sample roughly this fraction of produced messages into end-to-end span trees (0 = tracing off)")
 		traceRnds  = flag.Int("trace-rounds", 5, "rounds per point for -figure trace (best-of comparison)")
 		monitorOn  = flag.Bool("monitor", false, "attach the cluster monitor to every run (tails __metrics/__traces, evaluates SLO rules onto __alerts) and print each SamzaSQL run's lag-recovery series")
-		batchSize  = flag.Int("batch-size", 0, "block size of SamzaSQL jobs: messages one poll delivers as a columnar block (0 = framework default 256, 1 = tuple at a time)")
+		batchSize  = flag.Int("batch-size", 0, fmt.Sprintf("block size of SamzaSQL jobs: messages one poll delivers as a columnar block (0 = framework default %d, 1 = tuple at a time)", samza.DefaultBatchSize))
 		jsonPath   = flag.String("json", "", "also write the measured series as machine-readable JSON to this path (e.g. BENCH_results.json)")
 		compare    = flag.String("compare", "", "diff measured sql_native_ratio per figure against this baseline JSON report (e.g. the committed BENCH_results.json); exits 3 on a >10% regression")
 	)

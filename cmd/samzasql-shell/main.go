@@ -37,7 +37,7 @@ func main() {
 		streamRows = flag.Int("stream-rows", 20, "rows to tail from a streaming query before stopping it")
 		partitions = flag.Int("partitions", 4, "partitions for demo topics")
 		traceRate  = flag.Float64("trace-sample-rate", 0, "sample roughly this fraction of produced messages into end-to-end span trees (0 = tracing off; see \\trace and EXPLAIN ANALYZE)")
-		batchSize  = flag.Int("batch-size", 0, "block size of submitted jobs: messages one poll delivers as a columnar block (0 = framework default 256, 1 = tuple at a time)")
+		batchSize  = flag.Int("batch-size", 0, fmt.Sprintf("block size of submitted jobs: messages one poll delivers as a columnar block (0 = framework default %d, 1 = tuple at a time)", samza.DefaultBatchSize))
 		monitorOn  = flag.Bool("monitor", false, "attach the cluster monitor: tail __metrics/__traces into the time-series store, evaluate SLO rules onto __alerts, and enable \\top and \\alerts")
 		mInterval  = flag.Duration("metrics-interval", 0, "per-container metrics snapshot period for submitted jobs (default 100ms when -monitor is on, else off)")
 	)

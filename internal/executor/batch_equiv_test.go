@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"samzasql/internal/kafka"
+	"samzasql/internal/samza"
 )
 
 // equivCase is one query shape every block size must execute with results
@@ -302,6 +303,19 @@ var multiPartitionGoldens = map[string]golden{
 	"computed-scalar": {282, "4467180baa0be8ac", "cbf29ce484222325"},
 }
 
+// longOrders is the input of the scenarios longer than one block: more
+// orders than DefaultBatchSize, so a backlogged task cuts them into several
+// blocks at every block size, the default included.
+const longOrders = 2500
+
+// longGoldens holds the results of the partitioned sliding window and the
+// stream-relation join over longOrders orders in one partition, recorded at
+// commit 534a0a9, whose default block was 256 rows.
+var longGoldens = map[string]golden{
+	"window": {2500, "c7ac73080aee56c6", "d8ea64186e8e15f8"},
+	"join":   {2500, "d9c825bda04ef9f8", "10169a52a451150d"},
+}
+
 // hashLines folds digest lines into one FNV-64a.
 func hashLines(lines []string) string {
 	h := fnv.New64a()
@@ -313,10 +327,10 @@ func hashLines(lines []string) string {
 }
 
 // blockSizes is the spread every equivalence test runs: one-row blocks (the
-// per-tuple case), a prime that leaves a partial final block, the default
-// 256, and a seeded random size.
+// per-tuple case), a prime that leaves a partial final block, 256, the
+// default, and a seeded random size.
 func blockSizes(seed int64) []int {
-	return []int{1, 7, 256, 2 + rand.New(rand.NewSource(seed)).Intn(96)}
+	return []int{1, 7, 256, samza.DefaultBatchSize, 2 + rand.New(rand.NewSource(seed)).Intn(96)}
 }
 
 // checkGolden requires a run's output and folded changelog state to be the
@@ -472,6 +486,28 @@ func TestBlockSizeEquivalence(t *testing.T) {
 	}
 }
 
+// TestBlockSizeEquivalenceLongerThanBlock replays the stateful scenarios of
+// longGoldens over a backlog several default blocks long, so the blocks a
+// drain hands the window and the join, full ones and the cut-off last one,
+// differ at every size; output and folded state may not.
+func TestBlockSizeEquivalenceLongerThanBlock(t *testing.T) {
+	replayed := replayOrders(t, longOrders)
+	for _, c := range equivCases {
+		want, ok := longGoldens[c.name]
+		if !ok {
+			continue
+		}
+		t.Run(c.name, func(t *testing.T) {
+			var first []string
+			for _, bs := range blockSizes(0x10f7) {
+				out, state := runWithBatchSize(t, c.query, 1, longOrders, bs, c.wantRows(replayed))
+				checkGolden(t, fmt.Sprintf("%s orders=%d batch=%d", c.name, longOrders, bs), want, first, digest(out), state)
+				first = digest(out)
+			}
+		})
+	}
+}
+
 // TestBlockSizeEquivalenceRepartition covers the re-keying stage plus the
 // stream-relation join fed by the intermediate topic: the Clicks scenario is
 // published keyed by userId but joins on productId, so every run routes
@@ -508,7 +544,7 @@ func TestBlockSizeEquivalenceMultiPartition(t *testing.T) {
 				return out
 			}
 			var first []string
-			for _, bs := range []int{1, 13, 256} {
+			for _, bs := range []int{1, 13, 256, samza.DefaultBatchSize} {
 				out, state := runWithBatchSize(t, c.query, 3, orders, bs, c.wantRows(replayed))
 				checkGolden(t, fmt.Sprintf("%s batch=%d", c.name, bs), multiPartitionGoldens[c.name], first, values(out), state)
 				first = values(out)

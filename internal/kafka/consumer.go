@@ -219,9 +219,11 @@ func (c *Consumer) Commit() {
 }
 
 // BindLagGauge attaches a gauge to an assigned partition's consumer lag.
-// UpdateLag refreshes it; a sampler (the container's metrics reporter) calls
-// that on its own cadence so the poll hot path never pays the broker
-// high-watermark query.
+// UpdateLag refreshes it; a sampler calls that on its own cadence so the poll
+// hot path never pays the broker high-watermark query. This lag counts
+// fetched messages as consumed, which suits a reader that has handled a poll
+// once it returns; a Samza task, which may still be inside the block it
+// polled, reports lag from its finished offsets instead.
 func (c *Consumer) BindLagGauge(tp TopicPartition, g *metrics.Gauge) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -228,12 +228,25 @@ func (t *slowTask) Process(env samza.IncomingMessageEnvelope, c samza.MessageCol
 // monitor publishes a firing record on __alerts, and draining the backlog
 // publishes the matching resolved record.
 func TestLagAlertFiresAndResolves(t *testing.T) {
+	// Hot partition: a burst the slow task needs ~1s to drain.
+	checkLagAlert(t, 500)
+}
+
+// TestLagAlertFiresOnBurstInsideOneBlock injects a burst smaller than one
+// poll's block: the consumer fetches all of it at once, so only lag counted
+// from the offsets the task has finished shows the ~0.4s backlog.
+func TestLagAlertFiresOnBurstInsideOneBlock(t *testing.T) {
+	checkLagAlert(t, 200)
+}
+
+// checkLagAlert runs the alert demo over a burst of the given size.
+func checkLagAlert(t *testing.T, burst int) {
+	t.Helper()
 	b, runner := testEnv()
 	if err := b.EnsureTopic("in", kafka.TopicConfig{Partitions: 1}); err != nil {
 		t.Fatal(err)
 	}
-	// Hot partition: a burst the slow task needs ~1s to drain.
-	produceN(t, b, "in", 0, 500, "burst")
+	produceN(t, b, "in", 0, burst, "burst")
 
 	var processed atomic.Int64
 	job := &samza.JobSpec{

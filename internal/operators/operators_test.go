@@ -8,6 +8,7 @@ import (
 	"samzasql/internal/kafka"
 	"samzasql/internal/kv"
 	"samzasql/internal/metrics"
+	"samzasql/internal/samza"
 	"samzasql/internal/sql/expr"
 	"samzasql/internal/sql/types"
 	"samzasql/internal/sql/validate"
@@ -571,7 +572,7 @@ func TestSlidingWindowRestoreMidTailChunk(t *testing.T) {
 		spec := slidingSpec("SUM", 0, frameRows, false)
 		rows := inOrderRows(4*chunkCap, 1)
 		ref := windowReference("SUM", 0, frameRows, rows)
-		for _, bs := range []int{1, 7, 256} {
+		for _, bs := range []int{1, 7, 256, samza.DefaultBatchSize} {
 			// The first task stops a few entries into a tail chunk.
 			stopAt := 2*chunkCap + chunkCap/3
 			broker := kafka.NewBroker()

@@ -11,6 +11,7 @@ import (
 	"samzasql/internal/kafka"
 	"samzasql/internal/kv"
 	"samzasql/internal/metrics"
+	"samzasql/internal/samza"
 	"samzasql/internal/sql/types"
 	"samzasql/internal/sql/validate"
 	"samzasql/internal/vec"
@@ -180,9 +181,9 @@ func stateDigest(t *testing.T, broker *kafka.Broker) string {
 }
 
 // windowBlockSizes is the spread the window tests run: one-row blocks (the
-// per-tuple case), a prime, the default 256 and a seeded random size.
+// per-tuple case), a prime, 256, the default and a seeded random size.
 func windowBlockSizes() []int {
-	return []int{1, 7, 256, 2 + rand.New(rand.NewSource(0x5eed)).Intn(96)}
+	return []int{1, 7, 256, samza.DefaultBatchSize, 2 + rand.New(rand.NewSource(0x5eed)).Intn(96)}
 }
 
 // windowReference computes, for in-order rows, what one bounded analytic
@@ -353,7 +354,7 @@ func TestSlidingWindowNonIntegerContributions(t *testing.T) {
 		"MIN": {"bc994d89e1ef1e7d", "fe4415d2a3a3d764"},
 	}
 	for _, c := range cases {
-		for _, bs := range []int{1, 7, 256} {
+		for _, bs := range []int{1, 7, 256, samza.DefaultBatchSize} {
 			broker := kafka.NewBroker()
 			spec := slidingSpec(c.fn, 0, frameRows, false)
 			spec.T = c.t

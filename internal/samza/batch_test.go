@@ -156,3 +156,87 @@ func TestBatchSizeOneDeliversSingleRowBlocks(t *testing.T) {
 	}
 	flattenBatches(t, batches, n)
 }
+
+// gatedTask holds its first delivery until release is closed, so a test can
+// look at a task that has polled a block but not finished it.
+type gatedTask struct {
+	entered  chan struct{} // closed when the first delivery starts
+	release  chan struct{}
+	once     sync.Once
+	finished *atomic.Int64
+}
+
+func (g *gatedTask) Init(*TaskContext) error { return nil }
+
+func (g *gatedTask) hold() {
+	g.once.Do(func() { close(g.entered) })
+	<-g.release
+}
+
+func (g *gatedTask) Process(IncomingMessageEnvelope, MessageCollector, Coordinator) error {
+	g.hold()
+	g.finished.Add(1)
+	return nil
+}
+
+func (g *gatedTask) ProcessBatch(envs []IncomingMessageEnvelope, _ MessageCollector, _ Coordinator, _ int64) error {
+	g.hold()
+	g.finished.Add(int64(len(envs)))
+	return nil
+}
+
+// TestLagCountsUnfinishedBlock pins lag to what a task has finished, not to
+// what its consumer has fetched: with the whole backlog polled as one block
+// and the task held inside it, every message of the block still counts as
+// lag, and lag reads zero only once the task is through.
+func TestLagCountsUnfinishedBlock(t *testing.T) {
+	const n = 100 // one block at the default cap
+	for _, batched := range []bool{true, false} {
+		t.Run(fmt.Sprintf("batched=%v", batched), func(t *testing.T) {
+			b, r := testEnv()
+			if err := b.CreateTopic("in", kafka.TopicConfig{Partitions: 1}); err != nil {
+				t.Fatal(err)
+			}
+			produceN(t, b, "in", 0, n, "m")
+			var finished atomic.Int64
+			g := &gatedTask{entered: make(chan struct{}), release: make(chan struct{}), finished: &finished}
+			job := &JobSpec{
+				Name:   "lag-mid-block",
+				Inputs: []StreamSpec{{Topic: "in"}},
+				TaskFactory: func() StreamTask {
+					if batched {
+						return g
+					}
+					return struct{ StreamTask }{g}
+				},
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			rj, err := r.Submit(ctx, job)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rj.Stop()
+			released := false
+			defer func() {
+				if !released {
+					close(g.release)
+				}
+			}()
+			select {
+			case <-g.entered:
+			case <-time.After(5 * time.Second):
+				t.Fatal("task never received its first delivery")
+			}
+			if lag := rj.UpdateLags(); lag != n {
+				t.Fatalf("lag %d while the task holds its first message, want all %d", lag, n)
+			}
+			close(g.release)
+			released = true
+			waitFor(t, 5*time.Second, func() bool { return rj.UpdateLags() == 0 }, "lag 0 after the block")
+			if got := finished.Load(); got != n {
+				t.Fatalf("task finished %d messages, want %d", got, n)
+			}
+		})
+	}
+}

@@ -68,22 +68,24 @@ func (r *bootstrapRecorder) ProcessBatch(envs []IncomingMessageEnvelope, _ Messa
 // rounded up to the fetch — and leaves the consumer positioned on the
 // watermark, so the records past it reach the task through the poll loop.
 func TestBootstrapStopsAtHighWatermark(t *testing.T) {
-	const (
-		preloaded = 100 // the watermark the bootstrap will observe
-		extra     = 400
-	)
+	const extra = 400
 	cases := []struct {
 		name      string
 		batchSize int
 		wantBatch int // largest delivery the task may see; 0 = per message
+		preloaded int // the watermark the bootstrap will observe
 	}{
-		{"plain-task", 0, 0},
-		{"batch-1", 1, 1},
-		{"batch-7", 7, 7}, // 100 = 14*7 + 2: the last block is cut at the watermark
-		{"batch-256", 256, 256},
+		{"plain-task", 0, 0, 100},
+		{"batch-1", 1, 1, 100},
+		{"batch-7", 7, 7, 100}, // 100 = 14*7 + 2: the last block is cut at the watermark
+		{"batch-256", 256, 256, 100},
+		// BatchSize 0 reads blocks of the poll cap: two full ones, then one
+		// cut at the watermark.
+		{"batch-default", 0, DefaultBatchSize, 2*DefaultBatchSize + 3},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			preloaded := tc.preloaded
 			b := kafka.NewBroker()
 			if err := b.CreateTopic("relation", kafka.TopicConfig{Partitions: 1, Compacted: true}); err != nil {
 				t.Fatal(err)
@@ -130,11 +132,11 @@ func TestBootstrapStopsAtHighWatermark(t *testing.T) {
 					t.Fatalf("delivery %d has offset %d, want %d", i, off, i)
 				}
 			}
-			if pos, _ := ti.consumer.Position(tp); pos != preloaded {
+			if pos, _ := ti.consumer.Position(tp); pos != int64(preloaded) {
 				t.Fatalf("consumer left at %d after bootstrap, want the watermark %d", pos, preloaded)
 			}
-			if got := ti.delivered["relation"]; got != preloaded {
-				t.Fatalf("delivered offset %d after bootstrap, want %d", got, preloaded)
+			if got := ti.input("relation").done.Load(); got != int64(preloaded) {
+				t.Fatalf("finished offset %d after bootstrap, want %d", got, preloaded)
 			}
 			if tc.wantBatch == 0 {
 				if rec.scalar != preloaded {
@@ -153,7 +155,7 @@ func TestBootstrapStopsAtHighWatermark(t *testing.T) {
 			if wantBlocks := (preloaded + tc.wantBatch - 1) / tc.wantBatch; len(rec.batches) != wantBlocks {
 				t.Fatalf("%d blocks, want %d", len(rec.batches), wantBlocks)
 			}
-			if hwm, _ := b.HighWatermark(tp); hwm != preloaded+extra {
+			if hwm, _ := b.HighWatermark(tp); hwm != int64(preloaded+extra) {
 				t.Fatalf("topic ended at %d, want %d: the concurrent appender did not run", hwm, preloaded+extra)
 			}
 		})

@@ -129,12 +129,9 @@ type taskInstance struct {
 	// coord is the per-loop Coordinator handed to Process, reset per
 	// message instead of allocated per message.
 	coord coordinatorState
-	// delivered holds, per input topic, the offset after the last message
-	// the task finished processing. Checkpoints are written from here, not
-	// from the consumer position: the consumer advances a whole fetched
-	// batch at once, and committing its position mid-batch would skip
-	// unprocessed messages after a crash.
-	delivered map[string]int64
+	// inputs holds, per input stream, how far the task has got through its
+	// partition of it; checkpoints and lag are read from here.
+	inputs []taskInput
 	// act is the task's tracing cursor (shared with ctx.Trace and the
 	// store stack), owned by the task goroutine like everything else here.
 	act *trace.Active
@@ -147,6 +144,33 @@ type taskInstance struct {
 	// health is the supervisor-visible liveness state (taskHealth* consts),
 	// read by Container.TaskHealth for the /healthz endpoint.
 	health atomic.Int32
+}
+
+// taskInput is one input partition of a task.
+type taskInput struct {
+	tp kafka.TopicPartition
+	// done is the offset after the last message the task finished
+	// processing. Checkpoints are written from here, not from the consumer
+	// position: the consumer advances a whole fetched batch at once, and
+	// committing its position mid-batch would skip unprocessed messages
+	// after a crash. Lag is measured from here for the same reason: a task
+	// in the middle of a block has not caught up. It is -1 until Run has
+	// positioned the input. The task goroutine stores it; the metrics
+	// reporter loads it.
+	done atomic.Int64
+	// lag is the "kafka.lag.<topic>.<partition>" gauge UpdateLags sets.
+	lag *metrics.Gauge
+}
+
+// input returns the task's input for topic; every message a task polls
+// comes from one of its inputs.
+func (ti *taskInstance) input(topic string) *taskInput {
+	for i := range ti.inputs {
+		if ti.inputs[i].tp.Topic == topic {
+			return &ti.inputs[i]
+		}
+	}
+	panic(fmt.Sprintf("samza: task %s polled unassigned topic %q", ti.name, topic))
 }
 
 // taskChangelog is one of a task's changelog-backed stores, under its name.
@@ -311,10 +335,15 @@ func (c *Container) buildTask(partition, inputPartitions int32) (*taskInstance, 
 		ctx:       tctx,
 		changelog: changelogs,
 		act:       act,
-		delivered: map[string]int64{},
+		inputs:    make([]taskInput, len(c.job.Inputs)),
 		procLat:   c.Metrics.Timer("task." + string(name) + ".process-ns"),
 		winLat:    c.Metrics.Timer("task." + string(name) + ".window-ns"),
 		commitLat: c.Metrics.Timer("task." + string(name) + ".commit-ns"),
+	}
+	for i, in := range c.job.Inputs {
+		ti.inputs[i].tp = kafka.TopicPartition{Topic: in.Topic, Partition: partition}
+		ti.inputs[i].lag = c.Metrics.Gauge(fmt.Sprintf("kafka.lag.%s.%d", in.Topic, partition))
+		ti.inputs[i].done.Store(-1)
 	}
 	ti.batched, _ = task.(BatchedStreamTask)
 	return ti, nil
@@ -330,12 +359,26 @@ func (c *Container) TaskHealth() map[string]string {
 	return out
 }
 
-// UpdateLags refreshes every task consumer's per-partition lag gauges from
-// the broker's high watermarks and returns the container-wide total.
+// UpdateLags refreshes every task's per-partition lag gauges and returns the
+// container-wide total. A partition's lag is its high watermark minus the
+// next offset the task has finished, not the one its consumer will fetch: a
+// task in the middle of a polled block still owes the rest of it. Safe to
+// call concurrently with Run.
 func (c *Container) UpdateLags() int64 {
 	var total int64
 	for _, ti := range c.tasks {
-		if lag, err := ti.consumer.UpdateLag(); err == nil {
+		for i := range ti.inputs {
+			in := &ti.inputs[i]
+			done := in.done.Load()
+			if done < 0 {
+				continue
+			}
+			hwm, err := c.broker.HighWatermark(in.tp)
+			if err != nil {
+				continue
+			}
+			lag := max(hwm-done, 0)
+			in.lag.Set(lag)
 			total += lag
 		}
 	}
@@ -361,19 +404,18 @@ func (c *Container) Run(ctx context.Context) error {
 		if err != nil {
 			return fmt.Errorf("samza: %s checkpoint read: %w", ti.name, err)
 		}
-		for _, in := range c.job.Inputs {
-			tp := kafka.TopicPartition{Topic: in.Topic, Partition: ti.partition}
-			if err := ti.consumer.Assign(tp); err != nil {
-				return fmt.Errorf("samza: %s assign %s: %w", ti.name, tp, err)
+		for i := range ti.inputs {
+			in := &ti.inputs[i]
+			if err := ti.consumer.Assign(in.tp); err != nil {
+				return fmt.Errorf("samza: %s assign %s: %w", ti.name, in.tp, err)
 			}
-			ti.consumer.BindLagGauge(tp, c.Metrics.Gauge(fmt.Sprintf("kafka.lag.%s.%d", in.Topic, ti.partition)))
 			if found {
-				if off, ok := cp.Offsets[in.Topic]; ok {
-					ti.consumer.Seek(tp, off)
+				if off, ok := cp.Offsets[in.tp.Topic]; ok {
+					ti.consumer.Seek(in.tp, off)
 				}
 			}
-			if pos, ok := ti.consumer.Position(tp); ok {
-				ti.delivered[in.Topic] = pos
+			if pos, ok := ti.consumer.Position(in.tp); ok {
+				in.done.Store(pos)
 			}
 		}
 	}
@@ -576,7 +618,7 @@ func (c *Container) bootstrap(ctx context.Context, ti *taskInstance) error {
 			}
 		}
 		ti.consumer.Seek(tp, pos)
-		ti.delivered[in.Topic] = pos
+		ti.input(in.Topic).done.Store(pos)
 	}
 	return nil
 }
@@ -624,8 +666,14 @@ const idleWait = 10 * time.Millisecond
 
 // DefaultBatchSize is the per-poll message cap when JobSpec.BatchSize is
 // unset: the block a BatchedStreamTask receives and the fetch granularity of
-// per-message delivery alike.
-const DefaultBatchSize = 256
+// per-message delivery alike. The cap binds only on a backlog (a drain, a
+// restart's replay, a burst); a caught-up poll returns what has arrived.
+// There, stateful operators load, fold and write each key's state once per
+// block, so a larger block pays fewer state round trips per row, while each
+// task's block scratch grows with it. 1024 is where the window's savings
+// still outweigh what the larger working set costs the join (DESIGN.md,
+// "Execution model").
+const DefaultBatchSize = 1024
 
 // pollTask delivers one batch to the task. Returns stop=true when the task
 // requested shutdown.
@@ -663,7 +711,7 @@ func (c *Container) pollTask(ctx context.Context, ti *taskInstance) (bool, error
 	// Vectorized delivery: the whole polled batch (one topic-partition, in
 	// offset order) goes to the task in a single ProcessBatch call, with
 	// one coordinator reset, one latency observation, and one
-	// delivered-offset update per batch instead of per message. Trace
+	// finished-offset update per batch instead of per message. Trace
 	// bookkeeping for sampled messages inside the batch is the task's to
 	// replay (batch-level spans with row counts).
 	if ti.batched != nil {
@@ -686,7 +734,7 @@ func (c *Container) pollTask(ctx context.Context, ti *taskInstance) (bool, error
 			return false, err
 		}
 		ti.procLat.Stop(start)
-		ti.delivered[msgs[0].Topic] = msgs[len(msgs)-1].Offset + 1
+		ti.input(msgs[0].Topic).done.Store(msgs[len(msgs)-1].Offset + 1)
 		c.processed.Add(int64(len(msgs)))
 		ti.processed += len(msgs)
 		ti.sinceWin += len(msgs)
@@ -709,8 +757,10 @@ func (c *Container) pollTask(ctx context.Context, ti *taskInstance) (bool, error
 		return ti.coord.shutdownRequested, nil
 	}
 	// env and ti.coord are reused across the batch; Process receives the
-	// envelope by value, so reuse is invisible to the task.
+	// envelope by value, so reuse is invisible to the task. A poll returns
+	// one partition's messages, so one input's offset advances throughout.
 	env := IncomingMessageEnvelope{}
+	in := ti.input(msgs[0].Topic)
 	for i := range msgs {
 		m := &msgs[i]
 		env = IncomingMessageEnvelope{
@@ -733,7 +783,7 @@ func (c *Container) pollTask(ctx context.Context, ti *taskInstance) (bool, error
 		if m.Trace.Sampled {
 			ti.act.FinishMessage(time.Now().UnixNano())
 		}
-		ti.delivered[env.Stream] = env.Offset + 1
+		in.done.Store(env.Offset + 1)
 		c.processed.Inc()
 		ti.processed++
 		ti.sinceWin++
@@ -779,9 +829,9 @@ func (c *Container) commitTask(ti *taskInstance) error {
 		ti.act.StartCommit(time.Now().UnixNano())
 	}
 	start := ti.commitLat.Start()
-	cp := Checkpoint{Task: ti.name, Offsets: map[string]int64{}}
-	for topic, off := range ti.delivered {
-		cp.Offsets[topic] = off
+	cp := Checkpoint{Task: ti.name, Offsets: make(map[string]int64, len(ti.inputs))}
+	for i := range ti.inputs {
+		cp.Offsets[ti.inputs[i].tp.Topic] = ti.inputs[i].done.Load()
 	}
 	if err := c.cpm.Write(cp); err != nil {
 		return fmt.Errorf("samza: %s checkpoint write: %w", ti.name, err)

@@ -101,7 +101,8 @@ func (nopTask) Process(IncomingMessageEnvelope, MessageCollector, Coordinator) e
 // overhead — consumer poll, envelope construction, coordinator plumbing,
 // metrics — by driving pollTask directly over a prefilled partition with a
 // no-op task. The loop machinery must amortize to 0 allocs/op: the only
-// allocations are the fetched batch slices, ~1 per 256 messages.
+// allocations are the fetched batch slices, at most ~1 per poll of
+// DefaultBatchSize messages.
 func BenchmarkTaskLoopMachineryAllocs(b *testing.B) {
 	broker := kafka.NewBroker()
 	if err := broker.CreateTopic("in", kafka.TopicConfig{Partitions: 1}); err != nil {
