@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet vet-custom race verify ci fuzz-smoke bench-module bench-pair bench bench-figures bench-compare profile trace-overhead monitor-smoke
+.PHONY: build test vet vet-custom race verify ci fuzz-smoke bench-module bench-pair bench bench-figures profile trace-overhead monitor-smoke
 
 build:
 	$(GO) build ./...
@@ -109,19 +109,6 @@ bench:
 # Full paper-figure regeneration (slow; see also cmd/samzasql-bench).
 bench-figures:
 	$(GO) test -run '^$$' -bench . -benchmem .
-
-# Messages per figure run for the regression comparison. Must match the
-# conditions of the committed BENCH_results.json (made with BENCH_MESSAGES):
-# shorter runs skew ratios enough to read as spurious regressions.
-COMPARE_MESSAGES ?= $(BENCH_MESSAGES)
-
-# Regression guard: re-measure the four figure sweeps and diff
-# sql_native_ratio per (figure, containers) point against the committed
-# BENCH_results.json. Exits 3 when any point drops more than 10%. CI runs
-# this as a non-blocking step so batch-path wins (and future losses) show up
-# in PRs without shared-runner noise blocking merges.
-bench-compare:
-	$(GO) run ./cmd/samzasql-bench -figure figures -messages $(COMPARE_MESSAGES) -compare BENCH_results.json
 
 # Tracing-overhead report: first re-pin the unsampled message path at 0
 # allocs/row with the tracing cursor bound, then the best-of-5

@@ -36,7 +36,6 @@ func main() {
 		monitorOn  = flag.Bool("monitor", false, "attach the cluster monitor to every run (tails __metrics/__traces, evaluates SLO rules onto __alerts) and print each SamzaSQL run's lag-recovery series")
 		batchSize  = flag.Int("batch-size", 0, fmt.Sprintf("block size of SamzaSQL jobs: messages one poll delivers as a columnar block (0 = framework default %d, 1 = tuple at a time)", samza.DefaultBatchSize))
 		jsonPath   = flag.String("json", "", "also write the measured series as machine-readable JSON to this path (e.g. BENCH_results.json)")
-		compare    = flag.String("compare", "", "diff measured sql_native_ratio per figure against this baseline JSON report (e.g. the committed BENCH_results.json); exits 3 on a >10% regression")
 	)
 	flag.Parse()
 
@@ -150,17 +149,6 @@ func main() {
 			fatalf("%v", err)
 		}
 		fmt.Printf("wrote %s\n", *jsonPath)
-	}
-	if *compare != "" {
-		baseline, err := bench.ReadReport(*compare)
-		if err != nil {
-			fatalf("compare baseline: %v", err)
-		}
-		table, regressed := bench.FormatComparison(bench.CompareReports(baseline, report, 0.10))
-		fmt.Printf("ratio comparison vs %s (>10%% drops flagged):\n%s", *compare, table)
-		if regressed {
-			os.Exit(3)
-		}
 	}
 	if failed {
 		os.Exit(1)

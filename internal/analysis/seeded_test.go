@@ -129,14 +129,20 @@ pub.Run(repCtx, rep.interval, rep.collect)
 	{
 		name:     "message-trace-started-unsampled",
 		analyzer: TraceGuard,
-		pkg:      "internal/samza",
-		edits: []seedEdit{{file: "container.go",
-			old: `if m.Trace.Sampled {
-ti.act.StartMessage(m.Trace, batchNs, time.Now().UnixNano())
+		pkg:      "internal/sql/physical",
+		// The block loop opens every message's trace as it gathers the
+		// block, instead of replaying the sampled ones after it: a call and
+		// a clock read per unsampled row.
+		edits: []seedEdit{{file: "block.go",
+			old: `if env.Trace.Sampled {
+sampled++
 }`,
-			new: `ti.act.StartMessage(m.Trace, batchNs, time.Now().UnixNano())`,
+			new: `act.StartMessage(env.Trace, pollNs, time.Now().UnixNano())
+if env.Trace.Sampled {
+sampled++
+}`,
 		}},
-		want: `unguarded trace\.StartMessage call in //samzasql:hotpath function pollTask`,
+		want: `unguarded trace\.StartMessage call in //samzasql:hotpath function routeBlock`,
 	},
 	{
 		name:     "runtime-metrics-read-per-batch",

@@ -59,8 +59,8 @@ type Config struct {
 	Monitor bool
 	// BatchSize sets the SamzaSQL side's block size
 	// (samza.JobSpec.BatchSize): 0 uses samza.DefaultBatchSize, 1 runs
-	// tuple at a time. Native jobs are plain StreamTasks and see
-	// per-message delivery regardless, so the baseline is unaffected.
+	// tuple at a time. Native jobs keep samza.DefaultBatchSize blocks, so
+	// the baseline is unaffected.
 	BatchSize int
 }
 

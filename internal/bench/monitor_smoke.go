@@ -124,15 +124,16 @@ type throttledFilterTask struct {
 	delay  time.Duration
 }
 
-func (t *throttledFilterTask) Process(env samza.IncomingMessageEnvelope, c samza.MessageCollector, coord samza.Coordinator) error {
-	if t.delay > 0 {
+// ProcessBatch implements samza.StreamTask: the filter's block, after a
+// sleep of delay per message.
+func (t *throttledFilterTask) ProcessBatch(envs []samza.IncomingMessageEnvelope, c samza.MessageCollector, coord samza.Coordinator, pollNs int64) error {
+	for range envs {
 		time.Sleep(t.delay)
 	}
-	return t.filter.Process(env, c, coord)
+	return t.filter.ProcessBatch(envs, c, coord, pollNs)
 }
 
-// Init implements samza.StreamTask. The filter is a field, not embedded,
-// so its block path is not promoted: every message goes through Process.
+// Init implements samza.StreamTask.
 func (t *throttledFilterTask) Init(ctx *samza.TaskContext) error { return t.filter.Init(ctx) }
 
 // MonitorSmokeReport is what RunMonitorSmoke measured and verified.

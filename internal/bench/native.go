@@ -38,35 +38,13 @@ func (t *NativeFilterTask) Init(ctx *samza.TaskContext) error {
 	return nil
 }
 
-// Process implements samza.StreamTask.
-func (t *NativeFilterTask) Process(env samza.IncomingMessageEnvelope, c samza.MessageCollector, _ samza.Coordinator) error {
-	units, err := t.codec.ReadField(env.Value, "units")
-	if err != nil {
-		return err
-	}
-	if units.(int64) <= 50 {
-		return nil
-	}
-	return c.Send(samza.OutgoingMessageEnvelope{
-		Stream:    t.Output,
-		Partition: env.Partition,
-		Key:       env.Key,
-		Value:     env.Value, // unchanged bytes
-		Timestamp: env.Timestamp,
-	})
-}
-
-// ProcessBatch implements samza.BatchedStreamTask: the same check over a
-// whole polled batch, the passing messages flushed in one producer call —
-// the block delivery a SamzaSQL task gets, so the two jobs differ only by
-// the tuple transformation.
+// ProcessBatch implements samza.StreamTask: the check over a whole polled
+// block, the passing messages (unchanged bytes) flushed in one producer
+// call, as a SamzaSQL task flushes its block's output, so the two jobs
+// differ only by the tuple transformation.
 //
 //samzasql:hotpath
 func (t *NativeFilterTask) ProcessBatch(envs []samza.IncomingMessageEnvelope, c samza.MessageCollector, _ samza.Coordinator, _ int64) error {
-	bc, ok := c.(samza.BatchCollector)
-	if !ok {
-		return fmt.Errorf("bench: native filter needs a batch collector, got %T", c)
-	}
 	t.out = t.out[:0]
 	for i := range envs {
 		env := &envs[i]
@@ -81,7 +59,7 @@ func (t *NativeFilterTask) ProcessBatch(envs []samza.IncomingMessageEnvelope, c 
 	if len(t.out) == 0 {
 		return nil
 	}
-	return bc.SendBatch(t.Output, t.out)
+	return c.SendBatch(t.Output, t.out)
 }
 
 // loc:filter:end
@@ -114,8 +92,17 @@ func (t *NativeProjectTask) Init(ctx *samza.TaskContext) error {
 	return nil
 }
 
-// Process implements samza.StreamTask.
-func (t *NativeProjectTask) Process(env samza.IncomingMessageEnvelope, c samza.MessageCollector, _ samza.Coordinator) error {
+// ProcessBatch implements samza.StreamTask, one message at a time.
+func (t *NativeProjectTask) ProcessBatch(envs []samza.IncomingMessageEnvelope, c samza.MessageCollector, _ samza.Coordinator, _ int64) error {
+	for i := range envs {
+		if err := t.process(envs[i], c); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (t *NativeProjectTask) process(env samza.IncomingMessageEnvelope, c samza.MessageCollector) error {
 	value, err := t.in.ProjectFields(env.Value, []string{"rowtime", "productId", "units"}, t.out)
 	if err != nil {
 		return err
@@ -172,8 +159,17 @@ func (t *NativeJoinTask) Init(ctx *samza.TaskContext) error {
 	return nil
 }
 
-// Process implements samza.StreamTask.
-func (t *NativeJoinTask) Process(env samza.IncomingMessageEnvelope, c samza.MessageCollector, _ samza.Coordinator) error {
+// ProcessBatch implements samza.StreamTask, one message at a time.
+func (t *NativeJoinTask) ProcessBatch(envs []samza.IncomingMessageEnvelope, c samza.MessageCollector, _ samza.Coordinator, _ int64) error {
+	for i := range envs {
+		if err := t.process(envs[i], c); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (t *NativeJoinTask) process(env samza.IncomingMessageEnvelope, c samza.MessageCollector) error {
 	if env.Stream == t.ProductsTopic {
 		// Bootstrap/changelog side: cache raw Avro bytes by key.
 		t.store.Put(env.Key, env.Value)
@@ -247,8 +243,17 @@ func (t *NativeSlidingWindowTask) Init(ctx *samza.TaskContext) error {
 	return nil
 }
 
-// Process implements samza.StreamTask.
-func (t *NativeSlidingWindowTask) Process(env samza.IncomingMessageEnvelope, c samza.MessageCollector, _ samza.Coordinator) error {
+// ProcessBatch implements samza.StreamTask, one message at a time.
+func (t *NativeSlidingWindowTask) ProcessBatch(envs []samza.IncomingMessageEnvelope, c samza.MessageCollector, _ samza.Coordinator, _ int64) error {
+	for i := range envs {
+		if err := t.process(envs[i], c); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (t *NativeSlidingWindowTask) process(env samza.IncomingMessageEnvelope, c samza.MessageCollector) error {
 	row, err := t.orders.DecodeRow(env.Value, nil)
 	if err != nil {
 		return err

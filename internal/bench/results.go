@@ -115,6 +115,19 @@ func (r *Report) MergeFrom(prev *Report) {
 	r.Figures = merged
 }
 
+// ReadReport loads a previously written BENCH_results.json.
+func ReadReport(path string) (*Report, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	var r Report
+	if err := json.Unmarshal(data, &r); err != nil {
+		return nil, fmt.Errorf("bench: parsing %s: %w", path, err)
+	}
+	return &r, nil
+}
+
 // WriteJSON writes the report, indented, to path.
 func (r *Report) WriteJSON(path string) error {
 	data, err := json.MarshalIndent(r, "", "  ")

@@ -28,9 +28,9 @@ type crashingTask struct {
 }
 
 // ProcessBatch shadows the embedded Task's entry point: the container hands
-// whole blocks to BatchedStreamTasks, so the crash is injected at batch
-// granularity (the error positions the entire batch as failed, replaying
-// every message in it).
+// tasks whole blocks, so the crash is injected at block granularity (the
+// error positions the entire block as failed, replaying every message in
+// it).
 func (t *crashingTask) ProcessBatch(envs []samza.IncomingMessageEnvelope, c samza.MessageCollector, coord samza.Coordinator, pollNs int64) error {
 	if err := t.Task.ProcessBatch(envs, c, coord, pollNs); err != nil {
 		return err

@@ -44,27 +44,9 @@ type RepartitionTask struct {
 // Init implements samza.StreamTask.
 func (t *RepartitionTask) Init(*samza.TaskContext) error { return nil }
 
-// Process implements samza.StreamTask.
-func (t *RepartitionTask) Process(env samza.IncomingMessageEnvelope, c samza.MessageCollector, _ samza.Coordinator) error {
-	keyVal, err := t.Spec.Codec.ReadField(env.Value, t.Spec.KeyCol)
-	if err != nil {
-		return fmt.Errorf("executor: repartition key read: %w", err)
-	}
-	return c.Send(samza.OutgoingMessageEnvelope{
-		Stream:    t.Spec.TargetTopic,
-		Partition: -1, // broker partitions by the new key
-		Key:       repartitionKey(keyVal),
-		Value:     env.Value,
-		Timestamp: env.Timestamp,
-	})
-}
-
-// repartitionKey renders the re-keying value as bytes: the same text
-// fmt.Sprintf("%v") produces (the broker hashes these bytes, so both paths
-// must agree), with the common scalar types formatted via strconv.
-func repartitionKey(v any) []byte { return appendRepartitionKey(nil, v) }
-
-// appendRepartitionKey appends repartitionKey(v) to dst.
+// appendRepartitionKey appends the re-keying value v to dst as the bytes
+// the broker hashes: the same text fmt.Sprintf("%v") produces, with the
+// common scalar types formatted via strconv.
 func appendRepartitionKey(dst []byte, v any) []byte {
 	switch x := v.(type) {
 	case int64:
@@ -106,8 +88,8 @@ func (t *RepartitionTask) compileKeyRead() error {
 }
 
 // appendKey decodes envelope r's key field into row r of the key vectors
-// and appends the key's bytes to the arena: repartitionKey of the value
-// ReadField returns.
+// and appends the key's bytes to the arena: appendRepartitionKey of the
+// value ReadField returns.
 //
 //samzasql:hotpath
 func (t *RepartitionTask) appendKey(value []byte, r int) error {
@@ -128,24 +110,15 @@ func (t *RepartitionTask) appendKey(value []byte, r int) error {
 	return nil
 }
 
-// ProcessBatch implements samza.BatchedStreamTask: the whole polled batch is
+// ProcessBatch implements samza.StreamTask: the whole polled block is
 // re-keyed in one pass and routed by destination partition — the messages
 // bound for each target partition flush through one SendBatch call (the
 // same FNV key hash the broker applies, so content and per-partition order
-// are identical to per-message sends). Collectors without a batched side, or
-// an unknown partition count, fall back to broker-side partitioning.
+// are identical to per-message sends). An unknown partition count falls
+// back to broker-side partitioning.
 //
 //samzasql:hotpath
-func (t *RepartitionTask) ProcessBatch(envs []samza.IncomingMessageEnvelope, c samza.MessageCollector, coord samza.Coordinator, _ int64) error {
-	bc, ok := c.(samza.BatchCollector)
-	if !ok {
-		for i := range envs {
-			if err := t.Process(envs[i], c, coord); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
+func (t *RepartitionTask) ProcessBatch(envs []samza.IncomingMessageEnvelope, c samza.MessageCollector, _ samza.Coordinator, _ int64) error {
 	n := t.Partitions
 	groups := max(n, 1) // unknown partition count: one unsplit batch
 	for int32(len(t.perPart)) < groups {
@@ -181,7 +154,7 @@ func (t *RepartitionTask) ProcessBatch(envs []samza.IncomingMessageEnvelope, c s
 		if len(t.perPart[p]) == 0 {
 			continue
 		}
-		if err := bc.SendBatch(t.Spec.TargetTopic, t.perPart[p]); err != nil {
+		if err := c.SendBatch(t.Spec.TargetTopic, t.perPart[p]); err != nil {
 			return err
 		}
 	}

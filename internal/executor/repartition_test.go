@@ -204,7 +204,7 @@ func TestRepartitionedJoinEndToEnd(t *testing.T) {
 	}
 }
 
-// batchRecorder is a BatchCollector that keeps a copy of every batch sent.
+// batchRecorder is a MessageCollector that keeps a copy of every batch sent.
 type batchRecorder struct{ batches [][]kafka.Message }
 
 func (r *batchRecorder) Send(samza.OutgoingMessageEnvelope) error { return nil }
@@ -260,10 +260,13 @@ func TestRepartitionBatchGrouping(t *testing.T) {
 	}
 }
 
+// repartitionKey is the key bytes of re-keying value v.
+func repartitionKey(v any) []byte { return appendRepartitionKey(nil, v) }
+
 // TestRepartitionBatchKeysMatchReadField keys a batch by a field of every
 // kind the typed and the boxed key reads handle, NULLs included: each
-// message's key is repartitionKey of what ReadField returns — the bytes the
-// per-message path writes and the broker hashes.
+// message's key is repartitionKey of what ReadField returns — the value a
+// boxed per-message key read would format.
 func TestRepartitionBatchKeysMatchReadField(t *testing.T) {
 	codec := avro.MustCodec(avro.Record("Mixed",
 		avro.F("l", avro.Long()), avro.F("s", avro.String()), avro.F("d", avro.Double()),

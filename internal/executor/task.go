@@ -2,9 +2,7 @@ package executor
 
 import (
 	"fmt"
-	"time"
 
-	"samzasql/internal/kafka"
 	"samzasql/internal/operators"
 	"samzasql/internal/samza"
 	"samzasql/internal/sql/catalog"
@@ -17,8 +15,8 @@ import (
 	"samzasql/internal/zk"
 )
 
-// Task is the SamzaSQL stream task (§2, §4.2): a Samza BatchedStreamTask
-// whose Init performs the second planning step — it loads the query text from
+// Task is the SamzaSQL stream task (§2, §4.2): a Samza StreamTask whose
+// Init performs the second planning step — it loads the query text from
 // Zookeeper, re-plans it, generates the operator router — and whose
 // ProcessBatch routes each polled batch through the generated operators.
 type Task struct {
@@ -34,8 +32,6 @@ type Task struct {
 	// never rebuilds the sender — and since each task owns its own Program,
 	// routing stays goroutine-confined under task parallelism.
 	bound samza.MessageCollector
-	// one is Process's batch of one.
-	one [1]samza.IncomingMessageEnvelope
 }
 
 // NewTask builds an uninitialized SamzaSQL task.
@@ -85,41 +81,17 @@ func (t *Task) Init(ctx *samza.TaskContext) error {
 	})
 }
 
-// bindSender points the program's output sink at collector. Called once per
-// task in the common case; ProcessBatch rebinds only if a caller hands it a
-// different collector (direct drivers in tests do). The framework's
-// collector flushes a block's output in one call; a plain MessageCollector
-// gets it message by message.
+// bindSender points the program's output sink at collector, which flushes
+// a block's output in one call. Called once per task in the common case;
+// ProcessBatch rebinds only if a caller hands it a different collector
+// (direct drivers in tests do).
 func (t *Task) bindSender(collector samza.MessageCollector) {
 	t.bound = collector
-	if bc, ok := collector.(samza.BatchCollector); ok {
-		t.program.SetBatchSender(bc.SendBatch)
-		return
-	}
-	t.program.SetBatchSender(func(stream string, msgs []kafka.Message) error {
-		for i := range msgs {
-			m := &msgs[i]
-			err := collector.Send(samza.OutgoingMessageEnvelope{
-				Stream: stream, Partition: m.Partition, Key: m.Key, Value: m.Value, Timestamp: m.Timestamp,
-			})
-			if err != nil {
-				return err
-			}
-		}
-		return nil
-	})
+	t.program.SetBatchSender(collector.SendBatch)
 }
 
-// Process implements samza.StreamTask, which the framework requires of every
-// task: one message is a batch of one. The container never calls it — it
-// delivers to a BatchedStreamTask through ProcessBatch at every batch size.
-func (t *Task) Process(env samza.IncomingMessageEnvelope, collector samza.MessageCollector, coord samza.Coordinator) error {
-	t.one[0] = env
-	return t.ProcessBatch(t.one[:], collector, coord, time.Now().UnixNano())
-}
-
-// ProcessBatch implements samza.BatchedStreamTask: the whole polled batch
-// flows through its topic's block pipeline.
+// ProcessBatch implements samza.StreamTask: the whole polled block flows
+// through its topic's block pipeline.
 //
 //samzasql:hotpath
 func (t *Task) ProcessBatch(envs []samza.IncomingMessageEnvelope, collector samza.MessageCollector, _ samza.Coordinator, pollNs int64) error {

@@ -215,11 +215,13 @@ type slowTask struct {
 
 func (t *slowTask) Init(*samza.TaskContext) error { return nil }
 
-func (t *slowTask) Process(env samza.IncomingMessageEnvelope, c samza.MessageCollector, _ samza.Coordinator) error {
-	if t.delay > 0 {
-		time.Sleep(t.delay)
+func (t *slowTask) ProcessBatch(envs []samza.IncomingMessageEnvelope, _ samza.MessageCollector, _ samza.Coordinator, _ int64) error {
+	for range envs {
+		if t.delay > 0 {
+			time.Sleep(t.delay)
+		}
+		t.processed.Add(1)
 	}
-	t.processed.Add(1)
 	return nil
 }
 
@@ -348,8 +350,12 @@ func TestTailersResumeAcrossContainerRestart(t *testing.T) {
 	var processed atomic.Int64
 	var crashed atomic.Bool
 	job := &samza.JobSpec{
-		Name:            "crashy",
-		Inputs:          []samza.StreamSpec{{Topic: "in"}},
+		Name:   "crashy",
+		Inputs: []samza.StreamSpec{{Topic: "in"}},
+		// Blocks of CommitEvery messages: the counters and checkpoints
+		// advance block by block, so the first attempt publishes progress
+		// before its crash and the replay window stays CommitEvery.
+		BatchSize:       10,
 		CommitEvery:     10,
 		MaxRestarts:     2,
 		MetricsInterval: 5 * time.Millisecond,
@@ -439,13 +445,15 @@ type crashingTask struct {
 
 func (t *crashingTask) Init(*samza.TaskContext) error { return nil }
 
-func (t *crashingTask) Process(env samza.IncomingMessageEnvelope, c samza.MessageCollector, _ samza.Coordinator) error {
-	if t.delay > 0 {
-		time.Sleep(t.delay)
-	}
-	n := t.processed.Add(1)
-	if n == t.crashAt && t.crashed.CompareAndSwap(false, true) {
-		return fmt.Errorf("injected task failure")
+func (t *crashingTask) ProcessBatch(envs []samza.IncomingMessageEnvelope, _ samza.MessageCollector, _ samza.Coordinator, _ int64) error {
+	for range envs {
+		if t.delay > 0 {
+			time.Sleep(t.delay)
+		}
+		n := t.processed.Add(1)
+		if n == t.crashAt && t.crashed.CompareAndSwap(false, true) {
+			return fmt.Errorf("injected task failure")
+		}
 	}
 	return nil
 }

@@ -12,7 +12,7 @@ import (
 	"samzasql/internal/trace"
 )
 
-// IncomingMessageEnvelope is one message delivered to a task's Process.
+// IncomingMessageEnvelope is one message of a block delivered to a task.
 type IncomingMessageEnvelope struct {
 	// Stream and Partition identify the source system-stream-partition.
 	Stream    string
@@ -55,73 +55,57 @@ type OutgoingMessageEnvelope struct {
 	Trace trace.Context
 }
 
-// MessageCollector receives messages a task produces during Process.
+// MessageCollector receives the messages a task produces. The framework's
+// collector is safe for concurrent use; one instance serves every task of a
+// container.
+//
+// SendBatch flushes a whole block of output messages in one producer call,
+// preserving order. The broker copies every key and value into the log, so
+// callers may reuse msgs and the bytes behind them as soon as SendBatch
+// returns. Message Partition fields follow the OutgoingMessageEnvelope sign
+// contract (negative delegates to the broker's key hash).
 type MessageCollector interface {
 	Send(env OutgoingMessageEnvelope) error
-}
-
-// BatchCollector is a MessageCollector that can also flush a whole block of
-// output messages in one producer call. The framework's collector
-// implements it; batched tasks type-assert for it and fall back to
-// per-message sends against plain collectors (test fakes).
-//
-// The broker copies every key and value into the log, so callers may reuse
-// msgs and the bytes behind them as soon as SendBatch returns. Message
-// Partition fields follow the OutgoingMessageEnvelope sign contract
-// (negative delegates to the broker's key hash).
-type BatchCollector interface {
-	MessageCollector
 	SendBatch(stream string, msgs []kafka.Message) error
 }
 
+// BatchCollector is the name MessageCollector had while it lacked SendBatch.
+// It stays only for the frozen benchmark module, which still type-asserts
+// for it, and goes with that module's next revision (ROADMAP item 6).
+type BatchCollector = MessageCollector
+
 // Coordinator lets a task request commits and shutdown, mirroring Samza's
-// TaskCoordinator.
+// TaskCoordinator. Requests take effect at the block boundary: the
+// container acts on them once the whole block the request was made in has
+// been processed.
 type Coordinator interface {
-	// Commit requests a checkpoint after the current message completes.
+	// Commit requests a checkpoint after the current block completes. The
+	// checkpoint covers the whole block.
 	Commit()
 	// Shutdown requests an orderly stop of the whole container after the
-	// current message completes.
+	// current block completes; the final checkpoint covers the whole block.
 	Shutdown()
 }
 
 // StreamTask is the processing interface for one partition's worth of
-// messages, analogous to Samza's StreamTask. Implementations need not be
-// safe for concurrent use: the framework serializes calls per task
-// instance. Distinct instances run concurrently (one goroutine per task),
-// so state a TaskFactory shares across instances must be synchronized.
+// messages, analogous to Samza's StreamTask. The container hands the task
+// each polled block — every message of it from one topic-partition, in
+// offset order — in one ProcessBatch call; Samza's per-message process is
+// a block of one (JobSpec.BatchSize = 1). Implementations need not be safe
+// for concurrent use: the framework serializes calls per task instance.
+// Distinct instances run concurrently (one goroutine per task), so state a
+// TaskFactory shares across instances must be synchronized.
 type StreamTask interface {
 	// Init is called once before any message is delivered, after local
 	// state has been restored from changelogs.
 	Init(ctx *TaskContext) error
-	// Process handles one message.
-	Process(env IncomingMessageEnvelope, collector MessageCollector, coord Coordinator) error
-}
-
-// BatchedStreamTask is implemented by tasks with a vectorized path: the
-// container delivers a whole polled batch (all from one topic-partition, in
-// offset order) per call instead of one message at a time, amortizing
-// virtual dispatch, decode and trace bookkeeping across the batch. The
-// per-message semantics are the task's to preserve: a returned error is
-// positioned at the batch, offsets advance past the whole batch only on
-// success, and commit/shutdown requests are honored at the batch boundary.
-// pollNs is the batch's poll anchor timestamp (UnixNano), used by tasks
-// that replay trace spans for sampled messages inside the batch.
-type BatchedStreamTask interface {
-	StreamTask
+	// ProcessBatch handles one block. A returned error fails the whole
+	// block: the container checkpoints none of it, and a restarted task
+	// replays it. Offsets advance past the block only on success. pollNs is
+	// the block's poll time (UnixNano); the container records no trace
+	// spans inside a block, so a task that wants span trees for the sampled
+	// envelopes (Trace.Sampled) replays them from it.
 	ProcessBatch(envs []IncomingMessageEnvelope, collector MessageCollector, coord Coordinator, pollNs int64) error
-}
-
-// WindowableTask is implemented by tasks that want periodic Window calls
-// (used by hopping/tumbling aggregate operators to emit on intervals).
-type WindowableTask interface {
-	// Window fires on the job's configured window interval.
-	Window(collector MessageCollector, coord Coordinator) error
-}
-
-// ClosableTask is implemented by tasks that hold resources to release at
-// shutdown.
-type ClosableTask interface {
-	Close() error
 }
 
 // TaskName names a task within a job; Samza names tasks after the partition

@@ -11,25 +11,15 @@ import (
 	"samzasql/internal/kafka"
 )
 
-// batchRecordingTask implements both StreamTask and BatchedStreamTask,
-// recording which entry point the container used and the offsets of every
-// delivered batch, and forwarding input through the batched collector sink.
+// batchRecordingTask records the offsets of every delivered block and
+// forwards its input through the collector's batched sink.
 type batchRecordingTask struct {
 	mu      *sync.Mutex
 	batches *[][]int64 // offsets of each delivered batch, in order
-	scalar  *atomic.Int64
 	out     string
 }
 
 func (t *batchRecordingTask) Init(ctx *TaskContext) error { return nil }
-
-func (t *batchRecordingTask) Process(env IncomingMessageEnvelope, c MessageCollector, _ Coordinator) error {
-	t.scalar.Add(1)
-	return c.Send(OutgoingMessageEnvelope{
-		Stream: t.out, Partition: env.Partition,
-		Key: env.Key, Value: env.Value, Timestamp: env.Timestamp,
-	})
-}
 
 func (t *batchRecordingTask) ProcessBatch(envs []IncomingMessageEnvelope, c MessageCollector, _ Coordinator, pollNs int64) error {
 	offs := make([]int64, len(envs))
@@ -44,17 +34,13 @@ func (t *batchRecordingTask) ProcessBatch(envs []IncomingMessageEnvelope, c Mess
 	t.mu.Lock()
 	*t.batches = append(*t.batches, offs)
 	t.mu.Unlock()
-	bc, ok := c.(BatchCollector)
-	if !ok {
-		return fmt.Errorf("container collector %T does not implement BatchCollector", c)
-	}
-	return bc.SendBatch(t.out, msgs)
+	return c.SendBatch(t.out, msgs)
 }
 
 // runBatchJob submits a single-partition job with the given BatchSize over
 // n preloaded messages, waits for full passthrough, and returns the
-// recorded batch offsets and scalar-delivery count.
-func runBatchJob(t *testing.T, batchSize, n int) ([][]int64, int64) {
+// recorded batch offsets.
+func runBatchJob(t *testing.T, batchSize, n int) [][]int64 {
 	t.Helper()
 	b, r := testEnv()
 	for _, topic := range []string{"in", "out"} {
@@ -65,14 +51,13 @@ func runBatchJob(t *testing.T, batchSize, n int) ([][]int64, int64) {
 	produceN(t, b, "in", 0, n, "m")
 	var mu sync.Mutex
 	var batches [][]int64
-	var scalar atomic.Int64
 	job := &JobSpec{
 		Name:       "batch-delivery",
 		Inputs:     []StreamSpec{{Topic: "in"}},
 		Containers: 1,
 		BatchSize:  batchSize,
 		TaskFactory: func() StreamTask {
-			return &batchRecordingTask{mu: &mu, batches: &batches, scalar: &scalar, out: "out"}
+			return &batchRecordingTask{mu: &mu, batches: &batches, out: "out"}
 		},
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -94,7 +79,7 @@ func runBatchJob(t *testing.T, batchSize, n int) ([][]int64, int64) {
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	return batches, scalar.Load()
+	return batches
 }
 
 // flatten checks the recorded batches cover offsets 0..n-1 in order —
@@ -118,16 +103,12 @@ func flattenBatches(t *testing.T, batches [][]int64, n int) {
 	}
 }
 
-// TestBatchedTaskReceivesBlocks verifies the default vectorized delivery: a
-// BatchedStreamTask gets whole multi-message batches through ProcessBatch
-// (never per-message Process), covering every offset exactly once, with the
-// batched collector sink wired.
+// TestBatchedTaskReceivesBlocks verifies the default delivery: a task gets
+// whole multi-message blocks through ProcessBatch, covering every offset
+// exactly once, with the batched collector sink wired.
 func TestBatchedTaskReceivesBlocks(t *testing.T) {
 	const n = 300
-	batches, scalar := runBatchJob(t, 0, n)
-	if scalar != 0 {
-		t.Fatalf("scalar Process ran %d times for a batched task", scalar)
-	}
+	batches := runBatchJob(t, 0, n)
 	flattenBatches(t, batches, n)
 	multi := 0
 	for _, offs := range batches {
@@ -141,14 +122,10 @@ func TestBatchedTaskReceivesBlocks(t *testing.T) {
 }
 
 // TestBatchSizeOneDeliversSingleRowBlocks checks the boundary granularity:
-// BatchSize = 1 — per-tuple execution — still uses the batched entry point,
-// one message per block.
+// BatchSize = 1 — per-tuple execution — delivers one message per block.
 func TestBatchSizeOneDeliversSingleRowBlocks(t *testing.T) {
 	const n = 40
-	batches, scalar := runBatchJob(t, 1, n)
-	if scalar != 0 {
-		t.Fatalf("scalar Process ran %d times for a batched task", scalar)
-	}
+	batches := runBatchJob(t, 1, n)
 	for _, offs := range batches {
 		if len(offs) != 1 {
 			t.Fatalf("batch of %d messages with BatchSize=1", len(offs))
@@ -168,19 +145,9 @@ type gatedTask struct {
 
 func (g *gatedTask) Init(*TaskContext) error { return nil }
 
-func (g *gatedTask) hold() {
+func (g *gatedTask) ProcessBatch(envs []IncomingMessageEnvelope, _ MessageCollector, _ Coordinator, _ int64) error {
 	g.once.Do(func() { close(g.entered) })
 	<-g.release
-}
-
-func (g *gatedTask) Process(IncomingMessageEnvelope, MessageCollector, Coordinator) error {
-	g.hold()
-	g.finished.Add(1)
-	return nil
-}
-
-func (g *gatedTask) ProcessBatch(envs []IncomingMessageEnvelope, _ MessageCollector, _ Coordinator, _ int64) error {
-	g.hold()
 	g.finished.Add(int64(len(envs)))
 	return nil
 }
@@ -191,52 +158,47 @@ func (g *gatedTask) ProcessBatch(envs []IncomingMessageEnvelope, _ MessageCollec
 // lag, and lag reads zero only once the task is through.
 func TestLagCountsUnfinishedBlock(t *testing.T) {
 	const n = 100 // one block at the default cap
-	for _, batched := range []bool{true, false} {
-		t.Run(fmt.Sprintf("batched=%v", batched), func(t *testing.T) {
-			b, r := testEnv()
-			if err := b.CreateTopic("in", kafka.TopicConfig{Partitions: 1}); err != nil {
-				t.Fatal(err)
+	// The subtest name is kept from when a per-message delivery path ran
+	// beside the block path; every task now receives blocks.
+	t.Run("batched=true", func(t *testing.T) {
+		b, r := testEnv()
+		if err := b.CreateTopic("in", kafka.TopicConfig{Partitions: 1}); err != nil {
+			t.Fatal(err)
+		}
+		produceN(t, b, "in", 0, n, "m")
+		var finished atomic.Int64
+		g := &gatedTask{entered: make(chan struct{}), release: make(chan struct{}), finished: &finished}
+		job := &JobSpec{
+			Name:        "lag-mid-block",
+			Inputs:      []StreamSpec{{Topic: "in"}},
+			TaskFactory: func() StreamTask { return g },
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		rj, err := r.Submit(ctx, job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rj.Stop()
+		released := false
+		defer func() {
+			if !released {
+				close(g.release)
 			}
-			produceN(t, b, "in", 0, n, "m")
-			var finished atomic.Int64
-			g := &gatedTask{entered: make(chan struct{}), release: make(chan struct{}), finished: &finished}
-			job := &JobSpec{
-				Name:   "lag-mid-block",
-				Inputs: []StreamSpec{{Topic: "in"}},
-				TaskFactory: func() StreamTask {
-					if batched {
-						return g
-					}
-					return struct{ StreamTask }{g}
-				},
-			}
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			rj, err := r.Submit(ctx, job)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer rj.Stop()
-			released := false
-			defer func() {
-				if !released {
-					close(g.release)
-				}
-			}()
-			select {
-			case <-g.entered:
-			case <-time.After(5 * time.Second):
-				t.Fatal("task never received its first delivery")
-			}
-			if lag := rj.UpdateLags(); lag != n {
-				t.Fatalf("lag %d while the task holds its first message, want all %d", lag, n)
-			}
-			close(g.release)
-			released = true
-			waitFor(t, 5*time.Second, func() bool { return rj.UpdateLags() == 0 }, "lag 0 after the block")
-			if got := finished.Load(); got != n {
-				t.Fatalf("task finished %d messages, want %d", got, n)
-			}
-		})
-	}
+		}()
+		select {
+		case <-g.entered:
+		case <-time.After(5 * time.Second):
+			t.Fatal("task never received its first delivery")
+		}
+		if lag := rj.UpdateLags(); lag != n {
+			t.Fatalf("lag %d while the task holds its first message, want all %d", lag, n)
+		}
+		close(g.release)
+		released = true
+		waitFor(t, 5*time.Second, func() bool { return rj.UpdateLags() == 0 }, "lag 0 after the block")
+		if got := finished.Load(); got != n {
+			t.Fatalf("task finished %d messages, want %d", got, n)
+		}
+	})
 }

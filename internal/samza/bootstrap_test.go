@@ -20,9 +20,8 @@ type bootstrapRecorder struct {
 	started sync.Once
 	done    chan struct{}
 
-	batches []int   // size of each ProcessBatch delivery; 1 per Process call
+	batches []int   // size of each ProcessBatch delivery
 	offsets []int64 // every delivered offset, in delivery order
-	scalar  int     // Process calls
 }
 
 func (r *bootstrapRecorder) Init(*TaskContext) error { return nil }
@@ -44,14 +43,6 @@ func (r *bootstrapRecorder) appendConcurrently() {
 	})
 }
 
-func (r *bootstrapRecorder) Process(env IncomingMessageEnvelope, _ MessageCollector, _ Coordinator) error {
-	r.appendConcurrently()
-	r.scalar++
-	r.batches = append(r.batches, 1)
-	r.offsets = append(r.offsets, env.Offset)
-	return nil
-}
-
 func (r *bootstrapRecorder) ProcessBatch(envs []IncomingMessageEnvelope, _ MessageCollector, _ Coordinator, _ int64) error {
 	r.appendConcurrently()
 	r.batches = append(r.batches, len(envs))
@@ -61,9 +52,8 @@ func (r *bootstrapRecorder) ProcessBatch(envs []IncomingMessageEnvelope, _ Messa
 	return nil
 }
 
-// TestBootstrapStopsAtHighWatermark pins the bootstrap cut-off for batched
-// tasks and for plain StreamTasks, which get per-message delivery, alike: with the relation topic appended to
-// concurrently, the bootstrap delivers exactly the offsets below the high
+// TestBootstrapStopsAtHighWatermark pins the bootstrap cut-off: with the
+// relation topic appended to concurrently, the bootstrap delivers exactly the offsets below the high
 // watermark it observed at start — the last block cut short there, not
 // rounded up to the fetch — and leaves the consumer positioned on the
 // watermark, so the records past it reach the task through the poll loop.
@@ -72,10 +62,9 @@ func TestBootstrapStopsAtHighWatermark(t *testing.T) {
 	cases := []struct {
 		name      string
 		batchSize int
-		wantBatch int // largest delivery the task may see; 0 = per message
+		wantBatch int // largest delivery the task may see
 		preloaded int // the watermark the bootstrap will observe
 	}{
-		{"plain-task", 0, 0, 100},
 		{"batch-1", 1, 1, 100},
 		{"batch-7", 7, 7, 100}, // 100 = 14*7 + 2: the last block is cut at the watermark
 		{"batch-256", 256, 256, 100},
@@ -93,16 +82,10 @@ func TestBootstrapStopsAtHighWatermark(t *testing.T) {
 			produceN(t, b, "relation", 0, preloaded, "rel")
 			rec := &bootstrapRecorder{broker: b, topic: "relation", extra: extra, done: make(chan struct{})}
 			job := &JobSpec{
-				Name:      "bootstrap-hwm-" + tc.name,
-				Inputs:    []StreamSpec{{Topic: "relation", Bootstrap: true}},
-				BatchSize: tc.batchSize,
-				TaskFactory: func() StreamTask {
-					if tc.wantBatch == 0 {
-						// Only the StreamTask half of the recorder.
-						return struct{ StreamTask }{rec}
-					}
-					return rec
-				},
+				Name:        "bootstrap-hwm-" + tc.name,
+				Inputs:      []StreamSpec{{Topic: "relation", Bootstrap: true}},
+				BatchSize:   tc.batchSize,
+				TaskFactory: func() StreamTask { return rec },
 			}
 			cpm, err := NewCheckpointManager(b, job)
 			if err != nil {
@@ -137,15 +120,6 @@ func TestBootstrapStopsAtHighWatermark(t *testing.T) {
 			}
 			if got := ti.input("relation").done.Load(); got != int64(preloaded) {
 				t.Fatalf("finished offset %d after bootstrap, want %d", got, preloaded)
-			}
-			if tc.wantBatch == 0 {
-				if rec.scalar != preloaded {
-					t.Fatalf("plain StreamTask got %d Process calls, want %d", rec.scalar, preloaded)
-				}
-				return
-			}
-			if rec.scalar != 0 {
-				t.Fatalf("batched task got %d per-message bootstrap deliveries", rec.scalar)
 			}
 			for i, n := range rec.batches {
 				if n > tc.wantBatch {

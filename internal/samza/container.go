@@ -29,14 +29,16 @@ type TaskContext struct {
 	// Config aliases the job's Config map.
 	Config map[string]string
 	// Collector sends messages to output streams. The framework binds it
-	// once per task before Init and passes the same value to every Process
-	// call, so tasks may capture it at Init and build per-task senders
-	// instead of rebinding per message.
+	// once per task before Init and passes the same value to every
+	// ProcessBatch call, so tasks may capture it at Init and build per-task
+	// senders instead of rebinding per block.
 	Collector MessageCollector
-	// Trace is the task's tracing cursor. Always non-nil; when the current
-	// message is unsampled every method collapses to a bool check. Task
-	// code touching it from a hot path must branch on Trace.Sampled()
-	// first (enforced by the samzasql-vet trace-guard rule).
+	// Trace is the task's tracing cursor. Always non-nil; outside a sampled
+	// message every method collapses to a bool check. The container opens
+	// no trace inside a block: a task replays its sampled envelopes through
+	// StartMessage/FinishMessage itself. Task code touching it from a hot
+	// path must branch on a Sampled check first (enforced by the
+	// samzasql-vet trace-guard rule).
 	Trace *trace.Active
 
 	stores map[string]kv.Store
@@ -78,7 +80,7 @@ func (c *collector) Send(env OutgoingMessageEnvelope) error {
 	return err
 }
 
-// SendBatch implements BatchCollector: one producer call appends a whole
+// SendBatch implements MessageCollector: one producer call appends a whole
 // block's output messages, preserving order. The broker writes assigned
 // offsets back into msgs and copies the key/value bytes into the log, so the
 // caller may reuse both on return.
@@ -91,8 +93,8 @@ func (c *collector) SendBatch(stream string, msgs []kafka.Message) error {
 }
 
 // coordinatorState implements Coordinator. Each task loop reuses one
-// instance across messages, resetting it per delivery, so the hot path
-// performs no per-message allocation for coordinator plumbing.
+// instance across blocks, resetting it per delivery, so the hot path
+// performs no per-block allocation for coordinator plumbing.
 type coordinatorState struct {
 	commitRequested   bool
 	shutdownRequested bool
@@ -114,20 +116,16 @@ type taskInstance struct {
 	name      TaskName
 	partition int32
 	task      StreamTask
-	// batched is the task's whole-batch entry point, cached at build time:
-	// non-nil when the task implements BatchedStreamTask.
-	batched BatchedStreamTask
 	// pollMax caps messages per poll (JobSpec.BatchSize resolved).
 	pollMax int
-	// envs is the reusable envelope arena the batched path delivers through.
+	// envs is the reusable envelope arena blocks are delivered through.
 	envs      []IncomingMessageEnvelope
 	consumer  *kafka.Consumer
 	ctx       *TaskContext
 	changelog []taskChangelog
 	processed int // messages since last commit
-	sinceWin  int // messages since last window fire
-	// coord is the per-loop Coordinator handed to Process, reset per
-	// message instead of allocated per message.
+	// coord is the per-loop Coordinator handed to ProcessBatch, reset per
+	// block instead of allocated per block.
 	coord coordinatorState
 	// inputs holds, per input stream, how far the task has got through its
 	// partition of it; checkpoints and lag are read from here.
@@ -135,11 +133,10 @@ type taskInstance struct {
 	// act is the task's tracing cursor (shared with ctx.Trace and the
 	// store stack), owned by the task goroutine like everything else here.
 	act *trace.Active
-	// procLat, winLat and commitLat are pre-bound per-task latency timers
-	// ("task.<name>.{process,window,commit}-ns"); hoisting them here keeps
-	// the per-message path free of registry lookups and allocations.
+	// procLat and commitLat are pre-bound per-task latency timers
+	// ("task.<name>.{process,commit}-ns"); hoisting them here keeps the
+	// per-block path free of registry lookups and allocations.
 	procLat   metrics.Timer
-	winLat    metrics.Timer
 	commitLat metrics.Timer
 	// health is the supervisor-visible liveness state (taskHealth* consts),
 	// read by Container.TaskHealth for the /healthz endpoint.
@@ -149,14 +146,14 @@ type taskInstance struct {
 // taskInput is one input partition of a task.
 type taskInput struct {
 	tp kafka.TopicPartition
-	// done is the offset after the last message the task finished
+	// done is the offset after the last block the task finished
 	// processing. Checkpoints are written from here, not from the consumer
-	// position: the consumer advances a whole fetched batch at once, and
-	// committing its position mid-batch would skip unprocessed messages
-	// after a crash. Lag is measured from here for the same reason: a task
-	// in the middle of a block has not caught up. It is -1 until Run has
-	// positioned the input. The task goroutine stores it; the metrics
-	// reporter loads it.
+	// position: the consumer advances past a whole block before the task
+	// starts it, and committing that position mid-block would skip
+	// unprocessed messages after a crash. Lag is measured from here for the
+	// same reason: a task in the middle of a block has not caught up. It is
+	// -1 until Run has positioned the input. The task goroutine stores it;
+	// the metrics reporter loads it.
 	done atomic.Int64
 	// lag is the "kafka.lag.<topic>.<partition>" gauge UpdateLags sets.
 	lag *metrics.Gauge
@@ -214,8 +211,8 @@ func taskHealthString(s int32) string {
 }
 
 // Container runs a set of tasks against the broker, mirroring a Samza
-// container: restore state, bootstrap, then one poll-process-window-commit
-// loop per task, each in a dedicated goroutine under an errgroup-style
+// container: restore state, bootstrap, then one poll-process-commit loop
+// per task, each in a dedicated goroutine under an errgroup-style
 // supervisor.
 type Container struct {
 	ID      int
@@ -227,10 +224,10 @@ type Container struct {
 
 	// coll is the shared broker-backed collector (safe for concurrent use).
 	coll *collector
-	// sem, when non-nil, bounds how many tasks process batches at once
+	// sem, when non-nil, bounds how many tasks process blocks at once
 	// (JobSpec.TaskParallelism).
 	sem chan struct{}
-	// processed and commits are hoisted counters so the per-message path
+	// processed and commits are hoisted counters so the per-block path
 	// never takes the registry lock.
 	processed *metrics.Counter
 	commits   *metrics.Counter
@@ -337,7 +334,6 @@ func (c *Container) buildTask(partition, inputPartitions int32) (*taskInstance, 
 		act:       act,
 		inputs:    make([]taskInput, len(c.job.Inputs)),
 		procLat:   c.Metrics.Timer("task." + string(name) + ".process-ns"),
-		winLat:    c.Metrics.Timer("task." + string(name) + ".window-ns"),
 		commitLat: c.Metrics.Timer("task." + string(name) + ".commit-ns"),
 	}
 	for i, in := range c.job.Inputs {
@@ -345,7 +341,6 @@ func (c *Container) buildTask(partition, inputPartitions int32) (*taskInstance, 
 		ti.inputs[i].lag = c.Metrics.Gauge(fmt.Sprintf("kafka.lag.%s.%d", in.Topic, partition))
 		ti.inputs[i].done.Store(-1)
 	}
-	ti.batched, _ = task.(BatchedStreamTask)
 	return ti, nil
 }
 
@@ -540,10 +535,10 @@ func (c *Container) RecentTraces() []*trace.TraceData {
 }
 
 // runTask is one task's whole life inside a running container: bootstrap,
-// then poll batches until the context ends, an error occurs, or the task
-// requests shutdown. On orderly exits the task writes a final checkpoint and
-// closes; after a processing error it does not, preserving the replay
-// window for the restarted attempt.
+// then poll blocks until the context ends, an error occurs, or the task
+// requests shutdown. On orderly exits the task writes a final checkpoint;
+// after a processing error it does not, preserving the replay window for
+// the restarted attempt.
 func (c *Container) runTask(ctx context.Context, ti *taskInstance) error {
 	defer ti.consumer.Close()
 	if err := c.bootstrap(ctx, ti); err != nil {
@@ -551,14 +546,14 @@ func (c *Container) runTask(ctx context.Context, ti *taskInstance) error {
 	}
 	for {
 		if ctx.Err() != nil {
-			return c.finishTask(ti)
+			return c.commitTask(ti)
 		}
 		stop, err := c.pollTask(ctx, ti)
 		if err != nil {
 			return err
 		}
 		if stop {
-			if err := c.finishTask(ti); err != nil {
+			if err := c.commitTask(ti); err != nil {
 				return err
 			}
 			return errStopRequested
@@ -566,18 +561,11 @@ func (c *Container) runTask(ctx context.Context, ti *taskInstance) error {
 	}
 }
 
-// bootstrapFetch caps one bootstrap fetch on the per-message path; batched
-// tasks fetch a block (pollMax) at a time instead.
-const bootstrapFetch = 512
-
 // bootstrap consumes each bootstrap stream partition from the consumer's
-// current position to the high watermark observed at start. Records appended
-// while the bootstrap runs belong to the poll loop that follows.
+// current position to the high watermark observed at start, in blocks of
+// the poll cap. Records appended while the bootstrap runs belong to the poll
+// loop that follows.
 func (c *Container) bootstrap(ctx context.Context, ti *taskInstance) error {
-	fetchMax := bootstrapFetch
-	if ti.batched != nil {
-		fetchMax = ti.pollMax
-	}
 	for _, in := range c.job.Inputs {
 		if !in.Bootstrap {
 			continue
@@ -592,7 +580,7 @@ func (c *Container) bootstrap(ctx context.Context, ti *taskInstance) error {
 		// views into the log, which the task's stores copy before the next.
 		var msgs []kafka.Message
 		for pos < hwm {
-			if msgs, err = c.broker.Read(msgs[:0], tp, pos, fetchMax); err != nil {
+			if msgs, err = c.broker.Read(msgs[:0], tp, pos, ti.pollMax); err != nil {
 				return fmt.Errorf("samza: %s bootstrap %s: %w", ti.name, tp, err)
 			}
 			if len(msgs) == 0 {
@@ -623,41 +611,27 @@ func (c *Container) bootstrap(ctx context.Context, ti *taskInstance) error {
 	return nil
 }
 
-// deliverBootstrap hands one fetched run of bootstrap messages to the task:
-// as a single ProcessBatch call when the task is batched — a SamzaSQL job
-// loads its relations block-wise, like it processes its streams — and one
-// Process call per message otherwise.
+// deliverBootstrap hands one fetched block of bootstrap messages to the
+// task in one ProcessBatch call: a SamzaSQL job loads its relations
+// block-wise, like it processes its streams. Trace contexts are not carried
+// over: bootstrap deliveries are not traced.
 //
 //samzasql:hotpath
 func (c *Container) deliverBootstrap(ti *taskInstance, msgs []kafka.Message) error {
-	if ti.batched != nil {
-		envs := ti.envs[:0]
-		for i := range msgs {
-			envs = append(envs, bootstrapEnvelope(&msgs[i]))
-		}
-		ti.envs = envs
-		ti.coord.reset()
-		if err := ti.batched.ProcessBatch(envs, c.coll, &ti.coord, time.Now().UnixNano()); err != nil {
-			return fmt.Errorf("samza: %s bootstrap process batch: %w", ti.name, err)
-		}
-		return ti.changelogErr()
-	}
+	envs := ti.envs[:0]
 	for i := range msgs {
-		ti.coord.reset()
-		if err := ti.task.Process(bootstrapEnvelope(&msgs[i]), c.coll, &ti.coord); err != nil {
-			return fmt.Errorf("samza: %s bootstrap process: %w", ti.name, err)
-		}
+		m := &msgs[i]
+		envs = append(envs, IncomingMessageEnvelope{
+			Stream: m.Topic, Partition: m.Partition, Offset: m.Offset,
+			Key: m.Key, Value: m.Value, Timestamp: m.Timestamp,
+		})
+	}
+	ti.envs = envs
+	ti.coord.reset()
+	if err := ti.task.ProcessBatch(envs, c.coll, &ti.coord, time.Now().UnixNano()); err != nil {
+		return fmt.Errorf("samza: %s bootstrap process batch: %w", ti.name, err)
 	}
 	return ti.changelogErr()
-}
-
-// bootstrapEnvelope wraps a bootstrap message for delivery. Trace contexts
-// are not carried over: bootstrap deliveries are not traced.
-func bootstrapEnvelope(m *kafka.Message) IncomingMessageEnvelope {
-	return IncomingMessageEnvelope{
-		Stream: m.Topic, Partition: m.Partition, Offset: m.Offset,
-		Key: m.Key, Value: m.Value, Timestamp: m.Timestamp,
-	}
 }
 
 // idleWait bounds how long a task with no assignment sleeps between polls;
@@ -665,9 +639,9 @@ func bootstrapEnvelope(m *kafka.Message) IncomingMessageEnvelope {
 const idleWait = 10 * time.Millisecond
 
 // DefaultBatchSize is the per-poll message cap when JobSpec.BatchSize is
-// unset: the block a BatchedStreamTask receives and the fetch granularity of
-// per-message delivery alike. The cap binds only on a backlog (a drain, a
-// restart's replay, a burst); a caught-up poll returns what has arrived.
+// unset: the largest block one ProcessBatch call receives. The cap binds
+// only on a backlog (a drain, a restart's replay, a burst); a caught-up poll
+// returns what has arrived.
 // There, stateful operators load, fold and write each key's state once per
 // block, so a larger block pays fewer state round trips per row, while each
 // task's block scratch grows with it. 1024 is where the window's savings
@@ -675,7 +649,7 @@ const idleWait = 10 * time.Millisecond
 // "Execution model").
 const DefaultBatchSize = 1024
 
-// pollTask delivers one batch to the task. Returns stop=true when the task
+// pollTask delivers one block to the task. Returns stop=true when the task
 // requested shutdown.
 //
 //samzasql:hotpath
@@ -705,110 +679,45 @@ func (c *Container) pollTask(ctx context.Context, ti *taskInstance) (bool, error
 		}
 		defer func() { <-c.sem }()
 	}
-	// batchNs anchors the poll span of any sampled message in this batch:
-	// one time read per batch is the only unconditional tracing cost.
-	batchNs := time.Now().UnixNano()
-	// Vectorized delivery: the whole polled batch (one topic-partition, in
-	// offset order) goes to the task in a single ProcessBatch call, with
-	// one coordinator reset, one latency observation, and one
-	// finished-offset update per batch instead of per message. Trace
-	// bookkeeping for sampled messages inside the batch is the task's to
-	// replay (batch-level spans with row counts).
-	if ti.batched != nil {
-		envs := ti.envs[:0]
-		for i := range msgs {
-			m := &msgs[i]
-			envs = append(envs, IncomingMessageEnvelope{
-				Stream: m.Topic, Partition: m.Partition, Offset: m.Offset,
-				Key: m.Key, Value: m.Value, Timestamp: m.Timestamp,
-				Trace: m.Trace,
-			})
-		}
-		ti.envs = envs
-		ti.coord.reset()
-		start := ti.procLat.Start()
-		if err := ti.batched.ProcessBatch(envs, c.coll, &ti.coord, batchNs); err != nil {
-			return false, fmt.Errorf("samza: %s process batch: %w", ti.name, err)
-		}
-		if err := ti.changelogErr(); err != nil {
-			return false, err
-		}
-		ti.procLat.Stop(start)
-		ti.input(msgs[0].Topic).done.Store(msgs[len(msgs)-1].Offset + 1)
-		c.processed.Add(int64(len(msgs)))
-		ti.processed += len(msgs)
-		ti.sinceWin += len(msgs)
-		if wt, ok := ti.task.(WindowableTask); ok && c.job.WindowEvery > 0 && ti.sinceWin >= c.job.WindowEvery {
-			wstart := ti.winLat.Start()
-			if err := wt.Window(c.coll, &ti.coord); err != nil {
-				return false, fmt.Errorf("samza: %s window: %w", ti.name, err)
-			}
-			ti.winLat.Stop(wstart)
-			ti.sinceWin = 0
-		}
-		needCommit := ti.coord.commitRequested ||
-			(c.job.CommitEvery > 0 && ti.processed >= c.job.CommitEvery)
-		if needCommit {
-			if err := c.commitTask(ti); err != nil {
-				return false, err
-			}
-			ti.processed = 0
-		}
-		return ti.coord.shutdownRequested, nil
-	}
-	// env and ti.coord are reused across the batch; Process receives the
-	// envelope by value, so reuse is invisible to the task. A poll returns
-	// one partition's messages, so one input's offset advances throughout.
-	env := IncomingMessageEnvelope{}
-	in := ti.input(msgs[0].Topic)
+	// pollNs anchors the poll span of any sampled message in the block:
+	// one time read per block is the only unconditional tracing cost.
+	pollNs := time.Now().UnixNano()
+	// The whole polled block (one topic-partition, in offset order) goes to
+	// the task in a single ProcessBatch call, with one coordinator reset,
+	// one latency observation, and one finished-offset update per block.
+	// Trace bookkeeping for sampled messages inside the block is the task's
+	// to replay.
+	envs := ti.envs[:0]
 	for i := range msgs {
 		m := &msgs[i]
-		env = IncomingMessageEnvelope{
+		envs = append(envs, IncomingMessageEnvelope{
 			Stream: m.Topic, Partition: m.Partition, Offset: m.Offset,
 			Key: m.Key, Value: m.Value, Timestamp: m.Timestamp,
 			Trace: m.Trace,
-		}
-		ti.coord.reset()
-		if m.Trace.Sampled {
-			ti.act.StartMessage(m.Trace, batchNs, time.Now().UnixNano())
-		}
-		start := ti.procLat.Start()
-		if err := ti.task.Process(env, c.coll, &ti.coord); err != nil {
-			return false, fmt.Errorf("samza: %s process: %w", ti.name, err)
-		}
-		if err := ti.changelogErr(); err != nil {
+		})
+	}
+	ti.envs = envs
+	ti.coord.reset()
+	start := ti.procLat.Start()
+	if err := ti.task.ProcessBatch(envs, c.coll, &ti.coord, pollNs); err != nil {
+		return false, fmt.Errorf("samza: %s process batch: %w", ti.name, err)
+	}
+	if err := ti.changelogErr(); err != nil {
+		return false, err
+	}
+	ti.procLat.Stop(start)
+	ti.input(msgs[0].Topic).done.Store(msgs[len(msgs)-1].Offset + 1)
+	c.processed.Add(int64(len(msgs)))
+	ti.processed += len(msgs)
+	needCommit := ti.coord.commitRequested ||
+		(c.job.CommitEvery > 0 && ti.processed >= c.job.CommitEvery)
+	if needCommit {
+		if err := c.commitTask(ti); err != nil {
 			return false, err
 		}
-		ti.procLat.Stop(start)
-		if m.Trace.Sampled {
-			ti.act.FinishMessage(time.Now().UnixNano())
-		}
-		in.done.Store(env.Offset + 1)
-		c.processed.Inc()
-		ti.processed++
-		ti.sinceWin++
-
-		if wt, ok := ti.task.(WindowableTask); ok && c.job.WindowEvery > 0 && ti.sinceWin >= c.job.WindowEvery {
-			wstart := ti.winLat.Start()
-			if err := wt.Window(c.coll, &ti.coord); err != nil {
-				return false, fmt.Errorf("samza: %s window: %w", ti.name, err)
-			}
-			ti.winLat.Stop(wstart)
-			ti.sinceWin = 0
-		}
-		needCommit := ti.coord.commitRequested ||
-			(c.job.CommitEvery > 0 && ti.processed >= c.job.CommitEvery)
-		if needCommit {
-			if err := c.commitTask(ti); err != nil {
-				return false, err
-			}
-			ti.processed = 0
-		}
-		if ti.coord.shutdownRequested {
-			return true, nil
-		}
+		ti.processed = 0
 	}
-	return false, nil
+	return ti.coord.shutdownRequested, nil
 }
 
 // commitTask writes the task's offset checkpoint. There is nothing to flush
@@ -843,15 +752,4 @@ func (c *Container) commitTask(ti *taskInstance) error {
 		ti.act.FinishCommit(time.Now().UnixNano())
 	}
 	return nil
-}
-
-// finishTask commits the task's final checkpoint and closes it.
-func (c *Container) finishTask(ti *taskInstance) error {
-	err := c.commitTask(ti)
-	if ct, ok := ti.task.(ClosableTask); ok {
-		if cerr := ct.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}
-	return err
 }

@@ -18,8 +18,10 @@ type latencyTask struct{ d time.Duration }
 
 func (t *latencyTask) Init(*TaskContext) error { return nil }
 
-func (t *latencyTask) Process(IncomingMessageEnvelope, MessageCollector, Coordinator) error {
-	time.Sleep(t.d)
+func (t *latencyTask) ProcessBatch(envs []IncomingMessageEnvelope, _ MessageCollector, _ Coordinator, _ int64) error {
+	for range envs {
+		time.Sleep(t.d)
+	}
 	return nil
 }
 
@@ -93,13 +95,13 @@ type nopTask struct{}
 
 func (nopTask) Init(*TaskContext) error { return nil }
 
-func (nopTask) Process(IncomingMessageEnvelope, MessageCollector, Coordinator) error {
+func (nopTask) ProcessBatch([]IncomingMessageEnvelope, MessageCollector, Coordinator, int64) error {
 	return nil
 }
 
 // BenchmarkTaskLoopMachineryAllocs measures the container's own per-message
-// overhead — consumer poll, envelope construction, coordinator plumbing,
-// metrics — by driving pollTask directly over a prefilled partition with a
+// overhead — consumer poll, envelope arena, coordinator plumbing, metrics —
+// by driving pollTask directly over a prefilled partition with a
 // no-op task. The loop machinery must amortize to 0 allocs/op: the only
 // allocations are the fetched batch slices, at most ~1 per poll of
 // DefaultBatchSize messages.

@@ -136,8 +136,10 @@ type leakyTask struct{ kept [][]byte }
 
 func (l *leakyTask) Init(*TaskContext) error { return nil }
 
-func (l *leakyTask) Process(IncomingMessageEnvelope, MessageCollector, Coordinator) error {
-	l.kept = append(l.kept, l.retainLeakedPayload())
+func (l *leakyTask) ProcessBatch(envs []IncomingMessageEnvelope, _ MessageCollector, _ Coordinator, _ int64) error {
+	for range envs {
+		l.kept = append(l.kept, l.retainLeakedPayload())
+	}
 	return nil
 }
 

@@ -42,18 +42,15 @@ type JobSpec struct {
 	Containers int
 	// Stores declares the local stores available to tasks.
 	Stores []StoreSpec
-	// CommitEvery checkpoints input offsets after this many processed
-	// messages per task. 0 disables count-based commits (commits then only
-	// happen on Coordinator.Commit or shutdown).
+	// CommitEvery checkpoints input offsets after the block at which a task
+	// has processed at least this many messages since its last commit. 0
+	// disables count-based commits (commits then only happen on
+	// Coordinator.Commit or shutdown).
 	CommitEvery int
-	// WindowEvery fires WindowableTask.Window after this many processed
-	// messages per task; 0 disables. (The simulation is message-driven, so
-	// window firing is count-based rather than wall-clock.)
-	WindowEvery int
 	// MaxRestarts bounds per-container restarts after failures.
 	MaxRestarts int
 	// TaskParallelism bounds how many of a container's tasks may process
-	// message batches concurrently (Samza's job.container.thread.pool.size
+	// blocks concurrently (Samza's job.container.thread.pool.size
 	// analog). 0 (the default) means unbounded: every task runs its loop
 	// fully in parallel. 1 reproduces the sequential container of the
 	// paper's prototype. Values above the container's task count behave
@@ -77,10 +74,9 @@ type JobSpec struct {
 	// TraceSampleRate is set and this is 0.
 	TraceInterval time.Duration
 	// BatchSize caps how many messages one poll delivers to a task: the
-	// block size of a BatchedStreamTask's ProcessBatch calls (1 is per-tuple
-	// execution), the fetch granularity of a plain StreamTask's per-message
-	// delivery. 0 (the default) uses DefaultBatchSize; negative values are
-	// rejected.
+	// largest block a ProcessBatch call receives, during bootstrap and
+	// after it (1 is per-message execution). 0 (the default) uses
+	// DefaultBatchSize; negative values are rejected.
 	BatchSize int
 	// Config carries arbitrary job configuration strings.
 	Config map[string]string

@@ -13,8 +13,8 @@ import (
 	"samzasql/internal/kafka"
 )
 
-// rendezvousTask blocks its first Process until `want` tasks are inside
-// Process at the same time. Under the sequential container loop this
+// rendezvousTask blocks its first block until `want` tasks are inside
+// ProcessBatch at the same time. Under the sequential container loop this
 // deadlocks (and times out); under per-task goroutines it completes.
 type rendezvousTask struct {
 	want    int32
@@ -25,7 +25,7 @@ type rendezvousTask struct {
 
 func (t *rendezvousTask) Init(ctx *TaskContext) error { return nil }
 
-func (t *rendezvousTask) Process(env IncomingMessageEnvelope, c MessageCollector, _ Coordinator) error {
+func (t *rendezvousTask) ProcessBatch([]IncomingMessageEnvelope, MessageCollector, Coordinator, int64) error {
 	if t.entered {
 		return nil
 	}
@@ -75,7 +75,7 @@ func TestTasksRunConcurrentlyInOneContainer(t *testing.T) {
 	}
 }
 
-// gaugeTask measures how many Process calls overlap.
+// gaugeTask measures how many tasks process messages at once.
 type gaugeTask struct {
 	inFlight *atomic.Int32
 	max      *atomic.Int32
@@ -83,16 +83,18 @@ type gaugeTask struct {
 
 func (t *gaugeTask) Init(ctx *TaskContext) error { return nil }
 
-func (t *gaugeTask) Process(env IncomingMessageEnvelope, c MessageCollector, _ Coordinator) error {
-	cur := t.inFlight.Add(1)
-	for {
-		old := t.max.Load()
-		if cur <= old || t.max.CompareAndSwap(old, cur) {
-			break
+func (t *gaugeTask) ProcessBatch(envs []IncomingMessageEnvelope, _ MessageCollector, _ Coordinator, _ int64) error {
+	for range envs {
+		cur := t.inFlight.Add(1)
+		for {
+			old := t.max.Load()
+			if cur <= old || t.max.CompareAndSwap(old, cur) {
+				break
+			}
 		}
+		time.Sleep(200 * time.Microsecond) // widen the overlap window
+		t.inFlight.Add(-1)
 	}
-	time.Sleep(200 * time.Microsecond) // widen the overlap window
-	t.inFlight.Add(-1)
 	return nil
 }
 
@@ -157,15 +159,17 @@ func (t *storeWriteTask) Init(ctx *TaskContext) error {
 	return nil
 }
 
-func (t *storeWriteTask) Process(env IncomingMessageEnvelope, c MessageCollector, _ Coordinator) error {
-	t.ctx.Store("state").Put(env.Key, env.Value)
-	t.mu.Lock()
-	t.seen[string(env.Key)]++
-	t.mu.Unlock()
-	t.n++
-	if t.crashAt > 0 && env.Partition == t.crashOn && t.n == t.crashAt &&
-		t.crashed.CompareAndSwap(false, true) {
-		return errors.New("injected mid-run task failure")
+func (t *storeWriteTask) ProcessBatch(envs []IncomingMessageEnvelope, c MessageCollector, _ Coordinator, _ int64) error {
+	for _, env := range envs {
+		t.ctx.Store("state").Put(env.Key, env.Value)
+		t.mu.Lock()
+		t.seen[string(env.Key)]++
+		t.mu.Unlock()
+		t.n++
+		if t.crashAt > 0 && env.Partition == t.crashOn && t.n == t.crashAt &&
+			t.crashed.CompareAndSwap(false, true) {
+			return errors.New("injected mid-run task failure")
+		}
 	}
 	return nil
 }
@@ -260,8 +264,8 @@ type failingTask struct {
 
 func (t *failingTask) Init(ctx *TaskContext) error { return nil }
 
-func (t *failingTask) Process(env IncomingMessageEnvelope, c MessageCollector, _ Coordinator) error {
-	if env.Partition == t.partition {
+func (t *failingTask) ProcessBatch(envs []IncomingMessageEnvelope, _ MessageCollector, _ Coordinator, _ int64) error {
+	if envs[0].Partition == t.partition {
 		return errors.New("boom")
 	}
 	return nil
@@ -345,11 +349,11 @@ type partitionShutdownTask struct {
 
 func (t *partitionShutdownTask) Init(ctx *TaskContext) error { return nil }
 
-func (t *partitionShutdownTask) Process(env IncomingMessageEnvelope, c MessageCollector, coord Coordinator) error {
-	if env.Partition != 0 {
+func (t *partitionShutdownTask) ProcessBatch(envs []IncomingMessageEnvelope, _ MessageCollector, coord Coordinator, _ int64) error {
+	if envs[0].Partition != 0 {
 		return nil
 	}
-	t.n++
+	t.n += len(envs)
 	if t.n >= t.limit {
 		coord.Shutdown()
 	}

@@ -30,14 +30,20 @@ type passthroughTask struct {
 
 func (t *passthroughTask) Init(ctx *TaskContext) error { return nil }
 
-func (t *passthroughTask) Process(env IncomingMessageEnvelope, c MessageCollector, _ Coordinator) error {
-	return c.Send(OutgoingMessageEnvelope{
-		Stream:    t.out,
-		Partition: env.Partition,
-		Key:       env.Key,
-		Value:     env.Value,
-		Timestamp: env.Timestamp,
-	})
+func (t *passthroughTask) ProcessBatch(envs []IncomingMessageEnvelope, c MessageCollector, _ Coordinator, _ int64) error {
+	for _, env := range envs {
+		err := c.Send(OutgoingMessageEnvelope{
+			Stream:    t.out,
+			Partition: env.Partition,
+			Key:       env.Key,
+			Value:     env.Value,
+			Timestamp: env.Timestamp,
+		})
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func produceN(t *testing.T, b *kafka.Broker, topic string, partition int32, n int, prefix string) {
@@ -244,13 +250,15 @@ type countingTask struct {
 
 func (t *countingTask) Init(ctx *TaskContext) error { return nil }
 
-func (t *countingTask) Process(env IncomingMessageEnvelope, c MessageCollector, _ Coordinator) error {
-	t.mu.Lock()
-	t.seen[string(env.Key)]++
-	t.mu.Unlock()
-	n := t.processed.Add(1)
-	if t.crashAt > 0 && n == int64(t.crashAt) && t.crashed.CompareAndSwap(false, true) {
-		return errors.New("injected task failure")
+func (t *countingTask) ProcessBatch(envs []IncomingMessageEnvelope, c MessageCollector, _ Coordinator, _ int64) error {
+	for _, env := range envs {
+		t.mu.Lock()
+		t.seen[string(env.Key)]++
+		t.mu.Unlock()
+		n := t.processed.Add(1)
+		if t.crashAt > 0 && n == int64(t.crashAt) && t.crashed.CompareAndSwap(false, true) {
+			return errors.New("injected task failure")
+		}
 	}
 	return nil
 }
@@ -267,8 +275,12 @@ func TestCheckpointResumeAfterCrash(t *testing.T) {
 	var crashed atomic.Bool
 	var processed atomic.Int64
 	job := &JobSpec{
-		Name:        "resume",
-		Inputs:      []StreamSpec{{Topic: "in"}},
+		Name:   "resume",
+		Inputs: []StreamSpec{{Topic: "in"}},
+		// A block is checkpointed whole or not at all, so the replay window
+		// is CommitEvery rounded up to the block: blocks of CommitEvery
+		// keep it at CommitEvery.
+		BatchSize:   10,
 		CommitEvery: 10,
 		MaxRestarts: 2,
 		TaskFactory: func() StreamTask {
@@ -312,15 +324,6 @@ func TestCheckpointResumeAfterCrash(t *testing.T) {
 	}
 }
 
-// statefulTask counts per-key occurrences in a changelog-backed store.
-type statefulTask struct{}
-
-func (t *statefulTask) Init(ctx *TaskContext) error { return nil }
-
-func (t *statefulTask) Process(env IncomingMessageEnvelope, c MessageCollector, _ Coordinator) error {
-	return nil
-}
-
 func TestStateRestoreFromChangelog(t *testing.T) {
 	b, r := testEnv()
 	if err := b.CreateTopic("in", kafka.TopicConfig{Partitions: 1}); err != nil {
@@ -331,12 +334,6 @@ func TestStateRestoreFromChangelog(t *testing.T) {
 	// Task increments a store counter per message and crashes midway.
 	var crashed atomic.Bool
 	var restoredLen atomic.Int64
-	type counterTask struct {
-		ctx  *TaskContext
-		n    int
-		pass int
-	}
-	_ = counterTask{}
 
 	job := &JobSpec{
 		Name:        "stateful",
@@ -378,11 +375,13 @@ func (t *storeCrashTask) Init(ctx *TaskContext) error {
 	return nil
 }
 
-func (t *storeCrashTask) Process(env IncomingMessageEnvelope, c MessageCollector, _ Coordinator) error {
-	t.ctx.Store("counts").Put(env.Key, env.Value)
-	t.n++
-	if t.n == 30 && t.crashed.CompareAndSwap(false, true) {
-		return errors.New("injected failure after 30 writes")
+func (t *storeCrashTask) ProcessBatch(envs []IncomingMessageEnvelope, c MessageCollector, _ Coordinator, _ int64) error {
+	for _, env := range envs {
+		t.ctx.Store("counts").Put(env.Key, env.Value)
+		t.n++
+		if t.n == 30 && t.crashed.CompareAndSwap(false, true) {
+			return errors.New("injected failure after 30 writes")
+		}
 	}
 	return nil
 }
@@ -395,9 +394,11 @@ type bootstrapProbeTask struct {
 
 func (t *bootstrapProbeTask) Init(ctx *TaskContext) error { return nil }
 
-func (t *bootstrapProbeTask) Process(env IncomingMessageEnvelope, c MessageCollector, _ Coordinator) error {
+func (t *bootstrapProbeTask) ProcessBatch(envs []IncomingMessageEnvelope, c MessageCollector, _ Coordinator, _ int64) error {
 	t.mu.Lock()
-	*t.order = append(*t.order, env.Stream)
+	for _, env := range envs {
+		*t.order = append(*t.order, env.Stream)
+	}
 	t.mu.Unlock()
 	return nil
 }
@@ -449,58 +450,51 @@ func TestBootstrapStreamDrainsFirst(t *testing.T) {
 	}
 }
 
-// windowProbeTask counts Window() invocations.
-type windowProbeTask struct {
-	windows *atomic.Int64
-}
-
-func (t *windowProbeTask) Init(ctx *TaskContext) error { return nil }
-func (t *windowProbeTask) Process(env IncomingMessageEnvelope, c MessageCollector, _ Coordinator) error {
-	return nil
-}
-func (t *windowProbeTask) Window(c MessageCollector, _ Coordinator) error {
-	t.windows.Add(1)
-	return nil
-}
-
-func TestWindowableTaskFires(t *testing.T) {
-	b, r := testEnv()
-	if err := b.CreateTopic("in", kafka.TopicConfig{Partitions: 1}); err != nil {
-		t.Fatal(err)
-	}
-	produceN(t, b, "in", 0, 100, "m")
-	var windows atomic.Int64
-	job := &JobSpec{
-		Name:        "windowed",
-		Inputs:      []StreamSpec{{Topic: "in"}},
-		WindowEvery: 10,
-		TaskFactory: func() StreamTask { return &windowProbeTask{windows: &windows} },
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	rj, err := r.Submit(ctx, job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, 5*time.Second, func() bool { return windows.Load() >= 10 }, "10 window fires")
-	rj.Stop()
-}
-
-// shutdownTask asks the coordinator to stop after N messages.
+// shutdownTask asks the coordinator to stop after N messages. Past that,
+// commitAt requests a commit at that message and failAt fails at it (0 =
+// never).
 type shutdownTask struct {
-	n     int
-	limit int
+	n        int
+	limit    int
+	commitAt int
+	failAt   int
 }
 
 func (t *shutdownTask) Init(ctx *TaskContext) error { return nil }
-func (t *shutdownTask) Process(env IncomingMessageEnvelope, c MessageCollector, coord Coordinator) error {
-	t.n++
-	if t.n >= t.limit {
-		coord.Shutdown()
+func (t *shutdownTask) ProcessBatch(envs []IncomingMessageEnvelope, c MessageCollector, coord Coordinator, _ int64) error {
+	for range envs {
+		t.n++
+		if t.n == t.commitAt {
+			coord.Commit()
+		}
+		if t.n == t.failAt {
+			return errors.New("injected failure mid-block")
+		}
+		if t.limit > 0 && t.n >= t.limit {
+			coord.Shutdown()
+		}
 	}
 	return nil
 }
 
+// checkpointOf reads the offset job's task 0 last checkpointed for "in".
+func checkpointOf(t *testing.T, b *kafka.Broker, job *JobSpec) int64 {
+	t.Helper()
+	cpm, err := NewCheckpointManager(b, job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, found, err := cpm.Read(TaskNameFor(0))
+	if err != nil || !found {
+		t.Fatalf("checkpoint: found=%v err=%v", found, err)
+	}
+	return cp.Offsets["in"]
+}
+
+// TestCoordinatorShutdown pins the block-boundary contract of Coordinator:
+// a shutdown or a commit requested mid-block takes effect once the block is
+// done and checkpoints the block's end offset, and an error mid-block
+// checkpoints none of that block.
 func TestCoordinatorShutdown(t *testing.T) {
 	b, r := testEnv()
 	if err := b.CreateTopic("in", kafka.TopicConfig{Partitions: 1}); err != nil {
@@ -510,6 +504,7 @@ func TestCoordinatorShutdown(t *testing.T) {
 	job := &JobSpec{
 		Name:        "selfstop",
 		Inputs:      []StreamSpec{{Topic: "in"}},
+		BatchSize:   25,
 		TaskFactory: func() StreamTask { return &shutdownTask{limit: 20} },
 	}
 	rj, err := r.Submit(context.Background(), job)
@@ -527,6 +522,39 @@ func TestCoordinatorShutdown(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("job never stopped after coordinator shutdown")
+	}
+	if got := checkpointOf(t, b, job); got != 25 {
+		t.Fatalf("shutdown at message 20 checkpointed offset %d, want the block's end 25", got)
+	}
+
+	// A commit requested at message 10 checkpoints the first block's end;
+	// the failure at message 30 keeps every offset of the second block out
+	// of the checkpoint.
+	job = &JobSpec{
+		Name:        "commit-then-fail",
+		Inputs:      []StreamSpec{{Topic: "in"}},
+		BatchSize:   25,
+		TaskFactory: func() StreamTask { return &shutdownTask{commitAt: 10, failAt: 30} },
+	}
+	rj, err = r.Submit(context.Background(), job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() { done <- rj.Wait() }()
+	select {
+	case statuses := <-done:
+		failed := false
+		for _, s := range statuses {
+			failed = failed || s.Err != nil
+		}
+		if !failed {
+			t.Fatal("job survived a task failure with no restarts allowed")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("job never stopped after a task failure")
+	}
+	if got := checkpointOf(t, b, job); got != 25 {
+		t.Fatalf("commit at message 10 then failure at 30 checkpointed offset %d, want 25", got)
 	}
 }
 

@@ -10,15 +10,27 @@ import (
 	"samzasql/internal/trace"
 )
 
-// storePutTask writes every message into a changelog-backed store.
+// storePutTask writes every message into a changelog-backed store. It
+// replays each sampled message's trace around that message's put, as a
+// SamzaSQL task replays its block's spans, so the put lands under the
+// message's process span.
 type storePutTask struct {
 	ctx *TaskContext
 }
 
 func (t *storePutTask) Init(ctx *TaskContext) error { t.ctx = ctx; return nil }
 
-func (t *storePutTask) Process(env IncomingMessageEnvelope, c MessageCollector, _ Coordinator) error {
-	t.ctx.Store("s").Put(env.Key, env.Value)
+func (t *storePutTask) ProcessBatch(envs []IncomingMessageEnvelope, c MessageCollector, _ Coordinator, pollNs int64) error {
+	act := t.ctx.Trace
+	for _, env := range envs {
+		if env.Trace.Sampled {
+			act.StartMessage(env.Trace, pollNs, time.Now().UnixNano())
+		}
+		t.ctx.Store("s").Put(env.Key, env.Value)
+		if env.Trace.Sampled {
+			act.FinishMessage(time.Now().UnixNano())
+		}
+	}
 	return nil
 }
 

@@ -60,8 +60,8 @@ func (a *Active) Sampled() bool { return a != nil && a.sampled }
 // StartMessage opens a trace for a sampled message: it records the produce
 // span synthesized from the message's context (zero-duration, stamped at
 // attach time — the gap to the poll span is the queue wait), the poll span
-// from pollNs (batch fetch) to nowNs (delivery), and opens the "process"
-// frame covering the task's Process call.
+// from pollNs (block fetch) to nowNs (delivery), and opens the "process"
+// frame covering the task's work on the message.
 func (a *Active) StartMessage(mctx Context, pollNs, nowNs int64) {
 	if a == nil || !mctx.Sampled {
 		return
