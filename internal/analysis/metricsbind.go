@@ -6,15 +6,15 @@ import (
 	"strings"
 )
 
-// MetricsBinding enforces PR 2's pre-bound-handle rule: metric handles are
+// MetricsBinding enforces the pre-bound-handle rule: metric handles are
 // looked up from the registry once per task (Init/Open/constructor) and the
 // per-message path touches only the returned *Counter/*Gauge/Timer. A
-// registry lookup inside Process/Window/poll code takes the registry's
-// RWMutex and hashes the metric name per message — exactly the contention
-// PR 1 removed from the hot path.
+// registry lookup inside ProcessBatch/ProcessBlock/poll code takes the
+// registry's RWMutex and hashes the metric name per call — contention the
+// hot path must not carry.
 var MetricsBinding = &Analyzer{
 	Name: "metrics-binding",
-	Doc: "no metrics.Registry name lookups (Counter/Gauge/Histogram/Timer) inside Process/Window " +
+	Doc: "no metrics.Registry name lookups (Counter/Gauge/Histogram/Timer) inside ProcessBatch/ProcessBlock " +
 		"methods, poll loops, or //samzasql:hotpath functions; bind handles once per task and reuse them",
 	Run: runMetricsBinding,
 }
@@ -29,10 +29,11 @@ var registryLookupMethods = map[string]bool{
 }
 
 // processLoopFuncs are function names that are per-message paths by
-// convention even without a hotpath annotation.
+// convention even without a hotpath annotation: a task's block entry point
+// (samza.StreamTask) and an operator's (operators.BlockOperator).
 var processLoopFuncs = map[string]bool{
-	"Process": true,
-	"Window":  true,
+	"ProcessBatch": true,
+	"ProcessBlock": true,
 }
 
 func runMetricsBinding(pass *Pass) {

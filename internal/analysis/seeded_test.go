@@ -179,7 +179,7 @@ c.rtc.Refresh()`,
 		edits: []seedEdit{{file: "consumer.go",
 			old: `msgs, assigned, err := c.pollOnce(max)`,
 			new: `type polled struct {
-msgs     []Message
+msgs     []Record
 assigned bool
 err      error
 }

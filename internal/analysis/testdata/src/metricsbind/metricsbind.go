@@ -1,6 +1,6 @@
 // Package metricsbind is a golden fixture for the metrics-binding analyzer:
-// registry name-lookups are banned inside Process/Window methods, poll
-// loops, and //samzasql:hotpath functions, and legal everywhere handles are
+// registry name-lookups are banned inside ProcessBatch/ProcessBlock
+// methods, poll loops, and //samzasql:hotpath functions, and legal everywhere handles are
 // bound once.
 package metricsbind
 
@@ -17,15 +17,15 @@ func (t *task) Init() {
 	_ = t.reg.Gauge("task.lag")
 }
 
-// Process is a per-message path by convention, no annotation needed.
-func (t *task) Process(n int) {
-	t.reg.Counter("task.messages").Add(int64(n)) // want `registry lookup Counter\(\.\.\.\) inside a per-message Process path`
+// ProcessBatch is a per-message path by convention, no annotation needed.
+func (t *task) ProcessBatch(n int) {
+	t.reg.Counter("task.messages").Add(int64(n)) // want `registry lookup Counter\(\.\.\.\) inside a per-message ProcessBatch path`
 	t.messages.Add(int64(n))                     // bound handle: fine
 }
 
-// Window is the other conventional per-message entry point.
-func (t *task) Window() {
-	_ = t.reg.Histogram("task.window") // want `registry lookup Histogram\(\.\.\.\) inside a per-message Window path`
+// ProcessBlock, an operator's block entry point, is the other.
+func (t *task) ProcessBlock() {
+	_ = t.reg.Histogram("task.block") // want `registry lookup Histogram\(\.\.\.\) inside a per-message ProcessBlock path`
 }
 
 // pollPartitions matches the poll-prefix convention.

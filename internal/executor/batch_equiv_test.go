@@ -350,7 +350,7 @@ func checkGolden(t *testing.T, label string, want golden, first, out, state []st
 // delivery granularity and returns the complete output topic contents once
 // the expected row count has landed (plus a short grace window so trailing
 // duplicates would be caught), together with the folded changelog state.
-func runWithBatchSize(t *testing.T, query string, partitions int32, orders, batchSize, want int) ([]kafka.Message, []string) {
+func runWithBatchSize(t *testing.T, query string, partitions int32, orders, batchSize, want int) ([]kafka.Record, []string) {
 	t.Helper()
 	e, _ := testEngine(t, partitions, orders)
 	return runOnEngine(t, e, query, batchSize, want)
@@ -360,7 +360,7 @@ func runWithBatchSize(t *testing.T, query string, partitions int32, orders, batc
 // their own catalog and data, e.g. the repartitioned Clicks join). The job
 // is stopped before the changelog digest is taken, so buffered state writes
 // have flushed.
-func runOnEngine(t *testing.T, e *Engine, query string, batchSize, want int) ([]kafka.Message, []string) {
+func runOnEngine(t *testing.T, e *Engine, query string, batchSize, want int) ([]kafka.Record, []string) {
 	t.Helper()
 	e.BatchSize = batchSize
 	ctx, cancel := context.WithCancel(context.Background())
@@ -445,7 +445,7 @@ func changelogDigest(t *testing.T, b *kafka.Broker) []string {
 // digest renders each output message — partition, offset, key, value bytes
 // and timestamp — so runs can be compared exactly: equal sorted digests mean
 // identical per-partition sequences, offsets included.
-func digest(msgs []kafka.Message) []string {
+func digest(msgs []kafka.Record) []string {
 	out := make([]string, 0, len(msgs))
 	for _, m := range msgs {
 		out = append(out, fmt.Sprintf("p%d@%d k=%x ts=%d v=%x", m.Partition, m.Offset, m.Key, m.Timestamp, m.Value))
@@ -535,7 +535,7 @@ func TestBlockSizeEquivalenceMultiPartition(t *testing.T) {
 	replayed := replayOrders(t, orders)
 	for _, c := range equivCases[:3] {
 		t.Run(c.name, func(t *testing.T) {
-			values := func(msgs []kafka.Message) []string {
+			values := func(msgs []kafka.Record) []string {
 				out := make([]string, 0, len(msgs))
 				for _, m := range msgs {
 					out = append(out, fmt.Sprintf("k=%x v=%x", m.Key, m.Value))

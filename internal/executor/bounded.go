@@ -117,7 +117,7 @@ func (e *Engine) RunBounded(p *Prepared) ([][]any, error) {
 	// Feed bootstrap inputs fully first (relation changelogs), then the
 	// stream inputs merged by message timestamp so windowed operators see
 	// a coherent watermark across partitions.
-	var streamMsgs []kafka.Message
+	var streamMsgs []kafka.Record
 	for _, in := range prog.Inputs {
 		msgs, err := e.drainTopic(in.Topic)
 		if err != nil {
@@ -148,23 +148,18 @@ func (e *Engine) RunBounded(p *Prepared) ([][]any, error) {
 }
 
 // routeRuns feeds msgs through the program the way a task's polls would
-// deliver them: in runs of consecutive messages from one topic-partition, at
-// most samza.DefaultBatchSize each.
-func routeRuns(prog *physical.Program, msgs []kafka.Message) error {
-	envs := make([]samza.IncomingMessageEnvelope, 0, samza.DefaultBatchSize)
-	for i := 0; i < len(msgs); {
-		envs = envs[:0]
-		first := &msgs[i]
-		for ; i < len(msgs) && len(envs) < cap(envs) && msgs[i].Topic == first.Topic && msgs[i].Partition == first.Partition; i++ {
-			m := &msgs[i]
-			envs = append(envs, samza.IncomingMessageEnvelope{
-				Stream: m.Topic, Partition: m.Partition, Offset: m.Offset,
-				Key: m.Key, Value: m.Value, Timestamp: m.Timestamp,
-			})
+// deliver them: in runs of consecutive records from one topic-partition, at
+// most samza.DefaultBatchSize each, each run handed over in place.
+func routeRuns(prog *physical.Program, msgs []kafka.Record) error {
+	for len(msgs) > 0 {
+		n := 1
+		for n < len(msgs) && n < samza.DefaultBatchSize && msgs[n].TP() == msgs[0].TP() {
+			n++
 		}
-		if err := prog.RouteBatch(envs, nil, 0); err != nil {
+		if err := prog.RouteBatch(msgs[:n], nil, 0); err != nil {
 			return err
 		}
+		msgs = msgs[n:]
 	}
 	return nil
 }
@@ -184,12 +179,12 @@ func dedupeRows(rows [][]any) [][]any {
 }
 
 // drainTopic reads every retained message of a topic.
-func (e *Engine) drainTopic(topic string) ([]kafka.Message, error) {
+func (e *Engine) drainTopic(topic string) ([]kafka.Record, error) {
 	n, err := e.Broker.Partitions(topic)
 	if err != nil {
 		return nil, err
 	}
-	var out []kafka.Message
+	var out []kafka.Record
 	for part := int32(0); part < n; part++ {
 		tp := kafka.TopicPartition{Topic: topic, Partition: part}
 		start, err := e.Broker.StartOffset(tp)

@@ -367,13 +367,13 @@ func TestCreateViewThenQuery(t *testing.T) {
 }
 
 // drainNew reads all messages currently in a topic.
-func drainNew(t *testing.T, b *kafka.Broker, topic string) []kafka.Message {
+func drainNew(t *testing.T, b *kafka.Broker, topic string) []kafka.Record {
 	t.Helper()
 	n, err := b.Partitions(topic)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out []kafka.Message
+	var out []kafka.Record
 	for p := int32(0); p < n; p++ {
 		tp := kafka.TopicPartition{Topic: topic, Partition: p}
 		hwm, _ := b.HighWatermark(tp)

@@ -164,12 +164,8 @@ func TestRelationTombstoneSkippedWhenMessageKeyIsUnknown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range msgs {
-		env := samza.IncomingMessageEnvelope{
-			Stream: m.Topic, Partition: m.Partition, Offset: m.Offset,
-			Key: m.Key, Value: m.Value, Timestamp: m.Timestamp,
-		}
-		if err := p.Program.RouteBatch([]samza.IncomingMessageEnvelope{env}, nil, 0); err != nil {
+	for i := range msgs {
+		if err := p.Program.RouteBatch(msgs[i:i+1], nil, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -504,7 +500,7 @@ func TestBlockSizeEquivalenceStreamStreamJoin(t *testing.T) {
 		quotes = 150
 		baseTs = int64(1_600_000_000_000)
 	)
-	run := func(batchSize int) ([]kafka.Message, []string) {
+	run := func(batchSize int) ([]kafka.Record, []string) {
 		e := quotesEngine(t)
 		e.BatchSize = batchSize
 		produceQuotes(t, e, "Bids", quotes, baseTs)

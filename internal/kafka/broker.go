@@ -199,8 +199,8 @@ func isUserTopic(name string) bool {
 // consumer wakes once for its partition's share of a batch spread over many
 // partitions instead of once per run of it. Every partition is resolved
 // before anything is appended, so a batch naming a partition the topic
-// lacks appends nothing. Assigned Topic/Partition/Offset fields are written
-// back into msgs. The broker copies every key and value into the log, as
+// lacks appends nothing. Each message's resolved partition is written back
+// into msgs. The broker copies every key and value into the log, as
 // Kafka does, so callers may reuse msgs and the bytes behind them as soon
 // as it returns.
 func (b *Broker) ProduceBatch(topicName string, msgs []Message) error {
@@ -261,12 +261,12 @@ func PartitionForKey(key []byte, n int32) int32 {
 	return int32(h.Sum32() % uint32(n))
 }
 
-// Fetch returns up to max messages from tp starting at offset, in a slice
+// Fetch returns up to max records from tp starting at offset, in a slice
 // the caller owns. Key and Value are read-only views into the log's
 // immutable bytes and stay valid indefinitely. When the consumer is caught
 // up it returns an empty batch plus a channel that is closed on the next
 // append to the partition.
-func (b *Broker) Fetch(tp TopicPartition, offset int64, max int) ([]Message, <-chan struct{}, error) {
+func (b *Broker) Fetch(tp TopicPartition, offset int64, max int) ([]Record, <-chan struct{}, error) {
 	p, err := b.partition(tp)
 	if err != nil {
 		return nil, nil, err
@@ -277,9 +277,9 @@ func (b *Broker) Fetch(tp TopicPartition, offset int64, max int) ([]Message, <-c
 // Read is Fetch appending into dst, without a wait channel (see
 // partition.read): an empty result means nothing at or past offset is left
 // to read. Callers that fetch in a loop — the Consumer, changelog restore,
-// bootstrap — reuse one header buffer across reads; Key and Value are views
+// bootstrap — reuse one record buffer across reads; Key and Value are views
 // as Fetch's are.
-func (b *Broker) Read(dst []Message, tp TopicPartition, offset int64, max int) ([]Message, error) {
+func (b *Broker) Read(dst []Record, tp TopicPartition, offset int64, max int) ([]Record, error) {
 	p, err := b.partition(tp)
 	if err != nil {
 		return dst, err

@@ -48,7 +48,7 @@ func (p *partition) compact() {
 	c.keep = c.keep[:0]
 	records, framed, size := 0, 0, 0
 	n := uint32(0) // dirty record number, in offset order
-	var m Message
+	var m Record
 	for _, s := range closed {
 		for i := range s.index {
 			decodeRecord(s.arena, int(s.index[i]), &m)
@@ -141,7 +141,7 @@ func (c *cleaner) index(dirty []*segment) bool {
 		c.slots = make([]cleanerSlot, minCleanerSlots)
 	}
 	n := uint32(0)
-	var m Message
+	var m Record
 	for _, s := range dirty {
 		c.starts = append(c.starts, n)
 		for i := range s.index {
@@ -220,7 +220,7 @@ func (c *cleaner) grow() {
 // survives reports whether dirty record n, decoded in m, is in the survivor:
 // an append when no full record of its key follows it, a full record when it
 // is its key's latest and not a tombstone.
-func (c *cleaner) survives(m *Message, n uint32) bool {
+func (c *cleaner) survives(m *Record, n uint32) bool {
 	full := c.full(m.Key)
 	if m.Append {
 		return full <= n // full is 1 + a record number, 0 for none

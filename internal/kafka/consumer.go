@@ -39,10 +39,9 @@ type Consumer struct {
 	rr     []TopicPartition
 	next   int
 	closed bool
-	// buf is the message-header buffer every poll materialises into and
-	// returns, so a poll allocates nothing once it has grown to the largest
-	// batch.
-	buf []Message
+	// buf is the record buffer every poll decodes into and returns, so a
+	// poll allocates nothing once it has grown to the largest batch.
+	buf []Record
 }
 
 // NewConsumer creates a consumer for group. Group may be empty for an
@@ -140,16 +139,17 @@ func (c *Consumer) Assignment() []TopicPartition {
 	return out
 }
 
-// Poll fetches up to max messages, cycling over assigned partitions for
-// fairness. If every partition is caught up it blocks until new data arrives
-// on any of them or ctx is done. A nil slice with nil error means the
-// consumer has no assignment.
+// Poll fetches up to max records, all from one partition in offset order,
+// cycling over assigned partitions for fairness. If every partition is
+// caught up it blocks until new data arrives on any of them or ctx is done.
+// A nil slice with nil error means the consumer has no assignment.
 //
 // The returned slice is the consumer's own buffer and is valid only until
-// the next Poll, which overwrites it; copy the headers to keep them. Key and
-// Value are read-only views into the log's immutable bytes and stay valid
-// after that.
-func (c *Consumer) Poll(ctx context.Context, max int) ([]Message, error) {
+// the next Poll, which overwrites it; copy the records to keep them. A Samza
+// task receives this very buffer as its block (samza.IncomingMessageEnvelope
+// is Record). Key and Value are read-only views into the log's immutable
+// bytes and stay valid after that.
+func (c *Consumer) Poll(ctx context.Context, max int) ([]Record, error) {
 	for {
 		msgs, assigned, err := c.pollOnce(max)
 		if err != nil {
@@ -182,7 +182,7 @@ func (c *Consumer) Poll(ctx context.Context, max int) ([]Message, error) {
 // caught-up partition is left with nothing to release.
 //
 //samzasql:hotpath
-func (c *Consumer) pollOnce(max int) (msgs []Message, assigned bool, err error) {
+func (c *Consumer) pollOnce(max int) (msgs []Record, assigned bool, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if len(c.rr) == 0 {

@@ -64,7 +64,7 @@ func TestFetchReturnsInOrder(t *testing.T) {
 		}
 	}
 	tp := TopicPartition{"t", 0}
-	var got []Message
+	var got []Record
 	off := int64(0)
 	for off < 500 {
 		batch, _, err := b.Fetch(tp, off, 37)
@@ -201,7 +201,7 @@ func TestCompactionKeepsLatestPerKey(t *testing.T) {
 	}
 	tp := TopicPartition{"cl", 0}
 	start, _ := b.StartOffset(tp)
-	var all []Message
+	var all []Record
 	off := start
 	hwm, _ := b.HighWatermark(tp)
 	for off < hwm {
@@ -323,7 +323,7 @@ func TestConsumerPollBlocksAndWakes(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 
-	got := make(chan []Message, 1)
+	got := make(chan []Record, 1)
 	go func() {
 		msgs, _ := c.Poll(ctx, 10)
 		got <- msgs

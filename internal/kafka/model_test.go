@@ -12,12 +12,15 @@ import (
 )
 
 // logModel is the reference the segment model test checks a partition
-// against: the retained records as a plain []Message in offset order, plus
+// against: the retained records as a plain []Record in offset order, each
+// naming the model's topic and partition, plus
 // the segment boundaries the partition's size accounting must produce
 // (rolling, retention and compaction decide on those, never on the arena
 // layout).
 type logModel struct {
-	recs      []Message
+	topic     string
+	part      int32
+	recs      []Record
 	segs      []modelSeg // last is the active segment
 	logStart  int64
 	segBytes  int
@@ -31,8 +34,10 @@ type modelSeg struct {
 	clean       bool
 }
 
-func newLogModel(cfg TopicConfig) *logModel {
+func newLogModel(topic string, part int32, cfg TopicConfig) *logModel {
 	return &logModel{
+		topic:     topic,
+		part:      part,
 		segs:      []modelSeg{{}},
 		segBytes:  cfg.SegmentBytes,
 		retention: cfg.RetentionBytes,
@@ -50,12 +55,14 @@ func (m *logModel) append(msg Message) int64 {
 		m.segs = append(m.segs, modelSeg{base: m.hwm(), upper: m.hwm()})
 	}
 	active := &m.segs[len(m.segs)-1]
-	msg.Topic, msg.Partition, msg.Offset = "m", 0, active.upper
-	msg.Key, msg.Value = cloneBytes(msg.Key), cloneBytes(msg.Value)
+	r := Record{
+		Stream: m.topic, Partition: m.part, Offset: active.upper, Append: msg.Append,
+		Key: cloneBytes(msg.Key), Value: cloneBytes(msg.Value), Timestamp: msg.Timestamp, Trace: msg.Trace,
+	}
 	active.upper++
 	active.size += msg.Size()
-	m.recs = append(m.recs, msg)
-	return msg.Offset
+	m.recs = append(m.recs, r)
+	return r.Offset
 }
 
 // retain drops head segments while the retained size exceeds the bound,
@@ -101,7 +108,7 @@ func (m *logModel) compact() {
 		}
 	}
 	survivor := modelSeg{base: m.segs[0].base, upper: active.base, clean: true}
-	var kept []Message
+	var kept []Record
 	for _, r := range m.recs {
 		full, overridden := latestFull[string(r.Key)]
 		keep := true
@@ -128,11 +135,11 @@ func (m *logModel) compact() {
 // fetch is what a read from offset must return: an out-of-range error below
 // the log start or above the high watermark, else the first max retained
 // records at or past from.
-func (m *logModel) fetch(from int64, max int) ([]Message, error) {
+func (m *logModel) fetch(from int64, max int) ([]Record, error) {
 	if from < m.logStart || from > m.hwm() {
 		return nil, ErrOffsetOutOfRange
 	}
-	var out []Message
+	var out []Record
 	for _, r := range m.recs {
 		if len(out) >= max {
 			break
@@ -151,22 +158,22 @@ func cloneBytes(b []byte) []byte {
 	return append([]byte{}, b...)
 }
 
-// sameMessage compares every field, telling nil from empty keys and values:
+// sameRecord compares every field, telling nil from empty keys and values:
 // a nil value is a tombstone, an empty one is a value.
-func sameMessage(a, b Message) bool {
-	return a.Topic == b.Topic && a.Partition == b.Partition && a.Offset == b.Offset && a.Append == b.Append &&
+func sameRecord(a, b Record) bool {
+	return a.Stream == b.Stream && a.Partition == b.Partition && a.Offset == b.Offset && a.Append == b.Append &&
 		(a.Key == nil) == (b.Key == nil) && bytes.Equal(a.Key, b.Key) &&
 		(a.Value == nil) == (b.Value == nil) && bytes.Equal(a.Value, b.Value) &&
 		a.Timestamp == b.Timestamp && a.Trace == b.Trace
 }
 
-func sameMessages(t *testing.T, what string, got, want []Message) {
+func sameRecords(t *testing.T, what string, got, want []Record) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d records, model has %d", what, len(got), len(want))
 	}
 	for i := range got {
-		if !sameMessage(got[i], want[i]) {
+		if !sameRecord(got[i], want[i]) {
 			t.Fatalf("%s: record %d\n got  %+v\n want %+v", what, i, got[i], want[i])
 		}
 	}
@@ -251,7 +258,7 @@ func checkPartition(t *testing.T, what string, p *partition, m *logModel) {
 				what, i, s.baseOffset, s.upperOffset, s.sizeBytes, s.clean, want.base, want.upper, want.size, want.clean)
 		}
 	}
-	var all []Message
+	var all []Record
 	for off := m.logStart; off < m.hwm(); {
 		got, err := p.read(nil, off, 1+len(all)%23)
 		if err != nil {
@@ -263,7 +270,7 @@ func checkPartition(t *testing.T, what string, p *partition, m *logModel) {
 		all = append(all, got...)
 		off = got[len(got)-1].Offset + 1
 	}
-	sameMessages(t, what+": full walk", all, m.recs)
+	sameRecords(t, what+": full walk", all, m.recs)
 }
 
 // runLogModel drives a seeded random sequence of appends, batch appends,
@@ -272,16 +279,17 @@ func checkPartition(t *testing.T, what string, p *partition, m *logModel) {
 // every result, and the whole log at intervals.
 func runLogModel(t *testing.T, cfg TopicConfig, seed int64, steps int) {
 	rng := rand.New(rand.NewSource(seed))
-	p := newPartition("m", 0, cfg)
-	m := newLogModel(cfg)
+	// A non-zero partition, so a read that left Partition unset shows.
+	p := newPartition("m", 5, cfg)
+	m := newLogModel("m", 5, cfg)
 	folded := map[string][]byte{} // every key's value as a restore folds it, for compacted logs
-	var buf []Message
+	var buf []Record
 	for i := 0; i < steps; i++ {
 		switch op := rng.Intn(12); {
 		case op < 3:
 			msg := modelMessage(rng)
 			want := m.append(msg)
-			fold(folded, msg)
+			fold(folded, msg.Key, msg.Value, msg.Append)
 			m.retain()
 			if got := p.append(msg); got != want {
 				t.Fatalf("step %d: append assigned offset %d, model %d", i, got, want)
@@ -291,25 +299,23 @@ func runLogModel(t *testing.T, cfg TopicConfig, seed int64, steps int) {
 			batch := make([]Message, 1+rng.Intn(8))
 			for j := range batch {
 				batch[j] = modelMessage(rng)
+				batch[j].Partition = p.id // appendBatch takes the records routed to it
 			}
-			offs := make([]int64, len(batch))
 			for j := range batch {
-				offs[j] = m.append(batch[j])
-				fold(folded, batch[j])
+				m.append(batch[j])
+				fold(folded, batch[j].Key, batch[j].Value, batch[j].Append)
 			}
 			m.retain()
 			p.appendBatch(batch)
-			for j := range batch {
-				if batch[j].Offset != offs[j] || batch[j].Topic != "m" {
-					t.Fatalf("step %d: batch record %d assigned %s@%d, model m@%d", i, j, batch[j].Topic, batch[j].Offset, offs[j])
-				}
+			if p.highWatermark() != m.hwm() {
+				t.Fatalf("step %d: batch of %d left the log at %d, model at %d", i, len(batch), p.highWatermark(), m.hwm())
 			}
 			scribble(batch)
 		case op < 8:
 			from := m.logStart - 2 + rng.Int63n(m.hwm()-m.logStart+5)
 			max := 1 + rng.Intn(40)
 			want, wantErr := m.fetch(from, max)
-			var got []Message
+			var got []Record
 			var err error
 			if op == 5 {
 				var wait <-chan struct{}
@@ -326,7 +332,7 @@ func runLogModel(t *testing.T, cfg TopicConfig, seed int64, steps int) {
 			if (err == nil) != (wantErr == nil) || (err != nil && !errors.Is(err, wantErr)) {
 				t.Fatalf("step %d: read(%d, %d) error %v, model %v", i, from, max, err, wantErr)
 			}
-			sameMessages(t, fmt.Sprintf("step %d: read(%d, %d)", i, from, max), got, want)
+			sameRecords(t, fmt.Sprintf("step %d: read(%d, %d)", i, from, max), got, want)
 		case op < 9:
 			m.compact()
 			p.compact()
@@ -346,7 +352,7 @@ func runLogModel(t *testing.T, cfg TopicConfig, seed int64, steps int) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sameMessages(t, fmt.Sprintf("step %d: reread after caller appends", i), again, want)
+			sameRecords(t, fmt.Sprintf("step %d: reread after caller appends", i), again, want)
 		default:
 			if hwm := m.hwm(); hwm > m.logStart {
 				from := m.logStart + rng.Int63n(hwm-m.logStart)
@@ -355,7 +361,7 @@ func runLogModel(t *testing.T, cfg TopicConfig, seed int64, steps int) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				sameMessages(t, fmt.Sprintf("step %d: read across segments from %d", i, from), got, want)
+				sameRecords(t, fmt.Sprintf("step %d: read across segments from %d", i, from), got, want)
 			}
 		}
 		if i%101 == 0 {
@@ -374,7 +380,7 @@ func runLogModel(t *testing.T, cfg TopicConfig, seed int64, steps int) {
 	checkPartition(t, "after final compaction", p, m)
 	replayed := map[string][]byte{}
 	for _, r := range m.recs {
-		fold(replayed, r)
+		fold(replayed, r.Key, r.Value, r.Append)
 	}
 	if len(replayed) != len(folded) {
 		t.Fatalf("the compacted log folds to %d keys, every write to %d", len(replayed), len(folded))
@@ -388,19 +394,22 @@ func runLogModel(t *testing.T, cfg TopicConfig, seed int64, steps int) {
 
 // fold applies one record to a key-value state the way a changelog restore
 // does: a tombstone deletes, an append extends, any other record replaces.
-func fold(state map[string][]byte, r Message) {
-	switch k := string(r.Key); {
-	case r.Value == nil:
+func fold(state map[string][]byte, key, value []byte, app bool) {
+	switch k := string(key); {
+	case value == nil:
 		delete(state, k)
-	case r.Append:
-		state[k] = append(state[k], r.Value...)
+	case app:
+		state[k] = append(state[k], value...)
 	default:
-		state[k] = append([]byte{}, r.Value...)
+		state[k] = append([]byte{}, value...)
 	}
 }
 
 // TestSegmentModel checks partitions with small segments — size-retained
-// and compacted — against the plain []Message model over several seeds.
+// and compacted — against the plain []Record model over several seeds: every
+// read must name the partition's topic and partition and carry each record's
+// own offset and append flag, across dense segments and compaction
+// survivors alike.
 func TestSegmentModel(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		cfg := TopicConfig{Partitions: 1, SegmentBytes: 256 + int(seed)*64}

@@ -76,9 +76,8 @@ func (p *partition) append(m Message) int64 {
 }
 
 // appendBatch assigns consecutive offsets to the messages of msgs whose
-// (resolved) Partition is this partition, in their order, writing their
-// Topic/Partition/Offset fields back in place; copies them into the log,
-// wakes blocked fetchers and applies retention — all under one lock
+// (resolved) Partition is this partition, in their order; copies them into
+// the log, wakes blocked fetchers and applies retention — all under one lock
 // acquisition with one coalesced subscriber signal, so an N-record
 // changelog flush costs the same synchronization as a single append.
 func (p *partition) appendBatch(msgs []Message) {
@@ -100,18 +99,16 @@ func (p *partition) appendBatch(msgs []Message) {
 }
 
 // appendLocked frames m into the active segment, rolling a new one when it
-// is full, and writes the assigned position back into m.
+// is full, and returns its offset.
 func (p *partition) appendLocked(m *Message) int64 {
 	active := p.segments[len(p.segments)-1]
 	if active.full(p.maxSegmentBytes) {
 		active = newSegmentLike(active)
 		p.segments = append(p.segments, active)
 	}
-	m.Topic = p.topic
-	m.Partition = p.id
-	m.Offset = active.nextOffset()
+	off := active.nextOffset()
 	active.append(m, p.maxSegmentBytes)
-	return m.Offset
+	return off
 }
 
 // endAppendLocked applies retention after an append and takes the blocked
@@ -198,12 +195,12 @@ func (p *partition) startOffset() int64 {
 	return p.logStartOffset
 }
 
-// fetch returns up to max messages with offsets >= offset in a slice the
+// fetch returns up to max records with offsets >= offset in a slice the
 // caller owns. If no records at or above offset exist yet (offset >= high
 // watermark is allowed up to exactly the watermark), it returns an empty
 // slice plus a wait channel that is closed on the next append. Fetching below
 // the log start offset returns ErrOffsetOutOfRange.
-func (p *partition) fetch(offset int64, max int) ([]Message, <-chan struct{}, error) {
+func (p *partition) fetch(offset int64, max int) ([]Record, <-chan struct{}, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	out, err := p.readLocked(nil, offset, max)
@@ -220,18 +217,18 @@ func (p *partition) fetch(offset int64, max int) ([]Message, <-chan struct{}, er
 	return out, nil, nil
 }
 
-// read appends to dst up to max messages with offsets >= offset. Unlike
+// read appends to dst up to max records with offsets >= offset. Unlike
 // fetch it never registers a wait channel: its caller, a Consumer, parks on
 // its persistent subscriber channel instead, and a waiter nobody receives
 // from would sit on an idle partition until the next append.
-func (p *partition) read(dst []Message, offset int64, max int) ([]Message, error) {
+func (p *partition) read(dst []Record, offset int64, max int) ([]Record, error) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	return p.readLocked(dst, offset, max)
 }
 
 // readLocked is read under p.mu (shared or exclusive).
-func (p *partition) readLocked(dst []Message, offset int64, max int) ([]Message, error) {
+func (p *partition) readLocked(dst []Record, offset int64, max int) ([]Record, error) {
 	if offset < p.logStartOffset {
 		return dst, fmt.Errorf("%w: fetch %s-%d@%d below log start %d",
 			ErrOffsetOutOfRange, p.topic, p.id, offset, p.logStartOffset)

@@ -24,9 +24,8 @@ func (p *Producer) Send(key, value []byte, timestamp int64) (int64, error) {
 
 // SendBatch appends msgs in one broker call: runs of messages bound for the
 // same partition share a lock acquisition and subscriber wakeup. Partition
-// resolution matches Send/SendTo (negative Partition = key hash). Assigned
-// offsets are written back into msgs. Keys and values are copied into the
-// log, so the caller may reuse them on return.
+// resolution matches Send/SendTo (negative Partition = key hash). Keys and
+// values are copied into the log, so the caller may reuse them on return.
 func (p *Producer) SendBatch(msgs []Message) error {
 	return p.broker.ProduceBatch(p.topic, msgs)
 }

@@ -114,7 +114,7 @@ func appendRecord(dst []byte, m *Message) []byte {
 // caller appending to one reallocates instead of overwriting the next
 // record. The arena was written by appendRecord under the partition lock;
 // it is trusted, not validated.
-func decodeRecord(arena []byte, pos int, m *Message) {
+func decodeRecord(arena []byte, pos int, m *Record) {
 	flags := arena[pos]
 	pos++
 	ts, n := binary.Varint(arena[pos:])
@@ -216,13 +216,13 @@ func (s *segment) copyRecord(src *segment, i int, offset int64) {
 // nextOffset is the offset one past the last offset covered by the segment.
 func (s *segment) nextOffset() int64 { return s.upperOffset }
 
-// read appends to dst up to max records with offset >= from, materialising
-// each header (topic and partition from the caller, the offset from the
-// index) around views of the arena. Records are offset-ordered in dense and
+// read appends to dst up to max records with offset >= from, decoding each
+// in place (topic and partition from the caller, the offset from the index,
+// key and value as views of the arena). Records are offset-ordered in dense and
 // compacted segments alike; a compacted segment has gaps, so the first
 // record at or past from is found by binary search rather than by
 // arithmetic.
-func (s *segment) read(dst []Message, from int64, max int, topic string, part int32) []Message {
+func (s *segment) read(dst []Record, from int64, max int, topic string, part int32) []Record {
 	if max <= 0 {
 		return dst
 	}
@@ -248,12 +248,12 @@ func (s *segment) read(dst []Message, from int64, max int, topic string, part in
 	if i >= j {
 		return dst
 	}
-	// Grow once, then write every header field exactly once in place.
+	// Grow once, then write every record field exactly once in place.
 	n := len(dst)
 	dst = slices.Grow(dst, j-i)[:n+j-i]
 	for k := n; i < j; i, k = i+1, k+1 {
 		m := &dst[k]
-		m.Topic, m.Partition, m.Offset = topic, part, s.offsetAt(i)
+		m.Stream, m.Partition, m.Offset = topic, part, s.offsetAt(i)
 		decodeRecord(s.arena, int(s.index[i]), m)
 	}
 	return dst

@@ -2,6 +2,7 @@ package kafka
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"testing"
 
@@ -98,15 +99,18 @@ func TestFetchCompactedPartitionWalk(t *testing.T) {
 
 // FuzzSegmentRecord frames an arbitrary record between two neighbours in a
 // partition whose segments roll every few records and requires all three to
-// read back field for field — nil and empty keys and values told apart, the
-// append flag, any timestamp, any trace context — with the retention size
-// the message itself reports.
+// read back field for field — topic, partition and offset from the log, nil
+// and empty keys and values told apart, the append flag, any timestamp, any
+// trace context — with the retention size the message itself reports. The
+// same records in a compacted partition, one segment each, must read back
+// after compaction as the model's survivors, at their own offsets.
 func FuzzSegmentRecord(f *testing.F) {
 	f.Add([]byte("k"), []byte("v"), int64(1_700_000_000_000), uint64(0), uint64(0), uint64(0), int64(0), false, false, false, false)
 	f.Add([]byte{}, []byte{}, int64(0), uint64(0), uint64(0), uint64(0), int64(0), false, false, false, true)
 	f.Add([]byte(nil), []byte(nil), int64(-1), uint64(0), uint64(0), uint64(0), int64(0), true, true, false, false)
 	f.Add(bytes.Repeat([]byte("x"), 200), []byte("tombstone next"), int64(math.MinInt64), uint64(1), uint64(2), uint64(3), int64(-5), false, false, true, true)
 	f.Add([]byte("k"), bytes.Repeat([]byte{0x80}, 300), int64(math.MaxInt64), uint64(math.MaxUint64), uint64(7), uint64(0), int64(math.MaxInt64), false, true, false, false)
+	f.Add([]byte("before"), []byte("override"), int64(2), uint64(0), uint64(0), uint64(0), int64(0), false, false, false, false)
 	f.Fuzz(func(t *testing.T, key, value []byte, ts int64, traceID, spanID, parentID uint64, startNs int64, keyNil, valueNil, sampled, app bool) {
 		rec := Message{Key: key, Value: value, Append: app, Timestamp: ts, Trace: trace.Context{
 			TraceID: traceID, SpanID: spanID, ParentID: parentID, Sampled: sampled, StartNs: startNs,
@@ -121,27 +125,35 @@ func FuzzSegmentRecord(f *testing.F) {
 		} else if rec.Value == nil {
 			rec.Value = []byte{}
 		}
-		want := []Message{
+		msgs := []Message{
 			{Key: []byte("before"), Value: []byte{}, Timestamp: -1},
 			rec,
 			{Value: []byte("after"), Append: !app, Timestamp: 1},
 		}
-		p := newPartition("f", 3, TopicConfig{SegmentBytes: 64})
-		for i := range want {
-			p.append(want[i])
-			want[i].Topic, want[i].Partition, want[i].Offset = "f", 3, int64(i)
-		}
-		got, err := p.read(nil, 0, len(want))
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameMessages(t, "read back", got, want)
-		size := 0
-		for _, s := range p.segments {
-			size += s.sizeBytes
-		}
-		if want := want[0].Size() + rec.Size() + want[2].Size(); size != want {
-			t.Fatalf("segments account %d bytes, the messages %d", size, want)
+		for _, cfg := range []TopicConfig{{SegmentBytes: 64}, {SegmentBytes: 1, Compacted: true}} {
+			p := newPartition("f", 3, cfg)
+			m := newLogModel("f", 3, cfg)
+			for i := range msgs {
+				p.append(msgs[i])
+				m.append(msgs[i])
+			}
+			p.compact()
+			m.compact()
+			got, err := p.read(nil, 0, len(msgs))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameRecords(t, fmt.Sprintf("read back (compacted=%v)", cfg.Compacted), got, m.recs)
+			if cfg.Compacted {
+				continue
+			}
+			size := 0
+			for _, s := range p.segments {
+				size += s.sizeBytes
+			}
+			if want := msgs[0].Size() + rec.Size() + msgs[2].Size(); size != want {
+				t.Fatalf("segments account %d bytes, the messages %d", size, want)
+			}
 		}
 	})
 }
@@ -153,7 +165,7 @@ func FuzzSegmentRecord(f *testing.F) {
 func BenchmarkFetchCompacted(b *testing.B) {
 	const n = 1_000_000
 	s := sparseSegment(0, n, 2)
-	var buf []Message
+	var buf []Record
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		records := 0

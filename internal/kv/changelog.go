@@ -155,7 +155,7 @@ func (c *ChangelogStore) Err() error { return c.err }
 // Restore rebuilds the inner store by replaying the changelog partition from
 // its start offset to the current high watermark, one write batch per read:
 // a full record puts, an append record appends, a tombstone deletes. Reads
-// go into one reused header buffer; the store copies the keys and values,
+// go into one reused record buffer; the store copies the keys and values,
 // which are views into the log, before the next read. It is called by the
 // task runner before any input message is delivered after a (re)start.
 func (c *ChangelogStore) Restore() error {
@@ -168,7 +168,7 @@ func (c *ChangelogStore) Restore() error {
 	if err != nil {
 		return err
 	}
-	var msgs []kafka.Message
+	var msgs []kafka.Record
 	var ops []WriteOp
 	for off := start; off < hwm; {
 		if msgs, err = c.broker.Read(msgs[:0], tp, off, 1024); err != nil {

@@ -70,17 +70,21 @@ func (s *instrumentedStore) Get(key []byte) ([]byte, bool) {
 	return v, ok
 }
 
-// GetMany times the whole batch as one observation — the point of the
-// batched path is exactly that the per-operation overhead (clock reads,
-// histogram update, trace leaf) is paid once per block, so instrumenting
-// it per key would reintroduce the tax being measured away.
+// GetMany times the whole batch once — the point of the batched path is
+// exactly that the per-operation overhead (clock reads, histogram update,
+// trace leaf) is paid once per block — and books an equal share of it to
+// every key, as WriteMany does for writes, so the get-ns count keeps
+// meaning keys read, not calls.
 //
 //samzasql:hotpath
 func (s *instrumentedStore) GetMany(keys [][]byte, vals [][]byte, oks []bool) {
+	if len(keys) == 0 {
+		return
+	}
 	start := time.Now()
 	GetMany(s.raw, keys, vals, oks)
 	d := time.Since(start).Nanoseconds()
-	s.getLat.Observe(d)
+	s.getLat.ObserveN(d/int64(len(keys)), int64(len(keys)))
 	if s.act.Sampled() {
 		s.act.Leaf(s.getManyStage, start.UnixNano(), d)
 	}

@@ -39,6 +39,29 @@ func TestInstrumentedStore(t *testing.T) {
 	}
 }
 
+// TestInstrumentedGetManyCountsKeys pins that a batched read of k keys
+// books k get-ns observations, one per key, hits and misses alike.
+func TestInstrumentedGetManyCountsKeys(t *testing.T) {
+	reg := metrics.NewRegistry()
+	s := Instrument(NewStore(), reg, "join")
+	s.Put([]byte("a"), []byte("1"))
+	keys := [][]byte{[]byte("a"), []byte("b"), []byte("a"), []byte("c"), []byte("d")}
+	vals, oks := make([][]byte, len(keys)), make([]bool, len(keys))
+	count := func() int64 { return reg.Snapshot().Histograms["store.join.get-ns"].Count }
+	before := count()
+	GetMany(s, keys, vals, oks)
+	if got := count() - before; got != int64(len(keys)) {
+		t.Fatalf("GetMany of %d keys raised the get-ns count by %d", len(keys), got)
+	}
+	if !oks[0] || string(vals[0]) != "1" || oks[1] || !oks[2] {
+		t.Fatalf("GetMany returned %q %v", vals, oks)
+	}
+	GetMany(s, nil, nil, nil)
+	if got := count() - before; got != int64(len(keys)) {
+		t.Fatalf("an empty GetMany changed the get-ns count to %d", got)
+	}
+}
+
 // TestInstrumentedStoreZeroAllocs pins that the instrumentation layer adds
 // no allocations of its own to the store access path (the store's Get
 // itself is allocation-free for present keys).

@@ -596,7 +596,7 @@ func TestSlidingWindowChangelogBytesPerRow(t *testing.T) {
 
 	tp := kafka.TopicPartition{Topic: windowChangelog, Partition: 0}
 	var written, records, appends int64
-	var buf []kafka.Message
+	var buf []kafka.Record
 	for off := int64(0); ; {
 		var err error
 		if buf, err = broker.Read(buf[:0], tp, off, 4096); err != nil {

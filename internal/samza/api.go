@@ -12,28 +12,11 @@ import (
 	"samzasql/internal/trace"
 )
 
-// IncomingMessageEnvelope is one message of a block delivered to a task.
-type IncomingMessageEnvelope struct {
-	// Stream and Partition identify the source system-stream-partition.
-	Stream    string
-	Partition int32
-	// Offset is the message's position within the partition.
-	Offset int64
-	// Key and Value are the raw payload bytes; serdes are applied by the
-	// task (or by the SamzaSQL operator layer above it).
-	Key   []byte
-	Value []byte
-	// Timestamp is the producer-supplied event time (Unix millis).
-	Timestamp int64
-	// Trace is the message's trace context, copied from the underlying
-	// kafka.Message. Zero (one bool check) for unsampled messages.
-	Trace trace.Context
-}
-
-// TP returns the envelope's topic-partition.
-func (e *IncomingMessageEnvelope) TP() kafka.TopicPartition {
-	return kafka.TopicPartition{Topic: e.Stream, Partition: e.Partition}
-}
+// IncomingMessageEnvelope is one message of a block delivered to a task:
+// the record exactly as the consumer's poll read it from the log (Stream,
+// Partition, Offset, Key, Value, Timestamp, Trace), with no copy between the
+// poll and the task.
+type IncomingMessageEnvelope = kafka.Record
 
 // OutgoingMessageEnvelope is one message a task emits via the collector.
 type OutgoingMessageEnvelope struct {
@@ -99,12 +82,15 @@ type StreamTask interface {
 	// Init is called once before any message is delivered, after local
 	// state has been restored from changelogs.
 	Init(ctx *TaskContext) error
-	// ProcessBatch handles one block. A returned error fails the whole
-	// block: the container checkpoints none of it, and a restarted task
-	// replays it. Offsets advance past the block only on success. pollNs is
-	// the block's poll time (UnixNano); the container records no trace
-	// spans inside a block, so a task that wants span trees for the sampled
-	// envelopes (Trace.Sampled) replays them from it.
+	// ProcessBatch handles one block. envs is the consumer's own poll
+	// buffer, valid until ProcessBatch returns: the next poll overwrites
+	// it, so a task must not keep the slice or pointers into it (Key and
+	// Value are views into the log and stay valid). A returned error fails
+	// the whole block: the container checkpoints none of it, and a
+	// restarted task replays it. Offsets advance past the block only on
+	// success. pollNs is the block's poll time (UnixNano); the container
+	// records no trace spans inside a block, so a task that wants span trees
+	// for the sampled envelopes (Trace.Sampled) replays them from it.
 	ProcessBatch(envs []IncomingMessageEnvelope, collector MessageCollector, coord Coordinator, pollNs int64) error
 }
 

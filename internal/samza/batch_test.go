@@ -27,8 +27,8 @@ func (t *batchRecordingTask) ProcessBatch(envs []IncomingMessageEnvelope, c Mess
 	for i, env := range envs {
 		offs[i] = env.Offset
 		msgs[i] = kafka.Message{
-			Topic: t.out, Partition: env.Partition,
-			Key: env.Key, Value: env.Value, Timestamp: env.Timestamp,
+			Partition: env.Partition,
+			Key:       env.Key, Value: env.Value, Timestamp: env.Timestamp,
 		}
 	}
 	t.mu.Lock()

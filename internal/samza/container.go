@@ -81,9 +81,8 @@ func (c *collector) Send(env OutgoingMessageEnvelope) error {
 }
 
 // SendBatch implements MessageCollector: one producer call appends a whole
-// block's output messages, preserving order. The broker writes assigned
-// offsets back into msgs and copies the key/value bytes into the log, so the
-// caller may reuse both on return.
+// block's output messages, preserving order. The broker copies the key/value
+// bytes into the log, so the caller may reuse msgs and the bytes on return.
 func (c *collector) SendBatch(stream string, msgs []kafka.Message) error {
 	if err := c.broker.ProduceBatch(stream, msgs); err != nil {
 		return err
@@ -118,8 +117,7 @@ type taskInstance struct {
 	task      StreamTask
 	// pollMax caps messages per poll (JobSpec.BatchSize resolved).
 	pollMax int
-	// envs is the reusable envelope arena blocks are delivered through.
-	envs      []IncomingMessageEnvelope
+	// consumer's poll buffer is the block every ProcessBatch receives.
 	consumer  *kafka.Consumer
 	ctx       *TaskContext
 	changelog []taskChangelog
@@ -576,9 +574,10 @@ func (c *Container) bootstrap(ctx context.Context, ti *taskInstance) error {
 			return err
 		}
 		pos, _ := ti.consumer.Position(tp)
-		// One header buffer for every read: a batch's keys and values are
-		// views into the log, which the task's stores copy before the next.
-		var msgs []kafka.Message
+		// One record buffer for every read, each read handed to the task
+		// as it is: a batch's keys and values are views into the log, which
+		// the task's stores copy before the next.
+		var msgs []kafka.Record
 		for pos < hwm {
 			if msgs, err = c.broker.Read(msgs[:0], tp, pos, ti.pollMax); err != nil {
 				return fmt.Errorf("samza: %s bootstrap %s: %w", ti.name, tp, err)
@@ -588,9 +587,11 @@ func (c *Container) bootstrap(ctx context.Context, ti *taskInstance) error {
 			}
 			// Cut the batch off at the watermark; a batch wholly past it
 			// (everything below was compacted away meanwhile) ends the
-			// bootstrap.
+			// bootstrap. Bootstrap deliveries are not traced, so the cut
+			// also drops the records' trace contexts.
 			n := 0
 			for n < len(msgs) && msgs[n].Offset < hwm {
+				msgs[n].Trace = trace.Context{}
 				n++
 			}
 			if n == 0 {
@@ -611,22 +612,12 @@ func (c *Container) bootstrap(ctx context.Context, ti *taskInstance) error {
 	return nil
 }
 
-// deliverBootstrap hands one fetched block of bootstrap messages to the
+// deliverBootstrap hands one fetched block of bootstrap records to the
 // task in one ProcessBatch call: a SamzaSQL job loads its relations
-// block-wise, like it processes its streams. Trace contexts are not carried
-// over: bootstrap deliveries are not traced.
+// block-wise, like it processes its streams.
 //
 //samzasql:hotpath
-func (c *Container) deliverBootstrap(ti *taskInstance, msgs []kafka.Message) error {
-	envs := ti.envs[:0]
-	for i := range msgs {
-		m := &msgs[i]
-		envs = append(envs, IncomingMessageEnvelope{
-			Stream: m.Topic, Partition: m.Partition, Offset: m.Offset,
-			Key: m.Key, Value: m.Value, Timestamp: m.Timestamp,
-		})
-	}
-	ti.envs = envs
+func (c *Container) deliverBootstrap(ti *taskInstance, envs []IncomingMessageEnvelope) error {
 	ti.coord.reset()
 	if err := ti.task.ProcessBatch(envs, c.coll, &ti.coord, time.Now().UnixNano()); err != nil {
 		return fmt.Errorf("samza: %s bootstrap process batch: %w", ti.name, err)
@@ -683,30 +674,20 @@ func (c *Container) pollTask(ctx context.Context, ti *taskInstance) (bool, error
 	// one time read per block is the only unconditional tracing cost.
 	pollNs := time.Now().UnixNano()
 	// The whole polled block (one topic-partition, in offset order) goes to
-	// the task in a single ProcessBatch call, with one coordinator reset,
-	// one latency observation, and one finished-offset update per block.
-	// Trace bookkeeping for sampled messages inside the block is the task's
-	// to replay.
-	envs := ti.envs[:0]
-	for i := range msgs {
-		m := &msgs[i]
-		envs = append(envs, IncomingMessageEnvelope{
-			Stream: m.Topic, Partition: m.Partition, Offset: m.Offset,
-			Key: m.Key, Value: m.Value, Timestamp: m.Timestamp,
-			Trace: m.Trace,
-		})
-	}
-	ti.envs = envs
+	// the task as the consumer read it, in a single ProcessBatch call, with
+	// one coordinator reset, one latency observation, and one
+	// finished-offset update per block. Trace bookkeeping for sampled
+	// messages inside the block is the task's to replay.
 	ti.coord.reset()
 	start := ti.procLat.Start()
-	if err := ti.task.ProcessBatch(envs, c.coll, &ti.coord, pollNs); err != nil {
+	if err := ti.task.ProcessBatch(msgs, c.coll, &ti.coord, pollNs); err != nil {
 		return false, fmt.Errorf("samza: %s process batch: %w", ti.name, err)
 	}
 	if err := ti.changelogErr(); err != nil {
 		return false, err
 	}
 	ti.procLat.Stop(start)
-	ti.input(msgs[0].Topic).done.Store(msgs[len(msgs)-1].Offset + 1)
+	ti.input(msgs[0].Stream).done.Store(msgs[len(msgs)-1].Offset + 1)
 	c.processed.Add(int64(len(msgs)))
 	ti.processed += len(msgs)
 	needCommit := ti.coord.commitRequested ||

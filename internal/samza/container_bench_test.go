@@ -100,9 +100,8 @@ func (nopTask) ProcessBatch([]IncomingMessageEnvelope, MessageCollector, Coordin
 }
 
 // BenchmarkTaskLoopMachineryAllocs measures the container's own per-message
-// overhead — consumer poll, envelope arena, coordinator plumbing, metrics —
-// by driving pollTask directly over a prefilled partition with a
-// no-op task. The loop machinery must amortize to 0 allocs/op: the only
+// overhead — consumer poll, coordinator plumbing, metrics — by driving
+// pollTask directly over a prefilled partition with a no-op task. The loop machinery must amortize to 0 allocs/op: the only
 // allocations are the fetched batch slices, at most ~1 per poll of
 // DefaultBatchSize messages.
 func BenchmarkTaskLoopMachineryAllocs(b *testing.B) {
@@ -144,4 +143,62 @@ func BenchmarkTaskLoopMachineryAllocs(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkPollToProcessBatch pins the per-row cost of the container's
+// delivery path alone: each iteration rewinds a no-op task's consumer over a
+// 1024-row backlog and delivers it with one pollTask — the fetch that decodes
+// the records and the ProcessBatch call that receives them — reporting
+// ns/row. It must stay at 0 allocs/op once the poll buffer has grown.
+func BenchmarkPollToProcessBatch(b *testing.B) {
+	const rows = DefaultBatchSize
+	broker := kafka.NewBroker()
+	if err := broker.CreateTopic("in", kafka.TopicConfig{Partitions: 1}); err != nil {
+		b.Fatal(err)
+	}
+	key, val := []byte("k"), make([]byte, 100)
+	for i := 0; i < rows; i++ {
+		if _, err := broker.Produce("in", kafka.Message{Partition: 0, Key: key, Value: val, Timestamp: int64(i)}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	job := &JobSpec{
+		Name:        "bench-delivery",
+		Inputs:      []StreamSpec{{Topic: "in"}},
+		TaskFactory: func() StreamTask { return nopTask{} },
+	}
+	cpm, err := NewCheckpointManager(broker, job)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cont, err := newContainer(0, job, broker, cpm, []int32{0}, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ti := cont.tasks[0]
+	tp := kafka.TopicPartition{Topic: "in", Partition: 0}
+	if err := ti.consumer.Assign(tp); err != nil {
+		b.Fatal(err)
+	}
+	if err := ti.task.Init(ti.ctx); err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	deliver := func() {
+		ti.consumer.Seek(tp, 0)
+		if _, err := cont.pollTask(ctx, ti); err != nil {
+			b.Fatal(err)
+		}
+	}
+	deliver() // grow the poll buffer to the block
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		deliver()
+	}
+	b.StopTimer()
+	if got := cont.processed.Value(); got != int64(b.N+1)*rows {
+		b.Fatalf("delivered %d rows, want %d", got, int64(b.N+1)*rows)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
 }

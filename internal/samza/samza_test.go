@@ -62,13 +62,13 @@ func produceN(t *testing.T, b *kafka.Broker, topic string, partition int32, n in
 }
 
 // drainTopic reads everything currently in a topic.
-func drainTopic(t *testing.T, b *kafka.Broker, topic string) []kafka.Message {
+func drainTopic(t *testing.T, b *kafka.Broker, topic string) []kafka.Record {
 	t.Helper()
 	n, err := b.Partitions(topic)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out []kafka.Message
+	var out []kafka.Record
 	for p := int32(0); p < n; p++ {
 		tp := kafka.TopicPartition{Topic: topic, Partition: p}
 		hwm, _ := b.HighWatermark(tp)
