@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet vet-custom race verify ci fuzz-smoke bench-module bench-pair bench bench-figures profile trace-overhead monitor-smoke
+.PHONY: build test vet vet-custom race verify ci fuzz-smoke bench-module bench-pair bench bench-figures profile monitor-smoke
 
 build:
 	$(GO) build ./...
@@ -11,10 +11,10 @@ test:
 vet:
 	$(GO) vet ./...
 
-# Project-specific static analysis (see README "Static analysis"): seven
+# Project-specific static analysis (see README "Static analysis"): six
 # per-package rules (hot-path allocations, metrics binding, lock discipline,
-# commit-chain error drops, goroutine supervision, trace guards, no
-# internal/profile calls on hot paths) plus two whole-program rules (lock-order, chan-leak) over the
+# commit-chain error drops, goroutine supervision, no internal/profile calls
+# on hot paths) plus two whole-program rules (lock-order, chan-leak) over the
 # CFG/call-graph layer; each is proven on a seeded regression in a copy of
 # the code it guards (internal/analysis/seeded_test.go). Exits non-zero on
 # any unsuppressed finding; prints how many //samzasql:ignore directives
@@ -109,14 +109,6 @@ bench:
 # Full paper-figure regeneration (slow; see also cmd/samzasql-bench).
 bench-figures:
 	$(GO) test -run '^$$' -bench . -benchmem .
-
-# Tracing-overhead report: first re-pin the unsampled message path at 0
-# allocs/row with the tracing cursor bound, then the best-of-5
-# sampled-vs-unsampled throughput comparison (rates 0, 0.01, 1.0) on the
-# filter and sliding-window queries. CI runs this as a non-blocking report.
-trace-overhead:
-	$(GO) test -run 'TestFilterBatchZeroAllocs/(plain|tracer-bound)' -count=1 -v ./internal/executor/
-	$(GO) run ./cmd/samzasql-bench -figure trace -messages $(BENCH_MESSAGES) -trace-rounds 5
 
 # End-to-end smoke of the cluster monitor: start a monitored job with an
 # injected lag spike (the whole workload pre-loaded as backlog), serve the

@@ -22,7 +22,7 @@ import (
 
 func main() {
 	var (
-		figure     = flag.String("figure", "all", "figure to regenerate: 5a, 5b, 5c, 6, figures (all four), trace, monitor-smoke, loc or all")
+		figure     = flag.String("figure", "all", "figure to regenerate: 5a, 5b, 5c, 6, figures (all four), monitor-smoke, loc or all")
 		messages   = flag.Int("messages", 200_000, "orders messages per run")
 		partitions = flag.Int("partitions", 32, "partitions per topic (paper: 32)")
 		products   = flag.Int("products", 100, "products relation cardinality")
@@ -31,9 +31,7 @@ func main() {
 		check      = flag.Bool("check", false, "verify the measured shape matches the paper and exit non-zero otherwise")
 		mAddr      = flag.String("metrics-addr", "", "serve /metrics, /healthz and /debug/pprof/ on this address during runs (e.g. 127.0.0.1:8642)")
 		mInterval  = flag.Duration("metrics-interval", 0, "enable the per-container metrics snapshot reporter at this period (e.g. 500ms) and print per-operator latency tables")
-		traceRate  = flag.Float64("trace-sample-rate", 0, "sample roughly this fraction of produced messages into end-to-end span trees (0 = tracing off)")
-		traceRnds  = flag.Int("trace-rounds", 5, "rounds per point for -figure trace (best-of comparison)")
-		monitorOn  = flag.Bool("monitor", false, "attach the cluster monitor to every run (tails __metrics/__traces, evaluates SLO rules onto __alerts) and print each SamzaSQL run's lag-recovery series")
+		monitorOn  = flag.Bool("monitor", false, "attach the cluster monitor to every run (tails __metrics, evaluates SLO rules onto __alerts) and print each SamzaSQL run's lag-recovery series")
 		batchSize  = flag.Int("batch-size", 0, fmt.Sprintf("block size of SamzaSQL jobs: messages one poll delivers as a columnar block (0 = framework default %d, 1 = tuple at a time)", samza.DefaultBatchSize))
 		jsonPath   = flag.String("json", "", "also write the measured series as machine-readable JSON to this path (e.g. BENCH_results.json)")
 	)
@@ -49,10 +47,6 @@ func main() {
 	cfg.TaskParallelism = *taskPar
 	cfg.MetricsAddr = *mAddr
 	cfg.MetricsInterval = *mInterval
-	if *traceRate < 0 || *traceRate > 1 {
-		fatalf("bad -trace-sample-rate value %v (want [0, 1])", *traceRate)
-	}
-	cfg.TraceSampleRate = *traceRate
 	cfg.Monitor = *monitorOn
 	if *batchSize < 0 {
 		fatalf("bad -batch-size value %d (want >= 0)", *batchSize)
@@ -94,16 +88,6 @@ func main() {
 			}
 		}
 	}
-	// runTraceOverhead measures tracing cost at sample rates 0, 0.01, 1.0
-	// on the filter and sliding-window benchmarks, behind "-figure trace".
-	runTraceOverhead := func() {
-		rows, err := bench.RunTraceOverhead(cfg.Messages, *traceRnds)
-		if err != nil {
-			fatalf("trace overhead: %v", err)
-		}
-		fmt.Println(bench.FormatTraceOverhead(rows))
-	}
-
 	// runMonitorSmoke drives the monitored lag-spike scenario end to end
 	// over the introspection HTTP surface, behind "-figure monitor-smoke"
 	// and `make monitor-smoke`.
@@ -125,8 +109,6 @@ func main() {
 		for _, spec := range bench.Figures {
 			runOne(spec)
 		}
-	case "trace":
-		runTraceOverhead()
 	case "monitor-smoke":
 		runMonitorSmoke()
 	case "loc":
@@ -134,7 +116,7 @@ func main() {
 	default:
 		spec, ok := bench.FigureByID(*figure)
 		if !ok {
-			fatalf("unknown figure %q (want 5a, 5b, 5c, 6, figures, trace, monitor-smoke, loc or all)", *figure)
+			fatalf("unknown figure %q (want 5a, 5b, 5c, 6, figures, monitor-smoke, loc or all)", *figure)
 		}
 		runOne(spec)
 	}

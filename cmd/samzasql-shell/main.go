@@ -36,9 +36,8 @@ func main() {
 		demoOrders = flag.Int("demo-orders", 10_000, "demo Orders records")
 		streamRows = flag.Int("stream-rows", 20, "rows to tail from a streaming query before stopping it")
 		partitions = flag.Int("partitions", 4, "partitions for demo topics")
-		traceRate  = flag.Float64("trace-sample-rate", 0, "sample roughly this fraction of produced messages into end-to-end span trees (0 = tracing off; see \\trace and EXPLAIN ANALYZE)")
 		batchSize  = flag.Int("batch-size", 0, fmt.Sprintf("block size of submitted jobs: messages one poll delivers as a columnar block (0 = framework default %d, 1 = tuple at a time)", samza.DefaultBatchSize))
-		monitorOn  = flag.Bool("monitor", false, "attach the cluster monitor: tail __metrics/__traces into the time-series store, evaluate SLO rules onto __alerts, and enable \\top and \\alerts")
+		monitorOn  = flag.Bool("monitor", false, "attach the cluster monitor: tail __metrics into the time-series store, evaluate SLO rules onto __alerts, and enable \\top and \\alerts")
 		mInterval  = flag.Duration("metrics-interval", 0, "per-container metrics snapshot period for submitted jobs (default 100ms when -monitor is on, else off)")
 	)
 	flag.Parse()
@@ -50,19 +49,10 @@ func main() {
 	cat := catalog.New()
 	engine := executor.NewEngine(cat, broker, samza.NewJobRunner(broker, cluster), zk.NewStore())
 	engine.Containers = 2
-	if *traceRate < 0 || *traceRate > 1 {
-		fatalf("bad -trace-sample-rate value %v (want [0, 1])", *traceRate)
-	}
-	engine.TraceSampleRate = *traceRate
 	if *batchSize < 0 {
 		fatalf("bad -batch-size value %d (want >= 0)", *batchSize)
 	}
 	engine.BatchSize = *batchSize
-	if *traceRate > 0 {
-		// Trace contexts attach at produce time, so the sampler must be on
-		// the broker before the demo data (or any piped INSERTs) land.
-		broker.SetTraceSampling(*traceRate)
-	}
 	if *mInterval < 0 {
 		fatalf("bad -metrics-interval value %v", *mInterval)
 	}
@@ -172,8 +162,6 @@ func command(engine *executor.Engine, mon *monitor.Monitor, cmd string) bool {
 		}
 	case `\metrics`, "!metrics":
 		printMetrics(engine)
-	case `\trace`, "!trace":
-		engine.Runner.WriteTraces(os.Stdout)
 	case `\top`, "!top":
 		if mon == nil {
 			fmt.Println("\\top needs the cluster monitor (restart with -monitor)")
@@ -192,7 +180,6 @@ func command(engine *executor.Engine, mon *monitor.Monitor, cmd string) bool {
   EXPLAIN ANALYZE <query>;  run the query briefly and print the plan with live per-operator stats
   !tables                   list catalog objects
   \metrics                  dump metrics of every submitted job (counters, gauges, latency histograms)
-  \trace                    dump recent sampled span trees per job (needs -trace-sample-rate > 0)
   \top                      live job overview: throughput, task latency, lag sparklines, slowest operators (needs -monitor)
   \alerts                   firing SLO alerts and the recent transition log (needs -monitor)
   !quit                     leave the shell`)

@@ -25,10 +25,6 @@ func TestGoroutineSupervisionFixture(t *testing.T) {
 	checkFixture(t, "goroutine", GoroutineSupervision)
 }
 
-func TestTraceGuardFixture(t *testing.T) {
-	checkFixture(t, "traceguard", TraceGuard)
-}
-
 func TestProfileGuardFixture(t *testing.T) {
 	checkFixture(t, "profileguard", ProfileGuard)
 }

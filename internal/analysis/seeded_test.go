@@ -120,29 +120,11 @@ return fmt.Errorf("samza: %s checkpoint write: %w", ti.name, err)
 		edits: []seedEdit{{file: "container.go",
 			old: `go func() {
 defer repWG.Done()
-pub.Run(repCtx, rep.interval, rep.collect)
+pub.Run(repCtx, c.job.MetricsInterval, collect)
 }()`,
-			new: `go pub.Run(repCtx, rep.interval, rep.collect)`,
+			new: `go pub.Run(repCtx, c.job.MetricsInterval, collect)`,
 		}},
 		want: `unsupervised goroutine`,
-	},
-	{
-		name:     "message-trace-started-unsampled",
-		analyzer: TraceGuard,
-		pkg:      "internal/sql/physical",
-		// The block loop opens every message's trace as it gathers the
-		// block, instead of replaying the sampled ones after it: a call and
-		// a clock read per unsampled row.
-		edits: []seedEdit{{file: "block.go",
-			old: `if env.Trace.Sampled {
-sampled++
-}`,
-			new: `act.StartMessage(env.Trace, pollNs, time.Now().UnixNano())
-if env.Trace.Sampled {
-sampled++
-}`,
-		}},
-		want: `unguarded trace\.StartMessage call in //samzasql:hotpath function routeBlock`,
 	},
 	{
 		name:     "runtime-metrics-read-per-batch",

@@ -73,8 +73,8 @@ func TestRepoHasHotpathAnnotations(t *testing.T) {
 		total += n
 		perPkg[pkg.PkgPath] = n
 	}
-	// hotpath-alloc, metrics-binding, trace-guard and profile-guard all scope
-	// their checks to these annotations, so shrinking the set blinds four
+	// hotpath-alloc, metrics-binding and profile-guard all scope their
+	// checks to these annotations, so shrinking the set blinds three
 	// analyzers, not one. The floor sits under the current count (52, after
 	// the per-tuple bodies and their five annotations went) but far above
 	// vacuity.

@@ -1,6 +1,6 @@
 package analysis
 
-// Suite returns every project analyzer, in stable order. The first seven are
+// Suite returns every project analyzer, in stable order. The first six are
 // per-package; the last two are whole-program (CFG + call graph).
 func Suite() []*Analyzer {
 	return []*Analyzer{
@@ -10,7 +10,6 @@ func Suite() []*Analyzer {
 		LockDiscipline,
 		MetricsBinding,
 		ProfileGuard,
-		TraceGuard,
 		ChanLeak,
 		LockOrder,
 	}

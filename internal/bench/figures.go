@@ -115,7 +115,7 @@ func FormatFigure(spec FigureSpec, rows []FigureRow) string {
 // FormatOperatorLatencies renders the per-operator latency percentiles of
 // the figure's first (single-container) SamzaSQL run, from the
 // "operator.<stage>.process-ns" histograms the snapshot reporter publishes.
-// Latencies are inclusive of each operator's downstream chain.
+// Latencies are each operator's own time, exclusive of its downstream chain.
 func FormatOperatorLatencies(spec FigureSpec, rows []FigureRow) string {
 	if len(rows) == 0 {
 		return ""
@@ -132,7 +132,7 @@ func FormatOperatorLatencies(spec FigureSpec, rows []FigureRow) string {
 	}
 	sort.Strings(names)
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "%s — per-operator latency, SamzaSQL x%d (ns; inclusive of downstream)\n",
+	fmt.Fprintf(&sb, "%s — per-operator latency, SamzaSQL x%d (ns; exclusive of downstream)\n",
 		spec.Title, rows[0].Containers)
 	fmt.Fprintf(&sb, "  %-24s %10s %9s %9s %9s %10s %10s\n",
 		"operator", "count", "p50", "p95", "p99", "max", "out")

@@ -43,16 +43,8 @@ type Config struct {
 	// duration of each run — the hook `make profile` uses to capture CPU
 	// profiles of a live benchmark.
 	MetricsAddr string
-	// TraceSampleRate, when positive, samples roughly this fraction of
-	// produced messages into end-to-end span trees. Installed on the run's
-	// broker before the workload is produced, so pre-loaded messages carry
-	// trace contexts too. 0 keeps the hot path at a single branch.
-	TraceSampleRate float64
-	// TraceInterval overrides the per-container trace reporter period
-	// (0 = samza.DefaultTraceInterval whenever sampling is on).
-	TraceInterval time.Duration
 	// Monitor, when true, attaches a cluster monitor to each run's broker
-	// (tailing __metrics/__traces, evaluating the default SLO rules onto
+	// (tailing __metrics, evaluating the default SLO rules onto
 	// __alerts) and records the run's lag-recovery series in
 	// Result.Monitor. Forces a 10ms MetricsInterval when none is set —
 	// the monitor sees nothing without snapshots.
@@ -119,13 +111,8 @@ func newEnv(cfg Config) (*env, error) {
 	return &env{broker: broker, cluster: cluster, runner: runner, catalog: cat, engine: eng}, nil
 }
 
-// loadOrders pre-produces the Orders stream (excluded from timing). Trace
-// sampling, when enabled, is installed first: contexts attach at produce
-// time, so the sampler must be live before the workload lands.
+// loadOrders pre-produces the Orders stream (excluded from timing).
 func (e *env) loadOrders(cfg Config) error {
-	if cfg.TraceSampleRate > 0 {
-		e.broker.SetTraceSampling(cfg.TraceSampleRate)
-	}
 	ocfg := workload.DefaultOrdersConfig()
 	ocfg.Products = cfg.Products
 	_, err := workload.ProduceOrders(e.broker, "orders", cfg.Partitions, cfg.Messages, ocfg)
@@ -196,8 +183,6 @@ func RunNative(query string, cfg Config) (Result, error) {
 		TaskParallelism: cfg.TaskParallelism,
 		CommitEvery:     100_000,
 		MetricsInterval: cfg.MetricsInterval,
-		TraceSampleRate: cfg.TraceSampleRate,
-		TraceInterval:   cfg.TraceInterval,
 		Config:          map[string]string{},
 	}
 	switch query {
@@ -316,8 +301,6 @@ func RunSQL(query string, cfg Config) (Result, error) {
 	e.engine.Containers = cfg.Containers
 	e.engine.TaskParallelism = cfg.TaskParallelism
 	e.engine.MetricsInterval = cfg.MetricsInterval
-	e.engine.TraceSampleRate = cfg.TraceSampleRate
-	e.engine.TraceInterval = cfg.TraceInterval
 	e.engine.BatchSize = cfg.BatchSize
 
 	ctx, cancel := context.WithCancel(context.Background())

@@ -32,7 +32,7 @@ type FigureReportRow struct {
 	SQLRowsSec     float64 `json:"samzasql_rows_per_sec"`
 	SQLNativeRatio float64 `json:"sql_native_ratio"`
 	// Operators carries the SamzaSQL run's per-operator latency percentiles
-	// (inclusive of each operator's downstream chain), from the
+	// (each operator's own time, exclusive of its downstream chain), from the
 	// "operator.<stage>.process-ns" histograms.
 	Operators []OperatorLatency `json:"operator_latencies,omitempty"`
 }

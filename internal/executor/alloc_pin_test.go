@@ -10,7 +10,6 @@ import (
 	"samzasql/internal/monitor"
 	"samzasql/internal/samza"
 	"samzasql/internal/sql/catalog"
-	"samzasql/internal/trace"
 	"samzasql/internal/workload"
 	"samzasql/internal/zk"
 )
@@ -34,10 +33,10 @@ func (c *nullCollector) SendBatch(_ string, msgs []kafka.Message) error {
 const filterQuery = "SELECT STREAM rowtime, orderId, productId, units FROM Orders WHERE units > 50"
 
 // setupFilterTask initializes a SamzaSQL filter task on the default block
-// path exactly as a container would — collector and tracing cursor (nil for
-// none) bound in TaskContext before Init — and returns n pre-encoded Orders
-// envelopes, some passing the predicate and some not.
-func setupFilterTask(tb testing.TB, act *trace.Active, n int) (*Task, *nullCollector, []samza.IncomingMessageEnvelope) {
+// path exactly as a container would — collector bound in TaskContext before
+// Init — and returns n pre-encoded Orders envelopes, some passing the
+// predicate and some not.
+func setupFilterTask(tb testing.TB, n int) (*Task, *nullCollector, []samza.IncomingMessageEnvelope) {
 	tb.Helper()
 	cat := catalog.New()
 	if err := workload.DefineCatalog(cat); err != nil {
@@ -53,7 +52,6 @@ func setupFilterTask(tb testing.TB, act *trace.Active, n int) (*Task, *nullColle
 		Task:      samza.TaskNameFor(0),
 		Partition: 0,
 		Metrics:   metrics.NewRegistry(),
-		Trace:     act,
 		Config: map[string]string{
 			"samzasql.zk.query.path": queryPath,
 			"samzasql.output.topic":  "bench-out",
@@ -84,33 +82,30 @@ func setupFilterTask(tb testing.TB, act *trace.Active, n int) (*Task, *nullColle
 // (AllocsPerRun runs the body once before measuring), a block — typed sparse
 // decode, the `units > 50` kernel, the column permutation, typed encode into
 // the reused output slab — costs no allocation at all, whether the block
-// holds one row or 256, and whichever observability machinery stands by:
-// none; the tracing cursor wired the way a container wires it, sampling off
-// (the unsampled path is one branch per call site); a live cluster monitor,
-// tailers parked on the telemetry topics (its eval interval is pushed out of
+// holds one row or 256, with or without a live cluster monitor standing by,
+// its tailer parked on the metrics topic (its eval interval is pushed out of
 // the measurement window, because AllocsPerRun counts process-global
 // mallocs).
 func TestFilterBatchZeroAllocs(t *testing.T) {
 	configs := []struct {
 		name  string
-		setup func(t *testing.T) *trace.Active
+		setup func(t *testing.T)
 	}{
-		{"plain", func(*testing.T) *trace.Active { return nil }},
-		{"tracer-bound", func(*testing.T) *trace.Active { return trace.NewActive(trace.NewRecorder(64)) }},
-		{"with-monitor", func(t *testing.T) *trace.Active {
+		{"plain", func(*testing.T) {}},
+		{"with-monitor", func(t *testing.T) {
 			mon, err := monitor.Start(monitor.Config{Broker: kafka.NewBroker(), EvalInterval: time.Hour})
 			if err != nil {
 				t.Fatal(err)
 			}
 			t.Cleanup(mon.Stop)
-			return nil
 		}},
 	}
 	const rows = 256
 	for _, cfg := range configs {
 		for _, block := range []int{1, rows} {
 			t.Run(fmt.Sprintf("%s/block=%d", cfg.name, block), func(t *testing.T) {
-				task, coll, envs := setupFilterTask(t, cfg.setup(t), rows)
+				cfg.setup(t)
+				task, coll, envs := setupFilterTask(t, rows)
 				// One-row blocks walk the envelopes, so rows that pass the
 				// predicate and rows that fail it are both measured.
 				next := 0
@@ -138,7 +133,7 @@ func TestFilterBatchZeroAllocs(t *testing.T) {
 func BenchmarkFilterBatchProcess(b *testing.B) {
 	for _, block := range []int{1, 256} {
 		b.Run(fmt.Sprintf("block=%d", block), func(b *testing.B) {
-			task, coll, envs := setupFilterTask(b, nil, block)
+			task, coll, envs := setupFilterTask(b, block)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

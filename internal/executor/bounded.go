@@ -156,7 +156,7 @@ func routeRuns(prog *physical.Program, msgs []kafka.Record) error {
 		for n < len(msgs) && n < samza.DefaultBatchSize && msgs[n].TP() == msgs[0].TP() {
 			n++
 		}
-		if err := prog.RouteBatch(msgs[:n], nil, 0); err != nil {
+		if err := prog.RouteBatch(msgs[:n]); err != nil {
 			return err
 		}
 		msgs = msgs[n:]

@@ -47,15 +47,6 @@ type Engine struct {
 	// MetricsInterval, when positive, enables the per-container metrics
 	// snapshot reporter on submitted jobs (samza.JobSpec.MetricsInterval).
 	MetricsInterval time.Duration
-	// TraceSampleRate, when positive, enables end-to-end dataflow tracing
-	// on submitted jobs: the broker samples roughly this fraction of
-	// produced messages into span trees (samza.JobSpec.TraceSampleRate),
-	// published on the "__traces" stream and visible via /debug/traces and
-	// the shell's \trace. 0 keeps the hot path at a single branch.
-	TraceSampleRate float64
-	// TraceInterval overrides the per-container trace reporter period; 0
-	// uses samza.DefaultTraceInterval whenever sampling is enabled.
-	TraceInterval time.Duration
 	// BatchSize sets the block size of submitted jobs
 	// (samza.JobSpec.BatchSize): how many messages one poll drains into a
 	// columnar block. 0 uses samza.DefaultBatchSize; 1 runs the operators
@@ -216,12 +207,6 @@ func (e *Engine) Submit(ctx context.Context, p *Prepared) (*Job, error) {
 		"samzasql.zk.query.path": zkQueryPath(p.JobName),
 		"samzasql.output.topic":  p.OutputTopic,
 	}
-	// Tracing is a broker-level concern (contexts attach at produce time);
-	// installing the sampler here keeps one knob for the whole pipeline,
-	// repartition stages included.
-	if e.TraceSampleRate > 0 {
-		e.Broker.SetTraceSampling(e.TraceSampleRate)
-	}
 	main, err := e.Runner.Submit(ctx, job)
 	if err != nil {
 		for _, r := range reparts {
@@ -245,8 +230,6 @@ func (e *Engine) jobSpec(name string, inputs []samza.StreamSpec, factory func() 
 		CommitEvery:     1000,
 		MaxRestarts:     2,
 		MetricsInterval: e.MetricsInterval,
-		TraceSampleRate: e.TraceSampleRate,
-		TraceInterval:   e.TraceInterval,
 		TaskFactory:     factory,
 	}
 }

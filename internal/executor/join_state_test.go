@@ -165,7 +165,7 @@ func TestRelationTombstoneSkippedWhenMessageKeyIsUnknown(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range msgs {
-		if err := p.Program.RouteBatch(msgs[i:i+1], nil, 0); err != nil {
+		if err := p.Program.RouteBatch(msgs[i : i+1]); err != nil {
 			t.Fatal(err)
 		}
 	}

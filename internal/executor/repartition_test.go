@@ -395,8 +395,6 @@ func TestRepartitionStagePublishesTelemetry(t *testing.T) {
 	const clicks = 200
 	e := clicksEngine(t, 2)
 	e.MetricsInterval = 20 * time.Millisecond
-	e.TraceSampleRate = 0.01
-	e.TraceInterval = 30 * time.Millisecond
 	tail, err := samza.NewTailer[samza.MetricsSnapshotMessage](e.Broker, samza.DefaultMetricsTopic)
 	if err != nil {
 		t.Fatal(err)
@@ -415,9 +413,8 @@ func TestRepartitionStagePublishesTelemetry(t *testing.T) {
 		t.Fatalf("%d repartition jobs started", len(job.Repartitions))
 	}
 	stage := job.Repartitions[0].Spec
-	if stage.MetricsInterval != e.MetricsInterval || stage.TraceSampleRate != e.TraceSampleRate || stage.TraceInterval != e.TraceInterval {
-		t.Fatalf("repartition stage telemetry %v/%v/%v, engine %v/%v/%v", stage.MetricsInterval, stage.TraceSampleRate,
-			stage.TraceInterval, e.MetricsInterval, e.TraceSampleRate, e.TraceInterval)
+	if stage.MetricsInterval != e.MetricsInterval {
+		t.Fatalf("repartition stage metrics interval %v, engine %v", stage.MetricsInterval, e.MetricsInterval)
 	}
 	waitForCount(t, 15*time.Second, func() int {
 		return len(drainNew(t, e.Broker, p.OutputTopic))

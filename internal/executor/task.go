@@ -11,7 +11,6 @@ import (
 	"samzasql/internal/sql/physical"
 	"samzasql/internal/sql/plan"
 	"samzasql/internal/sql/validate"
-	"samzasql/internal/trace"
 	"samzasql/internal/zk"
 )
 
@@ -25,7 +24,6 @@ type Task struct {
 	optimize bool
 
 	program *physical.Program
-	ctx     *samza.TaskContext
 	// bound is the collector the program's sender currently targets. The
 	// framework passes the same collector to every ProcessBatch call (it is
 	// bound in TaskContext before Init), so after Init the per-batch path
@@ -41,7 +39,6 @@ func NewTask(cat *catalog.Catalog, zkStore *zk.Store, optimize bool) *Task {
 
 // Init implements samza.StreamTask: task-side query planning.
 func (t *Task) Init(ctx *samza.TaskContext) error {
-	t.ctx = ctx
 	path, ok := ctx.Config["samzasql.zk.query.path"]
 	if !ok {
 		return fmt.Errorf("executor: task config missing samzasql.zk.query.path")
@@ -77,7 +74,6 @@ func (t *Task) Init(ctx *samza.TaskContext) error {
 		Store:     ctx.Store,
 		Partition: ctx.Partition,
 		Metrics:   ctx.Metrics,
-		Trace:     ctx.Trace,
 	})
 }
 
@@ -94,13 +90,9 @@ func (t *Task) bindSender(collector samza.MessageCollector) {
 // through its topic's block pipeline.
 //
 //samzasql:hotpath
-func (t *Task) ProcessBatch(envs []samza.IncomingMessageEnvelope, collector samza.MessageCollector, _ samza.Coordinator, pollNs int64) error {
+func (t *Task) ProcessBatch(envs []samza.IncomingMessageEnvelope, collector samza.MessageCollector, _ samza.Coordinator, _ int64) error {
 	if collector != t.bound {
 		t.bindSender(collector)
 	}
-	var act *trace.Active
-	if t.ctx != nil {
-		act = t.ctx.Trace
-	}
-	return t.program.RouteBatch(envs, act, pollNs)
+	return t.program.RouteBatch(envs)
 }

@@ -6,12 +6,7 @@ import (
 	"hash/fnv"
 	"slices"
 	"sort"
-	"strings"
 	"sync"
-	"sync/atomic"
-	"time"
-
-	"samzasql/internal/trace"
 )
 
 // Errors returned by broker administrative operations.
@@ -55,11 +50,6 @@ type Broker struct {
 	// compactEvery triggers compaction when a compacted partition
 	// accumulates this many closed segments.
 	compactEvery int
-
-	// sampler, when non-nil, decides which produced messages start a trace
-	// (SetTraceSampling). Held behind an atomic pointer so the produce path
-	// pays one load when tracing is off and no lock ever.
-	sampler atomic.Pointer[trace.Sampler]
 }
 
 // NewBroker returns an empty broker.
@@ -164,30 +154,12 @@ func (b *Broker) Produce(topicName string, m Message) (int64, error) {
 	if int(part) >= len(t.partitions) {
 		return 0, fmt.Errorf("%w: %s-%d", ErrUnknownPartition, topicName, part)
 	}
-	if s := b.sampler.Load(); s != nil && m.Trace.TraceID == 0 && isUserTopic(topicName) && s.Sample() {
-		m.Trace = trace.NewRoot(time.Now().UnixNano())
-	}
 	p := t.partitions[part]
 	off := p.append(m)
 	if t.config.Compacted && p.closedSegmentCount() >= b.compactEvery {
 		p.compact()
 	}
 	return off, nil
-}
-
-// SetTraceSampling installs (or, with rate <= 0, removes) the produce-time
-// trace sampler: every round(1/rate)-th message appended to a user topic by
-// Produce becomes the root of a sampled trace. Framework topics (the "__"
-// prefix) and changelog topics never root traces — their appends are
-// effects of a traced message, not new dataflow. Batched appends
-// (ProduceBatch: changelog flushes) are likewise never sampled.
-func (b *Broker) SetTraceSampling(rate float64) {
-	b.sampler.Store(trace.NewSampler(rate))
-}
-
-// isUserTopic reports whether produce-time sampling may root a trace here.
-func isUserTopic(name string) bool {
-	return !strings.HasPrefix(name, "__") && !strings.HasSuffix(name, "-changelog")
 }
 
 // ProduceBatch appends msgs to topicName, resolving each message's

@@ -9,11 +9,7 @@
 // streams backing Samza local state).
 package kafka
 
-import (
-	"fmt"
-
-	"samzasql/internal/trace"
-)
+import "fmt"
 
 // Message is a record to produce: the type Produce and ProduceBatch take.
 // Key and Value are opaque byte slices; interpretation is left to serdes
@@ -34,12 +30,6 @@ type Message struct {
 	// Timestamp is the event time in Unix milliseconds as supplied by the
 	// producer. The log orders by offset, never by timestamp.
 	Timestamp int64
-	// Trace is the message's trace context (the moral equivalent of a trace
-	// record header). The zero value — every unsampled message — costs one
-	// bool check downstream. Attached by the broker at produce time when
-	// sampling is enabled (Broker.SetTraceSampling), or carried through from
-	// an upstream sampled message.
-	Trace trace.Context
 }
 
 // Size returns the retention-accounting size of the message in bytes.
@@ -60,9 +50,8 @@ type Record struct {
 	Append    bool // a changelog append (see Message.Append)
 	Offset    int64
 	Key       []byte
-	Value     []byte        // nil is a tombstone
-	Timestamp int64         // producer-supplied event time, Unix millis
-	Trace     trace.Context // zero for unsampled records
+	Value     []byte // nil is a tombstone
+	Timestamp int64  // producer-supplied event time, Unix millis
 }
 
 // Size returns the retention-accounting size of the record in bytes, the

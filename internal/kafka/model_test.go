@@ -7,8 +7,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"samzasql/internal/trace"
 )
 
 // logModel is the reference the segment model test checks a partition
@@ -57,7 +55,7 @@ func (m *logModel) append(msg Message) int64 {
 	active := &m.segs[len(m.segs)-1]
 	r := Record{
 		Stream: m.topic, Partition: m.part, Offset: active.upper, Append: msg.Append,
-		Key: cloneBytes(msg.Key), Value: cloneBytes(msg.Value), Timestamp: msg.Timestamp, Trace: msg.Trace,
+		Key: cloneBytes(msg.Key), Value: cloneBytes(msg.Value), Timestamp: msg.Timestamp,
 	}
 	active.upper++
 	active.size += msg.Size()
@@ -164,7 +162,7 @@ func sameRecord(a, b Record) bool {
 	return a.Stream == b.Stream && a.Partition == b.Partition && a.Offset == b.Offset && a.Append == b.Append &&
 		(a.Key == nil) == (b.Key == nil) && bytes.Equal(a.Key, b.Key) &&
 		(a.Value == nil) == (b.Value == nil) && bytes.Equal(a.Value, b.Value) &&
-		a.Timestamp == b.Timestamp && a.Trace == b.Trace
+		a.Timestamp == b.Timestamp
 }
 
 func sameRecords(t *testing.T, what string, got, want []Record) {
@@ -182,7 +180,7 @@ func sameRecords(t *testing.T, what string, got, want []Record) {
 // modelMessage draws a record from the shapes the framing must tell apart:
 // nil, empty, one-byte-length and multi-byte-length keys and values (a nil
 // value is a tombstone), full and append records, timestamps at both
-// extremes, and zero, sampled and unsampled-but-non-zero trace contexts.
+// extremes.
 // Keys come from a small space so compaction has overwrites to drop and
 // appends to keep behind them.
 func modelMessage(rng *rand.Rand) Message {
@@ -217,12 +215,6 @@ func modelMessage(rng *rand.Rand) Message {
 		msg.Timestamp = -rng.Int63()
 	default:
 		msg.Timestamp = rng.Int63n(1 << 42)
-	}
-	switch rng.Intn(4) {
-	case 0:
-		msg.Trace = trace.Context{TraceID: rng.Uint64(), SpanID: rng.Uint64(), ParentID: rng.Uint64(), Sampled: true, StartNs: -rng.Int63()}
-	case 1:
-		msg.Trace = trace.Context{SpanID: rng.Uint64()}
 	}
 	return msg
 }

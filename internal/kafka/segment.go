@@ -4,8 +4,6 @@ import (
 	"encoding/binary"
 	"math"
 	"slices"
-
-	"samzasql/internal/trace"
 )
 
 // segment is a contiguous offset range of records within a partition,
@@ -60,19 +58,13 @@ func (s *segment) full(maxBytes int) bool {
 const (
 	recKeyNil   = 1 << iota // Key is nil: no key length or bytes follow
 	recValueNil             // Value is nil (a tombstone): no value length or bytes
-	recTrace                // a trace context follows the value
-	recSampled              // the trace context's Sampled bit
 	recAppend               // Message.Append: the value extends the key's value
 )
 
-// traceBytes is the framed size of a trace context: TraceID, SpanID,
-// ParentID and StartNs, little-endian; Sampled rides in the flags byte.
-const traceBytes = 32
-
 // appendRecord frames m onto dst: a flags byte, the timestamp as a zigzag
 // varint, the key and the value each as a uvarint length and its bytes
-// (both absent when nil), then the trace context only when it is not the
-// zero value. Topic, partition and offset are the segment's to supply.
+// (both absent when nil). Topic, partition and offset are the segment's to
+// supply.
 func appendRecord(dst []byte, m *Message) []byte {
 	var flags byte
 	if m.Key == nil {
@@ -84,12 +76,6 @@ func appendRecord(dst []byte, m *Message) []byte {
 	if m.Append {
 		flags |= recAppend
 	}
-	if m.Trace != (trace.Context{}) {
-		flags |= recTrace
-		if m.Trace.Sampled {
-			flags |= recSampled
-		}
-	}
 	dst = append(dst, flags)
 	dst = binary.AppendVarint(dst, m.Timestamp)
 	if m.Key != nil {
@@ -100,16 +86,10 @@ func appendRecord(dst []byte, m *Message) []byte {
 		dst = binary.AppendUvarint(dst, uint64(len(m.Value)))
 		dst = append(dst, m.Value...)
 	}
-	if flags&recTrace != 0 {
-		dst = binary.LittleEndian.AppendUint64(dst, m.Trace.TraceID)
-		dst = binary.LittleEndian.AppendUint64(dst, m.Trace.SpanID)
-		dst = binary.LittleEndian.AppendUint64(dst, m.Trace.ParentID)
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(m.Trace.StartNs))
-	}
 	return dst
 }
 
-// decodeRecord fills m's Key, Value, Append, Timestamp and Trace from the record
+// decodeRecord fills m's Key, Value, Append and Timestamp from the record
 // framed at arena[pos:]. Key and Value are capped views into the arena, so a
 // caller appending to one reallocates instead of overwriting the next
 // record. The arena was written by appendRecord under the partition lock;
@@ -122,19 +102,7 @@ func decodeRecord(arena []byte, pos int, m *Record) {
 	m.Timestamp = ts
 	m.Append = flags&recAppend != 0
 	m.Key, pos = decodeBytes(arena, pos, flags&recKeyNil != 0)
-	m.Value, pos = decodeBytes(arena, pos, flags&recValueNil != 0)
-	if flags&recTrace == 0 {
-		m.Trace = trace.Context{}
-		return
-	}
-	t := arena[pos : pos+traceBytes]
-	m.Trace = trace.Context{
-		TraceID:  binary.LittleEndian.Uint64(t),
-		SpanID:   binary.LittleEndian.Uint64(t[8:]),
-		ParentID: binary.LittleEndian.Uint64(t[16:]),
-		Sampled:  flags&recSampled != 0,
-		StartNs:  int64(binary.LittleEndian.Uint64(t[24:])),
-	}
+	m.Value, _ = decodeBytes(arena, pos, flags&recValueNil != 0)
 }
 
 // recordKey returns the key of the record framed at arena[pos:], a capped
@@ -190,8 +158,8 @@ func (s *segment) encode(m *Message) {
 }
 
 // maxFraming bounds the framing bytes of one record beyond its key and
-// value: the flags byte, three varints and a trace context.
-const maxFraming = 1 + 3*binary.MaxVarintLen64 + traceBytes
+// value: the flags byte and three varints.
+const maxFraming = 1 + 3*binary.MaxVarintLen64
 
 // append adds a record at the segment's upper bound (dense append). An arena
 // that must grow doubles, up to the roll bound maxBytes: a partition's first

@@ -5,9 +5,21 @@ import (
 	"fmt"
 	"math"
 	"testing"
-
-	"samzasql/internal/trace"
+	"unsafe"
 )
+
+// TestRecordHeaderSize pins the per-row header sizes. A Record is what every
+// poll decodes into and every task reads; a Message is what every insert
+// builds; both are copied by value once per row on the hot paths, so a
+// field added to either is paid on every row of every workload.
+func TestRecordHeaderSize(t *testing.T) {
+	if got := unsafe.Sizeof(Record{}); got != 88 {
+		t.Errorf("sizeof(Record) = %d B, want 88", got)
+	}
+	if got := unsafe.Sizeof(Message{}); got != 64 {
+		t.Errorf("sizeof(Message) = %d B, want 64", got)
+	}
+}
 
 // sparseSegment builds a compaction survivor: n framed records whose offsets
 // start at base+gap and advance by gap, so every offset that is not a
@@ -100,21 +112,19 @@ func TestFetchCompactedPartitionWalk(t *testing.T) {
 // FuzzSegmentRecord frames an arbitrary record between two neighbours in a
 // partition whose segments roll every few records and requires all three to
 // read back field for field — topic, partition and offset from the log, nil
-// and empty keys and values told apart, the append flag, any timestamp, any
-// trace context — with the retention size the message itself reports. The
+// and empty keys and values told apart, the append flag, any timestamp —
+// with the retention size the message itself reports. The
 // same records in a compacted partition, one segment each, must read back
 // after compaction as the model's survivors, at their own offsets.
 func FuzzSegmentRecord(f *testing.F) {
-	f.Add([]byte("k"), []byte("v"), int64(1_700_000_000_000), uint64(0), uint64(0), uint64(0), int64(0), false, false, false, false)
-	f.Add([]byte{}, []byte{}, int64(0), uint64(0), uint64(0), uint64(0), int64(0), false, false, false, true)
-	f.Add([]byte(nil), []byte(nil), int64(-1), uint64(0), uint64(0), uint64(0), int64(0), true, true, false, false)
-	f.Add(bytes.Repeat([]byte("x"), 200), []byte("tombstone next"), int64(math.MinInt64), uint64(1), uint64(2), uint64(3), int64(-5), false, false, true, true)
-	f.Add([]byte("k"), bytes.Repeat([]byte{0x80}, 300), int64(math.MaxInt64), uint64(math.MaxUint64), uint64(7), uint64(0), int64(math.MaxInt64), false, true, false, false)
-	f.Add([]byte("before"), []byte("override"), int64(2), uint64(0), uint64(0), uint64(0), int64(0), false, false, false, false)
-	f.Fuzz(func(t *testing.T, key, value []byte, ts int64, traceID, spanID, parentID uint64, startNs int64, keyNil, valueNil, sampled, app bool) {
-		rec := Message{Key: key, Value: value, Append: app, Timestamp: ts, Trace: trace.Context{
-			TraceID: traceID, SpanID: spanID, ParentID: parentID, Sampled: sampled, StartNs: startNs,
-		}}
+	f.Add([]byte("k"), []byte("v"), int64(1_700_000_000_000), false, false, false)
+	f.Add([]byte{}, []byte{}, int64(0), false, false, true)
+	f.Add([]byte(nil), []byte(nil), int64(-1), true, true, false)
+	f.Add(bytes.Repeat([]byte("x"), 200), []byte("tombstone next"), int64(math.MinInt64), false, false, true)
+	f.Add([]byte("k"), bytes.Repeat([]byte{0x80}, 300), int64(math.MaxInt64), false, true, false)
+	f.Add([]byte("before"), []byte("override"), int64(2), false, false, false)
+	f.Fuzz(func(t *testing.T, key, value []byte, ts int64, keyNil, valueNil, app bool) {
+		rec := Message{Key: key, Value: value, Append: app, Timestamp: ts}
 		if keyNil {
 			rec.Key = nil
 		} else if rec.Key == nil {

@@ -4,8 +4,8 @@ package kv
 // block's tuples by state key, fetch every distinct key's state in one call
 // and hand every write the block caused back in one call, so the store stack
 // pays its per-operation overhead — the store lock, the latency
-// observation, the trace leaf, the changelog produce — once per block instead
-// of once per tuple.
+// observation, the changelog produce — once per block instead of once per
+// tuple.
 
 // BatchReader is implemented by stores that can serve multi-key point
 // reads with amortized per-call overhead. vals and oks are caller-owned

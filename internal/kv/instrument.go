@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"samzasql/internal/metrics"
-	"samzasql/internal/trace"
 )
 
 // instrumentedStore wraps a Store with per-operation latency histograms.
@@ -13,19 +12,10 @@ import (
 // store — no allocations, no registry lookups on the access path. The
 // paper's §5.1 observation that window/join throughput is KV-access bound
 // is exactly what these histograms make visible.
-//
-// When a tracing cursor is bound (BindTrace) and the current message is
-// sampled, each operation additionally records a trace leaf span from the
-// same timing — the store/changelog leg of the message's span tree. The
-// stage strings are precomputed here so the sampled path allocates nothing.
 type instrumentedStore struct {
 	raw                      Store
 	getLat, putLat, rangeLat *metrics.Histogram
 	deleteLat                *metrics.Histogram
-
-	act *trace.Active
-	getStage, putStage, rangeStage,
-	deleteStage, getManyStage, writeManyStage string
 }
 
 // Instrument wraps s so that get/put/delete/range latencies are recorded
@@ -35,46 +25,26 @@ type instrumentedStore struct {
 func Instrument(s Store, reg *metrics.Registry, name string) Store {
 	prefix := "store." + name + "."
 	return &instrumentedStore{
-		raw:            s,
-		getLat:         reg.Histogram(prefix + "get-ns"),
-		putLat:         reg.Histogram(prefix + "put-ns"),
-		rangeLat:       reg.Histogram(prefix + "range-ns"),
-		deleteLat:      reg.Histogram(prefix + "delete-ns"),
-		getStage:       prefix + "get",
-		putStage:       prefix + "put",
-		rangeStage:     prefix + "range",
-		deleteStage:    prefix + "delete",
-		getManyStage:   prefix + "get-many",
-		writeManyStage: prefix + "write-many",
-	}
-}
-
-// BindTrace attaches a tracing cursor to an instrumented store so its
-// operations record trace leaf spans for sampled messages. A no-op on
-// stores that are not the Instrument wrapper; safe to call before the
-// store serves traffic (binding is not synchronized).
-func BindTrace(s Store, act *trace.Active) {
-	if is, ok := s.(*instrumentedStore); ok {
-		is.act = act
+		raw:       s,
+		getLat:    reg.Histogram(prefix + "get-ns"),
+		putLat:    reg.Histogram(prefix + "put-ns"),
+		rangeLat:  reg.Histogram(prefix + "range-ns"),
+		deleteLat: reg.Histogram(prefix + "delete-ns"),
 	}
 }
 
 func (s *instrumentedStore) Get(key []byte) ([]byte, bool) {
 	start := time.Now()
 	v, ok := s.raw.Get(key)
-	d := time.Since(start).Nanoseconds()
-	s.getLat.Observe(d)
-	if s.act.Sampled() {
-		s.act.Leaf(s.getStage, start.UnixNano(), d)
-	}
+	s.getLat.Observe(time.Since(start).Nanoseconds())
 	return v, ok
 }
 
 // GetMany times the whole batch once — the point of the batched path is
-// exactly that the per-operation overhead (clock reads, histogram update,
-// trace leaf) is paid once per block — and books an equal share of it to
-// every key, as WriteMany does for writes, so the get-ns count keeps
-// meaning keys read, not calls.
+// exactly that the per-operation overhead (clock reads, histogram update)
+// is paid once per block — and books an equal share of it to every key, as
+// WriteMany does for writes, so the get-ns count keeps meaning keys read,
+// not calls.
 //
 //samzasql:hotpath
 func (s *instrumentedStore) GetMany(keys [][]byte, vals [][]byte, oks []bool) {
@@ -85,19 +55,12 @@ func (s *instrumentedStore) GetMany(keys [][]byte, vals [][]byte, oks []bool) {
 	GetMany(s.raw, keys, vals, oks)
 	d := time.Since(start).Nanoseconds()
 	s.getLat.ObserveN(d/int64(len(keys)), int64(len(keys)))
-	if s.act.Sampled() {
-		s.act.Leaf(s.getManyStage, start.UnixNano(), d)
-	}
 }
 
 func (s *instrumentedStore) Put(key, value []byte) {
 	start := time.Now()
 	s.raw.Put(key, value)
-	d := time.Since(start).Nanoseconds()
-	s.putLat.Observe(d)
-	if s.act.Sampled() {
-		s.act.Leaf(s.putStage, start.UnixNano(), d)
-	}
+	s.putLat.Observe(time.Since(start).Nanoseconds())
 }
 
 // WriteMany times the whole batch once and books an equal share of it to
@@ -122,30 +85,19 @@ func (s *instrumentedStore) WriteMany(ops []WriteOp) {
 	share := d / int64(len(ops))
 	s.putLat.ObserveN(share, int64(len(ops))-deletes)
 	s.deleteLat.ObserveN(share, deletes)
-	if s.act.Sampled() {
-		s.act.Leaf(s.writeManyStage, start.UnixNano(), d)
-	}
 }
 
 func (s *instrumentedStore) Delete(key []byte) bool {
 	start := time.Now()
 	ok := s.raw.Delete(key)
-	d := time.Since(start).Nanoseconds()
-	s.deleteLat.Observe(d)
-	if s.act.Sampled() {
-		s.act.Leaf(s.deleteStage, start.UnixNano(), d)
-	}
+	s.deleteLat.Observe(time.Since(start).Nanoseconds())
 	return ok
 }
 
 func (s *instrumentedStore) Range(start, end []byte, limit int) []Entry {
 	t0 := time.Now()
 	out := s.raw.Range(start, end, limit)
-	d := time.Since(t0).Nanoseconds()
-	s.rangeLat.Observe(d)
-	if s.act.Sampled() {
-		s.act.Leaf(s.rangeStage, t0.UnixNano(), d)
-	}
+	s.rangeLat.Observe(time.Since(t0).Nanoseconds())
 	return out
 }
 

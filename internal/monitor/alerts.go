@@ -3,8 +3,7 @@ package monitor
 import "sync"
 
 // DefaultAlertsTopic is the stream alert transitions publish to. The "__"
-// prefix keeps it out of user-topic trace sampling, like __metrics and
-// __traces.
+// prefix marks it a framework stream, like __metrics.
 const DefaultAlertsTopic = "__alerts"
 
 // AlertState is the transition an alert record announces.

@@ -1,6 +1,6 @@
 // Package monitor is the cluster-wide observability aggregator: it tails
-// the __metrics and __traces control streams (plus the lifecycle event log
-// that rides on __traces) into bounded in-memory stores, answers windowed
+// the __metrics control stream into a bounded in-memory store, answers
+// windowed
 // queries over it (raw ranges, rates, and p50/p95/p99 roll-ups
 // merged exactly across containers from the log-bucketed histogram
 // buckets), and evaluates SLO rules — sustained consumer lag, throughput
@@ -14,11 +14,10 @@
 // substrate the adaptive-runtime work (ROADMAP item 5) reads its control
 // inputs from.
 //
-// Concurrency layout: one poller goroutine per stream blocks on its
-// samza.Tailer and forwards decoded batches over a channel (one poller
-// body, follow, serves both); ONE run-loop goroutine is the
-// single writer to all monitor state (the series store, the per-job trace
-// aggregates, the alert state machine). HTTP handlers and the shell read
+// Concurrency layout: one poller goroutine blocks on the metrics stream's
+// samza.Tailer and forwards decoded batches over a channel; ONE run-loop
+// goroutine is the single writer to all monitor state (the series store,
+// the health-flap log, the alert state machine). HTTP handlers and the shell read
 // through RLock-guarded accessors. All goroutines are WaitGroup-joined,
 // and alert publishes happen with no monitor lock held.
 //

@@ -10,7 +10,6 @@ import (
 	"samzasql/internal/kafka"
 	"samzasql/internal/metrics"
 	"samzasql/internal/samza"
-	"samzasql/internal/trace"
 )
 
 // MonitorJob is the pseudo-job name the monitor files its own metrics
@@ -21,10 +20,6 @@ const MonitorJob = "__monitor"
 // DefaultEvalInterval is the rule-evaluation period when the config does
 // not choose one.
 const DefaultEvalInterval = 100 * time.Millisecond
-
-// DefaultRecentTraces bounds the per-job assembled-trace store feeding the
-// operator breakdowns.
-const DefaultRecentTraces = 128
 
 // HealthSource reports per-task liveness, shaped like the /healthz payload:
 // job name -> task name -> state ("init", "running", "stopped", "failed").
@@ -45,52 +40,31 @@ type Config struct {
 	EvalInterval time.Duration
 	// Capacity is the per-series ring size; 0 means DefaultCapacity.
 	Capacity int
-	// RecentTraces is the per-job trace-store size; 0 means
-	// DefaultRecentTraces.
-	RecentTraces int
 }
 
-// Monitor tails the telemetry streams into the store and evaluates the
-// rule set. Create with Start, release with Stop.
+// Monitor tails the metrics stream into the store and evaluates the rule
+// set. Create with Start, release with Stop.
 type Monitor struct {
-	cfg   Config
-	store *Store
-	am    *alertManager
-	// tailers are the control-stream tailers, one per poller.
-	tailers []tailer
+	cfg    Config
+	store  *Store
+	am     *alertManager
+	tailer *samza.Tailer[samza.MetricsSnapshotMessage]
 
 	// Monitor self-metrics, pre-bound (never looked up on the ingest path).
 	reg             *metrics.Registry
 	snapshotsIn     *metrics.Counter
-	spansIn         *metrics.Counter
-	eventsIn        *metrics.Counter
 	alertsPublished *metrics.Counter
 	decodeErrors    *metrics.Counter
 	publishErrors   *metrics.Counter
-
-	// traceMu guards the per-job trace/event state written by the run loop
-	// and read by the top/query surfaces. trace.Recent is internally
-	// locked; the mutex covers the maps themselves.
-	traceMu sync.RWMutex
-	recent  map[string]*trace.Recent
-	events  []trace.Event // lifecycle ring, newest last
-	dropped int64         // spans lost to ring overflow, from batch headers
 
 	// Health-flap log, written by the run loop only.
 	prevHealth map[flapKey]string
 	flapLog    []flapEvent
 
 	metricsCh chan []*samza.MetricsSnapshotMessage
-	tracesCh  chan []*samza.TraceBatchMessage
 
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
-}
-
-// tailer is what the monitor needs of a samza.Tailer beyond its Poll.
-type tailer interface {
-	UpdateLag() (int64, error)
-	Close()
 }
 
 // flapKey identifies one task for liveness tracking.
@@ -101,9 +75,6 @@ type flapEvent struct {
 	key        flapKey
 	timeMillis int64
 }
-
-// eventsCap bounds the retained lifecycle-event ring.
-const eventsCap = 512
 
 // flapLogCap bounds the retained liveness-transition log.
 const flapLogCap = 1024
@@ -123,9 +94,6 @@ func Start(cfg Config) (*Monitor, error) {
 	if cfg.Capacity <= 0 {
 		cfg.Capacity = DefaultCapacity
 	}
-	if cfg.RecentTraces <= 0 {
-		cfg.RecentTraces = DefaultRecentTraces
-	}
 	if err := cfg.Broker.EnsureTopic(DefaultAlertsTopic, kafka.TopicConfig{Partitions: 1}); err != nil {
 		return nil, fmt.Errorf("monitor: ensure topic %s: %w", DefaultAlertsTopic, err)
 	}
@@ -136,29 +104,22 @@ func Start(cfg Config) (*Monitor, error) {
 		am:              newAlertManager(),
 		reg:             reg,
 		snapshotsIn:     reg.Counter("monitor.snapshots-ingested"),
-		spansIn:         reg.Counter("monitor.spans-ingested"),
-		eventsIn:        reg.Counter("monitor.events-ingested"),
 		alertsPublished: reg.Counter("monitor.alerts-published"),
 		decodeErrors:    reg.Counter("monitor.decode-errors"),
 		publishErrors:   reg.Counter("monitor.publish-errors"),
-		recent:          map[string]*trace.Recent{},
 		prevHealth:      map[flapKey]string{},
 		metricsCh:       make(chan []*samza.MetricsSnapshotMessage, 16),
-		tracesCh:        make(chan []*samza.TraceBatchMessage, 16),
 	}
-	pollMetrics, err := follow(m, samza.DefaultMetricsTopic, m.metricsCh)
+	t, err := samza.NewTailer[samza.MetricsSnapshotMessage](cfg.Broker, samza.DefaultMetricsTopic)
 	if err != nil {
 		return nil, err
 	}
-	pollTraces, err := follow(m, samza.DefaultTraceTopic, m.tracesCh)
-	if err != nil {
-		m.closeTailers()
-		return nil, err
-	}
+	t.BindLag(reg)
+	m.tailer = t
 
 	ctx, cancel := context.WithCancel(context.Background())
 	m.cancel = cancel
-	for _, run := range []func(context.Context){pollMetrics, pollTraces, m.run} {
+	for _, run := range []func(context.Context){m.poll, m.run} {
 		m.wg.Add(1)
 		go func() {
 			defer m.wg.Done()
@@ -172,51 +133,36 @@ func Start(cfg Config) (*Monitor, error) {
 func (m *Monitor) Stop() {
 	m.cancel()
 	m.wg.Wait()
-	m.closeTailers()
+	m.tailer.Close()
 }
 
-func (m *Monitor) closeTailers() {
-	for _, t := range m.tailers {
-		t.Close()
-	}
-}
-
-// follow attaches a tailer to one control stream and returns its poller:
-// a loop forwarding each poll's decoded records to out, for the run loop,
-// until ctx ends. A record that does not decode counts once in
+// poll forwards each poll of the metrics stream's decoded snapshots to the
+// run loop until ctx ends. A record that does not decode counts once in
 // monitor.decode-errors and the rest of its poll is still delivered. The
 // tailer's own lag gauge lands in the monitor registry, which the run loop
 // files into the store each tick — the pipeline observes itself falling
 // behind.
-func follow[M any](m *Monitor, topic string, out chan<- []*M) (func(context.Context), error) {
-	t, err := samza.NewTailer[M](m.cfg.Broker, topic)
-	if err != nil {
-		return nil, err
-	}
-	t.BindLag(m.reg)
-	m.tailers = append(m.tailers, t)
-	return func(ctx context.Context) {
-		for {
-			batch, err := t.Poll(ctx, 256)
-			if ctx.Err() != nil {
-				return
-			}
-			var bad *samza.DecodeError
-			if errors.As(err, &bad) {
-				m.decodeErrors.Add(int64(bad.Skipped))
-			} else if err != nil {
-				m.decodeErrors.Inc()
-			}
-			if len(batch) == 0 {
-				continue
-			}
-			select {
-			case out <- batch:
-			case <-ctx.Done():
-				return
-			}
+func (m *Monitor) poll(ctx context.Context) {
+	for {
+		batch, err := m.tailer.Poll(ctx, 256)
+		if ctx.Err() != nil {
+			return
 		}
-	}, nil
+		var bad *samza.DecodeError
+		if errors.As(err, &bad) {
+			m.decodeErrors.Add(int64(bad.Skipped))
+		} else if err != nil {
+			m.decodeErrors.Inc()
+		}
+		if len(batch) == 0 {
+			continue
+		}
+		select {
+		case m.metricsCh <- batch:
+		case <-ctx.Done():
+			return
+		}
+	}
 }
 
 // Store exposes the time-series store for queries.
@@ -231,32 +177,7 @@ func (m *Monitor) ActiveAlerts() []ActiveAlert { return m.am.Active() }
 // RecentAlerts returns up to max recent alert transitions, newest last.
 func (m *Monitor) RecentAlerts(max int) []AlertMessage { return m.am.Recent(max) }
 
-// RecentTraces returns the assembled recent traces for a job, newest
-// first, for the operator breakdown surfaces.
-func (m *Monitor) RecentTraces(job string) []*trace.TraceData {
-	m.traceMu.RLock()
-	r := m.recent[job]
-	m.traceMu.RUnlock()
-	if r == nil {
-		return nil
-	}
-	return r.Traces()
-}
-
-// RecentEvents returns up to max retained lifecycle events, newest last.
-func (m *Monitor) RecentEvents(max int) []trace.Event {
-	m.traceMu.RLock()
-	defer m.traceMu.RUnlock()
-	n := len(m.events)
-	if max > 0 && n > max {
-		n = max
-	}
-	out := make([]trace.Event, n)
-	copy(out, m.events[len(m.events)-n:])
-	return out
-}
-
-// run is the single writer: it ingests batches from the pollers and
+// run is the single writer: it ingests batches from the poller and
 // evaluates the rule set every EvalInterval.
 func (m *Monitor) run(ctx context.Context) {
 	tick := time.NewTicker(m.cfg.EvalInterval)
@@ -267,8 +188,6 @@ func (m *Monitor) run(ctx context.Context) {
 			return
 		case batch := <-m.metricsCh:
 			m.ingestMetrics(batch)
-		case batch := <-m.tracesCh:
-			m.ingestTraces(batch)
 		case <-tick.C:
 			m.evaluate(time.Now())
 		}
@@ -283,40 +202,6 @@ func (m *Monitor) ingestMetrics(batch []*samza.MetricsSnapshotMessage) {
 	}
 }
 
-// ingestTraces folds span batches into the per-job trace stores and the
-// lifecycle-event ring.
-func (m *Monitor) ingestTraces(batch []*samza.TraceBatchMessage) {
-	for _, msg := range batch {
-		if len(msg.Spans) > 0 {
-			m.traceMu.Lock()
-			r := m.recent[msg.Job]
-			if r == nil {
-				r = trace.NewRecent(m.cfg.RecentTraces)
-				m.recent[msg.Job] = r
-			}
-			m.traceMu.Unlock()
-			// Recent is internally locked; Add outside traceMu keeps the
-			// read path (RecentTraces) from stalling behind assembly.
-			r.Add(msg.Spans)
-			m.spansIn.Add(int64(len(msg.Spans)))
-		}
-		if len(msg.Events) > 0 {
-			m.traceMu.Lock()
-			m.events = append(m.events, msg.Events...)
-			if len(m.events) > eventsCap {
-				m.events = m.events[len(m.events)-eventsCap:]
-			}
-			m.traceMu.Unlock()
-			m.eventsIn.Add(int64(len(msg.Events)))
-		}
-		if msg.Dropped > 0 {
-			m.traceMu.Lock()
-			m.dropped += msg.Dropped
-			m.traceMu.Unlock()
-		}
-	}
-}
-
 // evaluate runs one rule pass: refresh self-observability, poll health for
 // flap tracking, evaluate every rule, and publish any transitions. No
 // monitor lock is held while publishing.
@@ -324,9 +209,7 @@ func (m *Monitor) evaluate(now time.Time) {
 	// Tailer lag gauges + own counters into the store under the
 	// pseudo-job, so /query can answer for the monitor itself. A lag
 	// refresh failure just leaves the gauge at its last value.
-	for _, t := range m.tailers {
-		_, _ = t.UpdateLag()
-	}
+	_, _ = m.tailer.UpdateLag()
 	m.store.IngestSnapshot(MonitorJob, -1, now.UnixMilli(), m.reg.Snapshot(), false)
 
 	if m.cfg.Health != nil {

@@ -9,7 +9,6 @@ import (
 
 	"samzasql/internal/metrics"
 	"samzasql/internal/profile"
-	"samzasql/internal/trace"
 )
 
 // sparkChars are the eight levels of a text sparkline, lowest first.
@@ -73,8 +72,8 @@ const topOperators = 5
 
 // WriteTop renders the live job overview the shell's \top command shows:
 // per-job throughput, per-task processing rates, per-partition lag
-// sparklines, the slowest operators (merged cross-container p99 plus
-// trace-breakdown self-time), and the firing alerts.
+// sparklines, the slowest operators (merged cross-container p99), and the
+// firing alerts.
 func (m *Monitor) WriteTop(w io.Writer, now time.Time) {
 	from := Window(now, topWindow)
 	jobs := m.store.Jobs()
@@ -181,33 +180,25 @@ func (m *Monitor) writeLagSparklines(w io.Writer, job string, fromMillis int64) 
 
 // operatorRow is one line of the slowest-operator table.
 type operatorRow struct {
-	name   string
-	p99Ns  int64
-	count  int64
-	selfNs int64
+	name  string
+	p99Ns int64
+	count int64
 }
 
-// writeOperatorTable shows the top-N slowest operators: windowed merged
-// p99 from the operator histograms, enriched with critical-path self-time
-// from the sampled trace breakdown when tracing is on.
+// writeOperatorTable shows the top-N slowest operators by windowed merged
+// p99 from the operator histograms.
 func (m *Monitor) writeOperatorTable(w io.Writer, job string, now time.Time) {
 	from := Window(now, topWindow)
-	selfNs := map[string]int64{}
-	for _, st := range trace.Breakdown(m.RecentTraces(job)) {
-		selfNs[st.Stage] = st.SelfNs
-	}
 	var rows []operatorRow
 	for _, name := range m.metricNames(job, "operator.", ".process-ns") {
 		h := m.store.WindowHistogram(job, -1, name, from)
 		if h.Count == 0 {
 			continue
 		}
-		op := strings.TrimSuffix(name, ".process-ns")
 		rows = append(rows, operatorRow{
-			name:   strings.TrimPrefix(op, "operator."),
-			p99Ns:  h.Quantile(0.99),
-			count:  h.Count,
-			selfNs: selfNs[op],
+			name:  strings.TrimSuffix(strings.TrimPrefix(name, "operator."), ".process-ns"),
+			p99Ns: h.Quantile(0.99),
+			count: h.Count,
 		})
 	}
 	if len(rows) == 0 {
@@ -217,10 +208,9 @@ func (m *Monitor) writeOperatorTable(w io.Writer, job string, now time.Time) {
 	if len(rows) > topOperators {
 		rows = rows[:topOperators]
 	}
-	fmt.Fprintf(w, "  %-28s %10s %10s %12s\n", "slowest operators", "p99-us", "calls", "trace-self-us")
+	fmt.Fprintf(w, "  %-28s %10s %10s\n", "slowest operators", "p99-us", "calls")
 	for _, r := range rows {
-		fmt.Fprintf(w, "  %-28s %10.1f %10d %12.1f\n",
-			r.name, float64(r.p99Ns)/1e3, r.count, float64(r.selfNs)/1e3)
+		fmt.Fprintf(w, "  %-28s %10.1f %10d\n", r.name, float64(r.p99Ns)/1e3, r.count)
 	}
 }
 

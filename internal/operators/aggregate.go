@@ -200,7 +200,7 @@ func (o *StreamAggregateOp) FlushFinal(emit BlockEmit) error {
 		return nil // unwindowed groups already emitted their latest rows
 	}
 	out := &o.outBlock
-	out.resetOut(&TupleBlock{}, o.kinds)
+	out.Begin("", 0, o.kinds)
 	if err := o.advanceWatermark(int64(1)<<62, out, 0); err != nil {
 		return err
 	}

@@ -55,10 +55,6 @@ type TupleBlock struct {
 	// Filters refine it in place; downstream operators visit only selected
 	// rows. Within one block it only ever shrinks.
 	Sel []int
-	// Trace, when non-nil, collects per-stage spans for the block so the
-	// sampled messages inside it can have the batch-level spans (with row
-	// counts) replayed onto their traces after the block completes.
-	Trace *BlockTrace
 
 	// view is the boxed, row-oriented view of the columns that generic
 	// evaluators and the stateful operators read through gather: view[c][r]
@@ -82,7 +78,6 @@ func (b *TupleBlock) Reset(stream string, partition int32, n int) {
 	b.Offsets = b.Offsets[:0]
 	b.Raw = b.Raw[:0]
 	b.Sel = b.Sel[:0]
-	b.Trace = nil
 	clear(b.viewed)
 }
 
@@ -178,14 +173,6 @@ func (b *TupleBlock) Begin(stream string, partition int32, kinds []vec.Kind) {
 	b.Offsets = b.Offsets[:0]
 	b.Raw = b.Raw[:0]
 	b.Sel = b.Sel[:0]
-	b.Trace = nil
-}
-
-// resetOut begins an operator-owned output block whose source location and
-// trace log come from src.
-func (b *TupleBlock) resetOut(src *TupleBlock, kinds []vec.Kind) {
-	b.Begin(src.Stream, src.Partition, kinds)
-	b.Trace = src.Trace
 }
 
 // AppendRow adds one assembled row (len(row) must equal the block's arity),
@@ -221,32 +208,14 @@ func (b *TupleBlock) Finish() {
 }
 
 // shareRows makes b a view of src's rows with arity columns: the same row
-// count, per-row slices, selection and trace, and no columns yet — the
+// count, per-row slices and selection, and no columns yet — the
 // caller shares or fills them. Nothing is copied.
 func (b *TupleBlock) shareRows(src *TupleBlock, arity int) {
 	b.Stream, b.Partition, b.N = src.Stream, src.Partition, src.N
 	b.Ts, b.Keys, b.Offsets, b.Raw = src.Ts, src.Keys, src.Offsets, src.Raw
-	b.Sel, b.Trace = src.Sel, src.Trace
+	b.Sel = src.Sel
 	b.setArity(arity)
 }
-
-// BlockSpan is one completed batch-level stage span: the stage ran once for
-// the whole block, covering Rows selected rows.
-type BlockSpan struct {
-	Stage   string
-	StartNs int64
-	EndNs   int64
-	Rows    int64
-}
-
-// BlockTrace accumulates the block's stage spans for replay onto sampled
-// messages. Owned by the program and reused across blocks.
-type BlockTrace struct {
-	Spans []BlockSpan
-}
-
-// Reset clears the span log for a new block.
-func (t *BlockTrace) Reset() { t.Spans = t.Spans[:0] }
 
 // BatchSender abstracts the Samza message collector for the insert operator:
 // one call appends a whole block's output messages. The messages and the

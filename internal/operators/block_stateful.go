@@ -314,7 +314,7 @@ func appendWindowKey(buf []byte, end int64, kb []byte) []byte {
 //samzasql:hotpath
 func (o *StreamAggregateOp) ProcessBlock(_ int, b *TupleBlock, emit BlockEmit) error {
 	out := &o.outBlock
-	out.resetOut(b, o.kinds)
+	out.Begin(b.Stream, b.Partition, o.kinds)
 	if len(b.Sel) > 0 {
 		var err error
 		if o.window == nil {
@@ -760,7 +760,7 @@ func (o *StreamRelationJoinOp) resolveRelBatch(keys [][]byte) ([]int32, error) {
 //samzasql:hotpath
 func (o *StreamStreamJoinOp) ProcessBlock(side int, b *TupleBlock, emit BlockEmit) error {
 	out := &o.outBlock
-	out.resetOut(b, o.kinds)
+	out.Begin(b.Stream, b.Partition, o.kinds)
 	all := b.allCols()
 	b.box(all)
 	row := rowScratch(&o.rowScratch, b)

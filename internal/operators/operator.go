@@ -9,7 +9,6 @@ package operators
 import (
 	"samzasql/internal/kv"
 	"samzasql/internal/metrics"
-	"samzasql/internal/trace"
 )
 
 // OpContext gives operators access to task-local state and metrics.
@@ -20,10 +19,6 @@ type OpContext struct {
 	Partition int32
 	// Metrics is the container registry.
 	Metrics *metrics.Registry
-	// Trace is the task's tracing cursor; may be nil (bounded execution,
-	// tests). Hot-path uses must branch on Trace.Sampled() — nil-safe —
-	// before any other call (enforced by the samzasql-vet trace-guard rule).
-	Trace *trace.Active
 }
 
 // Opener is a stage with a lifecycle: Open is called once before any block,

@@ -9,12 +9,11 @@ import (
 	"fmt"
 
 	"samzasql/internal/kafka"
-	"samzasql/internal/trace"
 )
 
 // IncomingMessageEnvelope is one message of a block delivered to a task:
 // the record exactly as the consumer's poll read it from the log (Stream,
-// Partition, Offset, Key, Value, Timestamp, Trace), with no copy between the
+// Partition, Offset, Key, Value, Timestamp), with no copy between the
 // poll and the task.
 type IncomingMessageEnvelope = kafka.Record
 
@@ -32,10 +31,6 @@ type OutgoingMessageEnvelope struct {
 	Key       []byte
 	Value     []byte
 	Timestamp int64
-	// Trace, when sampled, links the produced message into the emitting
-	// task's trace (built via trace.Active.Outgoing). The zero value lets
-	// the broker's own sampler decide instead.
-	Trace trace.Context
 }
 
 // MessageCollector receives the messages a task produces. The framework's
@@ -88,9 +83,10 @@ type StreamTask interface {
 	// Value are views into the log and stay valid). A returned error fails
 	// the whole block: the container checkpoints none of it, and a
 	// restarted task replays it. Offsets advance past the block only on
-	// success. pollNs is the block's poll time (UnixNano); the container
-	// records no trace spans inside a block, so a task that wants span trees
-	// for the sampled envelopes (Trace.Sampled) replays them from it.
+	// success. pollNs is always 0: the container reads no clock for it.
+	// The parameter stays only because the benchmark module's task
+	// adapter implements this signature; it goes with TaskContext.Trace
+	// (ROADMAP item 6).
 	ProcessBatch(envs []IncomingMessageEnvelope, collector MessageCollector, coord Coordinator, pollNs int64) error
 }
 

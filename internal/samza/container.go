@@ -33,12 +33,9 @@ type TaskContext struct {
 	// ProcessBatch call, so tasks may capture it at Init and build per-task
 	// senders instead of rebinding per block.
 	Collector MessageCollector
-	// Trace is the task's tracing cursor. Always non-nil; outside a sampled
-	// message every method collapses to a bool check. The container opens
-	// no trace inside a block: a task replays its sampled envelopes through
-	// StartMessage/FinishMessage itself. Task code touching it from a hot
-	// path must branch on a Sampled check first (enforced by the
-	// samzasql-vet trace-guard rule).
+	// Trace is ignored and left nil by the container. It stays only
+	// because the benchmark module's task adapter still sets it; it goes
+	// with the internal/trace stub (ROADMAP item 6).
 	Trace *trace.Active
 
 	stores map[string]kv.Store
@@ -72,7 +69,6 @@ func (c *collector) Send(env OutgoingMessageEnvelope) error {
 		Key:       env.Key,
 		Value:     env.Value,
 		Timestamp: env.Timestamp,
-		Trace:     env.Trace,
 	})
 	if err == nil {
 		c.sent.Inc()
@@ -128,9 +124,6 @@ type taskInstance struct {
 	// inputs holds, per input stream, how far the task has got through its
 	// partition of it; checkpoints and lag are read from here.
 	inputs []taskInput
-	// act is the task's tracing cursor (shared with ctx.Trace and the
-	// store stack), owned by the task goroutine like everything else here.
-	act *trace.Active
 	// procLat and commitLat are pre-bound per-task latency timers
 	// ("task.<name>.{process,commit}-ns"); hoisting them here keeps the
 	// per-block path free of registry lookups and allocations.
@@ -229,20 +222,7 @@ type Container struct {
 	// never takes the registry lock.
 	processed *metrics.Counter
 	commits   *metrics.Counter
-	// tracer collects completed spans from every task goroutine (lock-free
-	// ring) plus lifecycle events; recent assembles drained spans into
-	// whole traces for /debug/traces and the shell's \trace.
-	tracer *trace.Recorder
-	recent *trace.Recent
 }
-
-// traceRingSize bounds the per-container span ring: enough for the spans
-// of a few hundred sampled messages between reporter drains; overflow
-// drops spans (counted) rather than blocking a task goroutine.
-const traceRingSize = 4096
-
-// recentTraces bounds the assembled traces kept for /debug/traces.
-const recentTraces = 32
 
 // errStopRequested signals an orderly whole-container stop requested by a
 // task's Coordinator.Shutdown; the supervisor translates it into
@@ -258,8 +238,6 @@ func newContainer(id int, job *JobSpec, broker *kafka.Broker, cpm *CheckpointMan
 		broker:  broker,
 		cpm:     cpm,
 		Metrics: metrics.NewRegistry(),
-		tracer:  trace.NewRecorder(traceRingSize),
-		recent:  trace.NewRecent(recentTraces),
 	}
 	c.coll = &collector{broker: broker, sent: c.Metrics.Counter("messages-sent")}
 	c.processed = c.Metrics.Counter("messages-processed")
@@ -279,7 +257,6 @@ func newContainer(id int, job *JobSpec, broker *kafka.Broker, cpm *CheckpointMan
 
 func (c *Container) buildTask(partition, inputPartitions int32) (*taskInstance, error) {
 	name := TaskNameFor(partition)
-	act := trace.NewActive(c.tracer)
 	stores := map[string]kv.Store{}
 	var changelogs []taskChangelog
 	for _, spec := range c.job.Stores {
@@ -299,10 +276,6 @@ func (c *Container) buildTask(partition, inputPartitions int32) (*taskInstance, 
 			s = cl
 		}
 		s = kv.Instrument(s, c.Metrics, spec.Name)
-		// The instrumented layer already times every op; binding the task's
-		// cursor lets it double those timings as trace leaf spans when the
-		// current message is sampled.
-		kv.BindTrace(s, act)
 		stores[spec.Name] = s
 	}
 	tctx := &TaskContext{
@@ -312,7 +285,6 @@ func (c *Container) buildTask(partition, inputPartitions int32) (*taskInstance, 
 		Metrics:   c.Metrics,
 		Config:    c.job.Config,
 		Collector: c.coll,
-		Trace:     act,
 		stores:    stores,
 	}
 	consumer := kafka.NewConsumer(c.broker, c.job.Name)
@@ -329,7 +301,6 @@ func (c *Container) buildTask(partition, inputPartitions int32) (*taskInstance, 
 		consumer:  consumer,
 		ctx:       tctx,
 		changelog: changelogs,
-		act:       act,
 		inputs:    make([]taskInput, len(c.job.Inputs)),
 		procLat:   c.Metrics.Timer("task." + string(name) + ".process-ns"),
 		commitLat: c.Metrics.Timer("task." + string(name) + ".commit-ns"),
@@ -418,52 +389,33 @@ func (c *Container) Run(ctx context.Context) error {
 			return fmt.Errorf("samza: %s init: %w", ti.name, err)
 		}
 	}
-	// Start the per-container reporters (when configured) before the task
-	// loops, on their own context: they must outlive the tasks so the final
-	// flushes after wg.Wait() capture complete end-of-run metrics and the
-	// spans of the last sampled messages.
-	type reporter struct {
-		topic    string
-		interval time.Duration
-		collect  func(context.Context, bool) Record
-	}
-	var reporters []reporter
-	if c.job.MetricsInterval > 0 {
-		// The runtime/metrics collector rides the snapshot reporter's
-		// refresh hook: goroutine count, live heap, GC pauses and scheduler
-		// latencies land in the ordinary registry once per publish, so they
-		// travel __metrics with no extra plumbing and zero hot-path cost.
-		rtc := profile.NewCollector(c.Metrics)
-		reporters = append(reporters, reporter{DefaultMetricsTopic, c.job.MetricsInterval,
-			metricsCollector(c.Metrics, func() {
-				c.UpdateLags()
-				rtc.Refresh()
-			})})
-	}
-	if interval := c.traceInterval(); interval > 0 {
-		reporters = append(reporters, reporter{DefaultTraceTopic, interval, traceCollector(c.SyncTraces)})
-	}
-	for _, rep := range reporters {
-		if err := c.broker.EnsureTopic(rep.topic, kafka.TopicConfig{Partitions: 1}); err != nil {
-			return fmt.Errorf("samza: %s topic: %w", rep.topic, err)
-		}
-	}
+	// Start the metrics reporter (when configured) before the task loops,
+	// on its own context: it must outlive the tasks so the final flush
+	// after wg.Wait() captures complete end-of-run metrics.
 	repCtx, repCancel := context.WithCancel(context.Background())
 	var repWG sync.WaitGroup
-	for _, rep := range reporters {
-		pub := NewPublisher(c.broker, rep.topic, c.job.Name, c.ID)
+	if c.job.MetricsInterval > 0 {
+		if err := c.broker.EnsureTopic(DefaultMetricsTopic, kafka.TopicConfig{Partitions: 1}); err != nil {
+			repCancel()
+			return fmt.Errorf("samza: %s topic: %w", DefaultMetricsTopic, err)
+		}
+		// Each snapshot first refreshes the pull-style gauges nothing on the
+		// hot path touches: consumer lag, and the runtime/metrics collector's
+		// goroutine count, live heap, GC pauses and scheduler latencies, so
+		// they travel __metrics at zero hot-path cost. The final flush does
+		// too, so it carries complete end-of-run counters.
+		rtc := profile.NewCollector(c.Metrics)
+		collect := func() Record {
+			c.UpdateLags()
+			rtc.Refresh()
+			return &MetricsSnapshotMessage{Metrics: c.Metrics.Snapshot()}
+		}
+		pub := NewPublisher(c.broker, DefaultMetricsTopic, c.job.Name, c.ID)
 		repWG.Add(1)
 		go func() {
 			defer repWG.Done()
-			pub.Run(repCtx, rep.interval, rep.collect)
+			pub.Run(repCtx, c.job.MetricsInterval, collect)
 		}()
-	}
-	// Lifecycle events land in the same recorder as spans and publish on
-	// the trace stream, so trace anomalies correlate with runtime events.
-	now := time.Now().UnixNano()
-	c.tracer.Event(now, "container-start", fmt.Sprintf("%s container %d", c.job.Name, c.ID))
-	for _, ti := range c.tasks {
-		c.tracer.Event(now, "task-assigned", string(ti.name))
 	}
 	// Phases 4+5 run per task in a dedicated goroutine: drain bootstrap
 	// streams (§2 "Bootstrap Streams"), then the poll-process loop. The
@@ -497,39 +449,9 @@ func (c *Container) Run(ctx context.Context) error {
 		}(ti)
 	}
 	wg.Wait()
-	c.tracer.Event(time.Now().UnixNano(), "container-stop", fmt.Sprintf("%s container %d", c.job.Name, c.ID))
 	repCancel()
 	repWG.Wait()
 	return firstErr
-}
-
-// traceInterval resolves the trace reporter period: the job's explicit
-// setting, or the default whenever sampling is enabled without one.
-func (c *Container) traceInterval() time.Duration {
-	if c.job.TraceInterval > 0 {
-		return c.job.TraceInterval
-	}
-	if c.job.TraceSampleRate > 0 {
-		return DefaultTraceInterval
-	}
-	return 0
-}
-
-// SyncTraces drains the span ring into the container's recent-trace store
-// and returns the drained batch (spans, lifecycle events, drop count).
-// Called by the trace reporter each tick and by the introspection path on
-// demand; safe for concurrent use.
-func (c *Container) SyncTraces() ([]trace.Span, []trace.Event, int64) {
-	spans := c.tracer.Drain(nil)
-	c.recent.Add(spans)
-	return spans, c.tracer.DrainEvents(nil), c.tracer.TakeDropped()
-}
-
-// RecentTraces returns the most recently completed traces this container
-// observed, newest first.
-func (c *Container) RecentTraces() []*trace.TraceData {
-	c.SyncTraces()
-	return c.recent.Traces()
 }
 
 // runTask is one task's whole life inside a running container: bootstrap,
@@ -587,11 +509,9 @@ func (c *Container) bootstrap(ctx context.Context, ti *taskInstance) error {
 			}
 			// Cut the batch off at the watermark; a batch wholly past it
 			// (everything below was compacted away meanwhile) ends the
-			// bootstrap. Bootstrap deliveries are not traced, so the cut
-			// also drops the records' trace contexts.
+			// bootstrap.
 			n := 0
 			for n < len(msgs) && msgs[n].Offset < hwm {
-				msgs[n].Trace = trace.Context{}
 				n++
 			}
 			if n == 0 {
@@ -619,7 +539,7 @@ func (c *Container) bootstrap(ctx context.Context, ti *taskInstance) error {
 //samzasql:hotpath
 func (c *Container) deliverBootstrap(ti *taskInstance, envs []IncomingMessageEnvelope) error {
 	ti.coord.reset()
-	if err := ti.task.ProcessBatch(envs, c.coll, &ti.coord, time.Now().UnixNano()); err != nil {
+	if err := ti.task.ProcessBatch(envs, c.coll, &ti.coord, 0); err != nil {
 		return fmt.Errorf("samza: %s bootstrap process batch: %w", ti.name, err)
 	}
 	return ti.changelogErr()
@@ -670,17 +590,13 @@ func (c *Container) pollTask(ctx context.Context, ti *taskInstance) (bool, error
 		}
 		defer func() { <-c.sem }()
 	}
-	// pollNs anchors the poll span of any sampled message in the block:
-	// one time read per block is the only unconditional tracing cost.
-	pollNs := time.Now().UnixNano()
 	// The whole polled block (one topic-partition, in offset order) goes to
 	// the task as the consumer read it, in a single ProcessBatch call, with
 	// one coordinator reset, one latency observation, and one
-	// finished-offset update per block. Trace bookkeeping for sampled
-	// messages inside the block is the task's to replay.
+	// finished-offset update per block.
 	ti.coord.reset()
 	start := ti.procLat.Start()
-	if err := ti.task.ProcessBatch(msgs, c.coll, &ti.coord, pollNs); err != nil {
+	if err := ti.task.ProcessBatch(msgs, c.coll, &ti.coord, 0); err != nil {
 		return false, fmt.Errorf("samza: %s process batch: %w", ti.name, err)
 	}
 	if err := ti.changelogErr(); err != nil {
@@ -713,11 +629,6 @@ func (c *Container) commitTask(ti *taskInstance) error {
 	if err := ti.changelogErr(); err != nil {
 		return err
 	}
-	// A trace pending since the last sampled message closes here, with the
-	// commit span as its last stage.
-	if ti.act.PendingCommit() {
-		ti.act.StartCommit(time.Now().UnixNano())
-	}
 	start := ti.commitLat.Start()
 	cp := Checkpoint{Task: ti.name, Offsets: make(map[string]int64, len(ti.inputs))}
 	for i := range ti.inputs {
@@ -728,9 +639,5 @@ func (c *Container) commitTask(ti *taskInstance) error {
 	}
 	c.commits.Inc()
 	ti.commitLat.Stop(start)
-	c.tracer.Event(time.Now().UnixNano(), "checkpoint-commit", string(ti.name))
-	if ti.act.Sampled() {
-		ti.act.FinishCommit(time.Now().UnixNano())
-	}
 	return nil
 }

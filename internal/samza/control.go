@@ -11,24 +11,33 @@ import (
 	"samzasql/internal/metrics"
 )
 
-// Control streams carry the framework's own telemetry — metrics snapshots,
-// trace batches and the monitor's alerts — as ordinary
-// one-partition streams (§2: Samza publishes its metrics as a stream), so
-// monitoring data is replayable from retention and readable by any job. All
-// of them share the mechanism in this file: one codec (EncodeRecord and
-// DecodeRecord), one publisher that stamps the shared Header, and one
-// Tailer that reads a stream back.
+// Control streams carry the framework's own telemetry — metrics snapshots
+// and the monitor's alerts — as ordinary one-partition streams (§2: Samza
+// publishes its metrics as a stream), so monitoring data is replayable from
+// retention and readable by any job. Both share the mechanism in this
+// file: one codec (EncodeRecord and DecodeRecord), one publisher that
+// stamps the shared Header, and one Tailer that reads a stream back.
+
+// DefaultMetricsTopic carries MetricsSnapshotMessage records — Samza's
+// "metrics" stream convention.
+const DefaultMetricsTopic = "__metrics"
+
+// MetricsSnapshotMessage is one published registry snapshot — the analog of
+// Samza's MetricsSnapshot envelope.
+type MetricsSnapshotMessage struct {
+	Header
+	// Metrics is the typed registry snapshot.
+	Metrics metrics.Snapshot `json:"metrics"`
+}
 
 // Header is the envelope every control record except an alert starts with:
 // who published it, when, and where it falls in the publisher's series.
 // Embedded in a message type, its fields flatten into the record's JSON
 // ahead of the payload.
 type Header struct {
-	// Job is the publishing job's name; empty for the runner's own
-	// lifecycle batches.
+	// Job is the publishing job's name.
 	Job string `json:"job"`
-	// Container is the publishing container's ID within the job, or -1 for
-	// runner batches.
+	// Container is the publishing container's ID within the job.
 	Container int `json:"container"`
 	// TimeMillis is the publish wall-clock time.
 	TimeMillis int64 `json:"time-millis"`
@@ -85,8 +94,7 @@ type Publisher struct {
 	seq       atomic.Int64
 }
 
-// NewPublisher builds the publisher for one job container (or, with job ""
-// and container -1, for the runner itself) on topic.
+// NewPublisher builds the publisher for one job container on topic.
 func NewPublisher(b *kafka.Broker, topic, job string, container int) *Publisher {
 	return &Publisher{
 		broker: b, topic: topic, job: job, container: container,
@@ -110,22 +118,17 @@ func (p *Publisher) Publish(rec Record, final bool) error {
 
 // Run publishes what collect returns once at start, once per interval, and
 // once more with final set after ctx ends, so a job that stops between
-// ticks still leaves its closing record. A nil record publishes nothing.
-// collect gets ctx so a collection that blocks ends with it. Publish
-// errors are dropped and the next tick tries again: observability must
-// never take down the pipeline it observes.
-func (p *Publisher) Run(ctx context.Context, interval time.Duration, collect func(ctx context.Context, final bool) Record) {
+// ticks still leaves its closing record. Publish errors are dropped and the
+// next tick tries again: observability must never take down the pipeline
+// it observes.
+func (p *Publisher) Run(ctx context.Context, interval time.Duration, collect func() Record) {
 	t := time.NewTicker(interval)
 	defer t.Stop()
 	for {
-		if rec := collect(ctx, false); rec != nil {
-			_ = p.Publish(rec, false)
-		}
+		_ = p.Publish(collect(), false)
 		select {
 		case <-ctx.Done():
-			if rec := collect(ctx, true); rec != nil {
-				_ = p.Publish(rec, true)
-			}
+			_ = p.Publish(collect(), true)
 			return
 		case <-t.C:
 		}

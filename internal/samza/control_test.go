@@ -3,13 +3,13 @@ package samza
 import (
 	"context"
 	"errors"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
 	"samzasql/internal/kafka"
 	"samzasql/internal/metrics"
-	"samzasql/internal/trace"
 )
 
 // The fixed records of the wire goldens, one per control-record shape.
@@ -21,25 +21,6 @@ func goldenSnapshot() *MetricsSnapshotMessage {
 			Gauges:     map[string]int64{"kafka.lag.orders.0": 5},
 			Histograms: map[string]metrics.HistogramSnapshot{"task.Partition-0.process-ns": {Count: 4, Sum: 4000, Max: 1500, P50: 900, P95: 1500, P99: 1500}},
 		},
-	}
-}
-
-func goldenTraceBatch() *TraceBatchMessage {
-	return &TraceBatchMessage{
-		Header: Header{Job: "orders", Container: 1, TimeMillis: 1700000000456, Seq: 3},
-		Spans: []trace.Span{
-			{TraceID: 7, SpanID: 8, Stage: "produce", StartNs: 10, EndNs: 10},
-			{TraceID: 7, SpanID: 9, ParentID: 8, Stage: "poll", StartNs: 11, EndNs: 12, Rows: 64},
-		},
-		Events:  []trace.Event{{TimeNs: 5, Kind: "container-start", Detail: "orders container 1"}},
-		Dropped: 2,
-	}
-}
-
-func goldenRunnerBatch() *TraceBatchMessage {
-	return &TraceBatchMessage{
-		Header: Header{Container: -1, TimeMillis: 1700000000789, Seq: 1},
-		Events: []trace.Event{{TimeNs: 1700000000789000000, Kind: "job-start", Detail: "orders"}},
 	}
 }
 
@@ -55,10 +36,6 @@ func TestControlRecordGoldens(t *testing.T) {
 	}{
 		{"metrics-snapshot", goldenSnapshot(),
 			`{"job":"orders","container":2,"time-millis":1700000000123,"seq":7,"final":true,"metrics":{"counters":{"commits":3,"messages-processed":42},"gauges":{"kafka.lag.orders.0":5},"histograms":{"task.Partition-0.process-ns":{"count":4,"sum":4000,"max":1500,"p50":900,"p95":1500,"p99":1500}}}}`},
-		{"trace-batch", goldenTraceBatch(),
-			`{"job":"orders","container":1,"time-millis":1700000000456,"seq":3,"spans":[{"trace":7,"span":8,"stage":"produce","start-ns":10,"end-ns":10},{"trace":7,"span":9,"parent":8,"stage":"poll","start-ns":11,"end-ns":12,"rows":64}],"events":[{"time-ns":5,"kind":"container-start","detail":"orders container 1"}],"dropped":2}`},
-		{"runner-lifecycle-batch", goldenRunnerBatch(),
-			`{"job":"","container":-1,"time-millis":1700000000789,"seq":1,"events":[{"time-ns":1700000000789000000,"kind":"job-start","detail":"orders"}]}`},
 	}
 	for _, c := range cases {
 		got, err := EncodeRecord(c.rec)
@@ -104,25 +81,17 @@ func TestControlRecordRoundTrip(t *testing.T) {
 				t.Fatalf("round trip mangled metrics: %+v", out.Metrics)
 			}
 		}},
-		{"trace-batch", func(t *testing.T) {
-			in := &TraceBatchMessage{
-				Header: Header{Job: "j", Container: 1, TimeMillis: 99, Seq: 3, Final: true},
-				Spans: []trace.Span{
-					{TraceID: 7, SpanID: 8, ParentID: 0, Stage: "produce", StartNs: 10, EndNs: 10},
-					{TraceID: 7, SpanID: 9, ParentID: 8, Stage: "poll", StartNs: 11, EndNs: 12},
-				},
-				Events:  []trace.Event{{TimeNs: 5, Kind: "container-start", Detail: "j container 1"}},
-				Dropped: 2,
+		{"final-snapshot-histograms", func(t *testing.T) {
+			in := &MetricsSnapshotMessage{Header: Header{Job: "j", Container: 1, TimeMillis: 99, Seq: 3, Final: true}}
+			in.Metrics.Histograms = map[string]metrics.HistogramSnapshot{
+				"operator.project.process-ns": {Count: 4, Sum: 4000, Max: 1500, P50: 900, P95: 1500, P99: 1500},
 			}
 			out := roundTrip(t, in)
-			if out.Header != in.Header || out.Dropped != 2 {
-				t.Fatalf("round trip mangled envelope: %+v", out)
+			if out.Header != in.Header {
+				t.Fatalf("round trip mangled envelope: %+v", out.Header)
 			}
-			if len(out.Spans) != 2 || out.Spans[1].ParentID != 8 || out.Spans[1].Stage != "poll" {
-				t.Fatalf("round trip mangled spans: %+v", out.Spans)
-			}
-			if len(out.Events) != 1 || out.Events[0].Kind != "container-start" {
-				t.Fatalf("round trip mangled events: %+v", out.Events)
+			if got, want := out.Metrics.Histograms["operator.project.process-ns"], in.Metrics.Histograms["operator.project.process-ns"]; !reflect.DeepEqual(got, want) {
+				t.Fatalf("round trip mangled histogram: %+v, want %+v", got, want)
 			}
 		}},
 	}
@@ -168,9 +137,8 @@ func TestTailerSkipsCorruptRecord(t *testing.T) {
 	}
 }
 
-// TestPublisherRunInitialTickAndFinal pins the one publish rule every
-// reporter shares: a record at start, one per interval, and a Final one
-// after cancel; a nil collect publishes nothing and takes no Seq.
+// TestPublisherRunInitialTickAndFinal pins the reporter's publish rule: a
+// record at start, one per interval, and a Final one after cancel.
 func TestPublisherRunInitialTickAndFinal(t *testing.T) {
 	b := kafka.NewBroker()
 	if err := b.EnsureTopic("__ctl", kafka.TopicConfig{Partitions: 1}); err != nil {
@@ -178,17 +146,14 @@ func TestPublisherRunInitialTickAndFinal(t *testing.T) {
 	}
 	ticked := make(chan struct{}, 1)
 	calls := 0
-	collect := func(_ context.Context, final bool) Record {
+	collect := func() Record {
 		calls++
-		switch {
-		case final:
-			return &TraceBatchMessage{Dropped: int64(calls)}
-		case calls == 2:
-			return nil // an empty drain
-		case calls == 3:
+		if calls == 3 {
 			ticked <- struct{}{}
 		}
-		return &TraceBatchMessage{Dropped: int64(calls)}
+		rec := &MetricsSnapshotMessage{}
+		rec.Metrics.Counters = map[string]int64{"calls": int64(calls)}
+		return rec
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
@@ -200,7 +165,7 @@ func TestPublisherRunInitialTickAndFinal(t *testing.T) {
 	cancel()
 	<-done
 
-	tail, err := NewTailer[TraceBatchMessage](b, "__ctl")
+	tail, err := NewTailer[MetricsSnapshotMessage](b, "__ctl")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,12 +176,15 @@ func TestPublisherRunInitialTickAndFinal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) < 3 || got[0].Dropped != 1 || got[1].Dropped != 3 {
-		t.Fatalf("want the start record, the empty tick skipped, then ticks; got %d records", len(got))
+	if len(got) < 4 {
+		t.Fatalf("want the start record, two ticks and the final record; got %d records", len(got))
 	}
 	for i, m := range got {
 		if m.Job != "j" || m.Container != 3 || m.Seq != int64(i+1) || m.TimeMillis == 0 {
 			t.Fatalf("record %d header %+v, want job j container 3 seq %d", i, m.Header, i+1)
+		}
+		if n := m.Metrics.Counters["calls"]; n != int64(i+1) {
+			t.Fatalf("record %d carries collect call %d", i, n)
 		}
 		if m.Final != (i == len(got)-1) {
 			t.Fatalf("record %d of %d has Final=%v", i, len(got), m.Final)
@@ -224,15 +192,15 @@ func TestPublisherRunInitialTickAndFinal(t *testing.T) {
 	}
 }
 
-// TestPublisherConcurrentSeq publishes from several goroutines at once, as
-// the runner's event log does (YARN callbacks, Submit and Stop): every
-// record must land with its own Seq, none lost or repeated.
+// TestPublisherConcurrentSeq publishes from several goroutines at once
+// (Publisher is documented safe for concurrent use): every record must land
+// with its own Seq, none lost or repeated.
 func TestPublisherConcurrentSeq(t *testing.T) {
 	b := kafka.NewBroker()
-	if err := b.EnsureTopic(DefaultTraceTopic, kafka.TopicConfig{Partitions: 1}); err != nil {
+	if err := b.EnsureTopic(DefaultMetricsTopic, kafka.TopicConfig{Partitions: 1}); err != nil {
 		t.Fatal(err)
 	}
-	pub := NewPublisher(b, DefaultTraceTopic, "", -1)
+	pub := NewPublisher(b, DefaultMetricsTopic, "j", 4)
 	const writers, each = 4, 25
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
@@ -240,7 +208,7 @@ func TestPublisherConcurrentSeq(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
-				if err := pub.Publish(&TraceBatchMessage{Events: []trace.Event{{Kind: "e"}}}, false); err != nil {
+				if err := pub.Publish(&MetricsSnapshotMessage{}, false); err != nil {
 					t.Error(err)
 				}
 			}
@@ -248,7 +216,7 @@ func TestPublisherConcurrentSeq(t *testing.T) {
 	}
 	wg.Wait()
 
-	tail, err := NewTailer[TraceBatchMessage](b, DefaultTraceTopic)
+	tail, err := NewTailer[MetricsSnapshotMessage](b, DefaultMetricsTopic)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +230,7 @@ func TestPublisherConcurrentSeq(t *testing.T) {
 			t.Fatalf("after %d records: %v", len(seen), err)
 		}
 		for _, m := range got {
-			if seen[m.Seq] || m.Seq < 1 || m.Seq > writers*each || m.Container != -1 {
+			if seen[m.Seq] || m.Seq < 1 || m.Seq > writers*each || m.Container != 4 {
 				t.Fatalf("record header %+v repeats or falls outside seq 1..%d", m.Header, writers*each)
 			}
 			seen[m.Seq] = true

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"samzasql/internal/kafka"
-	"samzasql/internal/trace"
 )
 
 // collectingTask keeps a copy of every envelope it is handed. The slice a
@@ -41,26 +40,24 @@ func sameEnvelope(a, b *IncomingMessageEnvelope) bool {
 	return a.Stream == b.Stream && a.Partition == b.Partition && a.Offset == b.Offset && a.Append == b.Append &&
 		(a.Key == nil) == (b.Key == nil) && bytes.Equal(a.Key, b.Key) &&
 		(a.Value == nil) == (b.Value == nil) && bytes.Equal(a.Value, b.Value) &&
-		a.Timestamp == b.Timestamp && a.Trace == b.Trace
+		a.Timestamp == b.Timestamp
 }
 
 // TestProcessBatchReceivesProducedRecords pins the read contract end to end:
 // a running container hands its task exactly the records produced — stream,
-// partition, offset, key, value, timestamp and trace context, one record
-// sampled and one carrying an unsampled context — in offset order, in blocks
+// partition, offset, key, value and timestamp — in offset order, in blocks
 // no larger than the batch size.
 func TestProcessBatchReceivesProducedRecords(t *testing.T) {
 	b := kafka.NewBroker()
 	if err := b.CreateTopic("in", kafka.TopicConfig{Partitions: 2}); err != nil {
 		t.Fatal(err)
 	}
-	sampled := trace.Context{TraceID: 11, SpanID: 12, ParentID: 13, Sampled: true, StartNs: 14}
 	msgs := []kafka.Message{
 		{Key: []byte("a"), Value: []byte("one"), Timestamp: 1_700_000_000_000},
 		{Key: nil, Value: []byte("keyless"), Timestamp: -5},
 		{Key: []byte("b"), Value: []byte{}, Timestamp: 0},
-		{Key: []byte("c"), Value: []byte("traced"), Timestamp: 7, Trace: sampled},
-		{Key: []byte("d"), Value: bytes.Repeat([]byte{0x80}, 300), Timestamp: 8, Trace: trace.Context{TraceID: 21, SpanID: 22}},
+		{Key: []byte("c"), Value: []byte("third"), Timestamp: 7},
+		{Key: []byte("d"), Value: bytes.Repeat([]byte{0x80}, 300), Timestamp: 8},
 	}
 	for i := 0; i < 6; i++ {
 		msgs = append(msgs, kafka.Message{Key: []byte(fmt.Sprint("k", i)), Value: []byte(fmt.Sprint("v", i)), Timestamp: int64(100 + i)})
@@ -74,7 +71,7 @@ func TestProcessBatchReceivesProducedRecords(t *testing.T) {
 		}
 		want = append(want, IncomingMessageEnvelope{
 			Stream: "in", Partition: 1, Offset: off,
-			Key: m.Key, Value: m.Value, Timestamp: m.Timestamp, Trace: m.Trace,
+			Key: m.Key, Value: m.Value, Timestamp: m.Timestamp,
 		})
 	}
 	task := &collectingTask{want: len(want), full: make(chan struct{})}
@@ -118,31 +115,30 @@ func TestProcessBatchReceivesProducedRecords(t *testing.T) {
 }
 
 // TestBootstrapDeliversTombstones bootstraps a compacted relation topic —
-// a compaction survivor with offset gaps, then tombstones and a sampled put
-// in the segments after it — and requires the task to receive exactly the
-// retained records in offset order, tombstones as nil values, and no trace
-// context: bootstrap deliveries are not traced.
+// a compaction survivor with offset gaps, then tombstones and a put in the
+// segments after it — and requires the task to receive exactly the
+// retained records in offset order, tombstones as nil values.
 func TestBootstrapDeliversTombstones(t *testing.T) {
 	b := kafka.NewBroker()
 	if err := b.CreateTopic("rel", kafka.TopicConfig{Partitions: 1, Compacted: true, SegmentBytes: 64}); err != nil {
 		t.Fatal(err)
 	}
-	produce := func(key string, value []byte, tc trace.Context) {
+	produce := func(key string, value []byte) {
 		t.Helper()
-		if _, err := b.Produce("rel", kafka.Message{Partition: 0, Key: []byte(key), Value: value, Timestamp: 3, Trace: tc}); err != nil {
+		if _, err := b.Produce("rel", kafka.Message{Partition: 0, Key: []byte(key), Value: value, Timestamp: 3}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 12; i++ {
-		produce(fmt.Sprint("k", i%4), []byte(fmt.Sprint("v", i)), trace.Context{})
+		produce(fmt.Sprint("k", i%4), []byte(fmt.Sprint("v", i)))
 	}
-	produce("k1", nil, trace.Context{})
+	produce("k1", nil)
 	if err := b.Compact("rel"); err != nil {
 		t.Fatal(err)
 	}
-	produce("k2", nil, trace.Context{})
-	produce("k9", []byte("sampled"), trace.Context{TraceID: 5, SpanID: 6, Sampled: true})
-	produce("k3", nil, trace.Context{})
+	produce("k2", nil)
+	produce("k9", []byte("sampled"))
+	produce("k3", nil)
 
 	want := drainTopic(t, b, "rel")
 	tombstones, gaps := 0, 0
@@ -153,7 +149,6 @@ func TestBootstrapDeliversTombstones(t *testing.T) {
 		if i > 0 && want[i].Offset > want[i-1].Offset+1 {
 			gaps++
 		}
-		want[i].Trace = trace.Context{}
 	}
 	if tombstones < 2 || gaps == 0 {
 		t.Fatalf("the topic holds %d tombstones and %d offset gaps; the test needs a compacted log with tombstones", tombstones, gaps)

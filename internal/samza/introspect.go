@@ -16,7 +16,6 @@ import (
 //
 //	/metrics       plain-text dump of every job's merged metrics
 //	/healthz       per-task liveness as JSON; 503 when any task has failed
-//	/debug/traces  recent sampled span trees + per-stage breakdown per job
 //	/debug/pprof/  runtime profiling (CPU, heap, goroutines, ...)
 //
 // It returns the bound address (useful with ":0") and a shutdown function.
@@ -30,7 +29,6 @@ func (r *JobRunner) ServeIntrospection(addr string) (string, func(context.Contex
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", r.handleMetrics)
 	mux.HandleFunc("/healthz", r.handleHealthz)
-	mux.HandleFunc("/debug/traces", r.handleTraces)
 	// Register pprof by hand: the package's init only touches
 	// http.DefaultServeMux, which this server deliberately avoids.
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -76,14 +74,6 @@ func (r *JobRunner) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprintf(w, "# job %s\n", j.Spec.Name)
 		j.MetricsSnapshot().WriteText(w)
 	}
-}
-
-// handleTraces dumps each job's recent sampled traces — the per-stage
-// critical-path breakdown and the newest span trees — as plain text. Empty
-// (beyond headers) until a job runs with a trace sample rate.
-func (r *JobRunner) handleTraces(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	r.WriteTraces(w)
 }
 
 // handleHealthz reports per-task liveness for every job. The response is

@@ -62,17 +62,6 @@ type JobSpec struct {
 	// period (plus an initial snapshot at start and a final one at stop).
 	// 0 disables reporting.
 	MetricsInterval time.Duration
-	// TraceSampleRate, when positive, samples roughly this fraction of
-	// messages produced to the job's input topics into end-to-end traces
-	// (produce → poll → operators → store/changelog → commit). The runner
-	// installs the sampler on the broker at submit. 0 disables tracing;
-	// the hot path then pays a single branch per call site.
-	TraceSampleRate float64
-	// TraceInterval, when positive, runs a trace reporter per container,
-	// draining the span ring onto DefaultTraceTopic at this period (plus a
-	// final flush at stop). Defaults to DefaultTraceInterval whenever
-	// TraceSampleRate is set and this is 0.
-	TraceInterval time.Duration
 	// BatchSize caps how many messages one poll delivers to a task: the
 	// largest block a ProcessBatch call receives, during bootstrap and
 	// after it (1 is per-message execution). 0 (the default) uses
@@ -96,11 +85,8 @@ func (j *JobSpec) Validate() error {
 	if j.TaskParallelism < 0 {
 		return fmt.Errorf("samza: job %q has negative task parallelism %d", j.Name, j.TaskParallelism)
 	}
-	if j.TraceSampleRate < 0 || j.TraceSampleRate > 1 {
-		return fmt.Errorf("samza: job %q trace sample rate %v outside [0, 1]", j.Name, j.TraceSampleRate)
-	}
-	if j.MetricsInterval < 0 || j.TraceInterval < 0 {
-		return fmt.Errorf("samza: job %q has negative metrics/trace interval", j.Name)
+	if j.MetricsInterval < 0 {
+		return fmt.Errorf("samza: job %q has negative metrics interval", j.Name)
 	}
 	if j.BatchSize < 0 {
 		return fmt.Errorf("samza: job %q has negative batch size %d", j.Name, j.BatchSize)

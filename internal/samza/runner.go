@@ -3,16 +3,11 @@ package samza
 import (
 	"context"
 	"fmt"
-	"io"
 	"net/http"
-	"sort"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"samzasql/internal/kafka"
 	"samzasql/internal/metrics"
-	"samzasql/internal/trace"
 	"samzasql/internal/yarn"
 )
 
@@ -28,12 +23,6 @@ type JobRunner struct {
 
 	mu   sync.Mutex
 	jobs []*RunningJob
-
-	// events publishes the runner-level lifecycle event log (job
-	// start/stop, YARN allocations and failures) on the trace stream as
-	// Job "", Container -1 batches. nil until armed by the first
-	// tracing-enabled Submit or by EnableEventLog.
-	events atomic.Pointer[Publisher]
 
 	// Extra introspection handlers (the monitor's /query and /alerts).
 	// Registered onto the mux when ServeIntrospection starts; patterns added
@@ -62,9 +51,7 @@ func (r *JobRunner) Handle(pattern string, h http.Handler) {
 	r.httpExtra[pattern] = h
 }
 
-// NewJobRunner builds a runner over the broker and cluster. The cluster's
-// lifecycle events (container allocations, exits, restarts, node deaths)
-// feed the runner's event log.
+// NewJobRunner builds a runner over the broker and cluster.
 func NewJobRunner(b *kafka.Broker, c *yarn.Cluster) *JobRunner {
 	r := &JobRunner{
 		Broker:  b,
@@ -74,42 +61,13 @@ func NewJobRunner(b *kafka.Broker, c *yarn.Cluster) *JobRunner {
 			MemoryMB: 1024,
 		},
 	}
-	c.SetEventHook(r.publishEvent)
 	return r
-}
-
-// EnableEventLog arms lifecycle-event publishing onto DefaultTraceTopic.
-// Submit arms it automatically for tracing-enabled jobs; call this to
-// capture job and YARN events without sampling any messages. If the topic
-// cannot be created the log stays unarmed: observability must never take
-// down the cluster it observes.
-func (r *JobRunner) EnableEventLog() {
-	if r.events.Load() != nil {
-		return
-	}
-	if err := r.Broker.EnsureTopic(DefaultTraceTopic, kafka.TopicConfig{Partitions: 1}); err != nil {
-		return
-	}
-	r.events.CompareAndSwap(nil, NewPublisher(r.Broker, DefaultTraceTopic, "", -1))
-}
-
-// publishEvent writes one lifecycle event to the trace stream as a
-// runner-level batch. A no-op until the event log is armed; publish errors
-// are dropped.
-func (r *JobRunner) publishEvent(kind, detail string) {
-	pub := r.events.Load()
-	if pub == nil {
-		return
-	}
-	ev := trace.Event{TimeNs: time.Now().UnixNano(), Kind: kind, Detail: detail}
-	_ = pub.Publish(&TraceBatchMessage{Events: []trace.Event{ev}}, false)
 }
 
 // RunningJob is a handle to a submitted job.
 type RunningJob struct {
-	Spec   *JobSpec
-	app    *yarn.Application
-	runner *JobRunner
+	Spec *JobSpec
+	app  *yarn.Application
 
 	mu         sync.Mutex
 	containers []*Container
@@ -130,12 +88,7 @@ func (r *JobRunner) Submit(ctx context.Context, job *JobSpec) (*RunningJob, erro
 		return nil, err
 	}
 	inputPartitions := int32(len(a.taskPartitions))
-	if job.TraceSampleRate > 0 || job.TraceInterval > 0 {
-		r.EnableEventLog()
-	}
-	r.publishEvent("job-start", job.Name)
-
-	rj := &RunningJob{Spec: job, runner: r}
+	rj := &RunningJob{Spec: job}
 	specs := make([]yarn.ContainerSpec, len(a.containerTasks))
 	for ci, taskIdxs := range a.containerTasks {
 		partitions := make([]int32, len(taskIdxs))
@@ -183,11 +136,7 @@ func (r *JobRunner) Jobs() []*RunningJob {
 // Stop cancels all containers and waits for them to exit.
 func (j *RunningJob) Stop() []yarn.ContainerStatus {
 	j.app.Stop()
-	st := j.app.Wait()
-	if j.runner != nil {
-		j.runner.publishEvent("job-stop", j.Spec.Name)
-	}
-	return st
+	return j.app.Wait()
 }
 
 // Wait blocks until every container exits on its own (shutdown request or
@@ -234,42 +183,6 @@ func (j *RunningJob) UpdateLags() int64 {
 		total += c.UpdateLags()
 	}
 	return total
-}
-
-// RecentTraces merges the recent sampled span trees of every container
-// attempt, newest first. Syncs each container's ring into its recent-trace
-// store first, so spans not yet published still show.
-func (j *RunningJob) RecentTraces() []*trace.TraceData {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	lists := make([][]*trace.TraceData, 0, len(j.containers))
-	for _, c := range j.containers {
-		lists = append(lists, c.RecentTraces())
-	}
-	return trace.Merge(lists...)
-}
-
-// WriteTraces renders every job's recent sampled traces: a per-stage
-// critical-path breakdown followed by the newest span trees. Shared by the
-// /debug/traces endpoint and the shell's \trace command.
-func (r *JobRunner) WriteTraces(w io.Writer) {
-	jobs := r.Jobs()
-	sort.Slice(jobs, func(i, j int) bool { return jobs[i].Spec.Name < jobs[j].Spec.Name })
-	const maxTrees = 5
-	for _, j := range jobs {
-		fmt.Fprintf(w, "# job %s\n", j.Spec.Name)
-		traces := j.RecentTraces()
-		trace.WriteBreakdown(w, trace.Breakdown(traces))
-		for i, t := range traces {
-			if i >= maxTrees {
-				fmt.Fprintf(w, "... %d older traces elided\n", len(traces)-maxTrees)
-				break
-			}
-			fmt.Fprintln(w)
-			t.Format(w)
-		}
-		fmt.Fprintln(w)
-	}
 }
 
 // ContainerMetrics returns each live container attempt's registry.

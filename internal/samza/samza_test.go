@@ -114,8 +114,7 @@ func TestJobSpecValidate(t *testing.T) {
 		{"dup store", JobSpec{Name: "j", Inputs: []StreamSpec{{Topic: "a"}}, TaskFactory: factory,
 			Stores: []StoreSpec{{Name: "s"}, {Name: "s"}}}, "twice"},
 		{"negative batch size", JobSpec{Name: "j", Inputs: []StreamSpec{{Topic: "a"}}, TaskFactory: factory, BatchSize: -1}, "negative batch size"},
-		{"negative metrics interval", JobSpec{Name: "j", Inputs: []StreamSpec{{Topic: "a"}}, TaskFactory: factory, MetricsInterval: -time.Second}, "negative metrics/trace interval"},
-		{"negative trace interval", JobSpec{Name: "j", Inputs: []StreamSpec{{Topic: "a"}}, TaskFactory: factory, TraceInterval: -time.Second}, "negative metrics/trace interval"},
+		{"negative metrics interval", JobSpec{Name: "j", Inputs: []StreamSpec{{Topic: "a"}}, TaskFactory: factory, MetricsInterval: -time.Second}, "negative metrics interval"},
 	}
 	for _, tc := range cases {
 		err := tc.spec.Validate()

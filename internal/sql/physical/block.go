@@ -1,11 +1,6 @@
 package physical
 
-import (
-	"time"
-
-	"samzasql/internal/samza"
-	"samzasql/internal/trace"
-)
+import "samzasql/internal/samza"
 
 // This file is the running side of the program — the message router of
 // Figure 4 realised as one block pipeline per input topic, compiled by
@@ -17,12 +12,10 @@ import (
 
 // RouteBatch drives one polled batch through the program. The envelopes
 // come from a single topic-partition in offset order (the consumer's poll
-// contract). act may be nil (bounded execution, tests); sampled messages
-// inside the batch get their spans replayed at batch granularity with row
-// counts.
+// contract).
 //
 //samzasql:hotpath
-func (p *Program) RouteBatch(envs []samza.IncomingMessageEnvelope, act *trace.Active, pollNs int64) error {
+func (p *Program) RouteBatch(envs []samza.IncomingMessageEnvelope) error {
 	if len(envs) == 0 {
 		return nil
 	}
@@ -46,7 +39,7 @@ func (p *Program) RouteBatch(envs []samza.IncomingMessageEnvelope, act *trace.Ac
 			for n < len(envs) && envs[n].Value != nil {
 				n++
 			}
-			if err := p.routeBlock(in, envs[:n], act, pollNs); err != nil {
+			if err := p.routeBlock(in, envs[:n]); err != nil {
 				return err
 			}
 			if n == len(envs) {
@@ -59,62 +52,28 @@ func (p *Program) RouteBatch(envs []samza.IncomingMessageEnvelope, act *trace.Ac
 		}
 		return nil
 	}
-	return p.routeBlock(in, envs, act, pollNs)
+	return p.routeBlock(in, envs)
 }
 
 // routeBlock decodes envs into the program's block arena and runs the
 // input's compiled chain over it.
 //
 //samzasql:hotpath
-func (p *Program) routeBlock(in *Input, envs []samza.IncomingMessageEnvelope, act *trace.Active, pollNs int64) error {
+func (p *Program) routeBlock(in *Input, envs []samza.IncomingMessageEnvelope) error {
 	if len(envs) == 0 {
 		return nil
 	}
 	b := &p.blockArena
 	b.Reset(envs[0].Stream, envs[0].Partition, len(envs))
-	sampled := 0
 	for i := range envs {
 		env := &envs[i]
 		b.Raw = append(b.Raw, env.Value)
 		b.Keys = append(b.Keys, env.Key)
 		b.Ts = append(b.Ts, env.Timestamp)
 		b.Offsets = append(b.Offsets, env.Offset)
-		if env.Trace.Sampled {
-			sampled++
-		}
-	}
-	var startNs int64
-	if sampled > 0 {
-		p.btrace.Reset()
-		b.Trace = &p.btrace
-		startNs = time.Now().UnixNano()
 	}
 	if err := in.Scan.DecodeBlock(b); err != nil {
 		return err
 	}
-	if err := in.entry(b); err != nil {
-		return err
-	}
-	if sampled > 0 {
-		p.replayBlockTrace(envs, act, pollNs, startNs, time.Now().UnixNano())
-	}
-	return nil
-}
-
-// replayBlockTrace reconstructs per-message trace trees for the sampled
-// messages of a completed block: each gets its produce/poll/process spans
-// plus the block's batch-level operator spans (carrying the row counts they
-// covered), so block execution sets span granularity but never drops
-// sampled messages from the trace stream.
-func (p *Program) replayBlockTrace(envs []samza.IncomingMessageEnvelope, act *trace.Active, pollNs, startNs, endNs int64) {
-	for i := range envs {
-		if !envs[i].Trace.Sampled {
-			continue
-		}
-		act.StartMessage(envs[i].Trace, pollNs, startNs)
-		for _, sp := range p.btrace.Spans {
-			act.StageRows(sp.Stage, sp.StartNs, sp.EndNs, sp.Rows)
-		}
-		act.FinishMessage(endNs)
-	}
+	return in.entry(b)
 }

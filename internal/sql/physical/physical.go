@@ -67,10 +67,9 @@ type Program struct {
 	// instrumented stage gets a unique metric name.
 	stageSeq map[string]int
 
-	// blockArena and btrace are the task-owned reusable block and stage-span
-	// log RouteBatch drives an input's chain with.
+	// blockArena is the task-owned reusable block RouteBatch drives an
+	// input's chain with.
 	blockArena operators.TupleBlock
-	btrace     operators.BlockTrace
 }
 
 // instrument wraps op for per-operator latency/output metrics and registers

@@ -78,7 +78,7 @@ func openProgram(t *testing.T, prog *Program) *[]capture {
 func routeOne(prog *Program, topic string, value, key []byte, ts, offset int64) error {
 	return prog.RouteBatch([]samza.IncomingMessageEnvelope{{
 		Stream: topic, Offset: offset, Key: key, Value: value, Timestamp: ts,
-	}}, nil, 0)
+	}})
 }
 
 type capture struct {

@@ -80,28 +80,6 @@ type Cluster struct {
 	mu    sync.Mutex
 	nodes map[string]*node
 	apps  map[string]*Application
-	// hook, when set, observes cluster lifecycle events (allocations,
-	// container exits, restarts, node deaths). Called outside c.mu.
-	hook func(kind, detail string)
-}
-
-// SetEventHook installs fn as the cluster's lifecycle event observer. The
-// runner uses it to feed the trace stream's event log; fn must be safe for
-// concurrent calls and must not block.
-func (c *Cluster) SetEventHook(fn func(kind, detail string)) {
-	c.mu.Lock()
-	c.hook = fn
-	c.mu.Unlock()
-}
-
-// emit reports one lifecycle event to the hook, if any, outside c.mu.
-func (c *Cluster) emit(kind, detail string) {
-	c.mu.Lock()
-	fn := c.hook
-	c.mu.Unlock()
-	if fn != nil {
-		fn(kind, detail)
-	}
 }
 
 // NewCluster returns an empty cluster.
@@ -191,7 +169,6 @@ func (c *Cluster) KillNode(id string) error {
 		cancels = append(cancels, cancel)
 	}
 	c.mu.Unlock()
-	c.emit("node-killed", id)
 	for _, cancel := range cancels {
 		cancel()
 	}
@@ -250,7 +227,6 @@ func (a *Application) launch(id ContainerID, spec ContainerSpec) error {
 	a.cluster.mu.Lock()
 	n.running[id] = runCancel
 	a.cluster.mu.Unlock()
-	a.cluster.emit("container-allocate", fmt.Sprintf("%s on %s", id, n.id))
 
 	a.wg.Add(1)
 	go func() {
@@ -266,20 +242,8 @@ func (a *Application) launch(id ContainerID, spec ContainerSpec) error {
 		a.mu.Unlock()
 
 		appStopped := a.ctx.Err() != nil
-		if done || appStopped {
-			if killed {
-				a.cluster.emit("container-killed", fmt.Sprintf("%s on %s", id, n.id))
-			} else {
-				a.cluster.emit("container-exit", fmt.Sprintf("%s on %s", id, n.id))
-			}
-			return
-		}
-		if err == nil && !killed {
-			a.cluster.emit("container-exit", fmt.Sprintf("%s on %s", id, n.id))
-			return // clean exit
-		}
-		if err != nil {
-			a.cluster.emit("container-failed", fmt.Sprintf("%s on %s: %v", id, n.id, err))
+		if done || appStopped || (err == nil && !killed) {
+			return // the application stopped, or a clean exit
 		}
 		// Failure or node death: restart if budget remains.
 		a.mu.Lock()
@@ -287,13 +251,11 @@ func (a *Application) launch(id ContainerID, spec ContainerSpec) error {
 		over := a.restarts[id] > spec.MaxRestarts
 		a.mu.Unlock()
 		if over {
-			a.cluster.emit("container-giveup", id.String())
 			a.mu.Lock()
 			a.statuses = append(a.statuses, ContainerStatus{ID: id, Node: n.id, Err: ErrGiveUp})
 			a.mu.Unlock()
 			return
 		}
-		a.cluster.emit("container-restart", fmt.Sprintf("%s attempt %d", id, a.Restarts()[id]+1))
 		if lerr := a.launch(id, spec); lerr != nil {
 			a.mu.Lock()
 			a.statuses = append(a.statuses, ContainerStatus{ID: id, Node: n.id, Err: lerr})
