@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet vet-custom race verify ci fuzz-smoke bench-module bench-pair bench bench-figures profile monitor-smoke
+.PHONY: build test vet vet-custom race verify ci unlinked fuzz-smoke bench-module bench-pair bench bench-figures profile monitor-smoke
 
 build:
 	$(GO) build ./...
@@ -41,6 +41,13 @@ verify: vet vet-custom race
 bench-module:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
+# Link-level dead-code check: builds the nine binaries (cmd/*, examples/*,
+# benchmark) with inlining off and fails on any function declared under
+# internal/ that none of them links and that is not on the script's
+# exemption list (scripts/unlinked.sh, each entry with its reason).
+unlinked:
+	bash scripts/unlinked.sh
+
 # Paired runs of the repository benchmark, REF against the working tree, in
 # the driver's own form and in alternating order; prints per gated metric
 # both medians and quartiles, the win count, and whether the gain rule holds
@@ -80,13 +87,15 @@ fuzz-smoke:
 	$(GO) test ./internal/executor -run '^$$' -fuzz '^FuzzSQL$$' -fuzztime $(FUZZTIME)
 
 # What the GitHub Actions workflow runs: formatting, build, static checks,
-# the full test tree under the race detector, the fuzz smoke, then the
-# nested benchmark module against the tree's internal APIs.
+# the link-level dead-code check, the full test tree under the race
+# detector, the fuzz smoke, then the nested benchmark module against the
+# tree's internal APIs.
 ci: build
 	@out=$$(gofmt -l .); \
 	if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
 	$(MAKE) vet-custom
+	$(MAKE) unlinked
 	$(GO) test -race ./...
 	$(MAKE) fuzz-smoke
 	$(MAKE) bench-module

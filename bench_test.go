@@ -160,10 +160,10 @@ func BenchmarkAblationTupleTransformSQLPath(b *testing.B) {
 //
 // The paper blames SamzaSQL's ~2x join slowdown on Kryo-based object
 // deserialization in the KV cache versus the native job's Avro. Compare
-// decode cost of one Products row under each serde (gob is the
-// java-serialization-like worst case).
+// decode cost of one Products row under the Avro codec and under
+// ObjectSerde, the Kryo stand-in.
 
-func productRowCodecs(b *testing.B) ([]byte, []byte, []byte, *avro.Codec) {
+func productRowCodecs(b *testing.B) ([]byte, []byte, *avro.Codec) {
 	b.Helper()
 	row := []any{int64(42), "product-42", int64(2)}
 	avroCodec := avro.MustCodec(workload.ProductsSchema())
@@ -175,15 +175,11 @@ func productRowCodecs(b *testing.B) ([]byte, []byte, []byte, *avro.Codec) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	gobBytes, err := serde.GobSerde{}.Encode(row)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return avroBytes, objBytes, gobBytes, avroCodec
+	return avroBytes, objBytes, avroCodec
 }
 
 func BenchmarkAblationJoinSerdeAvro(b *testing.B) {
-	avroBytes, _, _, codec := productRowCodecs(b)
+	avroBytes, _, codec := productRowCodecs(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := codec.DecodeRow(avroBytes, nil); err != nil {
@@ -193,22 +189,11 @@ func BenchmarkAblationJoinSerdeAvro(b *testing.B) {
 }
 
 func BenchmarkAblationJoinSerdeObject(b *testing.B) {
-	_, objBytes, _, _ := productRowCodecs(b)
+	_, objBytes, _ := productRowCodecs(b)
 	s := serde.ObjectSerde{}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := s.Decode(objBytes); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblationJoinSerdeGob(b *testing.B) {
-	_, _, gobBytes, _ := productRowCodecs(b)
-	s := serde.GobSerde{}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.Decode(gobBytes); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -309,9 +294,6 @@ func BenchmarkAblationWindowStore(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.StopTimer()
-	reads, writes := store.Stats()
-	b.ReportMetric(float64(reads+writes)/float64(b.N), "store-ops/tuple")
 }
 
 // --- Sliding-window state-store layer ---

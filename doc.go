@@ -3,8 +3,8 @@
 // IPPS 2016): a streaming SQL engine (parser, validator, planner, optimizer
 // and operator layer) compiled onto a Samza-like distributed stream
 // processing framework, together with the Kafka-like partitioned log,
-// YARN-like scheduler, Avro-like serialization stack, schema registry and
-// Zookeeper-like metadata store it depends on.
+// YARN-like scheduler, Avro-like serialization stack and Zookeeper-like
+// metadata store it depends on.
 //
 // The public surface lives under internal/ packages wired together by
 // internal/executor.Engine; the cmd/ binaries (samzasql-shell,

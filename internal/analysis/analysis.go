@@ -149,14 +149,3 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	})
 	return diags
 }
-
-// Unsuppressed filters diags down to the findings that should fail a build.
-func Unsuppressed(diags []Diagnostic) []Diagnostic {
-	out := make([]Diagnostic, 0, len(diags))
-	for _, d := range diags {
-		if !d.Suppressed {
-			out = append(out, d)
-		}
-	}
-	return out
-}

@@ -116,22 +116,6 @@ func (l *Loader) load(pkgPath string) (*Package, error) {
 	return pkg, nil
 }
 
-// LoadDir parses and type-checks the package in dir under the given import
-// path. Test files (_test.go) are excluded: the analyzers guard the runtime,
-// and test-only code is free to allocate, spawn, and drop errors as it
-// pleases.
-func (l *Loader) LoadDir(dir, pkgPath string) (*Package, error) {
-	if pkg, ok := l.pkgs[pkgPath]; ok {
-		return pkg, nil
-	}
-	pkg, err := l.loadDir(dir, pkgPath)
-	if err != nil {
-		return nil, err
-	}
-	l.pkgs[pkgPath] = pkg
-	return pkg, nil
-}
-
 func (l *Loader) loadDir(dir, pkgPath string) (*Package, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {

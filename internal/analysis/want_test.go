@@ -110,3 +110,30 @@ func checkFixture(t *testing.T, name string, analyzer *Analyzer) {
 		}
 	}
 }
+
+// LoadDir parses and type-checks the package in dir under the given import
+// path. Test files (_test.go) are excluded: the analyzers guard the runtime,
+// and test-only code is free to allocate, spawn, and drop errors as it
+// pleases.
+func (l *Loader) LoadDir(dir, pkgPath string) (*Package, error) {
+	if pkg, ok := l.pkgs[pkgPath]; ok {
+		return pkg, nil
+	}
+	pkg, err := l.loadDir(dir, pkgPath)
+	if err != nil {
+		return nil, err
+	}
+	l.pkgs[pkgPath] = pkg
+	return pkg, nil
+}
+
+// Unsuppressed filters diags down to the findings that should fail a build.
+func Unsuppressed(diags []Diagnostic) []Diagnostic {
+	out := make([]Diagnostic, 0, len(diags))
+	for _, d := range diags {
+		if !d.Suppressed {
+			out = append(out, d)
+		}
+	}
+	return out
+}

@@ -20,14 +20,7 @@ func ordersSchema() *Schema {
 
 func TestEncodeDecodeRoundTripMap(t *testing.T) {
 	c := MustCodec(ordersSchema())
-	in := map[string]any{
-		"rowtime":   int64(1700000000000),
-		"productId": int64(42),
-		"orderId":   int64(7),
-		"units":     int64(100),
-		"pad":       "xxxx",
-	}
-	b, err := c.Encode(in)
+	b, err := c.EncodeRow([]any{int64(1700000000000), int64(42), int64(7), int64(100), "xxxx"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,8 +28,15 @@ func TestEncodeDecodeRoundTripMap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(in, out) {
-		t.Fatalf("round trip mismatch:\n in: %v\nout: %v", in, out)
+	want := map[string]any{
+		"rowtime":   int64(1700000000000),
+		"productId": int64(42),
+		"orderId":   int64(7),
+		"units":     int64(100),
+		"pad":       "xxxx",
+	}
+	if !reflect.DeepEqual(want, out) {
+		t.Fatalf("round trip mismatch:\nwant: %v\n out: %v", want, out)
 	}
 }
 
@@ -68,26 +68,16 @@ func TestEncodeDecodeRowRoundTrip(t *testing.T) {
 func TestAllPrimitiveKinds(t *testing.T) {
 	s := Record("All",
 		F("b", Boolean()),
-		F("i", Int()),
+		F("i", &Schema{Kind: KindInt}),
 		F("l", Long()),
-		F("f", Float()),
+		F("f", &Schema{Kind: KindFloat}),
 		F("d", Double()),
 		F("s", String()),
 		F("y", Bytes()),
-		F("n", Null()),
+		F("n", &Schema{Kind: KindNull}),
 	)
 	c := MustCodec(s)
-	in := map[string]any{
-		"b": true,
-		"i": int64(-5),
-		"l": int64(math.MaxInt64),
-		"f": 1.5,
-		"d": -2.25,
-		"s": "héllo",
-		"y": []byte{0, 1, 2},
-		"n": nil,
-	}
-	b, err := c.Encode(in)
+	b, err := c.EncodeRow([]any{true, int64(-5), int64(math.MaxInt64), 1.5, -2.25, "héllo", []byte{0, 1, 2}, nil})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,17 +99,17 @@ func TestAllPrimitiveKinds(t *testing.T) {
 func TestNullableFields(t *testing.T) {
 	s := Record("N", F("a", Long().AsNullable()), F("b", String().AsNullable()))
 	c := MustCodec(s)
-	for _, in := range []map[string]any{
-		{"a": int64(5), "b": "x"},
-		{"a": nil, "b": "x"},
-		{"a": int64(5), "b": nil},
-		{"a": nil, "b": nil},
+	for _, in := range [][]any{
+		{int64(5), "x"},
+		{nil, "x"},
+		{int64(5), nil},
+		{nil, nil},
 	} {
-		b, err := c.Encode(in)
+		b, err := c.EncodeRow(in)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := c.Decode(b)
+		out, err := c.DecodeRow(b, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,44 +117,35 @@ func TestNullableFields(t *testing.T) {
 			t.Fatalf("nullable mismatch: %v vs %v", in, out)
 		}
 	}
-	// Missing nullable field encodes as null.
-	b, err := c.Encode(map[string]any{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, _ := c.Decode(b)
-	if out["a"] != nil || out["b"] != nil {
-		t.Fatalf("missing nullable fields: %v", out)
-	}
 }
 
 func TestNonNullableRejectsNil(t *testing.T) {
 	c := MustCodec(Record("R", F("a", Long())))
-	if _, err := c.Encode(map[string]any{"a": nil}); err == nil {
+	if _, err := c.EncodeRow([]any{nil}); err == nil {
 		t.Fatal("nil accepted for non-nullable long")
 	}
-	if _, err := c.Encode(map[string]any{}); err == nil {
+	if _, err := c.EncodeRow([]any{}); err == nil {
 		t.Fatal("missing non-nullable field accepted")
 	}
 }
 
 func TestCollections(t *testing.T) {
 	s := Record("C",
-		F("tags", Array(String())),
-		F("attrs", Map(Long())),
+		F("tags", &Schema{Kind: KindArray, Items: String()}),
+		F("attrs", &Schema{Kind: KindMap, Items: Long()}),
 		F("inner", Record("Inner", F("x", Long()))),
 	)
 	c := MustCodec(s)
-	in := map[string]any{
-		"tags":  []any{"a", "b", "c"},
-		"attrs": map[string]any{"k1": int64(1), "k2": int64(2)},
-		"inner": map[string]any{"x": int64(9)},
+	in := []any{
+		[]any{"a", "b", "c"},
+		map[string]any{"k1": int64(1), "k2": int64(2)},
+		map[string]any{"x": int64(9)},
 	}
-	b, err := c.Encode(in)
+	b, err := c.EncodeRow(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := c.Decode(b)
+	out, err := c.DecodeRow(b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,12 +153,12 @@ func TestCollections(t *testing.T) {
 		t.Fatalf("collections mismatch:\n in: %v\nout: %v", in, out)
 	}
 	// Empty collections.
-	in2 := map[string]any{"tags": []any{}, "attrs": map[string]any{}, "inner": map[string]any{"x": int64(0)}}
-	b2, err := c.Encode(in2)
+	in2 := []any{[]any{}, map[string]any{}, map[string]any{"x": int64(0)}}
+	b2, err := c.EncodeRow(in2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out2, err := c.Decode(b2)
+	out2, err := c.DecodeRow(b2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,67 +228,20 @@ func TestTruncatedPayload(t *testing.T) {
 	_ = errors.Is // keep errors imported for future checks
 }
 
-func TestParseSchemaJSON(t *testing.T) {
-	doc := `{
-	  "type": "record", "name": "Orders",
-	  "fields": [
-	    {"name": "rowtime", "type": "long"},
-	    {"name": "productId", "type": "long"},
-	    {"name": "note", "type": ["null", "string"]},
-	    {"name": "tags", "type": {"type": "array", "items": "string"}},
-	    {"name": "attrs", "type": {"type": "map", "values": "long"}},
-	    {"name": "inner", "type": {"type": "record", "name": "Inner",
-	        "fields": [{"name": "x", "type": "double"}]}}
-	  ]
-	}`
-	s, err := ParseSchema([]byte(doc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Kind != KindRecord || s.Name != "Orders" || len(s.Fields) != 6 {
-		t.Fatalf("parsed %+v", s)
-	}
-	if !s.Fields[2].Schema.Nullable || s.Fields[2].Schema.Kind != KindString {
-		t.Fatalf("nullable union field parsed as %+v", s.Fields[2].Schema)
-	}
-	if s.Fields[3].Schema.Kind != KindArray || s.Fields[3].Schema.Items.Kind != KindString {
-		t.Fatalf("array field parsed as %+v", s.Fields[3].Schema)
-	}
-	if s.Fields[5].Schema.Kind != KindRecord || s.Fields[5].Schema.Fields[0].Schema.Kind != KindDouble {
-		t.Fatalf("nested record parsed as %+v", s.Fields[5].Schema)
-	}
-}
-
 func TestSchemaJSONRoundTrip(t *testing.T) {
 	s := Record("R",
 		F("a", Long()),
 		F("b", String().AsNullable()),
-		F("c", Array(Double())),
+		F("c", &Schema{Kind: KindArray, Items: Double()}),
 	)
 	doc, err := s.MarshalJSON()
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := ParseSchema(doc)
-	if err != nil {
-		t.Fatalf("reparse %s: %v", doc, err)
-	}
-	if back.Name != "R" || len(back.Fields) != 3 || !back.Fields[1].Schema.Nullable {
-		t.Fatalf("round-tripped schema %+v", back)
-	}
-}
-
-func TestParseSchemaErrors(t *testing.T) {
-	for _, doc := range []string{
-		`"frob"`,
-		`{"type":"record","fields":[]}`, // no name
-		`["string","null"]`,             // union not null-first
-		`["null","string","long"]`,      // 3-branch union
-		`{"type":"record","name":"R","fields":[{"name":"a","type":"frob"}]}`,
-	} {
-		if _, err := ParseSchema([]byte(doc)); err == nil {
-			t.Errorf("ParseSchema(%s) succeeded", doc)
-		}
+	want := `{"fields":[{"name":"a","type":"long"},{"name":"b","type":["null","string"]},` +
+		`{"name":"c","type":{"items":"double","type":"array"}}],"name":"R","type":"record"}`
+	if string(doc) != want {
+		t.Fatalf("schema JSON\n got %s\nwant %s", doc, want)
 	}
 }
 

@@ -59,28 +59,6 @@ func readVarint(data []byte) (int64, int, error) {
 
 // --- encoding ---
 
-// Encode serializes a record given as map[string]any. Missing nullable
-// fields encode as null; missing non-nullable fields are an error.
-func (c *Codec) Encode(rec map[string]any) ([]byte, error) {
-	return c.AppendEncode(nil, rec)
-}
-
-// AppendEncode appends the encoded record to dst.
-func (c *Codec) AppendEncode(dst []byte, rec map[string]any) ([]byte, error) {
-	var err error
-	for _, f := range c.schema.Fields {
-		v, ok := rec[f.Name]
-		if !ok {
-			v = nil
-		}
-		dst, err = encodeValue(dst, f.Schema, v)
-		if err != nil {
-			return nil, fmt.Errorf("avro: field %q: %w", f.Name, err)
-		}
-	}
-	return dst, nil
-}
-
 // EncodeRow serializes a positional row ordered as the schema's fields —
 // the ArrayToAvro step of Figure 4.
 func (c *Codec) EncodeRow(row []any) ([]byte, error) {

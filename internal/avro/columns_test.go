@@ -10,8 +10,8 @@ import (
 	"samzasql/internal/vec"
 )
 
-// kindsFor maps each field of a record schema to the vector kind the
-// planner gives the column it backs (catalog.RowTypeFromAvro, vec.KindOf).
+// kindsFor maps each field of a record schema to the vector kind of the SQL
+// column it backs: the inverse of catalog.AvroSchemaFor, then vec.KindOf.
 func kindsFor(s *Schema) []vec.Kind {
 	kinds := make([]vec.Kind, len(s.Fields))
 	for i, f := range s.Fields {
@@ -37,9 +37,9 @@ func fuzzSchemas() []*Schema {
 	products := Record("Products", F("productId", Long()), F("name", String()), F("supplierId", Long()))
 	clicks := Record("Clicks", F("rowtime", Long()), F("userId", Long()), F("productId", Long()),
 		F("clickId", Long()), F("pad", String()))
-	kinds := Record("Kinds", F("b", Boolean()), F("i", Int()), F("l", Long().AsNullable()),
-		F("f", Float()), F("d", Double().AsNullable()), F("s", String().AsNullable()), F("y", Bytes()),
-		F("a", Array(Long())))
+	kinds := Record("Kinds", F("b", Boolean()), F("i", &Schema{Kind: KindInt}), F("l", Long().AsNullable()),
+		F("f", &Schema{Kind: KindFloat}), F("d", Double().AsNullable()), F("s", String().AsNullable()), F("y", Bytes()),
+		F("a", &Schema{Kind: KindArray, Items: Long()}))
 	out := []*Schema{kinds}
 	for _, s := range []*Schema{ordersSchema(), products, clicks} {
 		nullable := make([]Field, len(s.Fields))
@@ -61,7 +61,7 @@ func TestCorruptLengthPrefixIsTruncated(t *testing.T) {
 	for _, s := range []*Schema{
 		Record("S", F("s", String())),
 		Record("B", F("b", Bytes())),
-		Record("M", F("m", Map(Long()))),
+		Record("M", F("m", &Schema{Kind: KindMap, Items: Long()})),
 	} {
 		c := MustCodec(s)
 		data := hugeLength()

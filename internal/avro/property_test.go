@@ -103,7 +103,7 @@ func TestPropertyCanonicalReencode(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		enc2, err := c.Encode(rec)
+		enc2, err := c.EncodeRow([]any{rec["a"], rec["b"]})
 		if err != nil {
 			return false
 		}

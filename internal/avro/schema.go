@@ -5,7 +5,7 @@
 //
 // Three access paths matter to the paper's evaluation:
 //
-//   - Decode / Encode: generic record <-> map[string]any.
+//   - Decode: generic record -> map[string]any.
 //   - DecodeRow / EncodeRow: record <-> positional []any — the
 //     "AvroToArray" / "ArrayToAvro" steps of Figure 4 that the SQL engine's
 //     expression layer requires and that cost SamzaSQL 30-40% throughput.
@@ -89,20 +89,11 @@ type Field struct {
 }
 
 // Primitive constructors.
-func Null() *Schema    { return &Schema{Kind: KindNull} }
 func Boolean() *Schema { return &Schema{Kind: KindBoolean} }
-func Int() *Schema     { return &Schema{Kind: KindInt} }
 func Long() *Schema    { return &Schema{Kind: KindLong} }
-func Float() *Schema   { return &Schema{Kind: KindFloat} }
 func Double() *Schema  { return &Schema{Kind: KindDouble} }
 func String() *Schema  { return &Schema{Kind: KindString} }
 func Bytes() *Schema   { return &Schema{Kind: KindBytes} }
-
-// Array returns an array schema with the given element type.
-func Array(items *Schema) *Schema { return &Schema{Kind: KindArray, Items: items} }
-
-// Map returns a map schema (string keys) with the given value type.
-func Map(values *Schema) *Schema { return &Schema{Kind: KindMap, Items: values} }
 
 // Record returns a record schema with the given name and fields.
 func Record(name string, fields ...Field) *Schema {
@@ -171,119 +162,7 @@ func (s *Schema) Validate() error {
 	return nil
 }
 
-// jsonSchema is the JSON representation (a subset of Avro's schema JSON).
-type jsonSchema struct {
-	Type   json.RawMessage `json:"type"`
-	Name   string          `json:"name,omitempty"`
-	Fields []jsonField     `json:"fields,omitempty"`
-	Items  json.RawMessage `json:"items,omitempty"`
-	Values json.RawMessage `json:"values,omitempty"`
-}
-
-type jsonField struct {
-	Name string          `json:"name"`
-	Type json.RawMessage `json:"type"`
-}
-
-// ParseSchema parses an Avro-style JSON schema document. Supported forms:
-// primitive name strings ("long"), ["null", T] unions (nullable T), and
-// {"type":"record"|"array"|"map", ...} objects.
-func ParseSchema(doc []byte) (*Schema, error) {
-	s, err := parseRaw(doc)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-func parseRaw(raw json.RawMessage) (*Schema, error) {
-	var prim string
-	if err := json.Unmarshal(raw, &prim); err == nil {
-		return primitiveByName(prim)
-	}
-	var union []json.RawMessage
-	if err := json.Unmarshal(raw, &union); err == nil {
-		return parseUnion(union)
-	}
-	var obj jsonSchema
-	if err := json.Unmarshal(raw, &obj); err != nil {
-		return nil, fmt.Errorf("avro: unparseable schema: %w", err)
-	}
-	var typeName string
-	if err := json.Unmarshal(obj.Type, &typeName); err != nil {
-		// {"type": [...]} union or nested object; recurse.
-		return parseRaw(obj.Type)
-	}
-	switch typeName {
-	case "record":
-		fields := make([]Field, 0, len(obj.Fields))
-		for _, jf := range obj.Fields {
-			fs, err := parseRaw(jf.Type)
-			if err != nil {
-				return nil, fmt.Errorf("avro: field %q: %w", jf.Name, err)
-			}
-			fields = append(fields, Field{Name: jf.Name, Schema: fs})
-		}
-		return Record(obj.Name, fields...), nil
-	case "array":
-		items, err := parseRaw(obj.Items)
-		if err != nil {
-			return nil, err
-		}
-		return Array(items), nil
-	case "map":
-		values, err := parseRaw(obj.Values)
-		if err != nil {
-			return nil, err
-		}
-		return Map(values), nil
-	default:
-		return primitiveByName(typeName)
-	}
-}
-
-func parseUnion(union []json.RawMessage) (*Schema, error) {
-	if len(union) != 2 {
-		return nil, fmt.Errorf("avro: only [\"null\", T] unions are supported, got %d branches", len(union))
-	}
-	var first string
-	if err := json.Unmarshal(union[0], &first); err != nil || first != "null" {
-		return nil, errors.New("avro: union must start with \"null\"")
-	}
-	inner, err := parseRaw(union[1])
-	if err != nil {
-		return nil, err
-	}
-	return inner.AsNullable(), nil
-}
-
-func primitiveByName(name string) (*Schema, error) {
-	switch name {
-	case "null":
-		return Null(), nil
-	case "boolean":
-		return Boolean(), nil
-	case "int":
-		return Int(), nil
-	case "long":
-		return Long(), nil
-	case "float":
-		return Float(), nil
-	case "double":
-		return Double(), nil
-	case "string":
-		return String(), nil
-	case "bytes":
-		return Bytes(), nil
-	default:
-		return nil, fmt.Errorf("avro: unknown type %q", name)
-	}
-}
-
-// MarshalJSON renders the schema back to Avro-style JSON.
+// MarshalJSON renders the schema as Avro-style JSON.
 func (s *Schema) MarshalJSON() ([]byte, error) {
 	return json.Marshal(s.toJSONValue(false))
 }

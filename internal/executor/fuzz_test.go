@@ -34,30 +34,22 @@ FROM Clicks JOIN Products ON Clicks.productId = Products.productId`,
 }
 
 // FuzzSQL feeds arbitrary text to the SQL front end — the lexer and parser
-// (Parse and ParseScript) and the whole of step-one planning (Engine.Prepare:
-// validation against the workload catalog, logical plan, optimizer, physical
-// compile). Each must return an error or a result, never panic. A statement
-// Parse accepts must also be ParseScript's single statement, and must print
-// to text that parses back to the same text: tasks re-plan from the printed
-// statement the engine publishes.
+// and the whole of step-one planning (Engine.Prepare: validation against the
+// workload catalog, logical plan, optimizer, physical compile). Each must
+// return an error or a result, never panic. A statement Parse accepts must
+// print to text that parses back to the same text: tasks re-plan from the
+// printed statement the engine publishes.
 func FuzzSQL(f *testing.F) {
 	for _, s := range sqlSeeds() {
 		f.Add(s)
 	}
 	e := clicksEngine(f, 1)
 	f.Fuzz(func(t *testing.T, src string) {
-		script, scriptErr := parser.ParseScript(src)
 		stmt, err := parser.Parse(src)
 		if err != nil {
 			return
 		}
-		if scriptErr != nil || len(script) != 1 {
-			t.Fatalf("Parse accepts %q but ParseScript returns %d statements, %v", src, len(script), scriptErr)
-		}
 		printed := stmt.String()
-		if script[0].String() != printed {
-			t.Fatalf("Parse and ParseScript disagree on %q:\n  %s\n  %s", src, printed, script[0].String())
-		}
 		again, err := parser.Parse(printed)
 		if err != nil {
 			t.Fatalf("%q prints as %q, which does not parse: %v", src, printed, err)

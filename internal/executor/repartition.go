@@ -217,11 +217,5 @@ func (j *Job) Stop() []yarn.ContainerStatus {
 	return statuses
 }
 
-// Wait blocks until the main job's containers exit.
-func (j *Job) Wait() []yarn.ContainerStatus { return j.Main.Wait() }
-
 // MetricsSnapshot reports the main job's merged metrics.
 func (j *Job) MetricsSnapshot() metrics.Snapshot { return j.Main.MetricsSnapshot() }
-
-// TaskHealth reports the main job's per-task liveness.
-func (j *Job) TaskHealth() map[string]string { return j.Main.TaskHealth() }

@@ -270,7 +270,7 @@ func repartitionKey(v any) []byte { return appendRepartitionKey(nil, v) }
 func TestRepartitionBatchKeysMatchReadField(t *testing.T) {
 	codec := avro.MustCodec(avro.Record("Mixed",
 		avro.F("l", avro.Long()), avro.F("s", avro.String()), avro.F("d", avro.Double()),
-		avro.F("b", avro.Boolean()), avro.F("i", avro.Int()), avro.F("nl", avro.Long().AsNullable())))
+		avro.F("b", avro.Boolean()), avro.F("i", &avro.Schema{Kind: avro.KindInt}), avro.F("nl", avro.Long().AsNullable())))
 	var envs []samza.IncomingMessageEnvelope
 	for i := 0; i < 20; i++ {
 		var nl any

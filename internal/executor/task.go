@@ -43,7 +43,7 @@ func (t *Task) Init(ctx *samza.TaskContext) error {
 	if !ok {
 		return fmt.Errorf("executor: task config missing samzasql.zk.query.path")
 	}
-	queryText, _, err := t.zk.Get(path)
+	queryText, err := t.zk.Get(path)
 	if err != nil {
 		return fmt.Errorf("executor: loading query from zookeeper: %w", err)
 	}

@@ -3,7 +3,6 @@ package executor
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -255,21 +254,6 @@ func TestUDAFUnencodableSnapshotFails(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "cannot encode int") {
 			t.Fatalf("%s: error %v, want one naming the Go int", q, err)
 		}
-	}
-}
-
-func TestUDFNamesListing(t *testing.T) {
-	registerTestUDFs(t)
-	names := udf.Names()
-	found := map[string]bool{}
-	for _, n := range names {
-		found[n] = true
-	}
-	if !found["DOUBLE_IT"] || !found["GEOMEAN"] {
-		t.Fatalf("Names() = %v", names)
-	}
-	if !sort.StringsAreSorted(names) {
-		t.Fatalf("Names() not sorted: %v", names)
 	}
 }
 

@@ -112,31 +112,12 @@ func (c *Consumer) Seek(tp TopicPartition, offset int64) {
 	}
 }
 
-// SeekToBeginning rewinds tp to the oldest retained offset (replay).
-func (c *Consumer) SeekToBeginning(tp TopicPartition) error {
-	start, err := c.broker.StartOffset(tp)
-	if err != nil {
-		return err
-	}
-	c.Seek(tp, start)
-	return nil
-}
-
 // Position returns the next offset the consumer will fetch from tp.
 func (c *Consumer) Position(tp TopicPartition) (int64, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	off, ok := c.positions[tp]
 	return off, ok
-}
-
-// Assignment returns the assigned partitions in deterministic order.
-func (c *Consumer) Assignment() []TopicPartition {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]TopicPartition, len(c.rr))
-	copy(out, c.rr)
-	return out
 }
 
 // Poll fetches up to max records, all from one partition in offset order,

@@ -8,15 +8,17 @@ import (
 func TestProducerSendPartitionsByKey(t *testing.T) {
 	b := NewBroker()
 	mustCreate(t, b, "t", TopicConfig{Partitions: 8})
-	p := NewProducer(b, "t")
-	off, err := p.Send([]byte("key-a"), []byte("v1"), 100)
+	send := func(value string, ts int64) (int64, error) {
+		return b.Produce("t", Message{Partition: -1, Key: []byte("key-a"), Value: []byte(value), Timestamp: ts})
+	}
+	off, err := send("v1", 100)
 	if err != nil || off != 0 {
-		t.Fatalf("Send: %d %v", off, err)
+		t.Fatalf("Produce: %d %v", off, err)
 	}
 	// Same key lands in the same partition with increasing offsets.
-	off2, err := p.Send([]byte("key-a"), []byte("v2"), 200)
+	off2, err := send("v2", 200)
 	if err != nil || off2 != 1 {
-		t.Fatalf("second Send: %d %v", off2, err)
+		t.Fatalf("second Produce: %d %v", off2, err)
 	}
 	want := PartitionForKey([]byte("key-a"), 8)
 	tp := TopicPartition{Topic: "t", Partition: want}
@@ -32,23 +34,21 @@ func TestProducerSendPartitionsByKey(t *testing.T) {
 func TestProducerSendTo(t *testing.T) {
 	b := NewBroker()
 	mustCreate(t, b, "t", TopicConfig{Partitions: 4})
-	p := NewProducer(b, "t")
-	if _, err := p.SendTo(3, []byte("k"), []byte("v"), 1); err != nil {
+	if _, err := b.Produce("t", Message{Partition: 3, Key: []byte("k"), Value: []byte("v"), Timestamp: 1}); err != nil {
 		t.Fatal(err)
 	}
 	hwm, _ := b.HighWatermark(TopicPartition{Topic: "t", Partition: 3})
 	if hwm != 1 {
 		t.Fatalf("explicit partition ignored: hwm %d", hwm)
 	}
-	if _, err := p.SendTo(9, nil, nil, 0); !errors.Is(err, ErrUnknownPartition) {
+	if _, err := b.Produce("t", Message{Partition: 9}); !errors.Is(err, ErrUnknownPartition) {
 		t.Fatalf("out-of-range partition: %v", err)
 	}
 }
 
 func TestProducerUnknownTopic(t *testing.T) {
 	b := NewBroker()
-	p := NewProducer(b, "missing")
-	if _, err := p.Send(nil, []byte("v"), 0); !errors.Is(err, ErrUnknownTopic) {
-		t.Fatalf("send to missing topic: %v", err)
+	if _, err := b.Produce("missing", Message{Partition: -1, Value: []byte("v")}); !errors.Is(err, ErrUnknownTopic) {
+		t.Fatalf("produce to missing topic: %v", err)
 	}
 }

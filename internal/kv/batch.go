@@ -87,14 +87,13 @@ func WriteMany(s Store, ops []WriteOp) {
 }
 
 // GetMany serves the whole batch under one lock acquisition: each key costs
-// one probe of the point index, and the mutex and the read-counter update are
-// paid once per block rather than once per key.
+// one probe of the point index, and the mutex is paid once per block rather
+// than once per key.
 //
 //samzasql:hotpath
 func (s *store) GetMany(keys [][]byte, vals [][]byte, oks []bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.reads += int64(len(keys))
 	for i, k := range keys {
 		vals[i], oks[i] = s.get(k)
 	}
@@ -107,7 +106,6 @@ func (s *store) GetMany(keys [][]byte, vals [][]byte, oks []bool) {
 func (s *store) WriteMany(ops []WriteOp) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.writes += int64(len(ops))
 	added := false
 	for i := range ops {
 		switch op := &ops[i]; op.Kind {

@@ -102,5 +102,3 @@ func (s *instrumentedStore) Range(start, end []byte, limit int) []Entry {
 }
 
 func (s *instrumentedStore) Len() int { return s.raw.Len() }
-
-func (s *instrumentedStore) Stats() (reads, writes int64) { return s.raw.Stats() }

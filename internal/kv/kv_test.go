@@ -78,18 +78,6 @@ func TestStoreRangeOrdered(t *testing.T) {
 	}
 }
 
-func TestStoreStats(t *testing.T) {
-	s := NewStore()
-	s.Put([]byte("a"), []byte("1"))
-	s.Get([]byte("a"))
-	s.Range(nil, nil, 0)
-	s.Delete([]byte("a"))
-	reads, writes := s.Stats()
-	if reads != 2 || writes != 2 {
-		t.Fatalf("stats = %d reads %d writes", reads, writes)
-	}
-}
-
 func TestPropertyStoreMatchesMap(t *testing.T) {
 	type op struct {
 		Put bool
@@ -263,7 +251,6 @@ func (nopStore) Put(_, _ []byte)                  {}
 func (nopStore) Delete([]byte) bool               { return false }
 func (nopStore) Range(_, _ []byte, _ int) []Entry { return nil }
 func (nopStore) Len() int                         { return 0 }
-func (nopStore) Stats() (int64, int64)            { return 0, 0 }
 
 // TestChangelogBufferAllocs pins the arena design: mirroring a write costs
 // amortized under one allocation on the changelog side, versus the two

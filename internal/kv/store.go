@@ -35,8 +35,6 @@ type Store interface {
 	Range(start, end []byte, limit int) []Entry
 	// Len returns the number of live keys.
 	Len() int
-	// Stats returns cumulative (reads, writes).
-	Stats() (reads, writes int64)
 }
 
 // store is the mutex-guarded in-memory engine implementing Store: entry
@@ -51,10 +49,6 @@ type store struct {
 	idx pointIndex
 	// ordered is nil until the first Range.
 	ordered *orderedView
-	// writes and reads count store operations, exposed for the paper's
-	// observation that sliding-window throughput is KV-access bound (§5.1).
-	writes int64
-	reads  int64
 }
 
 // NewStore returns an empty in-memory store.
@@ -193,14 +187,12 @@ func (s *store) evacuate() {
 func (s *store) Get(key []byte) ([]byte, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.reads++
 	return s.get(key)
 }
 
 func (s *store) Put(key, value []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.writes++
 	s.put(key, value)
 	s.evacuate()
 }
@@ -208,7 +200,6 @@ func (s *store) Put(key, value []byte) {
 func (s *store) Delete(key []byte) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.writes++
 	return s.remove(key)
 }
 
@@ -216,7 +207,6 @@ func (s *store) Delete(key []byte) bool {
 func (s *store) Range(start, end []byte, limit int) []Entry {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.reads++
 	if s.ordered == nil {
 		s.ordered = s.buildOrdered()
 	}
@@ -227,10 +217,4 @@ func (s *store) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.idx.n
-}
-
-func (s *store) Stats() (int64, int64) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.reads, s.writes
 }

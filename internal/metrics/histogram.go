@@ -96,9 +96,6 @@ func (h *Histogram) ObserveN(v, n int64) {
 	}
 }
 
-// Count returns the number of recorded observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
-
 // BucketCount is one non-empty bucket of a histogram snapshot: the flat
 // bucket index (see bucketIndex) and its observation count. Snapshots carry
 // buckets sparsely — a latency histogram typically fills a few dozen of the
@@ -125,14 +122,6 @@ type HistogramSnapshot struct {
 	P95     int64         `json:"p95"`
 	P99     int64         `json:"p99"`
 	Buckets []BucketCount `json:"buckets,omitempty"`
-}
-
-// Mean returns the average observation, or 0 when empty.
-func (s HistogramSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return float64(s.Sum) / float64(s.Count)
 }
 
 // Snapshot summarizes the current distribution. Concurrent Observe calls may
@@ -202,14 +191,6 @@ func quantileRank(total int64, q float64) int64 {
 		rank = total
 	}
 	return rank
-}
-
-// Quantile returns the value at quantile q of the distribution recorded so
-// far, with the same pinned semantics as HistogramSnapshot.Quantile: 0 for
-// an empty histogram, the single bucket's value for a single-bucket
-// distribution (at every q), never above the observed maximum.
-func (h *Histogram) Quantile(q float64) int64 {
-	return h.Snapshot().Quantile(q)
 }
 
 // Quantile returns the value at quantile q, with pinned edge-case behavior:
@@ -376,9 +357,3 @@ func (t Timer) Start() time.Time { return time.Now() }
 
 // Stop records the monotonic elapsed time since start.
 func (t Timer) Stop(start time.Time) { t.h.Observe(time.Since(start).Nanoseconds()) }
-
-// Observe records an already-measured duration.
-func (t Timer) Observe(d time.Duration) { t.h.Observe(d.Nanoseconds()) }
-
-// Histogram exposes the backing histogram.
-func (t Timer) Histogram() *Histogram { return t.h }

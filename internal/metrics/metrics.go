@@ -1,7 +1,6 @@
 // Package metrics provides the counters, gauges, histograms and timers
 // Samza containers expose, the typed registry snapshots the metrics
-// reporter publishes, and the sampling helpers the benchmark harness uses
-// to compute the throughput figures in §5.
+// reporter publishes, and the throughput formatting of the figures in §5.
 package metrics
 
 import (
@@ -10,7 +9,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Counter is a monotonically increasing value.
@@ -175,29 +173,6 @@ func (r *Registry) Snapshot() Snapshot {
 	return out
 }
 
-// Names returns the sorted names of all registered metrics (all kinds;
-// a name registered as several kinds appears once).
-func (r *Registry) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	seen := make(map[string]bool, len(r.counters)+len(r.gauges)+len(r.histograms))
-	for n := range r.counters {
-		seen[n] = true
-	}
-	for n := range r.gauges {
-		seen[n] = true
-	}
-	for n := range r.histograms {
-		seen[n] = true
-	}
-	out := make([]string, 0, len(seen))
-	for n := range seen {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // WriteText renders a snapshot in the introspection server's stable text
 // format: one line per metric, sorted within each kind.
 //
@@ -230,48 +205,6 @@ func sortedKeys(m map[string]int64) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// Rate measures events per second between two counter observations. Elapsed
-// time is taken from the monotonic clock only (a wall-clock jump between
-// samples cannot distort or negate a rate), and a counter that moves
-// backwards — e.g. the underlying counter was swapped or reset between
-// samples — resets the window instead of reporting a negative rate.
-type Rate struct {
-	counter   *Counter
-	lastValue int64
-	// start anchors the monotonic clock; lastElapsed is the window start
-	// expressed as monotonic time since start.
-	start       time.Time
-	lastElapsed time.Duration
-}
-
-// NewRate starts tracking c from now.
-func NewRate(c *Counter) *Rate {
-	return &Rate{counter: c, lastValue: c.Value(), start: time.Now()}
-}
-
-// Sample returns events/second since the previous sample and resets the
-// window. It returns 0 (without consuming the window) when no monotonic
-// time has elapsed, and 0 (resetting the baseline) when the counter has
-// gone backwards.
-func (r *Rate) Sample() float64 {
-	elapsed := time.Since(r.start) // monotonic: immune to wall-clock jumps
-	dt := (elapsed - r.lastElapsed).Seconds()
-	if dt <= 0 {
-		return 0
-	}
-	v := r.counter.Value()
-	if v < r.lastValue {
-		// Counter swapped or reset between samples: re-baseline.
-		r.lastValue = v
-		r.lastElapsed = elapsed
-		return 0
-	}
-	rate := float64(v-r.lastValue) / dt
-	r.lastValue = v
-	r.lastElapsed = elapsed
-	return rate
 }
 
 // FormatThroughput renders msgs/sec in the unit style used by the paper's

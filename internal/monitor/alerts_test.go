@@ -53,12 +53,12 @@ func TestMonitorCountsEachCorruptRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, 5*time.Second, func() bool {
-		return mon.Metrics().Counter("monitor.snapshots-ingested").Value() == 2
+		return mon.reg.Counter("monitor.snapshots-ingested").Value() == 2
 	}, "both good snapshots ingested")
-	if got := mon.Metrics().Counter("monitor.decode-errors").Value(); got != 1 {
+	if got := mon.reg.Counter("monitor.decode-errors").Value(); got != 1 {
 		t.Fatalf("monitor.decode-errors = %d, want 1", got)
 	}
-	if !mon.Store().Closed("j", 0) {
+	if !closed(mon.Store(), "j", 0) {
 		t.Fatal("the final snapshot after the corrupt record never reached the store")
 	}
 }

@@ -168,9 +168,6 @@ func (m *Monitor) poll(ctx context.Context) {
 // Store exposes the time-series store for queries.
 func (m *Monitor) Store() *Store { return m.store }
 
-// Metrics exposes the monitor's self-metrics registry.
-func (m *Monitor) Metrics() *metrics.Registry { return m.reg }
-
 // ActiveAlerts returns the currently-firing alerts.
 func (m *Monitor) ActiveAlerts() []ActiveAlert { return m.am.Active() }
 

@@ -391,8 +391,8 @@ func TestTailersResumeAcrossContainerRestart(t *testing.T) {
 			failed++
 		}
 	}
-	if failed != 1 || len(rj.ContainerMetrics()) != 2 {
-		t.Fatalf("%d injected failures over %d container attempts, want one failure and a restarted second attempt", failed, len(rj.ContainerMetrics()))
+	if failed != 1 || len(statuses) != 2 {
+		t.Fatalf("%d injected failures over %d container attempts, want one failure and a restarted second attempt", failed, len(statuses))
 	}
 
 	// Closed flips on a Final snapshot (attempt 1's crash flush also sets
@@ -415,7 +415,7 @@ func TestTailersResumeAcrossContainerRestart(t *testing.T) {
 		return false
 	}
 	waitFor(t, 5*time.Second, sawReset, "counter reset from the restarted attempt's snapshots")
-	if !mon.Store().Closed("crashy", 0) {
+	if !closed(mon.Store(), "crashy", 0) {
 		t.Fatal("no final snapshot ingested")
 	}
 
@@ -520,6 +520,14 @@ func TestStoreRingAtExactCapacity(t *testing.T) {
 	}
 }
 
+// closed reports whether the (job, container) pair published its final
+// snapshot.
+func closed(st *Store, job string, container int) bool {
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	return st.closed[SeriesKey{Job: job, Container: container}]
+}
+
 // TestStoreClosedContainerPruning pins the gauge-surface pruning boundary:
 // a container's final snapshot removes its gauges from sums and series
 // listings, while other containers' series survive.
@@ -537,10 +545,10 @@ func TestStoreClosedContainerPruning(t *testing.T) {
 	}
 	// Container 0 closes out: its gauge must vanish from sums and series.
 	ingest(0, 40, true)
-	if !st.Closed("j", 0) {
+	if !closed(st, "j", 0) {
 		t.Fatal("container 0 not marked closed after final snapshot")
 	}
-	if st.Closed("j", 1) {
+	if closed(st, "j", 1) {
 		t.Fatal("container 1 wrongly marked closed")
 	}
 	if got := st.GaugeSum("j", "lag."); got != 60 {

@@ -7,7 +7,6 @@ import (
 	"strconv"
 	"time"
 
-	"samzasql/internal/metrics"
 	"samzasql/internal/samza"
 )
 
@@ -158,10 +157,4 @@ func (m *Monitor) AlertsHandler() http.Handler {
 		w.Header().Set("Content-Type", "application/json")
 		_ = json.NewEncoder(w).Encode(resp)
 	})
-}
-
-// WindowHistogramFor is a convenience for callers needing the merged
-// windowed distribution (the shell's operator table).
-func (m *Monitor) WindowHistogramFor(job, metric string, window time.Duration, now time.Time) metrics.HistogramSnapshot {
-	return m.store.WindowHistogram(job, -1, metric, Window(now, window))
 }

@@ -87,18 +87,6 @@ func ThroughputDropRule(counter string, dropFraction float64, window time.Durati
 	}
 }
 
-// P99Rule builds a tail-latency rule on a histogram metric.
-func P99Rule(metric string, thresholdNs int64, window time.Duration, sustain int) Rule {
-	return Rule{
-		Name:      fmt.Sprintf("p99-%s", metric),
-		Kind:      RuleP99,
-		Metric:    metric,
-		Threshold: thresholdNs,
-		Window:    window,
-		Sustain:   sustain,
-	}
-}
-
 // TaskFlapRule builds a task-liveness flap rule: maxFlaps state changes
 // within window fire it.
 func TaskFlapRule(maxFlaps int64, window time.Duration) Rule {

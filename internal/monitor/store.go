@@ -53,13 +53,6 @@ type series struct {
 	n     int         // number of valid samples
 }
 
-func (s *series) capacity() int {
-	if s.kind == KindHistogram {
-		return cap(s.hists)
-	}
-	return cap(s.pts)
-}
-
 // addPoint writes one scalar sample, overwriting the oldest when full.
 func (s *series) addPoint(t, v int64) {
 	if s.n < cap(s.pts) {
@@ -165,14 +158,6 @@ func (st *Store) IngestSnapshot(job string, container int, tMillis int64, snap m
 	}
 }
 
-// Closed reports whether the (job, container) pair published its final
-// snapshot.
-func (st *Store) Closed(job string, container int) bool {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	return st.closed[SeriesKey{Job: job, Container: container}]
-}
-
 // SeriesInfo describes one retained series: its key, kind, and how many
 // samples the ring currently holds.
 type SeriesInfo struct {
@@ -266,25 +251,6 @@ func (st *Store) Latest(k SeriesKey) (Point, bool) {
 		return Point{}, false
 	}
 	return s.pts[(s.start+s.n-1)%cap(s.pts)], true
-}
-
-// windowEdges returns the newest sample and the newest sample older than
-// fromMillis (the window baseline), or the oldest retained sample when
-// nothing predates the window.
-func (s *series) windowEdges(fromMillis int64) (first, last Point, ok bool) {
-	if s.n == 0 {
-		return Point{}, Point{}, false
-	}
-	last = s.pts[(s.start+s.n-1)%cap(s.pts)]
-	first = s.pts[s.start]
-	for i := s.n - 1; i >= 0; i-- {
-		p := s.pts[(s.start+i)%cap(s.pts)]
-		if p.TimeMillis < fromMillis {
-			first = p
-			break
-		}
-	}
-	return first, last, true
 }
 
 // CounterRate returns events/second over the window [fromMillis, now] for

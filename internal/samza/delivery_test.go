@@ -133,9 +133,6 @@ func TestBootstrapDeliversTombstones(t *testing.T) {
 		produce(fmt.Sprint("k", i%4), []byte(fmt.Sprint("v", i)))
 	}
 	produce("k1", nil)
-	if err := b.Compact("rel"); err != nil {
-		t.Fatal(err)
-	}
 	produce("k2", nil)
 	produce("k9", []byte("sampled"))
 	produce("k3", nil)

@@ -184,14 +184,3 @@ func (j *RunningJob) UpdateLags() int64 {
 	}
 	return total
 }
-
-// ContainerMetrics returns each live container attempt's registry.
-func (j *RunningJob) ContainerMetrics() []*metrics.Registry {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	out := make([]*metrics.Registry, 0, len(j.containers))
-	for _, c := range j.containers {
-		out = append(out, c.Metrics)
-	}
-	return out
-}

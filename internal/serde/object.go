@@ -1,3 +1,8 @@
+// Package serde holds the generic codecs SamzaSQL keeps its local state in
+// (§2): ObjectSerde, the schema-free object serde that stands in for the
+// paper's Kryo serializer, with the wire primitives it is built on, and
+// RowCodec, the typed row codec of the join and window stores. Message
+// payloads use the schema-driven codec in internal/avro.
 package serde
 
 import (
@@ -22,9 +27,6 @@ import (
 // the shape of its row (an accumulator's state) writes and reads the same
 // bytes with them directly, unboxed.
 type ObjectSerde struct{}
-
-// Name implements Serde.
-func (ObjectSerde) Name() string { return "object" }
 
 // Class is the class of one value, written as its name in front of the
 // payload.
@@ -64,7 +66,7 @@ func (c Class) String() string {
 // ErrCorruptObject reports undecodable object payloads.
 var ErrCorruptObject = errors.New("serde: corrupt object payload")
 
-// Encode implements Serde. Values must be []any rows (or single values,
+// Encode encodes one value. Values must be []any rows (or single values,
 // wrapped as one-element rows) of nil/int64/float64/string/bool/[]byte
 // or nested []any.
 func (o ObjectSerde) Encode(v any) ([]byte, error) {
@@ -115,7 +117,7 @@ func (o ObjectSerde) appendValue(dst []byte, el any) ([]byte, error) {
 	}
 }
 
-// Decode implements Serde, returning a []any row.
+// Decode decodes one encoded row, returning it as a []any.
 func (o ObjectSerde) Decode(data []byte) (any, error) {
 	row, n, err := o.decodeRow(data)
 	if err != nil {
@@ -463,8 +465,4 @@ func valueLen(data []byte) (int, error) {
 		n, err = rowLen(data[pos:])
 	}
 	return pos + n, err
-}
-
-func init() {
-	Register(ObjectSerde{})
 }

@@ -47,9 +47,6 @@ func NewRowCodec(kinds []vec.Kind) *RowCodec {
 	return &RowCodec{kinds: append([]vec.Kind(nil), kinds...), hdr: (n + 8) / 8, esc: (n + 7) / 8}
 }
 
-// Arity is the number of columns of the codec's rows.
-func (c *RowCodec) Arity() int { return len(c.kinds) }
-
 // AppendEncode appends the encoding of row, which must have the codec's
 // arity, to dst.
 //

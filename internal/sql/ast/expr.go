@@ -56,11 +56,6 @@ func NewIntLit(v int64) *NumberLit {
 	return &NumberLit{Text: strconv.FormatInt(v, 10), IsInt: true, Int: v, Float: float64(v)}
 }
 
-// NewFloatLit builds a floating-point literal.
-func NewFloatLit(v float64) *NumberLit {
-	return &NumberLit{Text: strconv.FormatFloat(v, 'g', -1, 64), Float: v}
-}
-
 // StringLit is a quoted string literal.
 type StringLit struct {
 	V string
@@ -207,9 +202,6 @@ func (o BinaryOp) Comparison() bool { return o >= OpEq && o <= OpGte }
 
 // Logical reports whether the operator is AND or OR.
 func (o BinaryOp) Logical() bool { return o == OpAnd || o == OpOr }
-
-// Arithmetic reports whether the operator is numeric arithmetic.
-func (o BinaryOp) Arithmetic() bool { return o <= OpMod }
 
 // Binary is L op R.
 type Binary struct {

@@ -13,7 +13,6 @@ import (
 	"sync"
 
 	"samzasql/internal/avro"
-	"samzasql/internal/registry"
 	"samzasql/internal/sql/ast"
 	"samzasql/internal/sql/types"
 )
@@ -246,57 +245,4 @@ func AvroSchemaFor(o *Object) (*avro.Schema, error) {
 		fields = append(fields, avro.F(col.Name, fs))
 	}
 	return avro.Record(o.Name, fields...), nil
-}
-
-// RowTypeFromAvro converts a registered Avro record schema into a SQL row
-// type, the inverse bridge used when schemas come from the registry.
-func RowTypeFromAvro(s *avro.Schema) (*types.RowType, error) {
-	if s.Kind != avro.KindRecord {
-		return nil, errors.New("catalog: avro schema is not a record")
-	}
-	cols := make([]types.Column, 0, len(s.Fields))
-	for _, f := range s.Fields {
-		var t types.Type
-		switch f.Schema.Kind {
-		case avro.KindLong, avro.KindInt:
-			t = types.Bigint
-		case avro.KindDouble, avro.KindFloat:
-			t = types.Double
-		case avro.KindString:
-			t = types.Varchar
-		case avro.KindBoolean:
-			t = types.Boolean
-		case avro.KindBytes:
-			t = types.AnyType
-		default:
-			return nil, fmt.Errorf("catalog: field %q has unmappable avro kind %s", f.Name, f.Schema.Kind)
-		}
-		cols = append(cols, types.Column{Name: f.Name, Type: t})
-	}
-	return types.NewRowType(cols...), nil
-}
-
-// DefineFromRegistry registers an object whose schema lives in the schema
-// registry under subject (the topic name by convention). Timestamp columns
-// named "rowtime" are detected automatically.
-func (c *Catalog) DefineFromRegistry(reg *registry.Registry, kind ObjectKind, name, topic string) error {
-	latest, err := reg.Latest(topic)
-	if err != nil {
-		return err
-	}
-	row, err := RowTypeFromAvro(latest.Schema)
-	if err != nil {
-		return err
-	}
-	tsCol := ""
-	if row.Index("rowtime") >= 0 {
-		tsCol = "rowtime"
-	}
-	return c.Define(&Object{
-		Kind:         kind,
-		Name:         name,
-		Row:          row,
-		Topic:        topic,
-		TimestampCol: tsCol,
-	})
 }

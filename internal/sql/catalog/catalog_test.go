@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"samzasql/internal/avro"
-	"samzasql/internal/registry"
 	"samzasql/internal/sql/types"
 )
 
@@ -135,41 +134,8 @@ func TestAvroSchemaBridge(t *testing.T) {
 	if s.Fields[0].Schema.Kind != avro.KindLong || s.Fields[1].Schema.Kind != avro.KindLong {
 		t.Fatalf("field kinds %v %v", s.Fields[0].Schema.Kind, s.Fields[1].Schema.Kind)
 	}
-	row, err := RowTypeFromAvro(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Timestamps flatten to BIGINT on the wire; names survive.
-	if row.Columns[0].Name != "rowtime" || row.Columns[0].Type != types.Bigint {
-		t.Fatalf("round-tripped row %v", row)
-	}
-}
-
-func TestDefineFromRegistry(t *testing.T) {
-	reg := registry.New()
-	schema := avro.Record("orders",
-		avro.F("rowtime", avro.Long()),
-		avro.F("units", avro.Long()),
-		avro.F("note", avro.String()),
-	)
-	if _, err := reg.Register("orders", schema); err != nil {
-		t.Fatal(err)
-	}
-	c := New()
-	if err := c.DefineFromRegistry(reg, Stream, "Orders", "orders"); err != nil {
-		t.Fatal(err)
-	}
-	o, err := c.Resolve("Orders")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if o.TimestampCol != "rowtime" {
-		t.Fatalf("rowtime not auto-detected: %+v", o)
-	}
-	if o.Row.Arity() != 3 || o.Row.Columns[2].Type != types.Varchar {
-		t.Fatalf("row %v", o.Row)
-	}
-	if err := c.DefineFromRegistry(reg, Stream, "X", "missing"); err == nil {
-		t.Fatal("unknown subject accepted")
+	// Timestamps flatten to longs on the wire; names survive.
+	if s.Fields[0].Name != "rowtime" {
+		t.Fatalf("field names %q %q", s.Fields[0].Name, s.Fields[1].Name)
 	}
 }

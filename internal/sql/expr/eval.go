@@ -112,16 +112,6 @@ func Compile(e Expr) (Evaluator, error) {
 	}
 }
 
-// MustCompile panics on compile errors; for expressions built by the
-// planner, failure is a bug.
-func MustCompile(e Expr) Evaluator {
-	ev, err := Compile(e)
-	if err != nil {
-		panic(err)
-	}
-	return ev
-}
-
 func compileBinary(n *Binary) (Evaluator, error) {
 	l, err := Compile(n.L)
 	if err != nil {

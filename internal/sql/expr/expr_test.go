@@ -325,3 +325,13 @@ func TestPropertyAddSubInverse(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// MustCompile panics on compile errors, for expressions a test builds by
+// hand.
+func MustCompile(e Expr) Evaluator {
+	ev, err := Compile(e)
+	if err != nil {
+		panic(err)
+	}
+	return ev
+}

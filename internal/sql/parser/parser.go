@@ -55,30 +55,6 @@ func Parse(src string) (ast.Statement, error) {
 	return stmt, nil
 }
 
-// ParseScript parses a semicolon-separated sequence of statements.
-func ParseScript(src string) ([]ast.Statement, error) {
-	p, err := New(src)
-	if err != nil {
-		return nil, err
-	}
-	var out []ast.Statement
-	for {
-		for p.accept(token.SEMICOLON) {
-		}
-		if p.at(token.EOF) {
-			return out, nil
-		}
-		stmt, err := p.ParseStatement()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, stmt)
-		if !p.at(token.SEMICOLON) && !p.at(token.EOF) {
-			return nil, p.errorf("unexpected %s after statement", p.peek())
-		}
-	}
-}
-
 func (p *Parser) peek() token.Token { return p.toks[p.pos] }
 
 func (p *Parser) peekAt(n int) token.Token {

@@ -340,22 +340,6 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
-func TestParseScript(t *testing.T) {
-	stmts, err := ParseScript(`
-		CREATE VIEW V AS SELECT * FROM T;
-		SELECT STREAM * FROM V;
-	`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(stmts) != 2 {
-		t.Fatalf("%d statements", len(stmts))
-	}
-	if _, ok := stmts[0].(*ast.CreateViewStmt); !ok {
-		t.Fatalf("stmt0 %T", stmts[0])
-	}
-}
-
 func TestQuotedIdentifiers(t *testing.T) {
 	sel := parseSelect(t, `SELECT "weird name" FROM "My Table"`)
 	id := sel.Items[0].Expr.(*ast.Ident)

@@ -156,9 +156,6 @@ func KeywordKind(upper string) Kind {
 	return IDENT
 }
 
-// IsKeyword reports whether k is a keyword kind.
-func (k Kind) IsKeyword() bool { return k > kwStart && k < kwEnd }
-
 // Position is a 1-based line and column in the query text.
 type Position struct {
 	Line int

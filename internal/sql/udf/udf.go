@@ -9,7 +9,6 @@ package udf
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"samzasql/internal/sql/types"
@@ -107,27 +106,4 @@ func LookupAggregate(name string) (*Aggregate, bool) {
 	defer mu.RUnlock()
 	a, ok := aggregates[name]
 	return a, ok
-}
-
-// Names lists all registered UDF names, sorted (scalars then aggregates).
-func Names() []string {
-	mu.RLock()
-	defer mu.RUnlock()
-	var out []string
-	for n := range scalars {
-		out = append(out, n)
-	}
-	for n := range aggregates {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Reset removes all registrations (tests only).
-func Reset() {
-	mu.Lock()
-	defer mu.Unlock()
-	scalars = map[string]*Scalar{}
-	aggregates = map[string]*Aggregate{}
 }

@@ -60,9 +60,8 @@ func TestRegisterAndLookup(t *testing.T) {
 	if _, ok := LookupScalar("A1"); ok {
 		t.Fatal("aggregate resolved as scalar")
 	}
-	names := Names()
-	if len(names) != 2 || names[0] != "A1" || names[1] != "F1" {
-		t.Fatalf("Names() = %v", names)
+	if _, ok := LookupAggregate("F1"); ok {
+		t.Fatal("scalar resolved as aggregate")
 	}
 }
 
@@ -132,4 +131,12 @@ func TestAggregateStateContract(t *testing.T) {
 	if s2.Value().(int64) != 5 {
 		t.Fatalf("restored value %v", s2.Value())
 	}
+}
+
+// Reset removes all registrations.
+func Reset() {
+	mu.Lock()
+	defer mu.Unlock()
+	scalars = map[string]*Scalar{}
+	aggregates = map[string]*Aggregate{}
 }

@@ -2,7 +2,6 @@ package validate
 
 import (
 	"fmt"
-	"strings"
 
 	"samzasql/internal/sql/ast"
 	"samzasql/internal/sql/catalog"
@@ -1248,12 +1247,4 @@ func (v *Validator) bindAnalytic(fc *ast.FuncCall, b *BoundSelect, ib *binder) (
 	}
 	b.Analytics = append(b.Analytics, an)
 	return an, nil
-}
-
-// FormatWarnings renders warnings for display.
-func FormatWarnings(ws []string) string {
-	if len(ws) == 0 {
-		return ""
-	}
-	return "WARNING: " + strings.Join(ws, "\nWARNING: ")
 }

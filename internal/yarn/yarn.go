@@ -99,20 +99,6 @@ func (c *Cluster) AddNode(id string, capacity Resource) {
 	}
 }
 
-// Nodes returns the IDs of live nodes, sorted.
-func (c *Cluster) Nodes() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var out []string
-	for id, n := range c.nodes {
-		if n.alive {
-			out = append(out, id)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 // allocate picks the live node with the most free vcores that fits r.
 func (c *Cluster) allocate(r Resource) (*node, error) {
 	c.mu.Lock()

@@ -172,8 +172,11 @@ func TestNodeFailureMigratesContainer(t *testing.T) {
 	if !killed || !clean {
 		t.Fatalf("expected one killed and one clean attempt: %+v", statuses)
 	}
-	if nodes := c.Nodes(); len(nodes) != 1 || nodes[0] != "n2" {
-		t.Fatalf("live nodes %v", nodes)
+	c.mu.Lock()
+	n1, n2 := c.nodes["n1"].alive, c.nodes["n2"].alive
+	c.mu.Unlock()
+	if n1 || !n2 {
+		t.Fatalf("live nodes: n1 %v, n2 %v; want only n2", n1, n2)
 	}
 }
 

@@ -1,76 +1,37 @@
-// Package zk implements a small hierarchical metadata store modeled on
-// Zookeeper: versioned znodes addressed by slash-separated paths, one-shot
-// watches, and ephemeral nodes bound to sessions. SamzaSQL uses it to share
-// planner metadata (query text, schema locations, serde configuration)
-// between the shell-side planner and the task-side planner (§4.2).
+// Package zk implements the small hierarchical metadata store modeled on
+// Zookeeper that SamzaSQL uses to hand the query text from the shell-side
+// planner to the task-side planner (§4.1–4.2): znodes addressed by
+// slash-separated paths, created once and read back.
 package zk
 
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 )
 
 // Errors returned by store operations.
 var (
-	ErrNoNode         = errors.New("zk: node does not exist")
-	ErrNodeExists     = errors.New("zk: node already exists")
-	ErrBadVersion     = errors.New("zk: version mismatch")
-	ErrNotEmpty       = errors.New("zk: node has children")
-	ErrInvalidPath    = errors.New("zk: invalid path")
-	ErrSessionExpired = errors.New("zk: session expired")
+	ErrNoNode      = errors.New("zk: node does not exist")
+	ErrNodeExists  = errors.New("zk: node already exists")
+	ErrInvalidPath = errors.New("zk: invalid path")
 )
 
 type node struct {
 	data     []byte
-	version  int64
 	children map[string]*node
-	// ephemeralOwner is the owning session ID, or 0 for persistent nodes.
-	ephemeralOwner int64
-}
-
-// EventType describes what happened to a watched path.
-type EventType int
-
-const (
-	// EventCreated fires when a watched path comes into existence.
-	EventCreated EventType = iota
-	// EventChanged fires when a watched node's data is set.
-	EventChanged
-	// EventDeleted fires when a watched node is removed.
-	EventDeleted
-	// EventChildren fires when a watched node's child set changes.
-	EventChildren
-)
-
-// Event is delivered (once) on a watch channel.
-type Event struct {
-	Type EventType
-	Path string
 }
 
 // Store is the in-process Zookeeper analog. Safe for concurrent use.
 type Store struct {
 	mu   sync.Mutex
 	root *node
-	// watches are one-shot, keyed by path.
-	dataWatches  map[string][]chan Event
-	childWatches map[string][]chan Event
-
-	nextSession int64
-	sessions    map[int64]map[string]bool // session -> ephemeral paths
 }
 
 // NewStore returns an empty store containing only the root node "/".
 func NewStore() *Store {
-	return &Store{
-		root:         &node{children: map[string]*node{}},
-		dataWatches:  map[string][]chan Event{},
-		childWatches: map[string][]chan Event{},
-		sessions:     map[int64]map[string]bool{},
-	}
+	return &Store{root: &node{children: map[string]*node{}}}
 }
 
 // splitPath validates and splits "/a/b/c" into ["a","b","c"].
@@ -102,35 +63,8 @@ func (s *Store) lookup(parts []string) (*node, bool) {
 	return n, true
 }
 
-// Session opens a session for ephemeral-node ownership.
-func (s *Store) Session() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.nextSession++
-	id := s.nextSession
-	s.sessions[id] = map[string]bool{}
-	return id
-}
-
-// CloseSession expires a session, deleting its ephemeral nodes.
-func (s *Store) CloseSession(id int64) {
-	s.mu.Lock()
-	paths := make([]string, 0, len(s.sessions[id]))
-	for p := range s.sessions[id] {
-		paths = append(paths, p)
-	}
-	delete(s.sessions, id)
-	s.mu.Unlock()
-	// Delete deepest-first so parents empty out.
-	sort.Slice(paths, func(i, j int) bool { return len(paths[i]) > len(paths[j]) })
-	for _, p := range paths {
-		_ = s.Delete(p, -1)
-	}
-}
-
-// Create makes a new node at path with data. Parent must exist. If session
-// is non-zero the node is ephemeral and dies with the session.
-func (s *Store) Create(path string, data []byte, session int64) error {
+// Create makes a new node at path with data. Parent must exist.
+func (s *Store) Create(path string, data []byte) error {
 	parts, err := splitPath(path)
 	if err != nil {
 		return err
@@ -139,39 +73,24 @@ func (s *Store) Create(path string, data []byte, session int64) error {
 		return fmt.Errorf("%w: cannot create root", ErrInvalidPath)
 	}
 	s.mu.Lock()
-	if session != 0 {
-		if _, ok := s.sessions[session]; !ok {
-			s.mu.Unlock()
-			return fmt.Errorf("%w: %d", ErrSessionExpired, session)
-		}
-	}
+	defer s.mu.Unlock()
 	parent, ok := s.lookup(parts[:len(parts)-1])
 	if !ok {
-		s.mu.Unlock()
 		return fmt.Errorf("%w: parent of %q", ErrNoNode, path)
 	}
 	name := parts[len(parts)-1]
 	if _, dup := parent.children[name]; dup {
-		s.mu.Unlock()
 		return fmt.Errorf("%w: %q", ErrNodeExists, path)
 	}
 	parent.children[name] = &node{
-		data:           append([]byte(nil), data...),
-		children:       map[string]*node{},
-		ephemeralOwner: session,
+		data:     append([]byte(nil), data...),
+		children: map[string]*node{},
 	}
-	if session != 0 {
-		s.sessions[session][path] = true
-	}
-	fired := s.collectWatchesLocked(path, EventCreated)
-	fired = append(fired, s.collectChildWatchesLocked(parentPath(path))...)
-	s.mu.Unlock()
-	deliver(fired)
 	return nil
 }
 
-// CreateRecursive creates all missing persistent ancestors, then the node.
-// It is idempotent on intermediate nodes but fails if the leaf exists.
+// CreateRecursive creates all missing ancestors, then the node. It is
+// idempotent on intermediate nodes but fails if the leaf exists.
 func (s *Store) CreateRecursive(path string, data []byte) error {
 	parts, err := splitPath(path)
 	if err != nil {
@@ -180,68 +99,15 @@ func (s *Store) CreateRecursive(path string, data []byte) error {
 	prefix := ""
 	for i := 0; i < len(parts)-1; i++ {
 		prefix += "/" + parts[i]
-		if err := s.Create(prefix, nil, 0); err != nil && !errors.Is(err, ErrNodeExists) {
+		if err := s.Create(prefix, nil); err != nil && !errors.Is(err, ErrNodeExists) {
 			return err
 		}
 	}
-	return s.Create(path, data, 0)
+	return s.Create(path, data)
 }
 
-// Set replaces a node's data. If version >= 0 it must match the node's
-// current version (optimistic concurrency). Returns the new version.
-func (s *Store) Set(path string, data []byte, version int64) (int64, error) {
-	parts, err := splitPath(path)
-	if err != nil {
-		return 0, err
-	}
-	s.mu.Lock()
-	n, ok := s.lookup(parts)
-	if !ok {
-		s.mu.Unlock()
-		return 0, fmt.Errorf("%w: %q", ErrNoNode, path)
-	}
-	if version >= 0 && version != n.version {
-		s.mu.Unlock()
-		return 0, fmt.Errorf("%w: %q have %d want %d", ErrBadVersion, path, n.version, version)
-	}
-	n.data = append([]byte(nil), data...)
-	n.version++
-	newVersion := n.version
-	fired := s.collectWatchesLocked(path, EventChanged)
-	s.mu.Unlock()
-	deliver(fired)
-	return newVersion, nil
-}
-
-// Get returns a copy of the node's data and its version.
-func (s *Store) Get(path string) ([]byte, int64, error) {
-	parts, err := splitPath(path)
-	if err != nil {
-		return nil, 0, err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n, ok := s.lookup(parts)
-	if !ok {
-		return nil, 0, fmt.Errorf("%w: %q", ErrNoNode, path)
-	}
-	return append([]byte(nil), n.data...), n.version, nil
-}
-
-// Exists reports whether a node is present.
-func (s *Store) Exists(path string) bool {
-	parts, err := splitPath(path)
-	if err != nil {
-		return false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.lookup(parts)
-	return ok
-}
-
-// Children returns the sorted child names of a node.
-func (s *Store) Children(path string) ([]string, error) {
+// Get returns a copy of the node's data.
+func (s *Store) Get(path string) ([]byte, error) {
 	parts, err := splitPath(path)
 	if err != nil {
 		return nil, err
@@ -252,113 +118,5 @@ func (s *Store) Children(path string) ([]string, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNoNode, path)
 	}
-	out := make([]string, 0, len(n.children))
-	for name := range n.children {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out, nil
-}
-
-// Delete removes a node. If version >= 0 it must match. Nodes with children
-// cannot be deleted.
-func (s *Store) Delete(path string, version int64) error {
-	parts, err := splitPath(path)
-	if err != nil {
-		return err
-	}
-	if len(parts) == 0 {
-		return fmt.Errorf("%w: cannot delete root", ErrInvalidPath)
-	}
-	s.mu.Lock()
-	parent, ok := s.lookup(parts[:len(parts)-1])
-	if !ok {
-		s.mu.Unlock()
-		return fmt.Errorf("%w: %q", ErrNoNode, path)
-	}
-	name := parts[len(parts)-1]
-	n, ok := parent.children[name]
-	if !ok {
-		s.mu.Unlock()
-		return fmt.Errorf("%w: %q", ErrNoNode, path)
-	}
-	if version >= 0 && version != n.version {
-		s.mu.Unlock()
-		return fmt.Errorf("%w: %q have %d want %d", ErrBadVersion, path, n.version, version)
-	}
-	if len(n.children) > 0 {
-		s.mu.Unlock()
-		return fmt.Errorf("%w: %q", ErrNotEmpty, path)
-	}
-	delete(parent.children, name)
-	if n.ephemeralOwner != 0 {
-		if sess, ok := s.sessions[n.ephemeralOwner]; ok {
-			delete(sess, path)
-		}
-	}
-	fired := s.collectWatchesLocked(path, EventDeleted)
-	fired = append(fired, s.collectChildWatchesLocked(parentPath(path))...)
-	s.mu.Unlock()
-	deliver(fired)
-	return nil
-}
-
-// WatchData registers a one-shot watch on path data changes (or creation or
-// deletion). The returned channel receives exactly one event.
-func (s *Store) WatchData(path string) <-chan Event {
-	ch := make(chan Event, 1)
-	s.mu.Lock()
-	s.dataWatches[path] = append(s.dataWatches[path], ch)
-	s.mu.Unlock()
-	return ch
-}
-
-// WatchChildren registers a one-shot watch on membership changes of path's
-// children.
-func (s *Store) WatchChildren(path string) <-chan Event {
-	ch := make(chan Event, 1)
-	s.mu.Lock()
-	s.childWatches[path] = append(s.childWatches[path], ch)
-	s.mu.Unlock()
-	return ch
-}
-
-type firing struct {
-	ch chan Event
-	ev Event
-}
-
-func (s *Store) collectWatchesLocked(path string, t EventType) []firing {
-	chans := s.dataWatches[path]
-	delete(s.dataWatches, path)
-	out := make([]firing, 0, len(chans))
-	for _, ch := range chans {
-		out = append(out, firing{ch, Event{Type: t, Path: path}})
-	}
-	return out
-}
-
-func (s *Store) collectChildWatchesLocked(path string) []firing {
-	chans := s.childWatches[path]
-	delete(s.childWatches, path)
-	out := make([]firing, 0, len(chans))
-	for _, ch := range chans {
-		out = append(out, firing{ch, Event{Type: EventChildren, Path: path}})
-	}
-	return out
-}
-
-func deliver(fs []firing) {
-	for _, f := range fs {
-		f.ch <- f.ev
-		close(f.ch)
-	}
-}
-
-func parentPath(path string) string {
-	i := strings.LastIndex(path, "/")
-	if i <= 0 {
-		return "/"
-	}
-	return path[:i]
+	return append([]byte(nil), n.data...), nil
 }

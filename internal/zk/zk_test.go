@@ -2,61 +2,47 @@ package zk
 
 import (
 	"errors"
-	"fmt"
 	"testing"
-	"testing/quick"
-	"time"
 )
 
-func TestCreateGetSetDelete(t *testing.T) {
+func TestCreateGet(t *testing.T) {
 	s := NewStore()
-	if err := s.Create("/a", []byte("1"), 0); err != nil {
+	if err := s.Create("/a", []byte("1")); err != nil {
 		t.Fatal(err)
 	}
-	data, ver, err := s.Get("/a")
-	if err != nil || string(data) != "1" || ver != 0 {
-		t.Fatalf("Get: %q v%d %v", data, ver, err)
+	data, err := s.Get("/a")
+	if err != nil || string(data) != "1" {
+		t.Fatalf("Get: %q %v", data, err)
 	}
-	ver, err = s.Set("/a", []byte("2"), 0)
-	if err != nil || ver != 1 {
-		t.Fatalf("Set: v%d %v", ver, err)
+	// Get hands out a copy.
+	data[0] = 'x'
+	if again, _ := s.Get("/a"); string(again) != "1" {
+		t.Fatalf("Get after mutating a returned copy: %q", again)
 	}
-	if _, err := s.Set("/a", []byte("3"), 0); !errors.Is(err, ErrBadVersion) {
-		t.Fatalf("stale Set: %v", err)
-	}
-	if _, err := s.Set("/a", []byte("3"), -1); err != nil {
-		t.Fatalf("unconditional Set: %v", err)
-	}
-	if err := s.Delete("/a", -1); err != nil {
-		t.Fatal(err)
-	}
-	if s.Exists("/a") {
-		t.Fatal("node survived delete")
+	if _, err := s.Get("/missing"); !errors.Is(err, ErrNoNode) {
+		t.Fatalf("Get missing: %v", err)
 	}
 }
 
 func TestCreateErrors(t *testing.T) {
 	s := NewStore()
-	if err := s.Create("/a/b", nil, 0); !errors.Is(err, ErrNoNode) {
+	if err := s.Create("/a/b", nil); !errors.Is(err, ErrNoNode) {
 		t.Fatalf("orphan create: %v", err)
 	}
-	if err := s.Create("bad", nil, 0); !errors.Is(err, ErrInvalidPath) {
+	if err := s.Create("bad", nil); !errors.Is(err, ErrInvalidPath) {
 		t.Fatalf("bad path: %v", err)
 	}
-	if err := s.Create("/a/", nil, 0); !errors.Is(err, ErrInvalidPath) {
+	if err := s.Create("/a/", nil); !errors.Is(err, ErrInvalidPath) {
 		t.Fatalf("trailing slash: %v", err)
 	}
-	if err := s.Create("/a", nil, 0); err != nil {
+	if err := s.Create("/", nil); !errors.Is(err, ErrInvalidPath) {
+		t.Fatalf("create root: %v", err)
+	}
+	if err := s.Create("/a", nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Create("/a", nil, 0); !errors.Is(err, ErrNodeExists) {
+	if err := s.Create("/a", nil); !errors.Is(err, ErrNodeExists) {
 		t.Fatalf("duplicate create: %v", err)
-	}
-	if err := s.Create("/a/b", nil, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Delete("/a", -1); !errors.Is(err, ErrNotEmpty) {
-		t.Fatalf("delete parent with child: %v", err)
 	}
 }
 
@@ -65,152 +51,19 @@ func TestCreateRecursive(t *testing.T) {
 	if err := s.CreateRecursive("/x/y/z", []byte("deep")); err != nil {
 		t.Fatal(err)
 	}
-	data, _, err := s.Get("/x/y/z")
+	data, err := s.Get("/x/y/z")
 	if err != nil || string(data) != "deep" {
 		t.Fatalf("Get deep: %q %v", data, err)
 	}
 	// Intermediate nodes tolerated on a second call.
-	if err := s.CreateRecursive("/x/y/w", nil); err != nil {
+	if err := s.CreateRecursive("/x/y/w", []byte("sibling")); err != nil {
 		t.Fatal(err)
 	}
-	kids, err := s.Children("/x/y")
-	if err != nil || len(kids) != 2 || kids[0] != "w" || kids[1] != "z" {
-		t.Fatalf("Children: %v %v", kids, err)
+	if data, err := s.Get("/x/y/w"); err != nil || string(data) != "sibling" {
+		t.Fatalf("Get sibling: %q %v", data, err)
 	}
-}
-
-func TestDataWatchFiresOnce(t *testing.T) {
-	s := NewStore()
-	if err := s.Create("/a", nil, 0); err != nil {
-		t.Fatal(err)
-	}
-	w := s.WatchData("/a")
-	if _, err := s.Set("/a", []byte("x"), -1); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case ev := <-w:
-		if ev.Type != EventChanged || ev.Path != "/a" {
-			t.Fatalf("event %+v", ev)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("watch never fired")
-	}
-	// One-shot: channel is closed afterwards.
-	if _, open := <-w; open {
-		t.Fatal("watch channel left open after delivery")
-	}
-}
-
-func TestWatchCreationAndDeletion(t *testing.T) {
-	s := NewStore()
-	w := s.WatchData("/a")
-	if err := s.Create("/a", nil, 0); err != nil {
-		t.Fatal(err)
-	}
-	if ev := <-w; ev.Type != EventCreated {
-		t.Fatalf("event %+v", ev)
-	}
-	w2 := s.WatchData("/a")
-	if err := s.Delete("/a", -1); err != nil {
-		t.Fatal(err)
-	}
-	if ev := <-w2; ev.Type != EventDeleted {
-		t.Fatalf("event %+v", ev)
-	}
-}
-
-func TestChildWatch(t *testing.T) {
-	s := NewStore()
-	if err := s.Create("/jobs", nil, 0); err != nil {
-		t.Fatal(err)
-	}
-	w := s.WatchChildren("/jobs")
-	if err := s.Create("/jobs/q1", nil, 0); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case ev := <-w:
-		if ev.Type != EventChildren || ev.Path != "/jobs" {
-			t.Fatalf("event %+v", ev)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("child watch never fired")
-	}
-}
-
-func TestEphemeralNodesDieWithSession(t *testing.T) {
-	s := NewStore()
-	if err := s.Create("/live", nil, 0); err != nil {
-		t.Fatal(err)
-	}
-	sess := s.Session()
-	if err := s.Create("/live/shell-1", []byte("session info"), sess); err != nil {
-		t.Fatal(err)
-	}
-	if !s.Exists("/live/shell-1") {
-		t.Fatal("ephemeral node missing")
-	}
-	s.CloseSession(sess)
-	if s.Exists("/live/shell-1") {
-		t.Fatal("ephemeral node survived session close")
-	}
-	// Creating under an expired session fails.
-	if err := s.Create("/live/shell-2", nil, sess); !errors.Is(err, ErrSessionExpired) {
-		t.Fatalf("create on expired session: %v", err)
-	}
-}
-
-// Property: Set increments the version by exactly one each time, and Get
-// always returns the most recent value.
-func TestPropertyVersionMonotonic(t *testing.T) {
-	f := func(values [][]byte) bool {
-		s := NewStore()
-		if err := s.Create("/n", nil, 0); err != nil {
-			return false
-		}
-		for i, v := range values {
-			ver, err := s.Set("/n", v, -1)
-			if err != nil || ver != int64(i+1) {
-				return false
-			}
-			got, gotVer, err := s.Get("/n")
-			if err != nil || gotVer != int64(i+1) || string(got) != string(v) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: children are always reported sorted and complete.
-func TestPropertyChildrenSortedComplete(t *testing.T) {
-	f := func(n uint8) bool {
-		s := NewStore()
-		if err := s.Create("/p", nil, 0); err != nil {
-			return false
-		}
-		count := int(n%20) + 1
-		for i := 0; i < count; i++ {
-			if err := s.Create(fmt.Sprintf("/p/c%03d", i), nil, 0); err != nil {
-				return false
-			}
-		}
-		kids, err := s.Children("/p")
-		if err != nil || len(kids) != count {
-			return false
-		}
-		for i := 1; i < len(kids); i++ {
-			if kids[i-1] >= kids[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
+	// The leaf itself must be new.
+	if err := s.CreateRecursive("/x/y/z", nil); !errors.Is(err, ErrNodeExists) {
+		t.Fatalf("recreate leaf: %v", err)
 	}
 }
