@@ -223,7 +223,7 @@ func routerWithDepth(b *testing.B, depth int) operators.BlockEmit {
 func oneRowBlock(blk *operators.TupleBlock, ts, offset int64, row ...int64) {
 	blk.Begin("orders", 0, int64Kinds[:len(row)])
 	for c, v := range row {
-		blk.Cols[c].AppendInt64(v)
+		appendInt64(&blk.Cols[c], v)
 	}
 	blk.Ts = append(blk.Ts, ts)
 	blk.Keys = append(blk.Keys, nil)
@@ -320,9 +320,9 @@ func BenchmarkSlidingWindow(b *testing.B) {
 		blk.Begin("orders", 0, int64Kinds)
 		for ; len(blk.Ts) < n; i++ {
 			ts := int64(1_600_000_000_000 + i*10)
-			blk.Cols[0].AppendInt64(ts)
-			blk.Cols[1].AppendInt64(int64(i % 97))
-			blk.Cols[2].AppendInt64(int64(i % 100))
+			appendInt64(&blk.Cols[0], ts)
+			appendInt64(&blk.Cols[1], int64(i%97))
+			appendInt64(&blk.Cols[2], int64(i%100))
 			blk.Ts = append(blk.Ts, ts)
 			blk.Keys = append(blk.Keys, nil)
 			blk.Offsets = append(blk.Offsets, int64(i))
@@ -378,3 +378,6 @@ func BenchmarkUsabilityLOCTable(b *testing.B) {
 		}
 	}
 }
+
+// appendInt64 appends a non-NULL row holding x to an Int64 vector.
+func appendInt64(v *vec.Vec, x int64) { v.SetInt64(v.Grow(), x) }

@@ -86,14 +86,14 @@ func WriteMany(s Store, ops []WriteOp) {
 	}
 }
 
-// GetMany serves the whole batch under one lock acquisition: each key costs
-// one probe of the point index, and the mutex is paid once per block rather
-// than once per key.
+// GetMany serves the whole batch under one read-lock acquisition: each key
+// costs one probe of the point index, and the mutex is paid once per block
+// rather than once per key.
 //
 //samzasql:hotpath
 func (s *store) GetMany(keys [][]byte, vals [][]byte, oks []bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	for i, k := range keys {
 		vals[i], oks[i] = s.get(k)
 	}

@@ -185,8 +185,8 @@ func (s *store) evacuate() {
 }
 
 func (s *store) Get(key []byte) ([]byte, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	return s.get(key)
 }
 

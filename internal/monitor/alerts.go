@@ -26,7 +26,7 @@ const (
 type AlertMessage struct {
 	// Rule names the rule that fired, unique within the monitor config.
 	Rule string `json:"rule"`
-	// Kind is the rule kind ("lag", "throughput-drop", "p99", "task-flap").
+	// Kind is the rule kind ("lag", "throughput-drop", "task-flap").
 	Kind string `json:"kind"`
 	// Job is the job the subject belongs to; empty for cluster-wide rules.
 	Job string `json:"job,omitempty"`
@@ -35,8 +35,8 @@ type AlertMessage struct {
 	Subject string `json:"subject"`
 	// State is the transition: firing or resolved.
 	State AlertState `json:"state"`
-	// Value is the observed value at transition time (lag messages, p99
-	// nanoseconds, flaps in window, throughput percent of trailing).
+	// Value is the observed value at transition time (lag messages, flaps
+	// in window, throughput percent of trailing).
 	Value int64 `json:"value"`
 	// Threshold is the rule's configured bound.
 	Threshold int64 `json:"threshold"`

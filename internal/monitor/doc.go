@@ -4,8 +4,7 @@
 // queries over it (raw ranges, rates, and p50/p95/p99 roll-ups
 // merged exactly across containers from the log-bucketed histogram
 // buckets), and evaluates SLO rules — sustained consumer lag, throughput
-// drop versus the trailing window, p99 over threshold, task-liveness flaps
-// — publishing firing/resolved alert transitions onto the __alerts stream.
+// drop versus the trailing window, task-liveness flaps — publishing firing/resolved alert transitions onto the __alerts stream.
 //
 // Because the monitor consumes ordinary streams, it inherits the
 // platform's own properties (§2 of the paper): it can run anywhere a

@@ -19,10 +19,6 @@ const (
 	// window [2·Window, Window) — sudden slowdowns against the job's own
 	// recent baseline, not an absolute bound.
 	RuleThroughputDrop RuleKind = "throughput-drop"
-	// RuleP99 fires when the cross-container merged p99 of a histogram
-	// metric over the last Window is at or above Threshold (nanoseconds for
-	// latency histograms).
-	RuleP99 RuleKind = "p99"
 	// RuleTaskFlap fires when a task's /healthz liveness state changes at
 	// least Threshold times within Window — a task cycling through
 	// running/failed/restarting instead of settling.
@@ -40,12 +36,12 @@ type Rule struct {
 	// Kind selects the evaluation strategy.
 	Kind RuleKind
 	// Metric is the metric the rule reads: a gauge name prefix for RuleLag
-	// (default "kafka.lag."), a counter name for RuleThroughputDrop, a
-	// histogram name for RuleP99. Unused for RuleTaskFlap.
+	// (default "kafka.lag.") or a counter name for RuleThroughputDrop.
+	// Unused for RuleTaskFlap.
 	Metric string
 	// Job restricts the rule to one job; empty means every job.
 	Job string
-	// Threshold is the bound: lag messages, p99 nanoseconds, or flap count.
+	// Threshold is the bound: lag messages or flap count.
 	Threshold int64
 	// DropFraction (RuleThroughputDrop only) is the fractional drop versus
 	// the trailing window that counts as a violation, e.g. 0.5 fires when
@@ -99,9 +95,7 @@ func TaskFlapRule(maxFlaps int64, window time.Duration) Rule {
 }
 
 // DefaultRules is a conservative starter set: sustained lag over 10k
-// messages, throughput halving, and 3 liveness flaps in 30 seconds. p99
-// rules are workload-specific (they name a histogram metric), so none is
-// included by default.
+// messages, throughput halving, and 3 liveness flaps in 30 seconds.
 func DefaultRules() []Rule {
 	return []Rule{
 		LagRule(10_000, 5*time.Second, 3),
@@ -128,8 +122,6 @@ func (m *Monitor) evalRule(r Rule, now time.Time) []violation {
 		return m.evalLag(r, now)
 	case RuleThroughputDrop:
 		return m.evalThroughputDrop(r, now)
-	case RuleP99:
-		return m.evalP99(r, now)
 	case RuleTaskFlap:
 		return m.evalTaskFlap(r, now)
 	default:
@@ -213,33 +205,6 @@ func (m *Monitor) evalThroughputDrop(r Rule, now time.Time) []violation {
 		if v.violated {
 			v.reason = fmt.Sprintf("throughput %.0f/s is %d%% of trailing %.0f/s (drop bound %.0f%%)",
 				recentRate, pct, trailingRate, 100*(1-r.DropFraction))
-		}
-		out = append(out, v)
-	}
-	return out
-}
-
-// evalP99 checks the merged cross-container windowed p99 of the metric.
-func (m *Monitor) evalP99(r Rule, now time.Time) []violation {
-	jobs := []string{r.Job}
-	if r.Job == "" {
-		jobs = m.store.Jobs()
-	}
-	var out []violation
-	for _, job := range jobs {
-		p99, count := m.store.QuantileWindow(job, -1, r.Metric, 0.99, Window(now, r.Window))
-		if count == 0 {
-			continue // metric absent or idle in this job
-		}
-		v := violation{
-			job:      job,
-			subject:  r.Metric,
-			violated: p99 >= r.Threshold,
-			value:    p99,
-		}
-		if v.violated {
-			v.reason = fmt.Sprintf("p99 %s >= %s over %s (%d observations)",
-				time.Duration(p99), time.Duration(r.Threshold), r.Window, count)
 		}
 		out = append(out, v)
 	}

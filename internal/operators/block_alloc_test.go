@@ -12,6 +12,9 @@ import (
 	"samzasql/internal/vec"
 )
 
+// appendInt64 appends a non-NULL row holding x to an Int64 vector.
+func appendInt64(v *vec.Vec, x int64) { v.SetInt64(v.Grow(), x) }
+
 // fillWindowBlock loads b with n rows [ts, units, pid]: timestamps advance
 // stepMillis per row from baseTs, offsets from baseOff, and partition ids
 // cycle in runs of runLen so the block path's adjacent-key run detection
@@ -20,9 +23,9 @@ func fillWindowBlock(b *TupleBlock, n, parts, runLen int, baseTs, baseOff int64,
 	b.Begin("in", 0, int64Kinds)
 	for r := 0; r < n; r++ {
 		ts := baseTs + int64(r)*stepMillis
-		b.Cols[0].AppendInt64(ts)
-		b.Cols[1].AppendInt64(int64(r%13 + 1))
-		b.Cols[2].AppendInt64(int64((r / runLen) % parts))
+		appendInt64(&b.Cols[0], ts)
+		appendInt64(&b.Cols[1], int64(r%13+1))
+		appendInt64(&b.Cols[2], int64((r/runLen)%parts))
 		b.appendMeta(ts, nil, baseOff+int64(r))
 	}
 	b.Finish()
@@ -140,8 +143,8 @@ func TestStreamAggregateBlockAllocBudget(t *testing.T) {
 
 // joinAllocOp opens a stream-relation join of an Orders-like stream
 // [rowtime, productId, orderId] with a Products-like relation [productId,
-// name, supplierId] on productId, over a fresh store.
-func joinAllocOp(t *testing.T) (*StreamRelationJoinOp, kv.Store, *types.RowType, *types.RowType) {
+// name, supplierId] on productId.
+func joinAllocOp(t *testing.T) (*StreamRelationJoinOp, *types.RowType, *types.RowType) {
 	t.Helper()
 	stream := types.NewRowType(
 		types.Column{Name: "rowtime", Type: types.Timestamp},
@@ -163,15 +166,10 @@ func joinAllocOp(t *testing.T) (*StreamRelationJoinOp, kv.Store, *types.RowType,
 	if err != nil {
 		t.Fatal(err)
 	}
-	store := kv.NewStore()
-	ctx := &OpContext{
-		Store:   func(string) kv.Store { return store },
-		Metrics: metrics.NewRegistry(),
-	}
-	if err := op.Open(ctx); err != nil {
+	if err := op.Open(&OpContext{Metrics: metrics.NewRegistry()}); err != nil {
 		t.Fatal(err)
 	}
-	return op, store, stream, relation
+	return op, stream, relation
 }
 
 // fillRelationBlock loads b with n relation rows [base+r, NULL, supplier],
@@ -180,11 +178,11 @@ func fillRelationBlock(t *testing.T, b *TupleBlock, relation *types.RowType, bas
 	t.Helper()
 	b.Begin("products", 0, vec.KindsOf(relation))
 	for r := 0; r < n; r++ {
-		b.Cols[0].AppendInt64(int64(base + r))
+		appendInt64(&b.Cols[0], int64(base+r))
 		if err := b.Cols[1].Append(nil); err != nil {
 			t.Fatal(err)
 		}
-		b.Cols[2].AppendInt64(rng.Int63n(1000))
+		appendInt64(&b.Cols[2], rng.Int63n(1000))
 		b.appendMeta(0, nil, int64(base+r))
 	}
 	b.Finish()
@@ -192,17 +190,16 @@ func fillRelationBlock(t *testing.T, b *TupleBlock, relation *types.RowType, bas
 
 // TestStreamRelationJoinBlockAllocBudget pins the vectorized stream-relation
 // join's per-stream-row allocation cost against a 10 000-row relation. The
-// stream key is read from its Int64 vector and its state key written into a
-// per-block arena, distinct keys are found without a map, relation rows
-// decode into typed per-block vectors, both sides are copied vector to
-// vector into the reused output block, and the ON condition — the key
-// equality alone — is not evaluated: nothing is boxed. Each run resets its
-// input block's boxed view, as a freshly scanned block has none, so a boxing
-// probe would be counted. 0.00 allocs/row; the join measured 2.66 here while
-// it probed through the boxed view and decoded relation rows boxed (1.68
-// with the view kept across runs).
+// stream key is read from its Int64 vector and probes the relation table as
+// an int64, both sides are copied vector to vector into the reused output
+// block, and the ON condition — the key equality alone — is not evaluated:
+// nothing is boxed. Each run resets its input block's boxed view, as a
+// freshly scanned block has none, so a boxing probe would be counted. 0.00
+// allocs/row; the join measured 2.66 here while it probed through the boxed
+// view and decoded relation rows boxed (1.68 with the view kept across
+// runs).
 func TestStreamRelationJoinBlockAllocBudget(t *testing.T) {
-	op, store, stream, relation := joinAllocOp(t)
+	op, stream, relation := joinAllocOp(t)
 	const (
 		products = 10_000
 		block    = 256
@@ -218,8 +215,8 @@ func TestStreamRelationJoinBlockAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if store.Len() != products {
-		t.Fatalf("relation side stored %d rows, want %d", store.Len(), products)
+	if op.rel.n != products {
+		t.Fatalf("relation side holds %d rows, want %d", op.rel.n, products)
 	}
 
 	blocks := make([]*TupleBlock, 8)
@@ -228,9 +225,9 @@ func TestStreamRelationJoinBlockAllocBudget(t *testing.T) {
 		b.Begin("orders", 0, vec.KindsOf(stream))
 		for r := 0; r < block; r++ {
 			seq := int64(i*block + r)
-			b.Cols[0].AppendInt64(int64(1_600_000_000_000) + seq*10)
-			b.Cols[1].AppendInt64(rng.Int63n(products))
-			b.Cols[2].AppendInt64(seq)
+			appendInt64(&b.Cols[0], int64(1_600_000_000_000)+seq*10)
+			appendInt64(&b.Cols[1], rng.Int63n(products))
+			appendInt64(&b.Cols[2], seq)
 			b.appendMeta(0, nil, seq)
 		}
 		b.Finish()
@@ -265,18 +262,17 @@ func TestStreamRelationJoinBlockAllocBudget(t *testing.T) {
 }
 
 // TestStreamRelationJoinRelationBlockAllocBudget pins the relation side:
-// blocks of 256 relation rows, each row's state key and encoded row written
-// straight from the block's vectors into two reused arenas and handed to the
-// store as one write batch. Two shapes:
+// blocks of 256 relation rows, each row's key read from its vector and its
+// values copied vector to vector into the relation table. Two shapes:
 //
-//   - new keys, the bootstrap shape: every row adds a key. The store writes
-//     key and value into its current page and indexes them, so what is left
-//     is a page per 32 KiB of entries and the index's doublings, under one
-//     per block: 0.00 allocs/row. The skiplist store made 3.00 (a node, a
-//     key copy and a value copy per key).
-//   - overwrites: every key is already stored. 0.00 allocs/row; 1.00 with
-//     the skiplist store, whose overwrite copied the value, and 2.68 when the
-//     relation side boxed its rows and evaluated its key.
+//   - new keys, the bootstrap shape: every row adds a key. What is left is
+//     the vectors' and the index's doublings, under one per block: 0.00
+//     allocs/row. The skiplist store made 3.00 (a node, a key copy and a
+//     value copy per key).
+//   - overwrites: every key is already held, and its row is overwritten in
+//     place. 0.00 allocs/row; 1.00 with the skiplist store, whose overwrite
+//     copied the value, and 2.68 when the relation side boxed its rows and
+//     evaluated its key.
 func TestStreamRelationJoinRelationBlockAllocBudget(t *testing.T) {
 	const (
 		block  = 256
@@ -284,7 +280,7 @@ func TestStreamRelationJoinRelationBlockAllocBudget(t *testing.T) {
 	)
 	emit := func(*TupleBlock) error { return nil }
 	t.Run("new-keys", func(t *testing.T) {
-		op, _, _, relation := joinAllocOp(t)
+		op, _, relation := joinAllocOp(t)
 		const runs = 64
 		// One warm-up block and one per measured run, each with keys no
 		// earlier block used.
@@ -307,7 +303,7 @@ func TestStreamRelationJoinRelationBlockAllocBudget(t *testing.T) {
 		}
 	})
 	t.Run("overwrites", func(t *testing.T) {
-		op, _, _, relation := joinAllocOp(t)
+		op, _, relation := joinAllocOp(t)
 		const products = 4096
 		rng := rand.New(rand.NewSource(1))
 		blocks := make([]*TupleBlock, products/block)

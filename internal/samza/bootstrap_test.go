@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"samzasql/internal/kafka"
 )
@@ -133,5 +134,115 @@ func TestBootstrapStopsAtHighWatermark(t *testing.T) {
 				t.Fatalf("topic ended at %d, want %d: the concurrent appender did not run", hwm, preloaded+extra)
 			}
 		})
+	}
+}
+
+// restartProbeTask records, per task instance, every delivered record as
+// topic@offset, and fails its block once it has seen crashAt stream records,
+// when crashAt is set.
+type restartProbeTask struct {
+	mu      *sync.Mutex
+	seen    []string
+	streamN int
+	crashAt int
+}
+
+func (t *restartProbeTask) Init(*TaskContext) error { return nil }
+
+func (t *restartProbeTask) ProcessBatch(envs []IncomingMessageEnvelope, _ MessageCollector, _ Coordinator, _ int64) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for i := range envs {
+		t.seen = append(t.seen, fmt.Sprintf("%s@%d", envs[i].Stream, envs[i].Offset))
+		if envs[i].Stream == "stream" {
+			t.streamN++
+		}
+	}
+	if t.crashAt > 0 && t.streamN >= t.crashAt {
+		return fmt.Errorf("injected failure after %d stream records", t.streamN)
+	}
+	return nil
+}
+
+// TestRestartRereadsBootstrapInput crashes a task after checkpoints that
+// hold the relation at its head: the restarted attempt still receives every
+// relation record from the log start, in order, before any stream record,
+// and resumes the stream from its checkpoint, not from the start.
+func TestRestartRereadsBootstrapInput(t *testing.T) {
+	const (
+		relation = 30
+		stream   = 60
+	)
+	b, r := testEnv()
+	if err := b.CreateTopic("relation", kafka.TopicConfig{Partitions: 1, Compacted: true}); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.CreateTopic("stream", kafka.TopicConfig{Partitions: 1}); err != nil {
+		t.Fatal(err)
+	}
+	produceN(t, b, "relation", 0, relation, "rel")
+	produceN(t, b, "stream", 0, stream, "str")
+
+	var mu sync.Mutex
+	var attempts []*restartProbeTask
+	job := &JobSpec{
+		Name: "bootstrap-restart",
+		Inputs: []StreamSpec{
+			{Topic: "stream"},
+			{Topic: "relation", Bootstrap: true},
+		},
+		BatchSize:   5,
+		CommitEvery: 5,
+		MaxRestarts: 1,
+		TaskFactory: func() StreamTask {
+			mu.Lock()
+			defer mu.Unlock()
+			task := &restartProbeTask{mu: &mu}
+			if len(attempts) == 0 {
+				task.crashAt = 20
+			}
+			attempts = append(attempts, task)
+			return task
+		},
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	rj, err := r.Submit(ctx, job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rj.Stop()
+	last := fmt.Sprintf("stream@%d", stream-1)
+	waitFor(t, 5*time.Second, func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		if len(attempts) < 2 {
+			return false
+		}
+		seen := attempts[1].seen
+		return len(seen) > 0 && seen[len(seen)-1] == last
+	}, "the restarted attempt to reach the stream's end")
+	rj.Stop()
+
+	mu.Lock()
+	defer mu.Unlock()
+	if len(attempts) != 2 {
+		t.Fatalf("%d task attempts, want the crashed one and one restart", len(attempts))
+	}
+	seen := attempts[1].seen
+	for i := 0; i < relation; i++ {
+		if want := fmt.Sprintf("relation@%d", i); seen[i] != want {
+			t.Fatalf("restarted delivery %d is %s, want %s: the relation is not re-read from its start first", i, seen[i], want)
+		}
+	}
+	var resume int64
+	if _, err := fmt.Sscanf(seen[relation], "stream@%d", &resume); err != nil {
+		t.Fatalf("restarted delivery %d is %s, want a stream record", relation, seen[relation])
+	}
+	if resume == 0 {
+		t.Fatal("the restarted attempt read the stream from its start: no checkpoint was taken before the crash")
+	}
+	if n := len(seen) - relation; n != stream-int(resume) {
+		t.Fatalf("restarted attempt got %d stream records from offset %d, want the %d up to the end", n, resume, stream-int(resume))
 	}
 }

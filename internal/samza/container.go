@@ -362,7 +362,9 @@ func (c *Container) Run(ctx context.Context) error {
 			}
 		}
 	}
-	// Phase 2: position consumers from checkpoints.
+	// Phase 2: position consumers from checkpoints. A bootstrap input stays
+	// at its log start: the state its records build is read back from the
+	// input itself on every start, as Samza restores a side-input store.
 	for _, ti := range c.tasks {
 		cp, found, err := c.cpm.Read(ti.name)
 		if err != nil {
@@ -373,7 +375,7 @@ func (c *Container) Run(ctx context.Context) error {
 			if err := ti.consumer.Assign(in.tp); err != nil {
 				return fmt.Errorf("samza: %s assign %s: %w", ti.name, in.tp, err)
 			}
-			if found {
+			if found && !c.job.Inputs[i].Bootstrap {
 				if off, ok := cp.Offsets[in.tp.Topic]; ok {
 					ti.consumer.Seek(in.tp, off)
 				}

@@ -14,7 +14,11 @@ type StreamSpec struct {
 	Topic string
 	// Bootstrap marks the stream as a bootstrap stream (§2): the task
 	// consumes it to its high watermark before processing other inputs.
-	// SamzaSQL uses this for the relation side of stream-to-relation joins.
+	// Every start of the task, a restart after failure included, reads it
+	// from its log start, whatever the checkpoint says: the stream is the
+	// durable copy of the state the task builds from it (Samza's side-input
+	// restore), so it should be a compacted topic. SamzaSQL uses this for
+	// the relation side of stream-to-relation joins.
 	Bootstrap bool
 }
 

@@ -10,9 +10,9 @@ import (
 )
 
 // RowCodec is a schema-driven codec for []any rows whose column kinds are
-// known when the query is planned — the join state's row format. Its kinds
-// are the column-vector kinds (vec.KindsOf compiles both from the plan's row
-// type): vec.Int64 is a zig-zag varint, vec.Float64 8 bytes little-endian,
+// known when the query is planned — the stream-stream join state's row
+// format. Its kinds are the column-vector kinds (vec.KindsOf compiles both
+// from the plan's row type): vec.Int64 is a zig-zag varint, vec.Float64 8 bytes little-endian,
 // vec.String a uvarint length then the bytes, vec.Bool one byte, and a
 // vec.Any column (arrays, maps, ANY) is always an ObjectSerde value. Where
 // ObjectSerde writes a class name in front of every value and allocates a
@@ -59,40 +59,6 @@ func (c *RowCodec) AppendEncode(dst []byte, row []any) ([]byte, error) {
 	for i, v := range row {
 		if err := w.value(i, v); err != nil {
 			return nil, err
-		}
-	}
-	return w.dst, nil
-}
-
-// AppendEncodeFrom appends the encoding of row r of cols, one vector per
-// column, to dst without boxing it: the bytes AppendEncode writes for the
-// row's boxed values (vec.Vec.Value). A vector whose kind is not its
-// column's declared kind, and an escape (vec.Any) vector, go through
-// AppendEncode's boxed path.
-//
-//samzasql:hotpath
-func (c *RowCodec) AppendEncodeFrom(dst []byte, cols []vec.Vec, r int) ([]byte, error) {
-	if len(cols) != len(c.kinds) {
-		return nil, fmt.Errorf("serde: row codec: row has %d columns, codec %d", len(cols), len(c.kinds))
-	}
-	w := c.begin(dst)
-	for i := range cols {
-		col := &cols[i]
-		switch {
-		case col.IsNull(r):
-			w.null(i)
-		case col.Kind != c.kinds[i] || col.Kind == vec.Any:
-			if err := w.value(i, col.Value(r)); err != nil {
-				return nil, err
-			}
-		case col.Kind == vec.Int64:
-			w.dst = appendZigzag(w.dst, col.I64[r])
-		case col.Kind == vec.Float64:
-			w.dst = appendFloat64(w.dst, col.F64[r])
-		case col.Kind == vec.String:
-			w.dst = appendLenPrefixed(w.dst, col.Str(r))
-		default: // vec.Bool
-			w.dst = appendBoolByte(w.dst, col.Bools[r])
 		}
 	}
 	return w.dst, nil
@@ -185,70 +151,6 @@ func (c *RowCodec) Decode(data []byte, dst []any) error {
 	for i := range c.kinds {
 		if dst[i], err = rd.value(i); err != nil {
 			return err
-		}
-	}
-	return rd.done()
-}
-
-// DecodeInto decodes data as one more row of cols, one vector per column,
-// without boxing it: a NULL column appends a NULL row, a value in its
-// column's declared layout is appended to a vector of that kind directly.
-// Escaped values, vec.Any columns and vectors of another kind than their
-// column's take the boxed value Decode returns through vec.Vec.Append, whose
-// error a value the vector cannot hold becomes. The checks on data are
-// Decode's, with the same errors; on any error the vectors are left in an
-// unspecified state.
-//
-//samzasql:hotpath
-func (c *RowCodec) DecodeInto(cols []vec.Vec, data []byte) error {
-	if len(cols) != len(c.kinds) {
-		return fmt.Errorf("serde: row codec: destination has %d columns, codec %d", len(cols), len(c.kinds))
-	}
-	rd, err := c.open(data)
-	if err != nil {
-		return err
-	}
-	for i, k := range c.kinds {
-		col := &cols[i]
-		if col.Kind != k || rd.boxed(i) {
-			v, err := rd.value(i)
-			if err != nil {
-				return err
-			}
-			if err := col.Append(v); err != nil {
-				return fmt.Errorf("serde: row codec: column %d: %w", i, err)
-			}
-			continue
-		}
-		switch k {
-		case vec.Int64:
-			x, err := rd.int64()
-			if err != nil {
-				return err
-			}
-			col.AppendInt64(x)
-		case vec.Float64:
-			x, err := rd.float64()
-			if err != nil {
-				return err
-			}
-			col.AppendFloat64(x)
-		case vec.String:
-			x, err := rd.str()
-			if err != nil {
-				return err
-			}
-			if err := col.AppendStr(x); err != nil {
-				return err
-			}
-		case vec.Bool:
-			x, err := rd.bool()
-			if err != nil {
-				return err
-			}
-			col.AppendBool(x)
-		default:
-			return rd.unknownKind(i)
 		}
 	}
 	return rd.done()

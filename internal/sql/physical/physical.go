@@ -268,7 +268,6 @@ func (p *Program) buildJoin(j *plan.Join, downstream operators.BlockEmit) error 
 	leftBoot := hasBootstrapScan(j.Left)
 	rightBoot := hasBootstrapScan(j.Right)
 
-	p.addStore(operators.JoinStoreName)
 	switch {
 	case leftBoot || rightBoot:
 		streamIsLeft := rightBoot
@@ -316,6 +315,7 @@ func (p *Program) buildJoin(j *plan.Join, downstream operators.BlockEmit) error 
 		if err != nil {
 			return err
 		}
+		p.addStore(operators.JoinStoreName)
 		inst := p.instrument("stream-stream-join", op)
 		if err := p.build(j.Left, p.blockStage(inst, operators.LeftSide, downstream)); err != nil {
 			return err

@@ -244,8 +244,9 @@ func (v *Vec) clearNull(r int) {
 	}
 }
 
-// grow appends one row slot to v and returns its index.
-func (v *Vec) grow() int {
+// Grow appends a non-NULL row holding the kind's zero value (an empty
+// string, a nil escape value) to v and returns its index.
+func (v *Vec) Grow() int {
 	var r int
 	switch v.Kind {
 	case Int64:
@@ -269,21 +270,8 @@ func (v *Vec) grow() int {
 
 // Append unboxes x into a new last row (see Set).
 func (v *Vec) Append(x any) error {
-	return v.Set(v.grow(), x)
+	return v.Set(v.Grow(), x)
 }
-
-// AppendInt64 appends a non-NULL row to an Int64 vector.
-func (v *Vec) AppendInt64(x int64) { v.I64 = append(v.I64, x) }
-
-// AppendFloat64 appends a non-NULL row to a Float64 vector.
-func (v *Vec) AppendFloat64(x float64) { v.F64 = append(v.F64, x) }
-
-// AppendBool appends a non-NULL row to a Bool vector.
-func (v *Vec) AppendBool(x bool) { v.Bools = append(v.Bools, x) }
-
-// AppendStr appends a non-NULL row to a String vector, copying s into the
-// arena.
-func (v *Vec) AppendStr(s []byte) error { return setStr(v, v.grow(), s) }
 
 // SetFrom stores row sr of src, a vector of the same kind, as row r without
 // boxing it.
