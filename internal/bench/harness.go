@@ -195,7 +195,9 @@ func RunNative(query string, cfg Config) (Result, error) {
 			return Result{}, err
 		}
 		job.Inputs = append(job.Inputs, samza.StreamSpec{Topic: "products", Bootstrap: true})
-		job.Stores = []samza.StoreSpec{{Name: JoinStoreName, Changelog: true}}
+		// No changelog: a restart re-reads the bootstrap input from its
+		// start, as the SQL join's relation table does.
+		job.Stores = []samza.StoreSpec{{Name: JoinStoreName}}
 		job.TaskFactory = func() samza.StreamTask {
 			return &NativeJoinTask{Output: outTopic, OrdersTopic: "orders", ProductsTopic: "products"}
 		}
