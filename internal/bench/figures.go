@@ -49,7 +49,7 @@ var Figures = []FigureSpec{
 	{
 		ID: "5c", Title: "Stream-to-relation join throughput (Figure 5c)",
 		Query: "join", Containers: []int{1, 2, 4, 8},
-		Expected: "SamzaSQL about 2x slower (object serde per probe); here block-clustered probes batch the relation reads, reaching near parity",
+		Expected: "SamzaSQL about 2x slower (object serde per probe); here SamzaSQL probes a typed in-memory relation table with no store read or row decode, while the native task reads and Avro-decodes a stored row per message, putting it above the baseline",
 	},
 	{
 		ID: "6", Title: "Sliding window operator throughput (Figure 6)",
