@@ -7,6 +7,7 @@ package bench
 
 import (
 	"fmt"
+	"strconv"
 
 	"samzasql/internal/avro"
 	"samzasql/internal/kafka"
@@ -125,7 +126,9 @@ func (t *NativeProjectTask) process(env samza.IncomingMessageEnvelope, c samza.M
 // the task's local store as raw Avro bytes; each order reads productId from
 // the wire, looks the product up, decodes it with the Avro codec (the fast
 // serde the paper contrasts with SamzaSQL's Kryo) and emits a hand-built
-// output record.
+// output record. The key, the rows and the output record are built in
+// per-task buffers, so a message allocates only for the boxed values its
+// rows hold.
 type NativeJoinTask struct {
 	Output        string
 	OrdersTopic   string
@@ -134,6 +137,9 @@ type NativeJoinTask struct {
 	products      *avro.Codec
 	out           *avro.Codec
 	store         kv.Store
+
+	key, value          []byte
+	order, product, row []any
 }
 
 // JoinedSchema is the native join task's output schema.
@@ -175,28 +181,29 @@ func (t *NativeJoinTask) process(env samza.IncomingMessageEnvelope, c samza.Mess
 		t.store.Put(env.Key, env.Value)
 		return nil
 	}
-	row, err := t.orders.DecodeRow(env.Value, nil)
+	row, err := t.orders.DecodeRow(env.Value, t.order)
 	if err != nil {
 		return err
 	}
-	productKey := fmt.Sprintf("%d", row[1].(int64))
-	productBytes, ok := t.store.Get([]byte(productKey))
+	t.order = row
+	t.key = strconv.AppendInt(t.key[:0], row[1].(int64), 10)
+	productBytes, ok := t.store.Get(t.key)
 	if !ok {
 		return nil
 	}
-	product, err := t.products.DecodeRow(productBytes, nil)
-	if err != nil {
+	if t.product, err = t.products.DecodeRow(productBytes, t.product); err != nil {
 		return err
 	}
-	value, err := t.out.EncodeRow([]any{row[0], row[2], row[1], row[3], product[2]})
-	if err != nil {
+	t.row = append(t.row[:0], row[0], row[2], row[1], row[3], t.product[2])
+	if t.value, err = t.out.AppendEncodeRow(t.value[:0], t.row); err != nil {
 		return err
 	}
+	// The broker copies the value into the log, so the buffer is free again.
 	return c.Send(samza.OutgoingMessageEnvelope{
 		Stream:    t.Output,
 		Partition: env.Partition,
 		Key:       env.Key,
-		Value:     value,
+		Value:     t.value,
 		Timestamp: env.Timestamp,
 	})
 }

@@ -133,13 +133,21 @@ func (c *ChangelogStore) GetMany(keys [][]byte, vals [][]byte, oks []bool) {
 	GetMany(c.Store, keys, vals, oks)
 }
 
-// WriteMany writes the batch through to the inner store and produces it as
-// one contiguous run of changelog records, so a batch reaches the log whole.
-// An append goes to the log as an append record carrying only the new bytes.
+// WriteMany writes the batch through to the inner store and produces it to
+// the changelog.
 //
 //samzasql:hotpath
 func (c *ChangelogStore) WriteMany(ops []WriteOp) {
 	WriteMany(c.Store, ops)
+	c.Changelog.WriteMany(ops)
+}
+
+// WriteMany produces the batch as one contiguous run of changelog records,
+// so a batch reaches the log whole. An append goes to the log as an append
+// record carrying only the new bytes.
+//
+//samzasql:hotpath
+func (c *Changelog) WriteMany(ops []WriteOp) {
 	for i := range ops {
 		switch op := &ops[i]; op.Kind {
 		case OpDelete:

@@ -10,30 +10,18 @@ import (
 // key/value bytes into.
 const changelogSlabSize = 64 << 10
 
-// ChangelogStore wraps a Store, mirroring every write to a compacted Kafka
-// changelog topic partition so the state can be rebuilt after a task
-// failure, exactly as Samza snapshots local state (§2, §4.3). The changelog
-// partition matches the task's input partition so restored state lands on
-// the task that owns the keys.
+// Changelog is the producer half of a changelog-backed store: it puts write
+// batches on one partition of a compacted Kafka changelog topic, each batch
+// as one contiguous run. Each key/value is copied once, into an arena slab
+// the broker copies out of on produce; the slab is then reused. A Changelog
+// is owned by a single task goroutine.
 //
-// The changelog writes through: every Put, Delete and WriteMany is on the
-// topic by the time the call returns, so the changelog is always at or
-// ahead of the offsets the container commits and operators that keep input
-// offsets in their state recognise replayed messages after a restore. A
-// WriteMany is produced as one batch — one lock acquisition and one
-// subscriber wakeup on the partition — so writes that only make sense
-// together reach the log together. Each key/value is copied once, into an
-// arena slab the broker copies out of on produce; the slab is then reused.
-// Like the stores it wraps, a ChangelogStore is owned by a single task
-// goroutine.
-//
-// The Store interface has no error channel, so a produce the broker refuses
-// (the topic was deleted under the task) becomes a sticky *ChangelogError:
-// the store stops producing, and its owner reads Err after each block and
-// fails the task before it checkpoints, so the restarted task restores from
-// what the changelog holds.
-type ChangelogStore struct {
-	Store
+// A produce the broker refuses (the topic was deleted under the task)
+// becomes a sticky *ChangelogError: the changelog stops producing, and its
+// owner reads Err after each block and fails the task before it
+// checkpoints, so the restarted task restores from what the changelog
+// holds.
+type Changelog struct {
 	broker    *kafka.Broker
 	topic     string
 	partition int32
@@ -41,6 +29,27 @@ type ChangelogStore struct {
 	pending []kafka.Message
 	arena   []byte
 	err     error
+}
+
+// ChangelogStore wraps a Store, mirroring every write to its Changelog so
+// the state can be rebuilt after a task failure, exactly as Samza snapshots
+// local state (§2, §4.3). The changelog partition matches the task's input
+// partition so restored state lands on the task that owns the keys.
+//
+// The changelog writes through: every Put, Delete and WriteMany is on the
+// topic by the time the call returns, so the changelog is always at or
+// ahead of the offsets the container commits and operators that keep input
+// offsets in their state recognise replayed messages after a restore. A
+// WriteMany is produced as one batch — one lock acquisition and one
+// subscriber wakeup on the partition — so writes that only make sense
+// together reach the log together. Like the stores it wraps, a
+// ChangelogStore is owned by a single task goroutine.
+//
+// The Store interface has no error channel, so a refused produce surfaces
+// as the Changelog's sticky Err.
+type ChangelogStore struct {
+	Store
+	Changelog
 }
 
 // ChangelogError is a changelog store's failure to produce to its topic.
@@ -70,9 +79,7 @@ func NewChangelogStore(inner Store, broker *kafka.Broker, topic string, partitio
 	}
 	return &ChangelogStore{
 		Store:     inner,
-		broker:    broker,
-		topic:     topic,
-		partition: partition,
+		Changelog: Changelog{broker: broker, topic: topic, partition: partition},
 	}, nil
 }
 
@@ -100,7 +107,7 @@ func (c *ChangelogStore) Delete(key []byte) bool {
 // slice. Slices returned since the last produce stay valid: a slab that
 // fills is left to the pending records aliasing it and replaced by one twice
 // its size, so the slab kept across produces grows to hold a whole batch.
-func (c *ChangelogStore) copyToArena(b []byte) []byte {
+func (c *Changelog) copyToArena(b []byte) []byte {
 	if len(b) == 0 {
 		return nil
 	}
@@ -114,7 +121,7 @@ func (c *ChangelogStore) copyToArena(b []byte) []byte {
 
 // buffer queues one mirrored write, copying key and value once into the
 // batch arena. A nil value is a tombstone; app marks an append record.
-func (c *ChangelogStore) buffer(key, value []byte, app bool) {
+func (c *Changelog) buffer(key, value []byte, app bool) {
 	m := kafka.Message{
 		Partition: c.partition,
 		Append:    app,
@@ -133,7 +140,7 @@ func (c *ChangelogStore) buffer(key, value []byte, app bool) {
 // Callers invoke it after a complete write batch, so nothing is ever left
 // queued between writes. The first failure sticks (Err): later batches are
 // dropped unproduced, since the log already misses one.
-func (c *ChangelogStore) produce() {
+func (c *Changelog) produce() {
 	if len(c.pending) == 0 {
 		return
 	}
@@ -150,7 +157,26 @@ func (c *ChangelogStore) produce() {
 
 // Err returns the sticky *ChangelogError of the first write the changelog
 // refused, or nil.
-func (c *ChangelogStore) Err() error { return c.err }
+func (c *Changelog) Err() error { return c.err }
+
+// DetachChangelog hands the state of store s over to a caller that keeps
+// it resident: it empties the store underneath s's changelog mirror,
+// producing no tombstones, and returns the changelog, through which the
+// caller writes from then on. The changelog stays the state's only durable
+// copy; a restarted task restores the store from it and detaches again. A
+// store without a changelog returns nil and is left as it is. The caller
+// reads whatever it needs out of s first.
+func DetachChangelog(s Store) *Changelog {
+	if d, ok := s.(interface{ detachChangelog() *Changelog }); ok {
+		return d.detachChangelog()
+	}
+	return nil
+}
+
+func (c *ChangelogStore) detachChangelog() *Changelog {
+	c.Store = NewStore()
+	return &c.Changelog
+}
 
 // Restore rebuilds the inner store by replaying the changelog partition from
 // its start offset to the current high watermark, one write batch per read:

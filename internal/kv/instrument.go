@@ -102,3 +102,6 @@ func (s *instrumentedStore) Range(start, end []byte, limit int) []Entry {
 }
 
 func (s *instrumentedStore) Len() int { return s.raw.Len() }
+
+// detachChangelog forwards DetachChangelog to the wrapped store.
+func (s *instrumentedStore) detachChangelog() *Changelog { return DetachChangelog(s.raw) }

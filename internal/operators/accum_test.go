@@ -273,9 +273,9 @@ func legacyStateRow(t testing.TB, row []any) []byte {
 }
 
 // TestSlidingWindowStateDecodeIsStrict stores a window state row the plan's
-// accumulator did not write under a partition's key and requires the next
-// block of that partition to fail, leaving the store as it was. The state
-// row is an empty deque's cursors followed by an accumulator state row.
+// accumulator did not write under a partition's key and requires the restore
+// at Open to fail, leaving the store as it was. The state row is an empty
+// deque's cursors followed by an accumulator state row.
 func TestSlidingWindowStateDecodeIsStrict(t *testing.T) {
 	sum := []any{"SUM", int64(3), int64(30), 0.0, false, int64(5), int64(15), int64(0), int64(0)}
 	withString := append([]any(nil), sum...)
@@ -300,20 +300,16 @@ func TestSlidingWindowStateDecodeIsStrict(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := op.Open(&OpContext{Store: func(string) kv.Store { return store }}); err != nil {
-				t.Fatal(err)
-			}
 			pk := legacyStateRow(t, []any{int64(7)})
 			key := appendStateKey(nil, 0, pk)
 			state := append(make([]byte, 6), c.acc...) // count, four cursors, no offsets: all 0
 			store.Put(key, state)
-			b := blockOf(t, &TupleBlock{}, int64Kinds, [][]any{{int64(100), int64(4), int64(7)}}, 0, 0)
-			err = op.ProcessBlock(0, b, func(*TupleBlock) error { return nil })
+			err = op.Open(&OpContext{Store: func(string) kv.Store { return store }})
 			if err == nil || !strings.Contains(err.Error(), c.want) {
-				t.Fatalf("ProcessBlock error %v, want one naming %q", err, c.want)
+				t.Fatalf("Open error %v, want one naming %q", err, c.want)
 			}
 			if got, ok := store.Get(key); store.Len() != 1 || !ok || !bytes.Equal(got, state) {
-				t.Fatalf("failed block changed the store: %d keys, state %x", store.Len(), got)
+				t.Fatalf("failed restore changed the store: %d keys, state %x", store.Len(), got)
 			}
 		})
 	}

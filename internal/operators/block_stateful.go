@@ -44,18 +44,19 @@ func runEqual(a, b any) (eq, ok bool) {
 // ----- SlidingWindowOp -----
 
 // ProcessBlock implements Operator: Algorithm 1 over a whole block.
-// Per analytic call it numbers the block's distinct partition keys, loads
-// each one's window state and tail chunk once (batched), folds the
-// key's rows in offset order through foldTuple, and stages each modified
-// state once; everything the block wrote —
-// chunk puts, chunk deletes, state rows, across all calls — then goes to the
-// store as one kv write batch. The output block shares the input's column
-// vectors and rows and adds one vector per call; replayed rows
-// (already-applied offsets) are deselected: re-delivered messages change no
-// state and produce no output (exactly-once, §4.3).
+// Per analytic call it finds each row's resident window state, folds the
+// rows in offset order through foldTuple, and stages each modified state
+// once; everything the block wrote — chunk puts, chunk deletes, state rows,
+// across all calls — then goes to the changelog as one batch. The output
+// block shares the input's column vectors and rows and adds one vector per
+// call; replayed rows (already-applied offsets) are deselected: re-delivered
+// messages change no state and produce no output (exactly-once, §4.3).
 //
 //samzasql:hotpath
 func (o *SlidingWindowOp) ProcessBlock(_ int, b *TupleBlock, emit BlockEmit) error {
+	if o.err != nil {
+		return o.err
+	}
 	inArity := len(b.Cols)
 	out := &o.outBlock
 	out.shareRows(b, inArity+len(o.calls))
@@ -75,7 +76,7 @@ func (o *SlidingWindowOp) ProcessBlock(_ int, b *TupleBlock, emit BlockEmit) err
 	src := o.sources.keyFor(b.Stream, b.Partition)
 	for ci, call := range o.calls {
 		if err := o.processCallBlock(call, b, &out.Cols[inArity+ci], replay, ci == 0, src, row); err != nil {
-			o.discardWrites()
+			o.err = err
 			return err
 		}
 	}
@@ -94,38 +95,24 @@ func (o *SlidingWindowOp) ProcessBlock(_ int, b *TupleBlock, emit BlockEmit) err
 	return emit(out)
 }
 
-// processCallBlock runs one analytic call over the block: the distinct
-// partition keys and each row's slot among them, one batched state load and
-// one batched tail-chunk load per distinct key, in-order folding, one staged
-// write-back per modified key, in first-touch order.
+// processCallBlock runs one analytic call over the block: each row's state
+// slot, in-order folding, one staged write-back per modified state, in
+// first-touch order (deterministic changelog content for a given input).
+// Finding the states books one get per distinct partition.
 //
 //samzasql:hotpath
 func (o *SlidingWindowOp) processCallBlock(c *analyticState, b *TupleBlock, outCol *vec.Vec, replay []bool, first bool, src string, row []any) error {
-	pks, slots, err := o.partitionSlots(c, b, row)
+	start := time.Now()
+	slots, touched, err := o.partitionSlots(c, b, row)
 	if err != nil {
 		return err
 	}
-	keys := o.blkKeys[:0]
-	for _, pk := range pks {
-		start := len(o.arena)
-		o.arena = appendStateKey(o.arena, c.idx, pk)
-		keys = append(keys, o.arena[start:len(o.arena):len(o.arena)])
-	}
-	o.blkKeys = keys
-	states, err := o.loadStatesBatch(c, keys)
-	if err != nil {
-		return err
-	}
-	if !c.spec.Unbounded {
-		if err := o.loadTailsBatch(c, pks, states); err != nil {
-			return err
-		}
-	}
+	book(o.getLat, start, len(touched))
 
-	// Fold the rows in offset order against the block-resident states.
 	tsCol, argCol := c.order.int64Col(b), c.arg.int64Col(b)
 	for k, r := range b.Sel {
-		ws := states[slots[k]]
+		slot := slots[k]
+		ws := c.state(slot)
 		offset := b.Offsets[r]
 		if ws.offsets.seen(src, offset) {
 			if first {
@@ -144,7 +131,7 @@ func (o *SlidingWindowOp) processCallBlock(c *analyticState, b *TupleBlock, outC
 		if err != nil {
 			return err
 		}
-		if err := o.foldTuple(c, ws, pks[slots[k]], ts.i, arg, offset); err != nil {
+		if err := o.foldTuple(c, ws, c.pks[slot], ts.i, arg, offset); err != nil {
 			return err
 		}
 		ws.offsets = ws.offsets.update(src, offset)
@@ -154,11 +141,11 @@ func (o *SlidingWindowOp) processCallBlock(c *analyticState, b *TupleBlock, outC
 		}
 	}
 
-	// Stage once per modified key, in first-touch order (deterministic
-	// changelog content for a given input).
-	for i, ws := range states {
+	for _, slot := range touched {
+		ws := c.state(slot)
+		ws.touched = false
 		if ws.dirty {
-			if err := o.stageState(c, keys[i], pks[i], ws); err != nil {
+			if err := o.stageState(c, c.pks[slot], ws); err != nil {
 				return err
 			}
 		}
@@ -166,15 +153,14 @@ func (o *SlidingWindowOp) processCallBlock(c *analyticState, b *TupleBlock, outC
 	return nil
 }
 
-// partitionSlots encodes the selected rows' partition keys into the batch
-// arena and numbers the block's distinct keys in first-touch order; it
-// returns the distinct keys and each row's slot among them. A partition that
-// is one bare Int64 column is read unboxed, and a run of equal values is
-// encoded once; the encoding is the object-serde row of the partition
-// values either way.
+// partitionSlots encodes the selected rows' partition keys and finds each
+// one's resident state; it returns each row's slot and the block's distinct
+// slots in first-touch order. A partition that is one bare Int64 column is
+// read unboxed, and a run of equal values is looked up once; the encoding
+// is the object-serde row of the partition values either way.
 //
 //samzasql:hotpath
-func (o *SlidingWindowOp) partitionSlots(c *analyticState, b *TupleBlock, row []any) ([][]byte, []int32, error) {
+func (o *SlidingWindowOp) partitionSlots(c *analyticState, b *TupleBlock, row []any) ([]int32, []int32, error) {
 	var col *vec.Vec
 	if len(c.part) == 1 {
 		col = c.part[0].int64Col(b)
@@ -183,12 +169,11 @@ func (o *SlidingWindowOp) partitionSlots(c *analyticState, b *TupleBlock, row []
 			b.box(c.part[i].refs)
 		}
 	}
-	o.blkTable.reset(len(b.Sel))
-	pks, slots := o.blkPks[:0], o.blkSlots[:0]
+	slots, touched := o.blkSlots[:0], o.blkTouched[:0]
 	var prev int64
 	run := false
 	for _, r := range b.Sel {
-		start := len(o.arena)
+		pk := o.kbuf[:0]
 		switch {
 		case col == nil:
 			for i := range c.part {
@@ -199,14 +184,14 @@ func (o *SlidingWindowOp) partitionSlots(c *analyticState, b *TupleBlock, row []
 				}
 				c.partVals[i] = v
 			}
-			buf, err := o.obj.AppendEncode(o.arena, c.partVals)
+			buf, err := o.obj.AppendEncode(pk, c.partVals)
 			if err != nil {
 				return nil, nil, err
 			}
-			o.arena = buf
+			pk = buf
 		case col.IsNull(r):
 			run = false
-			o.arena = serde.AppendNull(serde.AppendRowHeader(o.arena, 1))
+			pk = serde.AppendNull(serde.AppendRowHeader(pk, 1))
 		default:
 			v := col.I64[r]
 			if run && v == prev {
@@ -214,82 +199,18 @@ func (o *SlidingWindowOp) partitionSlots(c *analyticState, b *TupleBlock, row []
 				continue
 			}
 			prev, run = v, true
-			o.arena = serde.AppendLong(serde.AppendRowHeader(o.arena, 1), v)
+			pk = serde.AppendLong(serde.AppendRowHeader(pk, 1), v)
 		}
-		var slot int32
-		slot, pks, o.arena = o.blkTable.slotOfLast(pks, o.arena, start)
+		o.kbuf = pk
+		slot := c.slotOf(pk)
 		slots = append(slots, slot)
-	}
-	o.blkPks, o.blkSlots = pks, slots
-	return pks, slots, nil
-}
-
-// loadTailsBatch makes the tail chunk image of every block state resident
-// with one batched chunk read, noting how much of it the store holds;
-// empty deques cost nothing.
-func (o *SlidingWindowOp) loadTailsBatch(c *analyticState, pks [][]byte, states []*windowState) error {
-	want := o.blkTails[:0]
-	ckeys := o.blkChunks[:0]
-	for i, ws := range states {
-		switch {
-		case ws.tailLen == 0:
-			ws.setTail(nil)
-		default:
-			want = append(want, ws)
-			start := len(o.arena)
-			o.arena = appendChunkKey(o.arena, c.idx, pks[i], ws.tailSeq)
-			ckeys = append(ckeys, o.arena[start:len(o.arena):len(o.arena)])
+		if ws := c.state(slot); !ws.touched {
+			ws.touched = true
+			touched = append(touched, slot)
 		}
 	}
-	o.blkTails, o.blkChunks = want[:0], ckeys[:0]
-	if len(want) == 0 {
-		return nil
-	}
-	vals := o.blkVals[:0]
-	oks := o.blkOks[:0]
-	for range want {
-		vals = append(vals, nil)
-		oks = append(oks, false)
-	}
-	kv.GetMany(o.store, ckeys, vals, oks)
-	o.blkVals, o.blkOks = vals[:0], oks[:0]
-	for i, ws := range want {
-		if !oks[i] {
-			return errMissingChunk(ws.tailSeq)
-		}
-		img, err := trimChunk(vals[i], ws.tailLen, ws.tailSeq)
-		if err != nil {
-			return err
-		}
-		ws.setTail(img)
-		if len(img) == len(vals[i]) {
-			ws.tailStored = len(img) // no garbage past the cursor to append behind
-		}
-	}
-	return nil
-}
-
-// loadStatesBatch decodes the states of the distinct state keys, in their
-// order, from one batched byte read.
-func (o *SlidingWindowOp) loadStatesBatch(c *analyticState, keys [][]byte) ([]*windowState, error) {
-	vals := o.blkVals[:0]
-	oks := o.blkOks[:0]
-	for range keys {
-		vals = append(vals, nil)
-		oks = append(oks, false)
-	}
-	kv.GetMany(o.store, keys, vals, oks)
-	o.blkVals, o.blkOks = vals[:0], oks[:0]
-	states := o.blkStates[:0]
-	for i := range keys {
-		ws, err := o.decodeCallState(c, vals[i], oks[i])
-		if err != nil {
-			return nil, err
-		}
-		states = append(states, ws)
-	}
-	o.blkStates = states
-	return states, nil
+	o.blkSlots, o.blkTouched = slots, touched
+	return slots, touched, nil
 }
 
 // ----- StreamAggregateOp -----
@@ -603,7 +524,7 @@ func (o *StreamRelationJoinOp) ProcessBlock(side int, b *TupleBlock, emit BlockE
 	out.shareRows(b, len(o.kinds))
 	copy(out.Cols[o.streamAt:], b.Cols)
 	for c := range t.cols {
-		out.Cols[o.relAt+c].Reset(t.cols[c].Kind, b.N, t.cols[c].Absent)
+		out.Cols[o.relAt+c].Reset(t.cols[c].Kind, b.N, t.cols[c].Absent && !t.keyFromProbe(c))
 	}
 	sel := o.outSel[:0]
 	start := time.Now()
@@ -635,6 +556,12 @@ func (o *StreamRelationJoinOp) ProcessBlock(side int, b *TupleBlock, emit BlockE
 				}
 			}
 		}
+		if t.fixed {
+			// The relation's key is the stream's, bit for bit.
+			if err := out.Cols[o.relAt+t.keyCol].SetFrom(r, &b.Cols[o.streamKey.col], r); err != nil {
+				return err
+			}
+		}
 		sel = append(sel, r)
 	}
 	book(o.getLat, start, len(b.Sel))
@@ -651,7 +578,11 @@ func (o *StreamRelationJoinOp) residualHolds(b *TupleBlock, r, ri int) (bool, er
 		row[o.streamAt+c] = b.Cols[c].Value(r)
 	}
 	for _, c := range o.resRel {
-		row[o.relAt+c] = o.rel.cols[c].Value(ri)
+		if o.rel.keyFromProbe(c) {
+			row[o.relAt+c] = b.Cols[o.streamKey.col].Value(r)
+		} else {
+			row[o.relAt+c] = o.rel.cols[c].Value(ri)
+		}
 	}
 	v, err := o.residual(row)
 	if err != nil {

@@ -178,9 +178,10 @@ func NewStreamRelationJoinOp(info *validate.JoinInfo, left, right *types.RowType
 		}
 	}
 	// A VARCHAR key is its relation column's bytes; any other byte key is
-	// the state key, which the table keeps itself.
+	// the state key, which the table keeps itself. A fixed-width key column
+	// is not kept: a match's value is the stream row's key.
 	keyCol := -1
-	if op.keyKind == vec.String {
+	if op.keyKind != vec.Any {
 		keyCol = op.relKey.col
 	}
 	op.rel = newRelTable(vec.KindsOf(rel), op.keyKind != vec.Any && op.keyKind != vec.String, keyCol)

@@ -5,11 +5,13 @@ import (
 	"hash/maphash"
 )
 
-// keyTable assigns each distinct encoded key of a block a slot number, in
-// first-touch order, without allocating: an open-addressing table of slot
-// numbers whose keys live in the caller's key list. A Go map keyed by
-// string(key) does the same job but copies every distinct key into a fresh
-// string per block.
+// keyTable assigns each distinct encoded key a slot number, in first-touch
+// order, without allocating: an open-addressing table of slot numbers whose
+// keys live in the caller's key list. The aggregate resets it per block;
+// the sliding window keeps one per analytic call for the operator's life,
+// and never deletes from it. A Go map keyed by string(key) does the same
+// job but copies every distinct key into a fresh string, and measured no
+// faster as the window's persistent index.
 type keyTable struct {
 	slots []int32 // slot number + 1; 0 marks an empty cell
 	seed  maphash.Seed
@@ -34,7 +36,7 @@ func (t *keyTable) reset(n int) {
 }
 
 // slotOf returns key's slot number in keys, appending key to keys (without
-// copying it) when the block has not touched it yet.
+// copying it) when the table does not hold it yet.
 //
 //samzasql:hotpath
 func (t *keyTable) slotOf(keys [][]byte, key []byte) (int32, [][]byte) {

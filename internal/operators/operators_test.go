@@ -409,29 +409,19 @@ func TestSlidingWindowUnbounded(t *testing.T) {
 }
 
 func TestSlidingWindowStateSurvivesRestore(t *testing.T) {
-	// Same store instance across two operator incarnations simulates
-	// changelog-restored state plus message replay.
-	ctx := testCtx()
-	spec := []*validate.BoundAnalytic{slidingSpec("SUM", 10000, 0, false)}
-	op1, err := NewSlidingWindowOp(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := op1.Open(ctx); err != nil {
-		t.Fatal(err)
-	}
+	// Two operator incarnations over one changelog: the second restores what
+	// the first wrote, then sees a message replay. The window's state is
+	// resident, so the changelog is the only copy a second incarnation can
+	// find.
+	broker := kafka.NewBroker()
+	spec := slidingSpec("SUM", 10000, 0, false)
+	op1 := changelogWindowOp(t, broker, spec)
 	var out []testRow
 	emit := collect(&out)
 	process(t, op1, tup(0, 100, int64(100), int64(10), int64(7)), emit)
 	process(t, op1, tup(1, 200, int64(200), int64(20), int64(7)), emit)
 	// "Crash", restart with restored store; offset 1 replays, then 2 new.
-	op2, err := NewSlidingWindowOp(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := op2.Open(ctx); err != nil {
-		t.Fatal(err)
-	}
+	op2 := changelogWindowOp(t, broker, spec)
 	process(t, op2, tup(1, 200, int64(200), int64(20), int64(7)), emit)
 	process(t, op2, tup(2, 300, int64(300), int64(5), int64(7)), emit)
 	// Replayed offset 1 emits nothing; final sum = 10+20+5.
@@ -445,24 +435,18 @@ func TestSlidingWindowStateSurvivesRestore(t *testing.T) {
 
 // TestSlidingWindowUnboundedKeepsNoContributions pins the state-leak fix: an
 // UNBOUNDED PRECEDING frame never purges, so nothing may be stored per row —
-// the store holds one state row per partition however long the stream runs.
+// the changelog holds one state row per partition however long the stream
+// runs.
 func TestSlidingWindowUnboundedKeepsNoContributions(t *testing.T) {
 	for _, batch := range []int{1, 256} {
-		op, err := NewSlidingWindowOp([]*validate.BoundAnalytic{slidingSpec("SUM", 0, 0, true)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		store := kv.NewStore()
-		ctx := &OpContext{Store: func(string) kv.Store { return store }, Metrics: metrics.NewRegistry()}
-		if err := op.Open(ctx); err != nil {
-			t.Fatal(err)
-		}
+		broker := kafka.NewBroker()
+		op := changelogWindowOp(t, broker, slidingSpec("SUM", 0, 0, true))
 		const n, keys = 10_000, 10
 		rows := inOrderRows(n, keys)
 		out := map[int64]string{}
 		feedWindow(t, op, rows, 0, n, batch, out)
-		if got := store.Len(); got != keys {
-			t.Fatalf("batch=%d: %d store keys after %d rows over %d partitions, want one state row each", batch, got, n, keys)
+		if got := len(foldedChangelog(t, broker)); got != keys {
+			t.Fatalf("batch=%d: %d changelog keys after %d rows over %d partitions, want one state row each", batch, got, n, keys)
 		}
 		var sum int64
 		for i := n - keys; i >= 0; i -= keys {

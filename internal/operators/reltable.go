@@ -31,7 +31,9 @@ type relTable struct {
 
 	// Keys are fixed-width bits, held in the slots, or bytes, held
 	// row-aligned in cols[keyCol] when keyCol >= 0 and in strs, a String
-	// vector of the table's own, when it is not.
+	// vector of the table's own, when it is not. A fixed-width table keeps
+	// no key column: cols[keyCol] stays absent, a matching row's key being
+	// the probe's own value.
 	fixed  bool
 	keyCol int
 	strs   vec.Vec
@@ -66,11 +68,8 @@ const minRelSlots = 16
 // newRelTable returns an empty table for relation rows of the given column
 // kinds, keyed by fixed-width bits when fixed is set and by bytes otherwise:
 // those of relation column keyCol, or of keys the table keeps itself when
-// keyCol is negative.
+// keyCol is negative. A fixed-width table does not keep column keyCol.
 func newRelTable(kinds []vec.Kind, fixed bool, keyCol int) relTable {
-	if fixed {
-		keyCol = -1
-	}
 	t := relTable{cols: make([]vec.Vec, len(kinds)), fixed: fixed, keyCol: keyCol, seed: maphash.MakeSeed()}
 	for c, k := range kinds {
 		t.cols[c].Reset(k, 0, true)
@@ -133,6 +132,10 @@ func (t *relTable) byteKeys() *vec.Vec {
 // ownKeys reports whether the table keeps its keys in strs.
 func (t *relTable) ownKeys() bool { return !t.fixed && t.keyCol < 0 }
 
+// keyFromProbe reports whether relation column c is a fixed-width table's
+// key column, which the table does not keep.
+func (t *relTable) keyFromProbe(c int) bool { return t.fixed && c == t.keyCol }
+
 // get returns k's row, or -1 when the table has none.
 //
 //samzasql:hotpath
@@ -148,7 +151,7 @@ func (t *relTable) get(k tableKey) int {
 // present in the table, its rows so far NULL.
 func (t *relTable) keep(cols []vec.Vec) {
 	for c := range t.cols {
-		if v := &t.cols[c]; v.Absent && !cols[c].Absent {
+		if v := &t.cols[c]; v.Absent && !cols[c].Absent && !t.keyFromProbe(c) {
 			v.Truncate(v.Kind)
 			for i := 0; i < t.rows; i++ {
 				v.SetNull(v.Grow())

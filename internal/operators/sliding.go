@@ -5,8 +5,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"time"
 
 	"samzasql/internal/kv"
+	"samzasql/internal/metrics"
 	"samzasql/internal/serde"
 	"samzasql/internal/sql/expr"
 	"samzasql/internal/sql/validate"
@@ -25,72 +27,71 @@ const chunkCap = 64
 // while adjusting aggregate values, folds in the current tuple, persists the
 // window state, and emits the input row extended with the latest aggregate
 // values downstream (ProcessBlock, block_stateful.go, runs these steps over a
-// whole block, loading and persisting each partition's state once).
+// whole block, persisting each partition's state once).
 //
 // Where Algorithm 1 stores every message under its own key, this operator
 // keeps each window partition's retained contributions as a deque ordered by
-// (ts, offset) and packed into chunks of chunkCap entries, one store key per
-// chunk ('m' keys). The window state row ('s' keys) carries the deque's
+// (ts, offset) and packed into chunks of chunkCap entries, one changelog key
+// per chunk ('m' keys). The window state row ('s' keys) carries the deque's
 // head and tail cursors, and the cursors are authoritative: expiry is a
 // cursor advance in the state row that is written anyway, a chunk is deleted
-// only once every entry in it has expired, and whatever a stored chunk holds
-// past the tail cursor is garbage (DESIGN.md, "Deviation from Algorithm 1").
+// only once every entry in it has expired, and whatever a chunk holds past
+// the tail cursor is garbage (DESIGN.md, "Deviation from Algorithm 1").
 //
-// All state lives in the task's key-value store so Samza's changelog
-// snapshot/restore makes the operator fault-tolerant, and per-stream offset
-// markers make re-delivered messages no-ops (exactly-once output, §4.3).
-// Every store write one block causes goes down as a single kv write batch,
-// which the changelog never splits, so a restored state row always finds the
+// The state is resident: every window partition's decoded state and chunk
+// images stay in the operator between blocks, and a block writes what it
+// changed to the changelog of the task store only, whose inner store Open
+// empties after reading the restored state out of it. The changelog is the
+// state's only encoded copy, so Samza's changelog restore keeps the operator
+// fault-tolerant, and per-stream offset markers make re-delivered messages
+// no-ops (exactly-once output, §4.3). Every write one block causes goes down
+// as a single changelog batch, so a restored state row always finds the
 // chunks its cursors point into.
 type SlidingWindowOp struct {
 	calls    []*analyticState
-	store    kv.Store
 	obj      serde.ObjectSerde
 	sources  sourceKeys
 	srcNames sourceNames
 
-	// Scratch (tasks are single-goroutine; every store layer copies keys and
-	// values it retains, so reuse is safe): kbuf holds a chunk key, ebuf one
+	// log takes every block's writes: the changelog of the window's task
+	// store, detached at Open; nil when the store has none, and the state
+	// lives in the operator only.
+	log *kv.Changelog
+	// err is the error of the block that failed. The resident state may hold
+	// half of that block, so every later block fails with it too; a
+	// restarted task restores from the changelog instead.
+	err error
+	// getLat, putLat and deleteLat book the state accesses under the
+	// window store's metric names, as kv.Instrument does for a task store.
+	getLat, putLat, deleteLat *metrics.Histogram
+
+	// Scratch (tasks are single-goroutine): kbuf holds a chunk key, ebuf one
 	// encoded entry, allbuf a whole deque being rebuilt.
 	kbuf, ebuf, allbuf []byte
 
 	// The pending write batch: chunk puts, appends and deletes and state
-	// rows in the order they were caused. Keys and values alias arena, which
-	// is reset with the batch and also holds the block's partition and state
-	// keys. rolled holds the whole images of chunks that filled up since the
-	// last flush — the only chunks a read can want before the store has
-	// them, and whose write may carry only their newest bytes.
-	ops    []kv.WriteOp
-	arena  []byte
-	rolled []rolledChunk
+	// rows in the order they were caused. Keys and state rows alias arena,
+	// which is reset with the batch; chunk values alias the chunk images.
+	ops   []kv.WriteOp
+	arena []byte
 
-	// pool recycles windowState objects (and the chunk images they own)
-	// between batches.
-	pool     []*windowState
-	poolUsed int
+	// spare holds chunk buffers free for reuse. A buffer freed during a
+	// block waits in freed until the flush: a pending write may alias it.
+	spare, freed [][]byte
 
 	// Per-block scratch (block_stateful.go): the output block and its
-	// selection, the gather row, per-row replay flags, one call's distinct
-	// partition keys (found through blkTable), their state keys and states
-	// in first-touch order, each row's slot among them, and the batched-read
-	// slices.
+	// selection, the gather row, per-row replay flags, each row's state slot
+	// and one call's touched slots in first-touch order.
 	outBlock   TupleBlock
 	outSel     []int
 	rowScratch []any
 	blkReplay  []bool
-	blkTable   keyTable
-	blkPks     [][]byte
-	blkKeys    [][]byte
-	blkStates  []*windowState
 	blkSlots   []int32
-	blkChunks  [][]byte
-	blkVals    [][]byte
-	blkOks     []bool
-	blkTails   []*windowState
+	blkTouched []int32
 }
 
-// windowState is one window partition's decoded state: the live accumulator,
-// the retained-contribution count, the per-source applied-offset vector that
+// windowState is one window partition's state: the live accumulator, the
+// retained-contribution count, the per-source applied-offset vector that
 // makes re-delivered messages no-ops, and the cursors of the partition's
 // contribution deque. The deque spans chunks headSeq..tailSeq; headPos
 // entries of chunk headSeq have expired, chunk tailSeq holds tailLen
@@ -104,29 +105,33 @@ type windowState struct {
 	headSeq, tailSeq uint64
 	headPos, tailLen int
 
-	// Chunk images, not part of the encoded state row. tail is chunk
-	// tailSeq's first tailLen entries (lastOff locating the last one),
-	// loaded with the state; head is chunk headSeq while it is not the tail
-	// (headOff locating entry headPos), loaded on first use.
-	tail, head       []byte
+	// chunks holds the images of the full chunks headSeq..tailSeq-1, oldest
+	// first, so the head is chunks[0] while it is not the tail (headOff
+	// locating entry headPos). tail is chunk tailSeq's tailLen entries
+	// (lastOff locating the last one).
+	chunks           [][]byte
+	tail             []byte
 	lastOff, headOff int
-	headLoaded       bool
 
-	// tailStored is how many leading bytes of tail the store holds as the
-	// whole value of chunk tailSeq, so that writing tail[tailStored:] as an
-	// append brings it up to date; -1 when the store holds no usable
+	// tailStored is how many leading bytes of tail the changelog holds as
+	// the whole value of chunk tailSeq, so that writing tail[tailStored:] as
+	// an append brings it up to date; -1 when the changelog holds no usable
 	// prefix (no chunk, bytes past the cursor, or a front trim, late insert
 	// or rebuild changed the image), and the next write is a full put.
 	tailStored int
 
-	// tailDirty marks a tail image the store has not seen; dirty marks a
-	// state modified since its last save.
-	tailDirty, dirty bool
+	// tailDirty marks a tail image the changelog has not seen; dirty marks
+	// a state modified since its last save; touched a state the current
+	// block has listed.
+	tailDirty, dirty, touched bool
+
+	// inline is the builtin accumulator acc points to, kept in the state.
+	inline Accum
 }
 
-// rolledChunk is the whole image of a chunk that filled up in the pending
-// batch, under its key; both alias the batch arena.
-type rolledChunk struct{ key, img []byte }
+// statePage is how many window states one page holds. States live in pages
+// that never move, so a builtin accumulator can sit inside its state.
+const statePage = 256
 
 type analyticState struct {
 	spec *validate.BoundAnalytic
@@ -138,11 +143,62 @@ type analyticState struct {
 	// single-goroutine, so one buffer per call suffices).
 	partVals []any
 	// newAcc builds a fresh accumulator for this call, resolved once at
-	// construction so per-tuple state decodes stay off the UDAF registry lock.
-	newAcc func() Accumulator
-	idx    byte
+	// construction so state construction stays off the UDAF registry lock;
+	// builtin reports that it builds an *Accum, which a state keeps inline.
+	newAcc  func() Accumulator
+	builtin bool
+	idx     byte
 	// kind is the call's output column kind.
 	kind vec.Kind
+
+	// The call's resident window partitions, numbered in the order they
+	// appear: table finds a partition key's slot, pks[slot] is the key and
+	// state(slot) the state.
+	table keyTable
+	pks   [][]byte
+	pages []*[statePage]windowState
+}
+
+// state returns the resident state of slot.
+func (c *analyticState) state(slot int32) *windowState {
+	return &c.pages[slot/statePage][slot%statePage]
+}
+
+// slotOf returns the slot of partition key pk, giving a key the call has
+// not seen a fresh empty state and a copy of pk.
+//
+//samzasql:hotpath
+func (c *analyticState) slotOf(pk []byte) int32 {
+	n := len(c.pks)
+	slot, pks := c.table.slotOf(c.pks, pk)
+	if len(pks) == n {
+		return slot
+	}
+	pks[n] = bytes.Clone(pk)
+	c.pks = pks
+	if int(slot)/statePage == len(c.pages) {
+		c.pages = append(c.pages, new([statePage]windowState))
+	}
+	c.initState(c.state(slot))
+	return slot
+}
+
+// initState makes ws an empty state of this call.
+func (c *analyticState) initState(ws *windowState) {
+	*ws = windowState{tailStored: -1}
+	c.resetAcc(ws)
+}
+
+// resetAcc gives ws an empty accumulator: its inline one, reset, for a
+// builtin function.
+func (c *analyticState) resetAcc(ws *windowState) Accumulator {
+	if c.builtin {
+		ws.inline = Accum{Fn: c.spec.Fn}
+		ws.acc = &ws.inline
+	} else {
+		ws.acc = c.newAcc()
+	}
+	return ws.acc
 }
 
 // callInput is one per-row input of an analytic call. A bare column reference
@@ -253,19 +309,79 @@ func NewSlidingWindowOp(calls []*validate.BoundAnalytic) (*SlidingWindowOp, erro
 		if st.newAcc, err = AccumCtorFor(c.Fn); err != nil {
 			return nil, err
 		}
+		_, st.builtin = st.newAcc().(*Accum)
 		op.calls = append(op.calls, st)
 	}
 	return op, nil
 }
 
-// Open implements Operator.
+// Open implements Operator: it reads every window state the (restored)
+// task store holds into the operator, then detaches the store's changelog,
+// through which every later write goes.
 func (o *SlidingWindowOp) Open(ctx *OpContext) error {
-	o.store = ctx.Store(SlidingStoreName)
+	if ctx.Metrics != nil {
+		prefix := "store." + SlidingStoreName + "."
+		o.getLat = ctx.Metrics.Histogram(prefix + "get-ns")
+		o.putLat = ctx.Metrics.Histogram(prefix + "put-ns")
+		o.deleteLat = ctx.Metrics.Histogram(prefix + "delete-ns")
+	}
 	o.srcNames = sourceNames{}
+	store := ctx.Store(SlidingStoreName)
+	if err := o.restore(store); err != nil {
+		return err
+	}
+	o.log = kv.DetachChangelog(store)
 	return nil
 }
 
-// foldTuple applies one tuple's contribution to a loaded window state:
+// restore makes the window states store holds resident: one range read of
+// the state rows, then the chunks each row's cursors point into.
+func (o *SlidingWindowOp) restore(store kv.Store) error {
+	for _, e := range store.Range([]byte{'s'}, []byte{'t'}, 0) {
+		if len(e.Key) < 2 || int(e.Key[1]) >= len(o.calls) {
+			return fmt.Errorf("operators: window state key %x names no analytic call of the plan", e.Key)
+		}
+		c := o.calls[e.Key[1]]
+		pk := e.Key[2:]
+		ws := c.state(c.slotOf(pk))
+		if err := o.decodeCallState(c, ws, e.Value); err != nil {
+			return err
+		}
+		for seq := ws.headSeq; seq <= ws.tailSeq; seq++ {
+			n := chunkCap
+			if seq == ws.tailSeq {
+				if n = ws.tailLen; n == 0 {
+					break
+				}
+			}
+			o.kbuf = appendChunkKey(o.kbuf[:0], c.idx, pk, seq)
+			v, ok := store.Get(o.kbuf)
+			if !ok {
+				return fmt.Errorf("operators: window state points at chunk %d, which the store does not hold", seq)
+			}
+			img, err := trimChunk(v, n, seq)
+			if err != nil {
+				return err
+			}
+			if seq < ws.tailSeq {
+				ws.chunks = append(ws.chunks, append(o.chunkBuf(), img...))
+				continue
+			}
+			ws.setTail(img)
+			if len(img) == len(v) {
+				ws.tailStored = len(img) // no garbage past the cursor to append behind
+			}
+		}
+		if ws.headSeq != ws.tailSeq {
+			for i := 0; i < ws.headPos; i++ {
+				ws.headOff += entrySize(ws.chunks[0][ws.headOff:])
+			}
+		}
+	}
+	return nil
+}
+
+// foldTuple applies one tuple's contribution to a resident window state:
 // Algorithm 1 steps 2–5 (save contribution, purge expired, fold, rebuild
 // non-invertible aggregates). Replay detection and state persistence stay
 // with the caller, which stages the state once per key per block. An
@@ -309,7 +425,7 @@ func (o *SlidingWindowOp) foldTuple(c *analyticState, ws *windowState, pk []byte
 	// 5. Non-invertible aggregates (MIN/MAX, non-invertible UDAFs) rebuild
 	// from the retained window after a purge.
 	if rebuild {
-		return o.rebuildAcc(c, ws, pk)
+		return o.rebuildAcc(c, ws)
 	}
 	return nil
 }
@@ -319,7 +435,8 @@ func (o *SlidingWindowOp) foldTuple(c *analyticState, ws *windowState, pk []byte
 // ROWS frame, those older than ts - FrameMillis for a RANGE frame, ts being
 // the current tuple's own — removing each from an invertible accumulator. It
 // reports whether a non-invertible accumulator lost a contribution. Popping
-// only advances cursors; a chunk is deleted once its last entry is popped.
+// only advances cursors; a chunk is deleted, and its buffer freed, once its
+// last entry is popped.
 //
 //samzasql:hotpath
 func (o *SlidingWindowOp) purge(c *analyticState, ws *windowState, pk []byte, ts int64) (rebuild bool, err error) {
@@ -340,10 +457,7 @@ func (o *SlidingWindowOp) purge(c *analyticState, ws *windowState, pk []byte, ts
 	for ws.count > 0 {
 		img, off := ws.tail, front
 		if ws.headSeq != ws.tailSeq {
-			if err := o.loadHead(c, ws, pk); err != nil {
-				return false, err
-			}
-			img, off = ws.head, ws.headOff
+			img, off = ws.chunks[0], ws.headOff
 		}
 		e := img[off:]
 		if c.spec.IsRows {
@@ -376,8 +490,12 @@ func (o *SlidingWindowOp) purge(c *analyticState, ws *windowState, pk []byte, ts
 		if ws.headPos == chunkCap {
 			o.kbuf = appendChunkKey(o.kbuf[:0], c.idx, pk, ws.headSeq)
 			o.stageDelete(o.kbuf)
+			o.freed = append(o.freed, ws.chunks[0][:0])
+			n := copy(ws.chunks, ws.chunks[1:])
+			ws.chunks[n] = nil
+			ws.chunks = ws.chunks[:n]
 			ws.headSeq++
-			ws.headPos, ws.headLoaded = 0, false
+			ws.headPos, ws.headOff = 0, 0
 		}
 	}
 	if frontN > 0 {
@@ -392,30 +510,19 @@ func (o *SlidingWindowOp) purge(c *analyticState, ws *windowState, pk []byte, ts
 
 // rebuildAcc recomputes a non-invertible accumulator from the retained
 // deque, oldest contribution first.
-func (o *SlidingWindowOp) rebuildAcc(c *analyticState, ws *windowState, pk []byte) error {
-	fresh := c.newAcc()
+func (o *SlidingWindowOp) rebuildAcc(c *analyticState, ws *windowState) error {
+	acc := c.resetAcc(ws)
 	if ws.headSeq != ws.tailSeq {
-		if err := o.loadHead(c, ws, pk); err != nil {
+		if err := o.addEntries(acc, ws.chunks[0][ws.headOff:], chunkCap-ws.headPos); err != nil {
 			return err
 		}
-		if err := o.addEntries(fresh, ws.head[ws.headOff:], chunkCap-ws.headPos); err != nil {
-			return err
-		}
-		for seq := ws.headSeq + 1; seq < ws.tailSeq; seq++ {
-			img, err := o.readChunk(c, pk, seq, chunkCap)
-			if err != nil {
-				return err
-			}
-			if err := o.addEntries(fresh, img, chunkCap); err != nil {
+		for _, img := range ws.chunks[1:] {
+			if err := o.addEntries(acc, img, chunkCap); err != nil {
 				return err
 			}
 		}
 	}
-	if err := o.addEntries(fresh, ws.tail, ws.tailLen); err != nil {
-		return err
-	}
-	ws.acc = fresh
-	return nil
+	return o.addEntries(acc, ws.tail, ws.tailLen)
 }
 
 // addEntries folds the first n entries of img into acc.
@@ -435,24 +542,34 @@ func (o *SlidingWindowOp) addEntries(acc Accumulator, img []byte, n int) error {
 	return nil
 }
 
-// rollTail closes the full tail chunk — staging the write of its image and
-// keeping the image as the head when the head was in it — and opens an
-// empty one, which the store does not hold yet.
+// rollTail closes the full tail chunk — staging the write of its image, and
+// keeping the image as the deque's newest full chunk — and opens an empty
+// one, which the changelog does not hold yet. The write aliases the image,
+// which stays as it is until its buffer is freed after the flush.
 func (o *SlidingWindowOp) rollTail(c *analyticState, ws *windowState, pk []byte) {
 	o.kbuf = appendChunkKey(o.kbuf[:0], c.idx, pk, ws.tailSeq)
-	key, img := o.arenaCopy(o.kbuf), o.arenaCopy(ws.tail)
-	o.rolled = append(o.rolled, rolledChunk{key, img})
-	if op, ok := tailWrite(key, img, ws.tailStored); ok {
+	if op, ok := tailWrite(o.arenaCopy(o.kbuf), ws.tail, ws.tailStored); ok {
 		o.ops = append(o.ops, op)
 	}
-	if ws.headSeq == ws.tailSeq {
-		ws.head = append(ws.head[:0], ws.tail...)
-		ws.headOff, ws.headLoaded = 0, true
-	}
+	ws.chunks = append(ws.chunks, ws.tail)
 	ws.tailSeq++
-	ws.tail = ws.tail[:0]
+	ws.tail = o.chunkBuf()
 	ws.tailLen, ws.lastOff = 0, 0
 	ws.tailDirty, ws.tailStored = false, -1
+}
+
+// chunkBuf returns an empty chunk buffer: a spare one, or a new one sized
+// for a tail chunk of int64 entries holding one late entry over its count.
+// Only a partition that filled a chunk gets one; a new partition's tail
+// grows from nothing, so the many partitions that never fill a chunk keep
+// small tails.
+func (o *SlidingWindowOp) chunkBuf() []byte {
+	if n := len(o.spare); n > 0 {
+		b := o.spare[n-1]
+		o.spare = o.spare[:n-1]
+		return b
+	}
+	return make([]byte, 0, (chunkCap+1)*(entryHeader+8))
 }
 
 // insertLate places the entry in o.ebuf, which sorts before the deque's
@@ -473,7 +590,8 @@ func (o *SlidingWindowOp) insertLate(c *analyticState, ws *windowState, pk []byt
 		ws.tailStored = -1 // the insert moved stored bytes
 	}
 	if ws.tailLen > chunkCap {
-		spill := append([]byte(nil), ws.tail[ws.lastOff:]...)
+		// The spilled entry stays in the closed image's buffer, past its end.
+		spill := ws.tail[ws.lastOff:]
 		ws.tail = ws.tail[:ws.lastOff]
 		ws.tailLen--
 		o.rollTail(c, ws, pk)
@@ -489,25 +607,23 @@ func (o *SlidingWindowOp) insertLate(c *analyticState, ws *windowState, pk []byt
 // gone. The result depends only on the deque's contents, so every block size
 // lays out identical chunks.
 func (o *SlidingWindowOp) rebuildDeque(c *analyticState, ws *windowState, pk []byte) error {
-	if err := o.loadHead(c, ws, pk); err != nil {
-		return err
-	}
-	all := append(o.allbuf[:0], ws.head[ws.headOff:]...)
-	for seq := ws.headSeq + 1; seq < ws.tailSeq; seq++ {
-		img, err := o.readChunk(c, pk, seq, chunkCap)
-		if err != nil {
-			return err
-		}
+	all := append(o.allbuf[:0], ws.chunks[0][ws.headOff:]...)
+	for _, img := range ws.chunks[1:] {
 		all = append(all, img...)
 	}
 	all = append(all, ws.tail...)
 	all = spliceEntry(all, sortedPos(all, o.ebuf), o.ebuf)
 	o.allbuf = all
+	for i, img := range ws.chunks {
+		o.freed = append(o.freed, img[:0])
+		ws.chunks[i] = nil
+	}
+	ws.chunks = ws.chunks[:0]
 
 	oldTail := ws.tailSeq
-	ws.tailSeq, ws.headPos = ws.headSeq, 0
+	ws.tailSeq, ws.headPos, ws.headOff = ws.headSeq, 0, 0
 	ws.tail = ws.tail[:0]
-	ws.tailLen, ws.lastOff, ws.headLoaded, ws.tailStored = 0, 0, false, -1
+	ws.tailLen, ws.lastOff, ws.tailStored = 0, 0, -1
 	for len(all) > 0 {
 		if ws.tailLen == chunkCap {
 			o.rollTail(c, ws, pk)
@@ -556,51 +672,6 @@ func (ws *windowState) setTail(img []byte) {
 	}
 }
 
-// loadHead makes the image of head chunk headSeq (not the tail) resident
-// and locates entry headPos in it.
-func (o *SlidingWindowOp) loadHead(c *analyticState, ws *windowState, pk []byte) error {
-	if ws.headLoaded {
-		return nil
-	}
-	img, err := o.readChunk(c, pk, ws.headSeq, chunkCap)
-	if err != nil {
-		return err
-	}
-	ws.head = append(ws.head[:0], img...)
-	ws.headOff = 0
-	for i := 0; i < ws.headPos; i++ {
-		ws.headOff += entrySize(img[ws.headOff:])
-	}
-	ws.headLoaded = true
-	return nil
-}
-
-// readChunk returns the first n entries of a partition's chunk seq: from
-// the pending write batch when the chunk filled up since the last flush,
-// from the store otherwise. The result aliases store or batch memory and is
-// only valid until the next write.
-func (o *SlidingWindowOp) readChunk(c *analyticState, pk []byte, seq uint64, n int) ([]byte, error) {
-	o.kbuf = appendChunkKey(o.kbuf[:0], c.idx, pk, seq)
-	var v []byte
-	found := false
-	for i := len(o.rolled) - 1; i >= 0 && !found; i-- {
-		if r := &o.rolled[i]; bytes.Equal(r.key, o.kbuf) {
-			v, found = r.img, true
-		}
-	}
-	if !found {
-		v, found = o.store.Get(o.kbuf)
-	}
-	if !found {
-		return nil, errMissingChunk(seq)
-	}
-	return trimChunk(v, n, seq)
-}
-
-func errMissingChunk(seq uint64) error {
-	return fmt.Errorf("operators: window state points at chunk %d, which the store does not hold", seq)
-}
-
 // trimChunk cuts a stored chunk down to its first n entries, failing when it
 // holds fewer.
 func trimChunk(v []byte, n int, seq uint64) ([]byte, error) {
@@ -621,9 +692,9 @@ func (o *SlidingWindowOp) stageDelete(key []byte) {
 	o.ops = append(o.ops, kv.WriteOp{Key: o.arenaCopy(key), Kind: kv.OpDelete})
 }
 
-// tailWrite is the write that brings the store's copy of a tail chunk, whose
-// value is img[:stored] (stored < 0: no prefix of img), up to img: an append
-// of the bytes past stored, a full put, or none when the store is current.
+// tailWrite is the write that brings the changelog's copy of a tail chunk,
+// whose value is img[:stored] (stored < 0: no prefix of img), up to img: an
+// append of the bytes past stored, a full put, or none when it is current.
 func tailWrite(key, img []byte, stored int) (kv.WriteOp, bool) {
 	switch {
 	case stored < 0:
@@ -643,20 +714,30 @@ func (o *SlidingWindowOp) arenaCopy(b []byte) []byte {
 }
 
 // stageState queues a modified state for the next flush: the write of its
-// tail chunk when the image changed — only the bytes past what the store
-// holds, when that is a prefix — then the state row encoded into the batch
-// under sk, a key already in the batch arena.
-func (o *SlidingWindowOp) stageState(c *analyticState, sk, pk []byte, ws *windowState) error {
+// tail chunk when the image changed — only the bytes past what the
+// changelog holds, when that is a prefix — then the state row under its key,
+// both encoded into the batch arena. The tail write aliases the tail, which
+// no fold changes before the flush.
+func (o *SlidingWindowOp) stageState(c *analyticState, pk []byte, ws *windowState) error {
 	if ws.tailDirty {
 		o.kbuf = appendChunkKey(o.kbuf[:0], c.idx, pk, ws.tailSeq)
 		if op, ok := tailWrite(o.kbuf, ws.tail, ws.tailStored); ok {
-			op.Key, op.Value = o.arenaCopy(op.Key), o.arenaCopy(op.Value)
+			op.Key = o.arenaCopy(op.Key)
 			o.ops = append(o.ops, op)
 		}
-		ws.tailDirty, ws.tailStored = false, len(ws.tail)
+		ws.tailDirty = false
+		// What a restore would find: an empty tail has no prefix to append
+		// behind.
+		ws.tailStored = len(ws.tail)
+		if ws.tailLen == 0 {
+			ws.tailStored = -1
+		}
 	}
 	ws.dirty = false
 	start := len(o.arena)
+	o.arena = appendStateKey(o.arena, c.idx, pk)
+	sk := o.arena[start:len(o.arena):len(o.arena)]
+	start = len(o.arena)
 	buf, err := o.appendState(o.arena, ws)
 	if err != nil {
 		return fmt.Errorf("operators: window accumulator state: %w", err)
@@ -666,38 +747,28 @@ func (o *SlidingWindowOp) stageState(c *analyticState, sk, pk []byte, ws *window
 	return nil
 }
 
-// flushWrites hands the pending batch to the store as one kv write batch
-// and recycles the states the batch covered.
+// flushWrites produces the pending batch to the changelog as one batch,
+// booking its writes, and makes the chunk buffers the block freed spare.
 func (o *SlidingWindowOp) flushWrites() {
-	if len(o.ops) > 0 {
-		kv.WriteMany(o.store, o.ops)
+	if o.log != nil && len(o.ops) > 0 {
+		start := time.Now()
+		o.log.WriteMany(o.ops)
+		var deletes int64
+		for i := range o.ops {
+			if o.ops[i].Kind == kv.OpDelete {
+				deletes++
+			}
+		}
+		if o.putLat != nil {
+			share := time.Since(start).Nanoseconds() / int64(len(o.ops))
+			o.putLat.ObserveN(share, int64(len(o.ops))-deletes)
+			o.deleteLat.ObserveN(share, deletes)
+		}
 	}
-	o.discardWrites()
-}
-
-// discardWrites drops the pending batch unwritten — the error path: a block
-// that failed leaves the store as it found it.
-func (o *SlidingWindowOp) discardWrites() {
-	o.ops, o.arena, o.rolled = o.ops[:0], o.arena[:0], o.rolled[:0]
-	o.poolUsed = 0
-}
-
-// newState returns an empty, recycled windowState for call c, with the
-// state's builtin accumulator reset for reuse when it computes c's function.
-func (o *SlidingWindowOp) newState(c *analyticState) *windowState {
-	if o.poolUsed == len(o.pool) {
-		o.pool = append(o.pool, &windowState{})
-	}
-	ws := o.pool[o.poolUsed]
-	o.poolUsed++
-	acc := ws.acc
-	if a, ok := acc.(*Accum); ok && a.Fn == c.spec.Fn {
-		*a = Accum{Fn: a.Fn}
-	} else {
-		acc = c.newAcc()
-	}
-	*ws = windowState{acc: acc, offsets: ws.offsets[:0], tail: ws.tail[:0], head: ws.head[:0], tailStored: -1}
-	return ws
+	o.ops, o.arena = o.ops[:0], o.arena[:0]
+	o.spare = append(o.spare, o.freed...)
+	clear(o.freed)
+	o.freed = o.freed[:0]
 }
 
 // Chunk entry codec. An entry is ts (8 bytes), offset (8 bytes), a kind
@@ -809,25 +880,20 @@ func (o *SlidingWindowOp) appendState(buf []byte, ws *windowState) ([]byte, erro
 	return ws.acc.AppendState(buf)
 }
 
-// decodeCallState builds a windowState from stored bytes; ok=false yields a
-// fresh empty state.
-func (o *SlidingWindowOp) decodeCallState(c *analyticState, v []byte, ok bool) (*windowState, error) {
-	ws := o.newState(c)
-	if !ok {
-		return ws, nil
-	}
+// decodeCallState decodes the state row v into ws, an empty state of c.
+func (o *SlidingWindowOp) decodeCallState(c *analyticState, ws *windowState, v []byte) error {
 	var fields [6]uint64
 	for i := range fields {
 		u, w := binary.Uvarint(v)
 		if w <= 0 {
-			return nil, fmt.Errorf("operators: window state row truncated at field %d", i)
+			return fmt.Errorf("operators: window state row truncated at field %d", i)
 		}
 		fields[i], v = u, v[w:]
 	}
 	// Range-check the unsigned values: a cursor past 2^63 would turn negative
 	// in the int fields below and slip under the bounds.
 	if fields[0] > math.MaxInt64 || fields[1] > fields[3] || fields[2] >= chunkCap || fields[4] > chunkCap {
-		return nil, fmt.Errorf("operators: window state out of range (count %d, head %d+%d, tail %d+%d)",
+		return fmt.Errorf("operators: window state out of range (count %d, head %d+%d, tail %d+%d)",
 			fields[0], fields[1], fields[2], fields[3], fields[4])
 	}
 	ws.count = int64(fields[0])
@@ -836,18 +902,18 @@ func (o *SlidingWindowOp) decodeCallState(c *analyticState, v []byte, ok bool) (
 	for n := fields[5]; n > 0; n-- {
 		l, w := binary.Uvarint(v)
 		if w <= 0 || uint64(len(v)-w) < l {
-			return nil, fmt.Errorf("operators: window state offset vector truncated")
+			return fmt.Errorf("operators: window state offset vector truncated")
 		}
 		name := v[w : w+int(l)]
 		last, w2 := binary.Uvarint(v[w+int(l):])
 		if w2 <= 0 {
-			return nil, fmt.Errorf("operators: window state offset vector truncated")
+			return fmt.Errorf("operators: window state offset vector truncated")
 		}
 		ws.offsets = append(ws.offsets, sourceOffset{o.srcNames.intern(name), int64(last)})
 		v = v[w+int(l)+w2:]
 	}
 	if err := ws.acc.ReadState(v); err != nil {
-		return nil, fmt.Errorf("operators: window state: %w", err)
+		return fmt.Errorf("operators: window state: %w", err)
 	}
-	return ws, nil
+	return nil
 }

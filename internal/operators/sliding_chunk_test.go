@@ -121,6 +121,19 @@ func changelogWindowOp(t *testing.T, broker *kafka.Broker, specs ...*validate.Bo
 // deletes — into the state a restore would rebuild.
 func foldedChangelog(t *testing.T, broker *kafka.Broker) []string {
 	t.Helper()
+	state := changelogState(t, broker)
+	out := make([]string, 0, len(state))
+	for k, v := range state {
+		out = append(out, fmt.Sprintf("%x=%x", k, v))
+	}
+	sort.Strings(out)
+	return out
+}
+
+// changelogState is the window changelog folded per key, as foldedChangelog
+// describes.
+func changelogState(t testing.TB, broker *kafka.Broker) map[string][]byte {
+	t.Helper()
 	tp := kafka.TopicPartition{Topic: windowChangelog, Partition: 0}
 	hwm, err := broker.HighWatermark(tp)
 	if err != nil {
@@ -147,12 +160,7 @@ func foldedChangelog(t *testing.T, broker *kafka.Broker) []string {
 		}
 		off = msgs[len(msgs)-1].Offset + 1
 	}
-	out := make([]string, 0, len(state))
-	for k, v := range state {
-		out = append(out, fmt.Sprintf("%x=%x", k, v))
-	}
-	sort.Strings(out)
-	return out
+	return state
 }
 
 // windowGolden is what the per-tuple Process path — commit fc0bc3c, the last
@@ -450,9 +458,9 @@ func seq(from, to int) []int {
 }
 
 // FuzzSlidingStateDecode feeds arbitrary bytes to the readers of the two
-// sliding-window formats that reach the changelog — the state row
-// (decodeCallState, under each of several calls) and the chunk image
-// (trimChunk, entrySize, entryValue). Corrupt bytes must come back as an
+// sliding-window formats that reach the changelog, which a restore decodes
+// at Open — the state row (decodeCallState, under each of several calls)
+// and the chunk image (trimChunk, entrySize, entryValue). Corrupt bytes must come back as an
 // error, never a panic, and a state row that decodes must carry cursors
 // inside a chunk. Seeded with the rows real runs store — int64 MIN, string
 // MIN and MAX, float SUM, AVG and a UDAF, int64 and ObjectSerde entries
@@ -480,7 +488,11 @@ func FuzzSlidingStateDecode(f *testing.F) {
 	} {
 		spec := slidingSpec(c.fn, 0, n, false)
 		spec.T = c.t
-		store := kv.NewStore()
+		broker := kafka.NewBroker()
+		store, err := kv.NewChangelogStore(kv.NewStore(), broker, windowChangelog, 1, 0)
+		if err != nil {
+			f.Fatal(err)
+		}
 		op, err := NewSlidingWindowOp([]*validate.BoundAnalytic{spec})
 		if err != nil {
 			f.Fatal(err)
@@ -503,12 +515,24 @@ func FuzzSlidingStateDecode(f *testing.F) {
 		if err := op.ProcessBlock(0, b, func(*TupleBlock) error { return nil }); err != nil {
 			f.Fatal(err)
 		}
-		var state []byte
-		for _, e := range store.Range([]byte("s"), []byte("t"), 0) {
-			state = e.Value
+		// The seeds are what a restore reads: the state row and each chunk,
+		// in key order.
+		folded := changelogState(f, broker)
+		keys := make([]string, 0, len(folded))
+		for k := range folded {
+			keys = append(keys, k)
 		}
-		for _, e := range store.Range([]byte("m"), []byte("n"), 0) {
-			f.Add(state, e.Value)
+		sort.Strings(keys)
+		var state []byte
+		for _, k := range keys {
+			if k[0] == 's' {
+				state = folded[k]
+			}
+		}
+		for _, k := range keys {
+			if k[0] == 'm' {
+				f.Add(state, folded[k])
+			}
 		}
 		decoders = append(decoders, op)
 	}
@@ -537,13 +561,14 @@ func FuzzSlidingStateDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, state, chunk []byte) {
 		n := chunkCap
 		for _, d := range decoders {
-			if ws, err := d.decodeCallState(d.calls[0], state, true); err == nil {
+			var ws windowState
+			d.calls[0].initState(&ws)
+			if err := d.decodeCallState(d.calls[0], &ws, state); err == nil {
 				if ws.count < 0 || ws.headPos < 0 || ws.headPos >= chunkCap || ws.tailLen < 0 || ws.tailLen > chunkCap || ws.headSeq > ws.tailSeq {
 					t.Fatalf("%s accepted state row with count %d, head %d+%d, tail %d+%d", d.calls[0].spec.Fn, ws.count, ws.headSeq, ws.headPos, ws.tailSeq, ws.tailLen)
 				}
 				n = ws.tailLen
 			}
-			d.discardWrites() // recycle the pooled state
 		}
 		img, err := trimChunk(chunk, n, 0)
 		if err != nil {
@@ -619,5 +644,197 @@ func TestSlidingWindowChangelogBytesPerRow(t *testing.T) {
 	const bound = 130
 	if perRow > bound {
 		t.Errorf("changelog takes %.1f B/row, bound %d", perRow, bound)
+	}
+}
+
+// TestSlidingWindowBooksStateAccess pins what the window books under the
+// window store's metric names: one get per distinct partition per block, one
+// put per put or append record it writes to the changelog and one delete
+// per chunk tombstone. Two partitions of 150 rows each, a ROWS frame of 70,
+// blocks of 50: both partitions in every one of the six blocks, two rolled
+// chunks per partition, the first of them expired.
+func TestSlidingWindowBooksStateAccess(t *testing.T) {
+	const n, block = 300, 50
+	broker := kafka.NewBroker()
+	cl, err := kv.NewChangelogStore(kv.NewStore(), broker, windowChangelog, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	op, err := NewSlidingWindowOp([]*validate.BoundAnalytic{slidingSpec("SUM", 0, 70, false)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := metrics.NewRegistry()
+	if err := op.Open(&OpContext{Store: func(string) kv.Store { return cl }, Metrics: reg}); err != nil {
+		t.Fatal(err)
+	}
+	feedWindow(t, op, inOrderRows(n, 2), 0, n, block, map[int64]string{})
+
+	var puts, appends, tombstones int64
+	recs, err := broker.Read(nil, kafka.TopicPartition{Topic: windowChangelog}, 0, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range recs {
+		switch {
+		case m.Value == nil:
+			tombstones++
+		case m.Append:
+			appends++
+		default:
+			puts++
+		}
+	}
+	// Per partition: six state rows; a tail put in blocks 1, 3 and 6 (a
+	// new tail chunk) and an append in the other three; the closing append
+	// of chunk 0 (entry 65, block 3) and of chunk 1 (entry 129, block 6);
+	// the tombstone of chunk 0, whose last entry expires at entry 135.
+	if puts != 2*9 || appends != 2*5 || tombstones != 2 {
+		t.Fatalf("changelog holds %d puts, %d appends, %d tombstones", puts, appends, tombstones)
+	}
+	h := reg.Snapshot().Histograms
+	for _, c := range []struct {
+		op   string
+		want int64
+	}{{"get", 6 * 2}, {"put", puts + appends}, {"delete", tombstones}} {
+		if got := h["store."+SlidingStoreName+"."+c.op+"-ns"].Count; got != c.want {
+			t.Errorf("%s-ns books %d operations, want %d", c.op, got, c.want)
+		}
+	}
+}
+
+// TestSlidingWindowResidentMatchesRestore runs disordered input — one row
+// in six mildly late (an insert into the tail chunk), one in forty older
+// than the whole tail chunk (a rebuild of the deque) — through a live
+// changelog-backed window, and after every k blocks opens a fresh operator
+// from what the changelog holds at that point. Until the next restore
+// point both take the same blocks, and the fresh one must emit exactly the
+// rows and write exactly the changelog records the live one does: resident
+// state, chunk images and tail cursors included, the live operator must
+// hold nothing a restore does not rebuild. SUM over RANGE and ROWS frames
+// and MIN, which rebuilds from every retained chunk, at several block
+// sizes.
+func TestSlidingWindowResidentMatchesRestore(t *testing.T) {
+	const n = 4000
+	rng := rand.New(rand.NewSource(11))
+	rows := make([]windowRow, n)
+	for i := range rows {
+		ts := int64(100_000 + i*10)
+		switch {
+		case rng.Intn(6) == 0:
+			ts -= int64(rng.Intn(400))
+		case rng.Intn(40) == 0:
+			ts -= int64(1000 + rng.Intn(1500))
+		}
+		rows[i] = windowRow{ts, int64(rng.Intn(1000)), int64(rng.Intn(2))}
+	}
+	for _, spec := range []*validate.BoundAnalytic{
+		slidingSpec("SUM", 3000, 0, false),
+		slidingSpec("SUM", 0, 150, false),
+		slidingSpec("MIN", 3000, 0, false),
+	} {
+		for _, bs := range []int{1, 7, 256, samza.DefaultBatchSize} {
+			k := max(1, 60/bs)
+			broker := kafka.NewBroker()
+			live := changelogWindowOp(t, broker, spec)
+			var fresh *SlidingWindowOp
+			var freshLog *kafka.Broker
+			for blk, from := 0, 0; from < n; blk, from = blk+1, from+bs {
+				to := min(from+bs, n)
+				if blk > 0 && blk%k == 0 {
+					fresh, freshLog = restoredWindowOp(t, broker, spec)
+				}
+				liveOut, freshOut := map[int64]string{}, map[int64]string{}
+				liveFrom := changelogEnd(t, broker)
+				feedWindow(t, live, rows, from, to, bs, liveOut)
+				if fresh == nil {
+					continue
+				}
+				freshFrom := changelogEnd(t, freshLog)
+				feedWindow(t, fresh, rows, from, to, bs, freshOut)
+				if got, want := fmt.Sprint(freshOut), fmt.Sprint(liveOut); got != want {
+					t.Fatalf("%s frame %d+%d batch=%d: block at %d emits %s restored, %s live", spec.Fn, spec.FrameMillis, spec.FrameRows, bs, from, got, want)
+				}
+				if got, want := changelogSince(t, freshLog, freshFrom), changelogSince(t, broker, liveFrom); got != want {
+					t.Fatalf("%s frame %d+%d batch=%d: block at %d writes\n%s\nrestored, live\n%s", spec.Fn, spec.FrameMillis, spec.FrameRows, bs, from, got, want)
+				}
+			}
+			if fresh == nil {
+				t.Fatalf("batch=%d: no restore point", bs)
+			}
+		}
+	}
+}
+
+// restoredWindowOp opens a window operator over a store holding what the
+// window changelog on broker folds to, as a restored task store does; the
+// operator writes to a changelog of its own, on the broker it returns.
+func restoredWindowOp(t *testing.T, broker *kafka.Broker, specs ...*validate.BoundAnalytic) (*SlidingWindowOp, *kafka.Broker) {
+	t.Helper()
+	store := kv.NewStore()
+	for k, v := range changelogState(t, broker) {
+		store.Put([]byte(k), v)
+	}
+	own := kafka.NewBroker()
+	cl, err := kv.NewChangelogStore(store, own, windowChangelog, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	op, err := NewSlidingWindowOp(specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := op.Open(&OpContext{Store: func(string) kv.Store { return cl }}); err != nil {
+		t.Fatal(err)
+	}
+	return op, own
+}
+
+// changelogEnd is the window changelog's high watermark on broker.
+func changelogEnd(t *testing.T, broker *kafka.Broker) int64 {
+	t.Helper()
+	hwm, err := broker.HighWatermark(kafka.TopicPartition{Topic: windowChangelog})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return hwm
+}
+
+// changelogSince renders the window changelog records on broker from offset
+// from on, one per line.
+func changelogSince(t *testing.T, broker *kafka.Broker, from int64) string {
+	t.Helper()
+	recs, err := broker.Read(nil, kafka.TopicPartition{Topic: windowChangelog}, from, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	for _, m := range recs {
+		fmt.Fprintf(&sb, "%x %v %x %t\n", m.Key, m.Value == nil, m.Value, m.Append)
+	}
+	return sb.String()
+}
+
+// TestSlidingWindowFailedBlockPoisons fails a block half way — its first row
+// folds, its second has a string where the ORDER BY timestamp belongs — and
+// requires every later block to fail with that error: the resident state
+// holds half a block the changelog never saw, and only a restore from the
+// changelog may go on from there.
+func TestSlidingWindowFailedBlockPoisons(t *testing.T) {
+	broker := kafka.NewBroker()
+	op := changelogWindowOp(t, broker, slidingSpec("SUM", 1000, 0, false))
+	emit := func(*TupleBlock) error { return nil }
+	bad := blockOf(t, &TupleBlock{}, []vec.Kind{vec.Any, vec.Int64, vec.Int64},
+		[][]any{{int64(100), int64(4), int64(7)}, {"late", int64(5), int64(7)}}, -1, 0)
+	err := op.ProcessBlock(0, bad, emit)
+	if err == nil || !strings.Contains(err.Error(), "ORDER BY value is string") {
+		t.Fatalf("bad block: error %v", err)
+	}
+	good := blockOf(t, &TupleBlock{}, int64Kinds, [][]any{{int64(200), int64(1), int64(8)}}, 0, 2)
+	if err2 := op.ProcessBlock(0, good, emit); err2 != err {
+		t.Fatalf("block after a failed one: error %v, want %v", err2, err)
+	}
+	if got := foldedChangelog(t, broker); len(got) != 0 {
+		t.Fatalf("failed block reached the changelog: %v", got)
 	}
 }
