@@ -9,6 +9,7 @@ import (
 	"testing/quick"
 
 	"samzasql/internal/kafka"
+	"samzasql/internal/metrics"
 )
 
 func TestStoreGetPutDelete(t *testing.T) {
@@ -268,5 +269,48 @@ func TestChangelogBufferAllocs(t *testing.T) {
 	})
 	if avg >= 1 {
 		t.Fatalf("changelog mirror path averages %.2f allocs/op, want < 1", avg)
+	}
+}
+
+// TestDetachChangelog hands a restored changelog store's state to a caller
+// through the instrumented stack a task sees: the store underneath is empty
+// afterwards, no tombstone reached the topic, and what the caller writes
+// through the returned changelog restores as usual. A store without a
+// changelog detaches none and keeps its keys.
+func TestDetachChangelog(t *testing.T) {
+	broker := kafka.NewBroker()
+	cs, err := NewChangelogStore(NewStore(), broker, "detach-cl", 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs.Put([]byte("a"), []byte("1"))
+	cs.Put([]byte("b"), []byte("2"))
+	s := Instrument(cs, metrics.NewRegistry(), "detach")
+	log := DetachChangelog(s)
+	if log == nil || s.Len() != 0 {
+		t.Fatalf("detached %v, %d keys left in the store", log, s.Len())
+	}
+	log.WriteMany([]WriteOp{{Key: []byte("a"), Kind: OpDelete}, {Key: []byte("c"), Value: []byte("3")}})
+	if err := log.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if hwm, err := broker.HighWatermark(kafka.TopicPartition{Topic: "detach-cl"}); err != nil || hwm != 4 {
+		t.Fatalf("changelog holds %d records (%v), want the 2 puts and the 2 writes after the detach", hwm, err)
+	}
+	restored, err := NewChangelogStore(NewStore(), broker, "detach-cl", 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := restored.Restore(); err != nil {
+		t.Fatal(err)
+	}
+	if b, ok := restored.Get([]byte("b")); restored.Len() != 2 || !ok || string(b) != "2" {
+		t.Fatalf("restored %d keys, b = %q", restored.Len(), b)
+	}
+
+	plain := NewStore()
+	plain.Put([]byte("a"), []byte("1"))
+	if log := DetachChangelog(Instrument(plain, metrics.NewRegistry(), "plain")); log != nil || plain.Len() != 1 {
+		t.Fatalf("plain store detached %v, %d keys left", log, plain.Len())
 	}
 }

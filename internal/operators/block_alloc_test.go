@@ -36,13 +36,14 @@ var int64Kinds = []vec.Kind{vec.Int64, vec.Int64, vec.Int64}
 // TestSlidingWindowBlockAllocBudget pins the vectorized sliding window's
 // per-row allocation cost with four keys per block. The partition key, the
 // ORDER BY timestamp and the SUM argument are bare Int64 columns, read
-// unboxed; partition keys are encoded into the write batch's arena and
-// numbered by the key table; the accumulator state is written and read
-// without boxing, by pooled accumulators; the SUM goes into the output
-// vector as an int64; the store writes tail chunks and state rows into its
-// pages. 0.00 allocs/row; 0.03 while the store copied each distinct key's
-// tail chunk and state row into fresh slices per block, and 1.42 before the
-// typed state path (the boxed timestamp alone was 1.0).
+// unboxed; partition keys are encoded into scratch and found in the
+// resident key table; the accumulator sits inline in its resident state and
+// its state row is encoded without boxing into the write batch's arena; the
+// SUM goes into the output vector as an int64. Over a plain store the
+// batch is staged and dropped, not produced. 0.00 allocs/row; 0.03 while
+// the store copied each distinct key's tail chunk and state row into fresh
+// slices per block, and 1.42 before the typed state path (the boxed
+// timestamp alone was 1.0).
 func TestSlidingWindowBlockAllocBudget(t *testing.T) {
 	op, err := NewSlidingWindowOp([]*validate.BoundAnalytic{slidingSpec("SUM", 1000, 0, false)})
 	if err != nil {
