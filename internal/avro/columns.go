@@ -24,9 +24,13 @@ const (
 )
 
 type colField struct {
-	name     string
-	schema   *Schema
-	op       colOp
+	name   string
+	schema *Schema
+	op     colOp
+	// col is the column vector the field fills: its own index, also where
+	// the record on the wire carries a subset of the fields
+	// (NewProjectionDecoder).
+	col      int
 	nullable bool
 }
 
@@ -61,9 +65,13 @@ func (c *Codec) columnFields(kinds []vec.Kind) ([]colField, error) {
 	}
 	fields := make([]colField, len(kinds))
 	for i, f := range c.schema.Fields {
-		fields[i] = colField{name: f.Name, schema: f.Schema, op: columnOp(f.Schema, kinds[i]), nullable: f.Schema.Nullable}
+		fields[i] = newColField(f, kinds[i], i)
 	}
 	return fields, nil
+}
+
+func newColField(f Field, k vec.Kind, col int) colField {
+	return colField{name: f.Name, schema: f.Schema, op: columnOp(f.Schema, k), col: col, nullable: f.Schema.Nullable}
 }
 
 // ColumnDecoder decodes records of one schema straight into kind-typed
@@ -73,7 +81,10 @@ func (c *Codec) columnFields(kinds []vec.Kind) ([]colField, error) {
 // (ReadFields, when some fields are skipped) and fails where they fail.
 type ColumnDecoder struct {
 	fields []colField
+	// kinds and absent describe the row's columns: each column's vector
+	// kind, and whether no decoded field fills it.
 	kinds  []vec.Kind
+	absent []bool
 	// last is the highest decoded field; the wire past it is never read.
 	last int
 }
@@ -86,7 +97,7 @@ func (c *Codec) NewColumnDecoder(kinds []vec.Kind, wanted []bool) (*ColumnDecode
 	if err != nil {
 		return nil, err
 	}
-	d := &ColumnDecoder{fields: fields, kinds: append([]vec.Kind(nil), kinds...), last: len(fields) - 1}
+	d := &ColumnDecoder{fields: fields, kinds: append([]vec.Kind(nil), kinds...), absent: make([]bool, len(kinds)), last: len(fields) - 1}
 	if wanted != nil {
 		d.last = -1
 		for i := range fields {
@@ -94,17 +105,40 @@ func (c *Codec) NewColumnDecoder(kinds []vec.Kind, wanted []bool) (*ColumnDecode
 				d.last = i
 			} else {
 				fields[i].op = opSkip
+				d.absent[i] = true
 			}
 		}
 	}
 	return d, nil
 }
 
-// Reset sizes cols (one per field) for n records, marking skipped fields
-// absent, reusing every vector's arenas.
+// NewProjectionDecoder compiles a decoder of the records a FieldWalk
+// keeping the fields marked in keep writes — c's kept fields, in order, such
+// as a re-keying stage's projected stream — into vectors laid out as c's
+// whole record: each kept field fills the column it came from, a vector of
+// kinds[column], and the other columns are marked absent, as if skipped.
+func (c *Codec) NewProjectionDecoder(kinds []vec.Kind, keep []bool) (*ColumnDecoder, error) {
+	fields, err := c.columnFields(kinds)
+	if err != nil {
+		return nil, err
+	}
+	d := &ColumnDecoder{kinds: append([]vec.Kind(nil), kinds...), absent: make([]bool, len(kinds))}
+	for i := range fields {
+		if i < len(keep) && keep[i] {
+			d.fields = append(d.fields, fields[i])
+		} else {
+			d.absent[i] = true
+		}
+	}
+	d.last = len(d.fields) - 1
+	return d, nil
+}
+
+// Reset sizes cols (one per column) for n records, marking the columns no
+// decoded field fills absent, reusing every vector's arenas.
 func (d *ColumnDecoder) Reset(cols []vec.Vec, n int) {
-	for i := range d.fields {
-		cols[i].Reset(d.kinds[i], n, d.fields[i].op == opSkip)
+	for i, k := range d.kinds {
+		cols[i].Reset(k, n, d.absent[i])
 	}
 }
 
@@ -130,12 +164,12 @@ func (d *ColumnDecoder) Decode(data []byte, cols []vec.Vec, r int) error {
 				return fmt.Errorf("avro: field %q: %w", f.name, err)
 			}
 			pos += n
-			if err := cols[i].Set(r, v); err != nil {
+			if err := cols[f.col].Set(r, v); err != nil {
 				return fmt.Errorf("avro: field %q: %w", f.name, err)
 			}
 			continue
 		}
-		col := &cols[i]
+		col := &cols[f.col]
 		if f.nullable {
 			branch, n, err := readVarint(data[pos:])
 			if err != nil {

@@ -1,10 +1,13 @@
 package avro
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
+	"strconv"
 	"testing"
 
 	"samzasql/internal/vec"
@@ -156,11 +159,19 @@ func sameValue(a, b any) bool {
 // scan can use: for arbitrary bytes, the typed column decode must fail
 // exactly where DecodeRow fails (ReadFields, when mask skips fields) and
 // otherwise agree with it value for value — NULL and absent slots included.
-// None of them may panic.
+// The re-keying stage's field walk, keeping the fields of mask and keyed by a
+// field pick chooses, is held to ReadFields and ReadField the same way
+// (checkFieldWalk). None of them may panic.
 func FuzzAvroDecode(f *testing.F) {
 	schemas := fuzzSchemas()
 	f.Add(uint8(0), uint8(0), hugeLength())
 	f.Add(uint8(1), uint8(0xff), hugeLength())
+	// Clicks keyed by productId and keeping it alone, so the walk skips a
+	// ten-byte rowtime varint: the longest valid one, and one whose tenth
+	// byte overflows 64 bits.
+	longest := append(bytes.Repeat([]byte{0xff}, 9), 0x01, 2, 4, 6, 8)
+	f.Add(uint8(5+2*7), uint8(0b100), longest)
+	f.Add(uint8(5+2*7), uint8(0b100), append(bytes.Repeat([]byte{0xff}, 9), 0x02, 2, 4, 6, 8))
 	for i, s := range schemas {
 		row := make([]any, len(s.Fields))
 		for j, fl := range s.Fields {
@@ -189,6 +200,11 @@ func FuzzAvroDecode(f *testing.F) {
 		f.Add(uint8(i), uint8(0), data)
 		f.Add(uint8(i), uint8(0b10101), data)
 		f.Add(uint8(i), uint8(0), data[:len(data)/2])
+		// Walks keyed by field 2 keeping a set with a gap, on the whole
+		// record and with its last byte cut.
+		keyed := uint8(i + 2*len(schemas))
+		f.Add(keyed, uint8(0b1011), data)
+		f.Add(keyed, uint8(0b1011), data[:len(data)-1])
 	}
 	f.Fuzz(func(t *testing.T, pick, mask uint8, data []byte) {
 		s := schemas[int(pick)%len(schemas)]
@@ -214,6 +230,7 @@ func FuzzAvroDecode(f *testing.F) {
 		cols := make([]vec.Vec, len(s.Fields))
 		dec.Reset(cols, 2)
 		colErr := dec.Decode(data, cols, 1)
+		checkFieldWalk(t, c, mask, data, int(pick)/len(schemas)%len(s.Fields))
 		if (rowErr == nil) != (colErr == nil) {
 			t.Fatalf("%s mask %08b: row decode error %v, column decode error %v", s.Name, mask, rowErr, colErr)
 		}
@@ -229,6 +246,103 @@ func FuzzAvroDecode(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkFieldWalk holds the re-keying walk that keeps the fields marked in
+// mask (none when mask is 0) and keys by field key to the boxed reads: it
+// fails exactly where ReadFields of the kept fields and the key fails, and
+// otherwise its projected bytes are the kept fields' wire spans, which the
+// projection decoder turns back into ReadFields' value for each kept
+// column (the others absent), and its key is the text of ReadField's value.
+func checkFieldWalk(t *testing.T, c *Codec, mask uint8, data []byte, key int) {
+	t.Helper()
+	s := c.Schema()
+	var keep []bool
+	read := make([]bool, len(s.Fields))
+	if mask != 0 {
+		keep = make([]bool, len(s.Fields))
+		for i := range keep {
+			keep[i] = mask&(1<<i) != 0
+			read[i] = keep[i]
+		}
+	}
+	read[key] = true
+	w, err := c.NewFieldWalk(keep, s.Fields[key].Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefix := []byte("dst")
+	value, text, walkErr := w.Walk(prefix, []byte("key:"), data)
+	row, rowErr := c.ReadFields(data, read, nil)
+	if (rowErr == nil) != (walkErr == nil) {
+		t.Fatalf("%s keep %08b key %d: ReadFields error %v, walk error %v", s.Name, mask, key, rowErr, walkErr)
+	}
+	if rowErr != nil {
+		return
+	}
+	if want := "key:" + string(keyText(nil, row[key])); string(text) != want {
+		t.Fatalf("%s key %d: text %q, want %q", s.Name, key, text, want)
+	}
+	if string(value[:len(prefix)]) != "dst" {
+		t.Fatalf("%s: walk overwrote dst", s.Name)
+	}
+	value = value[len(prefix):]
+	if keep == nil {
+		if len(value) != 0 {
+			t.Fatalf("%s: walk keeping nothing copied %x", s.Name, value)
+		}
+		return
+	}
+	dec, err := c.NewProjectionDecoder(kindsFor(s), keep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cols := make([]vec.Vec, len(s.Fields))
+	dec.Reset(cols, 1)
+	if err := dec.Decode(value, cols, 0); err != nil {
+		t.Fatalf("%s keep %08b: projected record %x: %v", s.Name, mask, value, err)
+	}
+	for i, k := range keep {
+		if cols[i].Absent == k {
+			t.Fatalf("%s keep %08b column %d: absent %v", s.Name, mask, i, cols[i].Absent)
+		}
+		if got := cols[i].Value(0); k && !sameValue(got, row[i]) {
+			t.Fatalf("%s keep %08b column %d: projected %#v, source %#v", s.Name, mask, i, got, row[i])
+		}
+	}
+	// Byte for byte, the projection is the kept fields' wire spans, as
+	// skipValue delimits them, back to back.
+	var spans []byte
+	pos := 0
+	for i, k := range keep {
+		n, err := skipValue(data[pos:], s.Fields[i].Schema)
+		if err != nil {
+			break // past the last kept field: never read
+		}
+		if k {
+			spans = append(spans, data[pos:pos+n]...)
+		}
+		pos += n
+	}
+	if string(value) != string(spans) {
+		t.Fatalf("%s keep %08b: projected bytes %x, kept spans %x", s.Name, mask, value, spans)
+	}
+}
+
+// keyText is the text a re-keying stage keys a message by: fmt's %v of the
+// boxed field value, with strconv for the scalar types.
+func keyText(dst []byte, v any) []byte {
+	switch x := v.(type) {
+	case int64:
+		return strconv.AppendInt(dst, x, 10)
+	case string:
+		return append(dst, x...)
+	case float64:
+		return strconv.AppendFloat(dst, x, 'g', -1, 64)
+	case bool:
+		return strconv.AppendBool(dst, x)
+	}
+	return fmt.Appendf(dst, "%v", v)
 }
 
 // benchOrders is a block of encoded Orders records, the scan's input.

@@ -95,21 +95,15 @@ func (e *Engine) RunBounded(p *Prepared) ([][]any, error) {
 			}
 			already += hwm
 		}
-		for i, m := range msgs {
-			if int64(i) < already {
-				continue
-			}
-			keyVal, err := spec.Codec.ReadField(m.Value, spec.KeyCol)
-			if err != nil {
+		if already < int64(len(msgs)) {
+			task := &RepartitionTask{Spec: spec, Partitions: srcParts}
+			if err := task.route(msgs[already:]); err != nil {
 				return nil, err
 			}
-			if _, err := e.Broker.Produce(spec.TargetTopic, kafka.Message{
-				Partition: -1,
-				Key:       []byte(fmt.Sprintf("%v", keyVal)),
-				Value:     m.Value,
-				Timestamp: m.Timestamp,
-			}); err != nil {
-				return nil, err
+			for _, batch := range task.perPart {
+				if err := e.Broker.ProduceBatch(spec.TargetTopic, batch); err != nil {
+					return nil, err
+				}
 			}
 		}
 	}

@@ -3,7 +3,6 @@ package executor
 import (
 	"context"
 	"fmt"
-	"strconv"
 	"sync"
 
 	"samzasql/internal/avro"
@@ -11,16 +10,17 @@ import (
 	"samzasql/internal/metrics"
 	"samzasql/internal/samza"
 	"samzasql/internal/sql/physical"
-	"samzasql/internal/vec"
 	"samzasql/internal/yarn"
 )
 
 // RepartitionTask is the Samza task of a re-keying stage (§7 future work
-// 1): it reads the join-key column straight from each message's wire bytes
-// (never materializing the tuple) and forwards the message unchanged to the
-// intermediate topic, keyed so the broker's partitioner co-locates join
-// keys. Ordering is preserved per source partition only — the caveat the
-// paper flags for order-sensitive downstream queries.
+// 1): one walk over each message's wire bytes (never materializing the
+// tuple) reads the join-key column and copies the columns the consumer
+// reads into the outgoing record (or forwards the message unchanged when
+// the consumer reads all of them), sent to the intermediate topic keyed so
+// the broker's partitioner co-locates join keys. Ordering is preserved per
+// source partition only — the caveat the paper flags for order-sensitive
+// downstream queries.
 type RepartitionTask struct {
 	Spec *physical.RepartitionSpec
 	// Partitions is the target topic's partition count, letting the
@@ -30,85 +30,16 @@ type RepartitionTask struct {
 
 	// perPart is the per-destination message grouping reused across batches.
 	perPart [][]kafka.Message
-	// The batched key read, compiled on first use: a decoder of the key
-	// field alone into keyCols (an Int64 or String vector for a long or
-	// string field, the boxed escape vector otherwise), and the arena the
-	// batch's key bytes are formatted into, reused across batches — the
-	// broker copies what it is sent.
-	keyDec   *avro.ColumnDecoder
-	keyIdx   int
-	keyCols  []vec.Vec
-	keyArena []byte
+	// walk is the per-message walk, compiled on first use. The batch's keys
+	// and projected values are written into arenas reused across batches —
+	// the broker copies what it is sent.
+	walk       *avro.FieldWalk
+	keyArena   []byte
+	valueArena []byte
 }
 
 // Init implements samza.StreamTask.
 func (t *RepartitionTask) Init(*samza.TaskContext) error { return nil }
-
-// appendRepartitionKey appends the re-keying value v to dst as the bytes
-// the broker hashes: the same text fmt.Sprintf("%v") produces, with the
-// common scalar types formatted via strconv.
-func appendRepartitionKey(dst []byte, v any) []byte {
-	switch x := v.(type) {
-	case int64:
-		return strconv.AppendInt(dst, x, 10)
-	case string:
-		return append(dst, x...)
-	case float64:
-		return strconv.AppendFloat(dst, x, 'g', -1, 64)
-	case bool:
-		return strconv.AppendBool(dst, x)
-	}
-	return fmt.Appendf(dst, "%v", v)
-}
-
-// compileKeyRead builds the batched key decoder. A long or string key field
-// is decoded into a typed vector; any other field goes through the boxed
-// decode ReadField runs, so every field reads and fails as ReadField does.
-func (t *RepartitionTask) compileKeyRead() error {
-	schema := t.Spec.Codec.Schema()
-	t.keyIdx = schema.FieldIndex(t.Spec.KeyCol)
-	if t.keyIdx < 0 {
-		return fmt.Errorf("avro: record %q has no field %q", schema.Name, t.Spec.KeyCol)
-	}
-	kinds := make([]vec.Kind, len(schema.Fields))
-	wanted := make([]bool, len(schema.Fields))
-	wanted[t.keyIdx] = true
-	switch schema.Fields[t.keyIdx].Schema.Kind {
-	case avro.KindLong:
-		kinds[t.keyIdx] = vec.Int64
-	case avro.KindString:
-		kinds[t.keyIdx] = vec.String
-	}
-	dec, err := t.Spec.Codec.NewColumnDecoder(kinds, wanted)
-	if err != nil {
-		return err
-	}
-	t.keyDec, t.keyCols = dec, make([]vec.Vec, len(kinds))
-	return nil
-}
-
-// appendKey decodes envelope r's key field into row r of the key vectors
-// and appends the key's bytes to the arena: appendRepartitionKey of the
-// value ReadField returns.
-//
-//samzasql:hotpath
-func (t *RepartitionTask) appendKey(value []byte, r int) error {
-	if err := t.keyDec.Decode(value, t.keyCols, r); err != nil {
-		return err
-	}
-	col := &t.keyCols[t.keyIdx]
-	switch {
-	case col.IsNull(r):
-		t.keyArena = appendRepartitionKey(t.keyArena, nil)
-	case col.Kind == vec.Int64:
-		t.keyArena = strconv.AppendInt(t.keyArena, col.I64[r], 10)
-	case col.Kind == vec.String:
-		t.keyArena = append(t.keyArena, col.Str(r)...)
-	default:
-		t.keyArena = appendRepartitionKey(t.keyArena, col.Any[r])
-	}
-	return nil
-}
 
 // ProcessBatch implements samza.StreamTask: the whole polled block is
 // re-keyed in one pass and routed by destination partition — the messages
@@ -119,6 +50,25 @@ func (t *RepartitionTask) appendKey(value []byte, r int) error {
 //
 //samzasql:hotpath
 func (t *RepartitionTask) ProcessBatch(envs []samza.IncomingMessageEnvelope, c samza.MessageCollector, _ samza.Coordinator, _ int64) error {
+	if err := t.route(envs); err != nil {
+		return err
+	}
+	for _, batch := range t.perPart {
+		if len(batch) == 0 {
+			continue
+		}
+		if err := c.SendBatch(t.Spec.TargetTopic, batch); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// route re-keys envs into perPart, one group per destination partition in
+// input order (a single group when the partition count is unknown).
+//
+//samzasql:hotpath
+func (t *RepartitionTask) route(envs []samza.IncomingMessageEnvelope) error {
 	n := t.Partitions
 	groups := max(n, 1) // unknown partition count: one unsplit batch
 	for int32(len(t.perPart)) < groups {
@@ -127,36 +77,35 @@ func (t *RepartitionTask) ProcessBatch(envs []samza.IncomingMessageEnvelope, c s
 	for p := range t.perPart {
 		t.perPart[p] = t.perPart[p][:0]
 	}
-	if t.keyDec == nil {
-		if err := t.compileKeyRead(); err != nil {
-			return fmt.Errorf("executor: repartition key read: %w", err)
+	if t.walk == nil {
+		w, err := t.Spec.Codec.NewFieldWalk(t.Spec.Keep, t.Spec.KeyCol)
+		if err != nil {
+			return fmt.Errorf("executor: repartition walk: %w", err)
 		}
+		t.walk = w
 	}
-	t.keyDec.Reset(t.keyCols, len(envs))
-	t.keyArena = t.keyArena[:0]
+	project := t.Spec.Keep != nil
+	t.keyArena, t.valueArena = t.keyArena[:0], t.valueArena[:0]
 	for i := range envs {
 		env := &envs[i]
-		start := len(t.keyArena)
-		if err := t.appendKey(env.Value, i); err != nil {
+		kStart, vStart := len(t.keyArena), len(t.valueArena)
+		var err error
+		if t.valueArena, t.keyArena, err = t.walk.Walk(t.valueArena, t.keyArena, env.Value); err != nil {
 			return fmt.Errorf("executor: repartition key read: %w", err)
 		}
-		key := t.keyArena[start:len(t.keyArena):len(t.keyArena)]
+		key := t.keyArena[kStart:len(t.keyArena):len(t.keyArena)]
+		value := env.Value
+		if project {
+			value = t.valueArena[vStart:len(t.valueArena):len(t.valueArena)]
+		}
 		dest, part := int32(0), int32(-1)
 		if n > 0 {
 			dest = kafka.PartitionForKey(key, n)
 			part = dest
 		}
 		t.perPart[dest] = append(t.perPart[dest], kafka.Message{
-			Partition: part, Key: key, Value: env.Value, Timestamp: env.Timestamp,
+			Partition: part, Key: key, Value: value, Timestamp: env.Timestamp,
 		})
-	}
-	for p := int32(0); p < groups; p++ {
-		if len(t.perPart[p]) == 0 {
-			continue
-		}
-		if err := c.SendBatch(t.Spec.TargetTopic, t.perPart[p]); err != nil {
-			return err
-		}
 	}
 	return nil
 }

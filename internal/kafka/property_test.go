@@ -2,6 +2,8 @@ package kafka
 
 import (
 	"fmt"
+	"hash/fnv"
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -115,5 +117,35 @@ func TestPropertyPartitionerDeterministicInRange(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Property: the inline FNV-1a partitioner picks the partition hash/fnv's
+// 32-bit FNV-1a gives, so re-keyed messages land where they always have; a
+// nil or empty key, or a topic of one partition, maps to partition 0.
+func TestPropertyPartitionerMatchesFNV1a(t *testing.T) {
+	f := func(key []byte, nRaw uint8) bool {
+		n := int32(nRaw%64) + 2
+		h := fnv.New32a()
+		h.Write(key)
+		want := int32(h.Sum32() % uint32(n))
+		if len(key) == 0 {
+			want = 0
+		}
+		return PartitionForKey(key, n) == want && PartitionForKey(key, 1) == 0
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range [][]byte{nil, {}} {
+		for _, n := range []int32{0, 1, 7, 64} {
+			if p := PartitionForKey(key, n); p != 0 {
+				t.Fatalf("key %#v over %d partitions: partition %d, want 0", key, n, p)
+			}
+		}
+	}
+	// A published FNV-1a test vector: "a" hashes to 0xe40c292c.
+	if p := PartitionForKey([]byte("a"), math.MaxInt32); p != 0xe40c292c%math.MaxInt32 {
+		t.Fatalf(`key "a": partition %d, want %d`, p, 0xe40c292c%math.MaxInt32)
 	}
 }

@@ -6,15 +6,12 @@ import (
 	"samzasql/internal/kafka"
 )
 
-// changelogSlabSize is the smallest arena slab the changelog copies
-// key/value bytes into.
-const changelogSlabSize = 64 << 10
-
 // Changelog is the producer half of a changelog-backed store: it puts write
 // batches on one partition of a compacted Kafka changelog topic, each batch
-// as one contiguous run. Each key/value is copied once, into an arena slab
-// the broker copies out of on produce; the slab is then reused. A Changelog
-// is owned by a single task goroutine.
+// as one contiguous run. The pending records are views of the caller's keys
+// and values: every write is produced before the call that made it returns,
+// and the broker copies the bytes into the log, so nothing is copied twice.
+// A Changelog is owned by a single task goroutine.
 //
 // A produce the broker refuses (the topic was deleted under the task)
 // becomes a sticky *ChangelogError: the changelog stops producing, and its
@@ -27,7 +24,6 @@ type Changelog struct {
 	partition int32
 
 	pending []kafka.Message
-	arena   []byte
 	err     error
 }
 
@@ -103,35 +99,14 @@ func (c *ChangelogStore) Delete(key []byte) bool {
 	return ok
 }
 
-// copyToArena copies b into the current slab and returns the aliasing
-// slice. Slices returned since the last produce stay valid: a slab that
-// fills is left to the pending records aliasing it and replaced by one twice
-// its size, so the slab kept across produces grows to hold a whole batch.
-func (c *Changelog) copyToArena(b []byte) []byte {
-	if len(b) == 0 {
-		return nil
-	}
-	if cap(c.arena)-len(c.arena) < len(b) {
-		c.arena = make([]byte, 0, max(changelogSlabSize, 2*cap(c.arena), len(b)))
-	}
-	start := len(c.arena)
-	c.arena = append(c.arena, b...)
-	return c.arena[start:len(c.arena):len(c.arena)]
-}
-
-// buffer queues one mirrored write, copying key and value once into the
-// batch arena. A nil value is a tombstone; app marks an append record.
+// buffer queues one mirrored write over the caller's key and value bytes,
+// which must stay unchanged until the next produce. A nil value is a
+// tombstone; app marks an append record.
 func (c *Changelog) buffer(key, value []byte, app bool) {
-	m := kafka.Message{
-		Partition: c.partition,
-		Append:    app,
-		Key:       c.copyToArena(key),
-	}
-	if value != nil {
-		m.Value = c.copyToArena(value)
-		if m.Value == nil {
-			m.Value = []byte{} // an empty value is a value; nil would replay as a delete
-		}
+	// An empty value is a value; only nil replays as a delete.
+	m := kafka.Message{Partition: c.partition, Append: app, Value: value}
+	if len(key) > 0 {
+		m.Key = key // an empty key goes on the log as no key
 	}
 	c.pending = append(c.pending, m)
 }
@@ -149,10 +124,9 @@ func (c *Changelog) produce() {
 			c.err = &ChangelogError{Topic: c.topic, Partition: c.partition, Err: err}
 		}
 	}
-	// The broker copied the records into the log: headers and slab are
-	// free for the next batch.
+	// The broker copied the records into the log: the headers are free for
+	// the next batch, and the caller's bytes are the caller's again.
 	c.pending = c.pending[:0]
-	c.arena = c.arena[:0]
 }
 
 // Err returns the sticky *ChangelogError of the first write the changelog

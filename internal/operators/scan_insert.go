@@ -25,7 +25,6 @@ const (
 // kind-typed column vectors. When the source declares a timestamp column the
 // event time is read from it.
 type ScanOp struct {
-	Codec *avro.Codec
 	// TsIdx is the timestamp column index, or -1 to use the message time.
 	TsIdx int
 	// Stream is the source topic name (used for routing labels).
@@ -33,8 +32,9 @@ type ScanOp struct {
 
 	// dec decodes into vectors typed from the scan's row type, skipping on
 	// the wire the columns no operator of the plan reads (plan.Scan.Required)
-	// and marking their vectors absent.
-	dec *avro.ColumnDecoder
+	// and marking their vectors absent. arity is the row's column count.
+	dec   *avro.ColumnDecoder
+	arity int
 
 	// Observability handles, bound at Open (nil when the op runs outside a
 	// metrics-carrying context).
@@ -50,7 +50,20 @@ func NewScanOp(codec *avro.Codec, row *types.RowType, tsIdx int, stream string, 
 	if err != nil {
 		return nil, fmt.Errorf("operators: scan %s: %w", stream, err)
 	}
-	return &ScanOp{Codec: codec, TsIdx: tsIdx, Stream: stream, dec: dec}, nil
+	return &ScanOp{TsIdx: tsIdx, Stream: stream, dec: dec, arity: row.Arity()}, nil
+}
+
+// NewProjectedScanOp compiles the scan of stream, whose messages carry
+// only the fields of codec's record marked in keep, in order: a re-keying
+// stage's projected intermediate stream. Each field fills the column it
+// came from, the others are absent as if skipped, so the operators above
+// see the source row's layout.
+func NewProjectedScanOp(codec *avro.Codec, row *types.RowType, tsIdx int, stream string, keep []bool) (*ScanOp, error) {
+	dec, err := codec.NewProjectionDecoder(vec.KindsOf(row), keep)
+	if err != nil {
+		return nil, fmt.Errorf("operators: scan %s: %w", stream, err)
+	}
+	return &ScanOp{TsIdx: tsIdx, Stream: stream, dec: dec, arity: row.Arity()}, nil
 }
 
 // Open implements Opener, binding the scan's serde metrics.
@@ -72,7 +85,7 @@ func (s *ScanOp) Open(ctx *OpContext) error {
 //samzasql:hotpath
 func (s *ScanOp) DecodeBlock(b *TupleBlock) error {
 	start := time.Now()
-	b.setArity(len(s.Codec.Schema().Fields))
+	b.setArity(s.arity)
 	s.dec.Reset(b.Cols, b.N)
 	var bytes int64
 	for r := 0; r < b.N; r++ {

@@ -237,17 +237,27 @@ func (p *Program) buildScan(s *plan.Scan, downstream operators.BlockEmit) error 
 	}
 	// A scan marked for repartitioning reads the re-keyed intermediate
 	// topic instead of the source; the engine runs the re-keying stage.
+	// When the stage forwards a projection, the scan decodes that record's
+	// fields into the columns they came from, so arity and column indexes
+	// stay those of the source row.
 	topic := s.Object.Topic
+	var scan *operators.ScanOp
 	if s.RepartitionCol != "" {
-		var err error
-		topic, err = p.planRepartition(s.Object, s.RepartitionCol)
+		spec, err := p.planRepartition(s.Object, c, s.RepartitionCol, s.RepartitionKeep())
 		if err != nil {
 			return err
 		}
+		topic = spec.TargetTopic
+		if spec.Keep != nil {
+			if scan, err = operators.NewProjectedScanOp(c, s.Object.Row, tsIdx, topic, spec.Keep); err != nil {
+				return err
+			}
+		}
 	}
-	scan, err := operators.NewScanOp(c, s.Object.Row, tsIdx, topic, s.Required)
-	if err != nil {
-		return err
+	if scan == nil {
+		if scan, err = operators.NewScanOp(c, s.Object.Row, tsIdx, topic, s.Required); err != nil {
+			return err
+		}
 	}
 	p.Router.Register(scan)
 	for _, in := range p.Inputs {

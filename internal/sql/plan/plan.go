@@ -61,18 +61,44 @@ func (s *Scan) String() string {
 	}
 	out := fmt.Sprintf("Scan(%s, %s)", s.Object.Name, mode)
 	if s.RepartitionCol != "" {
-		out = fmt.Sprintf("Scan(%s, %s, repartition by %s)", s.Object.Name, mode, s.RepartitionCol)
+		stage := "repartition by " + s.RepartitionCol
+		if keep := s.RepartitionKeep(); keep != nil {
+			stage += " keeping " + strings.Join(s.columnNames(keep), ", ")
+		}
+		out = fmt.Sprintf("Scan(%s, %s, %s)", s.Object.Name, mode, stage)
 	}
 	if s.Required != nil {
-		var cols []string
-		for i, r := range s.Required {
-			if r {
-				cols = append(cols, s.Object.Row.Columns[i].Name)
-			}
-		}
-		out += " cols=[" + strings.Join(cols, ", ") + "]"
+		out += " cols=[" + strings.Join(s.columnNames(s.Required), ", ") + "]"
 	}
 	return out
+}
+
+// RepartitionKeep marks, index-aligned with the row type, the source
+// columns a repartitioned scan's re-keying stage forwards: Required plus
+// the key, which the stage reads, and the timestamp column, which the scan
+// reads. Nil, when Required is nil, forwards whole messages.
+func (s *Scan) RepartitionKeep() []bool {
+	if s.Required == nil {
+		return nil
+	}
+	keep := append([]bool(nil), s.Required...)
+	for _, c := range []string{s.RepartitionCol, s.Object.TimestampCol} {
+		if i := s.Object.Row.Index(c); c != "" && i >= 0 {
+			keep[i] = true
+		}
+	}
+	return keep
+}
+
+// columnNames returns the names of the columns marked in mask.
+func (s *Scan) columnNames(mask []bool) []string {
+	var cols []string
+	for i, r := range mask {
+		if r {
+			cols = append(cols, s.Object.Row.Columns[i].Name)
+		}
+	}
+	return cols
 }
 
 // Filter keeps rows satisfying Cond.
